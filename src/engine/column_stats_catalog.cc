@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/lake/snapshot.h"
+#include "src/util/hash.h"
 #include "src/util/simd.h"
 
 namespace gent {
@@ -33,12 +34,26 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c) {
       }
     }
   } else {
-    vals.reserve(col.size());
+    // Sparse column (a lake column, or a ~1k-row joined intermediate
+    // whose cells repeat a few hundred ids): deduplicate through a flat
+    // ~1/2-load set first, then sort only the distinct ids. kNull marks
+    // an empty slot; nulls never enter the set anyway.
+    size_t cap = 16;
+    while (cap < 2 * col.size()) cap <<= 1;
+    const uint64_t mask = cap - 1;
+    std::vector<ValueId> slots(cap, kNull);
     for (ValueId v : col) {
-      if (v != kNull) vals.push_back(v);
+      if (v == kNull) continue;
+      uint64_t slot = SplitMix64(v) & mask;
+      while (slots[slot] != kNull && slots[slot] != v) {
+        slot = (slot + 1) & mask;
+      }
+      if (slots[slot] == kNull) {
+        slots[slot] = v;
+        vals.push_back(v);
+      }
     }
     std::sort(vals.begin(), vals.end());
-    vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
   }
   // Labeled nulls are filtered after dedup: one lock acquisition over
   // the distinct values instead of a per-cell IsLabeledNull (which took

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -33,8 +35,8 @@ struct JoinPair {
 // Distinct value sets per column as sorted, deduplicated id vectors.
 // Views either borrow the shared catalog's immutable sets (untouched
 // lake candidates: zero recomputation, zero copies) or point into
-// `owned` (ad-hoc candidates and joined intermediates: one one-pass
-// sort-unique build, no hash sets). Move-safe: moving the outer vectors
+// `owned` (ad-hoc candidates and joined intermediates: one
+// SortedDistinctValues build per column). Move-safe: moving the outer vectors
 // keeps the inner heap buffers, so views survive container moves.
 struct ColumnSets {
   std::vector<std::vector<ValueId>> owned;
@@ -152,43 +154,138 @@ std::optional<JoinPair> BestJoinPair(const ColumnSets& a, size_t rows_a,
   return best;
 }
 
-// Joins `left` with `right` on exactly the given column pair: the right
-// join column is renamed to the left's name, and colliding non-join
-// columns are suffixed out of the way. Collisions on names in
-// `preserve_right` keep the RIGHT column (the expansion-start candidate's
-// data) and move the left's aside — the left (hop) table's same-named
-// column is usually a spurious mapping over an overlapping domain.
-// Inputs are taken by value: both are single-use locals of the
-// expansion loop, so renaming in place saves two full table copies per
-// hop (the reference implementation clones instead — same cells, same
-// result).
-Result<Table> JoinOnPair(Table l, Table r, size_t left_col, size_t right_col,
-                         const std::unordered_set<std::string>& preserve_right,
-                         const OpLimits& limits) {
-  for (size_t c = 0; c < r.num_cols(); ++c) {
+// The renames that let a hop join run as a natural join on exactly the
+// chosen column pair, resolved on the two name vectors alone: the right
+// join column takes the left's name, and colliding non-join columns are
+// suffixed out of the way. Collisions on names in `preserve_right` keep
+// the RIGHT column (the expansion-start candidate's data) and move the
+// left's aside — the left (hop) table's same-named column is usually a
+// spurious mapping over an overlapping domain. Afterwards the two sides
+// share exactly one name, the join column's. False on a join-column
+// collision (unreachable after the collision pass; guarded anyway).
+bool ResolveHopNames(std::vector<std::string>* l, std::vector<std::string>* r,
+                     size_t left_col, size_t right_col,
+                     const std::unordered_set<std::string>& preserve_right) {
+  auto has = [](const std::vector<std::string>& names,
+                const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (size_t c = 0; c < r->size(); ++c) {
     if (c == right_col) continue;
-    const std::string& name = r.column_name(c);
-    auto lc = l.ColumnIndex(name);
-    if (!lc.has_value()) continue;
-    if (preserve_right.count(name) > 0 && *lc != left_col) {
-      std::string fresh = name + "#hop";
-      while (r.HasColumn(fresh) || l.HasColumn(fresh)) fresh += "'";
-      GENT_RETURN_IF_ERROR(l.RenameColumn(*lc, fresh));
-    } else {
-      std::string fresh = name + "#dup";
-      while (r.HasColumn(fresh) || l.HasColumn(fresh)) fresh += "'";
-      GENT_RETURN_IF_ERROR(r.RenameColumn(c, fresh));
+    const std::string name = (*r)[c];
+    auto it = std::find(l->begin(), l->end(), name);
+    if (it == l->end()) continue;
+    const size_t lc = static_cast<size_t>(it - l->begin());
+    const bool move_left = preserve_right.count(name) > 0 && lc != left_col;
+    std::string fresh = name + (move_left ? "#hop" : "#dup");
+    while (has(*r, fresh) || has(*l, fresh)) fresh += "'";
+    (move_left ? (*l)[lc] : (*r)[c]) = std::move(fresh);
+  }
+  const std::string& join_name = (*l)[left_col];
+  if ((*r)[right_col] != join_name) {
+    if (has(*r, join_name)) return false;
+    (*r)[right_col] = join_name;
+  }
+  return true;
+}
+
+// One output column of a hop join: column `col` of the hop (left) table
+// or of the path so far (right), emitted as `name`.
+struct HopColumn {
+  bool left;
+  size_t col;
+  std::string name;
+};
+
+// Inner join of the hop table `l` with the path so far `r` on
+// l[left_col] = r[right_col] (the names resolved by ResolveHopNames),
+// emitting the columns `out`.
+//
+// Without `distinct`, `out` is the whole natural-join schema (l's
+// columns, then r's minus its join column) and the result is exactly
+// NaturalJoin of the renamed tables: rows by ascending left row, then
+// ascending right row within the key group.
+//
+// With `distinct` (the fused last hop) the result is exactly
+// Distinct(Project(that join, out)) without materializing the join.
+// Each side keeps only the first occurrence of its projected row, join
+// column included. The first appearance of any output tuple comes from
+// such a pair: an earlier left row with the same projection would pair
+// with the same right row (same key) into an earlier copy of the tuple,
+// and symmetrically on the right. Joining the deduplicated sides visits
+// a subsequence of the full join's pairs in the same order, so the
+// surviving tuples and their order are unchanged. When the join column
+// is kept, distinct pairs of first-occurrence rows yield distinct tuples
+// and no output deduplication is needed; otherwise one Distinct runs.
+//
+// The row cap trips exactly where NaturalJoin's would: before each left
+// row the budget is checked against the rows the full join would have
+// emitted so far (the right side's per-key multiplicities summed over
+// the earlier left rows). nullopt when the cap trips, `limits` is
+// interrupted, or the join is empty.
+std::optional<Table> HopJoin(const Table& l, const Table& r, size_t left_col,
+                             size_t right_col,
+                             const std::vector<HopColumn>& out,
+                             bool distinct, const OpLimits& limits) {
+  const ValueId* lkey = l.column(left_col).data();
+  const ValueId* rkey = r.column(right_col).data();
+  const JoinKeyTable all({rkey}, r.num_rows());
+  std::vector<char> lfirst;
+  std::optional<JoinKeyTable> rfirst;
+  bool join_col_kept = false;
+  if (distinct) {
+    std::vector<const ValueId*> lcols{lkey}, rcols{rkey};
+    for (const HopColumn& h : out) {
+      if (h.left && h.col == left_col) {
+        join_col_kept = true;
+      } else if (h.left) {
+        lcols.push_back(l.column(h.col).data());
+      } else {
+        rcols.push_back(r.column(h.col).data());
+      }
+    }
+    lfirst.assign(l.num_rows(), 0);
+    for (uint32_t row : FirstOccurrenceRows(lcols, l.num_rows())) {
+      lfirst[row] = 1;
+    }
+    const std::vector<uint32_t> rrows =
+        FirstOccurrenceRows(rcols, r.num_rows());
+    rfirst.emplace(std::vector<const ValueId*>{rkey}, r.num_rows(), &rrows);
+  }
+
+  std::vector<uint32_t> lrows, rrows;
+  uint64_t full_rows = 0;
+  for (size_t lr = 0; lr < l.num_rows(); ++lr) {
+    if (!limits.Check(full_rows).ok()) return std::nullopt;
+    const ValueId v = lkey[lr];
+    if (v == kNull) continue;
+    auto [rows, count] = all.Find(&v);
+    full_rows += count;
+    if (distinct) {
+      if (!lfirst[lr]) continue;
+      std::tie(rows, count) = rfirst->Find(&v);
+    }
+    for (size_t k = 0; k < count; ++k) {
+      lrows.push_back(static_cast<uint32_t>(lr));
+      rrows.push_back(rows[k]);
     }
   }
-  const std::string& join_name = l.column_name(left_col);
-  if (r.column_name(right_col) != join_name) {
-    if (r.HasColumn(join_name)) {
-      // Can't happen after the collision pass, but guard anyway.
-      return Status::Internal("join column collision");
-    }
-    GENT_RETURN_IF_ERROR(r.RenameColumn(right_col, join_name));
+  if (full_rows == 0) return std::nullopt;
+
+  // Column-major gather of only the emitted columns.
+  Table joined("", l.dict());
+  for (const HopColumn& h : out) {
+    if (!joined.AddColumn(h.name).ok()) return std::nullopt;
   }
-  return NaturalJoin(l, r, JoinKind::kInner, limits);
+  for (size_t c = 0; c < out.size(); ++c) {
+    const ValueId* src = (out[c].left ? l : r).column(out[c].col).data();
+    const std::vector<uint32_t>& at = out[c].left ? lrows : rrows;
+    std::vector<ValueId>& col = joined.mutable_column(c);
+    col.resize(at.size());
+    for (size_t i = 0; i < at.size(); ++i) col[i] = src[at[i]];
+  }
+  if (distinct && !join_col_kept) joined = Distinct(joined);
+  return joined;
 }
 
 }  // namespace
@@ -278,17 +375,20 @@ Result<ExpandResult> Expand(const Table& source,
     any_keyless |= !c.covers_key;
     any_covers |= c.covers_key;
   }
+  // The ascending inner-union fold of hop `h`'s family, skipping `skip`.
+  auto fold_family = [&](size_t h, size_t skip) {
+    Table t = candidates[h].table.Clone();
+    for (size_t other = 0; other < n; ++other) {
+      if (other == h || other == skip) continue;
+      auto unioned = InnerUnion(t, candidates[other].table);
+      if (unioned.ok()) t = std::move(unioned).value();
+    }
+    return t;
+  };
   std::vector<std::optional<Table>> family_union(n);
   if (any_keyless && any_covers) {
     ParallelFor(pool.get(), n, [&](size_t i) {
-      if (adj[i].empty()) return;
-      Table t = candidates[i].table.Clone();
-      for (size_t other = 0; other < n; ++other) {
-        if (other == i) continue;
-        auto unioned = InnerUnion(t, candidates[other].table);
-        if (unioned.ok()) t = std::move(unioned).value();
-      }
-      family_union[i] = std::move(t);
+      if (!adj[i].empty()) family_union[i] = fold_family(i, SIZE_MAX);
     });
     GENT_RETURN_IF_ERROR(limits.Interrupted());
   }
@@ -343,13 +443,27 @@ Result<ExpandResult> Expand(const Table& source,
     return path;
   };
 
+  // One key lookup serves every path's scoring matrix and one key index
+  // every path's mapping verification (the source is fixed for the whole
+  // expansion). Paths exist only with a keyless start and a key-covering
+  // end, so the index is built only then.
+  SourceKeyLookup source_keys(source);
+  const KeyIndex source_key_index =
+      any_keyless && any_covers ? source.BuildKeyIndex() : KeyIndex{};
+
   // Materializes one expansion along `path`; nullopt = unusable.
-  // Intermediates are not lake tables, so their sets fall back to the
-  // one-pass sorted build.
-  auto build_expansion = [&](size_t ci, const std::vector<size_t>& path)
+  // `preserve` is the start candidate's column-name set (see
+  // ResolveHopNames). Intermediate hops materialize the whole join: its
+  // column sets (built from its cells — intermediates are not lake tables)
+  // feed the next hop's pair search. The last hop is fused with the
+  // projection to the start candidate's columns plus the source key and
+  // the Distinct over them (HopJoin), so it never materializes the join.
+  auto build_expansion = [&](size_t ci, const std::vector<size_t>& path,
+                             const std::unordered_set<std::string>& preserve)
       -> std::optional<Table> {
     const Candidate& cand = candidates[ci];
-    Table joined = candidates[path[0]].table.Clone();
+    const Table* joined = &candidates[path[0]].table;
+    std::optional<Table> materialized;
     ColumnSets local_sets;
     const ColumnSets* joined_sets = &sets[path[0]];
     for (size_t p = 1; p < path.size(); ++p) {
@@ -359,7 +473,7 @@ Result<ExpandResult> Expand(const Table& source,
       // path can never masquerade as a complete expansion.
       if (!limits.Interrupted().ok()) return std::nullopt;
       size_t next = path[p];
-      auto pair = BestJoinPair(*joined_sets, joined.num_rows(), sets[next],
+      auto pair = BestJoinPair(*joined_sets, joined->num_rows(), sets[next],
                                candidates[next].table.num_rows(),
                                kJoinThreshold);
       if (!pair) return std::nullopt;
@@ -368,61 +482,77 @@ Result<ExpandResult> Expand(const Table& source,
       // sibling variant supplies. The start candidate's own rows never
       // join back into its expansion, so it is excluded from the family
       // — when it isn't part of it anyway, the precomputed union serves.
-      Table hop_table("", source.dict());
-      if (sorted_schemas[ci] != sorted_schemas[next]) {
-        hop_table = family_union[next]->Clone();
-      } else {
-        hop_table = candidates[next].table.Clone();
-        for (size_t other = 0; other < n; ++other) {
-          if (other == next || other == ci) continue;
-          auto unioned = InnerUnion(hop_table, candidates[other].table);
-          if (unioned.ok()) hop_table = std::move(unioned).value();
-        }
+      std::optional<Table> refolded;
+      if (sorted_schemas[ci] == sorted_schemas[next]) {
+        refolded = fold_family(next, ci);
       }
+      const Table& hop = refolded ? *refolded : *family_union[next];
       if (debug) {
         fprintf(stderr, "[hop] %s: %s ~ %s (w=%.2f)\n",
                 cand.table.name().c_str(),
-                joined.column_name(pair->a_col).c_str(),
+                joined->column_name(pair->a_col).c_str(),
                 candidates[next].table.column_name(pair->b_col).c_str(),
                 pair->weight);
       }
       // Hop table on the LEFT so its column names -- including the mapped
       // source key columns of the path's end table -- survive the rename.
-      std::unordered_set<std::string> preserve(
-          cand.table.column_names().begin(), cand.table.column_names().end());
-      auto j = JoinOnPair(std::move(hop_table), std::move(joined),
-                          pair->b_col, pair->a_col, preserve, join_limits);
-      if (!j.ok()) return std::nullopt;
-      joined = std::move(j).value();
-      // The intermediate's column sets feed only the NEXT hop's pair
-      // search; on the last hop (the overwhelmingly common 2-node path)
-      // the rebuild is dead work and skipped.
-      if (p + 1 < path.size()) {
-        local_sets = SetsFromTable(joined);
+      std::vector<std::string> lnames = hop.column_names();
+      std::vector<std::string> rnames = joined->column_names();
+      if (!ResolveHopNames(&lnames, &rnames, pair->b_col, pair->a_col,
+                           preserve)) {
+        return std::nullopt;
+      }
+      // The natural join's schema: the hop's columns, then the path's
+      // minus its join column.
+      std::vector<HopColumn> out;
+      for (size_t c = 0; c < lnames.size(); ++c) {
+        out.push_back(HopColumn{true, c, std::move(lnames[c])});
+      }
+      for (size_t c = 0; c < rnames.size(); ++c) {
+        if (c == pair->a_col) continue;
+        out.push_back(HopColumn{false, c, std::move(rnames[c])});
+      }
+      const bool last = p + 1 == path.size();
+      if (last) {
+        // Keep only the start candidate's own columns plus the source
+        // key: the join partners are candidates in their own right, and
+        // carrying their cells here would duplicate (and, for erroneous
+        // variants, pollute) what they already contribute directly.
+        std::vector<HopColumn> kept;
+        auto find = [](const std::vector<HopColumn>& cols,
+                       const std::string& name) {
+          return std::find_if(cols.begin(), cols.end(),
+                              [&](const HopColumn& h) {
+                                return h.name == name;
+                              });
+        };
+        for (size_t kc : source.key_columns()) {
+          auto it = find(out, source.column_name(kc));
+          if (it == out.end()) return std::nullopt;
+          kept.push_back(*it);
+        }
+        for (const auto& name : cand.table.column_names()) {
+          auto it = find(out, name);
+          if (it != out.end() && find(kept, name) == kept.end()) {
+            kept.push_back(*it);
+          }
+        }
+        out = std::move(kept);
+      }
+      auto j = HopJoin(hop, *joined, pair->b_col, pair->a_col, out,
+                       /*distinct=*/last, join_limits);
+      if (!j.has_value()) return std::nullopt;
+      materialized = std::move(j);
+      joined = &*materialized;
+      if (!last) {
+        local_sets = SetsFromTable(*joined);
         joined_sets = &local_sets;
       }
     }
-    if (joined.num_rows() == 0) return std::nullopt;
-    for (size_t kc : source.key_columns()) {
-      if (!joined.HasColumn(source.column_name(kc))) return std::nullopt;
-    }
-    // Keep only the start candidate's own columns plus the source key:
-    // the join partners are candidates in their own right, and carrying
-    // their cells here would duplicate (and, for erroneous variants,
-    // pollute) what they already contribute directly.
-    std::vector<std::string> keep;
-    for (size_t kc : source.key_columns()) {
-      keep.push_back(source.column_name(kc));
-    }
-    for (const auto& name : cand.table.column_names()) {
-      if (std::find(keep.begin(), keep.end(), name) == keep.end() &&
-          joined.HasColumn(name)) {
-        keep.push_back(name);
-      }
-    }
-    auto projected = Project(joined, keep);
-    if (!projected.ok()) return std::nullopt;
-    joined = Distinct(*projected);
+    // Paths always hold a start and an end (best_path never returns the
+    // start alone).
+    if (!materialized.has_value()) return std::nullopt;
+    Table expanded = std::move(*materialized);
 
     // Post-expansion mapping verification: now that the table covers the
     // key, aligned rows expose mis-mapped columns (a constant or tiny
@@ -432,27 +562,28 @@ Result<ExpandResult> Expand(const Table& source,
     {
       std::vector<size_t> key_cols;
       for (size_t kc : source.key_columns()) {
-        key_cols.push_back(*joined.ColumnIndex(source.column_name(kc)));
+        key_cols.push_back(*expanded.ColumnIndex(source.column_name(kc)));
       }
-      KeyIndex source_keys = source.BuildKeyIndex();
       std::vector<std::pair<size_t, size_t>> align;
       KeyTuple key(key_cols.size());
-      for (size_t r = 0; r < joined.num_rows(); ++r) {
+      for (size_t r = 0; r < expanded.num_rows(); ++r) {
         bool null_key = false;
         for (size_t k = 0; k < key_cols.size(); ++k) {
-          key[k] = joined.cell(r, key_cols[k]);
+          key[k] = expanded.cell(r, key_cols[k]);
           null_key |= key[k] == kNull;
         }
         if (null_key) continue;
-        auto it = source_keys.find(key);
-        if (it != source_keys.end()) align.emplace_back(r, it->second.front());
+        auto it = source_key_index.find(key);
+        if (it != source_key_index.end()) {
+          align.emplace_back(r, it->second.front());
+        }
       }
-      for (size_t c = 0; c < joined.num_cols(); ++c) {
-        auto sc = source.ColumnIndex(joined.column_name(c));
+      for (size_t c = 0; c < expanded.num_cols(); ++c) {
+        auto sc = source.ColumnIndex(expanded.column_name(c));
         if (!sc.has_value() || source.IsKeyColumn(*sc)) continue;
         size_t both = 0, eq = 0;
         for (const auto& [jr, sr] : align) {
-          ValueId jv = joined.cell(jr, c);
+          ValueId jv = expanded.cell(jr, c);
           ValueId sv = source.cell(sr, *sc);
           if (jv == kNull || sv == kNull) continue;
           ++both;
@@ -460,19 +591,15 @@ Result<ExpandResult> Expand(const Table& source,
         }
         if (both >= 3 &&
             static_cast<double>(eq) / static_cast<double>(both) < 0.15) {
-          std::string neutral = "#mismapped_" + joined.column_name(c);
-          while (joined.HasColumn(neutral)) neutral += "'";
-          (void)joined.RenameColumn(c, neutral);
+          std::string neutral = "#mismapped_" + expanded.column_name(c);
+          while (expanded.HasColumn(neutral)) neutral += "'";
+          (void)expanded.RenameColumn(c, neutral);
         }
       }
     }
-    joined.set_name(cand.table.name() + "+expanded");
-    return joined;
+    expanded.set_name(cand.table.name() + "+expanded");
+    return expanded;
   };
-
-  // One key lookup serves every path's scoring matrix (the source is
-  // fixed for the whole expansion).
-  SourceKeyLookup source_keys(source);
 
   // Expands one candidate end to end: path enumeration, materialization,
   // and simulated-EIS scoring. Reads only immutable per-run state
@@ -536,6 +663,8 @@ Result<ExpandResult> Expand(const Table& source,
       return;
     }
 
+    const std::unordered_set<std::string> preserve(
+        cand.table.column_names().begin(), cand.table.column_names().end());
     std::optional<Table> best_table;
     double best_score = -1.0;
     for (const auto& path : paths) {
@@ -547,7 +676,7 @@ Result<ExpandResult> Expand(const Table& source,
         }
         fprintf(stderr, "\n");
       }
-      auto expansion = build_expansion(i, path);
+      auto expansion = build_expansion(i, path, preserve);
       if (!expansion.has_value()) continue;
       auto matrix =
           InitializeMatrix(source, *expansion, MatrixOptions{}, source_keys);

@@ -1,5 +1,5 @@
 // Expand (paper Algorithm 5 / §V-A2): candidates that do not cover the
-// source key are joined — along a maximum-weight path in the candidate
+// source key are joined — along a best-scoring path in the candidate
 // join graph — with candidates that do, so that every table entering
 // matrix traversal can align its tuples to source rows by key.
 //
@@ -12,7 +12,9 @@
 // intersection — exact-safe, the bound dominates the true weight), and
 // the per-candidate set builds, the pairwise edge scan, and the
 // per-candidate path materialization fan out over a thread pool with an
-// index-ordered reduction. Results are bit-identical to the serial
+// index-ordered reduction. A path's last hop is fused with the
+// projection and Distinct that follow it, so it never materializes the
+// full join (DESIGN.md §5.7). Results are bit-identical to the serial
 // reference (tests/expand_reference.h) at any thread count.
 //
 // Edge-choice contract: the best join pair between two tables maximizes
@@ -53,9 +55,13 @@ struct ExpandOptions {
   size_t num_threads = 0;
 };
 
-/// Joins key-less candidates toward key-covering ones. Edge weights are
-/// the value overlap of the joinable (shared-name) columns; the DFS keeps
-/// the maximum-weight path per start node (Algorithm 5).
+/// Joins key-less candidates toward key-covering ones (Algorithm 5).
+/// Edge weights are containment × keyness of the best value-overlapping
+/// column pair. Per keyless start, Dijkstra with edge cost
+/// 1 − weight + 0.25 finds the cheapest path to a key-covering candidate,
+/// and up to 3 more paths are forced through the strongest
+/// schema-distinct neighbors; each materialized path is scored by
+/// simulated EIS against the source and the best expansion wins.
 Result<ExpandResult> Expand(const Table& source,
                             const std::vector<Candidate>& candidates,
                             const OpLimits& limits = {},

@@ -9,126 +9,66 @@
 
 namespace gent {
 
-namespace {
-
-// Flat ~1/8-load open-addressing build side for the natural join (same
-// recipe as SourceKeyLookup in src/matrix/alignment_matrix.h): right
-// rows are grouped by join key into a contiguous CSR arena, and the
-// probe loop reads the key columns column-major through raw pointers.
-// A single shared column embeds the key value in the slot; composite
-// keys embed a 32-bit hash tag and confirm against a representative
-// row's column data. Null join values are rejected at build time
-// (null-rejecting, as in SQL). Rows stay ascending within each key
-// group, so the join's output row order is exactly what the old
-// unordered_map build side produced.
-class JoinKeyTable {
- public:
-  JoinKeyTable(const Table& right, const std::vector<size_t>& rshared)
-      : num_key_cols_(rshared.size()) {
-    for (size_t rc : rshared) key_cols_.push_back(right.column(rc).data());
-    const size_t n = right.num_rows();
-    size_t cap = 16;
-    while (cap < 8 * n) cap <<= 1;
-    mask_ = cap - 1;
-    slots_.assign(cap, kEmptySlot);
-    const bool single = num_key_cols_ == 1;
-    // Pass 1: discover distinct keys, count rows per key.
-    std::vector<uint32_t> counts;
-    std::vector<uint32_t> row_entry(n, UINT32_MAX);
-    std::vector<ValueId> tuple(num_key_cols_);
-    for (size_t r = 0; r < n; ++r) {
-      bool null_key = false;
-      for (size_t i = 0; i < num_key_cols_; ++i) {
-        tuple[i] = key_cols_[i][r];
-        null_key |= tuple[i] == kNull;
-      }
-      if (null_key) continue;
-      const uint64_t hash = single ? Mix(tuple[0]) : TupleHash(tuple.data());
-      const uint64_t hi = single ? tuple[0] : hash >> 32;
-      uint64_t slot = hash & mask_;
-      while (true) {
-        uint64_t e = slots_[slot];
-        if (e == kEmptySlot) {
-          e = (hi << 32) | counts.size();
-          slots_[slot] = e;
-          counts.push_back(0);
-          entry_row_.push_back(static_cast<uint32_t>(r));
-        }
-        if ((e >> 32) == hi) {
-          uint32_t ent = static_cast<uint32_t>(e);
-          if (single || TupleEquals(ent, tuple.data())) {
-            ++counts[ent];
-            row_entry[r] = ent;
-            break;
-          }
-        }
-        slot = (slot + 1) & mask_;
-      }
+JoinKeyTable::JoinKeyTable(std::vector<const ValueId*> key_cols,
+                           size_t num_rows,
+                           const std::vector<uint32_t>* rows)
+    : key_cols_(std::move(key_cols)) {
+  const size_t n = rows == nullptr ? num_rows : rows->size();
+  size_t cap = 16;
+  while (cap < 8 * n) cap <<= 1;
+  mask_ = cap - 1;
+  slots_.assign(cap, kEmptySlot);
+  const bool single = key_cols_.size() == 1;
+  // Pass 1: discover distinct keys, count rows per key. `row_entry` is
+  // indexed by position in the grouped row list, not by row id.
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> row_entry(n, UINT32_MAX);
+  std::vector<ValueId> tuple(key_cols_.size());
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = rows == nullptr ? i : (*rows)[i];
+    bool null_key = false;
+    for (size_t k = 0; k < key_cols_.size(); ++k) {
+      tuple[k] = key_cols_[k][r];
+      null_key |= tuple[k] == kNull;
     }
-    // Pass 2: group rows by entry in the arena, ascending within each.
-    entry_start_.resize(counts.size() + 1, 0);
-    for (size_t e = 0; e < counts.size(); ++e) {
-      entry_start_[e + 1] = entry_start_[e] + counts[e];
-    }
-    rows_.resize(entry_start_.back());
-    std::vector<uint32_t> fill(entry_start_.begin(), entry_start_.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      if (row_entry[r] != UINT32_MAX) {
-        rows_[fill[row_entry[r]]++] = static_cast<uint32_t>(r);
-      }
-    }
-  }
-
-  /// Right rows whose join key equals `tuple[0..num_key_cols)`,
-  /// ascending. {nullptr, 0} when none. `tuple` must be null-free.
-  std::pair<const uint32_t*, size_t> Find(const ValueId* tuple) const {
-    const bool single = num_key_cols_ == 1;
-    const uint64_t hash = single ? Mix(tuple[0]) : TupleHash(tuple);
+    if (null_key) continue;
+    const uint64_t hash =
+        single ? SplitMix64(tuple[0]) : TupleHash(tuple.data());
     const uint64_t hi = single ? tuple[0] : hash >> 32;
     uint64_t slot = hash & mask_;
     while (true) {
       uint64_t e = slots_[slot];
-      if (e == kEmptySlot) return {nullptr, 0};
+      if (e == kEmptySlot) {
+        e = (hi << 32) | counts.size();
+        slots_[slot] = e;
+        counts.push_back(0);
+        entry_row_.push_back(static_cast<uint32_t>(r));
+      }
       if ((e >> 32) == hi) {
         uint32_t ent = static_cast<uint32_t>(e);
-        if (single || TupleEquals(ent, tuple)) {
-          return {rows_.data() + entry_start_[ent],
-                  entry_start_[ent + 1] - entry_start_[ent]};
+        if (single || TupleEquals(ent, tuple.data())) {
+          ++counts[ent];
+          row_entry[i] = ent;
+          break;
         }
       }
       slot = (slot + 1) & mask_;
     }
   }
-
- private:
-  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
-
-  static uint64_t Mix(uint64_t x) { return SplitMix64(x); }
-
-  uint64_t TupleHash(const ValueId* tuple) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (size_t i = 0; i < num_key_cols_; ++i) h = Mix(h ^ tuple[i]);
-    return h;
+  // Pass 2: group rows by entry in the arena, ascending within each.
+  entry_start_.resize(counts.size() + 1, 0);
+  for (size_t e = 0; e < counts.size(); ++e) {
+    entry_start_[e + 1] = entry_start_[e] + counts[e];
   }
-
-  bool TupleEquals(uint32_t entry, const ValueId* tuple) const {
-    const uint32_t row = entry_row_[entry];
-    for (size_t i = 0; i < num_key_cols_; ++i) {
-      if (key_cols_[i][row] != tuple[i]) return false;
+  rows_.resize(entry_start_.back());
+  std::vector<uint32_t> fill(entry_start_.begin(), entry_start_.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (row_entry[i] != UINT32_MAX) {
+      rows_[fill[row_entry[i]]++] =
+          static_cast<uint32_t>(rows == nullptr ? i : (*rows)[i]);
     }
-    return true;
   }
-
-  size_t num_key_cols_ = 0;
-  uint64_t mask_ = 0;
-  std::vector<uint64_t> slots_;        // (key|tag)<<32 | entry
-  std::vector<uint32_t> entry_start_;  // entry → range in rows_ (+sentinel)
-  std::vector<uint32_t> rows_;         // right rows, grouped by entry
-  std::vector<uint32_t> entry_row_;    // entry → representative right row
-  std::vector<const ValueId*> key_cols_;  // right join-key columns
-};
-
-}  // namespace
+}
 
 std::vector<std::string> SharedColumns(const Table& left,
                                        const Table& right) {
@@ -193,7 +133,10 @@ Result<Table> NaturalJoin(const Table& left, const Table& right,
 
   // Flat open-addressing build side over the right rows' shared-column
   // key; the probe loop walks the left key columns column-major.
-  JoinKeyTable rindex(right, rshared);
+  std::vector<const ValueId*> rkey;
+  rkey.reserve(rshared.size());
+  for (size_t rc : rshared) rkey.push_back(right.column(rc).data());
+  JoinKeyTable rindex(std::move(rkey), right.num_rows());
   std::vector<const ValueId*> lkey;
   lkey.reserve(lshared.size());
   for (size_t lc : lshared) lkey.push_back(left.column(lc).data());

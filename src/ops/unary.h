@@ -3,6 +3,7 @@
 #ifndef GENT_OPS_UNARY_H_
 #define GENT_OPS_UNARY_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -32,6 +33,14 @@ Table SelectValueIn(const Table& table, size_t column,
 /// Removes duplicate rows (exact id-tuple equality), keeping first
 /// occurrences in order.
 Table Distinct(const Table& table);
+
+/// The rows r < num_rows whose tuple (cols[0][r], ..., cols[k-1][r])
+/// differs from every earlier row's, ascending: the rows Distinct keeps.
+/// One flat open-addressing pass over per-row hashes computed
+/// column-major, with no per-row allocation. Distinct and Expand's fused
+/// last hop share it.
+std::vector<uint32_t> FirstOccurrenceRows(
+    const std::vector<const ValueId*>& cols, size_t num_rows);
 
 /// Hash of a materialized row, for row-set containers.
 struct RowVectorHash {

@@ -144,7 +144,9 @@ size_t Fwrite(const void* src, size_t n, std::FILE* f) {
       SetInjectedErrno();
       return 0;
   }
-  return std::fwrite(src, 1, n, f);
+  // An empty write may come with a null `src` (an empty vector's data()),
+  // which fwrite must not receive.
+  return n == 0 ? 0 : std::fwrite(src, 1, n, f);
 }
 
 int Fflush(std::FILE* f) {

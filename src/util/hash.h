@@ -1,6 +1,7 @@
 // Shared integer mixer. One definition serves every flat hash table and
 // fingerprint in the engine (SourceKeyLookup, JoinKeyTable,
-// DiscoveryCache) so the finalizer cannot drift between copies.
+// FirstOccurrenceRows, SortedDistinctValues, DiscoveryCache) so the
+// finalizer cannot drift between copies.
 
 #ifndef GENT_UTIL_HASH_H_
 #define GENT_UTIL_HASH_H_

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -108,6 +110,113 @@ TEST(SortedDistinctValuesTest, BitmapAndSortPathsAgree) {
   std::sort(want.begin(), want.end());
   want.erase(std::unique(want.begin(), want.end()), want.end());
   EXPECT_EQ(SortedDistinctValues(t, 0), want);
+}
+
+// What SortedDistinctValues must return: the column's ids minus kNull and
+// labeled nulls, sorted and deduplicated.
+std::vector<ValueId> SortUniqueOracle(const Table& t, size_t c) {
+  std::vector<ValueId> want;
+  for (ValueId v : t.column(c)) {
+    if (v != kNull && !t.dict()->IsLabeledNull(v)) want.push_back(v);
+  }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  return want;
+}
+
+// The dense (bitmap) branch runs on columns of at least 4096 rows whose
+// dictionary holds at most 16 ids per row; everything else takes the
+// sparse (dedup-then-sort) branch.
+bool TakesDenseBranch(const Table& t) {
+  return t.num_rows() >= 4096 && t.num_rows() * 16 >= t.dict()->size();
+}
+
+// One column of `rows` cells drawn from `ids`, with nulls and labeled
+// nulls mixed in.
+Table RandomColumn(const DictionaryPtr& dict, const std::vector<ValueId>& ids,
+                   size_t rows, Rng& rng) {
+  Table t("t", dict);
+  EXPECT_TRUE(t.AddColumn("c").ok());
+  std::vector<ValueId>& col = t.mutable_column(0);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.Bernoulli(0.05)) {
+      col.push_back(kNull);
+    } else if (rng.Bernoulli(0.03)) {
+      col.push_back(dict->CreateLabeledNull());
+    } else {
+      col.push_back(ids[rng.Index(ids.size())]);
+    }
+  }
+  return t;
+}
+
+TEST(SortedDistinctValuesTest, RandomizedMatchesSortUniqueOnBothBranches) {
+  auto dict = MakeDictionary();
+  Rng rng(4242);
+  std::vector<ValueId> ids;
+  size_t dense = 0, sparse = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // The dictionary grows between calls, so the dense branch's bitmap
+    // universe differs from call to call.
+    const size_t grow = 1 + rng.Index(400);
+    for (size_t i = 0; i < grow; ++i) {
+      ids.push_back(dict->Intern("v" + std::to_string(ids.size())));
+    }
+    // Draw from a random-width window of the ids, so the distinct count
+    // ranges from a handful to thousands.
+    const size_t width = 1 + rng.Index(ids.size());
+    const size_t lo = rng.Index(ids.size() - width + 1);
+    const std::vector<ValueId> window(ids.begin() + lo,
+                                      ids.begin() + lo + width);
+    const size_t rows =
+        trial % 2 == 0 ? rng.Index(3000) : 4096 + rng.Index(4096);
+    Table t = RandomColumn(dict, window, rows, rng);
+    (TakesDenseBranch(t) ? dense : sparse) += 1;
+    EXPECT_EQ(SortedDistinctValues(t, 0), SortUniqueOracle(t, 0));
+  }
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(sparse, 0u);
+}
+
+TEST(SortedDistinctValuesTest, ConcurrentCallersWhileTheDictionaryGrows) {
+  auto dict = MakeDictionary();
+  Rng rng(99);
+  std::vector<ValueId> ids;
+  for (size_t i = 0; i < 600; ++i) {
+    ids.push_back(dict->Intern("w" + std::to_string(i)));
+  }
+  std::vector<Table> tables;
+  tables.push_back(RandomColumn(dict, ids, 700, rng));   // sparse
+  tables.push_back(RandomColumn(dict, ids, 5000, rng));  // dense
+  ASSERT_FALSE(TakesDenseBranch(tables[0]));
+  ASSERT_TRUE(TakesDenseBranch(tables[1]));
+  std::vector<std::vector<ValueId>> want;
+  for (const Table& t : tables) want.push_back(SortUniqueOracle(t, 0));
+
+  // One writer interns values and mints labeled nulls (neither changes
+  // what the existing cells are) while readers compute the sets.
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (size_t i = 0; !stop.load(); ++i) {
+      dict->Intern("x" + std::to_string(i));
+      if (i % 8 == 0) dict->CreateLabeledNull();
+    }
+  });
+  std::vector<std::thread> readers;
+  std::atomic<size_t> mismatches{0};
+  for (size_t r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = 0; i < 20; ++i) {
+        const size_t k = (r + i) % tables.size();
+        if (SortedDistinctValues(tables[k], 0) != want[k]) ++mismatches;
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(SortedContainsTest, Basics) {

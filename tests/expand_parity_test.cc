@@ -6,8 +6,11 @@
 // thread count, on both the catalog-backed path (candidates straight
 // from Discovery, Candidate::stats set) and the sorted-set fallback
 // (hand-built candidates, stats null), including empty-column and
-// all-null edge cases.
+// all-null edge cases, row budgets that drop paths (the fused last hop
+// must trip the cap exactly where the oracle's full join does), and an
+// explicit multi-hop chain.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "src/engine/column_stats_catalog.h"
 #include "src/lake/data_lake.h"
 #include "src/matrix/expand.h"
+#include "src/ops/join.h"
 #include "src/table/table_builder.h"
 #include "src/util/random.h"
 
@@ -52,21 +56,27 @@ bool SameExpansion(const ExpandResult& want, const ExpandResult& got,
   return true;
 }
 
-// Runs the engine at 1/2/8 threads against the oracle.
-void ExpectParity(const Table& source, const std::vector<Candidate>& cands,
-                  const std::string& label) {
-  auto want = ref::RefExpand(source, cands);
-  ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+// Runs the engine at 1/2/8 threads against the oracle under `limits`;
+// returns the oracle's result (empty on failure).
+ExpandResult ExpectParity(const Table& source,
+                          const std::vector<Candidate>& cands,
+                          const std::string& label,
+                          const OpLimits& limits = {}) {
+  auto want = ref::RefExpand(source, cands, limits);
+  EXPECT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+  if (!want.ok()) return {};
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     ExpandOptions options;
     options.num_threads = threads;
-    auto got = Expand(source, cands, OpLimits{}, options);
-    ASSERT_TRUE(got.ok()) << label << " threads=" << threads << ": "
+    auto got = Expand(source, cands, limits, options);
+    EXPECT_TRUE(got.ok()) << label << " threads=" << threads << ": "
                           << got.status().ToString();
+    if (!got.ok()) continue;
     std::string why;
     EXPECT_TRUE(SameExpansion(*want, *got, &why))
         << label << " threads=" << threads << ": " << why;
   }
+  return std::move(want).value();
 }
 
 // A seeded lake with the join structure expansion exercises: a keyed hub
@@ -241,7 +251,133 @@ TEST_P(ParitySweep, MixedStatsSourcesMatchReference) {
   ExpectParity(seeded.source, *candidates, "mixed");
 }
 
+// Row budgets small enough to trip joins: every budget must drop exactly
+// the paths the oracle's full joins drop, and keep the rest identical.
+// At least one budget must drop a path the unbounded run expands, or the
+// sweep would pass without exercising the cap.
+TEST_P(ParitySweep, RowBudgetSweepsMatchReference) {
+  bool cap_dropped_a_path = false;
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Rng rng(GetParam() * 7919 + trial * 13 + 5);
+    SeededLake seeded;
+    BuildLake(&seeded, rng);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    ColumnStatsCatalog catalog(seeded.lake);
+    Discovery discovery(catalog, DiscoveryConfig{});
+    auto candidates = discovery.FindCandidates(seeded.source);
+    ASSERT_TRUE(candidates.ok());
+    const ExpandResult unbounded = ExpectParity(
+        seeded.source, *candidates, "unbounded trial " + std::to_string(trial));
+    for (uint64_t k : {1, 2, 3, 5, 8, 13, 21, 34}) {
+      const ExpandResult bounded =
+          ExpectParity(seeded.source, *candidates,
+                       "budget " + std::to_string(k) + " trial " +
+                           std::to_string(trial),
+                       OpLimits().MaxRows(k));
+      cap_dropped_a_path |= bounded.num_expanded < unbounded.num_expanded;
+    }
+  }
+  EXPECT_TRUE(cap_dropped_a_path);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ParitySweep, ::testing::Range(0, 4));
+
+// An explicit chain: keyless start → keyless hop → keyless hop →
+// key-covering end, over disjoint value domains so the four-node path
+// is the only route. Links fan out, the start carries duplicate rows,
+// the hops carry null join values, and two join values of the end reach
+// the same key, so the fused last hop deduplicates on both sides and
+// (its join column projected away) deduplicates its output too. Budgets sweep every value from 1 until the result matches
+// the unbounded one: that covers the budgets at which an intermediate
+// join trips, the ones at which only the last hop trips, and the exact
+// boundary of each.
+TEST(ExpandParityChain, FourNodeChainUnderEveryBudget) {
+  auto dict = MakeDictionary();
+  constexpr size_t kN = 10;
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "name"});
+  for (size_t i = 0; i < kN; ++i) sb.Row({v("id", i), v("n", i)});
+  Table source = sb.Key({"id"}).Build();
+
+  TableBuilder start(dict, "start");
+  start.Columns({"a", "name"});
+  for (size_t i = 0; i < kN; ++i) {
+    start.Row({v("a", i), v("n", i)});
+    if (i % 3 == 0) start.Row({v("a", i), v("n", i)});  // duplicate row
+  }
+  TableBuilder hop1(dict, "hop1");
+  hop1.Columns({"a", "b"});
+  for (size_t i = 0; i < kN; ++i) {
+    hop1.Row({v("a", i), v("b", i)});
+    hop1.Row({v("a", i), v("b", (i + 1) % kN)});
+    if (i % 4 == 0) hop1.Row({v("a", i), ""});
+  }
+  TableBuilder hop2(dict, "hop2");
+  hop2.Columns({"b", "c"});
+  for (size_t i = 0; i < kN; ++i) {
+    hop2.Row({v("b", i), v("c", i)});
+    if (i % 2 == 0) hop2.Row({v("b", i), v("c", (i + 3) % kN)});
+    if (i % 5 == 0) hop2.Row({"", v("c", i)});
+  }
+  TableBuilder end(dict, "end");
+  end.Columns({"c", "id"});
+  for (size_t i = 0; i < kN; ++i) {
+    end.Row({v("c", i), v("id", i)});
+    if (i % 3 == 1) end.Row({v("c", i), v("id", i)});  // duplicate row
+    // A second link into the same key: two join values reach one output
+    // tuple, which only the output Distinct can merge.
+    if (i % 2 == 0) end.Row({v("c", (i + 1) % kN), v("id", i)});
+  }
+  std::vector<Candidate> candidates;
+  for (Table t : {start.Build(), hop1.Build(), hop2.Build(), end.Build()}) {
+    Candidate c(std::move(t));
+    c.covers_key = c.table.HasColumn("id");
+    candidates.push_back(std::move(c));
+  }
+
+  const ExpandResult unbounded =
+      ExpectParity(source, candidates, "chain unbounded");
+  // Every keyless candidate expands when nothing caps the joins; the
+  // start's expansion is the four-node chain.
+  ASSERT_EQ(unbounded.num_expanded, 3u);
+  ASSERT_EQ(unbounded.tables[0].name(), "start+expanded");
+  EXPECT_EQ(unbounded.tables[0].column_names(),
+            (std::vector<std::string>{"id", "a", "name"}));
+
+  // The chain's schemas never collide, so its hops are plain natural
+  // joins. A budget as large as both intermediates lets them through,
+  // so the budget sweep below reaches one where only the last hop trips.
+  auto j1 = NaturalJoin(candidates[1].table, candidates[0].table,
+                        JoinKind::kInner);
+  ASSERT_TRUE(j1.ok());
+  auto j2 = NaturalJoin(candidates[2].table, *j1, JoinKind::kInner);
+  ASSERT_TRUE(j2.ok());
+  const uint64_t intermediates = std::max(j1->num_rows(), j2->num_rows());
+  bool last_hop_tripped = false;
+
+  size_t budgets_dropping_start = 0;
+  for (uint64_t k = 1;; ++k) {
+    ASSERT_LT(k, 10000u) << "budget sweep never reached the unbounded result";
+    const ExpandResult bounded = ExpectParity(
+        source, candidates, "chain budget " + std::to_string(k),
+        OpLimits().MaxRows(k));
+    if (::testing::Test::HasFailure()) return;
+    const bool start_expanded =
+        !bounded.tables.empty() &&
+        bounded.tables[0].name() == "start+expanded";
+    budgets_dropping_start += !start_expanded;
+    last_hop_tripped |= k >= intermediates && !start_expanded;
+    std::string why;
+    if (SameExpansion(unbounded, bounded, &why)) break;
+  }
+  EXPECT_GT(budgets_dropping_start, 0u);
+  EXPECT_TRUE(last_hop_tripped);
+}
 
 TEST(ExpandParityEdge, EmptyCandidateList) {
   auto dict = MakeDictionary();

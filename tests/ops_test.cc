@@ -80,8 +80,26 @@ TEST_F(OpsTest, DistinctRemovesExactDuplicates) {
                 .Row({"1", "x"})
                 .Row({"1", "x"})
                 .Row({"1", ""})
+                .Row({"", ""})
+                .Row({"1", ""})
+                .Row({"2", "x"})
+                .Row({"", ""})
+                .Row({"1", "x"})
+                .Key({"a"})
                 .Build();
-  EXPECT_EQ(Distinct(t).num_rows(), 2u);
+  Table d = Distinct(t);
+  // First occurrences, in order; rows with null cells compare by id like
+  // any other (two all-null rows are duplicates).
+  ASSERT_EQ(d.num_rows(), 4u);
+  EXPECT_EQ(d.Row(0), (std::vector<ValueId>{V("1"), V("x")}));
+  EXPECT_EQ(d.Row(1), (std::vector<ValueId>{V("1"), kNull}));
+  EXPECT_EQ(d.Row(2), (std::vector<ValueId>{kNull, kNull}));
+  EXPECT_EQ(d.Row(3), (std::vector<ValueId>{V("2"), V("x")}));
+  EXPECT_EQ(d.name(), "d");
+  EXPECT_EQ(d.column_names(), t.column_names());
+  EXPECT_EQ(d.key_columns(), t.key_columns());
+  // Without duplicates the table comes back unchanged.
+  EXPECT_TRUE(TablesBitIdentical(Distinct(d), d));
 }
 
 // --- Subsumption ---------------------------------------------------------------
