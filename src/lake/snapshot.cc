@@ -95,7 +95,16 @@ class Writer {
 class Reader {
  public:
   explicit Reader(const std::string& path)
-      : file_(io::Fopen(path, "rb")) {}
+      : file_(io::Fopen(path, "rb")) {
+    // The file size bounds every length field read from it
+    // (Remaining()), so a hostile count fails typed instead of sizing
+    // an allocation.
+    if (file_ == nullptr) return;
+    const bool sized = std::fseek(file_, 0, SEEK_END) == 0;
+    const long size = sized ? std::ftell(file_) : -1;
+    failed_ = size < 0 || std::fseek(file_, 0, SEEK_SET) != 0;
+    size_ = failed_ ? 0 : static_cast<uint64_t>(size);
+  }
   ~Reader() {
     if (file_ != nullptr) std::fclose(file_);
   }
@@ -120,8 +129,14 @@ class Reader {
     failed_ |= io::Fread(data, n, file_) != n;
     if (!failed_) {
       offset_ += n;
+      position_ += n;
       checksum_.Append(data, n);
     }
+  }
+
+  /// Bytes between the read position and the end of the file.
+  uint64_t Remaining() const {
+    return position_ < size_ ? size_ - position_ : 0;
   }
   uint32_t U32() {
     uint32_t v = 0;
@@ -135,7 +150,7 @@ class Reader {
   }
   std::string String(uint32_t max_len = 1u << 24) {
     const uint32_t n = U32();
-    if (n > max_len) {
+    if (n > max_len || n > Remaining()) {
       failed_ = true;
       return {};
     }
@@ -155,12 +170,15 @@ class Reader {
   bool SeekTo(uint64_t off) {
     if (!ok()) return false;
     failed_ |= std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0;
+    position_ = off;
     return !failed_;
   }
 
  private:
   std::FILE* file_;
   bool failed_ = false;
+  uint64_t size_ = 0;
+  uint64_t position_ = 0;  // absolute, unlike offset_
   uint64_t offset_ = 0;
   storage::Checksum64 checksum_;
 };
@@ -528,11 +546,18 @@ Status ParseSnapshotTable(Reader& r, DataLake& lake,
     GENT_RETURN_IF_ERROR(t.AddColumn(r.String()));
   }
   const uint32_t key_count = r.U32();
+  if (!r.ok() || key_count > cols) {
+    return Status::IOError("corrupt snapshot table: more keys than columns");
+  }
   std::vector<size_t> keys;
   for (uint32_t k = 0; k < key_count; ++k) keys.push_back(r.U32());
   const uint64_t rows = r.U64();
   if (!r.ok()) return Status::IOError("truncated snapshot table");
-  std::vector<ValueId> column(rows);
+  // Every cell is a 4-byte id still ahead in the file.
+  if (cols > 0 && rows > r.Remaining() / (uint64_t{cols} * sizeof(ValueId))) {
+    return Status::IOError("corrupt snapshot table: row count exceeds file");
+  }
+  std::vector<ValueId> column(cols > 0 ? rows : 0);
   for (uint32_t c = 0; c < cols; ++c) {
     r.Bytes(column.data(), rows * sizeof(ValueId));
     if (!r.ok()) return Status::IOError("truncated snapshot column data");
@@ -550,6 +575,31 @@ Status ParseSnapshotTable(Reader& r, DataLake& lake,
     GENT_RETURN_IF_ERROR(t.SetKeyColumns(keys));
   }
   staged->push_back(std::move(t));
+  return Status::OK();
+}
+
+/// Reads `count` dictionary entries and interns them with one bulk
+/// call, appending each entry's id in the lake's dictionary to `remap`
+/// (indexed by saved id). `identity` stays true only while every entry
+/// keeps its saved id. The one path for the base dictionary and every
+/// delta run's.
+Status LoadDictionarySection(Reader& r, uint64_t count, ValueDictionary& dict,
+                             std::vector<ValueId>* remap, bool* identity) {
+  // Every entry is at least its 4-byte length.
+  if (count > r.Remaining() / sizeof(uint32_t)) {
+    return Status::IOError("corrupt snapshot: dictionary size exceeds file");
+  }
+  std::vector<std::string> values;
+  values.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    values.push_back(r.String());
+    if (!r.ok()) return Status::IOError("truncated snapshot dictionary");
+  }
+  const size_t first = remap->size();
+  dict.InternAll(std::move(values), remap);
+  for (size_t saved = first; saved < remap->size(); ++saved) {
+    *identity &= (*remap)[saved] == saved;
+  }
   return Status::OK();
 }
 
@@ -580,13 +630,8 @@ Status LoadDeltaRun(Reader& r, const storage::DeltaRunDesc& run,
     return Status::IOError(
         "corrupt snapshot delta run: dictionary does not chain");
   }
-  for (uint64_t i = 0; i < dict_count; ++i) {
-    const std::string s = r.String();
-    if (!r.ok()) return Status::IOError("truncated snapshot delta run");
-    const ValueId id = lake.dict()->Intern(s);
-    *identity &= id == remap->size();
-    remap->push_back(id);
-  }
+  GENT_RETURN_IF_ERROR(
+      LoadDictionarySection(r, dict_count, *lake.dict(), remap, identity));
   const uint64_t table_count = r.U64();
   if (!r.ok() || table_count > run.bytes) {
     return Status::IOError("truncated snapshot delta run");
@@ -625,13 +670,15 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   // identity and a v2 file's catalog sections are directly usable.
   const uint64_t dict_size = r.U64();
   if (!r.ok()) return Status::IOError("truncated snapshot header");
-  std::vector<ValueId> remap(dict_size, kNull);
+  std::vector<ValueId> remap;
   bool identity = true;
-  for (uint64_t id = 0; id < dict_size; ++id) {
-    const std::string s = r.String();
+  if (dict_size > 0) {
+    // Entry 0 is the null sentinel: it maps to kNull whatever it spells.
+    r.String();
     if (!r.ok()) return Status::IOError("truncated snapshot dictionary");
-    remap[id] = id == 0 ? kNull : lake.dict()->Intern(s);
-    identity &= remap[id] == id;
+    remap.push_back(kNull);
+    GENT_RETURN_IF_ERROR(LoadDictionarySection(r, dict_size - 1, *lake.dict(),
+                                               &remap, &identity));
   }
 
   const uint64_t table_count = r.U64();

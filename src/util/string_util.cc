@@ -3,8 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace gent {
 
@@ -55,31 +55,64 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-bool IsNumeric(std::string_view s) {
-  s = Trim(s);
-  if (s.empty()) return false;
-  const std::string buf(s);
+namespace {
+
+// Parses an already-trimmed spelling with strtod and reports whether
+// the whole of it is one finite number. strtod can only accept a finite
+// number that starts with a digit, a sign or a '.', so every other
+// first byte is rejected without copying the string.
+bool ParseFinite(std::string_view t, double* v) {
+  if (t.empty()) return false;
+  const char c = t[0];
+  if (!std::isdigit(static_cast<unsigned char>(c)) && c != '+' && c != '-' &&
+      c != '.') {
+    return false;
+  }
+  char small[64];
+  std::string large;
+  const char* p = small;
+  if (t.size() < sizeof small) {
+    std::memcpy(small, t.data(), t.size());
+    small[t.size()] = '\0';
+  } else {
+    large.assign(t);
+    p = large.c_str();
+  }
   char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size() && std::isfinite(v);
+  *v = std::strtod(p, &end);
+  return end == p + t.size() && std::isfinite(*v);
 }
 
-std::string NormalizeNumeric(std::string_view s) {
-  std::string_view t = Trim(s);
-  if (!IsNumeric(t)) return std::string(s);
-  const std::string buf(t);
-  double v = std::strtod(buf.c_str(), nullptr);
+}  // namespace
+
+bool IsNumeric(std::string_view s) {
+  double v;
+  return ParseFinite(Trim(s), &v);
+}
+
+std::string_view CanonicalNumeric(std::string_view s, std::string* scratch) {
+  double v;
+  if (!ParseFinite(Trim(s), &v)) return s;
   // Integers print without a fractional part; everything else uses %.12g,
   // which round-trips the distinct values our generators emit while
   // collapsing trailing-zero spellings ("3.10" == "3.1").
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char out[32];
-    std::snprintf(out, sizeof(out), "%lld", static_cast<long long>(v));
-    return out;
-  }
+  // std::to_chars with a precision prints exactly what printf's %.12g
+  // would, without the format-string parsing.
   char out[40];
-  std::snprintf(out, sizeof(out), "%.12g", v);
-  return out;
+  const std::to_chars_result r =
+      v == std::floor(v) && std::abs(v) < 1e15
+          ? std::to_chars(out, out + sizeof(out), static_cast<long long>(v))
+          : std::to_chars(out, out + sizeof(out), v,
+                          std::chars_format::general, 12);
+  scratch->assign(out, r.ptr);
+  return *scratch;
+}
+
+std::string NormalizeNumeric(std::string_view s) {
+  std::string scratch;
+  const std::string_view canonical = CanonicalNumeric(s, &scratch);
+  if (canonical.data() == scratch.data()) return scratch;
+  return std::string(s);
 }
 
 }  // namespace gent

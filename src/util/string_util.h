@@ -30,6 +30,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Non-numeric inputs are returned unchanged.
 std::string NormalizeNumeric(std::string_view s);
 
+/// NormalizeNumeric without the copy of a non-numeric input: returns `s`
+/// itself when it is not numeric, else writes the canonical spelling to
+/// `*scratch` and returns a view of it. The dictionary's hot path.
+std::string_view CanonicalNumeric(std::string_view s, std::string* scratch);
+
 /// True if `s` parses fully as a finite decimal/scientific number.
 bool IsNumeric(std::string_view s);
 

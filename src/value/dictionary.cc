@@ -2,40 +2,155 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <mutex>
 
+#include "src/util/hash.h"
 #include "src/util/string_util.h"
 
 namespace gent {
+
+namespace {
+
+constexpr size_t kMinSlots = 16;
+
+// Hash tag of a canonical spelling: SplitMix64 over its 8-byte words,
+// seeded with the length so zero-padded tails of different lengths
+// differ; the high half of the 64-bit result.
+uint32_t TagOf(std::string_view s) {
+  uint64_t h = SplitMix64(s.size());
+  size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    uint64_t w;
+    std::memcpy(&w, s.data() + i, 8);
+    h = SplitMix64(h ^ w);
+  }
+  if (i < s.size()) {
+    uint64_t w = 0;
+    std::memcpy(&w, s.data() + i, s.size() - i);
+    h = SplitMix64(h ^ w);
+  }
+  return static_cast<uint32_t>(h >> 32);
+}
+
+}  // namespace
 
 ValueDictionary::ValueDictionary() {
   strings_.emplace_back("");  // id 0: the null sentinel
 }
 
+size_t ValueDictionary::ProbeLocked(std::string_view key, uint32_t tag) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = tag & mask;
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    const uint64_t slot = slots_[i];
+    if (static_cast<uint32_t>(slot >> 32) == tag &&
+        strings_[static_cast<ValueId>(slot)] == key) {
+      break;
+    }
+  }
+  return i;
+}
+
+ValueId ValueDictionary::FindLocked(std::string_view key, uint32_t tag) const {
+  if (slots_.empty()) return kNull;
+  // An empty slot is 0, which reads as kNull.
+  return static_cast<ValueId>(slots_[ProbeLocked(key, tag)]);
+}
+
+ValueId ValueDictionary::FindOrInsertLocked(std::string_view key, uint32_t tag,
+                                            std::string* owned) {
+  ReserveLocked(indexed_ + 1);
+  const size_t i = ProbeLocked(key, tag);
+  if (slots_[i] != 0) return static_cast<ValueId>(slots_[i]);
+  const ValueId id = static_cast<ValueId>(strings_.size());
+  if (owned != nullptr) {
+    strings_.push_back(std::move(*owned));
+  } else {
+    strings_.emplace_back(key);
+  }
+  slots_[i] = static_cast<uint64_t>(tag) << 32 | id;
+  ++indexed_;
+  return id;
+}
+
+void ValueDictionary::ReserveLocked(size_t n) {
+  if (2 * n <= slots_.size()) return;
+  size_t capacity = std::max(kMinSlots, slots_.size());
+  while (capacity < 2 * n) capacity *= 2;
+  // A slot's home is its tag masked to the table size, so a rehash
+  // moves slots without touching (or hashing) a string.
+  std::vector<uint64_t> grown(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (const uint64_t slot : slots_) {
+    if (slot == 0) continue;
+    size_t i = static_cast<uint32_t>(slot >> 32) & mask;
+    while (grown[i] != 0) i = (i + 1) & mask;
+    grown[i] = slot;
+  }
+  slots_.swap(grown);
+}
+
 ValueId ValueDictionary::Intern(std::string_view s) {
   if (s.empty()) return kNull;
-  std::string canonical = NormalizeNumeric(s);
+  std::string scratch;
+  const std::string_view key = CanonicalNumeric(s, &scratch);
+  const uint32_t tag = TagOf(key);
   {
     std::shared_lock lock(mutex_);
-    auto it = index_.find(canonical);
-    if (it != index_.end()) return it->second;
+    const ValueId id = FindLocked(key, tag);
+    if (id != kNull) return id;
   }
+  // Another thread may intern `key` between the locks; the writer path
+  // probes again before inserting.
   std::unique_lock lock(mutex_);
-  // Re-check: another thread may have interned between the locks.
-  auto it = index_.find(canonical);
-  if (it != index_.end()) return it->second;
-  ValueId id = static_cast<ValueId>(strings_.size());
-  strings_.push_back(canonical);
-  index_.emplace(std::move(canonical), id);
-  return id;
+  return FindOrInsertLocked(key, tag, nullptr);
+}
+
+void ValueDictionary::InternAll(std::vector<std::string>&& values,
+                                std::vector<ValueId>* ids) {
+  // Canonical spellings and tags are computed before the lock: a
+  // numeric spelling is rewritten in place, anything else is already
+  // its own canonical form and is later moved in, not copied.
+  std::vector<uint32_t> tags(values.size());
+  std::string scratch;
+  for (size_t i = 0; i < values.size(); ++i) {
+    std::string& value = values[i];
+    if (value.empty()) continue;
+    const std::string_view key = CanonicalNumeric(value, &scratch);
+    if (key.data() != value.data()) value.assign(key);
+    tags[i] = TagOf(value);
+  }
+  ids->reserve(ids->size() + values.size());
+  std::unique_lock lock(mutex_);
+  ReserveLocked(indexed_ + values.size());
+  // Each probe is a cache miss in a large index; prefetching the home
+  // slot a few values ahead overlaps them.
+  constexpr size_t kPrefetchAhead = 8;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i + kPrefetchAhead < values.size()) {
+      __builtin_prefetch(&slots_[tags[i + kPrefetchAhead] & mask]);
+    }
+    std::string& value = values[i];
+    ids->push_back(value.empty()
+                       ? kNull
+                       : FindOrInsertLocked(value, tags[i], &value));
+  }
+}
+
+void ValueDictionary::Reserve(size_t n) {
+  std::unique_lock lock(mutex_);
+  ReserveLocked(n);
 }
 
 ValueId ValueDictionary::Lookup(std::string_view s) const {
   if (s.empty()) return kNull;
-  std::string canonical = NormalizeNumeric(s);
+  std::string scratch;
+  const std::string_view key = CanonicalNumeric(s, &scratch);
+  const uint32_t tag = TagOf(key);
   std::shared_lock lock(mutex_);
-  auto it = index_.find(canonical);
-  return it == index_.end() ? kNull : it->second;
+  return FindLocked(key, tag);
 }
 
 const std::string& ValueDictionary::StringOf(ValueId id) const {

@@ -7,14 +7,32 @@
 // (paper §V-B1, LabelSourceNulls) first-class values that can never
 // collide with real data.
 //
-// Id 0 is the null sentinel. Numeric strings are canonicalized at intern
-// time ("3.10" and "3.1" intern to the same id) because Gen-T matches
-// values syntactically (paper §II: metadata and types are unreliable).
+// Id 0 is the null sentinel. Ids are dense and assigned in first-intern
+// order. Numeric strings are canonicalized at intern time ("3.10" and
+// "3.1" intern to the same id) because Gen-T matches values
+// syntactically (paper §II: metadata and types are unreliable).
+//
+// Layout: strings live in a deque indexed by id, so references returned
+// by StringOf stay valid while the dictionary grows. The string -> id
+// index is a flat open-addressing table of uint64_t slots, each holding
+// a 32-bit hash tag (high half) and the id (low half); slot value 0 is
+// empty, since id 0 is never indexed. A value's home slot is its tag
+// masked to the table size and collisions probe linearly; the table
+// doubles to keep the load factor at most 1/2, and a rehash moves slots
+// by tag alone, without touching a string. Labeled nulls get ids and
+// strings but no slot, so no spelling ever looks one up.
+//
+// Bulk path: a snapshot load interns its whole dictionary section with
+// one InternAll call and gets exactly the ids the same sequence of
+// Intern calls would return. Canonical spellings and tags are computed
+// before the lock; under one writer-lock acquisition the index is sized
+// once, each string is probed once (home slots prefetched a few strings
+// ahead) and new strings are moved into the deque, not copied.
 //
 // Thread safety: all methods may be called concurrently (guarded by a
-// shared_mutex; strings live in a deque so references returned by
-// StringOf stay valid across concurrent Interns). This is what lets
-// BulkReclaim run many reclamations against one lake in parallel.
+// shared_mutex: lookups share it, inserts take it exclusively). This is
+// what lets BulkReclaim run many reclamations against one lake in
+// parallel.
 
 #ifndef GENT_VALUE_DICTIONARY_H_
 #define GENT_VALUE_DICTIONARY_H_
@@ -25,7 +43,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -50,6 +67,16 @@ class ValueDictionary {
   /// Returns the id of `s` if already interned, else kNull.
   ValueId Lookup(std::string_view s) const;
 
+  /// Interns every string of `values` in order and appends its id to
+  /// `ids`: the ids that calling Intern on each string in turn would
+  /// return, under a single writer-lock acquisition. The strings are
+  /// moved from. The snapshot loader's dictionary path.
+  void InternAll(std::vector<std::string>&& values, std::vector<ValueId>* ids);
+
+  /// Sizes the index so `n` interned values fit without a rehash.
+  /// Changes no id.
+  void Reserve(size_t n);
+
   /// The string for an id. id must be kNull or a valid interned id;
   /// kNull renders as "" and labeled nulls as "⟨null:k⟩". The returned
   /// reference stays valid for the dictionary's lifetime.
@@ -73,9 +100,21 @@ class ValueDictionary {
   size_t size() const;
 
  private:
+  // Index of the slot holding `key` (hash tag `tag`), or of the empty
+  // slot where it would go. slots_ must be non-empty.
+  size_t ProbeLocked(std::string_view key, uint32_t tag) const;
+  // Id of the indexed value `key`, or kNull.
+  ValueId FindLocked(std::string_view key, uint32_t tag) const;
+  // Id of `key`, interning it if absent. `owned`, when given, holds the
+  // same bytes as `key` and is moved into the dictionary on insert.
+  ValueId FindOrInsertLocked(std::string_view key, uint32_t tag,
+                             std::string* owned);
+  void ReserveLocked(size_t n);
+
   mutable std::shared_mutex mutex_;
   std::deque<std::string> strings_;  // deque: stable refs under growth
-  std::unordered_map<std::string, ValueId> index_;
+  std::vector<uint64_t> slots_;      // tag << 32 | id; 0 = empty
+  size_t indexed_ = 0;               // occupied slots
   std::unordered_set<ValueId> labeled_nulls_;
   uint64_t next_label_ = 0;
 };

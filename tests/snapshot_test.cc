@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/benchgen/tpch.h"
+#include "src/engine/column_stats_catalog.h"
 #include "src/gent/gent.h"
 #include "src/ops/unary.h"
 #include "src/storage/catalog_pager.h"
@@ -113,11 +114,155 @@ TEST_F(SnapshotTest, RoundTripTpchScale) {
   }
   ASSERT_TRUE(SaveSnapshot(lake, Path("tpch.snap")).ok());
   DataLake loaded;
-  ASSERT_TRUE(LoadSnapshot(loaded, Path("tpch.snap")).ok());
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(loaded, Path("tpch.snap"), &info).ok());
+  EXPECT_TRUE(info.identity_remap);
   ASSERT_EQ(loaded.size(), lake.size());
   for (size_t i = 0; i < lake.size(); ++i) {
     EXPECT_EQ(RowsOf(lake.table(i)), RowsOf(loaded.table(i)))
         << lake.table(i).name();
+  }
+  // The bulk-interned dictionary reproduces every id's string.
+  ASSERT_EQ(loaded.dict()->size(), lake.dict()->size());
+  size_t mismatched = 0;
+  for (ValueId id = 0; id < lake.dict()->size(); ++id) {
+    mismatched += loaded.dict()->StringOf(id) != lake.dict()->StringOf(id);
+  }
+  EXPECT_EQ(mismatched, 0u);
+}
+
+// --- Hand-built v1 files -----------------------------------------------------
+
+// Little-endian builder for snapshot bytes the writer would never emit.
+class RawSnapshot {
+ public:
+  explicit RawSnapshot(uint64_t dict_size) {
+    bytes_.append("GENTSNAP", 8);
+    U32(1);  // version
+    U64(dict_size);
+  }
+  RawSnapshot& U32(uint32_t v) {
+    bytes_.append(reinterpret_cast<const char*>(&v), sizeof v);
+    return *this;
+  }
+  RawSnapshot& U64(uint64_t v) {
+    bytes_.append(reinterpret_cast<const char*>(&v), sizeof v);
+    return *this;
+  }
+  RawSnapshot& Str(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    bytes_.append(s);
+    return *this;
+  }
+  void Save(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+  }
+
+ private:
+  std::string bytes_;
+};
+
+// Every reader entry point must turn `path` into a typed IOError without
+// throwing and without touching the target lake.
+void ExpectTypedIOError(const std::string& path, const std::string& what) {
+  for (bool body_only : {false, true}) {
+    DataLake lake;
+    Status s = Status::OK();
+    EXPECT_NO_THROW(s = body_only ? LoadSnapshotBody(lake, path)
+                                  : LoadSnapshot(lake, path))
+        << what;
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << what << ": " << s.ToString();
+    EXPECT_EQ(lake.size(), 0u) << what;
+  }
+  Status s = Status::OK();
+  EXPECT_NO_THROW(s = VerifySnapshotIntegrity(path)) << what;
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << what << ": " << s.ToString();
+}
+
+TEST_F(SnapshotTest, HostileDictionarySizeFailsTyped) {
+  // 20 bytes: magic, version 1 and a dictionary size no file can hold.
+  for (uint64_t dict_size : {uint64_t{1} << 40, uint64_t{1} << 62,
+                             ~uint64_t{0}}) {
+    RawSnapshot(dict_size).Save(Path("dict.snap"));
+    ExpectTypedIOError(Path("dict.snap"),
+                       "dict_size " + std::to_string(dict_size));
+  }
+  // A plausible size just past what the remaining bytes can encode.
+  RawSnapshot(4).Str("").Str("a").Str("b").Save(Path("dict_short.snap"));
+  ExpectTypedIOError(Path("dict_short.snap"), "dict_size 4 of 3");
+}
+
+TEST_F(SnapshotTest, HostileStringLengthFailsTyped) {
+  // Under the 16 MiB string cap, but far beyond the file.
+  RawSnapshot(2).Str("").U32(0x00ffffff).Save(Path("len.snap"));
+  ExpectTypedIOError(Path("len.snap"), "string length");
+}
+
+TEST_F(SnapshotTest, HostileTableFieldsFailTyped) {
+  // One table "t" with `cols` columns, `key_count` keys and `rows` rows,
+  // followed by a single cell.
+  auto table = [&](uint32_t cols, uint32_t key_count, uint64_t rows) {
+    RawSnapshot raw(2);
+    raw.Str("").Str("x").U64(1).Str("t").U32(cols);
+    for (uint32_t c = 0; c < cols; ++c) raw.Str("c" + std::to_string(c));
+    raw.U32(key_count);
+    for (uint32_t k = 0; k < key_count && k < 4; ++k) raw.U32(0);
+    raw.U64(rows).U32(1);
+    const std::string path = Path("table.snap");
+    raw.Save(path);
+    return path;
+  };
+  ExpectTypedIOError(table(1, 0, uint64_t{1} << 40), "rows 2^40");
+  ExpectTypedIOError(table(1, 0, uint64_t{1} << 62), "rows 2^62");
+  // rows * cols * 4 overflows 64 bits.
+  ExpectTypedIOError(table(3, 0, uint64_t{1} << 62), "rows 2^62 x 3 cols");
+  ExpectTypedIOError(table(1, 0, 2), "rows 2 with one cell");
+  ExpectTypedIOError(table(1, 0xffffffffu, 1), "key_count 2^32-1");
+  ExpectTypedIOError(table(1, 2, 1), "key_count > cols");
+
+  // The same builder with honest fields loads.
+  DataLake lake;
+  ASSERT_TRUE(LoadSnapshot(lake, table(1, 1, 1)).ok());
+  ASSERT_EQ(lake.size(), 1u);
+  EXPECT_EQ(lake.table(0).CellString(0, 0), "x");
+  EXPECT_EQ(lake.table(0).key_columns(), std::vector<size_t>{0});
+}
+
+TEST_F(SnapshotTest, BulkLoadMatchesPerStringInternOracle) {
+  // Saved ids 0..6; "alpha" is stored twice and "3.10"/"007" are
+  // non-canonical spellings of values also stored canonically.
+  const std::vector<std::string> entries = {"",    "alpha", "3.10", "alpha",
+                                            "007", "7",     "beta"};
+  RawSnapshot raw(entries.size());
+  for (const std::string& e : entries) raw.Str(e);
+  const std::vector<uint32_t> col_a = {1, 2, 3, 4};
+  const std::vector<uint32_t> col_b = {5, 6, 0, 2};
+  raw.U64(1).Str("t").U32(2).Str("a").Str("b").U32(0).U64(col_a.size());
+  for (uint32_t v : col_a) raw.U32(v);
+  for (uint32_t v : col_b) raw.U32(v);
+  raw.Save(Path("parity.snap"));
+
+  ValueDictionary oracle;
+  std::vector<ValueId> remap = {kNull};
+  for (size_t i = 1; i < entries.size(); ++i) {
+    remap.push_back(oracle.Intern(entries[i]));
+  }
+
+  DataLake loaded;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(loaded, Path("parity.snap"), &info).ok());
+  EXPECT_FALSE(info.identity_remap);
+  ASSERT_EQ(loaded.size(), 1u);
+  const Table& t = loaded.table(0);
+  ASSERT_EQ(t.num_rows(), col_a.size());
+  for (size_t r = 0; r < col_a.size(); ++r) {
+    EXPECT_EQ(t.cell(r, 0), remap[col_a[r]]) << r;
+    EXPECT_EQ(t.cell(r, 1), remap[col_b[r]]) << r;
+  }
+  ASSERT_EQ(loaded.dict()->size(), oracle.size());
+  for (ValueId id = 0; id < oracle.size(); ++id) {
+    EXPECT_EQ(loaded.dict()->StringOf(id), oracle.StringOf(id)) << id;
   }
 }
 
@@ -242,6 +387,63 @@ TEST_F(SnapshotTest, V2LoadIntoPreInternedDictClearsIdentityFlag) {
   ASSERT_TRUE(LoadSnapshot(target, Path("lake.snap2"), &info).ok());
   EXPECT_EQ(info.version, 2u);
   EXPECT_FALSE(info.identity_remap);
+}
+
+TEST_F(SnapshotTest, DeltaRunDictionaryLoadsThroughBulkPath) {
+  DataLake lake = MakeLake();
+  SaveV2(lake, Path("delta.snap2"));
+  // The run repeats base values ("smith", "3.1"), adds new ones, and
+  // spells a base numeric non-canonically.
+  const size_t first = lake.size();
+  ASSERT_TRUE(lake.AddTable(TableBuilder(lake.dict(), "more")
+                                .Columns({"id", "name", "score"})
+                                .Row({"3", "smith", "3.10"})
+                                .Row({"4", "garcia", "0042"})
+                                .Row({"5", "", "new-long-value-past-8"})
+                                .Key({"id"})
+                                .Build())
+                  .ok());
+  const auto run = ColumnStatsCatalog::BuildDeltaRun(lake, first);
+  ASSERT_TRUE(AppendSnapshotDelta(lake, first, run.views(),
+                                  Path("delta.snap2"))
+                  .ok());
+
+  DataLake fresh;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(fresh, Path("delta.snap2"), &info).ok());
+  EXPECT_EQ(info.delta_runs, 1u);
+  EXPECT_TRUE(info.identity_remap);
+  ASSERT_EQ(fresh.dict()->size(), lake.dict()->size());
+  for (ValueId id = 0; id < lake.dict()->size(); ++id) {
+    EXPECT_EQ(fresh.dict()->StringOf(id), lake.dict()->StringOf(id)) << id;
+  }
+  ASSERT_EQ(fresh.size(), lake.size());
+  for (size_t i = 0; i < lake.size(); ++i) {
+    EXPECT_EQ(RowsOf(fresh.table(i)), RowsOf(lake.table(i))) << i;
+    for (size_t r = 0; r < lake.table(i).num_rows(); ++r) {
+      for (size_t c = 0; c < lake.table(i).num_cols(); ++c) {
+        EXPECT_EQ(fresh.table(i).cell(r, c), lake.table(i).cell(r, c));
+      }
+    }
+  }
+
+  // Into a dictionary that already holds some of the run's values the
+  // remap is no identity, but every cell still reads the same string.
+  DataLake target;
+  (void)target.AddTable(TableBuilder(target.dict(), "pre")
+                            .Columns({"x"})
+                            .Row({"garcia"})
+                            .Row({"42"})
+                            .Build());
+  ASSERT_TRUE(LoadSnapshot(target, Path("delta.snap2"), &info).ok());
+  EXPECT_FALSE(info.identity_remap);
+  auto idx = target.IndexOf("more");
+  ASSERT_TRUE(idx.ok());
+  const Table& more = target.table(*idx);
+  EXPECT_EQ(more.cell(1, 1), target.table(0).cell(0, 0));  // "garcia"
+  EXPECT_EQ(more.cell(1, 2), target.table(0).cell(1, 0));  // 42
+  EXPECT_EQ(more.CellString(0, 2), "3.1");
+  EXPECT_EQ(more.CellString(2, 2), "new-long-value-past-8");
 }
 
 TEST_F(SnapshotTest, V2TruncationFailsCleanlyAtStrategicCuts) {

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/table/table.h"
 #include "src/table/table_builder.h"
@@ -57,6 +60,130 @@ TEST(DictionaryTest, LabeledNullsAreUniqueNonValues) {
   EXPECT_TRUE(dict.IsLabeledNull(l2));
   EXPECT_FALSE(dict.IsLabeledNull(kNull));
   EXPECT_FALSE(dict.IsLabeledNull(dict.Intern("real")));
+}
+
+TEST(DictionaryTest, IdsStayDenseAcrossRehashes) {
+  ValueDictionary dict;
+  // References taken before the index rehashes (many times over).
+  std::vector<const std::string*> early;
+  std::vector<std::string> spelled;
+  const size_t kValues = 20000;
+  for (size_t i = 0; i < kValues; ++i) {
+    spelled.push_back("value-" + std::to_string(i) + "-padding-past-8-bytes");
+    ASSERT_EQ(dict.Intern(spelled.back()), static_cast<ValueId>(i + 1));
+    if (i < 64) early.push_back(&dict.StringOf(static_cast<ValueId>(i + 1)));
+  }
+  EXPECT_EQ(dict.size(), kValues + 1);
+  for (size_t i = 0; i < early.size(); ++i) EXPECT_EQ(*early[i], spelled[i]);
+  for (size_t i = 0; i < kValues; ++i) {
+    EXPECT_EQ(dict.Lookup(spelled[i]), static_cast<ValueId>(i + 1));
+    EXPECT_EQ(dict.Intern(spelled[i]), static_cast<ValueId>(i + 1));
+  }
+}
+
+TEST(DictionaryTest, ReserveChangesNoId) {
+  ValueDictionary dict;
+  const ValueId a = dict.Intern("a");
+  const ValueId b = dict.Intern("a-much-longer-spelling");
+  const ValueId seven = dict.Intern("7");
+  dict.Reserve(100000);
+  EXPECT_EQ(dict.Lookup("a"), a);
+  EXPECT_EQ(dict.Lookup("a-much-longer-spelling"), b);
+  EXPECT_EQ(dict.Lookup("007"), seven);
+  EXPECT_EQ(dict.size(), 4u);
+  EXPECT_EQ(dict.Intern("next"), 4u);
+  dict.Reserve(0);
+  EXPECT_EQ(dict.Lookup("next"), 4u);
+}
+
+TEST(DictionaryTest, BulkInternEqualsPerStringIntern) {
+  const std::vector<std::string> input = {
+      "alpha",    "3.10",       "beta",      "3.1",  "007",      "",
+      "alpha",    "⟨null:0⟩",   "7",         " 7 ",  "1e2",      "100",
+      "",         "eight888",   "eight8888", "beta", "⟨null:0⟩", "gamma",
+      "-0",       "0",          "12345678901234567890-a-long-tail"};
+  // Both dictionaries already hold a labeled null spelled "⟨null:0⟩":
+  // a real value with that spelling must still get its own id.
+  ValueDictionary per_string;
+  ValueDictionary bulk;
+  const ValueId label = per_string.CreateLabeledNull();
+  ASSERT_EQ(bulk.CreateLabeledNull(), label);
+  per_string.Intern("pre-existing");
+  bulk.Intern("pre-existing");
+
+  std::vector<ValueId> expected;
+  for (const std::string& s : input) expected.push_back(per_string.Intern(s));
+  std::vector<ValueId> ids = {kNull};  // InternAll appends
+  bulk.InternAll(std::vector<std::string>(input), &ids);
+  ids.erase(ids.begin());
+
+  EXPECT_EQ(ids, expected);
+  ASSERT_EQ(bulk.size(), per_string.size());
+  for (ValueId id = 0; id < bulk.size(); ++id) {
+    EXPECT_EQ(bulk.StringOf(id), per_string.StringOf(id)) << id;
+    EXPECT_EQ(bulk.IsLabeledNull(id), per_string.IsLabeledNull(id)) << id;
+  }
+  const ValueId spelled_label = bulk.Lookup("⟨null:0⟩");
+  EXPECT_NE(spelled_label, kNull);
+  EXPECT_NE(spelled_label, label);
+  EXPECT_FALSE(bulk.IsLabeledNull(spelled_label));
+  EXPECT_EQ(bulk.Lookup("3.1"), bulk.Lookup("3.10"));
+  EXPECT_EQ(bulk.StringOf(bulk.Lookup("007")), "7");
+}
+
+TEST(DictionaryTest, ConcurrentCallersAgreeOnEveryId) {
+  // 8 threads intern, look up and read back the same values in
+  // different orders, two of them through InternAll; every thread must
+  // see one id per string.
+  constexpr size_t kThreads = 8;
+  constexpr size_t kDistinct = 3000;
+  constexpr size_t kChunk = 10;
+  ValueDictionary dict;
+  auto spelling = [](size_t v) {
+    return v % 5 == 0 ? std::to_string(v) : "v" + std::to_string(v) + "-x";
+  };
+  std::vector<std::vector<ValueId>> seen(kThreads,
+                                         std::vector<ValueId>(kDistinct));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // 7 is coprime to kDistinct: each thread visits every value once.
+      std::vector<size_t> order(kDistinct);
+      for (size_t k = 0; k < kDistinct; ++k) {
+        order[k] = (k * 7 + t * 397) % kDistinct;
+      }
+      for (size_t k = 0; k < kDistinct; k += kChunk) {
+        if (t % 4 == 3) {
+          std::vector<std::string> batch;
+          for (size_t j = 0; j < kChunk; ++j) {
+            batch.push_back(spelling(order[k + j]));
+          }
+          std::vector<ValueId> ids;
+          dict.InternAll(std::move(batch), &ids);
+          for (size_t j = 0; j < kChunk; ++j) seen[t][order[k + j]] = ids[j];
+          continue;
+        }
+        for (size_t j = 0; j < kChunk; ++j) {
+          const size_t v = order[k + j];
+          const std::string s = spelling(v);
+          const ValueId id = dict.Intern(s);
+          // A disagreeing Lookup or StringOf records kNull, which the
+          // final check reports.
+          const bool agrees = dict.Lookup(s) == id && dict.StringOf(id) == s;
+          seen[t][v] = agrees ? id : kNull;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(dict.size(), kDistinct + 1);
+  for (size_t v = 0; v < kDistinct; ++v) {
+    const ValueId id = dict.Lookup(spelling(v));
+    ASSERT_NE(id, kNull) << v;
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][v], id) << "thread " << t << " value " << v;
+    }
+  }
 }
 
 // --- Table -------------------------------------------------------------------

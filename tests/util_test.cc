@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <random>
 #include <set>
+#include <string>
 
 #include "src/util/random.h"
 #include "src/util/status.h"
@@ -235,6 +240,61 @@ TEST(StringUtilTest, NormalizeNumericCollapsesSpellings) {
 TEST(StringUtilTest, NormalizeNumericLeavesTextAlone) {
   EXPECT_EQ(NormalizeNumeric("Smith"), "Smith");
   EXPECT_EQ(NormalizeNumeric("12b"), "12b");
+  EXPECT_EQ(NormalizeNumeric(" x "), " x ");
+  EXPECT_EQ(NormalizeNumeric("inf"), "inf");
+  EXPECT_EQ(NormalizeNumeric("-nan"), "-nan");
+  EXPECT_EQ(NormalizeNumeric("1e999"), "1e999");  // not finite
+}
+
+// The canonical form as strtod + printf spell it ("%lld" for integral
+// values below 1e15, "%.12g" otherwise): the reference CanonicalNumeric
+// must reproduce byte for byte, since interned ids depend on it.
+std::string PrintfCanonical(std::string_view s) {
+  const std::string t(Trim(s));
+  if (!IsNumeric(t)) return std::string(s);
+  const double v = std::strtod(t.c_str(), nullptr);
+  char out[48];
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    std::snprintf(out, sizeof(out), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(out, sizeof(out), "%.12g", v);
+  }
+  return out;
+}
+
+TEST(StringUtilTest, CanonicalNumericMatchesPrintfSpelling) {
+  std::vector<std::string> inputs = {
+      "0",      "-0",       "+0.0",     "007",          "3.10",
+      "1e2",    " 42 ",     "0x1A",     "-0x1p-3",      ".5",
+      "5.",     "1e15",     "-1e15",    "999999999999999",
+      "1000000000000000",   "123456789012345678",        "4.9e-324",
+      "1.7976931348623157e308",         "2.5e-7",       "-123.456",
+      "0.1",    "1e-5",     "123456.7890123456",         "1e21"};
+  std::mt19937_64 rng(42);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  const char* formats[] = {"%.2f", "%g", "%.17g", "%e", "%.0f", "%.5f"};
+  for (int i = 0; i < 20000; ++i) {
+    const double v = mantissa(rng) * std::pow(10.0, exponent(rng));
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), formats[i % 6], v);
+    inputs.push_back(buf);
+    inputs.push_back(std::to_string(static_cast<long long>(rng() >> 14)));
+  }
+  std::string scratch;
+  for (const std::string& s : inputs) {
+    ASSERT_EQ(std::string(CanonicalNumeric(s, &scratch)), PrintfCanonical(s))
+        << s;
+    ASSERT_EQ(NormalizeNumeric(s), PrintfCanonical(s)) << s;
+  }
+}
+
+TEST(StringUtilTest, CanonicalNumericReturnsTextUncopied) {
+  std::string scratch;
+  const std::string text = "a non-numeric value past the small buffer";
+  EXPECT_EQ(CanonicalNumeric(text, &scratch).data(), text.data());
+  EXPECT_TRUE(scratch.empty());
+  EXPECT_EQ(CanonicalNumeric("3.10", &scratch), "3.1");
 }
 
 }  // namespace
