@@ -25,6 +25,7 @@
 
 #include "src/baselines/baseline.h"
 #include "src/benchgen/benchmarks.h"
+#include "src/gent/bulk.h"
 #include "src/gent/gent.h"
 #include "src/metrics/divergence.h"
 #include "src/metrics/precision_recall.h"
@@ -175,7 +176,7 @@ inline std::vector<Table> CandidateTables(const GenT& gent,
 }
 
 // (Bit-identity of reclaimed tables is TablesBitIdentical from
-// src/table/table.h — the ReclaimBatch determinism contract.)
+// src/table/table.h — the batch determinism contract.)
 
 /// The "w/ int. set" inputs: the 4 variants of every original table the
 /// source's query touched, straight from the lake.
@@ -206,27 +207,27 @@ inline MethodRow RunGenT(const TpTrBenchmark& bench, size_t max_sources,
       per_source);
 }
 
-/// Gen-T over a benchmark through the batch engine: one shared
-/// ColumnStatsCatalog, `threads` workers, per-source budgets applied
-/// inside each worker. Metrics match RunGenT (results are bit-identical
-/// to the serial path); per-source seconds are the summed phase timings
-/// (wall clock inside the worker, excluding queueing).
+/// Gen-T over a benchmark through the batch engine (BulkReclaim): one
+/// shared ColumnStatsCatalog, `threads` workers, per-source budgets
+/// applied inside each worker. Metrics match RunGenT (results are
+/// bit-identical to the serial path); per-source seconds are the summed
+/// phase timings (wall clock inside the worker, excluding queueing).
 inline MethodRow RunGenTBatch(const TpTrBenchmark& bench, size_t max_sources,
                               double timeout_s, size_t threads,
                               std::vector<PerSource>* per_source = nullptr,
                               GenTConfig config = {}) {
-  GenT gent(*bench.lake, config);
   size_t limit = std::min(max_sources, bench.sources.size());
   std::vector<Table> sources;
   sources.reserve(limit);
   for (size_t i = 0; i < limit; ++i) {
     sources.push_back(bench.sources[i].source.Clone());
   }
-  BatchOptions options;
-  options.num_threads = threads;
+  BulkOptions options;
+  options.threads = threads;
   options.timeout_seconds = timeout_s;
   options.max_rows = 2000000;
-  auto results = gent.ReclaimBatch(sources, options);
+  options.cache_capacity = 0;  // every source is distinct
+  auto results = BulkReclaim(*bench.lake, sources, config, options);
 
   MethodRow row;
   row.method = "Gen-T (batch x" + std::to_string(threads) + ")";

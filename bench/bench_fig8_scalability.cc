@@ -6,11 +6,12 @@
 // flat across benchmarks; ALITE's explode (it times out on the larger
 // ones); ALITE-PS survives but with much larger outputs.
 //
-// A third section exercises the engine layer: serial Reclaim calls vs
-// ReclaimBatch over one shared ColumnStatsCatalog, verifying the batch
-// results are bit-identical to the serial ones and reporting the
-// wall-clock speedup (GENT_THREADS workers, default 4; speedup tracks
-// the machine's core count).
+// A third section exercises the engine layer: a 1-worker vs a
+// GENT_THREADS-worker (default 4) BulkReclaim, each over one shared
+// ColumnStatsCatalog, verifying the parallel results are bit-identical
+// to the serial ones and reporting the wall-clock speedup (it tracks
+// the machine's core count). Both timings include the run's one
+// catalog build.
 
 #include "bench/bench_common.h"
 #include "src/baselines/alite.h"
@@ -20,28 +21,28 @@ using namespace gent::bench;
 
 namespace {
 
-// Serial loop vs ReclaimBatch on one benchmark; returns false if any
-// batch result differs from its serial counterpart.
+// 1-worker vs `threads`-worker BulkReclaim on one benchmark; returns
+// false if any parallel result differs from its serial counterpart.
 bool RunBatchScalability(const TpTrBenchmark& bench, size_t max_sources,
                          size_t threads) {
-  GenT gent(*bench.lake);  // one catalog for both passes
   size_t limit = std::min(max_sources, bench.sources.size());
   std::vector<Table> sources;
   sources.reserve(limit);
   for (size_t i = 0; i < limit; ++i) {
     sources.push_back(bench.sources[i].source.Clone());
   }
-  BatchOptions options;
+  BulkOptions options;
   options.max_rows = 2000000;  // deterministic: row budget, no deadline
+  options.cache_capacity = 0;  // every source is distinct
 
   auto t0 = std::chrono::steady_clock::now();
-  options.num_threads = 1;
-  auto serial = gent.ReclaimBatch(sources, options);
+  options.threads = 1;
+  auto serial = BulkReclaim(*bench.lake, sources, {}, options);
   double serial_s = Seconds(t0);
 
   t0 = std::chrono::steady_clock::now();
-  options.num_threads = threads;
-  auto parallel = gent.ReclaimBatch(sources, options);
+  options.threads = threads;
+  auto parallel = BulkReclaim(*bench.lake, sources, {}, options);
   double parallel_s = Seconds(t0);
 
   bool identical = serial.size() == parallel.size();
@@ -140,7 +141,7 @@ int main() {
 
   // --- Engine layer: serial vs parallel batch reclamation ----------------
   size_t threads = EnvSize("GENT_THREADS", 4);
-  std::printf("\n=== Batch reclamation: serial vs %zu-thread ReclaimBatch "
+  std::printf("\n=== Batch reclamation: serial vs %zu-thread BulkReclaim "
               "(shared catalog) ===\n",
               threads);
   std::printf("%-14s %12s %11s %11s %9s %10s\n", "Benchmark", "", "serial",

@@ -57,26 +57,28 @@ int main() {
     size_t gent_perfect = 0, gent_dup = 0, evaluated = 0;
 
     size_t limit = std::min(max_sources, bench->source_indices.size());
-    // One GenT — one ColumnStatsCatalog — for the whole corpus; the
-    // leave-one-out exclusion is applied per source by the batch engine
-    // instead of rebuilding the index 515 times.
+    // One ColumnStatsCatalog per engine for the whole corpus (the batch
+    // run's, and `gent`'s for the baselines' candidate sets); the
+    // leave-one-out exclusion is applied per source instead of
+    // rebuilding the index 515 times.
     GenT gent(*bench->lake);
     std::vector<Table> sources;
     sources.reserve(limit);
     for (size_t k = 0; k < limit; ++k) {
       sources.push_back(bench->lake->table(bench->source_indices[k]).Clone());
     }
-    BatchOptions batch;
+    BulkOptions batch;
     // Default 1 worker: the per-source deadline below gates which
     // sources enter every method's comparison set, so contention-induced
     // timeouts would make the reported table load-dependent. The shared
     // catalog (vs. one index build per source) is the win either way;
     // raise GENT_THREADS on an idle many-core box.
-    batch.num_threads = EnvSize("GENT_THREADS", 1);
+    batch.threads = EnvSize("GENT_THREADS", 1);
     batch.timeout_seconds = timeout;
     batch.max_rows = 500000;
     batch.exclude_source_name = true;
-    auto gent_results = gent.ReclaimBatch(sources, batch);
+    batch.cache_capacity = 0;  // every source is distinct
+    auto gent_results = BulkReclaim(*bench->lake, sources, {}, batch);
 
     for (size_t k = 0; k < limit; ++k) {
       const Table& source = sources[k];

@@ -3,9 +3,9 @@
 // A team that reclaims dashboards nightly does not want to re-parse the
 // lake's CSVs per run or reclaim sources one at a time. This example
 // shows the production path: build a lake once, persist it as a binary
-// snapshot, reload it (parse-free), build the ColumnStatsCatalog once,
-// and reclaim a whole batch of source tables across a worker pool with
-// GenT::ReclaimBatch — whose results are bit-identical to a serial run.
+// snapshot, reload it (parse-free), and reclaim a whole batch of source
+// tables across a worker pool with BulkReclaim — one ColumnStatsCatalog
+// build per run, results bit-identical to a serial run.
 //
 //   $ ./build/bulk_snapshot
 
@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "src/benchgen/benchmarks.h"
-#include "src/gent/gent.h"
+#include "src/gent/bulk.h"
 #include "src/lake/snapshot.h"
 #include "src/metrics/similarity.h"
 
@@ -54,19 +54,19 @@ int main() {
   std::printf("snapshot reload: %zu tables in %.3fs\n", lake.size(),
               SecondsSince(t0));
 
-  // Reclaim all sources: sequential vs parallel, one shared catalog.
+  // Reclaim all sources: sequential vs parallel, each run over one
+  // shared catalog.
   std::vector<Table> sources;
   for (const SourceSpec& spec : bench->sources) {
     sources.push_back(spec.source.Clone());
   }
-  GenT gent(lake);  // builds the ColumnStatsCatalog once
   std::vector<std::vector<Result<ReclamationResult>>> runs;
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    BatchOptions options;
-    options.num_threads = threads;
+    BulkOptions options;
+    options.threads = threads;
     options.max_rows = 2'000'000;
     t0 = std::chrono::steady_clock::now();
-    auto results = gent.ReclaimBatch(sources, options);
+    auto results = BulkReclaim(lake, sources, {}, options);
     const double elapsed = SecondsSince(t0);
     size_t ok = 0;
     double eis_sum = 0;

@@ -56,7 +56,7 @@ int main() {
                           .Build());
 
   // The column-stats catalog is built once per lake and can be shared by
-  // any number of GenT instances (and ReclaimBatch worker threads).
+  // any number of GenT instances (and batch worker threads).
   auto catalog = std::make_shared<ColumnStatsCatalog>(lake);
   GenT gent(catalog);
   auto result = gent.Reclaim(source);

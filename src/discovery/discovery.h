@@ -5,7 +5,7 @@
 //   1. Recall stage: top-k lake tables by shared distinct values
 //      (stand-in for Starmie; see DESIGN.md substitution #4).
 //   2. Per source column, find lake columns with set overlap ≥ τ
-//      (JOSIE-style containment via the inverted index).
+//      (JOSIE-style containment via the catalog's postings).
 //   3. Diversify rankings so near-duplicate candidates score lower
 //      (Algorithm 4 / Eq. 10).
 //   4. Greedily assign candidate columns to source columns (implicit
@@ -20,7 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/lake/inverted_index.h"
+#include "src/engine/column_stats_catalog.h"
 #include "src/ops/op_limits.h"
 #include "src/util/status.h"
 
@@ -69,8 +69,6 @@ struct Candidate {
 
 class Discovery {
  public:
-  Discovery(const InvertedIndex& index, DiscoveryConfig config)
-      : catalog_(index.catalog()), config_(std::move(config)) {}
   Discovery(const ColumnStatsCatalog& catalog, DiscoveryConfig config)
       : catalog_(catalog), config_(std::move(config)) {}
 

@@ -23,7 +23,7 @@
 //
 // Because the catalog is immutable after construction, any number of
 // threads may query it concurrently without synchronization — this is
-// the contract GenT::ReclaimBatch and ReclaimService build on (a
+// the contract ReclaimService and its batch engine build on (a
 // ReclaimService shard is exactly one catalog plus its lake; runtime
 // shard replacement swaps whole catalogs, never mutates one). The
 // mapped backend preserves this: the only mutable state behind a read

@@ -22,8 +22,8 @@
 // integration are deterministic in their inputs). Wall-clock deadlines
 // are deliberately NOT part of the key: they are scheduling-dependent
 // and exempt from the determinism contract (a warm hit may simply avoid
-// a deadline a cold run would blow — the same caveat ReclaimBatch
-// documents). The flip side is that deadline-carrying requests must
+// a deadline a cold run would blow — the same caveat batch reclamation
+// documents in src/gent/gent.h). The flip side is that deadline-carrying requests must
 // never POPULATE the cache — a deadline can truncate expansion silently
 // (dropped join paths, no error), and replaying a truncated set to
 // untimed requests would poison them; ReclaimService enforces this.

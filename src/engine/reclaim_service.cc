@@ -19,21 +19,16 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::chrono::steady_clock::duration DurationFromSeconds(double seconds) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(seconds));
-}
-
 // Budget for a synchronous request: timeout and end-to-end deadline
 // both start now (there is no queue wait to cover), the earlier wins.
 OpLimits LimitsFromRequest(const ReclaimRequest& request) {
   OpLimits limits;
   const auto now = std::chrono::steady_clock::now();
   if (request.timeout_seconds > 0) {
-    limits.Deadline(now + DurationFromSeconds(request.timeout_seconds));
+    limits.Deadline(SteadyTimeAfter(now, request.timeout_seconds));
   }
   if (request.deadline_seconds > 0) {
-    limits.Deadline(now + DurationFromSeconds(request.deadline_seconds));
+    limits.Deadline(SteadyTimeAfter(now, request.deadline_seconds));
   }
   if (request.max_rows > 0) limits.MaxRows(request.max_rows);
   return limits;
@@ -804,7 +799,7 @@ std::vector<Result<ReclamationResult>> ReclaimService::ReclaimBatch(
 
   ParallelFor(pool_.get(), sources.size(), [&](size_t i) {
     // Limits built per worker invocation: each source's wall-clock
-    // budget starts when ITS reclamation starts, as in GenT::ReclaimBatch.
+    // budget starts when ITS reclamation starts, not when the batch does.
     results[i] = ReclaimImpl(*admitted[i], request, *registry, traversal,
                              expand, LimitsFromRequest(request));
   });
@@ -868,8 +863,7 @@ Result<ReclaimTicket> ReclaimService::SubmitReclaim(
   entry.request = request;
   if (request.deadline_seconds > 0) {
     entry.has_deadline = true;
-    entry.deadline =
-        submitted_at + DurationFromSeconds(request.deadline_seconds);
+    entry.deadline = SteadyTimeAfter(submitted_at, request.deadline_seconds);
   }
   entry.registry = Pin();
   entry.source = std::make_shared<const Table>(
@@ -1008,8 +1002,8 @@ void ReclaimService::PumpOne() const {
   // next pipeline checkpoint.
   OpLimits limits;
   if (entry.request.timeout_seconds > 0) {
-    limits.Deadline(std::chrono::steady_clock::now() +
-                    DurationFromSeconds(entry.request.timeout_seconds));
+    limits.Deadline(SteadyTimeAfter(std::chrono::steady_clock::now(),
+                                    entry.request.timeout_seconds));
   }
   if (entry.has_deadline) limits.Deadline(entry.deadline);
   if (entry.request.max_rows > 0) limits.MaxRows(entry.request.max_rows);
@@ -1084,9 +1078,9 @@ void ReclaimService::NoteShardFault(const Shard& shard,
       entry.attempts = 0;
       entry.rebuilt_from_body = false;
       entry.retry_enabled = true;
-      entry.next_retry = std::chrono::steady_clock::now() +
-                         DurationFromSeconds(BackoffSeconds(
-                             options_.health, shard.uid, /*attempt=*/0));
+      entry.next_retry = SteadyTimeAfter(
+          std::chrono::steady_clock::now(),
+          BackoffSeconds(options_.health, shard.uid, /*attempt=*/0));
       quarantined_count_.fetch_add(1, std::memory_order_release);
     }
   }
@@ -1197,9 +1191,9 @@ void ReclaimService::AttemptRecovery(uint64_t uid) {
     if (cap > 0 && entry.attempts >= cap) {
       entry.retry_enabled = false;  // give up; explicit reload only
     } else {
-      entry.next_retry = std::chrono::steady_clock::now() +
-                         DurationFromSeconds(BackoffSeconds(
-                             options_.health, uid, entry.attempts));
+      entry.next_retry =
+          SteadyTimeAfter(std::chrono::steady_clock::now(),
+                          BackoffSeconds(options_.health, uid, entry.attempts));
     }
     return;
   }

@@ -55,8 +55,9 @@
 // candidate, and the downstream pipeline is deterministic in its
 // inputs. Reclaim for a single-shard route is bit-identical to
 // GenT::Reclaim on that lake. Only wall-clock budgets
-// (ReclaimRequest::timeout_seconds) are scheduling-dependent, exactly
-// as in ReclaimBatch. Concurrent registry mutations choose which
+// (ReclaimRequest::timeout_seconds) are scheduling-dependent: under
+// contention a batch worker's deadline can fire that would not fire
+// serially. Concurrent registry mutations choose which
 // snapshot a request pins (admission order), never what a pinned
 // snapshot answers.
 //
@@ -448,9 +449,10 @@ class ReclaimService {
   Result<ReclamationResult> Reclaim(const Table& source,
                                     const ReclaimRequest& request = {}) const;
 
-  /// Reclaims every source over the resident pool. results[i]
-  /// corresponds to sources[i] and is bit-identical to serial Reclaim
-  /// calls in input order. The whole batch pins ONE registry snapshot
+  /// Reclaims every source over the resident pool — the one batch
+  /// engine (BulkReclaim in src/gent/bulk.h is its one-shot wrapper).
+  /// results[i] corresponds to sources[i] and is bit-identical to serial
+  /// Reclaim calls in input order. The whole batch pins ONE registry snapshot
   /// at entry, so a concurrent shard mutation affects either every
   /// source of the batch or none. The wait is group-scoped: concurrent
   /// batches or async traffic in the same pool never extend it.

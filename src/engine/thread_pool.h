@@ -9,9 +9,9 @@
 //     have finished, regardless of other traffic in the pool.
 //
 // Group waits are what let several independent phases share one
-// resident pool: GenT::ReclaimBatch waits only for its own per-source
-// tasks, so a concurrent batch — or the ReclaimService async admission
-// queue — running in the same pool never extends its wait.
+// resident pool: ReclaimService::ReclaimBatch waits only for its own
+// per-source tasks, so a concurrent batch — or the service's async
+// admission queue — running in the same pool never extends its wait.
 //
 // Thread safety: all methods are safe to call concurrently from any
 // number of threads. A Group must outlive every task submitted with it

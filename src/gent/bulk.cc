@@ -4,10 +4,9 @@
 
 namespace gent {
 
-std::vector<BulkOutcome> BulkReclaim(const DataLake& lake,
-                                     const std::vector<Table>& sources,
-                                     const GenTConfig& config,
-                                     const BulkOptions& options) {
+std::vector<Result<ReclamationResult>> BulkReclaim(
+    const DataLake& lake, const std::vector<Table>& sources,
+    const GenTConfig& config, const BulkOptions& options) {
   // A one-shot, single-shard ReclaimService: one catalog build shared
   // by all workers, plus the discovery cache (repeated sources in a
   // bulk run skip discovery; results are bit-identical either way).
@@ -18,21 +17,18 @@ std::vector<BulkOutcome> BulkReclaim(const DataLake& lake,
   service_options.dict = lake.dict();
   ReclaimService service(service_options);
 
-  std::vector<BulkOutcome> outcomes;
-  outcomes.reserve(sources.size());
   if (Status s = service.AddLakeView("lake", lake); !s.ok()) {
-    for (size_t i = 0; i < sources.size(); ++i) outcomes.emplace_back(s);
-    return outcomes;
+    std::vector<Result<ReclamationResult>> failed;
+    failed.reserve(sources.size());
+    for (size_t i = 0; i < sources.size(); ++i) failed.emplace_back(s);
+    return failed;
   }
 
   ReclaimRequest request;
   request.timeout_seconds = options.timeout_seconds;
   request.max_rows = options.max_rows;
-
-  for (auto& result : service.ReclaimBatch(sources, request)) {
-    outcomes.emplace_back(std::move(result));
-  }
-  return outcomes;
+  request.exclude_source_name = options.exclude_source_name;
+  return service.ReclaimBatch(sources, request);
 }
 
 }  // namespace gent

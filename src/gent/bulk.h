@@ -10,13 +10,14 @@
 // callers should hold a ReclaimService directly and keep the catalog
 // and cache resident across calls.
 //
-// Thread-safety contract: GenT::Reclaim is const and touches only
-// immutable state (lake, catalog, config) plus the shared
+// Thread-safety contract: the per-source pipeline is const and touches
+// only immutable state (lake, catalog, config) plus the shared
 // ValueDictionary, which is internally synchronized (see
 // src/value/dictionary.h) — integration mutates it when creating
 // labeled nulls. Results are returned in input order regardless of
-// completion order (bit-identical to a serial run; see gent.h), and a
-// failed source carries its Status instead of poisoning the batch.
+// completion order (bit-identical to serial GenT::Reclaim calls; see
+// gent.h), and a failed source carries its Status instead of poisoning
+// the batch.
 
 #ifndef GENT_GENT_BULK_H_
 #define GENT_GENT_BULK_H_
@@ -40,22 +41,17 @@ struct BulkOptions {
   /// caching; only repeated sources in one bulk run benefit). Plumbed to
   /// ServiceOptions::cache_capacity.
   size_t cache_capacity = 256;
-};
-
-/// Outcome of one source in a bulk run.
-struct BulkOutcome {
-  /// The reclamation, or the per-source error (Timeout etc.).
-  Result<ReclamationResult> result;
-
-  explicit BulkOutcome(Result<ReclamationResult> r) : result(std::move(r)) {}
+  /// Leave-one-out protocols (e.g. T2D Gold): exclude the lake table
+  /// whose name equals the source's name from its own candidacy.
+  bool exclude_source_name = false;
 };
 
 /// Reclaims every source against `lake`. Sources must declare keys.
-/// Output[i] corresponds to sources[i].
-std::vector<BulkOutcome> BulkReclaim(const DataLake& lake,
-                                     const std::vector<Table>& sources,
-                                     const GenTConfig& config = {},
-                                     const BulkOptions& options = {});
+/// Output[i] is sources[i]'s reclamation or its per-source error
+/// (Timeout etc.).
+std::vector<Result<ReclamationResult>> BulkReclaim(
+    const DataLake& lake, const std::vector<Table>& sources,
+    const GenTConfig& config = {}, const BulkOptions& options = {});
 
 }  // namespace gent
 

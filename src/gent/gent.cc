@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "src/engine/thread_pool.h"
-
 namespace gent {
 
 namespace {
@@ -18,14 +16,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 GenT::GenT(const DataLake& lake, GenTConfig config)
     : config_(std::move(config)),
-      catalog_(std::make_shared<ColumnStatsCatalog>(lake)),
-      index_(catalog_) {}
+      catalog_(std::make_shared<ColumnStatsCatalog>(lake)) {}
 
 GenT::GenT(std::shared_ptr<const ColumnStatsCatalog> catalog,
            GenTConfig config)
     : config_(std::move(config)),
-      catalog_(std::move(catalog)),
-      index_(catalog_) {}
+      catalog_(std::move(catalog)) {}
 
 Result<ReclamationResult> GenT::Reclaim(const Table& source) const {
   return Reclaim(source, config_.integration.limits);
@@ -33,38 +29,13 @@ Result<ReclamationResult> GenT::Reclaim(const Table& source) const {
 
 Result<ReclamationResult> GenT::Reclaim(const Table& source,
                                         const OpLimits& limits) const {
-  return Reclaim(source, limits, config_.discovery);
-}
-
-Result<ReclamationResult> GenT::Reclaim(
-    const Table& source, const OpLimits& limits,
-    const DiscoveryConfig& discovery_config) const {
-  return Reclaim(source, limits, discovery_config, config_.traversal);
-}
-
-Result<ReclamationResult> GenT::Reclaim(
-    const Table& source, const OpLimits& limits,
-    const DiscoveryConfig& discovery_config,
-    const TraversalOptions& traversal_options) const {
-  return Reclaim(source, limits, discovery_config, traversal_options,
-                 config_.expand);
-}
-
-Result<ReclamationResult> GenT::Reclaim(
-    const Table& source, const OpLimits& limits,
-    const DiscoveryConfig& discovery_config,
-    const TraversalOptions& traversal_options,
-    const ExpandOptions& expand_options) const {
   auto t0 = std::chrono::steady_clock::now();
   GENT_ASSIGN_OR_RETURN(auto candidates,
-                        DiscoverCandidates(source, discovery_config, limits));
-  return ReclaimFromCandidates(source, candidates, limits, traversal_options,
-                               expand_options, SecondsSince(t0));
-}
-
-Result<std::vector<Candidate>> GenT::DiscoverCandidates(
-    const Table& source, const DiscoveryConfig& discovery_config) const {
-  return DiscoverCandidates(source, discovery_config, OpLimits());
+                        DiscoverCandidates(source, config_.discovery, limits));
+  GENT_ASSIGN_OR_RETURN(auto expanded,
+                        Expand(source, candidates, limits, config_.expand));
+  return ReclaimFromExpanded(source, std::move(expanded.tables), limits,
+                             config_.traversal, SecondsSince(t0));
 }
 
 Result<std::vector<Candidate>> GenT::DiscoverCandidates(
@@ -73,26 +44,6 @@ Result<std::vector<Candidate>> GenT::DiscoverCandidates(
   // --- Table Discovery (paper §V-A) ---------------------------------------
   Discovery discovery(*catalog_, discovery_config);
   return discovery.FindCandidates(source, limits);
-}
-
-Result<ReclamationResult> GenT::ReclaimFromCandidates(
-    const Table& source, const std::vector<Candidate>& candidates,
-    const OpLimits& limits, const TraversalOptions& traversal_options,
-    double discovery_seconds) const {
-  return ReclaimFromCandidates(source, candidates, limits, traversal_options,
-                               config_.expand, discovery_seconds);
-}
-
-Result<ReclamationResult> GenT::ReclaimFromCandidates(
-    const Table& source, const std::vector<Candidate>& candidates,
-    const OpLimits& limits, const TraversalOptions& traversal_options,
-    const ExpandOptions& expand_options, double discovery_seconds) const {
-  auto t0 = std::chrono::steady_clock::now();
-  GENT_ASSIGN_OR_RETURN(auto expanded,
-                        Expand(source, candidates, limits, expand_options));
-  return ReclaimFromExpanded(source, std::move(expanded.tables), limits,
-                             traversal_options,
-                             discovery_seconds + SecondsSince(t0));
 }
 
 Result<ReclamationResult> GenT::ReclaimFromExpanded(
@@ -137,52 +88,6 @@ Result<ReclamationResult> GenT::ReclaimFromExpanded(
   result.traversal_seconds = traversal_s;
   result.integration_seconds = integration_s;
   return result;
-}
-
-std::vector<Result<ReclamationResult>> GenT::ReclaimBatch(
-    const std::vector<Table>& sources, const BatchOptions& options) const {
-  std::vector<Result<ReclamationResult>> results;
-  results.reserve(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    results.emplace_back(Status::Internal("not run"));
-  }
-  if (sources.empty()) return results;
-
-  size_t threads =
-      std::min(ThreadPool::ResolveThreads(options.num_threads),
-               sources.size());
-
-  // Batch workers already saturate the pool; intra-traversal and
-  // intra-expansion parallelism on top would oversubscribe, so pin both
-  // to serial (thread count never affects results).
-  TraversalOptions traversal = config_.traversal;
-  ExpandOptions expand = config_.expand;
-  if (threads > 1) {
-    traversal.num_threads = 1;
-    expand.num_threads = 1;
-  }
-
-  auto reclaim_one = [&](size_t i) {
-    OpLimits limits = options.timeout_seconds > 0
-                          ? OpLimits::WithTimeout(options.timeout_seconds)
-                          : OpLimits();
-    if (options.max_rows > 0) limits.MaxRows(options.max_rows);
-    DiscoveryConfig discovery = config_.discovery;
-    if (options.exclude_source_name) {
-      discovery.exclude_table = sources[i].name();
-    }
-    results[i] = Reclaim(sources[i], limits, discovery, traversal, expand);
-  };
-
-  ParallelFor(threads, sources.size(), reclaim_one);
-  return results;
-}
-
-std::vector<Result<ReclamationResult>> GenT::ReclaimBatch(
-    const std::vector<Table>& sources, size_t num_threads) const {
-  BatchOptions options;
-  options.num_threads = num_threads;
-  return ReclaimBatch(sources, options);
 }
 
 }  // namespace gent

@@ -12,17 +12,14 @@
 //   auto result = gent.Reclaim(source);  // per-source reclamation
 //   double eis = EisScore(source, result->reclaimed).value();
 //
-// Batch usage (one shared immutable catalog, a pool of workers):
-//   auto results = gent.ReclaimBatch(sources, /*num_threads=*/4);
-//
-// ReclaimBatch is deterministic: every per-source pipeline reads only
-// the immutable catalog/config (the shared dictionary is only appended
-// to, and labeled nulls never reach outputs), so results are
-// bit-identical to running Reclaim serially in input order. One caveat:
-// a per-source wall-clock budget (BatchOptions::timeout_seconds) is
-// inherently scheduling-dependent — under contention a deadline can
-// fire that would not fire serially. Use row budgets (max_rows) where
-// strict reproducibility matters; see DESIGN.md §5.2.
+// Batches go through BulkReclaim (src/gent/bulk.h, one-shot) or a
+// resident ReclaimService (src/engine/reclaim_service.h): both run this
+// pipeline per source against one shared immutable catalog, and their
+// results are bit-identical to serial Reclaim calls in input order. One
+// caveat: a per-source wall-clock budget is inherently
+// scheduling-dependent — under contention a deadline can fire that would
+// not fire serially. Use row budgets (max_rows) where strict
+// reproducibility matters; see DESIGN.md §5.2.
 
 #ifndef GENT_GENT_GENT_H_
 #define GENT_GENT_GENT_H_
@@ -35,7 +32,6 @@
 #include "src/engine/column_stats_catalog.h"
 #include "src/integration/integrator.h"
 #include "src/lake/data_lake.h"
-#include "src/lake/inverted_index.h"
 #include "src/matrix/expand.h"
 #include "src/matrix/traversal.h"
 #include "src/util/status.h"
@@ -71,26 +67,10 @@ struct ReclamationResult {
   explicit ReclamationResult(Table r) : reclaimed(std::move(r)) {}
 };
 
-/// Options for ReclaimBatch.
-struct BatchOptions {
-  /// Worker threads. 0 = hardware concurrency (uncapped). Thread count
-  /// never changes results — only wall-clock time.
-  size_t num_threads = 0;
-  /// Per-source wall-clock budget, seconds (0 = unlimited). The budget
-  /// starts when the source's reclamation starts, not when the batch
-  /// does.
-  double timeout_seconds = 0.0;
-  /// Per-source intermediate row budget (0 = unlimited).
-  uint64_t max_rows = 0;
-  /// Leave-one-out protocols (e.g. T2D Gold): exclude the lake table
-  /// whose name equals the source's name from its own candidacy.
-  bool exclude_source_name = false;
-};
-
 class GenT {
  public:
   /// Builds the column-stats catalog over `lake` (shared across Reclaim
-  /// calls and worker threads). The lake must outlive this object.
+  /// calls and threads). The lake must outlive this object.
   explicit GenT(const DataLake& lake, GenTConfig config = {});
 
   /// Shares a prebuilt catalog (no per-instance rebuild). The catalog's
@@ -103,93 +83,34 @@ class GenT {
 
   /// Reclaim with per-call operator limits (e.g. a fresh wall-clock
   /// budget per source; OpLimits deadlines are fixed at construction so
-  /// the config-level limits cannot express per-call timeouts).
+  /// the config-level limits cannot express per-call timeouts). Runs
+  /// DiscoverCandidates → Expand → ReclaimFromExpanded with the
+  /// construction-time config.
   Result<ReclamationResult> Reclaim(const Table& source,
                                     const OpLimits& limits) const;
 
-  /// Reclaim with per-call limits and discovery config (leave-one-out
-  /// protocols swap the exclusion per source while sharing the catalog).
-  Result<ReclamationResult> Reclaim(const Table& source,
-                                    const OpLimits& limits,
-                                    const DiscoveryConfig& discovery) const;
-
-  /// Reclaim with per-call traversal options too: batch workers pin the
-  /// intra-traversal thread count to 1 so concurrent reclamations never
-  /// oversubscribe the machine, while a solo Reclaim fans its matrix
-  /// traversal out over the pool (TraversalOptions::num_threads).
-  Result<ReclamationResult> Reclaim(const Table& source,
-                                    const OpLimits& limits,
-                                    const DiscoveryConfig& discovery,
-                                    const TraversalOptions& traversal) const;
-
-  /// Reclaim with per-call expansion options too: batch workers pin
-  /// ExpandOptions::num_threads to 1 (the pool is already saturated),
-  /// while a solo Reclaim fans the join-graph build and path
-  /// materialization out. Thread count never changes results.
-  Result<ReclamationResult> Reclaim(const Table& source,
-                                    const OpLimits& limits,
-                                    const DiscoveryConfig& discovery,
-                                    const TraversalOptions& traversal,
-                                    const ExpandOptions& expand) const;
-
   /// The discovery stage alone (recall + Set Similarity +
-  /// diversification + schema matching). Exposed as a seam so
-  /// ReclaimService can cache its result per source fingerprint and so
-  /// cross-lake fan-out can merge candidate sets before the rest of the
-  /// pipeline runs.
-  Result<std::vector<Candidate>> DiscoverCandidates(
-      const Table& source, const DiscoveryConfig& discovery) const;
-
-  /// Same, under interruption limits: discovery polls
-  /// OpLimits::Interrupted() at its stage checkpoints and aborts with
-  /// Cancelled/Timeout (never a truncated candidate list). The
-  /// limit-free overload is DiscoverCandidates(source, discovery, {}).
+  /// diversification + schema matching), under interruption limits:
+  /// discovery polls OpLimits::Interrupted() at its stage checkpoints
+  /// and aborts with Cancelled/Timeout (never a truncated candidate
+  /// list). Exposed as a seam so ReclaimService can cache its result per
+  /// source fingerprint and so cross-lake fan-out can merge candidate
+  /// sets before the rest of the pipeline runs.
   Result<std::vector<Candidate>> DiscoverCandidates(
       const Table& source, const DiscoveryConfig& discovery,
       const OpLimits& limits) const;
-
-  /// The pipeline downstream of discovery (Expand → Matrix Traversal →
-  /// Integration). Reads `source`, `candidates`, and config — plus each
-  /// candidate's own Candidate::stats catalog (set by the discovery
-  /// that produced it; null falls back to a one-pass rebuild), never
-  /// THIS instance's catalog — so candidates may come from this
-  /// instance's discovery, a cache replay, or a merge across several
-  /// catalog shards, provided every non-null stats pointer outlives the
-  /// call. `discovery_seconds` is carried into the result's phase
-  /// timings. Reclaim(source, limits, discovery, traversal) is exactly
-  /// DiscoverCandidates + ReclaimFromCandidates.
-  Result<ReclamationResult> ReclaimFromCandidates(
-      const Table& source, const std::vector<Candidate>& candidates,
-      const OpLimits& limits, const TraversalOptions& traversal,
-      double discovery_seconds = 0.0) const;
-
-  /// Same, with explicit expansion options (the no-expand overload uses
-  /// the construction-time config).
-  Result<ReclamationResult> ReclaimFromCandidates(
-      const Table& source, const std::vector<Candidate>& candidates,
-      const OpLimits& limits, const TraversalOptions& traversal,
-      const ExpandOptions& expand, double discovery_seconds = 0.0) const;
 
   /// The pipeline downstream of expansion (Matrix Traversal →
   /// Integration), for callers that already hold the expanded,
   /// key-covering candidate tables — ReclaimService replays them from
   /// its discovery cache. Deterministic in (source, tables, config):
   /// bit-identical to running the full pipeline whose expansion
-  /// produced `tables`.
+  /// produced `tables`. `discovery_seconds` is carried into the result's
+  /// phase timings.
   Result<ReclamationResult> ReclaimFromExpanded(
       const Table& source, std::vector<Table> tables, const OpLimits& limits,
       const TraversalOptions& traversal, double discovery_seconds = 0.0) const;
 
-  /// Reclaims every source concurrently against the shared read-only
-  /// catalog. results[i] corresponds to sources[i], and is bit-identical
-  /// to what serial Reclaim calls in input order produce.
-  std::vector<Result<ReclamationResult>> ReclaimBatch(
-      const std::vector<Table>& sources,
-      const BatchOptions& options = {}) const;
-  std::vector<Result<ReclamationResult>> ReclaimBatch(
-      const std::vector<Table>& sources, size_t num_threads) const;
-
-  const InvertedIndex& index() const { return index_; }
   const ColumnStatsCatalog& catalog() const { return *catalog_; }
   const std::shared_ptr<const ColumnStatsCatalog>& shared_catalog() const {
     return catalog_;
@@ -199,7 +120,6 @@ class GenT {
  private:
   GenTConfig config_;
   std::shared_ptr<const ColumnStatsCatalog> catalog_;
-  InvertedIndex index_;  // thin view over catalog_, kept for callers
 };
 
 }  // namespace gent

@@ -21,13 +21,4 @@ size_t SetIntersectionSize(const std::unordered_set<ValueId>& a,
   return n;
 }
 
-std::unordered_map<ColumnRef, uint32_t, ColumnRefHash>
-InvertedIndex::OverlapCounts(const std::vector<ValueId>& sorted_values) const {
-  std::unordered_map<ColumnRef, uint32_t, ColumnRefHash> counts;
-  for (const auto& overlap : catalog_->OverlapCounts(sorted_values)) {
-    counts.emplace(overlap.ref, overlap.count);
-  }
-  return counts;
-}
-
 }  // namespace gent

@@ -1,71 +1,21 @@
-// Value-level inverted index over a data lake.
+// Hash-set value helpers for ad-hoc tables.
 //
-// Maps each distinct ValueId to the (table, column) pairs containing it —
-// the workhorse behind candidate retrieval. This plays the role of the
-// JOSIE-style exact set-containment index in the paper (§V-A1): given a
-// source column's value set, it returns every lake column's overlap count
-// in one merged postings scan, without touching non-matching tables.
-//
-// Since the engine refactor (DESIGN.md §5) this class is a thin view
-// over a shared immutable ColumnStatsCatalog: sorted distinct sets,
-// cardinalities, and CSR postings are built once per lake and queried
-// with linear merges — no per-query hash sets for lake columns. Several
-// InvertedIndex instances (and any number of threads) can share one
-// catalog.
+// Lake-column queries (overlap counts, top-k recall, sorted distinct
+// sets) go through the shared immutable ColumnStatsCatalog
+// (src/engine/column_stats_catalog.h), which plays the role of the
+// JOSIE-style exact set-containment index in the paper (§V-A1). What
+// stays here serves tables that are not in a catalog: the baselines'
+// integration inputs and ad-hoc row subsets.
 
 #ifndef GENT_LAKE_INVERTED_INDEX_H_
 #define GENT_LAKE_INVERTED_INDEX_H_
 
-#include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <cstddef>
 #include <unordered_set>
-#include <vector>
 
-#include "src/engine/column_stats_catalog.h"
-#include "src/lake/data_lake.h"
+#include "src/table/table.h"
 
 namespace gent {
-
-class InvertedIndex {
- public:
-  /// Builds a fresh catalog for every cell of every table in `lake`.
-  /// The index holds a reference; the lake must outlive it.
-  explicit InvertedIndex(const DataLake& lake)
-      : catalog_(std::make_shared<ColumnStatsCatalog>(lake)) {}
-
-  /// Wraps an existing shared catalog (no rebuild).
-  explicit InvertedIndex(std::shared_ptr<const ColumnStatsCatalog> catalog)
-      : catalog_(std::move(catalog)) {}
-
-  /// For a sorted, deduplicated query value set, the number of query
-  /// values present in each lake column that shares at least one value.
-  std::unordered_map<ColumnRef, uint32_t, ColumnRefHash> OverlapCounts(
-      const std::vector<ValueId>& sorted_values) const;
-
-  /// Top-k lake tables ranked by total distinct source values shared
-  /// across all columns of the whole query table (the recall stage that
-  /// stands in for Starmie's dense retrieval; see DESIGN.md §3.4).
-  std::vector<size_t> TopKTables(const Table& query, size_t k) const {
-    return catalog_->TopKTables(query, k);
-  }
-
-  /// Distinct value set of one lake column, ascending. A borrowed view,
-  /// valid for the catalog's lifetime (either storage backend).
-  ValueSpan ColumnValues(ColumnRef ref) const {
-    return catalog_->SortedValues(ref);
-  }
-
-  const DataLake& lake() const { return catalog_->lake(); }
-
-  const ColumnStatsCatalog& catalog() const { return *catalog_; }
-  const std::shared_ptr<const ColumnStatsCatalog>& shared_catalog() const {
-    return catalog_;
-  }
-
- private:
-  std::shared_ptr<const ColumnStatsCatalog> catalog_;
-};
 
 /// Distinct non-null values of column `c` of `t` (hash-set form, used
 /// where callers intersect ad-hoc row subsets; lake columns go through

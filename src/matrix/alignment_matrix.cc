@@ -56,58 +56,12 @@ void AlignmentMatrix::AbsorbRowFrom(const AlignmentMatrix& other,
   }
 }
 
-SourceKeyLookup::SourceKeyLookup(const Table& source) {
-  if (!source.has_key()) return;
-  num_key_cols_ = source.key_columns().size();
+JoinKeyTable SourceKeyTable(const Table& source) {
+  std::vector<const ValueId*> key_cols;
   for (size_t kc : source.key_columns()) {
-    key_col_data_.push_back(source.column(kc).data());
+    key_cols.push_back(source.column(kc).data());
   }
-  const size_t n = source.num_rows();
-  // ~1/8 load factor: misses (the overwhelmingly common case for lake
-  // candidates) terminate on the first slot with high probability.
-  size_t cap = 16;
-  while (cap < 8 * n) cap <<= 1;
-  mask_ = cap - 1;
-  slots_.assign(cap, kEmptySlot);
-  // Pass 1: discover distinct keys and count rows per key.
-  const bool single = num_key_cols_ == 1;
-  std::vector<ValueId> tuple(num_key_cols_);
-  std::vector<uint32_t> counts;
-  std::vector<uint32_t> row_entry(n);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t i = 0; i < num_key_cols_; ++i) tuple[i] = key_col_data_[i][r];
-    const uint64_t hi = single ? tuple[0] : TupleHash(tuple.data()) >> 32;
-    uint64_t slot =
-        (single ? Mix(tuple[0]) : TupleHash(tuple.data())) & mask_;
-    while (true) {
-      uint64_t e = slots_[slot];
-      if (e == kEmptySlot) {
-        e = (hi << 32) | counts.size();
-        slots_[slot] = e;
-        counts.push_back(0);
-        entry_row_.push_back(static_cast<uint32_t>(r));
-      }
-      if ((e >> 32) == hi) {
-        uint32_t ent = static_cast<uint32_t>(e);
-        if (single || TupleEquals(ent, tuple.data())) {
-          ++counts[ent];
-          row_entry[r] = ent;
-          break;
-        }
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-  // Pass 2: group rows by entry, ascending within each group.
-  entry_start_.resize(counts.size() + 1, 0);
-  for (size_t e = 0; e < counts.size(); ++e) {
-    entry_start_[e + 1] = entry_start_[e] + counts[e];
-  }
-  rows_.resize(n);
-  std::vector<uint32_t> fill(entry_start_.begin(), entry_start_.end() - 1);
-  for (size_t r = 0; r < n; ++r) {
-    rows_[fill[row_entry[r]]++] = static_cast<uint32_t>(r);
-  }
+  return JoinKeyTable(std::move(key_cols), source.num_rows());
 }
 
 Result<AlignmentMatrix> InitializeMatrix(const Table& source,
@@ -116,14 +70,13 @@ Result<AlignmentMatrix> InitializeMatrix(const Table& source,
   if (!source.has_key()) {
     return Status::InvalidArgument("source has no key");
   }
-  SourceKeyLookup source_keys(source);
-  return InitializeMatrix(source, candidate, options, source_keys);
+  return InitializeMatrix(source, candidate, options, SourceKeyTable(source));
 }
 
 Result<AlignmentMatrix> InitializeMatrix(const Table& source,
                                          const Table& candidate,
                                          const MatrixOptions& options,
-                                         const SourceKeyLookup& source_keys) {
+                                         const JoinKeyTable& source_keys) {
   if (!source.has_key()) {
     return Status::InvalidArgument("source has no key");
   }
@@ -155,12 +108,12 @@ Result<AlignmentMatrix> InitializeMatrix(const Table& source,
       pair_src.push_back(rows[i]);
     }
   };
-  if (source_keys.single_column()) {
+  if (source.key_columns().size() == 1) {
     const std::vector<ValueId>& keys =
         candidate.column(cand_col[source.key_columns()[0]]);
     for (size_t r = 0; r < keys.size(); ++r) {
       if (keys[r] == kNull) continue;  // cannot align on a null key
-      auto [rows, count] = source_keys.Find(keys[r]);
+      auto [rows, count] = source_keys.FindOne(keys[r]);
       if (count != 0) add_pairs(r, rows, count);
     }
   } else {
@@ -176,7 +129,7 @@ Result<AlignmentMatrix> InitializeMatrix(const Table& source,
         null_key |= tuple[i] == kNull;
       }
       if (null_key) continue;  // cannot align on a null key
-      auto [rows, count] = source_keys.FindTuple(tuple.data());
+      auto [rows, count] = source_keys.Find(tuple.data());
       if (count != 0) add_pairs(r, rows, count);
     }
   }

@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "src/discovery/discovery.h"
+#include "src/ops/join.h"
 #include "src/table/table.h"
-#include "src/util/hash.h"
 #include "src/util/simd.h"
 #include "src/util/status.h"
 
@@ -49,7 +49,6 @@ namespace gent {
 using TruthRow = std::vector<int8_t>;
 
 struct MatrixOptions;
-class SourceKeyLookup;
 
 /// A read-only view of one packed alternative's two bit planes.
 struct PlanesView {
@@ -124,7 +123,7 @@ class AlignmentMatrix {
   // directly (one pass per source column over contiguous column data).
   friend Result<AlignmentMatrix> InitializeMatrix(const Table&, const Table&,
                                                   const MatrixOptions&,
-                                                  const SourceKeyLookup&);
+                                                  const JoinKeyTable&);
 
   size_t num_cols_ = 0;
   size_t words_ = 0;
@@ -138,83 +137,14 @@ struct MatrixOptions {
   bool three_valued = true;
 };
 
-/// Key → source-rows lookup, built once per source and shared across
-/// every InitializeMatrix call of a traversal (the source must outlive
-/// the lookup). A flat open-addressing table at ~1/8 load: candidate
-/// rows are ~25× more numerous than aligned ones, so the per-row probe
-/// is the dominant cost of matrix initialization, and the overwhelmingly
-/// common miss must be a single load and a well-predicted branch.
-/// Single-column keys (the common case) embed the key value in the slot;
-/// multi-column keys embed a 32-bit hash tag and confirm against a
-/// representative source row.
-class SourceKeyLookup {
- public:
-  explicit SourceKeyLookup(const Table& source);
-
-  bool single_column() const { return num_key_cols_ == 1; }
-
-  /// Single-column fast path: source rows whose key equals `v`,
-  /// ascending. {nullptr, 0} when none.
-  std::pair<const uint32_t*, size_t> Find(ValueId v) const {
-    uint64_t slot = Mix(v) & mask_;
-    while (true) {
-      uint64_t e = slots_[slot];
-      if (e == kEmptySlot) return {nullptr, 0};
-      if ((e >> 32) == v) return RowsOf(static_cast<uint32_t>(e));
-      slot = (slot + 1) & mask_;
-    }
-  }
-
-  /// Multi-column path: source rows whose key tuple equals
-  /// `tuple[0..num_key_cols)`, ascending. {nullptr, 0} when none.
-  std::pair<const uint32_t*, size_t> FindTuple(const ValueId* tuple) const {
-    const uint64_t tag = TupleHash(tuple) >> 32;
-    uint64_t slot = TupleHash(tuple) & mask_;
-    while (true) {
-      uint64_t e = slots_[slot];
-      if (e == kEmptySlot) return {nullptr, 0};
-      if ((e >> 32) == tag) {
-        uint32_t ent = static_cast<uint32_t>(e);
-        if (TupleEquals(ent, tuple)) return RowsOf(ent);
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-
-  size_t num_key_cols() const { return num_key_cols_; }
-
- private:
-  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
-
-  static uint64_t Mix(uint64_t x) { return SplitMix64(x); }
-
-  uint64_t TupleHash(const ValueId* tuple) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (size_t i = 0; i < num_key_cols_; ++i) h = Mix(h ^ tuple[i]);
-    return h;
-  }
-
-  bool TupleEquals(uint32_t entry, const ValueId* tuple) const {
-    const uint32_t row = entry_row_[entry];
-    for (size_t i = 0; i < num_key_cols_; ++i) {
-      if (key_col_data_[i][row] != tuple[i]) return false;
-    }
-    return true;
-  }
-
-  std::pair<const uint32_t*, size_t> RowsOf(uint32_t entry) const {
-    return {rows_.data() + entry_start_[entry],
-            entry_start_[entry + 1] - entry_start_[entry]};
-  }
-
-  size_t num_key_cols_ = 0;
-  uint64_t mask_ = 0;
-  std::vector<uint64_t> slots_;        // (key|tag)<<32 | entry
-  std::vector<uint32_t> entry_start_;  // entry → range in rows_ (+sentinel)
-  std::vector<uint32_t> rows_;         // source rows, grouped by entry
-  std::vector<uint32_t> entry_row_;    // entry → representative source row
-  std::vector<const ValueId*> key_col_data_;  // source key columns
-};
+/// The source's key → rows table: a JoinKeyTable over the source key
+/// columns, built once per source and shared across every
+/// InitializeMatrix call of a traversal or expansion (the source must
+/// outlive it). Candidate rows are ~25× more numerous than aligned ones,
+/// so its probe dominates matrix initialization. Source rows with a null
+/// key cell are left out, which changes nothing: a candidate row with a
+/// null key cell never aligns.
+JoinKeyTable SourceKeyTable(const Table& source);
 
 /// Builds the alignment matrix of `candidate` w.r.t. `source`
 /// (MatrixInitialization, Algorithm 1 line 4). The candidate must cover
@@ -224,12 +154,12 @@ Result<AlignmentMatrix> InitializeMatrix(const Table& source,
                                          const Table& candidate,
                                          const MatrixOptions& options = {});
 
-/// Same, with a prebuilt key lookup (one lookup serves all candidates of
-/// a traversal).
+/// Same, with a prebuilt SourceKeyTable(source) (one table serves all
+/// candidates of a traversal).
 Result<AlignmentMatrix> InitializeMatrix(const Table& source,
                                          const Table& candidate,
                                          const MatrixOptions& options,
-                                         const SourceKeyLookup& source_keys);
+                                         const JoinKeyTable& source_keys);
 
 /// Guarded elementwise OR of two packed rows (Eq. 5 applied to one
 /// pair): returns true and writes the merged planes when no position

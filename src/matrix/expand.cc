@@ -443,11 +443,11 @@ Result<ExpandResult> Expand(const Table& source,
     return path;
   };
 
-  // One key lookup serves every path's scoring matrix and one key index
+  // One key table serves every path's scoring matrix and one key index
   // every path's mapping verification (the source is fixed for the whole
   // expansion). Paths exist only with a keyless start and a key-covering
   // end, so the index is built only then.
-  SourceKeyLookup source_keys(source);
+  const JoinKeyTable source_keys = SourceKeyTable(source);
   const KeyIndex source_key_index =
       any_keyless && any_covers ? source.BuildKeyIndex() : KeyIndex{};
 

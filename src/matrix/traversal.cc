@@ -160,8 +160,8 @@ Result<TraversalResult> MatrixTraversal(const Table& source,
     pool = std::make_unique<ThreadPool>(threads);
   }
 
-  // MatrixInitialization (line 4), fanned out; one key lookup serves all.
-  SourceKeyLookup source_keys(source);
+  // MatrixInitialization (line 4), fanned out; one key table serves all.
+  const JoinKeyTable source_keys = SourceKeyTable(source);
   std::vector<Result<AlignmentMatrix>> inits;
   inits.reserve(num_tables);
   for (size_t i = 0; i < num_tables; ++i) {

@@ -24,8 +24,7 @@ namespace gent {
 
 enum class JoinKind { kInner, kLeft, kFullOuter };
 
-/// Flat ~1/8-load open-addressing build side of an equi-join (same
-/// recipe as SourceKeyLookup in src/matrix/alignment_matrix.h): rows are
+/// Flat ~1/8-load open-addressing build side of an equi-join: rows are
 /// grouped by join key into a contiguous CSR arena, and the key columns
 /// are read column-major through raw pointers (the caller's columns
 /// must outlive the table). A single key column embeds the key value in
@@ -33,8 +32,9 @@ enum class JoinKind { kInner, kLeft, kFullOuter };
 /// a representative row's column data. Rows with a null key value are
 /// rejected at build time (null-rejecting, as in SQL). Rows stay
 /// ascending within each key group, so a probe loop over the other side
-/// emits matches in NaturalJoin's row order. NaturalJoin and Expand's
-/// hop joins share it.
+/// emits matches in NaturalJoin's row order. NaturalJoin, Expand's hop
+/// joins and alignment-matrix initialization (SourceKeyTable in
+/// src/matrix/alignment_matrix.h) share it.
 class JoinKeyTable {
  public:
   /// Groups `rows` (ascending; every row in [0, num_rows) when null) by
@@ -45,20 +45,30 @@ class JoinKeyTable {
   /// Rows whose join key equals `tuple[0..num_key_cols)`, ascending.
   /// {nullptr, 0} when none. `tuple` must be null-free.
   std::pair<const uint32_t*, size_t> Find(const ValueId* tuple) const {
-    const bool single = key_cols_.size() == 1;
-    const uint64_t hash = single ? SplitMix64(tuple[0]) : TupleHash(tuple);
-    const uint64_t hi = single ? tuple[0] : hash >> 32;
+    if (key_cols_.size() == 1) return FindOne(tuple[0]);
+    const uint64_t hash = TupleHash(tuple);
     uint64_t slot = hash & mask_;
     while (true) {
       uint64_t e = slots_[slot];
       if (e == kEmptySlot) return {nullptr, 0};
-      if ((e >> 32) == hi) {
-        uint32_t ent = static_cast<uint32_t>(e);
-        if (single || TupleEquals(ent, tuple)) {
-          return {rows_.data() + entry_start_[ent],
-                  entry_start_[ent + 1] - entry_start_[ent]};
-        }
+      if ((e >> 32) == hash >> 32 &&
+          TupleEquals(static_cast<uint32_t>(e), tuple)) {
+        return RowsOf(static_cast<uint32_t>(e));
       }
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+  /// Find for a table over exactly one key column, where the key value
+  /// itself sits in the slot: the overwhelmingly common miss is one load
+  /// and a well-predicted branch (matrix initialization probes every
+  /// candidate row this way).
+  std::pair<const uint32_t*, size_t> FindOne(ValueId v) const {
+    uint64_t slot = SplitMix64(v) & mask_;
+    while (true) {
+      uint64_t e = slots_[slot];
+      if (e == kEmptySlot) return {nullptr, 0};
+      if ((e >> 32) == v) return RowsOf(static_cast<uint32_t>(e));
       slot = (slot + 1) & mask_;
     }
   }
@@ -80,6 +90,11 @@ class JoinKeyTable {
       if (key_cols_[i][row] != tuple[i]) return false;
     }
     return true;
+  }
+
+  std::pair<const uint32_t*, size_t> RowsOf(uint32_t entry) const {
+    return {rows_.data() + entry_start_[entry],
+            entry_start_[entry + 1] - entry_start_[entry]};
   }
 
   std::vector<const ValueId*> key_cols_;

@@ -27,6 +27,31 @@
 
 namespace gent {
 
+/// The steady-clock instant `seconds` after `from`, saturating instead of
+/// overflowing: +inf, NaN, or an offset of 2^62 ticks or more (~146
+/// years) or past the clock's range gives time_point::max(), an instant
+/// never reached — no deadline. A non-positive offset is an instant
+/// already due (clamped at time_point::min()).
+inline std::chrono::steady_clock::time_point SteadyTimeAfter(
+    std::chrono::steady_clock::time_point from, double seconds) {
+  using Clock = std::chrono::steady_clock;
+  using Rep = Clock::rep;
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double>(seconds))
+                           .count();
+  if (!(ticks < 0x1p62)) return Clock::time_point::max();  // NaN too
+  if (!(ticks > -0x1p62)) return Clock::time_point::min();
+  const Rep d = static_cast<Rep>(ticks);
+  const Rep base = from.time_since_epoch().count();
+  if (d > 0 && base > std::numeric_limits<Rep>::max() - d) {
+    return Clock::time_point::max();
+  }
+  if (d < 0 && base < std::numeric_limits<Rep>::min() - d) {
+    return Clock::time_point::min();
+  }
+  return from + Clock::duration(d);
+}
+
 class OpLimits {
  public:
   using Clock = std::chrono::steady_clock;
@@ -34,11 +59,11 @@ class OpLimits {
   /// Unlimited.
   OpLimits() = default;
 
-  /// Bounded by wall-clock seconds from now.
+  /// Bounded by wall-clock seconds from now (SteadyTimeAfter: a budget
+  /// past the clock's range, +inf or NaN is no deadline).
   static OpLimits WithTimeout(double seconds) {
     OpLimits l;
-    l.Deadline(Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(seconds)));
+    l.Deadline(SteadyTimeAfter(Clock::now(), seconds));
     return l;
   }
 
@@ -57,7 +82,9 @@ class OpLimits {
 
   /// Adds an absolute deadline; with one already set, the earlier wins
   /// (a request's timeout and its admission deadline compose).
+  /// time_point::max() adds none.
   OpLimits& Deadline(Clock::time_point deadline) {
+    if (deadline == Clock::time_point::max()) return *this;  // never due
     deadline_ = has_deadline_ ? std::min(deadline_, deadline) : deadline;
     has_deadline_ = true;
     return *this;

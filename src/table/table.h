@@ -131,8 +131,8 @@ class Table {
 
 /// True if `a` and `b` carry the same column names in the same order and
 /// identical cells in identical row order (table names may differ). This
-/// is the "bit-identical" predicate of the ReclaimBatch determinism
-/// contract (see src/gent/gent.h).
+/// is the "bit-identical" predicate of the batch determinism contract
+/// (see src/gent/gent.h).
 bool TablesBitIdentical(const Table& a, const Table& b);
 
 }  // namespace gent

@@ -1,5 +1,5 @@
 // Shared integer mixer. One definition serves every flat hash table and
-// fingerprint in the engine (SourceKeyLookup, JoinKeyTable,
+// fingerprint in the engine (JoinKeyTable, ValueDictionary,
 // FirstOccurrenceRows, SortedDistinctValues, DiscoveryCache) so the
 // finalizer cannot drift between copies.
 

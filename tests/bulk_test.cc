@@ -55,14 +55,14 @@ TEST(BulkReclaimTest, AllSourcesReclaimedInOrder) {
   BulkFixture fx = MakeFixture(12);
   BulkOptions options;
   options.threads = 4;
-  std::vector<BulkOutcome> outcomes =
+  std::vector<Result<ReclamationResult>> outcomes =
       BulkReclaim(*fx.lake, fx.sources, {}, options);
   ASSERT_EQ(outcomes.size(), fx.sources.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].result.ok())
-        << i << ": " << outcomes[i].result.status().ToString();
+    ASSERT_TRUE(outcomes[i].ok())
+        << i << ": " << outcomes[i].status().ToString();
     EXPECT_DOUBLE_EQ(
-        EisScore(fx.sources[i], outcomes[i].result->reclaimed).value(), 1.0)
+        EisScore(fx.sources[i], outcomes[i]->reclaimed).value(), 1.0)
         << "source " << i;
   }
 }
@@ -77,13 +77,13 @@ TEST(BulkReclaimTest, ParallelMatchesSequential) {
   auto b = BulkReclaim(*fx.lake, fx.sources, {}, par);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].result.ok(), b[i].result.ok());
-    if (!a[i].result.ok()) continue;
+    ASSERT_EQ(a[i].ok(), b[i].ok());
+    if (!a[i].ok()) continue;
     // Same reclamation quality regardless of scheduling.
     EXPECT_DOUBLE_EQ(
-        EisScore(fx.sources[i], a[i].result->reclaimed).value(),
-        EisScore(fx.sources[i], b[i].result->reclaimed).value());
-    EXPECT_EQ(a[i].result->originating_names, b[i].result->originating_names);
+        EisScore(fx.sources[i], a[i]->reclaimed).value(),
+        EisScore(fx.sources[i], b[i]->reclaimed).value());
+    EXPECT_EQ(a[i]->originating_names, b[i]->originating_names);
   }
 }
 
@@ -104,9 +104,9 @@ TEST(BulkReclaimTest, KeylessSourceFailsItsSlotOnly) {
   sources.push_back(fx.sources[2].Clone());
   auto outcomes = BulkReclaim(*fx.lake, sources);
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].result.ok());
-  EXPECT_FALSE(outcomes[1].result.ok());
-  EXPECT_TRUE(outcomes[2].result.ok());
+  EXPECT_TRUE(outcomes[0].ok());
+  EXPECT_FALSE(outcomes[1].ok());
+  EXPECT_TRUE(outcomes[2].ok());
 }
 
 TEST(BulkReclaimTest, TpTrSmallSubsetUnderParallelism) {
@@ -121,13 +121,36 @@ TEST(BulkReclaimTest, TpTrSmallSubsetUnderParallelism) {
   options.timeout_seconds = 30;
   auto outcomes = BulkReclaim(*bench->lake, sources, {}, options);
   size_t ok = 0;
-  for (auto& outcome : outcomes) ok += outcome.result.ok();
+  for (auto& outcome : outcomes) ok += outcome.ok();
   EXPECT_GE(ok, 5u) << "parallel TP-TR reclamations failed";
 }
 
-// --- GenT::ReclaimBatch (engine worker pool + shared catalog) --------------
+// --- BulkReclaim vs serial GenT::Reclaim (resident pool + shared catalog) ---
 
-TEST(ReclaimBatchTest, FourThreadsBitIdenticalToSerialLoop) {
+// Batch options that reproduce serial GenT::Reclaim exactly: no row
+// budget or deadline, no discovery cache.
+BulkOptions Unbudgeted(size_t threads) {
+  BulkOptions options;
+  options.threads = threads;
+  options.max_rows = 0;
+  options.cache_capacity = 0;
+  return options;
+}
+
+void ExpectSameResults(const std::vector<Result<ReclamationResult>>& got,
+                       const std::vector<Result<ReclamationResult>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].ok(), want[i].ok()) << "source " << i;
+    if (!got[i].ok()) continue;
+    EXPECT_TRUE(TablesBitIdentical(got[i]->reclaimed, want[i]->reclaimed))
+        << "source " << i;
+    EXPECT_EQ(got[i]->originating_names, want[i]->originating_names);
+    EXPECT_DOUBLE_EQ(got[i]->predicted_eis, want[i]->predicted_eis);
+  }
+}
+
+TEST(BulkBatchTest, FourThreadsBitIdenticalToSerialLoop) {
   BulkFixture fx = MakeFixture(10);
   GenT gent(*fx.lake);
 
@@ -137,22 +160,11 @@ TEST(ReclaimBatchTest, FourThreadsBitIdenticalToSerialLoop) {
     serial.push_back(gent.Reclaim(source));
   }
 
-  BatchOptions options;
-  options.num_threads = 4;
-  auto batch = gent.ReclaimBatch(fx.sources, options);
-
-  ASSERT_EQ(batch.size(), serial.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(batch[i].ok(), serial[i].ok()) << "source " << i;
-    if (!batch[i].ok()) continue;
-    EXPECT_TRUE(TablesBitIdentical(batch[i]->reclaimed, serial[i]->reclaimed))
-        << "source " << i;
-    EXPECT_EQ(batch[i]->originating_names, serial[i]->originating_names);
-    EXPECT_DOUBLE_EQ(batch[i]->predicted_eis, serial[i]->predicted_eis);
-  }
+  ExpectSameResults(BulkReclaim(*fx.lake, fx.sources, {}, Unbudgeted(4)),
+                    serial);
 }
 
-TEST(ReclaimBatchTest, RepeatedParallelRunsAreBitIdentical) {
+TEST(BulkBatchTest, RepeatedParallelRunsAreBitIdentical) {
   // Sources generated through forked Rng substreams: each worker-ordering
   // of the batch must reproduce the same tables bit for bit.
   Rng rng(4242);
@@ -175,21 +187,15 @@ TEST(ReclaimBatchTest, RepeatedParallelRunsAreBitIdentical) {
     for (const auto& row : rows) f.Row(row);
     (void)fx.lake->AddTable(f.Build());
   }
-  GenT gent(*fx.lake);
-  BatchOptions options;
-  options.num_threads = 4;
-  auto first = gent.ReclaimBatch(fx.sources, options);
-  auto second = gent.ReclaimBatch(fx.sources, options);
-  ASSERT_EQ(first.size(), second.size());
+  auto first = BulkReclaim(*fx.lake, fx.sources, {}, Unbudgeted(4));
+  auto second = BulkReclaim(*fx.lake, fx.sources, {}, Unbudgeted(4));
   for (size_t i = 0; i < first.size(); ++i) {
     ASSERT_TRUE(first[i].ok()) << first[i].status().ToString();
-    ASSERT_TRUE(second[i].ok());
-    EXPECT_TRUE(TablesBitIdentical(first[i]->reclaimed, second[i]->reclaimed))
-        << "source " << i;
   }
+  ExpectSameResults(second, first);
 }
 
-TEST(ReclaimBatchTest, ExcludeSourceNameLeavesOneOut) {
+TEST(BulkBatchTest, ExcludeSourceNameLeavesOneOut) {
   BulkFixture fx = MakeFixture(2);
   // Register the sources themselves as lake tables (same names): without
   // leave-one-out each source would reclaim trivially from itself.
@@ -197,11 +203,9 @@ TEST(ReclaimBatchTest, ExcludeSourceNameLeavesOneOut) {
     Table copy = source.Clone();
     (void)fx.lake->AddTable(std::move(copy));
   }
-  GenT gent(*fx.lake);
-  BatchOptions options;
-  options.num_threads = 2;
+  BulkOptions options = Unbudgeted(2);
   options.exclude_source_name = true;
-  auto results = gent.ReclaimBatch(fx.sources, options);
+  auto results = BulkReclaim(*fx.lake, fx.sources, {}, options);
   ASSERT_EQ(results.size(), fx.sources.size());
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
@@ -214,18 +218,18 @@ TEST(ReclaimBatchTest, ExcludeSourceNameLeavesOneOut) {
   }
 }
 
-TEST(ReclaimBatchTest, SharedCatalogAcrossGenTInstances) {
+TEST(BulkBatchTest, SharedCatalogAcrossGenTInstances) {
   BulkFixture fx = MakeFixture(3);
   auto catalog = std::make_shared<ColumnStatsCatalog>(*fx.lake);
   GenT a(catalog), b(catalog);
-  auto ra = a.ReclaimBatch(fx.sources, size_t{2});
-  auto rb = b.ReclaimBatch(fx.sources, size_t{1});
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    ASSERT_TRUE(ra[i].ok());
-    ASSERT_TRUE(rb[i].ok());
-    EXPECT_TRUE(TablesBitIdentical(ra[i]->reclaimed, rb[i]->reclaimed));
+  std::vector<Result<ReclamationResult>> ra, rb;
+  for (const Table& source : fx.sources) {
+    ra.push_back(a.Reclaim(source));
+    rb.push_back(b.Reclaim(source));
   }
+  for (size_t i = 0; i < ra.size(); ++i) ASSERT_TRUE(ra[i].ok());
+  ExpectSameResults(rb, ra);
+  ExpectSameResults(BulkReclaim(*fx.lake, fx.sources, {}, Unbudgeted(2)), ra);
 }
 
 TEST(DictionaryConcurrencyTest, ParallelInternsAreConsistent) {

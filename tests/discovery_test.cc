@@ -1,9 +1,13 @@
 #include <algorithm>
+#include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "paper_fixtures.h"
 #include "src/discovery/discovery.h"
+#include "src/engine/column_stats_catalog.h"
 #include "src/lake/data_lake.h"
 #include "src/lake/inverted_index.h"
 #include "src/table/table_builder.h"
@@ -66,7 +70,7 @@ TEST(DataLakeTest, StatsAggregate) {
   EXPECT_EQ(s.total_cells, 5u);
 }
 
-// --- InvertedIndex ---------------------------------------------------------------
+// --- Catalog queries + hash-set helpers -------------------------------------------
 
 class IndexTest : public ::testing::Test {
  protected:
@@ -80,12 +84,15 @@ class IndexTest : public ::testing::Test {
 };
 
 TEST_F(IndexTest, OverlapCountsFindMatchingColumns) {
-  InvertedIndex index(lake_);
+  ColumnStatsCatalog catalog(lake_);
   std::vector<ValueId> names{lake_.dict()->Lookup("Smith"),
                              lake_.dict()->Lookup("Brown"),
                              lake_.dict()->Lookup("Wang")};
   std::sort(names.begin(), names.end());
-  auto counts = index.OverlapCounts(names);
+  std::unordered_map<ColumnRef, uint32_t, ColumnRefHash> counts;
+  for (const auto& overlap : catalog.OverlapCounts(names)) {
+    counts[overlap.ref] = overlap.count;
+  }
   // Name columns of A (col 1), B (col 0), C (col 0), D (col 0).
   EXPECT_EQ(counts[(ColumnRef{0, 1})], 3u);
   EXPECT_EQ(counts[(ColumnRef{1, 0})], 3u);
@@ -94,19 +101,19 @@ TEST_F(IndexTest, OverlapCountsFindMatchingColumns) {
 }
 
 TEST_F(IndexTest, TopKRanksByDistinctSharedValues) {
-  InvertedIndex index(lake_);
+  ColumnStatsCatalog catalog(lake_);
   Table source = PaperSource(lake_.dict());
-  auto top = index.TopKTables(source, 2);
+  auto top = catalog.TopKTables(source, 2);
   ASSERT_EQ(top.size(), 2u);
   // A shares most values (IDs, names, education) — must rank first.
   EXPECT_EQ(top[0], 0u);
 }
 
 TEST_F(IndexTest, TopKHonorsK) {
-  InvertedIndex index(lake_);
+  ColumnStatsCatalog catalog(lake_);
   Table source = PaperSource(lake_.dict());
-  EXPECT_EQ(index.TopKTables(source, 100).size(), 4u);
-  EXPECT_EQ(index.TopKTables(source, 1).size(), 1u);
+  EXPECT_EQ(catalog.TopKTables(source, 100).size(), 4u);
+  EXPECT_EQ(catalog.TopKTables(source, 1).size(), 1u);
 }
 
 TEST_F(IndexTest, DistinctColumnValuesSkipsNulls) {
@@ -164,15 +171,15 @@ class DiscoveryTest : public ::testing::Test {
     (void)lake_.AddTable(PaperTableB(lake_.dict()));
     (void)lake_.AddTable(PaperTableC(lake_.dict()));
     (void)lake_.AddTable(PaperTableD(lake_.dict()));
-    index_ = std::make_unique<InvertedIndex>(lake_);
+    catalog_ = std::make_unique<ColumnStatsCatalog>(lake_);
   }
 
   DataLake lake_;
-  std::unique_ptr<InvertedIndex> index_;
+  std::unique_ptr<ColumnStatsCatalog> catalog_;
 };
 
 TEST_F(DiscoveryTest, FindsAllRelatedTables) {
-  Discovery discovery(*index_, DiscoveryConfig{});
+  Discovery discovery(*catalog_, DiscoveryConfig{});
   Table source = PaperSource(lake_.dict());
   auto cands = discovery.FindCandidates(source);
   ASSERT_TRUE(cands.ok());
@@ -181,13 +188,13 @@ TEST_F(DiscoveryTest, FindsAllRelatedTables) {
 }
 
 TEST_F(DiscoveryTest, RequiresSourceKey) {
-  Discovery discovery(*index_, DiscoveryConfig{});
+  Discovery discovery(*catalog_, DiscoveryConfig{});
   Table keyless = TableBuilder(lake_.dict(), "s").Columns({"x"}).Row({"1"}).Build();
   EXPECT_FALSE(discovery.FindCandidates(keyless).ok());
 }
 
 TEST_F(DiscoveryTest, MapsAndRenamesColumns) {
-  Discovery discovery(*index_, DiscoveryConfig{});
+  Discovery discovery(*catalog_, DiscoveryConfig{});
   Table source = PaperSource(lake_.dict());
   auto cands = discovery.FindCandidates(source);
   ASSERT_TRUE(cands.ok());
@@ -200,7 +207,7 @@ TEST_F(DiscoveryTest, MapsAndRenamesColumns) {
 }
 
 TEST_F(DiscoveryTest, KeyCoverageDetected) {
-  Discovery discovery(*index_, DiscoveryConfig{});
+  Discovery discovery(*catalog_, DiscoveryConfig{});
   Table source = PaperSource(lake_.dict());
   auto cands = discovery.FindCandidates(source);
   ASSERT_TRUE(cands.ok());
@@ -215,8 +222,8 @@ TEST_F(DiscoveryTest, DuplicateTableIsPrunedAsSubsumed) {
   Table dup = PaperTableD(lake_.dict());
   dup.set_name("E");
   (void)lake_.AddTable(std::move(dup));
-  InvertedIndex index(lake_);
-  Discovery discovery(index, DiscoveryConfig{});
+  ColumnStatsCatalog catalog(lake_);
+  Discovery discovery(catalog, DiscoveryConfig{});
   Table source = PaperSource(lake_.dict());
   auto cands = discovery.FindCandidates(source);
   ASSERT_TRUE(cands.ok());
@@ -233,10 +240,10 @@ TEST_F(DiscoveryTest, ThresholdFiltersWeakCandidates) {
                            .Row({"zz1", "unrelated2"})
                            .Row({"zz2", "unrelated3"})
                            .Build());
-  InvertedIndex index(lake_);
+  ColumnStatsCatalog catalog(lake_);
   DiscoveryConfig cfg;
   cfg.tau = 0.5;  // demand half the source column's values
-  Discovery discovery(index, cfg);
+  Discovery discovery(catalog, cfg);
   Table source = PaperSource(lake_.dict());
   auto cands = discovery.FindCandidates(source);
   ASSERT_TRUE(cands.ok());
@@ -246,7 +253,7 @@ TEST_F(DiscoveryTest, ThresholdFiltersWeakCandidates) {
 }
 
 TEST_F(DiscoveryTest, ScoresAreDescending) {
-  Discovery discovery(*index_, DiscoveryConfig{});
+  Discovery discovery(*catalog_, DiscoveryConfig{});
   Table source = PaperSource(lake_.dict());
   auto cands = discovery.FindCandidates(source);
   ASSERT_TRUE(cands.ok());

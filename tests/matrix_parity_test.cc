@@ -63,7 +63,10 @@ TEST_P(ParitySweep, CombineRowsMatchesReference) {
 
 // A seeded source + candidate pair sharing key values, with nulls,
 // contradictions, duplicate candidate keys (multiple alternatives per
-// source row), and unmatched keys.
+// source row), and unmatched keys. The source key has one or two
+// columns, and a source key cell is now and then null: such a row is
+// left out of the source key table and must never align (a candidate
+// row with a null key cell is skipped), exactly as in the reference.
 struct TablePair {
   DictionaryPtr dict = MakeDictionary();
   std::unique_ptr<Table> source;
@@ -73,41 +76,55 @@ struct TablePair {
 TablePair MakePair(Rng& rng) {
   TablePair out;
   size_t rows = 4 + rng.Index(20);
-  size_t cols = 2 + rng.Index(8);
-  std::vector<std::string> names;
-  names.push_back("k");
-  for (size_t c = 1; c < cols; ++c) names.push_back("c" + std::to_string(c));
+  const size_t key_cols = rng.Bernoulli(0.5) ? 2 : 1;
+  size_t cols = key_cols + 1 + rng.Index(8);
+  std::vector<std::string> names = {"k"};
+  if (key_cols == 2) names.push_back("k2");
+  for (size_t c = key_cols; c < cols; ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  std::vector<std::string> key_names(names.begin(), names.begin() + key_cols);
 
   TableBuilder sb(out.dict, "source");
   sb.Columns(names);
   std::vector<std::vector<std::string>> data;
   for (size_t r = 0; r < rows; ++r) {
     std::vector<std::string> row;
-    row.push_back("key" + std::to_string(r));
-    for (size_t c = 1; c < cols; ++c) {
+    row.push_back(rng.Bernoulli(0.1) ? "" : "key" + std::to_string(r));
+    if (key_cols == 2) {
+      // Few distinct second parts: tuples collide on either half alone.
+      row.push_back(rng.Bernoulli(0.1) ? ""
+                                       : "sub" + std::to_string(rng.Index(3)));
+    }
+    for (size_t c = key_cols; c < cols; ++c) {
       row.push_back(rng.Bernoulli(0.1) ? ""
                                        : "v" + std::to_string(rng.Index(9)));
     }
     data.push_back(row);
     sb.Row(row);
   }
-  out.source = std::make_unique<Table>(sb.Key({"k"}).Build());
+  out.source = std::make_unique<Table>(sb.Key(key_names).Build());
 
   TableBuilder cb(out.dict, "cand");
   cb.Columns(names);
   size_t cand_rows = 2 + rng.Index(2 * rows);
   for (size_t r = 0; r < cand_rows; ++r) {
     std::vector<std::string> row;
-    // Mix of aligned keys (possibly duplicated), misses, and nulls.
+    // Mix of aligned keys (possibly duplicated), half-matching tuples,
+    // misses, and nulls.
     double p = rng.NextDouble();
+    const auto& src_row = data[rng.Index(rows)];
+    row.assign(src_row.begin(), src_row.begin() + key_cols);
     if (p < 0.7) {
-      row.push_back("key" + std::to_string(rng.Index(rows)));
+      if (key_cols == 2 && rng.Bernoulli(0.2)) {
+        row[1] = data[rng.Index(rows)][1];  // other row's second part
+      }
     } else if (p < 0.9) {
-      row.push_back("ghost" + std::to_string(rng.Index(5)));
+      row[0] = "ghost" + std::to_string(rng.Index(5));
     } else {
-      row.push_back("");
+      row[rng.Index(key_cols)] = "";
     }
-    for (size_t c = 1; c < cols; ++c) {
+    for (size_t c = key_cols; c < cols; ++c) {
       double q = rng.NextDouble();
       if (q < 0.3) {
         row.push_back("");  // nullified

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -310,6 +311,31 @@ TEST(ReclaimServiceTest, DeadlineRequestsNeverPopulateTheCache) {
   auto warm_timed = service->Reclaim(fx.sources[0], timed);
   EXPECT_EQ(service->cache_stats().hits, 1u);
   ExpectSameReclamation(warm_timed, cold, "timed hit vs untimed cold");
+}
+
+TEST(ReclaimServiceTest, HugeAndInfiniteBudgetsResolveOk) {
+  // timeout_seconds = 1e10 (~317 years) and deadline_seconds = inf are
+  // past the steady clock's range: they must mean "no deadline", on the
+  // synchronous and the async path alike, never a deadline already
+  // passed.
+  ServiceFixture fx = MakePairedFixture(4);
+  auto service = MakeService(fx, /*cache_capacity=*/0, /*num_threads=*/2);
+  ReclaimRequest untimed;
+  untimed.lake = "alpha";
+  auto want = service->Reclaim(fx.sources[0], untimed);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  ReclaimRequest huge = untimed;
+  huge.timeout_seconds = 1e10;
+  ReclaimRequest infinite = untimed;
+  infinite.deadline_seconds = std::numeric_limits<double>::infinity();
+  for (const ReclaimRequest& request : {huge, infinite}) {
+    ExpectSameReclamation(service->Reclaim(fx.sources[0], request), want,
+                          "sync");
+    auto ticket = service->SubmitReclaim(fx.sources[0].Clone(), request);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    ExpectSameReclamation(ticket->Wait(), want, "async");
+  }
 }
 
 TEST(ReclaimServiceTest, DisabledCacheStillServes) {

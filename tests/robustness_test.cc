@@ -5,7 +5,10 @@
 // monotonically (never fabricate values) when proceeding.
 
 #include <cerrno>
+#include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -238,6 +241,54 @@ TEST(RobustnessTest, ZeroSecondTimeoutNeverHangs) {
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
   }
+}
+
+TEST(RobustnessTest, HugeAndInfiniteTimeoutsMeanNoDeadline) {
+  // A budget past the steady clock's range (1e10 s is ~317 years) or
+  // +inf must saturate to "no deadline", never wrap into one already
+  // passed.
+  DataLake lake;
+  const DictionaryPtr& dict = lake.dict();
+  Table source = TableBuilder(dict, "s")
+                     .Columns({"k", "a"})
+                     .Row({"1", "x"})
+                     .Row({"2", "y"})
+                     .Key({"k"})
+                     .Build();
+  (void)lake.AddTable(TableBuilder(dict, "t")
+                          .Columns({"k", "a"})
+                          .Row({"1", "x"})
+                          .Row({"2", "y"})
+                          .Build());
+  GenT gent(lake);
+  for (double seconds : {1e10, std::numeric_limits<double>::infinity()}) {
+    auto result = gent.Reclaim(source, OpLimits::WithTimeout(seconds));
+    ASSERT_TRUE(result.ok()) << seconds << ": " << result.status().ToString();
+    EXPECT_DOUBLE_EQ(EisScore(source, result->reclaimed).value(), 1.0);
+  }
+}
+
+TEST(RobustnessTest, SteadyTimeAfterSaturates) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(SteadyTimeAfter(now, inf), Clock::time_point::max());
+  EXPECT_EQ(SteadyTimeAfter(now, std::nan("")), Clock::time_point::max());
+  EXPECT_EQ(SteadyTimeAfter(now, 1e10), Clock::time_point::max());
+  EXPECT_EQ(SteadyTimeAfter(now, -inf), Clock::time_point::min());
+  EXPECT_EQ(SteadyTimeAfter(Clock::time_point::max() - std::chrono::hours(1),
+                            7200.0),
+            Clock::time_point::max());
+  EXPECT_EQ(SteadyTimeAfter(now, 0.0), now);
+  EXPECT_EQ(SteadyTimeAfter(now, 2.5), now + std::chrono::milliseconds(2500));
+  EXPECT_EQ(SteadyTimeAfter(now, -2.5),
+            now - std::chrono::milliseconds(2500));
+  // A saturated deadline adds none; a real one still composes.
+  OpLimits limits = OpLimits::WithTimeout(inf);
+  EXPECT_FALSE(limits.has_deadline());
+  EXPECT_TRUE(limits.Interrupted().ok());
+  EXPECT_EQ(OpLimits::WithTimeout(-1.0).Interrupted().code(),
+            StatusCode::kTimeout);
 }
 
 TEST(RobustnessTest, WidePaperScaleSource) {

@@ -17,8 +17,12 @@
 // and accepts --lake pointing at either a CSV directory or a .snap file.
 // Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -75,16 +79,36 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  double GetDouble(const std::string& name, double fallback) const {
+  /// Parses --name as a finite number into *out (untouched when the flag
+  /// is absent). Returns false, after printing "invalid value for
+  /// --name", unless the whole value parses.
+  bool GetDouble(const std::string& name, double* out) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return true;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value)) {
+      return Invalid(name);
+    }
+    *out = value;
+    return true;
   }
 
-  size_t GetSize(const std::string& name, size_t fallback) const {
+  /// Same, for a non-negative decimal integer.
+  bool GetSize(const std::string& name, size_t* out) const {
     auto it = values_.find(name);
-    return it == values_.end()
-               ? fallback
-               : static_cast<size_t>(std::atoll(it->second.c_str()));
+    if (it == values_.end()) return true;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || value > std::numeric_limits<size_t>::max()) {
+      return Invalid(name);
+    }
+    *out = static_cast<size_t>(value);
+    return true;
   }
 
   /// All flags consumed must be in `known`; returns false and prints the
@@ -102,6 +126,11 @@ class Flags {
   }
 
  private:
+  static bool Invalid(const std::string& name) {
+    std::fprintf(stderr, "invalid value for --%s\n", name.c_str());
+    return false;
+  }
+
   std::map<std::string, std::string> values_;
   std::string error_;
 };
@@ -163,6 +192,14 @@ int CmdReclaim(const Flags& flags) {
       !flags.Has("lake") || !flags.Has("source")) {
     return Usage();
   }
+  GenTConfig config;
+  double timeout = 120;
+  size_t explain_row = 0;
+  if (!flags.GetDouble("tau", &config.discovery.tau) ||
+      !flags.GetDouble("timeout", &timeout) ||
+      !flags.GetSize("explain", &explain_row)) {
+    return 2;
+  }
   DataLake lake;
   if (Status s = LoadLake(lake, flags.Get("lake")); !s.ok()) {
     std::fprintf(stderr, "loading lake: %s\n", s.ToString().c_str());
@@ -193,11 +230,8 @@ int CmdReclaim(const Flags& flags) {
     active = aligned.get();
   }
 
-  GenTConfig config;
-  config.discovery.tau = flags.GetDouble("tau", config.discovery.tau);
   GenT gent(*active, config);
-  auto result = gent.Reclaim(
-      *source, OpLimits::WithTimeout(flags.GetDouble("timeout", 120)));
+  auto result = gent.Reclaim(*source, OpLimits::WithTimeout(timeout));
   if (!result.ok()) {
     std::fprintf(stderr, "reclamation: %s\n",
                  result.status().ToString().c_str());
@@ -237,8 +271,8 @@ int CmdReclaim(const Flags& flags) {
     std::printf("\n%s", provenance->Summarize().c_str());
   }
   if (flags.Has("explain")) {
-    const size_t row = flags.GetSize("explain", 0);
-    auto explanation = ExplainSourceRow(*source, row, result->originating);
+    auto explanation =
+        ExplainSourceRow(*source, explain_row, result->originating);
     if (!explanation.ok()) {
       std::fprintf(stderr, "explain: %s\n",
                    explanation.status().ToString().c_str());
@@ -262,6 +296,8 @@ int CmdDiscover(const Flags& flags) {
       !flags.Has("lake") || !flags.Has("source")) {
     return Usage();
   }
+  DiscoveryConfig config;
+  if (!flags.GetDouble("tau", &config.tau)) return 2;
   DataLake lake;
   if (Status s = LoadLake(lake, flags.Get("lake")); !s.ok()) {
     std::fprintf(stderr, "loading lake: %s\n", s.ToString().c_str());
@@ -272,11 +308,8 @@ int CmdDiscover(const Flags& flags) {
     std::fprintf(stderr, "source: %s\n", source.status().ToString().c_str());
     return 1;
   }
-  GenTConfig config;
-  config.discovery.tau = flags.GetDouble("tau", config.discovery.tau);
-  GenT gent(lake, config);
-  Discovery discovery(gent.index(), config.discovery);
-  auto candidates = discovery.FindCandidates(*source);
+  const ColumnStatsCatalog catalog(lake);
+  auto candidates = Discovery(catalog, config).FindCandidates(*source);
   if (!candidates.ok()) {
     std::fprintf(stderr, "discovery: %s\n",
                  candidates.status().ToString().c_str());
@@ -297,6 +330,8 @@ int CmdMineKeys(const Flags& flags) {
   if (!flags.Expect({"table", "max-arity"}) || !flags.Has("table")) {
     return Usage();
   }
+  KeyMinerOptions options;
+  if (!flags.GetSize("max-arity", &options.max_key_arity)) return 2;
   auto dict = MakeDictionary();
   auto table = ReadCsv(dict, "table", flags.Get("table"));
   if (!table.ok()) {
@@ -304,8 +339,6 @@ int CmdMineKeys(const Flags& flags) {
                  table.status().ToString().c_str());
     return 1;
   }
-  KeyMinerOptions options;
-  options.max_key_arity = flags.GetSize("max-arity", options.max_key_arity);
   std::vector<CandidateKey> keys = KeyMiner(options).Mine(*table);
   if (keys.empty()) {
     std::printf("no candidate key within arity %zu\n", options.max_key_arity);
@@ -461,9 +494,14 @@ int CmdBenchgen(const Flags& flags) {
     return Usage();
   }
   TpTrConfig config = TpTrSmallConfig();
-  config.scale = flags.GetDouble("scale", config.scale);
-  config.queries.num_sources = flags.GetSize("sources", 8);
-  config.seed = flags.GetSize("seed", config.seed);
+  config.queries.num_sources = 8;
+  size_t seed = config.seed;
+  if (!flags.GetDouble("scale", &config.scale) ||
+      !flags.GetSize("sources", &config.queries.num_sources) ||
+      !flags.GetSize("seed", &seed)) {
+    return 2;
+  }
+  config.seed = seed;
   auto bench = MakeTpTrBenchmark("tptr", config);
   if (!bench.ok()) {
     std::fprintf(stderr, "benchgen: %s\n",
