@@ -2,11 +2,12 @@
 //
 // Runs the same source set through one resident ReclaimService twice —
 // a cold pass (every source misses the discovery cache) and a warm pass
-// (every source hits) — verifies the two passes are bit-identical (the
-// service determinism contract), and reports per-source latency and the
-// warm/cold speedup. A final pass submits the same sources through the
-// async admission queue (SubmitReclaim) and verifies the tickets
-// resolve bit-identically too. Results are written to
+// (every source hits) — verifies the two passes return the same answer
+// on every field (reclaimed table, originating tables and names,
+// predicted EIS: the service determinism contract), and reports
+// per-source latency and the warm/cold speedup. A final pass submits
+// the same sources through the async admission queue (SubmitReclaim)
+// and verifies the tickets resolve to the same answers too. Results are written to
 // BENCH_service_cache.json (machine-readable; uploaded as a CI artifact
 // to record the cache's perf trajectory over time; schema in
 // bench/README.md).
@@ -29,6 +30,25 @@ using namespace gent;
 using namespace gent::bench;
 
 namespace {
+
+// The whole cached answer: the reclaimed table, every originating table
+// (cells, name, key columns), the originating names and the predicted
+// EIS.
+bool SameAnswer(const ReclamationResult& a, const ReclamationResult& b) {
+  const auto same_table = [](const Table& x, const Table& y) {
+    return x.name() == y.name() && x.key_columns() == y.key_columns() &&
+           TablesBitIdentical(x, y);
+  };
+  if (!same_table(a.reclaimed, b.reclaimed) ||
+      a.originating.size() != b.originating.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.originating.size(); ++i) {
+    if (!same_table(a.originating[i], b.originating[i])) return false;
+  }
+  return a.originating_names == b.originating_names &&
+         a.predicted_eis == b.predicted_eis;
+}
 
 struct PassTiming {
   double total_s = 0.0;
@@ -779,7 +799,7 @@ int main() {
       for (size_t i = 0; i < tickets.size(); ++i) {
         const auto& got = tickets[i].Wait();
         if (!got.ok() || !reference[i].ok() ||
-            !TablesBitIdentical(got->reclaimed, reference[i]->reclaimed)) {
+            !SameAnswer(*got, *reference[i])) {
           async_identical = false;
         }
       }
@@ -794,10 +814,7 @@ int main() {
     if (reference[i].ok() != warmed[i].ok()) {
       identical = false;
     } else if (reference[i].ok()) {
-      identical = TablesBitIdentical(reference[i]->reclaimed,
-                                     warmed[i]->reclaimed) &&
-                  reference[i]->originating_names ==
-                      warmed[i]->originating_names;
+      identical = SameAnswer(*reference[i], *warmed[i]);
     }
   }
 

@@ -74,6 +74,27 @@ void HashSource(Hasher& h, const Table& source,
   }
 }
 
+// The answer fields of `r`, deep-copied; timings and cache_hit keep
+// their defaults.
+ReclamationResult CloneAnswer(const ReclamationResult& r) {
+  ReclamationResult out(r.reclaimed.Clone());
+  out.originating.reserve(r.originating.size());
+  for (const Table& t : r.originating) out.originating.push_back(t.Clone());
+  out.originating_names = r.originating_names;
+  out.predicted_eis = r.predicted_eis;
+  return out;
+}
+
+size_t CellBytes(const Table& t) {
+  return t.num_rows() * t.num_cols() * sizeof(ValueId);
+}
+
+size_t AnswerBytes(const ReclamationResult& r) {
+  size_t bytes = CellBytes(r.reclaimed);
+  for (const Table& t : r.originating) bytes += CellBytes(t);
+  return bytes;
+}
+
 }  // namespace
 
 SourceFingerprint FingerprintSource(const Table& source,
@@ -86,9 +107,9 @@ SourceFingerprint FingerprintSource(const Table& source,
   return SourceFingerprint{hi.value(), lo.value()};
 }
 
-std::optional<std::vector<Table>> DiscoveryCache::Lookup(
+std::optional<ReclamationResult> DiscoveryCache::Lookup(
     const SourceFingerprint& key) {
-  std::shared_ptr<const std::vector<Table>> hit;
+  std::shared_ptr<const ReclamationResult> hit;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
@@ -98,36 +119,37 @@ std::optional<std::vector<Table>> DiscoveryCache::Lookup(
     }
     ++hits_;
     lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-    hit = it->second->tables;
+    hit = it->second->result;
   }
   // Clone outside the lock: table copies are the expensive part.
-  std::vector<Table> out;
-  out.reserve(hit->size());
-  for (const Table& t : *hit) out.push_back(t.Clone());
-  return out;
+  return CloneAnswer(*hit);
 }
 
 void DiscoveryCache::Insert(const SourceFingerprint& key,
-                            const std::vector<Table>& tables) {
+                            const ReclamationResult& result) {
   if (capacity_ == 0) return;
-  auto copy = std::make_shared<std::vector<Table>>();
-  copy->reserve(tables.size());
-  for (const Table& t : tables) copy->push_back(t.Clone());
+  auto copy = std::make_shared<const ReclamationResult>(CloneAnswer(result));
+  const size_t bytes = AnswerBytes(*copy);
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->tables = std::move(copy);
+    bytes_ -= it->second->bytes;
+    it->second->result = std::move(copy);
+    it->second->bytes = bytes;
+    bytes_ += bytes;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   if (lru_.size() >= capacity_) {
+    bytes_ -= lru_.back().bytes;
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++evictions_;
   }
-  lru_.push_front(Entry{key, std::move(copy)});
+  lru_.push_front(Entry{key, std::move(copy), bytes});
   index_[key] = lru_.begin();
+  bytes_ += bytes;
 }
 
 DiscoveryCache::Stats DiscoveryCache::stats() const {
@@ -138,6 +160,7 @@ DiscoveryCache::Stats DiscoveryCache::stats() const {
   s.evictions = evictions_;
   s.entries = lru_.size();
   s.capacity = capacity_;
+  s.bytes = bytes_;
   return s;
 }
 
@@ -145,6 +168,7 @@ void DiscoveryCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
+  bytes_ = 0;
 }
 
 }  // namespace gent

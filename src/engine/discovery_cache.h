@@ -1,32 +1,45 @@
-// Bounded, thread-safe cache of per-source discovery results.
+// Bounded, thread-safe cache of per-source reclamation answers.
 //
-// Everything upstream of Matrix Traversal — the recall stage, Set
-// Similarity (+ diversification and schema matching), and Expand's
-// key-covering joins — depends only on (source content, DiscoveryConfig,
-// row budget, lake). With the lake immutable behind a
-// ColumnStatsCatalog, repeated sources — a dashboard reclaimed every
+// Gen-T's answer for a source — the recall stage, Set Similarity (+
+// diversification and schema matching), Expand's key-covering joins,
+// Matrix Traversal and Integration — depends only on (source content,
+// DiscoveryConfig, row budget, lake, service-wide GenTConfig). Every
+// stage is deterministic in those inputs; traversal's thread count is
+// covered by the bit-identity contract. With the lake immutable behind
+// a ColumnStatsCatalog, repeated sources — a dashboard reclaimed every
 // night, retries, many near-identical requests hitting a resident
-// ReclaimService — skip all of it and replay the cached expanded
-// candidate-table set. Expansion is cached alongside discovery because
-// it dominates the pre-traversal cost (the joins materialize tables;
-// the merge-based discovery scans do not).
+// ReclaimService — skip the whole pipeline and get a copy of the final
+// ReclamationResult it produced the first time: the reclaimed table,
+// the originating tables, their names and the predicted EIS. The
+// cached unit is the answer, not the expanded candidate tables it was
+// built from (~45 of them on TP-TR Small, against ~5 answer tables).
 //
 // The cache key is a 128-bit fingerprint of everything those stages
-// read: the source schema (column names, key columns), every column's
-// full cell sequence (which subsumes the per-column distinct value sets
-// — discovery also aligns rows, so distinct sets alone would
-// under-key), the DiscoveryConfig, the row budget (Expand consults it),
-// and a route tag identifying the catalog shard(s). Equal fingerprints
-// therefore replay bit-identical tables, which is what keeps the cached
-// and uncached reclamation paths bit-identical (traversal and
-// integration are deterministic in their inputs). Wall-clock deadlines
-// are deliberately NOT part of the key: they are scheduling-dependent
-// and exempt from the determinism contract (a warm hit may simply avoid
-// a deadline a cold run would blow — the same caveat batch reclamation
-// documents in src/gent/gent.h). The flip side is that deadline-carrying requests must
-// never POPULATE the cache — a deadline can truncate expansion silently
-// (dropped join paths, no error), and replaying a truncated set to
-// untimed requests would poison them; ReclaimService enforces this.
+// read from a request: the source schema (column names, key columns),
+// every column's full cell sequence (which subsumes the per-column
+// distinct value sets — discovery also aligns rows, so distinct sets
+// alone would under-key), the DiscoveryConfig, the row budget (Expand
+// and Integration consult it), and a route tag identifying the catalog
+// shard(s). The source's table name is not part of the key: only
+// DiscoveryConfig::exclude_table reads it, and the reclaimed table is
+// always named "reclaimed". Equal fingerprints therefore have equal
+// answers, which is what keeps the cached and uncached reclamation
+// paths bit-identical. Wall-clock deadlines are deliberately NOT part
+// of the key: they are scheduling-dependent and exempt from the
+// determinism contract (a warm hit may simply avoid a deadline a cold
+// run would blow — the same caveat batch reclamation documents in
+// src/gent/gent.h).
+//
+// No poisoning. Only a complete answer may enter the cache, so
+// ReclaimService populates it under two rules. (1) Only an OK result
+// is inserted: traversal and integration report interruption (cancel,
+// timeout, row budget) only as an error Status, never as a partial OK
+// answer, so an OK result is the full answer. (2) Budget-carrying
+// requests (timeout or deadline) never populate — a deadline can
+// truncate expansion silently (dropped join paths, no error) and the
+// answer built over a truncated set is OK but not the budget-free
+// answer the key names. Degraded fan-outs (a shard failed mid-request)
+// never populate either: their route tag claims the full target set.
 // Fingerprints are compared in full; a collision would need two
 // distinct sources agreeing on both 64-bit halves.
 //
@@ -49,7 +62,9 @@
 //
 // Eviction is LRU over a fixed entry capacity. Entries are immutable
 // and shared: a hit copies a shared_ptr under the lock and deep-clones
-// the tables outside it, so the lock is never held across table copies.
+// the answer's tables outside it, so the lock is never held across
+// table copies. The cache reports the cell bytes it holds (Stats::bytes)
+// but does not yet bound them.
 
 #ifndef GENT_ENGINE_DISCOVERY_CACHE_H_
 #define GENT_ENGINE_DISCOVERY_CACHE_H_
@@ -63,6 +78,7 @@
 #include <vector>
 
 #include "src/discovery/discovery.h"
+#include "src/gent/gent.h"
 #include "src/util/hash.h"
 
 namespace gent {
@@ -111,9 +127,9 @@ struct SourceFingerprintHash {
   }
 };
 
-/// Fingerprints everything the pre-traversal stages read from a source:
-/// schema, key columns, full column contents, the discovery config, the
-/// row budget, and `route_tag` (the catalog shard — or shard set — the
+/// Fingerprints everything the pipeline reads from a request: schema,
+/// key columns, full column contents, the discovery config, the row
+/// budget, and `route_tag` (the catalog shard — or shard set — the
 /// request is routed to; identical sources against different routes
 /// must not share entries).
 SourceFingerprint FingerprintSource(const Table& source,
@@ -122,29 +138,34 @@ SourceFingerprint FingerprintSource(const Table& source,
 
 class DiscoveryCache {
  public:
-  /// `capacity` = maximum cached expanded candidate sets (0 disables
-  /// the cache: Lookup always misses, Insert is a no-op). Each entry
-  /// holds the expanded tables for one (source, route), so capacity is
-  /// the memory knob.
+  /// `capacity` = maximum cached answers, one per (source, route)
+  /// fingerprint (0 disables the cache: Lookup always misses, Insert is
+  /// a no-op). An entry holds one ReclamationResult — the reclaimed and
+  /// originating tables — so Stats::bytes, not capacity, says how much
+  /// memory the entries take.
   explicit DiscoveryCache(size_t capacity) : capacity_(capacity) {}
 
   DiscoveryCache(const DiscoveryCache&) = delete;
   DiscoveryCache& operator=(const DiscoveryCache&) = delete;
 
-  /// Deep clones of the cached expanded tables, or nullopt on a miss.
-  /// Clones are safe to hand to the (mutation-happy) downstream
-  /// pipeline; the cached originals are never exposed. Thread-safe; the
-  /// internal lock is never held across table copies. A hit is
-  /// deterministic in the key: it replays exactly the tables Insert
-  /// stored under that fingerprint.
-  std::optional<std::vector<Table>> Lookup(const SourceFingerprint& key);
+  /// A deep copy of the cached answer, or nullopt on a miss. The copy
+  /// carries the reclaimed table, the originating tables and names and
+  /// the predicted EIS; its phase timings are 0 and cache_hit is false
+  /// (the caller stamps both). Callers own the copy and may mutate it;
+  /// the cached original is never exposed. Thread-safe; the internal
+  /// lock is never held across table copies. A hit is deterministic in
+  /// the key: it returns exactly the answer Insert stored under that
+  /// fingerprint.
+  std::optional<ReclamationResult> Lookup(const SourceFingerprint& key);
 
-  /// Caches a deep copy of `tables`, evicting the least recently used
-  /// entry when full. Inserting an existing key refreshes it.
+  /// Caches a deep copy of `result`'s answer fields (timings and
+  /// cache_hit are not kept), evicting the least recently used entry
+  /// when full. Inserting an existing key replaces and refreshes it.
+  /// Callers insert only complete answers (see "No poisoning" above).
   /// Thread-safe; concurrent inserts under one key keep whichever lands
-  /// last (they carry identical tables by the fingerprint contract, so
+  /// last (they carry identical answers by the fingerprint contract, so
   /// the race is benign).
-  void Insert(const SourceFingerprint& key, const std::vector<Table>& tables);
+  void Insert(const SourceFingerprint& key, const ReclamationResult& result);
 
   struct Stats {
     uint64_t hits = 0;
@@ -152,18 +173,25 @@ class DiscoveryCache {
     uint64_t evictions = 0;
     size_t entries = 0;
     size_t capacity = 0;
+    /// Cell bytes held by the cached answers: rows x cols x
+    /// sizeof(ValueId) over each entry's reclaimed and originating
+    /// tables, charged once at insert and released on eviction,
+    /// same-key replace and Clear().
+    size_t bytes = 0;
   };
   /// Point-in-time counters. Thread-safe; values are mutually
   /// consistent (read under one lock acquisition).
   Stats stats() const;
 
-  /// Drops every entry (counters are kept). Thread-safe.
+  /// Drops every entry and releases its bytes (the hit, miss and
+  /// eviction counters are kept). Thread-safe.
   void Clear();
 
  private:
   struct Entry {
     SourceFingerprint key;
-    std::shared_ptr<const std::vector<Table>> tables;
+    std::shared_ptr<const ReclamationResult> result;
+    size_t bytes = 0;
   };
 
   size_t capacity_;
@@ -175,6 +203,7 @@ class DiscoveryCache {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
+  size_t bytes_ = 0;
 };
 
 }  // namespace gent

@@ -674,24 +674,28 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   const bool use_cache =
       !request.bypass_cache && options_.cache_capacity > 0;
   // A wall-clock budget (timeout or end-to-end deadline) can interrupt
-  // expansion mid-join; caching such a set under the budget-free key
-  // would poison every later request. Budget-carrying requests may hit
-  // entries (a full replay under budget is strictly better) but never
-  // populate them. A cancel token needs no such guard: cancellation
-  // surfaces as a hard error at Expand's terminal checkpoint, so a
-  // truncated set never reaches the Insert below.
+  // expansion mid-join silently, and the answer built over the
+  // truncated set is OK but not the budget-free answer the key names.
+  // Budget-carrying requests may hit entries (a stored answer under
+  // budget is strictly better) but never populate them. A cancel token
+  // needs no such guard: cancellation, like every interruption in
+  // traversal and integration, surfaces as an error Status, and only
+  // OK results reach the Insert below.
   bool populate_cache = use_cache && request.timeout_seconds <= 0 &&
                         request.deadline_seconds <= 0;
   SourceFingerprint key;
   if (use_cache) {
-    key = FingerprintSource(source, discovery, request.max_rows, route_tag);
     auto t0 = std::chrono::steady_clock::now();
+    key = FingerprintSource(source, discovery, request.max_rows, route_tag);
     if (auto hit = cache_.Lookup(key)) {
-      // Replay the cached expanded tables: the recall, Set Similarity,
-      // and expansion stages are skipped entirely, and the result is
-      // bit-identical to the cold path that populated the entry.
-      return pipeline.ReclaimFromExpanded(source, std::move(*hit), limits,
-                                          traversal, SecondsSince(t0));
+      // Return a copy of the stored answer: no pipeline stage runs, and
+      // the result is bit-identical to the cold run that populated the
+      // entry. A cancelled or expired request still fails here, as it
+      // would at the miss path's first checkpoint.
+      GENT_RETURN_IF_ERROR(limits.Interrupted());
+      hit->cache_hit = true;
+      hit->discovery_seconds = SecondsSince(t0);
+      return std::move(*hit);
     }
   }
 
@@ -740,9 +744,12 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   }
   GENT_ASSIGN_OR_RETURN(auto expanded,
                         Expand(source, merged, limits, expand));
-  if (populate_cache) cache_.Insert(key, expanded.tables);
-  return pipeline.ReclaimFromExpanded(source, std::move(expanded.tables),
-                                      limits, traversal, SecondsSince(t0));
+  GENT_ASSIGN_OR_RETURN(
+      ReclamationResult result,
+      pipeline.ReclaimFromExpanded(source, std::move(expanded.tables), limits,
+                                   traversal, SecondsSince(t0)));
+  if (populate_cache) cache_.Insert(key, result);
+  return result;
 }
 
 Result<ReclamationResult> ReclaimService::Reclaim(

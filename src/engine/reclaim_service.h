@@ -15,9 +15,8 @@
 //     every shard, or lets a stats prefilter skip shards that share no
 //     value with the source (RoutingPolicy),
 //   * a bounded per-source discovery cache (src/engine/discovery_cache)
-//     so repeated sources skip the recall, Set Similarity, and
-//     expansion stages entirely — the cache stores the expanded
-//     candidate tables, the whole pre-traversal product,
+//     so repeated sources skip the whole pipeline — the cache stores
+//     each source's final ReclamationResult and a hit returns a copy,
 //   * one resident ThreadPool serving batch and async traffic, behind
 //     a bounded, priority-aware admission queue (SubmitReclaim):
 //     three scheduling classes (RequestPriority) drained
@@ -50,7 +49,9 @@
 // the result of a request is bit-identical regardless of thread count,
 // concurrent load, routing history, cache state, and whether it was
 // submitted synchronously or through the admission queue — a cache hit
-// replays exactly the candidate set discovery would produce, the
+// returns exactly the answer the pipeline produced for that
+// fingerprint (only ReclamationResult::cache_hit and the phase
+// timings tell it apart), the
 // stats-prefilter route skips only shards that cannot contribute a
 // candidate, and the downstream pipeline is deterministic in its
 // inputs. Reclaim for a single-shard route is bit-identical to
@@ -194,9 +195,11 @@ struct ServiceOptions {
   /// 0 = hardware concurrency (no cap — thread count never changes
   /// results).
   size_t num_threads = 0;
-  /// Discovery-cache capacity in expanded candidate sets (0 disables
-  /// caching). Each entry holds one source's expanded tables for one
-  /// route, so this is the memory knob.
+  /// Discovery-cache capacity in entries (0 disables caching). Each
+  /// entry holds one source's final answer for one route — the
+  /// reclaimed table plus its originating tables — so an entry's size
+  /// follows the answer, not the candidate set; cache_stats().bytes
+  /// reports the cell bytes held.
   size_t cache_capacity = 256;
   /// Shared dictionary for all shards (null = a fresh one). Lakes added
   /// with AddLake/AddLakeView must use exactly this dictionary.

@@ -59,10 +59,17 @@ struct ReclamationResult {
   std::vector<std::string> originating_names;
   /// EIS the matrix traversal predicted for the integration.
   double predicted_eis = 0.0;
-  /// Phase timings, seconds.
+  /// Phase timings, seconds. On a ReclaimService discovery-cache hit
+  /// no phase runs: discovery_seconds is the fingerprint + lookup +
+  /// clone time, and traversal_seconds and integration_seconds are 0.
   double discovery_seconds = 0.0;
   double traversal_seconds = 0.0;
   double integration_seconds = 0.0;
+  /// True only when ReclaimService answered from its discovery cache (a
+  /// copy of the answer stored by an earlier identical request; every
+  /// other field equals what the full pipeline would return). False on
+  /// every pipeline run, including GenT::Reclaim.
+  bool cache_hit = false;
 
   explicit ReclamationResult(Table r) : reclaimed(std::move(r)) {}
 };
@@ -93,17 +100,17 @@ class GenT {
   /// diversification + schema matching), under interruption limits:
   /// discovery polls OpLimits::Interrupted() at its stage checkpoints
   /// and aborts with Cancelled/Timeout (never a truncated candidate
-  /// list). Exposed as a seam so ReclaimService can cache its result per
-  /// source fingerprint and so cross-lake fan-out can merge candidate
-  /// sets before the rest of the pipeline runs.
+  /// list). Exposed as a seam so cross-lake fan-out (ReclaimService)
+  /// can merge candidate sets before the rest of the pipeline runs.
   Result<std::vector<Candidate>> DiscoverCandidates(
       const Table& source, const DiscoveryConfig& discovery,
       const OpLimits& limits) const;
 
   /// The pipeline downstream of expansion (Matrix Traversal →
   /// Integration), for callers that already hold the expanded,
-  /// key-covering candidate tables — ReclaimService replays them from
-  /// its discovery cache. Deterministic in (source, tables, config):
+  /// key-covering candidate tables — Reclaim above, and ReclaimService
+  /// after expanding its merged fan-out candidates. Deterministic in
+  /// (source, tables, config):
   /// bit-identical to running the full pipeline whose expansion
   /// produced `tables`. `discovery_seconds` is carried into the result's
   /// phase timings.

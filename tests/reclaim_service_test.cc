@@ -5,6 +5,7 @@
 
 #include "src/engine/reclaim_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <filesystem>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "answer_checks.h"
 #include "src/lake/snapshot.h"
 #include "src/storage/io.h"
 #include "src/metrics/similarity.h"
@@ -27,6 +29,11 @@
 
 namespace gent {
 namespace {
+
+using testing::AnswerBytes;
+using testing::ExpectSameReclamation;
+using testing::SameAnswer;
+using testing::SameOutcome;
 
 // --- Fixture: vertical fragments spread over two lake shards ---------------
 //
@@ -117,20 +124,6 @@ std::unique_ptr<ReclaimService> MakeService(const ServiceFixture& fx,
   EXPECT_TRUE(service->AddLakeView("alpha", *fx.alpha).ok());
   EXPECT_TRUE(service->AddLakeView("beta", *fx.beta).ok());
   return service;
-}
-
-void ExpectSameReclamation(const Result<ReclamationResult>& a,
-                           const Result<ReclamationResult>& b,
-                           const std::string& context) {
-  ASSERT_EQ(a.ok(), b.ok()) << context << ": " << a.status().ToString()
-                            << " vs " << b.status().ToString();
-  if (!a.ok()) {
-    EXPECT_EQ(a.status().code(), b.status().code()) << context;
-    return;
-  }
-  EXPECT_TRUE(TablesBitIdentical(a->reclaimed, b->reclaimed)) << context;
-  EXPECT_EQ(a->originating_names, b->originating_names) << context;
-  EXPECT_DOUBLE_EQ(a->predicted_eis, b->predicted_eis) << context;
 }
 
 // Cross-dictionary comparison (ids are not comparable; strings are).
@@ -352,6 +345,268 @@ TEST(ReclaimServiceTest, DisabledCacheStillServes) {
   EXPECT_EQ(no_cache->cache_stats().capacity, 0u);
 }
 
+// --- The cached unit is the answer ------------------------------------------
+
+TEST(ReclaimServiceTest, CacheHitEqualsBypassOnEveryFieldAcrossRoutes) {
+  ServiceFixture fx = MakeSplitFixture(4);
+  auto service = MakeService(fx, /*cache_capacity=*/256, /*num_threads=*/2);
+
+  ReclaimRequest named;
+  named.lake = "alpha";
+  ReclaimRequest fan_out;  // empty lake: every shard
+  for (const ReclaimRequest& route : {named, fan_out}) {
+    for (size_t s = 0; s < fx.sources.size(); ++s) {
+      const std::string ctx =
+          (route.lake.empty() ? "fan-out " : "named ") + std::to_string(s);
+      ReclaimRequest bypass = route;
+      bypass.bypass_cache = true;
+      auto want = service->Reclaim(fx.sources[s], bypass);
+      ASSERT_TRUE(want.ok()) << ctx << ": " << want.status().ToString();
+      EXPECT_FALSE(want->cache_hit) << ctx;
+
+      const auto before = service->cache_stats();
+      auto miss = service->Reclaim(fx.sources[s], route);
+      ASSERT_TRUE(miss.ok()) << ctx;
+      EXPECT_FALSE(miss->cache_hit) << ctx;
+      EXPECT_EQ(service->cache_stats().misses, before.misses + 1) << ctx;
+
+      auto hit = service->Reclaim(fx.sources[s], route);
+      ASSERT_TRUE(hit.ok()) << ctx;
+      EXPECT_TRUE(hit->cache_hit) << ctx;
+      EXPECT_EQ(service->cache_stats().hits, before.hits + 1) << ctx;
+      // A hit runs no traversal and no integration.
+      EXPECT_EQ(hit->traversal_seconds, 0.0) << ctx;
+      EXPECT_EQ(hit->integration_seconds, 0.0) << ctx;
+      EXPECT_GE(hit->discovery_seconds, 0.0) << ctx;
+
+      auto ticket = service->SubmitReclaim(fx.sources[s].Clone(), route);
+      ASSERT_TRUE(ticket.ok()) << ctx;
+      const auto& async_hit = ticket->Wait();
+      ASSERT_TRUE(async_hit.ok()) << ctx;
+      EXPECT_TRUE(async_hit->cache_hit) << ctx;
+
+      EXPECT_TRUE(SameAnswer(*miss, *want)) << ctx << " (miss)";
+      EXPECT_TRUE(SameAnswer(*hit, *want)) << ctx << " (hit)";
+      EXPECT_TRUE(SameAnswer(*async_hit, *want)) << ctx << " (async hit)";
+    }
+  }
+
+  // A batch that repeats a source, on a cold cache: whichever worker
+  // runs first misses, later ones may hit; every answer is the bypass
+  // answer, and exactly the hits carry cache_hit.
+  auto fresh = MakeService(fx, /*cache_capacity=*/256, /*num_threads=*/4);
+  const std::vector<size_t> order = {0, 1, 0, 2, 0, 1};
+  std::vector<Table> batch_sources;
+  for (size_t s : order) batch_sources.push_back(fx.sources[s].Clone());
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto before = fresh->cache_stats();
+    auto batch = fresh->ReclaimBatch(batch_sources);
+    ASSERT_EQ(batch.size(), order.size());
+    uint64_t flagged = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ReclaimRequest bypass;
+      bypass.bypass_cache = true;
+      auto want = fresh->Reclaim(fx.sources[order[i]], bypass);
+      ASSERT_TRUE(batch[i].ok()) << "batch " << i;
+      EXPECT_TRUE(SameAnswer(*batch[i], *want)) << "batch " << i;
+      if (batch[i]->cache_hit) ++flagged;
+    }
+    EXPECT_EQ(flagged, fresh->cache_stats().hits - before.hits);
+    // The second pass finds every source cached.
+    if (pass == 1) EXPECT_EQ(flagged, order.size());
+  }
+}
+
+TEST(ReclaimServiceTest, CacheHitsAreIndependentCopies) {
+  ServiceFixture fx = MakeSplitFixture(2);
+  auto service = MakeService(fx);
+
+  ReclaimRequest bypass;
+  bypass.bypass_cache = true;
+  auto want = service->Reclaim(fx.sources[0], bypass);
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want->originating.empty());
+  ASSERT_GT(want->reclaimed.num_rows(), 0u);
+
+  const ValueId foreign = fx.dict->Intern("not in any answer");
+  auto scribble = [&](ReclamationResult& r) {
+    r.reclaimed.set_cell(0, 0, foreign);
+    r.reclaimed.set_name("scribbled");
+    for (Table& t : r.originating) {
+      if (t.num_rows() > 0) t.set_cell(0, 0, foreign);
+      t.set_name("scribbled");
+    }
+    r.originating.pop_back();
+    r.originating_names.push_back("scribbled");
+    r.predicted_eis = -1.0;
+  };
+
+  // The populating miss hands its result to the caller: mutating it
+  // must not reach the cache.
+  auto miss = service->Reclaim(fx.sources[0]);
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->cache_hit);
+  scribble(*miss);
+
+  for (int round = 0; round < 3; ++round) {
+    auto hit = service->Reclaim(fx.sources[0]);
+    ASSERT_TRUE(hit.ok());
+    ASSERT_TRUE(hit->cache_hit);
+    EXPECT_TRUE(SameAnswer(*hit, *want)) << "round " << round;
+    scribble(*hit);  // nor may mutating a hit reach the next one
+  }
+}
+
+TEST(ReclaimServiceTest, FailedPipelineLeavesTheCacheUnchanged) {
+  ServiceFixture fx = MakeSplitFixture(2);
+  auto service = MakeService(fx);
+
+  // Fan-out expands each source to its two 10-row fragments within a
+  // 15-row budget, then integration's outer union of them (20 rows)
+  // trips it: a deterministic error after every earlier stage ran.
+  ReclaimRequest tight;
+  tight.max_rows = 15;
+  for (int round = 0; round < 2; ++round) {
+    const auto before = service->cache_stats();
+    auto failed = service->Reclaim(fx.sources[0], tight);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kOutOfRange);
+    const auto after = service->cache_stats();
+    EXPECT_EQ(after.entries, before.entries) << "round " << round;
+    EXPECT_EQ(after.bytes, before.bytes) << "round " << round;
+    EXPECT_EQ(after.misses, before.misses + 1) << "round " << round;
+    EXPECT_EQ(after.hits, before.hits) << "round " << round;
+  }
+
+  // A budget the pipeline fits in populates as usual.
+  ReclaimRequest fits;
+  fits.max_rows = 20;
+  auto ok = service->Reclaim(fx.sources[0], fits);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(service->cache_stats().entries, 1u);
+  EXPECT_EQ(service->cache_stats().bytes, AnswerBytes(*ok));
+}
+
+TEST(ReclaimServiceTest, ExpiredRequestFailsOnTheHitPathToo) {
+  ServiceFixture fx = MakePairedFixture(2);
+  auto service = MakeService(fx);
+  ReclaimRequest request;
+  request.lake = "alpha";
+  ASSERT_TRUE(service->Reclaim(fx.sources[0], request).ok());
+
+  // The entry is there, but a request whose budget has run out by the
+  // time the lookup returns fails the way it would on a miss.
+  ReclaimRequest expired = request;
+  expired.deadline_seconds = 1e-9;
+  const auto before = service->cache_stats();
+  auto got = service->Reclaim(fx.sources[0], expired);
+  EXPECT_EQ(got.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(service->cache_stats().hits, before.hits + 1);
+  EXPECT_TRUE(service->Reclaim(fx.sources[0], request)->cache_hit);
+}
+
+TEST(ReclaimServiceTest, SourcesDifferingOnlyInNameShareOneEntry) {
+  ServiceFixture fx = MakePairedFixture(2);
+  auto service = MakeService(fx);
+  ReclaimRequest request;
+  request.lake = "alpha";
+  ReclaimRequest bypass = request;
+  bypass.bypass_cache = true;
+
+  Table renamed = fx.sources[0].Clone();
+  renamed.set_name("same cells, other name");
+  auto want = service->Reclaim(fx.sources[0], bypass);
+  auto want_renamed = service->Reclaim(renamed, bypass);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(want_renamed.ok());
+  // The name never reaches the answer: the reclaimed table is always
+  // "reclaimed", so the fingerprint need not hash it.
+  EXPECT_EQ(want->reclaimed.name(), "reclaimed");
+  EXPECT_TRUE(SameAnswer(*want, *want_renamed));
+
+  auto first = service->Reclaim(fx.sources[0], request);
+  auto second = service->Reclaim(renamed, request);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(first->cache_hit);
+  EXPECT_TRUE(second->cache_hit);
+  EXPECT_EQ(service->cache_stats().entries, 1u);
+  EXPECT_TRUE(SameAnswer(*first, *want));
+  EXPECT_TRUE(SameAnswer(*second, *want_renamed));
+}
+
+// A hand-built answer whose cached tables hold `rows` x `cols` cells
+// (reclaimed) and `rows` x 2 cells (one originating table).
+ReclamationResult MakeAnswer(const DictionaryPtr& dict, size_t rows,
+                             size_t cols) {
+  TableBuilder rb(dict, "reclaimed");
+  std::vector<std::string> names;
+  for (size_t c = 0; c < cols; ++c) names.push_back("c" + std::to_string(c));
+  rb.Columns(names);
+  for (size_t r = 0; r < rows; ++r) {
+    rb.Row(std::vector<std::string>(cols, "v" + std::to_string(r)));
+  }
+  ReclamationResult result(rb.Key({"c0"}).Build());
+  TableBuilder ob(dict, "origin");
+  ob.Columns({"c0", "x"});
+  for (size_t r = 0; r < rows; ++r) ob.Row({"v" + std::to_string(r), "x"});
+  result.originating.push_back(ob.Build());
+  result.originating_names.push_back("origin");
+  result.predicted_eis = 0.5;
+  return result;
+}
+
+TEST(DiscoveryCacheTest, BytesTrackInsertEvictReplaceAndClear) {
+  auto dict = MakeDictionary();
+  constexpr size_t kCell = sizeof(ValueId);
+  const ReclamationResult small = MakeAnswer(dict, 2, 3);   // 6 + 4 cells
+  const ReclamationResult medium = MakeAnswer(dict, 4, 3);  // 12 + 8
+  const ReclamationResult large = MakeAnswer(dict, 8, 5);   // 40 + 16
+  ASSERT_EQ(AnswerBytes(small), 10 * kCell);
+  ASSERT_EQ(AnswerBytes(medium), 20 * kCell);
+  ASSERT_EQ(AnswerBytes(large), 56 * kCell);
+  const SourceFingerprint k1{1, 1}, k2{2, 2}, k3{3, 3};
+
+  DiscoveryCache cache(2);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  cache.Insert(k1, small);  // charged once, at insert
+  EXPECT_EQ(cache.stats().bytes, 10 * kCell);
+  ASSERT_TRUE(cache.Lookup(k1).has_value());  // hits charge nothing
+  EXPECT_EQ(cache.stats().bytes, 10 * kCell);
+  cache.Insert(k2, medium);
+  EXPECT_EQ(cache.stats().bytes, 30 * kCell);
+
+  cache.Insert(k1, large);  // same-key replace releases the old answer
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().bytes, 76 * kCell);
+
+  cache.Insert(k3, small);  // evicts k2, the least recently used
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, 66 * kCell);
+  EXPECT_FALSE(cache.Lookup(k2).has_value());
+  auto replaced = cache.Lookup(k1);
+  ASSERT_TRUE(replaced.has_value());
+  EXPECT_TRUE(SameAnswer(*replaced, large));
+  EXPECT_FALSE(replaced->cache_hit);  // the service stamps hits
+  EXPECT_EQ(replaced->discovery_seconds, 0.0);
+
+  cache.Clear();
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.evictions, 1u);  // counters survive Clear
+  cache.Insert(k2, medium);
+  EXPECT_EQ(cache.stats().bytes, 20 * kCell);
+
+  DiscoveryCache disabled(0);
+  disabled.Insert(k1, large);
+  EXPECT_EQ(disabled.stats().entries, 0u);
+  EXPECT_EQ(disabled.stats().bytes, 0u);
+  EXPECT_FALSE(disabled.Lookup(k1).has_value());
+}
+
 // --- Concurrency: N threads hammering one resident service ------------------
 
 TEST(ReclaimServiceTest, ConcurrentHammerBitIdenticalToSerialReference) {
@@ -385,13 +640,7 @@ TEST(ReclaimServiceTest, ConcurrentHammerBitIdenticalToSerialReference) {
           size_t i = (s + t) % fx.sources.size();
           auto got = service->Reclaim(fx.sources[i], requests[i]);
           const auto& want = reference[i];
-          bool same =
-              got.ok() == want.ok() &&
-              (!got.ok() ||
-               (TablesBitIdentical(got->reclaimed, want->reclaimed) &&
-                got->originating_names == want->originating_names &&
-                got->predicted_eis == want->predicted_eis));
-          if (!same) mismatches.fetch_add(1);
+          if (!SameOutcome(got, want)) mismatches.fetch_add(1);
         }
       }
     });
@@ -401,6 +650,61 @@ TEST(ReclaimServiceTest, ConcurrentHammerBitIdenticalToSerialReference) {
   auto stats = service->cache_stats();
   EXPECT_GT(stats.hits, 0u) << "hammer never hit the warm cache";
   EXPECT_GT(stats.misses, 0u);
+}
+
+TEST(ReclaimServiceTest, CapacityTwoHammerHitsMissesAndEvictions) {
+  // Two entries for 18 (source, route) pairs: eight threads keep
+  // hitting, missing and evicting under one another, and every answer
+  // must still be the bypass answer on every field.
+  ServiceFixture fx = MakeSplitFixture(6);
+  auto service = MakeService(fx, /*cache_capacity=*/2, /*num_threads=*/2);
+
+  std::vector<ReclaimRequest> routes(3);
+  routes[1].lake = "alpha";
+  routes[2].policy = RoutingPolicy::kStatsPrefilter;
+  std::vector<std::vector<Result<ReclamationResult>>> reference(routes.size());
+  size_t max_bytes = 0;
+  for (size_t r = 0; r < routes.size(); ++r) {
+    ReclaimRequest bypass = routes[r];
+    bypass.bypass_cache = true;
+    for (const Table& source : fx.sources) {
+      reference[r].push_back(service->Reclaim(source, bypass));
+      ASSERT_TRUE(reference[r].back().ok());
+      max_bytes = std::max(max_bytes, AnswerBytes(*reference[r].back()));
+    }
+  }
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kIters = 3;
+  std::atomic<int> mismatches{0};
+  std::atomic<uint64_t> flagged{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (size_t iter = 0; iter < kIters; ++iter) {
+        for (size_t j = 0; j < fx.sources.size() * routes.size(); ++j) {
+          // Few distinct keys per window so hits happen despite the
+          // tiny capacity; staggered per thread so they also collide.
+          const size_t k = (j / 2 + t) % (fx.sources.size() * routes.size());
+          const size_t r = k % routes.size();
+          const size_t s = k / routes.size();
+          auto got = service->Reclaim(fx.sources[s], routes[r]);
+          if (!SameOutcome(got, reference[r][s])) mismatches.fetch_add(1);
+          if (got.ok() && got->cache_hit) flagged.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto stats = service->cache_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(flagged.load(), stats.hits);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_GT(stats.bytes, 0u);
+  EXPECT_LE(stats.bytes, 2 * max_bytes);
 }
 
 TEST(ReclaimServiceTest, ConcurrentBatchesShareThePool) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "answer_checks.h"
 #include "src/engine/reclaim_service.h"
 #include "src/lake/snapshot.h"
 #include "src/metrics/similarity.h"
@@ -19,6 +20,10 @@
 
 namespace gent {
 namespace {
+
+using testing::AnswerBytes;
+using testing::ExpectSameReclamation;
+using testing::SameAnswer;
 
 // Fixture: same vertical-fragment scheme as reclaim_service_test.
 // Source s splits into frag_a (k,a) and frag_b (k,b); a "paired" lake
@@ -61,20 +66,6 @@ DataLake MakePairedLake(const DictionaryPtr& dict, size_t begin, size_t end,
     (void)lake.AddTable(fb.Build());
   }
   return lake;
-}
-
-void ExpectSameReclamation(const Result<ReclamationResult>& a,
-                           const Result<ReclamationResult>& b,
-                           const std::string& context) {
-  ASSERT_EQ(a.ok(), b.ok()) << context << ": " << a.status().ToString()
-                            << " vs " << b.status().ToString();
-  if (!a.ok()) {
-    EXPECT_EQ(a.status().code(), b.status().code()) << context;
-    return;
-  }
-  EXPECT_TRUE(TablesBitIdentical(a->reclaimed, b->reclaimed)) << context;
-  EXPECT_EQ(a->originating_names, b->originating_names) << context;
-  EXPECT_DOUBLE_EQ(a->predicted_eis, b->predicted_eis) << context;
 }
 
 std::string TempPath(const std::string& stem) {
@@ -441,6 +432,108 @@ TEST(ServiceLifecycleTest, PrefilterSharesCacheEntriesWithFanOutWhenNoPrune) {
   (void)service.Reclaim(source, named);
   EXPECT_EQ(service.cache_stats().hits, 2u);
   EXPECT_EQ(service.cache_stats().misses, 1u);
+}
+
+TEST(ServiceLifecycleTest, PrefilterAndAsyncHitsEqualBypassOnEveryField) {
+  auto dict = MakeDictionary();
+  DataLake relevant = MakePairedLake(dict, 0, 3);
+  DataLake disjoint = MakePairedLake(dict, 50, 55);
+  ServiceOptions options;
+  options.dict = dict;
+  options.num_threads = 2;
+  ReclaimService service(std::move(options));
+  ASSERT_TRUE(service.AddLakeView("relevant", relevant).ok());
+  ASSERT_TRUE(service.AddLakeView("disjoint", disjoint).ok());
+
+  ReclaimRequest prefilter;
+  prefilter.policy = RoutingPolicy::kStatsPrefilter;
+  ReclaimRequest bypass = prefilter;
+  bypass.bypass_cache = true;
+  std::vector<Table> sources;
+  std::vector<Result<ReclamationResult>> want;
+  for (size_t s = 0; s < 3; ++s) {
+    sources.push_back(MakeSource(dict, s));
+    want.push_back(service.Reclaim(sources.back(), bypass));
+    ASSERT_TRUE(want.back().ok());
+    EXPECT_FALSE(want.back()->cache_hit);
+  }
+
+  // Async misses populate; synchronous and async repeats hit.
+  for (size_t s = 0; s < sources.size(); ++s) {
+    const std::string ctx = "source " + std::to_string(s);
+    auto miss_ticket = service.SubmitReclaim(sources[s].Clone(), prefilter);
+    ASSERT_TRUE(miss_ticket.ok()) << ctx;
+    const auto& miss = miss_ticket->Wait();
+    ExpectSameReclamation(miss, want[s], ctx + " async miss");
+    EXPECT_FALSE(miss->cache_hit) << ctx;
+
+    auto hit = service.Reclaim(sources[s], prefilter);
+    ExpectSameReclamation(hit, want[s], ctx + " sync hit");
+    EXPECT_TRUE(hit->cache_hit) << ctx;
+    EXPECT_EQ(hit->traversal_seconds, 0.0) << ctx;
+    EXPECT_EQ(hit->integration_seconds, 0.0) << ctx;
+
+    auto hit_ticket = service.SubmitReclaim(sources[s].Clone(), prefilter);
+    ASSERT_TRUE(hit_ticket.ok()) << ctx;
+    ExpectSameReclamation(hit_ticket->Wait(), want[s], ctx + " async hit");
+    EXPECT_TRUE(hit_ticket->Wait()->cache_hit) << ctx;
+  }
+  EXPECT_EQ(service.cache_stats().hits, 2 * sources.size());
+  EXPECT_EQ(service.cache_stats().misses, sources.size());
+
+  // A batch repeating one source: all warm, all flagged.
+  std::vector<Table> batch_sources;
+  for (size_t s : {2, 0, 2, 2}) batch_sources.push_back(sources[s].Clone());
+  auto batch = service.ReclaimBatch(batch_sources, prefilter);
+  ASSERT_EQ(batch.size(), 4u);
+  const size_t order[] = {2, 0, 2, 2};
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ExpectSameReclamation(batch[i], want[order[i]],
+                          "batch " + std::to_string(i));
+    EXPECT_TRUE(batch[i]->cache_hit) << "batch " << i;
+  }
+}
+
+TEST(ServiceLifecycleTest, CacheBytesFollowResidentAnswers) {
+  auto dict = MakeDictionary();
+  DataLake lake = MakePairedLake(dict, 0, 3);
+  ServiceOptions options;
+  options.dict = dict;
+  options.cache_capacity = 2;
+  ReclaimService service(std::move(options));
+  ASSERT_TRUE(service.AddLakeView("lake", lake).ok());
+
+  ReclaimRequest request;
+  request.lake = "lake";
+  std::vector<size_t> bytes;
+  for (size_t s = 0; s < 3; ++s) {
+    auto r = service.Reclaim(MakeSource(dict, s), request);
+    ASSERT_TRUE(r.ok());
+    bytes.push_back(AnswerBytes(*r));
+    ASSERT_GT(bytes.back(), 0u);
+  }
+  // Source 0's entry was evicted by source 2's insert: the gauge holds
+  // exactly the two resident answers.
+  auto stats = service.cache_stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, bytes[1] + bytes[2]);
+
+  // Hits charge nothing; a re-miss charges again and evicts source 1.
+  ASSERT_TRUE(service.Reclaim(MakeSource(dict, 2), request)->cache_hit);
+  EXPECT_EQ(service.cache_stats().bytes, bytes[1] + bytes[2]);
+  ASSERT_FALSE(service.Reclaim(MakeSource(dict, 0), request)->cache_hit);
+  EXPECT_EQ(service.cache_stats().bytes, bytes[0] + bytes[2]);
+
+  // A disabled cache holds nothing.
+  ServiceOptions off;
+  off.dict = dict;
+  off.cache_capacity = 0;
+  ReclaimService uncached(std::move(off));
+  ASSERT_TRUE(uncached.AddLakeView("lake", lake).ok());
+  ASSERT_TRUE(uncached.Reclaim(MakeSource(dict, 0), request).ok());
+  EXPECT_EQ(uncached.cache_stats().bytes, 0u);
+  EXPECT_EQ(uncached.cache_stats().entries, 0u);
 }
 
 // --- Async admission ---------------------------------------------------------

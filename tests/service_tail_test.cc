@@ -273,8 +273,8 @@ TEST(ServiceTailTest, CancelledColdRequestNeverPoisonsDiscoveryCache) {
   // A cold cache-eligible request, cancelled mid-flight. Whatever the
   // race outcome (aborted before the cache insert, after it, or
   // resolved before the cancel), the cache must never hold a truncated
-  // expansion: an interrupted expansion is a hard error at Expand's
-  // terminal checkpoint, never an OK result.
+  // answer: an interrupted expansion, traversal or integration is a
+  // hard error, never an OK result, and only OK results are cached.
   for (int round = 0; round < 8; ++round) {
     auto ticket = service.SubmitReclaim(source.Clone(), request);
     ASSERT_TRUE(ticket.ok());
