@@ -81,16 +81,18 @@ double MinTotal(const std::vector<PassTiming>& reps) {
   return best;
 }
 
-// --- Warm start: v1 rebuild vs v2 open + fault-in (BENCH_warmstart.json) ----
+// --- Warm start: rebuild vs mapped open + fault-in (BENCH_warmstart.json) ---
 //
-// Measures what a shard restart costs under each snapshot format on the
-// TP-TR Med lake:
-//   * v1 AddLakeFromSnapshot — body load + full catalog REBUILD,
-//   * v2 AddLakeFromSnapshot — body load + mapped catalog OPEN,
+// Measures what a shard restart costs on the TP-TR Med lake, from one
+// v2 snapshot served two ways:
+//   * rebuild — LoadSnapshot + AddLake: body load + full catalog REBUILD
+//     (what a v1 file or a foreign id space costs),
+//   * open — AddLakeFromSnapshot: body load + mapped catalog OPEN,
 // plus the component-level pair underneath the acceptance claim
 // (catalog rebuild vs MappedCatalog open: O(rebuild) vs O(open)), the
 // first post-open query (pays pool fault-in), and a repeat of the same
-// query fully warm. The v2-served results must be bit-identical to v1's.
+// query fully warm. The mapped results must be bit-identical to the
+// rebuilt shard's.
 int RunWarmStart(size_t repeats) {
   auto bench = BuildMed();
   if (!bench.ok()) {
@@ -99,18 +101,13 @@ int RunWarmStart(size_t repeats) {
     return 1;
   }
   const DataLake& lake = *bench->lake;
-  const std::string v1_path = "warmstart_v1.snap";
   const std::string v2_path = "warmstart_v2.snap";
 
-  // The one catalog build the v1 path repeats on every restart; reuse
-  // it to emit the v2 snapshot.
+  // The one catalog build the rebuild path repeats on every restart;
+  // reuse it to emit the v2 snapshot.
   auto tb = std::chrono::steady_clock::now();
   GenT gent(lake);
   double rebuild_s = Seconds(tb);
-  if (Status s = SaveSnapshot(lake, v1_path); !s.ok()) {
-    std::fprintf(stderr, "warmstart: %s\n", s.ToString().c_str());
-    return 1;
-  }
   if (Status s = SaveSnapshotV2(lake, gent.catalog().section_views(), v2_path);
       !s.ok()) {
     std::fprintf(stderr, "warmstart: %s\n", s.ToString().c_str());
@@ -142,18 +139,24 @@ int RunWarmStart(size_t repeats) {
     rebuild_s = std::min(rebuild_s, Seconds(t0));
   }
 
-  // End-to-end AddLakeFromSnapshot under each format, min over repeats,
-  // a fresh service (fresh dictionary → identity remap) each time.
-  auto time_add = [&](const std::string& path, bool map_v2,
-                      std::unique_ptr<ReclaimService>* keep) {
+  // End-to-end restart along each path, min over repeats, a fresh
+  // service (fresh dictionary → identity remap) each time.
+  auto time_add = [&](bool rebuild, std::unique_ptr<ReclaimService>* keep) {
     double best = 0.0;
     for (size_t r = 0; r < repeats; ++r) {
       ServiceOptions options;
       options.cache_capacity = 0;  // measure the catalog path, not the cache
-      options.storage.map_v2_snapshots = map_v2;
       auto service = std::make_unique<ReclaimService>(std::move(options));
       auto t0 = std::chrono::steady_clock::now();
-      if (Status s = service->AddLakeFromSnapshot("lake", path); !s.ok()) {
+      Status s;
+      if (rebuild) {
+        DataLake body(service->dict());
+        s = LoadSnapshot(body, v2_path);
+        if (s.ok()) s = service->AddLake("lake", std::move(body));
+      } else {
+        s = service->AddLakeFromSnapshot("lake", v2_path);
+      }
+      if (!s.ok()) {
         std::fprintf(stderr, "warmstart: %s\n", s.ToString().c_str());
         return -1.0;
       }
@@ -163,19 +166,18 @@ int RunWarmStart(size_t repeats) {
     }
     return best;
   };
-  std::unique_ptr<ReclaimService> v1_service, v2_service;
-  const double v1_add_s = time_add(v1_path, /*map_v2=*/false, &v1_service);
-  const double v2_add_s = time_add(v2_path, /*map_v2=*/true, &v2_service);
-  std::remove(v1_path.c_str());
+  std::unique_ptr<ReclaimService> rebuild_service, v2_service;
+  const double rebuild_add_s = time_add(/*rebuild=*/true, &rebuild_service);
+  const double v2_add_s = time_add(/*rebuild=*/false, &v2_service);
   std::remove(v2_path.c_str());
-  if (v1_add_s < 0 || v2_add_s < 0) return 1;
+  if (rebuild_add_s < 0 || v2_add_s < 0) return 1;
   const auto residency = v2_service->residency_stats();
   const bool mapped = mapped_ok && !residency.empty() &&
                       residency[0].catalog.mapped;
 
   // First query after the v2 open pays pool fault-in; the repeat is the
-  // fully warm floor. Bit-identity against the v1-rebuilt backend is
-  // the backend-parity contract, measured end to end.
+  // fully warm floor. Bit-identity against the rebuilt backend is the
+  // backend-parity contract, measured end to end.
   ReclaimRequest request;
   request.lake = "lake";
   request.max_rows = 2'000'000;
@@ -186,12 +188,12 @@ int RunWarmStart(size_t repeats) {
   t0 = std::chrono::steady_clock::now();
   auto warm = v2_service->Reclaim(probe.Clone(), request);
   const double warm_query_s = Seconds(t0);
-  auto v1_result = v1_service->Reclaim(probe.Clone(), request);
+  auto rebuilt = rebuild_service->Reclaim(probe.Clone(), request);
   const bool identical =
-      first.ok() && warm.ok() && v1_result.ok() &&
-      TablesBitIdentical(first->reclaimed, v1_result->reclaimed) &&
-      TablesBitIdentical(warm->reclaimed, v1_result->reclaimed) &&
-      first->originating_names == v1_result->originating_names;
+      first.ok() && warm.ok() && rebuilt.ok() &&
+      TablesBitIdentical(first->reclaimed, rebuilt->reclaimed) &&
+      TablesBitIdentical(warm->reclaimed, rebuilt->reclaimed) &&
+      first->originating_names == rebuilt->originating_names;
   const auto after = v2_service->residency_stats();
   const auto& cat = after.empty() ? ColumnStatsCatalog::Residency{}
                                   : after[0].catalog;
@@ -199,15 +201,15 @@ int RunWarmStart(size_t repeats) {
   const double open_speedup = open_s > 0 ? rebuild_s / open_s : 0.0;
   std::printf("\n=== Warm start (%s, min of %zu reps) ===\n",
               bench->name.c_str(), repeats);
-  std::printf("v1 AddLakeFromSnapshot (rebuild): %8.3fs\n", v1_add_s);
-  std::printf("v2 AddLakeFromSnapshot (open):    %8.3fs\n", v2_add_s);
+  std::printf("LoadSnapshot + AddLake (rebuild): %8.3fs\n", rebuild_add_s);
+  std::printf("AddLakeFromSnapshot (mapped):     %8.3fs\n", v2_add_s);
   std::printf("catalog rebuild vs mapped open:   %8.3fs vs %.6fs "
               "(%.1fx)\n",
               rebuild_s, open_s, open_speedup);
   std::printf("first query (fault-in):           %8.3fs\n", first_query_s);
   std::printf("repeat query (fully warm):        %8.3fs\n", warm_query_s);
-  std::printf("mapped backend active: %s; v2 results bit-identical to "
-              "v1: %s\n",
+  std::printf("mapped backend active: %s; mapped results bit-identical to "
+              "rebuilt: %s\n",
               mapped ? "yes" : "NO", identical ? "yes" : "NO");
 
   std::FILE* f = std::fopen("BENCH_warmstart.json", "w");
@@ -221,11 +223,11 @@ int RunWarmStart(size_t repeats) {
                bench->name.c_str(), repeats);
   std::fprintf(f, "  \"lake_tables\": %zu,\n", lake.size());
   std::fprintf(f,
-               "  \"v1_add_lake_seconds\": %.6f,\n"
+               "  \"rebuild_add_lake_seconds\": %.6f,\n"
                "  \"v2_add_lake_seconds\": %.6f,\n",
-               v1_add_s, v2_add_s);
+               rebuild_add_s, v2_add_s);
   std::fprintf(f,
-               "  \"v1_catalog_rebuild_seconds\": %.6f,\n"
+               "  \"rebuild_catalog_seconds\": %.6f,\n"
                "  \"v2_catalog_open_seconds\": %.6f,\n"
                "  \"open_speedup\": %.3f,\n",
                rebuild_s, open_s, open_speedup);
@@ -329,8 +331,7 @@ int RunFaultRecovery(size_t max_sources) {
 
   // References: full two-shard answers and A-only answers (what the
   // service must serve while B is quarantined).
-  ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
+  ReclaimRequest fan;  // empty lake = fan out
   fan.max_rows = 2'000'000;
   std::vector<ReclamationResult> ref_full, ref_a_only;
   {

@@ -315,8 +315,11 @@ int main() {
 
   // The churn thread reloads the shard from this snapshot of the lake.
   const std::string snapshot_path = "/tmp/gent_bench_tail.snapshot";
-  if (Status s = SaveSnapshot(*bench->lake, snapshot_path); !s.ok()) {
-    std::fprintf(stderr, "SaveSnapshot: %s\n", s.ToString().c_str());
+  if (Status s = SaveSnapshotV2(*bench->lake,
+                                GenT(*bench->lake).catalog().section_views(),
+                                snapshot_path);
+      !s.ok()) {
+    std::fprintf(stderr, "SaveSnapshotV2: %s\n", s.ToString().c_str());
     return 1;
   }
 

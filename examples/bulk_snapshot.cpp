@@ -14,6 +14,7 @@
 
 #include "src/benchgen/benchmarks.h"
 #include "src/gent/bulk.h"
+#include "src/gent/gent.h"
 #include "src/lake/snapshot.h"
 #include "src/metrics/similarity.h"
 
@@ -41,7 +42,10 @@ int main() {
 
   // Persist and reload the lake through a snapshot.
   const std::string snap = "/tmp/gent_bulk_demo.snap";
-  if (Status s = SaveSnapshot(*bench->lake, snap); !s.ok()) {
+  if (Status s = SaveSnapshotV2(*bench->lake,
+                                GenT(*bench->lake).catalog().section_views(),
+                                snap);
+      !s.ok()) {
     std::fprintf(stderr, "save: %s\n", s.ToString().c_str());
     return 1;
   }

@@ -186,7 +186,7 @@ class ColumnStatsCatalog {
   /// discovery on this lake can produce no candidate for that query set
   /// (the recall stage ranks by shared values and forwards only tables
   /// sharing at least one), which is the invariant ReclaimService's
-  /// stats-prefilter route relies on to skip whole shards without
+  /// fan-out prefilter relies on to skip whole shards without
   /// changing results. Thread-safe; deterministic in (lake, query).
   bool SharesAnyValue(ValueSpan sorted_query) const;
 
@@ -314,8 +314,8 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c);
 
 /// Sorted distinct non-null values across ALL columns of `query` — the
 /// whole-table query set. This is the one construction shared by the
-/// recall stage (TopKTables) and ReclaimService's stats-prefilter
-/// route; the prefilter is result-preserving precisely because both
+/// recall stage (TopKTables) and ReclaimService's fan-out prefilter;
+/// the prefilter is result-preserving precisely because both
 /// build the query set identically, so neither may drift alone.
 std::vector<ValueId> SortedQueryValues(const Table& query);
 

@@ -49,9 +49,9 @@
 // the table set behind a name can be replaced wholesale. Route tags are
 // therefore built from *shard uids* — unique per registration, never
 // reused, reassigned on reload — via FoldRouteTags below: a named route
-// tags the shard's own uid, a fan-out route folds every uid of the
-// pinned registry snapshot, and a stats-prefiltered route folds the
-// selected subset's uids. Consequences: (a) reloading or re-adding a
+// tags the shard's own uid, and a fan-out route folds the uids of the
+// shards its prefilter kept (every serving shard that shares a value
+// with the source). Consequences: (a) reloading or re-adding a
 // shard under an old name can never hit entries cached against the old
 // content (the uid differs — this is the cache-epoch invalidation the
 // lifecycle tests lock in); (b) registry mutations invalidate exactly
@@ -100,9 +100,9 @@ inline uint64_t ShardRouteTag(uint64_t uid, uint64_t delta_gen) {
 /// Folds an ordered set of shard uids into a route tag (order-sensitive
 /// splitmix chain). Callers pass the uids in registry order so the same
 /// shard set always folds to the same tag. A one-element set folds to
-/// the uid itself: a named route, a fan-out over a one-shard registry,
-/// and a prefilter that selected one shard all produce identical
-/// results, so they deliberately share cache entries. Deterministic, no
+/// the uid itself: a named route and a fan-out whose prefilter kept
+/// only that shard produce identical results, so they deliberately
+/// share cache entries. Deterministic, no
 /// global state.
 inline uint64_t FoldRouteTags(const std::vector<uint64_t>& shard_uids) {
   if (shard_uids.size() == 1) return shard_uids[0];

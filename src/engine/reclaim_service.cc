@@ -175,16 +175,24 @@ ReclaimService::RegistryPtr ReclaimService::Pin() const {
 
 void ReclaimService::PublishLocked(std::shared_ptr<RegistrySnapshot> next) {
   next->epoch = registry_->epoch + 1;
-  // Per-shard tags fold (uid, delta_gen), not bare uids: an append
-  // mutates content without re-registering, and the fan-out tag must
-  // change with it (discovery_cache.h, ShardRouteTag).
-  std::vector<uint64_t> tags;
-  tags.reserve(next->shards.size());
-  for (const auto& s : next->shards) {
-    tags.push_back(ShardRouteTag(s->uid, s->delta_gen));
-  }
-  next->fanout_tag = FoldRouteTags(tags);
   registry_ = std::move(next);
+}
+
+std::shared_ptr<ReclaimService::Shard> ReclaimService::MakeShard(
+    const std::string& name, std::unique_ptr<DataLake> owned,
+    const DataLake* borrowed,
+    std::shared_ptr<const ColumnStatsCatalog> catalog,
+    const std::string& source_path) const {
+  auto shard = std::make_shared<Shard>();
+  shard->name = name;
+  shard->lake = owned != nullptr ? owned.get() : borrowed;
+  shard->owned = std::move(owned);
+  shard->source_path = source_path;
+  shard->gent = catalog != nullptr
+                    ? std::make_unique<GenT>(std::move(catalog),
+                                             options_.config)
+                    : std::make_unique<GenT>(*shard->lake, options_.config);
+  return shard;
 }
 
 Status ReclaimService::RegisterShard(
@@ -212,18 +220,11 @@ Status ReclaimService::RegisterShard(
     }
   }
 
-  auto shard = std::make_shared<Shard>();
-  shard->name = name;
-  shard->owned = std::move(owned);
-  shard->lake = lake;
-  shard->source_path = source_path;
   // The one catalog build this registration will ever do — outside the
   // registry lock, so serving is never blocked on it. A prebuilt
   // catalog (the mapped snapshot-open path) skips even that.
-  shard->gent = catalog != nullptr
-                    ? std::make_unique<GenT>(std::move(catalog),
-                                             options_.config)
-                    : std::make_unique<GenT>(*lake, options_.config);
+  std::shared_ptr<Shard> shard = MakeShard(name, std::move(owned), borrowed,
+                                           std::move(catalog), source_path);
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
   if (registry_->by_name.count(name) > 0) {
@@ -254,8 +255,7 @@ Status ReclaimService::LoadShardFromSnapshot(
   catalog->reset();
   SnapshotLoadInfo info;
   GENT_RETURN_IF_ERROR(LoadSnapshot(**lake, path, &info));
-  if (info.version < 2 || !info.identity_remap ||
-      !options_.storage.map_v2_snapshots) {
+  if (info.version < 2 || !info.identity_remap) {
     return Status::OK();  // rebuild path
   }
   // v2 with a matching id space: the file's catalog sections speak this
@@ -339,15 +339,8 @@ Status ReclaimService::ReloadLakeFromSnapshot(const std::string& name,
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
   GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog));
-  auto shard = std::make_shared<Shard>();
-  shard->name = name;
-  shard->lake = lake.get();
-  shard->source_path = path;
-  shard->gent = catalog != nullptr
-                    ? std::make_unique<GenT>(std::move(catalog),
-                                             options_.config)
-                    : std::make_unique<GenT>(*lake, options_.config);
-  shard->owned = std::move(lake);
+  std::shared_ptr<Shard> shard =
+      MakeShard(name, std::move(lake), nullptr, std::move(catalog), path);
 
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
@@ -420,14 +413,10 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
                                                   *lake, first_table);
   if (!layered.ok()) return layered.status();
 
-  auto shard = std::make_shared<Shard>();
-  shard->name = name;
-  shard->lake = lake.get();
-  shard->owned = std::move(lake);
-  shard->source_path = old->source_path;
+  std::shared_ptr<Shard> shard = MakeShard(
+      name, std::move(lake), nullptr, std::move(*layered), old->source_path);
   shard->delta_gen = old->delta_gen + 1;
   shard->predecessor = old;  // keeps the borrowed views' owner alive
-  shard->gent = std::make_unique<GenT>(std::move(*layered), options_.config);
 
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
@@ -488,17 +477,10 @@ Status ReclaimService::CompactShardSnapshot(const std::string& name) {
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
   GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(old->source_path, &lake, &catalog));
-  auto shard = std::make_shared<Shard>();
-  shard->name = name;
-  shard->lake = lake.get();
-  shard->source_path = old->source_path;
+  std::shared_ptr<Shard> shard = MakeShard(
+      name, std::move(lake), nullptr, std::move(catalog), old->source_path);
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen;
-  shard->gent = catalog != nullptr
-                    ? std::make_unique<GenT>(std::move(catalog),
-                                             options_.config)
-                    : std::make_unique<GenT>(*lake, options_.config);
-  shard->owned = std::move(lake);
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
   auto now = registry_->by_name.find(name);
@@ -568,95 +550,51 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
            quarantined.end();
   };
 
-  // Resolve the routing policy to a target shard set and a route tag
-  // (see discovery_cache.h for the tag contract: uids, not indices).
-  RoutingPolicy policy = request.policy;
-  if (policy == RoutingPolicy::kAuto) {
-    policy = request.lake.empty() ? RoutingPolicy::kFanOutAll
-                                  : RoutingPolicy::kNamedShard;
-  }
-  if (policy == RoutingPolicy::kNamedShard && request.lake.empty()) {
-    return Status::InvalidArgument("kNamedShard requires a shard name");
-  }
-  if (policy != RoutingPolicy::kNamedShard && !request.lake.empty()) {
-    return Status::InvalidArgument(
-        "a fan-out policy conflicts with a named shard ('" + request.lake +
-        "')");
-  }
-
+  // Route (DESIGN.md §5.6) to a target shard set and a route tag (see
+  // discovery_cache.h for the tag contract: uids, not indices).
   std::vector<size_t> targets;
   uint64_t route_tag = 0;
-  switch (policy) {
-    case RoutingPolicy::kNamedShard: {
-      auto it = registry.by_name.find(request.lake);
-      if (it == registry.by_name.end()) {
-        return Status::NotFound("no shard named '" + request.lake + "'");
-      }
-      if (is_quarantined(registry.shards[it->second]->uid)) {
-        unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return Status::Unavailable("shard '" + request.lake +
-                                   "' is quarantined pending recovery");
-      }
-      targets.push_back(it->second);
-      route_tag = ShardRouteTag(registry.shards[it->second]->uid,
-                                registry.shards[it->second]->delta_gen);
-      break;
+  if (!request.lake.empty()) {
+    auto it = registry.by_name.find(request.lake);
+    if (it == registry.by_name.end()) {
+      return Status::NotFound("no shard named '" + request.lake + "'");
     }
-    case RoutingPolicy::kFanOutAll: {
-      if (quarantined.empty()) {
-        targets.resize(registry.shards.size());
-        for (size_t i = 0; i < registry.shards.size(); ++i) targets[i] = i;
-        route_tag = registry.fanout_tag;
-        break;
-      }
-      // Skipping a quarantined shard changes the answering shard set,
-      // so the cache route tag must cover exactly the survivors — a
-      // cached full-fan-out entry must not answer a degraded route.
-      std::vector<uint64_t> uids;
-      for (size_t i = 0; i < registry.shards.size(); ++i) {
-        if (is_quarantined(registry.shards[i]->uid)) {
-          quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        targets.push_back(i);
-        uids.push_back(ShardRouteTag(registry.shards[i]->uid,
-                                     registry.shards[i]->delta_gen));
-      }
-      route_tag = FoldRouteTags(uids);
-      break;
+    const Shard& shard = *registry.shards[it->second];
+    if (is_quarantined(shard.uid)) {
+      unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Unavailable("shard '" + request.lake +
+                                 "' is quarantined pending recovery");
     }
-    case RoutingPolicy::kStatsPrefilter: {
-      // Skip shards the source shares no value with: recall ranks lake
-      // tables by shared distinct values and forwards only tables
-      // sharing at least one, so a zero-overlap shard cannot produce a
-      // candidate — dropping it is free and result-preserving.
-      // SortedQueryValues is the exact construction recall (TopKTables)
-      // uses, so !SharesAnyValue ⇒ recall forwards nothing from the
-      // shard.
-      const std::vector<ValueId> query = SortedQueryValues(source);
-      std::vector<uint64_t> selected_uids;
-      for (size_t i = 0; i < registry.shards.size(); ++i) {
-        if (is_quarantined(registry.shards[i]->uid)) {
-          quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (registry.shards[i]->gent->catalog().SharesAnyValue(query)) {
-          targets.push_back(i);
-          selected_uids.push_back(ShardRouteTag(
-              registry.shards[i]->uid, registry.shards[i]->delta_gen));
-        } else {
-          shards_pruned_.fetch_add(1, std::memory_order_relaxed);
-        }
+    targets.push_back(it->second);
+    route_tag = ShardRouteTag(shard.uid, shard.delta_gen);
+  } else {
+    // Fan out, skipping quarantined shards and shards the source shares
+    // no value with: recall ranks lake tables by shared distinct values
+    // and forwards only tables sharing at least one, so a zero-overlap
+    // shard cannot produce a candidate — dropping it is free and
+    // result-preserving. SortedQueryValues is the exact construction
+    // recall (TopKTables) uses, so !SharesAnyValue ⇒ recall forwards
+    // nothing from the shard.
+    const std::vector<ValueId> query = SortedQueryValues(source);
+    std::vector<uint64_t> selected;
+    for (size_t i = 0; i < registry.shards.size(); ++i) {
+      const Shard& shard = *registry.shards[i];
+      if (is_quarantined(shard.uid)) {
+        quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
-      // Folding the surviving subset makes the tag coincide with the
-      // fan-out tag exactly when nothing was pruned — those routes
-      // share cache entries, which is correct because their results
-      // are identical.
-      route_tag = FoldRouteTags(selected_uids);
-      break;
+      if (!shard.gent->catalog().SharesAnyValue(query)) {
+        shards_pruned_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      targets.push_back(i);
+      selected.push_back(ShardRouteTag(shard.uid, shard.delta_gen));
     }
-    case RoutingPolicy::kAuto:
-      return Status::Internal("unresolved routing policy");
+    // The tag folds exactly the answering shards' (uid, delta_gen): an
+    // append or a quarantine changes it, and fan-outs that reach the
+    // same shard set share cache entries, which is correct because
+    // their results are identical.
+    route_tag = FoldRouteTags(selected);
   }
 
   DiscoveryConfig discovery = options_.config.discovery;
@@ -1163,7 +1101,7 @@ void ReclaimService::AttemptRecovery(uint64_t uid) {
   }
 
   // Expensive work outside every lock, exactly like ReloadLakeFromSnapshot.
-  // Preferred path: full reopen (mapped when options allow).
+  // Preferred path: full reopen (mapped when the snapshot allows).
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
   Status st = LoadShardFromSnapshot(path, &lake, &catalog);
@@ -1205,15 +1143,8 @@ void ReclaimService::AttemptRecovery(uint64_t uid) {
     return;
   }
 
-  auto shard = std::make_shared<Shard>();
-  shard->name = name;
-  shard->lake = lake.get();
-  shard->source_path = path;
-  shard->gent = catalog != nullptr
-                    ? std::make_unique<GenT>(std::move(catalog),
-                                             options_.config)
-                    : std::make_unique<GenT>(*lake, options_.config);
-  shard->owned = std::move(lake);
+  std::shared_ptr<Shard> shard =
+      MakeShard(name, std::move(lake), nullptr, std::move(catalog), path);
 
   // Swap into the registry ONLY if the quarantined registration is
   // still there — a concurrent RemoveLake/Reload supersedes recovery.

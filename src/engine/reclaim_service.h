@@ -11,9 +11,10 @@
 //     binary snapshot or a CSV directory), and mutable at runtime:
 //     AddLake*/RemoveLake/ReloadLakeFromSnapshot run concurrently with
 //     in-flight requests (see "shard registry" below),
-//   * per-request routing: a request names its shard, fans out across
-//     every shard, or lets a stats prefilter skip shards that share no
-//     value with the source (RoutingPolicy),
+//   * per-request routing: a request that names a shard goes to it; one
+//     that names none fans out over every shard that shares a value
+//     with the source (a stats prefilter skips the rest, which cannot
+//     contribute a candidate),
 //   * a bounded per-source discovery cache (src/engine/discovery_cache)
 //     so repeated sources skip the whole pipeline — the cache stores
 //     each source's final ReclamationResult and a hit returns a copy,
@@ -51,11 +52,10 @@
 // submitted synchronously or through the admission queue — a cache hit
 // returns exactly the answer the pipeline produced for that
 // fingerprint (only ReclamationResult::cache_hit and the phase
-// timings tell it apart), the
-// stats-prefilter route skips only shards that cannot contribute a
-// candidate, and the downstream pipeline is deterministic in its
-// inputs. Reclaim for a single-shard route is bit-identical to
-// GenT::Reclaim on that lake. Only wall-clock budgets
+// timings tell it apart), the fan-out prefilter skips only shards that
+// cannot contribute a candidate, and the downstream pipeline is
+// deterministic in its inputs. Reclaim for a single-shard route is
+// bit-identical to GenT::Reclaim on that lake. Only wall-clock budgets
 // (ReclaimRequest::timeout_seconds) are scheduling-dependent: under
 // contention a batch worker's deadline can fire that would not fire
 // serially. Concurrent registry mutations choose which
@@ -130,8 +130,8 @@ enum class ShardHealth {
   /// Serving, but recovered via the salvage path (body reload + catalog
   /// rebuild) because the snapshot's catalog tail stayed damaged.
   kDegraded = 1,
-  /// Not serving: routing skips the shard (fan-out policies answer from
-  /// the remaining shards; a named-shard request gets Unavailable)
+  /// Not serving: routing skips the shard (a fan-out answers from the
+  /// remaining shards; a named-shard request gets Unavailable)
   /// while background recovery retries with exponential backoff.
   kQuarantined = 2,
 };
@@ -156,16 +156,12 @@ struct ShardHealthOptions {
 };
 
 /// How shards built from snapshots store their catalogs (DESIGN.md
-/// §5.10).
+/// §5.10). The snapshot picks the backend: a v2 file whose id space
+/// matches the service dictionary (SnapshotLoadInfo::identity_remap) is
+/// opened mapped (mmap + buffer pool, O(open + fault-in)); a v1 file, a
+/// foreign id space, or a failed mapped open rebuilds the catalog in
+/// RAM. Results are bit-identical either way.
 struct CatalogStorageOptions {
-  /// For a v2 snapshot whose id space matches the service dictionary
-  /// (SnapshotLoadInfo::identity_remap — always true when the snapshot
-  /// was saved from this service's own dictionary, or loaded into a
-  /// fresh one), open the on-disk catalog sections via mmap + buffer
-  /// pool instead of rebuilding: O(open + fault-in) registration.
-  /// Falls back to the rebuild path transparently when the snapshot is
-  /// v1 or the id spaces differ; results are bit-identical either way.
-  bool map_v2_snapshots = true;
   /// ONE buffer-pool capacity budget for the UNPINNED resident set of
   /// ALL mapped shards together, in 64 KiB blocks (0 = unbounded
   /// fault-in). Shards no longer get a private cap each: a service's
@@ -223,32 +219,15 @@ struct ServiceOptions {
   ShardHealthOptions health;
 };
 
-/// How a request picks its catalog shard(s).
-enum class RoutingPolicy {
-  /// Back-compat default: named shard if ReclaimRequest::lake is set,
-  /// fan-out over all shards otherwise.
-  kAuto,
-  /// Route to ReclaimRequest::lake (InvalidArgument if empty, NotFound
-  /// if no such shard).
-  kNamedShard,
-  /// Discover on every shard and merge candidates by score
-  /// (ReclaimRequest::lake must be empty).
-  kFanOutAll,
-  /// Fan-out, but first consult each shard's ColumnStatsCatalog and
-  /// skip shards sharing no value with the source
-  /// (!ColumnStatsCatalog::SharesAnyValue). Such shards cannot
-  /// contribute a candidate, so results are bit-identical to
-  /// kFanOutAll; only the per-shard discovery work — and the cache
-  /// route tag, which covers exactly the surviving shard set — differ.
-  kStatsPrefilter,
-};
-
 /// Per-request options.
 struct ReclaimRequest {
-  /// Route to the shard with this name; empty = fan out (see `policy`).
+  /// Route to the shard with this name (NotFound if absent, Unavailable
+  /// while it is quarantined). Empty = fan out: discover on every
+  /// serving shard that shares a value with the source
+  /// (ColumnStatsCatalog::SharesAnyValue) and merge candidates by score.
+  /// A skipped shard cannot contribute a candidate, so the answer is
+  /// bit-identical to fanning out over every shard (DESIGN.md §5.6).
   std::string lake;
-  /// Shard-selection policy; kAuto preserves the pre-§5.6 behavior.
-  RoutingPolicy policy = RoutingPolicy::kAuto;
   /// Per-source wall-clock budget, seconds (0 = unlimited), measured
   /// from EXECUTION start. Scheduling-dependent; use max_rows where
   /// strict reproducibility matters. Budget-carrying requests may hit
@@ -360,11 +339,10 @@ class ReclaimService {
 
   /// Builds a shard from a binary snapshot (src/lake/snapshot) — the
   /// warm-start path: one sequential read, no CSV parsing. For a v2
-  /// snapshot with a matching id space (and
-  /// CatalogStorageOptions::map_v2_snapshots), the catalog is opened
-  /// from the file's own sections instead of rebuilt — O(open +
-  /// fault-in); otherwise the catalog build runs as for AddLake.
-  /// Results are bit-identical between the two paths.
+  /// snapshot with a matching id space, the catalog is opened from the
+  /// file's own sections instead of rebuilt — O(open + fault-in); a v1
+  /// snapshot or a foreign id space runs the catalog build as for
+  /// AddLake. Results are bit-identical between the two paths.
   Status AddLakeFromSnapshot(const std::string& name,
                              const std::string& path);
 
@@ -414,7 +392,11 @@ class ReclaimService {
   /// fails Aborted when RemoveLake/ReloadLakeFromSnapshot/recovery
   /// replaced the shard mid-append (nothing published), NotFound /
   /// AlreadyExists / InvalidArgument as usual, Unavailable while the
-  /// shard is quarantined. When the snapshot's run count reaches
+  /// shard is quarantined. A shard backed by a v1 snapshot is refused
+  /// InvalidArgument ("not a v2 snapshot") with its file and the
+  /// registry untouched; to make it appendable, SaveShardSnapshot it to
+  /// a new path (always v2) and ReloadLakeFromSnapshot from that path.
+  /// When the snapshot's run count reaches
   /// CatalogStorageOptions::compact_after_runs, a background compaction
   /// is queued (see CompactShardSnapshot).
   Status AppendTablesToLake(const std::string& name,
@@ -527,9 +509,9 @@ class ReclaimService {
   std::vector<ShardResidency> residency_stats() const;
 
   struct RoutingStats {
-    /// Requests routed so far (any policy).
+    /// Requests routed so far (named or fan-out).
     uint64_t requests = 0;
-    /// Shards skipped by kStatsPrefilter (zero value overlap).
+    /// Shards skipped by the fan-out prefilter (zero value overlap).
     uint64_t shards_pruned = 0;
     /// Shards skipped by fan-out routing because they were quarantined.
     uint64_t shards_quarantine_skipped = 0;
@@ -597,7 +579,6 @@ class ReclaimService {
   /// Immutable once published; mutations swap whole snapshots.
   struct RegistrySnapshot {
     uint64_t epoch = 0;
-    uint64_t fanout_tag = 0;  // FoldRouteTags over all shard uids
     std::vector<std::shared_ptr<const Shard>> shards;
     std::unordered_map<std::string, size_t> by_name;
   };
@@ -606,10 +587,19 @@ class ReclaimService {
   /// Copies the current snapshot pointer (the pin operation).
   RegistryPtr Pin() const;
 
-  /// Builds shard state outside the lock, then swaps in a snapshot with
-  /// it appended. Used by all four AddLake* flavors. `catalog` (may be
-  /// null) is a prebuilt catalog over the lake — the mapped-open path —
-  /// otherwise the shard builds one.
+  /// Builds a shard handle outside every lock — the one place a
+  /// registration's GenT is made. `catalog` (may be null) is a prebuilt
+  /// catalog over the lake (the mapped snapshot-open and layered-append
+  /// paths); otherwise the shard builds one. The caller sets uid and
+  /// delta_gen under the registry mutex, with its own publish check.
+  std::shared_ptr<Shard> MakeShard(
+      const std::string& name, std::unique_ptr<DataLake> owned,
+      const DataLake* borrowed,
+      std::shared_ptr<const ColumnStatsCatalog> catalog,
+      const std::string& source_path) const;
+
+  /// Builds the shard outside the lock, then swaps in a snapshot with
+  /// it appended. Used by all four AddLake* flavors.
   Status RegisterShard(const std::string& name,
                        std::unique_ptr<DataLake> owned,
                        const DataLake* borrowed,
@@ -618,14 +608,14 @@ class ReclaimService {
 
   /// Shared by AddLakeFromSnapshot/ReloadLakeFromSnapshot: loads `path`
   /// into a fresh lake on the service dictionary and, when the snapshot
-  /// is v2 + identity-remap + storage options allow, opens its catalog
-  /// sections mapped (null `*catalog` = caller builds as usual).
+  /// is v2 with an identity remap, opens its catalog sections mapped
+  /// (null `*catalog` = caller builds as usual).
   Status LoadShardFromSnapshot(
       const std::string& path, std::unique_ptr<DataLake>* lake,
       std::shared_ptr<const ColumnStatsCatalog>* catalog) const;
 
-  /// Shared tail of RegisterShard/ReloadLakeFromSnapshot: publishes
-  /// `next` as the new snapshot under the registry mutex.
+  /// Shared tail of every registry mutation: publishes `next` as the
+  /// new snapshot under the registry mutex.
   void PublishLocked(std::shared_ptr<RegistrySnapshot> next);
 
   /// Runs the pipeline for one admitted request. `limits` carries the

@@ -22,7 +22,7 @@ namespace gent {
 namespace {
 
 constexpr char kMagic[8] = {'G', 'E', 'N', 'T', 'S', 'N', 'A', 'P'};
-constexpr uint32_t kVersionV1 = 1;
+// Version 1 (the body alone) is still read; only v2 is written.
 constexpr uint32_t kVersionV2 = 2;
 constexpr uint32_t kMaxVersion = kVersionV2;
 
@@ -183,16 +183,15 @@ class Reader {
   storage::Checksum64 checksum_;
 };
 
-// Writes the versioned body (dictionary + tables) — shared by both
-// snapshot versions; they differ only in what follows.
-Status WriteBody(Writer& w, const DataLake& lake, uint32_t version,
-                 const std::string& path) {
+// Writes the body (dictionary + tables), stamped version 2. Its layout
+// is the v1 payload; v2 differs only in the catalog region that follows.
+Status WriteBody(Writer& w, const DataLake& lake, const std::string& path) {
   const ValueDictionary& dict = *lake.dict();
   if (!w.ok()) {
     return Status::IOError("cannot open '" + path + "' for writing");
   }
   w.Bytes(kMagic, sizeof kMagic);
-  w.U32(version);
+  w.U32(kVersionV2);
 
   // Dictionary: every id in order, so loaded ids can be remapped by
   // index. Id 0 is the null sentinel and is written as the empty string.
@@ -261,25 +260,12 @@ Status CommitSnapshot(Writer& w, const std::string& tmp,
 
 }  // namespace
 
-Status SaveSnapshot(const DataLake& lake, const std::string& path) {
-  const std::string tmp = TempSnapshotPath(path);
-  Writer w(tmp);
-  Status st = WriteBody(w, lake, kVersionV1, tmp);
-  if (!st.ok()) {
-    w.MarkFailed();
-    w.Close();
-    io::Remove(tmp);
-    return st;
-  }
-  return CommitSnapshot(w, tmp, path);
-}
-
 Status SaveSnapshotV2(const DataLake& lake,
                       const storage::CatalogSectionViews& catalog,
                       const std::string& path) {
   const std::string tmp = TempSnapshotPath(path);
   Writer w(tmp);
-  Status st = WriteBody(w, lake, kVersionV2, tmp);
+  Status st = WriteBody(w, lake, tmp);
   if (st.ok()) {
     // The catalog region appends strictly after the body; the body's
     // length and running checksum become its footer descriptor.

@@ -20,9 +20,9 @@
 // (src/storage/paged_file.h), making the snapshot both the data and the
 // index: a service can open it O(open + fault-in) instead of rebuilding
 // the catalog (src/storage/catalog_pager.h, DESIGN.md §5.10).
-// SaveSnapshot still writes v1; SaveSnapshotV2 writes the paged format.
-// LoadSnapshot reads both, fully validating v2's footer and every
-// section checksum.
+// SaveSnapshotV2 is the one writer. LoadSnapshot reads both versions —
+// v1 files written by earlier builds stay supported input — fully
+// validating v2's footer and every section checksum.
 //
 // Snapshots are self-contained: ids written are ids of the saved
 // dictionary, and LoadSnapshot re-interns them into the target
@@ -60,10 +60,12 @@ struct SnapshotLoadInfo {
   size_t delta_runs = 0;
 };
 
-/// Writes `lake` to `path` in version-1 format, overwriting. Fails with
-/// InvalidArgument if a labeled null is present, IOError on filesystem
-/// trouble — including a failed final flush/fsync, so a snapshot
-/// truncated by a full disk never reports success.
+/// Writes `lake` plus its built catalog (`catalog` borrows the
+/// catalog's arrays; see ColumnStatsCatalog::section_views) to `path`
+/// in version-2 format, overwriting. Fails with InvalidArgument if a
+/// labeled null is present, IOError on filesystem trouble — including a
+/// failed final flush/fsync, so a snapshot truncated by a full disk
+/// never reports success.
 ///
 /// The commit is crash-atomic (DESIGN.md §5.11): bytes stream to
 /// `<path>.tmp.<pid>`, which is fsynced and atomically renamed over
@@ -71,13 +73,7 @@ struct SnapshotLoadInfo {
 /// temp is unlinked and `path` is never touched — a reader of `path`
 /// sees either the previous snapshot intact or the new one complete,
 /// never a partial file. A crash mid-save can strand the temp;
-/// SweepSnapshotTemps collects those at startup.
-Status SaveSnapshot(const DataLake& lake, const std::string& path);
-
-/// Writes `lake` plus its built catalog (`catalog` borrows the
-/// catalog's arrays; see ColumnStatsCatalog::section_views) to `path`
-/// in version-2 format, overwriting. Same failure contract and
-/// crash-atomic temp-file commit as SaveSnapshot; the format is
+/// SweepSnapshotTemps collects those at startup. The format is
 /// additionally append-only, so even the temp can never hold a file
 /// that validates without its final footer.
 Status SaveSnapshotV2(const DataLake& lake,

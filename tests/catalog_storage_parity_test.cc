@@ -80,7 +80,9 @@ class CatalogStorageParityTest : public ::testing::Test {
 
   // A service over the snapshot with the requested backend. Both share
   // dict_ — the snapshot was saved from dict_, so the remap is identity
-  // and the mapped open is eligible.
+  // and AddLakeFromSnapshot opens the catalog mapped. The RAM side
+  // registers the LoadSnapshot'd lake with AddLake, which builds the
+  // catalog from cells.
   std::unique_ptr<ReclaimService> MakeService(const std::string& snap,
                                               bool mapped,
                                               size_t num_threads) {
@@ -89,9 +91,14 @@ class CatalogStorageParityTest : public ::testing::Test {
     options.num_threads = num_threads;
     options.cache_capacity = 0;  // no cache: every call exercises the
                                  // catalog read path
-    options.storage.map_v2_snapshots = mapped;
     auto service = std::make_unique<ReclaimService>(std::move(options));
-    EXPECT_TRUE(service->AddLakeFromSnapshot("lake", snap).ok());
+    if (mapped) {
+      EXPECT_TRUE(service->AddLakeFromSnapshot("lake", snap).ok());
+    } else {
+      DataLake lake(dict_);
+      EXPECT_TRUE(LoadSnapshot(lake, snap).ok());
+      EXPECT_TRUE(service->AddLake("lake", std::move(lake)).ok());
+    }
     return service;
   }
 
@@ -174,8 +181,7 @@ TEST_F(CatalogStorageParityTest, PrefilterRoutingBitIdenticalAcrossBackends) {
     GTEST_SKIP() << "mmap unavailable; parity is vacuous";
   }
   for (size_t s = 0; s < sources_.size(); ++s) {
-    ReclaimRequest request;
-    request.policy = RoutingPolicy::kStatsPrefilter;
+    ReclaimRequest request;  // empty lake = prefiltered fan-out
     ExpectBitIdentical(ram->Reclaim(sources_[s], request),
                        mapped->Reclaim(sources_[s], request),
                        "prefilter source " + std::to_string(s));

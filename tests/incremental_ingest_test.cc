@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -29,6 +31,7 @@
 #include "src/gent/gent.h"
 #include "src/lake/snapshot.h"
 #include "src/table/table_builder.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace gent {
 namespace {
@@ -384,7 +387,6 @@ TEST_F(IncrementalIngestTest, ServiceAppendMatchesOneShot) {
       opts.dict = dict;
       opts.num_threads = threads;
       opts.cache_capacity = 0;
-      opts.storage.map_v2_snapshots = mapped;
       opts.storage.compact_after_runs = 0;  // explicit compaction below
       opts.health.auto_recover = false;
       ReclaimService grown(std::move(opts));
@@ -412,9 +414,7 @@ TEST_F(IncrementalIngestTest, ServiceAppendMatchesOneShot) {
 
       ReclaimRequest named;
       named.lake = "shard";
-      named.policy = RoutingPolicy::kNamedShard;
-      ReclaimRequest fan;
-      fan.policy = RoutingPolicy::kStatsPrefilter;
+      ReclaimRequest fan;  // empty lake = fan out
       for (const Table& source : sources_) {
         ExpectResultsIdentical(grown.Reclaim(source, named),
                                reference.Reclaim(source, named),
@@ -460,7 +460,6 @@ TEST_F(IncrementalIngestTest, AppendInvalidatesNamedRouteCache) {
 
   ReclaimRequest named;
   named.lake = "shard";
-  named.policy = RoutingPolicy::kNamedShard;
   const Table& source = sources_.front();
 
   auto first = service.Reclaim(source, named);
@@ -538,6 +537,51 @@ TEST_F(IncrementalIngestTest, AppendErrorPaths) {
             StatusCode::kNotFound);
 }
 
+// A v1 snapshot has no footer to commit a delta run against, so an
+// append to a v1-backed shard is refused before anything changes: the
+// file keeps its bytes, the registry its epoch, and the shard serves
+// exactly as before.
+TEST_F(IncrementalIngestTest, AppendToV1BackedShardChangesNothing) {
+  DictionaryPtr dict = MakeDictionary();
+  std::vector<Table> base_tables;
+  AddFragments(&base_tables, dict, "warm");
+  const std::string snap = Path("v1.snap");
+  {
+    DataLake base(dict);
+    for (const auto& t : base_tables) ASSERT_TRUE(base.AddTable(t).ok());
+    ASSERT_TRUE(WriteV1Snapshot(base, snap).ok());
+  }
+  const auto bytes_of = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string bytes_before = bytes_of(snap);
+
+  ServiceOptions opts;
+  opts.dict = dict;
+  opts.cache_capacity = 0;
+  ReclaimService service(std::move(opts));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("shard", snap).ok());
+  ReclaimRequest named;
+  named.lake = "shard";
+  const Table& source = sources_.front();
+  auto before = service.Reclaim(source, named);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const uint64_t epoch = service.registry_epoch();
+
+  std::mt19937 rng(5);
+  Status s = service.AppendTablesToLake(
+      "shard", MakeRandomTables(dict, 2, "late_", rng));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("not a v2 snapshot"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(bytes_of(snap), bytes_before);
+  EXPECT_EQ(service.registry_epoch(), epoch);
+  ExpectResultsIdentical(service.Reclaim(source, named), before,
+                         "after the refused append");
+}
+
 // TSan target: requests keep flowing (and keep succeeding) while the
 // shard is appended to and compacted underneath them. Readers pin a
 // registry snapshot per call, so every answer is one consistent
@@ -570,13 +614,8 @@ TEST_F(IncrementalIngestTest, ServeWhileAppendingIsRaceFree) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&, r] {
-      ReclaimRequest req;
-      if (r % 2 == 0) {
-        req.lake = "shard";
-        req.policy = RoutingPolicy::kNamedShard;
-      } else {
-        req.policy = RoutingPolicy::kStatsPrefilter;
-      }
+      ReclaimRequest req;  // odd readers fan out
+      if (r % 2 == 0) req.lake = "shard";
       while (!stop.load(std::memory_order_acquire)) {
         auto res = service.Reclaim(sources_.front(), req);
         if (res.ok()) {
@@ -618,7 +657,6 @@ TEST_F(IncrementalIngestTest, ServeWhileAppendingIsRaceFree) {
   }
   ReclaimRequest named;
   named.lake = "shard";
-  named.policy = RoutingPolicy::kNamedShard;
   ExpectResultsIdentical(service.Reclaim(sources_.front(), named),
                          reference.Reclaim(sources_.front(), named), "final");
 

@@ -26,6 +26,7 @@
 #include "src/metrics/similarity.h"
 #include "src/table/table_builder.h"
 #include "src/table/table_io.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace gent {
 namespace {
@@ -661,7 +662,7 @@ TEST(ReclaimServiceTest, CapacityTwoHammerHitsMissesAndEvictions) {
 
   std::vector<ReclaimRequest> routes(3);
   routes[1].lake = "alpha";
-  routes[2].policy = RoutingPolicy::kStatsPrefilter;
+  routes[2].lake = "beta";
   std::vector<std::vector<Result<ReclamationResult>>> reference(routes.size());
   size_t max_bytes = 0;
   for (size_t r = 0; r < routes.size(); ++r) {
@@ -776,7 +777,7 @@ TEST(ReclaimServiceTest, SnapshotWarmStartedShardServesIdentically) {
       (std::filesystem::temp_directory_path() /
        ("gent_service_snap_" + std::to_string(::getpid()) + ".snap"))
           .string();
-  ASSERT_TRUE(SaveSnapshot(*fx.alpha, snap).ok());
+  ASSERT_TRUE(SaveV2(*fx.alpha, snap).ok());
 
   ServiceOptions options;  // fresh dictionary: the warm-start path
   ReclaimService service(std::move(options));
@@ -857,7 +858,9 @@ TEST(SnapshotRegressionTest, TrailingGarbageAfterLastSectionRejected) {
       (std::filesystem::temp_directory_path() /
        ("gent_trailing_" + std::to_string(::getpid()) + ".snap"))
           .string();
-  ASSERT_TRUE(SaveSnapshot(lake, path).ok());
+  // A v1 file: its body must end exactly at EOF. (A v2 file treats
+  // bytes past its last footer as torn-append debris.)
+  ASSERT_TRUE(WriteV1Snapshot(lake, path).ok());
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out << "JUNKJUNK";  // a truncated write of a second snapshot, say
@@ -882,6 +885,7 @@ TEST(SnapshotRegressionTest, FullDiskSurfacesAtCloseNotAsSuccess) {
                           .Columns({"a"})
                           .Row({"1"})
                           .Build());
+  GenT gent(lake);
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("gent_enospc_close_" + std::to_string(::getpid()) + ".snap"))
@@ -894,7 +898,7 @@ TEST(SnapshotRegressionTest, FullDiskSurfacesAtCloseNotAsSuccess) {
     plan.error_code = ENOSPC;
     injector.Arm(plan);
     io::ScopedFaultInjector scope(&injector);
-    Status s = SaveSnapshot(lake, path);
+    Status s = SaveSnapshotV2(lake, gent.catalog().section_views(), path);
     EXPECT_EQ(s.code(), StatusCode::kIOError);
   }
   EXPECT_FALSE(std::filesystem::exists(path));

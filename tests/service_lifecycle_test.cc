@@ -17,6 +17,7 @@
 #include "src/lake/snapshot.h"
 #include "src/metrics/similarity.h"
 #include "src/table/table_builder.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace gent {
 namespace {
@@ -248,7 +249,7 @@ TEST(ServiceLifecycleTest, ReloadInvalidatesCacheEpochForThatShardOnly) {
   DataLake other = MakePairedLake(dict, 2, 4);       // holds source 2, 3
   DataLake v2 = MakePairedLake(dict, 0, 1);          // drops source 1
   const std::string snap_v2 = TempPath("gent_reload_v2");
-  ASSERT_TRUE(SaveSnapshot(v2, snap_v2).ok());
+  ASSERT_TRUE(SaveV2(v2, snap_v2).ok());
 
   ServiceOptions options;
   options.dict = dict;
@@ -358,80 +359,102 @@ TEST(ServiceLifecycleTest, AppendBumpsGenerationAndInvalidatesOnlyThatShard) {
   EXPECT_GT(service.cache_stats().hits, post_append.hits);
 }
 
-// --- Routing policies --------------------------------------------------------
+// --- Fan-out routing --------------------------------------------------------
 
 TEST(ServiceLifecycleTest, StatsPrefilterMatchesFanOutAndPrunes) {
   auto dict = MakeDictionary();
   DataLake relevant = MakePairedLake(dict, 0, 3);
   // A shard with entirely disjoint content: zero value overlap with
-  // sources 0-2, so the prefilter must skip it.
+  // sources 0-2, so the fan-out prefilter must skip it.
   DataLake disjoint = MakePairedLake(dict, 50, 55);
 
   ServiceOptions options;
   options.dict = dict;
-  ReclaimService service(std::move(options));
+  ReclaimService service(options);
   ASSERT_TRUE(service.AddLakeView("relevant", relevant).ok());
   ASSERT_TRUE(service.AddLakeView("disjoint", disjoint).ok());
+  // The oracle: a service that never had the disjoint shard.
+  ReclaimService relevant_only(options);
+  ASSERT_TRUE(relevant_only.AddLakeView("relevant", relevant).ok());
 
-  ReclaimRequest fan_out;
-  fan_out.policy = RoutingPolicy::kFanOutAll;
+  ReclaimRequest fan_out;  // empty lake = fan out
   fan_out.bypass_cache = true;
-  ReclaimRequest prefilter;
-  prefilter.policy = RoutingPolicy::kStatsPrefilter;
-  prefilter.bypass_cache = true;
-
+  const GenT disjoint_gent(disjoint);
   for (size_t s = 0; s < 3; ++s) {
+    const std::string ctx = "source " + std::to_string(s);
     Table source = MakeSource(dict, s);
-    auto full = service.Reclaim(source, fan_out);
-    auto pruned = service.Reclaim(source, prefilter);
-    ExpectSameReclamation(pruned, full, "source " + std::to_string(s));
+    // The premise that makes pruning free: discovery on the disjoint
+    // shard alone yields no candidate, so an unpruned fan-out would
+    // merge nothing from it.
+    auto candidates = disjoint_gent.DiscoverCandidates(
+        source, DiscoveryConfig{}, OpLimits{});
+    ASSERT_TRUE(candidates.ok()) << ctx;
+    EXPECT_TRUE(candidates->empty()) << ctx;
+
+    auto pruned = service.Reclaim(source, fan_out);
+    ExpectSameReclamation(pruned, relevant_only.Reclaim(source, fan_out),
+                          ctx);
     ASSERT_TRUE(pruned.ok());
     EXPECT_DOUBLE_EQ(EisScore(source, pruned->reclaimed).value(), 1.0);
   }
   auto stats = service.routing_stats();
-  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.shards_pruned, 3u);  // "disjoint" skipped per request
-
-  // Policy/lake conflicts are rejected up front.
-  ReclaimRequest bad_named;
-  bad_named.policy = RoutingPolicy::kNamedShard;
-  EXPECT_EQ(service.Reclaim(MakeSource(dict, 0), bad_named).status().code(),
-            StatusCode::kInvalidArgument);
-  ReclaimRequest bad_fan;
-  bad_fan.policy = RoutingPolicy::kFanOutAll;
-  bad_fan.lake = "relevant";
-  EXPECT_EQ(service.Reclaim(MakeSource(dict, 0), bad_fan).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
-TEST(ServiceLifecycleTest, PrefilterSharesCacheEntriesWithFanOutWhenNoPrune) {
+TEST(ServiceLifecycleTest, PrunedFanOutSharesCacheEntriesWithNamedRoute) {
   auto dict = MakeDictionary();
   DataLake lake = MakePairedLake(dict, 0, 2);
+  DataLake disjoint = MakePairedLake(dict, 50, 55);
   ServiceOptions options;
   options.dict = dict;
   ReclaimService service(std::move(options));
   ASSERT_TRUE(service.AddLakeView("lake", lake).ok());
+  ASSERT_TRUE(service.AddLakeView("disjoint", disjoint).ok());
 
   Table source = MakeSource(dict, 0);
-  ReclaimRequest fan_out;  // kAuto with empty lake = fan-out-all
+  ReclaimRequest fan_out;  // empty lake = fan out
   (void)service.Reclaim(source, fan_out);
   EXPECT_EQ(service.cache_stats().misses, 1u);
+  EXPECT_EQ(service.routing_stats().shards_pruned, 1u);
 
-  // Every shard overlaps, so the prefilter selects the full set and its
-  // route tag coincides with the fan-out tag: warm hit, same entry.
-  ReclaimRequest prefilter;
-  prefilter.policy = RoutingPolicy::kStatsPrefilter;
-  (void)service.Reclaim(source, prefilter);
-  EXPECT_EQ(service.cache_stats().hits, 1u);
-  EXPECT_EQ(service.cache_stats().misses, 1u);
-
-  // On a one-shard registry a single-element fold IS the shard uid, so
-  // the named route shares the same entry too (identical results).
+  // The prefilter kept only "lake", and a single-element fold IS that
+  // shard's tag, so the named route shares the entry (identical
+  // results) — and so does the fan-out repeat.
   ReclaimRequest named;
   named.lake = "lake";
   (void)service.Reclaim(source, named);
+  (void)service.Reclaim(source, fan_out);
   EXPECT_EQ(service.cache_stats().hits, 2u);
   EXPECT_EQ(service.cache_stats().misses, 1u);
+}
+
+TEST(ServiceLifecycleTest, FanOutPruningEveryShardAnswersLikeANamedRoute) {
+  // No shard shares a value with the source, so the prefilter leaves no
+  // target and the pipeline runs with zero candidates. That must be the
+  // answer discovery gives on any of the shards by name: OK, empty.
+  auto dict = MakeDictionary();
+  DataLake first = MakePairedLake(dict, 50, 55);
+  DataLake second = MakePairedLake(dict, 60, 65);
+  ServiceOptions options;
+  options.dict = dict;
+  ReclaimService service(std::move(options));
+  ASSERT_TRUE(service.AddLakeView("first", first).ok());
+  ASSERT_TRUE(service.AddLakeView("second", second).ok());
+
+  Table source = MakeSource(dict, 0);
+  ReclaimRequest fan_out;  // empty lake = fan out
+  fan_out.bypass_cache = true;
+  auto pruned = service.Reclaim(source, fan_out);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_EQ(pruned->reclaimed.num_rows(), 0u);
+  EXPECT_TRUE(pruned->originating.empty());
+  EXPECT_EQ(service.routing_stats().shards_pruned, 2u);
+  for (const char* name : {"first", "second"}) {
+    ReclaimRequest named = fan_out;
+    named.lake = name;
+    ExpectSameReclamation(pruned, service.Reclaim(source, named), name);
+  }
 }
 
 TEST(ServiceLifecycleTest, PrefilterAndAsyncHitsEqualBypassOnEveryField) {
@@ -445,8 +468,7 @@ TEST(ServiceLifecycleTest, PrefilterAndAsyncHitsEqualBypassOnEveryField) {
   ASSERT_TRUE(service.AddLakeView("relevant", relevant).ok());
   ASSERT_TRUE(service.AddLakeView("disjoint", disjoint).ok());
 
-  ReclaimRequest prefilter;
-  prefilter.policy = RoutingPolicy::kStatsPrefilter;
+  ReclaimRequest prefilter;  // empty lake = fan out, "disjoint" pruned
   ReclaimRequest bypass = prefilter;
   bypass.bypass_cache = true;
   std::vector<Table> sources;

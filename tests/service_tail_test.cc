@@ -25,6 +25,7 @@
 #include "src/matrix/expand.h"
 #include "src/matrix/traversal.h"
 #include "src/table/table_builder.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace gent {
 namespace {
@@ -481,7 +482,7 @@ TEST(ServiceTailTest, ReloadFaultsLeaveRegistryAndServingUntouched) {
   // Fault 1: truncated snapshot (half the bytes of a valid one).
   const std::string valid = TempPath("tail_valid");
   const std::string truncated = TempPath("tail_truncated");
-  ASSERT_TRUE(SaveSnapshot(lake, valid).ok());
+  ASSERT_TRUE(SaveV2(lake, valid).ok());
   {
     std::ifstream in(valid, std::ios::binary);
     std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
@@ -536,10 +537,11 @@ TEST(ServiceTailTest, ReloadFaultsLeaveRegistryAndServingUntouched) {
 }
 
 TEST(ServiceTailTest, SaveSnapshotSurfacesWriteFailure) {
-  // Injected ENOSPC on the first write: SaveSnapshot must fail typed
+  // Injected ENOSPC on the first write: SaveSnapshotV2 must fail typed
   // and the commit protocol must leave no file at the destination.
   auto dict = MakeDictionary();
   DataLake lake = MakePairedLake(dict, 0, 2);
+  GenT gent(lake);
   const std::string path = TempPath("tail_enospc");
   {
     io::FaultInjector injector;
@@ -549,7 +551,8 @@ TEST(ServiceTailTest, SaveSnapshotSurfacesWriteFailure) {
     plan.error_code = ENOSPC;
     injector.Arm(plan);
     io::ScopedFaultInjector scope(&injector);
-    EXPECT_FALSE(SaveSnapshot(lake, path).ok());
+    EXPECT_FALSE(
+        SaveSnapshotV2(lake, gent.catalog().section_views(), path).ok());
   }
   EXPECT_FALSE(std::filesystem::exists(path));
 }
@@ -560,7 +563,7 @@ TEST(ServiceTailTest, CancelReloadServeHammer) {
   auto dict = MakeDictionary();
   DataLake lake = MakePairedLake(dict, 0, 4);
   const std::string snapshot = TempPath("tail_hammer");
-  ASSERT_TRUE(SaveSnapshot(lake, snapshot).ok());
+  ASSERT_TRUE(SaveV2(lake, snapshot).ok());
 
   ServiceOptions options;
   options.dict = dict;

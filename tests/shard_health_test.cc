@@ -118,8 +118,7 @@ class ShardHealthTest : public ::testing::Test {
   // reclamation and the beta-only one (what a fan-out must serve while
   // alpha is quarantined).
   void BuildReferences() {
-    ReclaimRequest fan;
-    fan.policy = RoutingPolicy::kFanOutAll;
+    ReclaimRequest fan;  // empty lake = fan out
     auto full = MakeService(ShardHealthOptions{})->Reclaim(source_, fan);
     ASSERT_TRUE(full.ok()) << full.status().ToString();
     ref_full_.emplace(std::move(*full));
@@ -220,8 +219,7 @@ TEST_F(ShardHealthTest, QuarantineRoutesAroundFaultedShard) {
 
   // The faulting request itself still serves the full, bit-identical
   // answer (the injected fault poisons health, not bytes) ...
-  ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
+  ReclaimRequest fan;  // empty lake = fan out
   auto first = service->Reclaim(source_, fan);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(Same(*first, *ref_full_));
@@ -242,17 +240,12 @@ TEST_F(ShardHealthTest, QuarantineRoutesAroundFaultedShard) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(service->routing_stats().unavailable_rejects, 1u);
 
-  // Fan-out (and prefilter fan-out) route around alpha and serve the
-  // beta-only reference bit-identically.
+  // Fan-out routes around alpha and serves the beta-only reference
+  // bit-identically.
   auto partial = service->Reclaim(source_, fan);
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(Same(*partial, *ref_beta_));
-  ReclaimRequest prefilter;
-  prefilter.policy = RoutingPolicy::kStatsPrefilter;
-  auto pruned = service->Reclaim(source_, prefilter);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_TRUE(Same(*pruned, *ref_beta_));
-  EXPECT_GE(service->routing_stats().shards_quarantine_skipped, 2u);
+  EXPECT_EQ(service->routing_stats().shards_quarantine_skipped, 1u);
 
   // The healthy shard still answers by name.
   named.lake = "beta";
@@ -268,8 +261,7 @@ TEST_F(ShardHealthTest, BackgroundRecoveryHealsWithNewUid) {
   auto service = MakeServiceWithFaultedAlpha(health);
   if (!service) GTEST_SKIP() << "mmap unavailable";
 
-  ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
+  ReclaimRequest fan;  // empty lake = fan out
   ASSERT_TRUE(service->Reclaim(source_, fan).ok());  // triggers quarantine
   const uint64_t old_uid = HealthOf(*service, "alpha").uid;
 
@@ -322,8 +314,7 @@ TEST_F(ShardHealthTest, DamagedCatalogTailSalvagesToDegraded) {
       << "a salvaged shard serves from RAM";
 
   // Backend parity: the rebuilt catalog answers bit-identically.
-  ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
+  ReclaimRequest fan;  // empty lake = fan out
   auto after = service->Reclaim(source_, fan);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(Same(*after, *ref_full_));
@@ -358,8 +349,7 @@ TEST_F(ShardHealthTest, RetryBudgetExhaustsAndStopsRescheduling) {
   EXPECT_EQ(exhausted.recovery_attempts, 2u);
 
   // The service keeps answering from the surviving shard.
-  ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
+  ReclaimRequest fan;  // empty lake = fan out
   auto partial = service->Reclaim(source_, fan);
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(Same(*partial, *ref_beta_));
@@ -387,8 +377,7 @@ TEST_F(ShardHealthTest, HammerFanOutDuringQuarantineHealCycles) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
-      ReclaimRequest fan;
-      fan.policy = RoutingPolicy::kFanOutAll;
+      ReclaimRequest fan;  // empty lake = fan out
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = service->Reclaim(source_, fan);
         if (!r.ok()) {

@@ -18,6 +18,7 @@
 #include "src/storage/catalog_pager.h"
 #include "src/storage/io.h"
 #include "src/table/table_builder.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace gent {
 namespace {
@@ -64,7 +65,7 @@ class SnapshotTest : public ::testing::Test {
 
 TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   DataLake lake = MakeLake();
-  ASSERT_TRUE(SaveSnapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
 
   DataLake loaded;
   ASSERT_TRUE(LoadSnapshot(loaded, Path("lake.snap")).ok());
@@ -87,7 +88,7 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
 
 TEST_F(SnapshotTest, LoadIntoNonEmptyLakeRemapsIds) {
   DataLake lake = MakeLake();
-  ASSERT_TRUE(SaveSnapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
 
   // Target lake already has values interned in a different order, so
   // the saved ids cannot be reused verbatim — remap must kick in.
@@ -112,7 +113,7 @@ TEST_F(SnapshotTest, RoundTripTpchScale) {
   for (Table& t : GenerateTpch(lake.dict(), TpchConfig{.scale = 0.5})) {
     ASSERT_TRUE(lake.AddTable(std::move(t)).ok());
   }
-  ASSERT_TRUE(SaveSnapshot(lake, Path("tpch.snap")).ok());
+  ASSERT_TRUE(SaveV2(lake, Path("tpch.snap")).ok());
   DataLake loaded;
   SnapshotLoadInfo info;
   ASSERT_TRUE(LoadSnapshot(loaded, Path("tpch.snap"), &info).ok());
@@ -283,7 +284,7 @@ TEST_F(SnapshotTest, BadMagicRejected) {
 
 TEST_F(SnapshotTest, TruncationAtEveryPrefixFailsCleanly) {
   DataLake lake = MakeLake();
-  ASSERT_TRUE(SaveSnapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(WriteV1Snapshot(lake, Path("lake.snap")).ok());
   std::ifstream in(Path("lake.snap"), std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
@@ -305,7 +306,7 @@ TEST_F(SnapshotTest, TruncationAtEveryPrefixFailsCleanly) {
 
 TEST_F(SnapshotTest, FutureVersionRejected) {
   DataLake lake = MakeLake();
-  ASSERT_TRUE(SaveSnapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(WriteV1Snapshot(lake, Path("lake.snap")).ok());
   // Bump the version field (bytes 8..11) to 99.
   std::fstream f(Path("lake.snap"),
                  std::ios::binary | std::ios::in | std::ios::out);
@@ -321,7 +322,7 @@ TEST_F(SnapshotTest, FutureVersionRejected) {
 
 TEST_F(SnapshotTest, NameCollisionRejected) {
   DataLake lake = MakeLake();
-  ASSERT_TRUE(SaveSnapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
   DataLake target;
   (void)target.AddTable(TableBuilder(target.dict(), "people")
                             .Columns({"x"})
@@ -334,24 +335,15 @@ TEST_F(SnapshotTest, NameCollisionRejected) {
 TEST_F(SnapshotTest, LabeledNullsRefuseToSerialize) {
   DataLake lake = MakeLake();
   (void)lake.dict()->CreateLabeledNull();
-  Status s = SaveSnapshot(lake, Path("lake.snap"));
+  Status s = SaveV2(lake, Path("lake.snap"));
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 // --- Snapshot v2 (catalog-carrying, src/storage) -----------------------------
 
-// Saves `lake` as a v2 snapshot, building the catalog the same way the
-// engine does.
-std::string SaveV2(const DataLake& lake, const std::string& path) {
-  GenT gent(lake);
-  Status s = SaveSnapshotV2(lake, gent.catalog().section_views(), path);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  return path;
-}
-
 TEST_F(SnapshotTest, V2RoundTripLoadsTablesAndReportsIdentity) {
   DataLake lake = MakeLake();
-  SaveV2(lake, Path("lake.snap2"));
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap2")).ok());
   DataLake loaded;
   SnapshotLoadInfo info;
   ASSERT_TRUE(LoadSnapshot(loaded, Path("lake.snap2"), &info).ok());
@@ -375,7 +367,7 @@ TEST_F(SnapshotTest, V2RoundTripLoadsTablesAndReportsIdentity) {
 
 TEST_F(SnapshotTest, V2LoadIntoPreInternedDictClearsIdentityFlag) {
   DataLake lake = MakeLake();
-  SaveV2(lake, Path("lake.snap2"));
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap2")).ok());
   DataLake target;
   // Interning anything first shifts ids, so the remap cannot be the
   // identity and a mapped open would be wrong — the flag must say so.
@@ -391,7 +383,7 @@ TEST_F(SnapshotTest, V2LoadIntoPreInternedDictClearsIdentityFlag) {
 
 TEST_F(SnapshotTest, DeltaRunDictionaryLoadsThroughBulkPath) {
   DataLake lake = MakeLake();
-  SaveV2(lake, Path("delta.snap2"));
+  ASSERT_TRUE(SaveV2(lake, Path("delta.snap2")).ok());
   // The run repeats base values ("smith", "3.1"), adds new ones, and
   // spells a base numeric non-canonically.
   const size_t first = lake.size();
@@ -448,7 +440,7 @@ TEST_F(SnapshotTest, DeltaRunDictionaryLoadsThroughBulkPath) {
 
 TEST_F(SnapshotTest, V2TruncationFailsCleanlyAtStrategicCuts) {
   DataLake lake = MakeLake();
-  SaveV2(lake, Path("lake.snap2"));
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap2")).ok());
   std::ifstream in(Path("lake.snap2"), std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
@@ -482,7 +474,7 @@ TEST_F(SnapshotTest, V2TruncationFailsCleanlyAtStrategicCuts) {
 
 TEST_F(SnapshotTest, V2CorruptedSectionChecksumRejected) {
   DataLake lake = MakeLake();
-  SaveV2(lake, Path("lake.snap2"));
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap2")).ok());
   const auto n = std::filesystem::file_size(Path("lake.snap2"));
   // Flip a byte inside the catalog region (after the first block, well
   // clear of the footer).
@@ -505,16 +497,51 @@ TEST_F(SnapshotTest, V2CorruptedSectionChecksumRejected) {
 
 TEST_F(SnapshotTest, V1FileRefusesMappedOpen) {
   DataLake lake = MakeLake();
-  ASSERT_TRUE(SaveSnapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(WriteV1Snapshot(lake, Path("lake.snap")).ok());
   // A v1 snapshot has no catalog tail; treating it as v2 must be a
   // typed refusal, not garbage views.
   auto mapped = storage::MappedCatalog::Open(Path("lake.snap"), {});
   EXPECT_FALSE(mapped.ok());
 }
 
+TEST_F(SnapshotTest, V1FixtureLoadsAsTheSameLake) {
+  // v1 files written by earlier builds stay supported input: the
+  // fixture loads as version 1, verifies, and yields exactly the lake
+  // the v2 file of the same tables yields.
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(WriteV1Snapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap2")).ok());
+  EXPECT_TRUE(VerifySnapshotIntegrity(Path("lake.snap")).ok());
+  DataLake from_v1;
+  DataLake from_v2;
+  SnapshotLoadInfo v1_info;
+  SnapshotLoadInfo v2_info;
+  ASSERT_TRUE(LoadSnapshot(from_v1, Path("lake.snap"), &v1_info).ok());
+  ASSERT_TRUE(LoadSnapshot(from_v2, Path("lake.snap2"), &v2_info).ok());
+  EXPECT_EQ(v1_info.version, 1u);
+  EXPECT_EQ(v2_info.version, 2u);
+  EXPECT_TRUE(v1_info.identity_remap);
+  ASSERT_EQ(from_v1.dict()->size(), from_v2.dict()->size());
+  for (ValueId id = 0; id < from_v2.dict()->size(); ++id) {
+    EXPECT_EQ(from_v1.dict()->StringOf(id), from_v2.dict()->StringOf(id));
+  }
+  ASSERT_EQ(from_v1.size(), from_v2.size());
+  for (size_t i = 0; i < from_v2.size(); ++i) {
+    const Table& a = from_v1.table(i);
+    const Table& b = from_v2.table(i);
+    EXPECT_EQ(a.name(), b.name());
+    EXPECT_EQ(a.column_names(), b.column_names());
+    EXPECT_EQ(a.key_columns(), b.key_columns());
+    ASSERT_EQ(a.num_rows(), b.num_rows());
+    for (size_t c = 0; c < a.num_cols(); ++c) {
+      EXPECT_EQ(a.column(c), b.column(c)) << a.name() << " column " << c;
+    }
+  }
+}
+
 TEST_F(SnapshotTest, V2FutureVersionRejected) {
   DataLake lake = MakeLake();
-  SaveV2(lake, Path("lake.snap2"));
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap2")).ok());
   std::fstream f(Path("lake.snap2"),
                  std::ios::binary | std::ios::in | std::ios::out);
   f.seekp(8);
@@ -531,8 +558,8 @@ TEST_F(SnapshotTest, CollisionLeavesTargetCompletelyUntouched) {
   // All-or-nothing: a collision on ANY snapshot table must register
   // NONE of them, for both formats.
   DataLake lake = MakeLake();
-  ASSERT_TRUE(SaveSnapshot(lake, Path("lake.snap")).ok());
-  SaveV2(lake, Path("lake.snap2"));
+  ASSERT_TRUE(WriteV1Snapshot(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap2")).ok());
   for (const char* snap : {"lake.snap", "lake.snap2"}) {
     DataLake target;
     // Collides with "weird" — the LAST table in the snapshot, so a

@@ -25,6 +25,7 @@
 #include "src/storage/io.h"
 #include "src/storage/paged_file.h"
 #include "src/table/table_builder.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace gent {
 namespace {
@@ -120,6 +121,8 @@ TEST_F(StorageFaultTest, InjectorCountsTriggersAndCrashSticks) {
 
 TEST_F(StorageFaultTest, InjectedErrnoLeavesNoDestinationAndNoTemp) {
   DataLake lake = MakeLake("m");
+  GenT gent(lake);
+  const auto views = gent.catalog().section_views();
   const std::string path = Path("fresh.snap");
   // Fail each op class the commit path exercises, one save per class.
   const io::Op ops[] = {io::Op::kOpen, io::Op::kWrite, io::Op::kFlush,
@@ -133,7 +136,7 @@ TEST_F(StorageFaultTest, InjectedErrnoLeavesNoDestinationAndNoTemp) {
     injector.Arm(plan);
     {
       io::ScopedFaultInjector scope(&injector);
-      Status s = SaveSnapshot(lake, path);
+      Status s = SaveSnapshotV2(lake, views, path);
       // A kSync fault can land on SyncParentDir — after the rename — in
       // which case the commit happened; status is still an error.
       EXPECT_FALSE(s.ok()) << "op " << static_cast<int>(op);
@@ -153,6 +156,7 @@ TEST_F(StorageFaultTest, InjectedErrnoLeavesNoDestinationAndNoTemp) {
 
 TEST_F(StorageFaultTest, ShortWriteNeverReachesDestination) {
   DataLake lake = MakeLake("m");
+  GenT gent(lake);
   const std::string path = Path("short.snap");
   io::FaultInjector injector;
   io::FaultPlan plan;
@@ -162,7 +166,9 @@ TEST_F(StorageFaultTest, ShortWriteNeverReachesDestination) {
   injector.Arm(plan);
   {
     io::ScopedFaultInjector scope(&injector);
-    EXPECT_EQ(SaveSnapshot(lake, path).code(), StatusCode::kIOError);
+    EXPECT_EQ(
+        SaveSnapshotV2(lake, gent.catalog().section_views(), path).code(),
+        StatusCode::kIOError);
   }
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(TempName(path)));
@@ -172,9 +178,10 @@ TEST_F(StorageFaultTest, FailedOverwriteKeepsOldSnapshotLoadable) {
   // The destination already holds a good snapshot; a failed re-save
   // must leave it byte-for-byte serviceable.
   const std::string path = Path("overwrite.snap");
-  ASSERT_TRUE(SaveSnapshot(MakeLake("old"), path).ok());
+  ASSERT_TRUE(SaveV2(MakeLake("old"), path).ok());
 
   DataLake next = MakeLake("new");
+  GenT next_gent(next);
   io::FaultInjector injector;
   io::FaultPlan plan;
   plan.op_mask = io::OpBit(io::Op::kWrite);
@@ -184,7 +191,8 @@ TEST_F(StorageFaultTest, FailedOverwriteKeepsOldSnapshotLoadable) {
   injector.Arm(plan);
   {
     io::ScopedFaultInjector scope(&injector);
-    EXPECT_FALSE(SaveSnapshot(next, path).ok());
+    EXPECT_FALSE(
+        SaveSnapshotV2(next, next_gent.catalog().section_views(), path).ok());
   }
   EXPECT_EQ(MarkerOf(path), "old");
   EXPECT_TRUE(VerifySnapshotIntegrity(path).ok());
@@ -491,7 +499,7 @@ TEST_F(StorageFaultTest, CompactionCrashPointMatrixLeavesOldOrNew) {
 
 TEST_F(StorageFaultTest, InjectedReadErrorSurfacesAsTypedIOError) {
   const std::string path = Path("readerr.snap");
-  ASSERT_TRUE(SaveSnapshot(MakeLake("m"), path).ok());
+  ASSERT_TRUE(SaveV2(MakeLake("m"), path).ok());
 
   io::FaultInjector injector;
   io::FaultPlan plan;
@@ -558,7 +566,7 @@ TEST_F(StorageFaultTest, VerifyIntegrityDetectsBitFlips) {
   // v1 (no checksums): verification is a full structural parse; a
   // truncation must fail it.
   const std::string v1 = Path("verify_v1.snap");
-  ASSERT_TRUE(SaveSnapshot(lake, v1).ok());
+  ASSERT_TRUE(WriteV1Snapshot(lake, v1).ok());
   ASSERT_TRUE(VerifySnapshotIntegrity(v1).ok());
   std::filesystem::resize_file(v1, std::filesystem::file_size(v1) - 5);
   EXPECT_FALSE(VerifySnapshotIntegrity(v1).ok());

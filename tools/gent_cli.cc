@@ -147,7 +147,7 @@ int Usage() {
       "  gent diagnose  --source S.csv --keys k1,k2 --reclaimed R.csv\n"
       "  gent compare   --source S.csv --target T.csv [--exact]\n"
       "  gent benchgen  --out DIR [--scale N] [--sources N] [--seed N]\n"
-      "  gent snapshot  --lake DIR --out FILE [--v2] | --from FILE "
+      "  gent snapshot  --lake DIR --out FILE | --from FILE "
       "--out DIR\n"
       "                 | --append DIR --out FILE   (delta run, in place)\n");
   return 2;
@@ -417,7 +417,7 @@ int CmdCompare(const Flags& flags) {
 }
 
 int CmdSnapshot(const Flags& flags) {
-  if (!flags.Expect({"lake", "from", "out", "v2", "append"}) ||
+  if (!flags.Expect({"lake", "from", "out", "append"}) ||
       !flags.Has("out") ||
       (flags.Has("lake") + flags.Has("from") + flags.Has("append")) != 1) {
     return Usage();
@@ -448,28 +448,23 @@ int CmdSnapshot(const Flags& flags) {
     return 0;
   }
   if (flags.Has("lake")) {
-    // CSV directory (or .snap) → snapshot file.
+    // CSV directory (or .snap) → v2 snapshot file, with the built
+    // catalog embedded so services open it without a rebuild.
     DataLake lake;
     if (Status s = LoadLake(lake, flags.Get("lake")); !s.ok()) {
       std::fprintf(stderr, "loading lake: %s\n", s.ToString().c_str());
       return 1;
     }
-    if (flags.Has("v2")) {
-      // v2: embed the built catalog so services open without rebuild.
-      GenT gent(lake);
-      if (Status s = SaveSnapshotV2(lake, gent.catalog().section_views(),
-                                    flags.Get("out"));
-          !s.ok()) {
-        std::fprintf(stderr, "saving snapshot: %s\n", s.ToString().c_str());
-        return 1;
-      }
-    } else if (Status s = SaveSnapshot(lake, flags.Get("out")); !s.ok()) {
+    GenT gent(lake);
+    if (Status s = SaveSnapshotV2(lake, gent.catalog().section_views(),
+                                  flags.Get("out"));
+        !s.ok()) {
       std::fprintf(stderr, "saving snapshot: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("snapshot of %zu tables written to %s%s\n", lake.size(),
-                flags.Get("out").c_str(),
-                flags.Has("v2") ? " (v2, catalog embedded)" : "");
+    std::printf("snapshot of %zu tables written to %s (v2, catalog "
+                "embedded)\n",
+                lake.size(), flags.Get("out").c_str());
     return 0;
   }
   // Snapshot file → CSV directory.
