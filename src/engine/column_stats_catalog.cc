@@ -8,21 +8,44 @@
 
 namespace gent {
 
-std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c) {
+std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c,
+                                          const std::vector<uint32_t>* rows) {
   const std::vector<ValueId>& col = t.column(c);
-  std::vector<ValueId> vals;
-  const size_t universe = t.dict()->size();  // ids always index the dict
-  if (col.size() >= 4096 && col.size() * 16 >= universe) {
-    // Dense column (e.g. a joined intermediate's 200k-row key column):
-    // mark ids in a bitmap and scan it — O(rows + universe/64), and the
-    // scan emits ascending order directly, replacing the O(n log n)
-    // sort that dominated set rebuilds during expansion. The dispatched
-    // popcount kernel sizes the output exactly, so the emit loop never
-    // reallocates.
-    std::vector<uint64_t> bits((universe + 63) / 64, 0);
-    for (ValueId v : col) {
-      if (v != kNull) bits[v >> 6] |= uint64_t{1} << (v & 63);
+  // Every cell, or only the cells of `rows`: both branches below scan
+  // the same sequence, so a subset is one more loop shape, not a second
+  // dedup.
+  auto for_each_cell = [&](auto&& fn) {
+    if (rows == nullptr) {
+      for (ValueId v : col) fn(v);
+    } else {
+      for (uint32_t r : *rows) fn(col[r]);
     }
+  };
+  const size_t cells = rows == nullptr ? col.size() : rows->size();
+  // The id range of the non-null cells, in one pass: kNull is 0, so it
+  // never raises `hi`, and `v - 1` wraps it above every real id.
+  ValueId lo_minus_1 = ~ValueId{0}, hi = kNull;
+  for_each_cell([&](ValueId v) {
+    lo_minus_1 = std::min<ValueId>(lo_minus_1, v - 1);
+    hi = std::max(hi, v);
+  });
+  if (hi == kNull) return {};  // no cells, or only nulls
+  const ValueId lo = lo_minus_1 + 1;
+  const size_t range = static_cast<size_t>(hi - lo) + 1;
+  std::vector<ValueId> vals;
+  if (range <= 64 * cells) {
+    // Dense range (at most one bitmap word per cell — usual, because a
+    // table's values are interned together and so get nearby ids): mark
+    // ids in a bitmap over [lo, hi] and scan it — O(cells + range/64),
+    // and the scan emits ascending order directly, with no hashing and
+    // no sort. The dispatched popcount kernel sizes the output exactly,
+    // so the emit loop never reallocates.
+    std::vector<uint64_t> bits((range + 63) / 64, 0);
+    for_each_cell([&](ValueId v) {
+      if (v == kNull) return;
+      const ValueId d = v - lo;
+      bits[d >> 6] |= uint64_t{1} << (d & 63);
+    });
     vals.reserve(
         static_cast<size_t>(simd::PopcountWords(bits.data(), bits.size())));
     for (size_t w = 0; w < bits.size(); ++w) {
@@ -30,20 +53,20 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c) {
       while (word != 0) {
         unsigned b = static_cast<unsigned>(CountTrailingZeros64(word));
         word &= word - 1;
-        vals.push_back(static_cast<ValueId>((w << 6) | b));
+        vals.push_back(lo + static_cast<ValueId>((w << 6) | b));
       }
     }
   } else {
-    // Sparse column (a lake column, or a ~1k-row joined intermediate
-    // whose cells repeat a few hundred ids): deduplicate through a flat
+    // Sparse range (ids scattered over the dictionary, e.g. a column
+    // mixing values interned by many tables): deduplicate through a flat
     // ~1/2-load set first, then sort only the distinct ids. kNull marks
     // an empty slot; nulls never enter the set anyway.
     size_t cap = 16;
-    while (cap < 2 * col.size()) cap <<= 1;
+    while (cap < 2 * cells) cap <<= 1;
     const uint64_t mask = cap - 1;
     std::vector<ValueId> slots(cap, kNull);
-    for (ValueId v : col) {
-      if (v == kNull) continue;
+    for_each_cell([&](ValueId v) {
+      if (v == kNull) return;
       uint64_t slot = SplitMix64(v) & mask;
       while (slots[slot] != kNull && slots[slot] != v) {
         slot = (slot + 1) & mask;
@@ -52,7 +75,7 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c) {
         slots[slot] = v;
         vals.push_back(v);
       }
-    }
+    });
     std::sort(vals.begin(), vals.end());
   }
   // Labeled nulls are filtered after dedup: one lock acquisition over

@@ -309,8 +309,15 @@ class ColumnStatsCatalog {
 
 /// Sorted distinct values of column `c` of `t`, excluding kNull and
 /// labeled nulls (a lake of integration outputs would otherwise carry
-/// pathological posting lists of label values).
-std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c);
+/// pathological posting lists of label values). With `rows`, only those
+/// rows' cells are read: the result equals SortedDistinctValues of the
+/// sub-table that keeps exactly those rows. `rows` should be ascending
+/// (for locality; any order gives the same result) and in range.
+/// Cells whose non-null ids span at most 64 ids per cell are marked in
+/// a bitmap over that span (no hashing, no sort); wider spans go
+/// through a flat hash set and sort only the distinct ids.
+std::vector<ValueId> SortedDistinctValues(
+    const Table& t, size_t c, const std::vector<uint32_t>* rows = nullptr);
 
 /// Sorted distinct non-null values across ALL columns of `query` — the
 /// whole-table query set. This is the one construction shared by the

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -33,11 +34,15 @@ struct JoinPair {
 };
 
 // Distinct value sets per column as sorted, deduplicated id vectors.
-// Views either borrow the shared catalog's immutable sets (untouched
-// lake candidates: zero recomputation, zero copies) or point into
-// `owned` (ad-hoc candidates and joined intermediates: one
-// SortedDistinctValues build per column). Move-safe: moving the outer vectors
-// keeps the inner heap buffers, so views survive container moves.
+// Views either borrow sets that already exist or point into `owned`.
+// Borrowed: the shared catalog's immutable sets (untouched lake
+// candidates: zero recomputation, zero copies), and, for an
+// intermediate hop's join output, its input's sets when every row of
+// that input matched (DeriveHopSets). Owned: one SortedDistinctValues
+// build per column of an ad-hoc candidate or a sibling-absorbing family
+// union, or per partially matched output column over its input's
+// matched rows. Move-safe: moving the outer vectors keeps the inner
+// heap buffers, so views survive container moves.
 struct ColumnSets {
   std::vector<std::vector<ValueId>> owned;
   std::vector<ValueSpan> views;
@@ -197,6 +202,27 @@ struct HopColumn {
   std::string name;
 };
 
+// The rows of each HopJoin input that reach its output (matched at least
+// once), ascending.
+struct HopMatches {
+  std::vector<uint32_t> left;
+  std::vector<uint32_t> right;
+};
+
+// How an intermediate hop's column sets were obtained, in output
+// columns (ExpandResult reports the sums).
+struct HopSetCounts {
+  size_t hops = 0;
+  size_t borrowed = 0;
+  size_t deduped = 0;
+  HopSetCounts& operator+=(const HopSetCounts& o) {
+    hops += o.hops;
+    borrowed += o.borrowed;
+    deduped += o.deduped;
+    return *this;
+  }
+};
+
 // Inner join of the hop table `l` with the path so far `r` on
 // l[left_col] = r[right_col] (the names resolved by ResolveHopNames),
 // emitting the columns `out`.
@@ -218,6 +244,10 @@ struct HopColumn {
 // is kept, distinct pairs of first-occurrence rows yield distinct tuples
 // and no output deduplication is needed; otherwise one Distinct runs.
 //
+// Without `distinct`, `matches` (when non-null) receives the rows of
+// each side that the join emitted, for DeriveHopSets; with `distinct`
+// it is ignored (the fused hop's sets are never read).
+//
 // The row cap trips exactly where NaturalJoin's would: before each left
 // row the budget is checked against the rows the full join would have
 // emitted so far (the right side's per-key multiplicities summed over
@@ -226,7 +256,9 @@ struct HopColumn {
 std::optional<Table> HopJoin(const Table& l, const Table& r, size_t left_col,
                              size_t right_col,
                              const std::vector<HopColumn>& out,
-                             bool distinct, const OpLimits& limits) {
+                             bool distinct, const OpLimits& limits,
+                             HopMatches* matches = nullptr) {
+  if (distinct) matches = nullptr;
   const ValueId* lkey = l.column(left_col).data();
   const ValueId* rkey = r.column(right_col).data();
   const JoinKeyTable all({rkey}, r.num_rows());
@@ -254,6 +286,9 @@ std::optional<Table> HopJoin(const Table& l, const Table& r, size_t left_col,
   }
 
   std::vector<uint32_t> lrows, rrows;
+  // A key's right rows are all marked together, so its first row tells
+  // whether the group is already marked.
+  std::vector<char> rmatched(matches != nullptr ? r.num_rows() : 0, 0);
   uint64_t full_rows = 0;
   for (size_t lr = 0; lr < l.num_rows(); ++lr) {
     if (!limits.Check(full_rows).ok()) return std::nullopt;
@@ -265,12 +300,23 @@ std::optional<Table> HopJoin(const Table& l, const Table& r, size_t left_col,
       if (!lfirst[lr]) continue;
       std::tie(rows, count) = rfirst->Find(&v);
     }
+    if (matches != nullptr && count > 0) {
+      matches->left.push_back(static_cast<uint32_t>(lr));
+      if (!rmatched[rows[0]]) {
+        for (size_t k = 0; k < count; ++k) rmatched[rows[k]] = 1;
+      }
+    }
     for (size_t k = 0; k < count; ++k) {
       lrows.push_back(static_cast<uint32_t>(lr));
       rrows.push_back(rows[k]);
     }
   }
   if (full_rows == 0) return std::nullopt;
+  if (matches != nullptr) {
+    for (size_t rr = 0; rr < rmatched.size(); ++rr) {
+      if (rmatched[rr]) matches->right.push_back(static_cast<uint32_t>(rr));
+    }
+  }
 
   // Column-major gather of only the emitted columns.
   Table joined("", l.dict());
@@ -286,6 +332,42 @@ std::optional<Table> HopJoin(const Table& l, const Table& r, size_t left_col,
   }
   if (distinct && !join_col_kept) joined = Distinct(joined);
   return joined;
+}
+
+// The column sets of an intermediate hop's join output, derived from its
+// inputs instead of rebuilt from its cells. Output column k copies input
+// column c of one side over that side's matched rows: every matched row
+// appears in the output at least once and no other row does, so the
+// output column's distinct set is exactly the distinct set of c over
+// the matched rows. When every row of a side matched, that is the
+// side's own set and is borrowed (`left_all` / `right_all`, null when
+// unknown or when not every row matched); otherwise it is deduplicated
+// over the matched rows, O(input rows) instead of O(output rows). The
+// borrowed views point into the input sets, which must outlive the
+// result.
+ColumnSets DeriveHopSets(const std::vector<HopColumn>& out, const Table& l,
+                         const Table& r, const HopMatches& matches,
+                         const ColumnSets* left_all,
+                         const ColumnSets* right_all, HopSetCounts* counts) {
+  ColumnSets s;
+  s.owned.reserve(out.size());
+  s.views.reserve(out.size());
+  for (const HopColumn& h : out) {
+    const ColumnSets* all = h.left ? left_all : right_all;
+    if (all != nullptr) {
+      s.views.push_back(all->col(h.col));
+      ++counts->borrowed;
+      continue;
+    }
+    const Table& t = h.left ? l : r;
+    const std::vector<uint32_t>& rows = h.left ? matches.left : matches.right;
+    s.owned.push_back(SortedDistinctValues(
+        t, h.col, rows.size() == t.num_rows() ? nullptr : &rows));
+    s.views.push_back(ValueSpan(s.owned.back()));
+    ++counts->deduped;
+  }
+  ++counts->hops;
+  return s;
 }
 
 }  // namespace
@@ -361,20 +443,12 @@ Result<ExpandResult> Expand(const Table& source,
     }
   }
 
-  // Hop-family unions, once per candidate: the inner-union of a hop
-  // table with its same-schema siblings depends only on the hop (an
-  // ascending fold; InnerUnion rejects every other schema), so
-  // expansion paths share one precomputed copy instead of refolding the
-  // family per (start, hop) pair. The lone exception — the start
-  // candidate itself belongs to the hop's family and must be excluded —
-  // refolds in build_expansion. Only potentially reachable hops get a
-  // union: paths need a keyless start AND a key-covering end to exist
-  // at all, and an edgeless candidate appears on no path.
-  bool any_keyless = false, any_covers = false;
-  for (const Candidate& c : candidates) {
-    any_keyless |= !c.covers_key;
-    any_covers |= c.covers_key;
-  }
+  // Hop-family unions: the inner-union of a hop table with its
+  // same-schema siblings depends only on the hop (an ascending fold;
+  // InnerUnion rejects every other schema), so expansion paths share one
+  // copy instead of refolding the family per (start, hop) pair. The lone
+  // exception — the start candidate itself belongs to the hop's family
+  // and must be excluded — refolds in build_expansion.
   // The ascending inner-union fold of hop `h`'s family, skipping `skip`.
   auto fold_family = [&](size_t h, size_t skip) {
     Table t = candidates[h].table.Clone();
@@ -385,13 +459,32 @@ Result<ExpandResult> Expand(const Table& source,
     }
     return t;
   };
-  std::vector<std::optional<Table>> family_union(n);
-  if (any_keyless && any_covers) {
-    ParallelFor(pool.get(), n, [&](size_t i) {
-      if (!adj[i].empty()) family_union[i] = fold_family(i, SIZE_MAX);
-    });
-    GENT_RETURN_IF_ERROR(limits.Interrupted());
-  }
+  // Per hop, its family union and the union's column sets (for a fully
+  // matched hop side, DeriveHopSets), each built at most once per Expand
+  // on first use by any path, so hops no path reaches cost nothing.
+  // call_once: each is a function of the hop alone, so which thread
+  // builds it never changes it. A union that added no rows is a clone of
+  // the candidate and shares the candidate's sets.
+  struct Family {
+    std::once_flag union_once;
+    std::optional<Table> union_table;
+    std::once_flag sets_once;
+    ColumnSets sets;
+  };
+  std::vector<Family> families(n);
+  auto family_union = [&](size_t h) -> const Table& {
+    Family& f = families[h];
+    std::call_once(f.union_once,
+                   [&] { f.union_table = fold_family(h, SIZE_MAX); });
+    return *f.union_table;
+  };
+  auto union_sets = [&](size_t h) -> const ColumnSets* {
+    Family& f = families[h];
+    const Table& u = family_union(h);
+    if (u.num_rows() == candidates[h].table.num_rows()) return &sets[h];
+    std::call_once(f.sets_once, [&] { f.sets = SetsFromTable(u); });
+    return &f.sets;
+  };
 
   if (debug) {
     for (size_t i = 0; i < n; ++i) {
@@ -447,24 +540,33 @@ Result<ExpandResult> Expand(const Table& source,
   // every path's mapping verification (the source is fixed for the whole
   // expansion). Paths exist only with a keyless start and a key-covering
   // end, so the index is built only then.
+  bool any_keyless = false, any_covers = false;
+  for (const Candidate& c : candidates) {
+    any_keyless |= !c.covers_key;
+    any_covers |= c.covers_key;
+  }
   const JoinKeyTable source_keys = SourceKeyTable(source);
   const KeyIndex source_key_index =
       any_keyless && any_covers ? source.BuildKeyIndex() : KeyIndex{};
 
   // Materializes one expansion along `path`; nullopt = unusable.
   // `preserve` is the start candidate's column-name set (see
-  // ResolveHopNames). Intermediate hops materialize the whole join: its
-  // column sets (built from its cells — intermediates are not lake tables)
-  // feed the next hop's pair search. The last hop is fused with the
+  // ResolveHopNames). Intermediate hops materialize the whole join, and
+  // its column sets feed the next hop's pair search. They are derived
+  // from the join's two inputs and the rows that matched (DeriveHopSets),
+  // never rebuilt from the join's cells. The last hop is fused with the
   // projection to the start candidate's columns plus the source key and
   // the Distinct over them (HopJoin), so it never materializes the join.
   auto build_expansion = [&](size_t ci, const std::vector<size_t>& path,
-                             const std::unordered_set<std::string>& preserve)
-      -> std::optional<Table> {
+                             const std::unordered_set<std::string>& preserve,
+                             HopSetCounts* counts) -> std::optional<Table> {
     const Candidate& cand = candidates[ci];
     const Table* joined = &candidates[path[0]].table;
     std::optional<Table> materialized;
-    ColumnSets local_sets;
+    // One entry per intermediate hop, alive for the whole path: a hop's
+    // sets may borrow views from the previous hop's.
+    std::vector<ColumnSets> hop_sets;
+    hop_sets.reserve(path.size());
     const ColumnSets* joined_sets = &sets[path[0]];
     for (size_t p = 1; p < path.size(); ++p) {
       // Per-hop checkpoint. An interrupted hop drops the path like any
@@ -481,12 +583,12 @@ Result<ExpandResult> Expand(const Table& source,
       // single lake table may be missing join-key values (nulls) that a
       // sibling variant supplies. The start candidate's own rows never
       // join back into its expansion, so it is excluded from the family
-      // — when it isn't part of it anyway, the precomputed union serves.
+      // — when it isn't part of it anyway, the shared union serves.
       std::optional<Table> refolded;
       if (sorted_schemas[ci] == sorted_schemas[next]) {
         refolded = fold_family(next, ci);
       }
-      const Table& hop = refolded ? *refolded : *family_union[next];
+      const Table& hop = refolded ? *refolded : family_union(next);
       if (debug) {
         fprintf(stderr, "[hop] %s: %s ~ %s (w=%.2f)\n",
                 cand.table.name().c_str(),
@@ -539,15 +641,27 @@ Result<ExpandResult> Expand(const Table& source,
         }
         out = std::move(kept);
       }
+      HopMatches matches;
       auto j = HopJoin(hop, *joined, pair->b_col, pair->a_col, out,
-                       /*distinct=*/last, join_limits);
+                       /*distinct=*/last, join_limits, &matches);
       if (!j.has_value()) return std::nullopt;
+      if (!last) {
+        // A refolded family has no prebuilt sets, so its side always
+        // dedups over its matched rows.
+        const ColumnSets* left_all =
+            !refolded && matches.left.size() == hop.num_rows()
+                ? union_sets(next)
+                : nullptr;
+        const ColumnSets* right_all =
+            matches.right.size() == joined->num_rows() ? joined_sets : nullptr;
+        hop_sets.push_back(DeriveHopSets(out, hop, *joined, matches, left_all,
+                                         right_all, counts));
+        joined_sets = &hop_sets.back();
+      }
+      // Replacing `materialized` frees the previous intermediate, which
+      // the derivation above reads, so it runs first.
       materialized = std::move(j);
       joined = &*materialized;
-      if (!last) {
-        local_sets = SetsFromTable(*joined);
-        joined_sets = &local_sets;
-      }
     }
     // Paths always hold a start and an end (best_path never returns the
     // start alone).
@@ -603,13 +717,15 @@ Result<ExpandResult> Expand(const Table& source,
 
   // Expands one candidate end to end: path enumeration, materialization,
   // and simulated-EIS scoring. Reads only immutable per-run state
-  // (candidates, sets, adj, family unions, key lookup) and the shared
-  // dictionary (never appended to by join/union/project), so candidates
-  // expand concurrently with bit-identical outcomes.
+  // (candidates, sets, adj, key lookup), family unions and their sets
+  // (each built once, under call_once, as a function of its hop alone)
+  // and the shared dictionary (never appended to by join/union/project),
+  // so candidates expand concurrently with bit-identical outcomes.
   struct Slot {
     std::optional<Table> table;
     bool expanded = false;
     bool dropped = false;
+    HopSetCounts hop_counts;
   };
   std::vector<Slot> slots(n);
   ParallelFor(pool.get(), n, [&](size_t i) {
@@ -676,7 +792,7 @@ Result<ExpandResult> Expand(const Table& source,
         }
         fprintf(stderr, "\n");
       }
-      auto expansion = build_expansion(i, path, preserve);
+      auto expansion = build_expansion(i, path, preserve, &slot.hop_counts);
       if (!expansion.has_value()) continue;
       auto matrix =
           InitializeMatrix(source, *expansion, MatrixOptions{}, source_keys);
@@ -712,8 +828,10 @@ Result<ExpandResult> Expand(const Table& source,
 
   // Deterministic reduction: candidate-index order, exactly the serial
   // emission order.
+  HopSetCounts hop_counts;
   for (size_t i = 0; i < n; ++i) {
     Slot& slot = slots[i];
+    hop_counts += slot.hop_counts;
     if (slot.table.has_value()) {
       result.tables.push_back(std::move(*slot.table));
       result.num_expanded += slot.expanded;
@@ -721,6 +839,9 @@ Result<ExpandResult> Expand(const Table& source,
       ++result.num_dropped;
     }
   }
+  result.intermediate_hops = hop_counts.hops;
+  result.hop_sets_borrowed = hop_counts.borrowed;
+  result.hop_sets_deduped = hop_counts.deduped;
   return result;
 }
 

@@ -12,10 +12,14 @@
 // intersection — exact-safe, the bound dominates the true weight), and
 // the per-candidate set builds, the pairwise edge scan, and the
 // per-candidate path materialization fan out over a thread pool with an
-// index-ordered reduction. A path's last hop is fused with the
-// projection and Distinct that follow it, so it never materializes the
-// full join (DESIGN.md §5.7). Results are bit-identical to the serial
-// reference (tests/expand_reference.h) at any thread count.
+// index-ordered reduction. An intermediate hop's column sets (what the
+// next hop's pair search reads) are derived from the join's inputs and
+// the rows that matched: a fully matched side lends its own sets, a
+// partially matched one is deduplicated over its matched rows, and the
+// materialized join's cells are never rescanned. A path's last hop is
+// fused with the projection and Distinct that follow it, so it never
+// materializes the full join (DESIGN.md §5.7). Results are bit-identical
+// to the serial reference (tests/expand_reference.h) at any thread count.
 //
 // Edge-choice contract: the best join pair between two tables maximizes
 // (weight, intersection size) and breaks remaining ties by the smallest
@@ -42,6 +46,14 @@ struct ExpandResult {
   size_t num_expanded = 0;
   /// Candidates dropped because no join path reaches the key.
   size_t num_dropped = 0;
+  /// Work counters (they never affect `tables`). Intermediate hop joins
+  /// materialized across every path tried, and their output columns'
+  /// distinct sets split by how they were obtained: borrowed from a
+  /// fully matched input side, or deduplicated over an input's matched
+  /// rows.
+  size_t intermediate_hops = 0;
+  size_t hop_sets_borrowed = 0;
+  size_t hop_sets_deduped = 0;
 };
 
 struct ExpandOptions {

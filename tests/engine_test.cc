@@ -124,11 +124,40 @@ std::vector<ValueId> SortUniqueOracle(const Table& t, size_t c) {
   return want;
 }
 
-// The dense (bitmap) branch runs on columns of at least 4096 rows whose
-// dictionary holds at most 16 ids per row; everything else takes the
-// sparse (dedup-then-sort) branch.
-bool TakesDenseBranch(const Table& t) {
-  return t.num_rows() >= 4096 && t.num_rows() * 16 >= t.dict()->size();
+// The dense (bitmap) branch runs when the non-null ids of the scanned
+// cells span at most 64 ids per cell; everything else (all-null scans
+// aside, which return before branching) takes the sparse
+// (dedup-then-sort) branch.
+bool TakesDenseBranch(const Table& t,
+                      const std::vector<uint32_t>* rows = nullptr) {
+  std::vector<ValueId> cells;
+  if (rows == nullptr) {
+    cells = t.column(0);
+  } else {
+    for (uint32_t r : *rows) cells.push_back(t.cell(r, 0));
+  }
+  ValueId lo = ~ValueId{0}, hi = kNull;
+  for (ValueId v : cells) {
+    if (v == kNull) continue;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  return hi != kNull && static_cast<size_t>(hi - lo) + 1 <= 64 * cells.size();
+}
+
+// `count` fresh ids with `gap` unused ids interned between neighbours,
+// so a column drawn from them spans ~(gap + 1) ids per distinct value.
+std::vector<ValueId> SpreadIds(const DictionaryPtr& dict,
+                               const std::string& prefix, size_t count,
+                               size_t gap) {
+  std::vector<ValueId> ids;
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(dict->Intern(prefix + std::to_string(i)));
+    for (size_t g = 0; g < gap; ++g) {
+      dict->Intern(prefix + std::to_string(i) + "~" + std::to_string(g));
+    }
+  }
+  return ids;
 }
 
 // One column of `rows` cells drawn from `ids`, with nulls and labeled
@@ -150,6 +179,37 @@ Table RandomColumn(const DictionaryPtr& dict, const std::vector<ValueId>& ids,
   return t;
 }
 
+// The branch boundary itself: 8 cells spanning exactly 64 × 8 ids take
+// the dense branch, one id more takes the sparse one, and both return
+// the sorted distinct non-null ids. All-null and empty columns return
+// nothing.
+TEST(SortedDistinctValuesTest, BranchBoundaryAndAllNullColumns) {
+  auto dict = MakeDictionary();
+  std::vector<ValueId> ids;
+  for (size_t i = 0; i < 64 * 8 + 1; ++i) {
+    ids.push_back(dict->Intern("r" + std::to_string(i)));
+  }
+  for (size_t hi : {size_t{64 * 8 - 1}, size_t{64 * 8}}) {
+    SCOPED_TRACE("hi " + std::to_string(hi));
+    Table t("t", dict);
+    ASSERT_TRUE(t.AddColumn("c").ok());
+    for (ValueId v : {ids[hi], ids[7], kNull, ids[0], ids[hi], ids[300],
+                      ids[7], ids[1]}) {
+      t.AddRow({v});
+    }
+    EXPECT_EQ(TakesDenseBranch(t), hi < 64 * 8);
+    EXPECT_EQ(SortedDistinctValues(t, 0),
+              (std::vector<ValueId>{ids[0], ids[1], ids[7], ids[300],
+                                    ids[hi]}));
+  }
+  Table nulls("nulls", dict);
+  ASSERT_TRUE(nulls.AddColumn("c").ok());
+  EXPECT_TRUE(SortedDistinctValues(nulls, 0).empty());
+  nulls.AddRow({kNull});
+  nulls.AddRow({kNull});
+  EXPECT_TRUE(SortedDistinctValues(nulls, 0).empty());
+}
+
 TEST(SortedDistinctValuesTest, RandomizedMatchesSortUniqueOnBothBranches) {
   auto dict = MakeDictionary();
   Rng rng(4242);
@@ -157,12 +217,14 @@ TEST(SortedDistinctValuesTest, RandomizedMatchesSortUniqueOnBothBranches) {
   size_t dense = 0, sparse = 0;
   for (int trial = 0; trial < 60; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    // The dictionary grows between calls, so the dense branch's bitmap
-    // universe differs from call to call.
+    // The dictionary grows between calls, sometimes with unused ids
+    // between the drawn ones, so the id span per cell (which picks the
+    // branch) differs from call to call.
     const size_t grow = 1 + rng.Index(400);
-    for (size_t i = 0; i < grow; ++i) {
-      ids.push_back(dict->Intern("v" + std::to_string(ids.size())));
-    }
+    const size_t gap = rng.Bernoulli(0.3) ? 64 : 0;
+    const std::vector<ValueId> grown =
+        SpreadIds(dict, "v" + std::to_string(trial) + "_", grow, gap);
+    ids.insert(ids.end(), grown.begin(), grown.end());
     // Draw from a random-width window of the ids, so the distinct count
     // ranges from a handful to thousands.
     const size_t width = 1 + rng.Index(ids.size());
@@ -179,15 +241,55 @@ TEST(SortedDistinctValuesTest, RandomizedMatchesSortUniqueOnBothBranches) {
   EXPECT_GT(sparse, 0u);
 }
 
+// The row-subset form reads only the listed rows: it must equal the
+// whole-column form on the sub-table those rows form, whichever branch
+// each side takes (a dense column's subset may go sparse and back).
+TEST(SortedDistinctValuesTest, RowSubsetMatchesGatheredSubTable) {
+  auto dict = MakeDictionary();
+  Rng rng(5150);
+  const std::vector<ValueId> ids = SpreadIds(dict, "s", 3000, 10);
+  size_t dense = 0, sparse = 0, full = 0, empty = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t width = 1 + rng.Index(ids.size());
+    const std::vector<ValueId> window(ids.begin(), ids.begin() + width);
+    const size_t n = trial % 2 == 0 ? rng.Index(3000) : 4096 + rng.Index(8192);
+    Table t = RandomColumn(dict, window, n, rng);
+
+    // Ascending subsets: every row, no row, or each row kept with a
+    // trial-specific probability (high enough on the large columns to
+    // keep the subset on the dense branch).
+    std::vector<uint32_t> rows;
+    const int shape = trial % 8;
+    const double keep = shape == 2 ? 1.0 : shape == 3 ? 0.0
+                        : shape < 2 ? 0.75 + 0.25 * rng.NextDouble()
+                                    : rng.NextDouble();
+    for (size_t r = 0; r < n; ++r) {
+      if (rng.Bernoulli(keep)) rows.push_back(static_cast<uint32_t>(r));
+    }
+    full += rows.size() == n;
+    empty += rows.empty();
+    if (!rows.empty()) (TakesDenseBranch(t, &rows) ? dense : sparse) += 1;
+
+    Table sub("sub", dict);
+    ASSERT_TRUE(sub.AddColumn("c").ok());
+    for (uint32_t r : rows) sub.mutable_column(0).push_back(t.cell(r, 0));
+    const std::vector<ValueId> got = SortedDistinctValues(t, 0, &rows);
+    EXPECT_EQ(got, SortedDistinctValues(sub, 0));
+    EXPECT_EQ(got, SortUniqueOracle(sub, 0));
+  }
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(sparse, 0u);
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(empty, 0u);
+}
+
 TEST(SortedDistinctValuesTest, ConcurrentCallersWhileTheDictionaryGrows) {
   auto dict = MakeDictionary();
   Rng rng(99);
-  std::vector<ValueId> ids;
-  for (size_t i = 0; i < 600; ++i) {
-    ids.push_back(dict->Intern("w" + std::to_string(i)));
-  }
+  const std::vector<ValueId> ids = SpreadIds(dict, "w", 600, 40);
   std::vector<Table> tables;
-  tables.push_back(RandomColumn(dict, ids, 700, rng));   // sparse
+  tables.push_back(RandomColumn(dict, ids, 300, rng));   // sparse
   tables.push_back(RandomColumn(dict, ids, 5000, rng));  // dense
   ASSERT_FALSE(TakesDenseBranch(tables[0]));
   ASSERT_TRUE(TakesDenseBranch(tables[1]));

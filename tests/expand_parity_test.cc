@@ -7,10 +7,14 @@
 // from Discovery, Candidate::stats set) and the sorted-set fallback
 // (hand-built candidates, stats null), including empty-column and
 // all-null edge cases, row budgets that drop paths (the fused last hop
-// must trip the cap exactly where the oracle's full join does), and an
-// explicit multi-hop chain.
+// must trip the cap exactly where the oracle's full join does), an
+// explicit multi-hop chain, and seeded 3–5 node chains (ChainSweep)
+// whose intermediate hops exercise every way of deriving a hop's column
+// sets from its inputs — the oracle rebuilds them from each
+// materialized join.
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,15 +60,31 @@ bool SameExpansion(const ExpandResult& want, const ExpandResult& got,
   return true;
 }
 
+// The engine's work counters (the oracle reports none).
+struct HopCounters {
+  size_t hops = 0, borrowed = 0, deduped = 0;
+  bool operator==(const HopCounters& o) const {
+    return hops == o.hops && borrowed == o.borrowed && deduped == o.deduped;
+  }
+};
+
+HopCounters CountersOf(const ExpandResult& r) {
+  return {r.intermediate_hops, r.hop_sets_borrowed, r.hop_sets_deduped};
+}
+
 // Runs the engine at 1/2/8 threads against the oracle under `limits`;
-// returns the oracle's result (empty on failure).
+// returns the oracle's result (empty on failure). The engine's counters
+// must not depend on the thread count either; `counters`, when set,
+// receives them.
 ExpandResult ExpectParity(const Table& source,
                           const std::vector<Candidate>& cands,
                           const std::string& label,
-                          const OpLimits& limits = {}) {
+                          const OpLimits& limits = {},
+                          HopCounters* counters = nullptr) {
   auto want = ref::RefExpand(source, cands, limits);
   EXPECT_TRUE(want.ok()) << label << ": " << want.status().ToString();
   if (!want.ok()) return {};
+  std::optional<HopCounters> serial;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     ExpandOptions options;
     options.num_threads = threads;
@@ -75,7 +95,14 @@ ExpandResult ExpectParity(const Table& source,
     std::string why;
     EXPECT_TRUE(SameExpansion(*want, *got, &why))
         << label << " threads=" << threads << ": " << why;
+    if (!serial) {
+      serial = CountersOf(*got);
+    } else {
+      EXPECT_TRUE(*serial == CountersOf(*got))
+          << label << " threads=" << threads << ": counters diverge";
+    }
   }
+  if (counters != nullptr && serial) *counters = *serial;
   return std::move(want).value();
 }
 
@@ -377,6 +404,269 @@ TEST(ExpandParityChain, FourNodeChainUnderEveryBudget) {
   }
   EXPECT_GT(budgets_dropping_start, 0u);
   EXPECT_TRUE(last_hop_tripped);
+}
+
+// A seeded chain lake for multi-hop expansion: a keyless start "n0"
+// (carrying the source's `name`), keyless hops n1..n(k-2), and a
+// key-covering end n(k-1) (carrying `id`), 3–5 nodes. Node t joins node
+// t+1 over link column l<t>, whose values name entities; each link has
+// its own value domain, so the chain is the only route from start to
+// key. Per node and column the generator randomly keeps every entity
+// or drops some, and may blank link cells (kNull), replace them by
+// strays no other table holds, or put labeled nulls in them — one of
+// them shared by both sides of the link, so the join matches on it.
+// That gives intermediate hops whose hop side, path side, both or
+// neither are fully matched. Links fan out (a row also pointing at the
+// next entity) and rows repeat, so joins are many-to-many. Hops carry a
+// payload column with labeled nulls, sometimes a decoy that competes
+// with the out-link for the next join. Usually one middle hop has a
+// sibling variant with the same columns (order sometimes reversed), so
+// that hop's family union absorbs it; the variant is itself a keyless
+// start whose path forced through the previous node runs through its
+// own family (the refold case).
+struct ChainLake {
+  DictionaryPtr dict = MakeDictionary();
+  Table source{"source", dict};
+  DataLake lake{dict};
+};
+
+void BuildChainLake(ChainLake* out, Rng& rng) {
+  constexpr size_t kEntities = 12;
+  const size_t nodes = 3 + rng.Index(3);
+  const DictionaryPtr& dict = out->dict;
+  auto id = [&](const std::string& s) { return dict->Intern(s); };
+  auto link = [](size_t t) { return "l" + std::to_string(t); };
+
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "name"});
+  for (size_t i = 0; i < kEntities; ++i) {
+    sb.Row({"id" + std::to_string(i), "nm" + std::to_string(i)});
+  }
+  out->source = sb.Key({"id"}).Build();
+
+  std::vector<ValueId> shared_label(nodes);
+  for (ValueId& v : shared_label) v = dict->CreateLabeledNull();
+  // One link cell of node `t` for link `l` and entity `e`, damaged under
+  // this column's `damage` probability.
+  auto link_cell = [&](size_t t, size_t l, size_t e, double damage) {
+    if (!rng.Bernoulli(damage)) {
+      return id("L" + std::to_string(l) + "_" + std::to_string(e));
+    }
+    switch (rng.Index(4)) {
+      case 0: return kNull;
+      case 1:
+        return id("stray" + std::to_string(t) + "_" + std::to_string(l) +
+                  "_" + std::to_string(rng.Index(1000)));
+      case 2: return dict->CreateLabeledNull();
+      default: return shared_label[l];
+    }
+  };
+
+  // Node t's columns: in-link (t > 0), out-link (t < nodes - 1), then
+  // name (start), payload (hops) or id (end). Its rows describe the
+  // entities in [lo, hi).
+  auto make_node = [&](size_t t, const std::string& name, bool reversed,
+                       size_t lo, size_t hi) {
+    std::vector<std::string> cols;
+    if (t > 0) cols.push_back(link(t - 1));
+    if (t + 1 < nodes) cols.push_back(link(t));
+    cols.push_back(t == 0 ? "name"
+                          : t + 1 == nodes ? "id" : "x" + std::to_string(t));
+    if (reversed) std::reverse(cols.begin(), cols.end());
+    Table tab(name, dict);
+    for (const std::string& c : cols) EXPECT_TRUE(tab.AddColumn(c).ok());
+
+    const double keep = rng.Bernoulli(0.6) ? 1.0 : 0.75;
+    const double in_damage = rng.Bernoulli(0.6) ? 0.0 : 0.25;
+    const double out_damage = rng.Bernoulli(0.6) ? 0.0 : 0.25;
+    // A decoy payload holds out-link values of shifted entities, so the
+    // next hop weighs two path columns against its in-link and the
+    // winner depends on both columns' exact sets.
+    const bool decoy = rng.Bernoulli(0.5);
+    // Up to 1, 2 or 4 rows per entity: a repetitive table's columns are
+    // weak keys, so the next hop's pair weight rests on the other
+    // side's keyness, i.e. on the exact size of the derived set.
+    const size_t repeat = size_t{1} << rng.Index(3);
+    for (size_t e = lo; e < hi; ++e) {
+      if (!rng.Bernoulli(keep)) continue;
+      const size_t copies = 1 + rng.Index(repeat) + rng.Bernoulli(0.25);
+      for (size_t k = 0; k < copies; ++k) {
+        // Extra copies fan out to the next entity on the out-link.
+        const size_t out_e = k == 1 ? (e + 1) % kEntities : e;
+        std::vector<ValueId> row;
+        for (const std::string& c : cols) {
+          if (t > 0 && c == link(t - 1)) {
+            row.push_back(link_cell(t, t - 1, e, in_damage));
+          } else if (t + 1 < nodes && c == link(t)) {
+            row.push_back(link_cell(t, t, out_e, out_damage));
+          } else if (c == "name") {
+            row.push_back(id("nm" + std::to_string(e)));
+          } else if (c == "id") {
+            row.push_back(id("id" + std::to_string(e)));
+          } else if (rng.Bernoulli(0.2)) {
+            row.push_back(dict->CreateLabeledNull());
+          } else if (decoy) {
+            row.push_back(
+                id("L" + std::to_string(t) + "_" +
+                   std::to_string((e + 1 + rng.Index(3)) % kEntities)));
+          } else {
+            row.push_back(
+                id("p" + std::to_string(t) + "_" + std::to_string(e % 5)));
+          }
+        }
+        tab.AddRow(row);
+      }
+    }
+    return tab;
+  };
+
+  // A middle hop with a sibling shares the entities with it, so the
+  // family union holds values the hop lacks: either the two overlap in
+  // the middle third, or the hop holds only the middle third and the
+  // sibling (a keyless start whose own paths refold the hop's family)
+  // everything.
+  const size_t sibling =
+      rng.Bernoulli(0.75) ? 1 + rng.Index(nodes - 2) : SIZE_MAX;
+  const bool nested = rng.Bernoulli(0.5);
+  const size_t third = kEntities / 3;
+  for (size_t t = 0; t < nodes; ++t) {
+    const bool split = t == sibling;
+    ASSERT_TRUE(out->lake
+                    .AddTable(make_node(t, "n" + std::to_string(t), false,
+                                        split && nested ? third : 0,
+                                        split ? 2 * third : kEntities))
+                    .ok());
+  }
+  if (sibling != SIZE_MAX) {
+    ASSERT_TRUE(out->lake
+                    .AddTable(make_node(
+                        sibling, "n" + std::to_string(sibling) + "_v2",
+                        rng.Bernoulli(0.5), nested ? 0 : third, kEntities))
+                    .ok());
+  }
+}
+
+// Every lake table as a candidate; `catalog` (when set) backs them all.
+std::vector<Candidate> ChainCandidates(const ChainLake& chain,
+                                       const ColumnStatsCatalog* catalog) {
+  std::vector<Candidate> candidates;
+  for (size_t t = 0; t < chain.lake.size(); ++t) {
+    Candidate c(chain.lake.table(t).Clone());
+    c.lake_index = t;
+    c.covers_key = c.table.HasColumn("id");
+    c.stats = catalog;
+    candidates.push_back(std::move(c));
+  }
+  return candidates;
+}
+
+bool StartExpanded(const ExpandResult& r) {
+  return !r.tables.empty() && r.tables[0].name() == "n0+expanded";
+}
+
+class ChainSweep : public ::testing::TestWithParam<int> {};
+
+// Multi-hop chains, catalog-backed and hand-built, with and without row
+// budgets: every intermediate hop derives its column sets from its
+// inputs, and the oracle rebuilds them from each materialized join, so
+// parity here is parity of the derivation. Over the sweep both
+// derivation branches (borrowed and deduplicated columns) must run.
+TEST_P(ChainSweep, MultiHopChainsMatchReference) {
+  HopCounters total;
+  size_t starts_expanded = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Rng rng(GetParam() * 15485863 + trial * 101 + 1);
+    ChainLake chain;
+    BuildChainLake(&chain, rng);
+    if (::testing::Test::HasFatalFailure()) return;
+    ColumnStatsCatalog catalog(chain.lake);
+    const ColumnStatsCatalog* backings[] = {&catalog, nullptr};
+    for (const ColumnStatsCatalog* stats : backings) {
+      const std::string label = std::string(stats ? "catalog" : "hand-built") +
+                                " trial " + std::to_string(trial);
+      const std::vector<Candidate> candidates = ChainCandidates(chain, stats);
+      HopCounters counters;
+      const ExpandResult unbounded =
+          ExpectParity(chain.source, candidates, label, {}, &counters);
+      starts_expanded += StartExpanded(unbounded);
+      total.hops += counters.hops;
+      total.borrowed += counters.borrowed;
+      total.deduped += counters.deduped;
+      for (uint64_t k : {1, 2, 3, 5, 8, 13, 21, 34, 55}) {
+        ExpectParity(chain.source, candidates,
+                     label + " budget " + std::to_string(k),
+                     OpLimits().MaxRows(k));
+      }
+    }
+  }
+  EXPECT_GT(starts_expanded, 0u);
+  EXPECT_GT(total.hops, 0u);
+  EXPECT_GT(total.borrowed, 0u);
+  EXPECT_GT(total.deduped, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChainSweep, ::testing::Range(0, 8));
+
+// The refold case pinned down: the start "v" shares its schema with
+// the hop "h", so v's path refolds h's family without v, and every row
+// of the refolded h matches. The family union (h plus v) holds v's
+// extra `lh` values, which h's join output never carries. With h's own
+// set the last hop's pair (4 of e's 12 `k` values, path keyness 4/12,
+// e's 1/2) weighs 1/6 and v is dropped; the union's set would weigh
+// 1/3 and expand it. Parity therefore requires the refolded side to be
+// deduplicated from its own rows, never borrowed from the union.
+TEST(ExpandParityChain, RefoldedHopNeverBorrowsTheFamilyUnion) {
+  auto dict = MakeDictionary();
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "name"});
+  for (size_t i = 0; i < 12; ++i) sb.Row({v("id", i), v("nm", i)});
+  Table source = sb.Key({"id"}).Build();
+
+  TableBuilder vb(dict, "v");  // three rows per lp value
+  vb.Columns({"lp", "lh", "x"});
+  for (size_t i = 0; i < 12; ++i) {
+    vb.Row({v("P", i % 4), v("Z", i), v("X", i)});
+  }
+  TableBuilder hb(dict, "h");
+  hb.Columns({"lp", "lh", "x"});
+  for (size_t i = 0; i < 4; ++i) hb.Row({v("P", i), v("K", i), v("Y", i)});
+  TableBuilder eb(dict, "e");  // two rows per key
+  eb.Columns({"k", "id"});
+  for (size_t i = 0; i < 24; ++i) eb.Row({v("K", i % 12), v("id", i % 12)});
+
+  DataLake lake(dict);
+  for (Table t : {vb.Build(), hb.Build(), eb.Build()}) {
+    ASSERT_TRUE(lake.AddTable(std::move(t)).ok());
+  }
+  ColumnStatsCatalog catalog(lake);
+  const ColumnStatsCatalog* backings[] = {&catalog, nullptr};
+  for (const ColumnStatsCatalog* stats : backings) {
+    std::vector<Candidate> candidates;
+    for (size_t t = 0; t < lake.size(); ++t) {
+      Candidate c(lake.table(t).Clone());
+      c.lake_index = t;
+      c.covers_key = c.table.HasColumn("id");
+      c.stats = stats;
+      candidates.push_back(std::move(c));
+    }
+    HopCounters counters;
+    const ExpandResult want = ExpectParity(
+        source, candidates, stats ? "catalog" : "hand-built", {}, &counters);
+    // h expands straight into e; v's one path [v, h, e] is dropped at
+    // its last hop.
+    ASSERT_EQ(want.num_expanded, 1u);
+    ASSERT_EQ(want.num_dropped, 1u);
+    EXPECT_EQ(want.tables[0].name(), "h+expanded");
+    // The one intermediate hop: h's three columns deduplicated, v's two
+    // (every v row matched) borrowed.
+    EXPECT_EQ(counters.hops, 1u);
+    EXPECT_EQ(counters.deduped, 3u);
+    EXPECT_EQ(counters.borrowed, 2u);
+  }
 }
 
 TEST(ExpandParityEdge, EmptyCandidateList) {
