@@ -36,18 +36,19 @@ OpLimits LimitsFromRequest(const ReclaimRequest& request) {
 
 // Exponential backoff with deterministic per-(shard, attempt) jitter:
 // initial · 2^attempt capped at max, scaled by a splitmix-derived
-// factor in [1 - jitter, 1 + jitter]. Deterministic so recovery tests
+// factor in [1 - kJitter, 1 + kJitter]. Deterministic so recovery tests
 // are reproducible; distinct per shard so a fleet quarantined by one
 // event fans its retries out instead of thundering in lockstep.
 double BackoffSeconds(const ShardHealthOptions& o, uint64_t uid,
                       uint64_t attempt) {
+  constexpr double kJitter = 0.25;
   const double exp2 = std::ldexp(1.0, static_cast<int>(std::min<uint64_t>(
                                           attempt, 62)));
   double delay = std::min(o.backoff_initial_seconds * exp2,
                           o.backoff_max_seconds);
   const uint64_t h = SplitMix64(uid * 0x9E3779B97F4A7C15ULL + attempt);
   const double unit = static_cast<double>(h >> 11) * 0x1p-53;  // [0, 1)
-  delay *= 1.0 - o.backoff_jitter + 2.0 * o.backoff_jitter * unit;
+  delay *= 1.0 - kJitter + 2.0 * kJitter * unit;
   return delay > 0 ? delay : 0.0;
 }
 
@@ -188,6 +189,7 @@ std::shared_ptr<ReclaimService::Shard> ReclaimService::MakeShard(
   shard->lake = owned != nullptr ? owned.get() : borrowed;
   shard->owned = std::move(owned);
   shard->source_path = source_path;
+  shard->health = std::make_shared<ShardHealthCell>();
   shard->gent = catalog != nullptr
                     ? std::make_unique<GenT>(std::move(catalog),
                                              options_.config)
@@ -236,6 +238,25 @@ Status ReclaimService::RegisterShard(
   next->shards.push_back(std::move(shard));
   PublishLocked(std::move(next));
   return Status::OK();
+}
+
+bool ReclaimService::ReplaceShard(std::shared_ptr<Shard> shard,
+                                  const Shard* expected) {
+  std::lock_guard<std::mutex> lock(registry_mutex_);
+  auto it = registry_->by_name.find(shard->name);
+  if (it == registry_->by_name.end()) return false;
+  const Shard& current = *registry_->shards[it->second];
+  if (expected != nullptr && (current.uid != expected->uid ||
+                              current.delta_gen != expected->delta_gen)) {
+    return false;
+  }
+  // A new registration gets a new uid, so the discovery-cache entries
+  // routed at the one it replaces can never be replayed.
+  if (shard->uid == 0) shard->uid = next_shard_uid_++;
+  auto next = std::make_shared<RegistrySnapshot>(*registry_);
+  next->shards[it->second] = std::move(shard);
+  PublishLocked(std::move(next));
+  return true;
 }
 
 Status ReclaimService::AddLake(const std::string& name, DataLake lake) {
@@ -311,7 +332,7 @@ Status ReclaimService::SaveShardSnapshot(const std::string& name,
 }
 
 Status ReclaimService::RemoveLake(const std::string& name) {
-  std::unique_lock<std::mutex> lock(registry_mutex_);
+  std::lock_guard<std::mutex> lock(registry_mutex_);
   auto it = registry_->by_name.find(name);
   if (it == registry_->by_name.end()) {
     return Status::NotFound("no shard named '" + name + "'");
@@ -324,11 +345,9 @@ Status ReclaimService::RemoveLake(const std::string& name) {
     next->by_name[registry_->shards[i]->name] = next->shards.size();
     next->shards.push_back(registry_->shards[i]);
   }
-  // The removed shard's handle lives on inside every pinned snapshot;
-  // the last draining request releases it.
+  // The removed shard's handle — health cell included — lives on inside
+  // every pinned snapshot; the last draining request releases it.
   PublishLocked(std::move(next));
-  lock.unlock();
-  PruneHealthEntries();
   return Status::OK();
 }
 
@@ -339,22 +358,13 @@ Status ReclaimService::ReloadLakeFromSnapshot(const std::string& name,
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
   GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog));
-  std::shared_ptr<Shard> shard =
-      MakeShard(name, std::move(lake), nullptr, std::move(catalog), path);
-
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    auto it = registry_->by_name.find(name);
-    if (it == registry_->by_name.end()) {
-      return Status::NotFound("no shard named '" + name + "'");
-    }
-    shard->uid = next_shard_uid_++;  // new uid: old cache entries dead
-    auto next = std::make_shared<RegistrySnapshot>(*registry_);
-    next->shards[it->second] = std::move(shard);
-    PublishLocked(std::move(next));
+  // A new registration with a fresh health cell: an explicit reload
+  // supersedes any quarantine of the old one.
+  if (!ReplaceShard(MakeShard(name, std::move(lake), nullptr,
+                              std::move(catalog), path),
+                    nullptr)) {
+    return Status::NotFound("no shard named '" + name + "'");
   }
-  // An explicit reload supersedes any quarantine of the old uid.
-  PruneHealthEntries();
   return Status::OK();
 }
 
@@ -373,13 +383,9 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
     return Status::NotFound("no shard named '" + name + "'");
   }
   std::shared_ptr<const Shard> old = registry->shards[it->second];
-  if (quarantined_count_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    auto h = health_.find(old->uid);
-    if (h != health_.end() && h->second.state == ShardHealth::kQuarantined) {
-      return Status::Unavailable("shard '" + name +
-                                 "' is quarantined pending recovery");
-    }
+  if (old->health->quarantined.load(std::memory_order_acquire)) {
+    return Status::Unavailable("shard '" + name +
+                               "' is quarantined pending recovery");
   }
 
   // The served lake is immutable (in-flight requests read it), so the
@@ -415,25 +421,17 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
 
   std::shared_ptr<Shard> shard = MakeShard(
       name, std::move(lake), nullptr, std::move(*layered), old->source_path);
+  // Same registration, next content generation.
+  shard->uid = old->uid;
   shard->delta_gen = old->delta_gen + 1;
+  shard->health = old->health;
   shard->predecessor = old;  // keeps the borrowed views' owner alive
-
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    auto now = registry_->by_name.find(name);
-    if (now == registry_->by_name.end() ||
-        registry_->shards[now->second]->uid != old->uid ||
-        registry_->shards[now->second]->delta_gen != old->delta_gen) {
-      // Remove/Reload/recovery replaced the shard under us. Nothing is
-      // published; the durable run (if any) belongs to the superseded
-      // file and the next load of it will still see a valid snapshot.
-      return Status::Aborted("shard '" + name +
-                             "' was modified concurrently with the append");
-    }
-    shard->uid = old->uid;  // same registration, next content generation
-    auto next = std::make_shared<RegistrySnapshot>(*registry_);
-    next->shards[now->second] = std::move(shard);
-    PublishLocked(std::move(next));
+  if (!ReplaceShard(std::move(shard), old.get())) {
+    // Remove/Reload/recovery replaced the shard under us. Nothing is
+    // published; the durable run (if any) belongs to the superseded
+    // file and the next load of it will still see a valid snapshot.
+    return Status::Aborted("shard '" + name +
+                           "' was modified concurrently with the append");
   }
 
   // Compaction policy: enough runs accreted — queue a background fold.
@@ -481,20 +479,13 @@ Status ReclaimService::CompactShardSnapshot(const std::string& name) {
       name, std::move(lake), nullptr, std::move(catalog), old->source_path);
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen;
-
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto now = registry_->by_name.find(name);
-  if (now == registry_->by_name.end() ||
-      registry_->shards[now->second]->uid != old->uid ||
-      registry_->shards[now->second]->delta_gen != old->delta_gen) {
+  shard->health = old->health;  // a quarantined shard stays quarantined
+  if (!ReplaceShard(std::move(shard), old.get())) {
     // Replaced while folding. The compacted file is durable and
     // equivalent; whoever replaced the shard owns the registration now.
     return Status::Aborted("shard '" + name +
                            "' was modified concurrently with the compaction");
   }
-  auto next = std::make_shared<RegistrySnapshot>(*registry_);
-  next->shards[now->second] = std::move(shard);
-  PublishLocked(std::move(next));
   return Status::OK();
 }
 
@@ -533,21 +524,12 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   }
   requests_routed_.fetch_add(1, std::memory_order_relaxed);
 
-  // Quarantine gate (DESIGN.md §5.11): the healthy path pays one
-  // relaxed load; the uid set is copied out under the health lock only
-  // while something is actually quarantined, and routing below treats
-  // a quarantined shard as absent (fan-out answers from the remaining
-  // shards, a named request gets Unavailable).
-  std::vector<uint64_t> quarantined;
-  if (quarantined_count_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    for (const auto& [uid, entry] : health_) {
-      if (entry.state == ShardHealth::kQuarantined) quarantined.push_back(uid);
-    }
-  }
-  auto is_quarantined = [&quarantined](uint64_t uid) {
-    return std::find(quarantined.begin(), quarantined.end(), uid) !=
-           quarantined.end();
+  // Quarantine gate (DESIGN.md §5.11): one lock-free load of each
+  // routed shard's health flag. Routing below treats a quarantined shard
+  // as absent (fan-out answers from the remaining shards, a named
+  // request gets Unavailable).
+  auto is_quarantined = [](const Shard& shard) {
+    return shard.health->quarantined.load(std::memory_order_acquire);
   };
 
   // Route (DESIGN.md §5.6) to a target shard set and a route tag (see
@@ -560,7 +542,7 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
       return Status::NotFound("no shard named '" + request.lake + "'");
     }
     const Shard& shard = *registry.shards[it->second];
-    if (is_quarantined(shard.uid)) {
+    if (is_quarantined(shard)) {
       unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable("shard '" + request.lake +
                                  "' is quarantined pending recovery");
@@ -579,7 +561,7 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
     std::vector<uint64_t> selected;
     for (size_t i = 0; i < registry.shards.size(); ++i) {
       const Shard& shard = *registry.shards[i];
-      if (is_quarantined(shard.uid)) {
+      if (is_quarantined(shard)) {
         quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
@@ -828,61 +810,40 @@ Result<ReclaimTicket> ReclaimService::SubmitReclaim(
 
   const size_t pri = static_cast<size_t>(request.priority);
   const size_t capacity = options_.admission_capacity;
-  const size_t class_cap = options_.priority_capacity[pri];
   std::shared_ptr<ReclaimTicket::SharedState> shed_victim;
   bool need_pump = true;
   {
     std::unique_lock<std::mutex> lock(admission_mutex_);
-    auto total_full = [&]() {
+    auto full = [&]() {
       return capacity > 0 && admission_queued_ >= capacity;
     };
-    auto class_full = [&]() {
-      return class_cap > 0 && admission_queues_[pri].size() >= class_cap;
-    };
-    if (total_full() || class_full()) {
-      switch (options_.admission_policy) {
-        case AdmissionPolicy::kReject:
-          ++admission_rejected_;
-          return Status::ResourceExhausted(
-              "admission queue full (capacity " + std::to_string(capacity) +
-              ", class cap " + std::to_string(class_cap) + ")");
-        case AdmissionPolicy::kBlock:
-          admission_space_.wait(
-              lock, [&]() { return !total_full() && !class_full(); });
-          break;
-        case AdmissionPolicy::kShedOldest: {
-          // Victim: a full class sheds its own oldest (that is the only
-          // way to free a class slot); a full total sheds the oldest
-          // entry of the lowest class at or below the newcomer's.
-          size_t victim_class = kNumPriorityClasses;  // sentinel: none
-          if (class_full()) {
-            victim_class = pri;  // class_cap > 0 ⇒ queue non-empty
-          } else {
-            for (size_t p = kNumPriorityClasses; p-- > pri;) {
-              if (!admission_queues_[p].empty()) {
-                victim_class = p;
-                break;
-              }
-            }
-          }
-          if (victim_class == kNumPriorityClasses) {
-            // Everything queued outranks the newcomer: shed the
-            // newcomer itself.
-            ++admission_rejected_;
-            return Status::ResourceExhausted(
-                "admission queue full of higher-priority work");
-          }
-          shed_victim = std::move(admission_queues_[victim_class].front().state);
-          admission_queues_[victim_class].pop_front();
-          --admission_queued_;
-          ++admission_shed_;
-          // The victim's already-submitted pump task now drains the
-          // newcomer instead: queue count and outstanding pumps both
-          // stay balanced without a new Submit.
-          need_pump = false;
+    if (full() && options_.admission_policy == AdmissionPolicy::kBlock) {
+      admission_space_.wait(lock, [&]() { return !full(); });
+    } else if (full()) {  // kShedOldest
+      // Victim: the oldest entry of the lowest class at or below the
+      // newcomer's.
+      size_t victim_class = kNumPriorityClasses;  // sentinel: none
+      for (size_t p = kNumPriorityClasses; p-- > pri;) {
+        if (!admission_queues_[p].empty()) {
+          victim_class = p;
           break;
         }
       }
+      if (victim_class == kNumPriorityClasses) {
+        // Everything queued outranks the newcomer: shed the newcomer
+        // itself.
+        ++admission_rejected_;
+        return Status::ResourceExhausted(
+            "admission queue full of higher-priority work");
+      }
+      shed_victim = std::move(admission_queues_[victim_class].front().state);
+      admission_queues_[victim_class].pop_front();
+      --admission_queued_;
+      ++admission_shed_;
+      // The victim's already-submitted pump task now drains the
+      // newcomer instead: queue count and outstanding pumps both stay
+      // balanced without a new Submit.
+      need_pump = false;
     }
     admission_queues_[pri].push_back(std::move(entry));
     ++admission_queued_;
@@ -1011,23 +972,15 @@ void ReclaimService::NoteShardFault(const Shard& shard,
                                     const std::string& error) const {
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
-    HealthEntry& entry = health_[shard.uid];
-    if (entry.name.empty()) {
-      entry.name = shard.name;
-      entry.snapshot_path = shard.source_path;
-    }
-    ++entry.error_count;
-    entry.last_error = error;
-    if (entry.state != ShardHealth::kQuarantined) {
-      entry.state = ShardHealth::kQuarantined;
-      entry.attempts = 0;
-      entry.rebuilt_from_body = false;
-      entry.retry_enabled = true;
-      entry.next_retry = SteadyTimeAfter(
-          std::chrono::steady_clock::now(),
-          BackoffSeconds(options_.health, shard.uid, /*attempt=*/0));
-      quarantined_count_.fetch_add(1, std::memory_order_release);
-    }
+    ShardHealthCell& cell = *shard.health;
+    ++cell.error_count;
+    cell.last_error = error;
+    if (cell.quarantined.load(std::memory_order_relaxed)) return;
+    cell.rebuilt_from_body = false;
+    cell.next_retry = SteadyTimeAfter(
+        std::chrono::steady_clock::now(),
+        BackoffSeconds(options_.health, shard.uid, /*attempt=*/0));
+    cell.quarantined.store(true, std::memory_order_release);
   }
   health_cv_.notify_all();
 }
@@ -1047,25 +1000,32 @@ void ReclaimService::RecoveryLoop() {
       lock.lock();
       continue;
     }
-    // Earliest due quarantined entry with retries still enabled; with
-    // none due, sleep until the earliest schedule (or a notify: a new
-    // quarantine, or shutdown).
+    // Earliest due quarantined shard with retries still enabled, among
+    // the registered ones (a retired shard's cell is out of reach). With
+    // none due, sleep until the earliest schedule or a notify (a new
+    // quarantine, a queued fold, shutdown). Pinning under health_mutex_
+    // means a shard published and faulted after the pin can only notify
+    // once the wait below has begun; the pin is dropped before waiting,
+    // so a sleeping loop keeps no retired shard alive.
     const auto now = std::chrono::steady_clock::now();
-    uint64_t due_uid = 0;
-    bool found_due = false;
+    std::shared_ptr<const Shard> due;
     auto earliest = std::chrono::steady_clock::time_point::max();
-    for (const auto& [uid, entry] : health_) {
-      if (entry.state != ShardHealth::kQuarantined || !entry.retry_enabled) {
-        continue;
+    {
+      RegistryPtr registry = Pin();
+      for (const auto& shard : registry->shards) {
+        const ShardHealthCell& cell = *shard->health;
+        if (!cell.quarantined.load(std::memory_order_relaxed) ||
+            !cell.retry_enabled) {
+          continue;
+        }
+        if (cell.next_retry <= now) {
+          due = shard;
+          break;
+        }
+        earliest = std::min(earliest, cell.next_retry);
       }
-      if (entry.next_retry <= now) {
-        due_uid = uid;
-        found_due = true;
-        break;
-      }
-      earliest = std::min(earliest, entry.next_retry);
     }
-    if (!found_due) {
+    if (due == nullptr) {
       if (earliest == std::chrono::steady_clock::time_point::max()) {
         health_cv_.wait(lock);  // nothing scheduled; loop re-checks
       } else {
@@ -1074,37 +1034,27 @@ void ReclaimService::RecoveryLoop() {
       continue;
     }
     lock.unlock();
-    AttemptRecovery(due_uid);
+    AttemptRecovery(due);
     lock.lock();
   }
 }
 
-void ReclaimService::AttemptRecovery(uint64_t uid) {
-  std::string name;
-  std::string path;
-  {
+void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
+  ShardHealthCell& cell = *old->health;
+  if (old->source_path.empty()) {
+    // Nothing on disk to recover from (a RAM/CSV shard): stop
+    // scheduling; only an explicit reload can heal it.
     std::lock_guard<std::mutex> lock(health_mutex_);
-    auto it = health_.find(uid);
-    if (it == health_.end() || it->second.state != ShardHealth::kQuarantined) {
-      return;  // pruned or already recovered concurrently
-    }
-    name = it->second.name;
-    path = it->second.snapshot_path;
-    if (path.empty()) {
-      // Nothing on disk to recover from (a RAM/CSV shard): stop
-      // scheduling; only an explicit reload can heal it.
-      it->second.retry_enabled = false;
-      it->second.last_error +=
-          " (not snapshot-backed; awaiting explicit reload)";
-      return;
-    }
+    cell.retry_enabled = false;
+    cell.last_error += " (not snapshot-backed; awaiting explicit reload)";
+    return;
   }
 
   // Expensive work outside every lock, exactly like ReloadLakeFromSnapshot.
   // Preferred path: full reopen (mapped when the snapshot allows).
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  Status st = LoadShardFromSnapshot(path, &lake, &catalog);
+  Status st = LoadShardFromSnapshot(old->source_path, &lake, &catalog);
   bool salvaged = false;
   std::string fail_reason;
   if (!st.ok()) {
@@ -1114,7 +1064,7 @@ void ReclaimService::AttemptRecovery(uint64_t uid) {
     // RAM. The shard then serves identically, flagged kDegraded.
     lake = std::make_unique<DataLake>(dict_);
     catalog.reset();
-    Status body = LoadSnapshotBody(*lake, path);
+    Status body = LoadSnapshotBody(*lake, old->source_path);
     if (body.ok()) {
       salvaged = true;
       st = Status::OK();
@@ -1125,85 +1075,37 @@ void ReclaimService::AttemptRecovery(uint64_t uid) {
 
   if (!st.ok()) {
     std::lock_guard<std::mutex> lock(health_mutex_);
-    auto it = health_.find(uid);
-    if (it == health_.end() || it->second.state != ShardHealth::kQuarantined) {
-      return;
-    }
-    HealthEntry& entry = it->second;
-    ++entry.attempts;
-    entry.last_error = fail_reason;
+    ++cell.attempts;
+    cell.last_error = fail_reason;
     const size_t cap = options_.health.max_recovery_attempts;
-    if (cap > 0 && entry.attempts >= cap) {
-      entry.retry_enabled = false;  // give up; explicit reload only
+    if (cap > 0 && cell.attempts >= cap) {
+      cell.retry_enabled = false;  // give up; explicit reload only
     } else {
-      entry.next_retry =
+      cell.next_retry =
           SteadyTimeAfter(std::chrono::steady_clock::now(),
-                          BackoffSeconds(options_.health, uid, entry.attempts));
+                          BackoffSeconds(options_.health, old->uid,
+                                         cell.attempts));
     }
     return;
   }
 
-  std::shared_ptr<Shard> shard =
-      MakeShard(name, std::move(lake), nullptr, std::move(catalog), path);
-
-  // Swap into the registry ONLY if the quarantined registration is
-  // still there — a concurrent RemoveLake/Reload supersedes recovery.
-  uint64_t new_uid = 0;
-  bool swapped = false;
+  // The healed shard is a new registration (fresh uid, fresh cell) that
+  // carries the old one's fault history forward.
+  std::shared_ptr<Shard> shard = MakeShard(
+      old->name, std::move(lake), nullptr, std::move(catalog),
+      old->source_path);
   {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    auto it = registry_->by_name.find(name);
-    if (it != registry_->by_name.end() &&
-        registry_->shards[it->second]->uid == uid) {
-      shard->uid = next_shard_uid_++;  // new uid: stale cache entries dead
-      new_uid = shard->uid;
-      auto next = std::make_shared<RegistrySnapshot>(*registry_);
-      next->shards[it->second] = std::move(shard);
-      PublishLocked(std::move(next));
-      swapped = true;
-    }
+    std::lock_guard<std::mutex> lock(health_mutex_);
+    shard->health->error_count = cell.error_count;
+    shard->health->recoveries = cell.recoveries + 1;
+    shard->health->last_error = cell.last_error;
+    shard->health->rebuilt_from_body = salvaged;
   }
-
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  auto it = health_.find(uid);
-  if (it == health_.end()) return;  // pruned concurrently
-  HealthEntry entry = std::move(it->second);
-  const bool was_quarantined = entry.state == ShardHealth::kQuarantined;
-  health_.erase(it);
-  if (was_quarantined) {
-    quarantined_count_.fetch_sub(1, std::memory_order_release);
-  }
-  if (!swapped) return;  // superseded: drop the stale record entirely
-  // Re-key the record under the healed registration so health_stats()
-  // keeps the shard's fault history and recovery count.
-  ++entry.recoveries;
-  entry.attempts = 0;
-  entry.retry_enabled = true;
-  entry.state = salvaged ? ShardHealth::kDegraded : ShardHealth::kHealthy;
-  entry.rebuilt_from_body = salvaged;
-  health_[new_uid] = std::move(entry);
-}
-
-void ReclaimService::PruneHealthEntries() const {
-  RegistryPtr registry = Pin();
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  for (auto it = health_.begin(); it != health_.end();) {
-    bool live = false;
-    for (const auto& s : registry->shards) {
-      if (s->uid == it->first) {
-        live = true;
-        break;
-      }
-    }
-    if (live) {
-      ++it;
-      continue;
-    }
-    if (it->second.state == ShardHealth::kQuarantined) {
-      quarantined_count_.fetch_sub(1, std::memory_order_release);
-    }
-    it = health_.erase(it);
-  }
+  // Swap in ONLY if the quarantined generation is still registered. A
+  // concurrent RemoveLake/Reload supersedes recovery (the retired cell
+  // dies with its last pin); a generation published meanwhile shares
+  // the quarantined cell, so the next scan retries against it.
+  (void)ReplaceShard(std::move(shard), old.get());
 }
 
 std::vector<ReclaimService::ShardHealthStats> ReclaimService::health_stats()
@@ -1214,25 +1116,25 @@ std::vector<ReclaimService::ShardHealthStats> ReclaimService::health_stats()
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(health_mutex_);
   for (const auto& s : registry->shards) {
+    const ShardHealthCell& cell = *s->health;
+    const bool quarantined = cell.quarantined.load(std::memory_order_relaxed);
     ShardHealthStats stats;
     stats.name = s->name;
     stats.uid = s->uid;
-    auto it = health_.find(s->uid);
-    if (it != health_.end()) {
-      const HealthEntry& entry = it->second;
-      stats.state = entry.state;
-      stats.error_count = entry.error_count;
-      stats.recovery_attempts = entry.attempts;
-      stats.recoveries = entry.recoveries;
-      stats.rebuilt_from_body = entry.rebuilt_from_body;
-      stats.last_error = entry.last_error;
-      if (entry.state == ShardHealth::kQuarantined) {
-        if (!entry.retry_enabled || !options_.health.auto_recover) {
-          stats.next_retry_in_seconds = -1;
-        } else if (entry.next_retry > now) {
-          stats.next_retry_in_seconds =
-              std::chrono::duration<double>(entry.next_retry - now).count();
-        }
+    stats.state = quarantined              ? ShardHealth::kQuarantined
+                  : cell.rebuilt_from_body ? ShardHealth::kDegraded
+                                           : ShardHealth::kHealthy;
+    stats.error_count = cell.error_count;
+    stats.recovery_attempts = cell.attempts;
+    stats.recoveries = cell.recoveries;
+    stats.rebuilt_from_body = cell.rebuilt_from_body;
+    stats.last_error = cell.last_error;
+    if (quarantined) {
+      if (!cell.retry_enabled || !options_.health.auto_recover) {
+        stats.next_retry_in_seconds = -1;
+      } else if (cell.next_retry > now) {
+        stats.next_retry_in_seconds =
+            std::chrono::duration<double>(cell.next_retry - now).count();
       }
     }
     out.push_back(std::move(stats));

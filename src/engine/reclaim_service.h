@@ -44,7 +44,9 @@
 // cache route tags are built from uids (see discovery_cache.h), so a
 // reloaded shard can never replay entries cached against its old
 // content, while untouched shards keep their warm entries across any
-// number of registry mutations.
+// number of registry mutations. A shard's health (quarantine state and
+// fault history, DESIGN.md §5.11) lives on its handle as well, so a
+// retired shard's health is released with its last pin.
 //
 // Determinism contract: for a fixed registry snapshot (shards + config)
 // the result of a request is bit-identical regardless of thread count,
@@ -99,8 +101,6 @@ enum class AdmissionPolicy {
   /// Block the submitter until a slot frees (backpressure propagates to
   /// the producer; submission order is preserved per submitter).
   kBlock,
-  /// Fail fast with ResourceExhausted (the caller sheds load).
-  kReject,
   /// Admit the new request by shedding the oldest queued request of the
   /// lowest priority class at or below the newcomer's own (its ticket
   /// resolves ResourceExhausted). If everything queued outranks the
@@ -145,10 +145,6 @@ struct ShardHealthOptions {
   /// attempt up to backoff_max_seconds.
   double backoff_initial_seconds = 0.5;
   double backoff_max_seconds = 30.0;
-  /// Multiplicative jitter: each delay is scaled by a deterministic
-  /// per-(shard, attempt) factor in [1 - jitter, 1 + jitter], so a
-  /// fleet quarantined by one event does not retry in lockstep.
-  double backoff_jitter = 0.25;
   /// Give up rescheduling after this many failed recovery attempts
   /// (0 = retry forever). The shard then stays quarantined until an
   /// explicit ReloadLakeFromSnapshot/RemoveLake.
@@ -207,12 +203,6 @@ struct ServiceOptions {
   size_t admission_capacity = 1024;
   /// Queue-full behavior for SubmitReclaim.
   AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
-  /// Per-priority-class queue caps, indexed by RequestPriority (0 =
-  /// that class is uncapped). A full class applies admission_policy to
-  /// the newcomer's own class: kReject fails fast, kBlock waits for a
-  /// slot in the class, kShedOldest evicts the class's own oldest
-  /// entry. Caps compose with admission_capacity (both must admit).
-  std::array<size_t, kNumPriorityClasses> priority_capacity = {0, 0, 0};
   /// Catalog storage backend for snapshot-built shards.
   CatalogStorageOptions storage;
   /// Quarantine/recovery policy for shards that hit storage faults.
@@ -448,9 +438,10 @@ class ReclaimService {
   /// Async admission: translates the source (if foreign-dictionary),
   /// pins the current registry snapshot, and enqueues the reclamation
   /// behind the bounded admission queue. Returns a ticket immediately
-  /// (kBlock may first wait for a slot; kReject returns
-  /// ResourceExhausted; kShedOldest evicts the oldest queued request of
-  /// the lowest class ≤ the newcomer's — see AdmissionPolicy).
+  /// (kBlock may first wait for a slot; kShedOldest evicts the oldest
+  /// queued request of the lowest class ≤ the newcomer's, or returns
+  /// ResourceExhausted when everything queued outranks it — see
+  /// AdmissionPolicy).
   /// Execution order: the pump always starts the oldest queued request
   /// of the highest priority class next (FIFO within a class);
   /// completion order depends on scheduling, but each ticket's RESULT
@@ -478,7 +469,7 @@ class ReclaimService {
     /// RequestPriority; sums to `queued`).
     std::array<size_t, kNumPriorityClasses> queue_depth = {0, 0, 0};
     /// SubmitReclaim calls rejected with ResourceExhausted so far
-    /// (kReject, or kShedOldest with nothing sheddable).
+    /// (kShedOldest with nothing sheddable).
     uint64_t rejected = 0;
     /// Queued tickets evicted by kShedOldest (resolved
     /// ResourceExhausted without running).
@@ -532,7 +523,8 @@ class ReclaimService {
     /// Failed background recovery attempts since quarantine.
     uint64_t recovery_attempts = 0;
     /// Successful recoveries in the shard's history (a recovered shard
-    /// carries a new uid; the count survives the re-key).
+    /// is a new registration with a new uid; it inherits this count and
+    /// error_count from the one it replaced).
     uint64_t recoveries = 0;
     /// The last recovery had to rebuild the catalog from the snapshot
     /// body (v2 tail damaged) — the shard serves, state kDegraded.
@@ -542,8 +534,9 @@ class ReclaimService {
     /// -1 when retries are exhausted or disabled).
     double next_retry_in_seconds = 0;
   };
-  /// Per-shard health in registry order, joined with the health map.
-  /// Shards that never faulted report kHealthy with zero counters.
+  /// Per-shard health in registry order, read from each shard's health
+  /// cell. Shards that never faulted report kHealthy with zero counters;
+  /// a removed, reloaded or re-added shard starts from zero again.
   std::vector<ShardHealthStats> health_stats() const;
 
   /// On-demand health probe of shard `name` (NotFound if absent):
@@ -555,6 +548,27 @@ class ReclaimService {
   Status CheckShardHealth(const std::string& name) const;
 
  private:
+  /// Health of one shard registration (DESIGN.md §5.11). Every content
+  /// generation of the registration — appends and compactions keep the
+  /// uid — shares one cell; a recovery publishes a new registration with
+  /// a new cell, seeded with this one's history. A retired cell dies with
+  /// the last pin on its shard.
+  struct ShardHealthCell {
+    /// The routing gate, read lock-free by every request. One-way: a
+    /// quarantined registration is only ever replaced (by recovery or
+    /// ReloadLakeFromSnapshot) or removed, never un-quarantined.
+    std::atomic<bool> quarantined{false};
+    // Guarded by health_mutex_. The reported state is derived:
+    // quarantined ? kQuarantined : rebuilt_from_body ? kDegraded : kHealthy.
+    uint64_t error_count = 0;
+    uint64_t attempts = 0;    // failed recovery attempts this quarantine
+    uint64_t recoveries = 0;  // successful recoveries in the history
+    bool rebuilt_from_body = false;
+    bool retry_enabled = true;  // false once max_recovery_attempts hit
+    std::string last_error;
+    std::chrono::steady_clock::time_point next_retry{};
+  };
+
   struct Shard {
     std::string name;
     uint64_t uid = 0;                 // unique per registration, never reused
@@ -574,6 +588,8 @@ class ReclaimService {
     /// Keeps the predecessor's lake and catalog alive; the chain's
     /// length is bounded by the compaction policy.
     std::shared_ptr<const Shard> predecessor;
+    /// Never null; shared by every generation of this registration.
+    std::shared_ptr<ShardHealthCell> health;
   };
 
   /// Immutable once published; mutations swap whole snapshots.
@@ -587,11 +603,12 @@ class ReclaimService {
   /// Copies the current snapshot pointer (the pin operation).
   RegistryPtr Pin() const;
 
-  /// Builds a shard handle outside every lock — the one place a
-  /// registration's GenT is made. `catalog` (may be null) is a prebuilt
-  /// catalog over the lake (the mapped snapshot-open and layered-append
-  /// paths); otherwise the shard builds one. The caller sets uid and
-  /// delta_gen under the registry mutex, with its own publish check.
+  /// Builds a shard handle, with a fresh health cell, outside every lock
+  /// — the one place a registration's GenT is made. `catalog` (may be
+  /// null) is a prebuilt catalog over the lake (the mapped snapshot-open
+  /// and layered-append paths); otherwise the shard builds one. The
+  /// caller sets delta_gen, and uid and health when the handle continues
+  /// an existing registration.
   std::shared_ptr<Shard> MakeShard(
       const std::string& name, std::unique_ptr<DataLake> owned,
       const DataLake* borrowed,
@@ -617,6 +634,16 @@ class ReclaimService {
   /// Shared tail of every registry mutation: publishes `next` as the
   /// new snapshot under the registry mutex.
   void PublishLocked(std::shared_ptr<RegistrySnapshot> next);
+
+  /// The one replace-shard step (ReloadLakeFromSnapshot,
+  /// AppendTablesToLake, CompactShardSnapshot, AttemptRecovery). Under
+  /// the registry mutex: finds shard `shard->name`; when `expected` is
+  /// non-null, requires the registered shard to still be that content
+  /// generation (same uid and delta_gen); assigns a fresh uid if
+  /// `shard->uid` is 0; swaps `shard` into the slot and publishes. False
+  /// = nothing published (name gone or check failed); each caller maps
+  /// that to its own status.
+  bool ReplaceShard(std::shared_ptr<Shard> shard, const Shard* expected);
 
   /// Runs the pipeline for one admitted request. `limits` carries the
   /// caller-built budget (timeout and/or absolute deadline, row cap,
@@ -675,10 +702,11 @@ class ReclaimService {
   uint64_t next_shard_uid_ = 1;
 
   /// Serializes AppendTablesToLake and CompactShardSnapshot among
-  /// themselves (never held together with registry_mutex_ or
-  /// health_mutex_ — both are taken and released inside). Concurrent
-  /// Remove/Reload still race an append; the (uid, delta_gen) recheck
-  /// at publish turns that race into Status::Aborted.
+  /// themselves. Lock order: append_mutex_ → health_mutex_ →
+  /// registry_mutex_ (each may be skipped; none is ever taken while a
+  /// later one in the order is held). Concurrent
+  /// Remove/Reload/recovery still race an append; ReplaceShard's
+  /// (uid, delta_gen) check turns that race into Status::Aborted.
   mutable std::mutex append_mutex_;
 
   /// Shared buffer-pool capacity across every mapped shard (null when
@@ -703,54 +731,34 @@ class ReclaimService {
   mutable std::atomic<uint64_t> quarantine_skipped_{0};
   mutable std::atomic<uint64_t> unavailable_rejects_{0};
 
-  // --- Shard health state (DESIGN.md §5.11) --------------------------------
+  // --- Shard health and maintenance (DESIGN.md §5.11) ---------------------
   //
-  // Lock discipline: health_mutex_ and registry_mutex_ are NEVER held
-  // together — every path takes one, releases it, then (maybe) takes
-  // the other, so no ordering between them can deadlock. The serving
-  // fast path pays one relaxed atomic load (quarantined_count_) and
-  // touches the map only while something is actually quarantined.
+  // Health lives on the shard (Shard::health). The serving path reads
+  // one atomic flag per routed shard and takes no lock.
 
-  /// Health record of one shard registration, keyed by shard uid.
-  struct HealthEntry {
-    ShardHealth state = ShardHealth::kHealthy;
-    uint64_t error_count = 0;
-    uint64_t attempts = 0;    // failed recovery attempts this quarantine
-    uint64_t recoveries = 0;  // successful recoveries, survives re-key
-    bool rebuilt_from_body = false;
-    bool retry_enabled = true;  // false once max_recovery_attempts hit
-    std::string last_error;
-    std::string name;           // shard name at fault time
-    std::string snapshot_path;  // recovery source ("" = unrecoverable)
-    std::chrono::steady_clock::time_point next_retry{};
-  };
-
-  /// Records a storage fault against `shard`; the first fault moves it
-  /// to kQuarantined and wakes the recovery thread.
+  /// Records a storage fault against `shard`'s registration; the first
+  /// fault quarantines it and wakes the recovery thread.
   void NoteShardFault(const Shard& shard, const std::string& error) const;
 
-  /// Background recovery loop: drains queued compactions first, then
-  /// waits for the earliest due retry and attempts one recovery — all
-  /// actual work outside the locks.
+  /// Background maintenance loop: drains queued compactions first, then
+  /// scans the pinned registry's health cells for the earliest due retry
+  /// and attempts one recovery — all actual work outside the locks.
   void RecoveryLoop();
-  /// One recovery attempt for the quarantined shard `uid`: full reopen
-  /// first, body-salvage + rebuild as fallback, reschedule on failure.
-  void AttemptRecovery(uint64_t uid);
+  /// One recovery attempt for the quarantined generation `old`: full
+  /// reopen first, body-salvage + rebuild as fallback, reschedule on
+  /// failure.
+  void AttemptRecovery(const std::shared_ptr<const Shard>& old);
 
-  /// Drops health entries whose uid left the registry (after
-  /// RemoveLake / ReloadLakeFromSnapshot), fixing quarantined_count_.
-  void PruneHealthEntries() const;
-
+  /// Guards every ShardHealthCell's non-atomic fields, the compaction
+  /// queue and stopping_. RecoveryLoop pins the registry while holding
+  /// it; nothing takes it while holding registry_mutex_.
   mutable std::mutex health_mutex_;
   mutable std::condition_variable health_cv_;
-  mutable std::unordered_map<uint64_t, HealthEntry> health_;
   /// Shards awaiting a background fold (compact_after_runs policy),
-  /// by name; drained by RecoveryLoop before recovery work. Guarded by
-  /// health_mutex_; duplicates are benign (the fold is idempotent).
+  /// by name; drained by RecoveryLoop before recovery work. Duplicates
+  /// are benign (the fold is idempotent).
   mutable std::deque<std::string> compaction_queue_;
-  /// Fast routing gate: number of kQuarantined entries in health_.
-  mutable std::atomic<uint64_t> quarantined_count_{0};
-  bool stopping_ = false;  // guarded by health_mutex_
+  bool stopping_ = false;
   std::thread recovery_thread_;
 
   // Declared last: destroyed first, draining every admitted task while

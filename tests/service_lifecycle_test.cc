@@ -595,41 +595,6 @@ TEST(ServiceLifecycleTest, SubmitReclaimMatchesSynchronousReclaim) {
   EXPECT_EQ(service.admission_stats().queued, 0u);
 }
 
-TEST(ServiceLifecycleTest, AdmissionQueueRejectsWhenFull) {
-  auto dict = MakeDictionary();
-  DataLake lake = MakePairedLake(dict, 0, 2);
-  ServiceOptions options;
-  options.dict = dict;
-  options.num_threads = 1;  // one worker: easy to saturate
-  options.admission_capacity = 1;
-  options.admission_policy = AdmissionPolicy::kReject;
-  ReclaimService service(std::move(options));
-  ASSERT_TRUE(service.AddLakeView("lake", lake).ok());
-
-  ReclaimRequest request;
-  request.lake = "lake";
-  // Flood the one-slot queue; at least one submission must be shed with
-  // ResourceExhausted (the worker can't drain 16 pipelines instantly),
-  // and everything admitted must complete correctly.
-  std::vector<ReclaimTicket> admitted;
-  uint64_t rejected = 0;
-  for (int i = 0; i < 16; ++i) {
-    auto ticket = service.SubmitReclaim(MakeSource(dict, 0), request);
-    if (ticket.ok()) {
-      admitted.push_back(std::move(*ticket));
-    } else {
-      EXPECT_EQ(ticket.status().code(), StatusCode::kResourceExhausted);
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  EXPECT_EQ(service.admission_stats().rejected, rejected);
-  ASSERT_FALSE(admitted.empty());
-  for (auto& ticket : admitted) {
-    EXPECT_TRUE(ticket.Wait().ok()) << ticket.Wait().status().ToString();
-  }
-}
-
 TEST(ServiceLifecycleTest, BlockingAdmissionEventuallyAdmitsEverything) {
   auto dict = MakeDictionary();
   DataLake lake = MakePairedLake(dict, 0, 2);

@@ -1,11 +1,10 @@
 // Deadline-aware admission tests for ReclaimService (DESIGN.md §5.9):
-// priority ordering, kShedOldest under saturation, per-class queue
-// caps, dead-on-arrival deadline rejection, cooperative mid-flight
-// interruption at every pipeline stage, the Cancel()==true ⇒ Cancelled
-// guarantee, discovery-cache poisoning immunity, snapshot fault
-// injection (failure atomicity of AddLakeFromSnapshot/
-// ReloadLakeFromSnapshot), and a cancel/reload/serve hammer that runs
-// under ThreadSanitizer in CI.
+// priority ordering, kShedOldest under saturation, dead-on-arrival
+// deadline rejection, cooperative mid-flight interruption at every
+// pipeline stage, the Cancel()==true ⇒ Cancelled guarantee,
+// discovery-cache poisoning immunity, snapshot fault injection (failure
+// atomicity of AddLakeFromSnapshot/ReloadLakeFromSnapshot), and a
+// cancel/reload/serve hammer that runs under ThreadSanitizer in CI.
 
 #include <atomic>
 #include <cerrno>
@@ -347,60 +346,6 @@ TEST(ServiceTailTest, ShedOldestEvictsLowestClassAndNeverHigher) {
   EXPECT_TRUE(n2->Wait().ok());
   EXPECT_TRUE(n3->Wait().ok());
   EXPECT_TRUE(h1->Wait().ok());
-}
-
-TEST(ServiceTailTest, PerClassCapShedsWithinTheClass) {
-  ServiceOptions base;
-  base.admission_policy = AdmissionPolicy::kShedOldest;
-  base.priority_capacity[static_cast<size_t>(RequestPriority::kNormal)] = 1;
-  BusyService busy(std::move(base));
-
-  auto n1 = busy.service->SubmitReclaim(MakeSource(busy.dict, 1),
-                                        Light(RequestPriority::kNormal));
-  ASSERT_TRUE(n1.ok());
-  // The normal class is at its cap: a second normal sheds the first
-  // (shedding a batch entry could not free a normal slot).
-  auto b1 = busy.service->SubmitReclaim(MakeSource(busy.dict, 3),
-                                        Light(RequestPriority::kBatch));
-  ASSERT_TRUE(b1.ok());
-  auto n2 = busy.service->SubmitReclaim(MakeSource(busy.dict, 2),
-                                        Light(RequestPriority::kNormal));
-  ASSERT_TRUE(n2.ok());
-  EXPECT_EQ(n1->Wait().status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(busy.service->admission_stats().shed, 1u);
-
-  // Other classes are unaffected by the normal cap.
-  auto h1 = busy.service->SubmitReclaim(MakeSource(busy.dict, 1),
-                                        Light(RequestPriority::kHigh));
-  ASSERT_TRUE(h1.ok());
-
-  EXPECT_TRUE(busy.blocker.Wait().ok());
-  EXPECT_TRUE(n2->Wait().ok());
-  EXPECT_TRUE(b1->Wait().ok());
-  EXPECT_TRUE(h1->Wait().ok());
-}
-
-TEST(ServiceTailTest, PerClassCapRejectsUnderKReject) {
-  ServiceOptions base;
-  base.admission_policy = AdmissionPolicy::kReject;
-  base.priority_capacity[static_cast<size_t>(RequestPriority::kBatch)] = 1;
-  BusyService busy(std::move(base));
-
-  auto b1 = busy.service->SubmitReclaim(MakeSource(busy.dict, 1),
-                                        Light(RequestPriority::kBatch));
-  ASSERT_TRUE(b1.ok());
-  auto b2 = busy.service->SubmitReclaim(MakeSource(busy.dict, 2),
-                                        Light(RequestPriority::kBatch));
-  EXPECT_EQ(b2.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_GE(busy.service->admission_stats().rejected, 1u);
-  // The total queue is not full: a normal request is admitted.
-  auto n1 = busy.service->SubmitReclaim(MakeSource(busy.dict, 2),
-                                        Light(RequestPriority::kNormal));
-  ASSERT_TRUE(n1.ok());
-
-  EXPECT_TRUE(busy.blocker.Wait().ok());
-  EXPECT_TRUE(b1->Wait().ok());
-  EXPECT_TRUE(n1->Wait().ok());
 }
 
 // --- Priority ordering --------------------------------------------------------

@@ -172,6 +172,52 @@ class ShardHealthTest : public ::testing::Test {
     f.write(bytes, sizeof bytes);
   }
 
+  /// XORs one byte early in the base body. Unlike a damaged footer —
+  /// which, once the file has delta runs, reads as a torn append and
+  /// falls back to the previous commit — this always fails verification.
+  static void FlipBodyByte(const std::string& path) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(60);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    f.seekp(60);
+    f.write(&byte, 1);
+  }
+
+  /// Quarantines shard `name` through the on-demand probe: damages its
+  /// snapshot, lets CheckShardHealth observe it, then restores the byte
+  /// so a later reopen or fold succeeds.
+  static void QuarantineThroughProbe(const ReclaimService& service,
+                                     const std::string& name,
+                                     const std::string& path) {
+    FlipBodyByte(path);
+    EXPECT_FALSE(service.CheckShardHealth(name).ok());
+    FlipBodyByte(path);
+  }
+
+  /// One small table on the fixture dictionary, for appends.
+  std::vector<Table> ExtraTables(const std::string& name) const {
+    TableBuilder b(dict_, name);
+    b.Columns({"k", "z"});
+    for (size_t r = 0; r < 6; ++r) {
+      b.Row({"k" + std::to_string(r), "z" + std::to_string(r)});
+    }
+    std::vector<Table> tables;
+    tables.push_back(b.Build());
+    return tables;
+  }
+
+  static void ExpectCleanHealth(const ReclaimService::ShardHealthStats& h) {
+    EXPECT_EQ(h.state, ShardHealth::kHealthy);
+    EXPECT_EQ(h.error_count, 0u);
+    EXPECT_EQ(h.recovery_attempts, 0u);
+    EXPECT_EQ(h.recoveries, 0u);
+    EXPECT_FALSE(h.rebuilt_from_body);
+    EXPECT_TRUE(h.last_error.empty());
+    EXPECT_EQ(h.next_retry_in_seconds, 0);
+  }
+
   /// Builds a service whose alpha shard took an injected mapped-read
   /// fault while pinning its spine at open: its sticky storage health
   /// is already bad; the first served request's post-serve sweep will
@@ -353,6 +399,107 @@ TEST_F(ShardHealthTest, RetryBudgetExhaustsAndStopsRescheduling) {
   auto partial = service->Reclaim(source_, fan);
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(Same(*partial, *ref_beta_));
+}
+
+// Health belongs to the registration: a quarantined shard refuses
+// appends before touching its file or the registry.
+TEST_F(ShardHealthTest, AppendToQuarantinedShardIsUnavailable) {
+  BuildFixture();
+  ShardHealthOptions health;
+  health.auto_recover = false;  // freeze the quarantined state
+  auto service = MakeService(health);
+  QuarantineThroughProbe(*service, "alpha", alpha_path_);
+  ASSERT_EQ(HealthOf(*service, "alpha").state, ShardHealth::kQuarantined);
+
+  const uint64_t epoch = service->registry_epoch();
+  const auto file_size = std::filesystem::file_size(alpha_path_);
+  Status st = service->AppendTablesToLake("alpha", ExtraTables("extra"));
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  EXPECT_EQ(service->registry_epoch(), epoch);
+  EXPECT_EQ(std::filesystem::file_size(alpha_path_), file_size);
+  EXPECT_EQ(HealthOf(*service, "alpha").state, ShardHealth::kQuarantined);
+
+  // The healthy shard still takes appends.
+  ASSERT_TRUE(service->AppendTablesToLake("beta", ExtraTables("extra")).ok());
+  EXPECT_EQ(service->registry_epoch(), epoch + 1);
+}
+
+// A fold republishes the same registration, so it keeps the uid and
+// with it the quarantine: compaction never heals a shard.
+TEST_F(ShardHealthTest, CompactingAQuarantinedShardKeepsItQuarantined) {
+  BuildFixture();
+  ShardHealthOptions health;
+  health.auto_recover = false;
+  auto service = MakeService(health);
+  ASSERT_TRUE(service->AppendTablesToLake("alpha", ExtraTables("extra")).ok());
+  QuarantineThroughProbe(*service, "alpha", alpha_path_);
+  const auto before = HealthOf(*service, "alpha");
+  ASSERT_EQ(before.state, ShardHealth::kQuarantined);
+
+  const uint64_t epoch = service->registry_epoch();
+  ASSERT_TRUE(service->CompactShardSnapshot("alpha").ok());
+  EXPECT_EQ(service->registry_epoch(), epoch + 1) << "fold not republished";
+  const auto after = HealthOf(*service, "alpha");
+  EXPECT_EQ(after.uid, before.uid);
+  EXPECT_EQ(after.state, ShardHealth::kQuarantined);
+  EXPECT_EQ(after.error_count, before.error_count);
+
+  ReclaimRequest named;
+  named.lake = "alpha";
+  EXPECT_EQ(service->Reclaim(source_, named).status().code(),
+            StatusCode::kUnavailable);
+}
+
+// A reload and a remove + re-add are new registrations: their health
+// starts from zero, whatever the name's previous registration went
+// through.
+TEST_F(ShardHealthTest, ReloadAndReAddStartFromCleanHealth) {
+  BuildFixture();
+  ShardHealthOptions health;
+  health.auto_recover = false;
+  auto service = MakeService(health);
+  ReclaimRequest named;
+  named.lake = "alpha";
+
+  QuarantineThroughProbe(*service, "alpha", alpha_path_);
+  ASSERT_EQ(HealthOf(*service, "alpha").state, ShardHealth::kQuarantined);
+  ASSERT_TRUE(service->ReloadLakeFromSnapshot("alpha", alpha_path_).ok());
+  ExpectCleanHealth(HealthOf(*service, "alpha"));
+  EXPECT_TRUE(service->Reclaim(source_, named).ok());
+
+  QuarantineThroughProbe(*service, "alpha", alpha_path_);
+  ASSERT_EQ(HealthOf(*service, "alpha").state, ShardHealth::kQuarantined);
+  ASSERT_TRUE(service->RemoveLake("alpha").ok());
+  ASSERT_TRUE(service->AddLakeFromSnapshot("alpha", alpha_path_).ok());
+  ExpectCleanHealth(HealthOf(*service, "alpha"));
+  EXPECT_TRUE(service->Reclaim(source_, named).ok());
+}
+
+// Recovery publishes a new registration (new uid) that inherits the
+// old one's fault history: error_count and recoveries accumulate over
+// quarantine/heal cycles.
+TEST_F(ShardHealthTest, HealedShardKeepsErrorCountAndRecoveries) {
+  BuildFixture();
+  ShardHealthOptions health;
+  health.backoff_initial_seconds = 0.01;
+  health.backoff_max_seconds = 0.05;
+  auto service = MakeService(health);
+
+  for (uint64_t round = 1; round <= 2; ++round) {
+    const uint64_t old_uid = HealthOf(*service, "alpha").uid;
+    // One probe, one fault. Recovery may run before the bytes are
+    // restored (then it salvages to kDegraded) or after (kHealthy).
+    QuarantineThroughProbe(*service, "alpha", alpha_path_);
+    ASSERT_TRUE(WaitFor([&] {
+      const auto h = HealthOf(*service, "alpha");
+      return h.uid != old_uid && h.state != ShardHealth::kQuarantined;
+    })) << "round " << round << ": shard did not heal in time";
+    const auto healed = HealthOf(*service, "alpha");
+    EXPECT_EQ(healed.error_count, round);
+    EXPECT_EQ(healed.recoveries, round);
+    EXPECT_EQ(healed.recovery_attempts, 0u);
+    EXPECT_FALSE(healed.last_error.empty());
+  }
 }
 
 // The TSan target: fan-out readers run concurrently with repeated
