@@ -201,7 +201,7 @@ Status ReclaimService::RegisterShard(
     const std::string& name, std::unique_ptr<DataLake> owned,
     const DataLake* borrowed,
     std::shared_ptr<const ColumnStatsCatalog> catalog,
-    const std::string& source_path) {
+    const std::string& source_path, size_t delta_runs) {
   if (name.empty()) {
     return Status::InvalidArgument(
         "shard name must be non-empty (\"\" routes to all shards)");
@@ -227,6 +227,7 @@ Status ReclaimService::RegisterShard(
   // catalog (the mapped snapshot-open path) skips even that.
   std::shared_ptr<Shard> shard = MakeShard(name, std::move(owned), borrowed,
                                            std::move(catalog), source_path);
+  shard->delta_runs = delta_runs;
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
   if (registry_->by_name.count(name) > 0) {
@@ -271,11 +272,13 @@ Status ReclaimService::AddLakeView(const std::string& name,
 
 Status ReclaimService::LoadShardFromSnapshot(
     const std::string& path, std::unique_ptr<DataLake>* lake,
-    std::shared_ptr<const ColumnStatsCatalog>* catalog) const {
+    std::shared_ptr<const ColumnStatsCatalog>* catalog,
+    size_t* delta_runs) const {
   *lake = std::make_unique<DataLake>(dict_);
   catalog->reset();
   SnapshotLoadInfo info;
   GENT_RETURN_IF_ERROR(LoadSnapshot(**lake, path, &info));
+  *delta_runs = info.delta_runs;
   if (info.version < 2 || !info.identity_remap) {
     return Status::OK();  // rebuild path
   }
@@ -302,9 +305,11 @@ Status ReclaimService::AddLakeFromSnapshot(const std::string& name,
                                            const std::string& path) {
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog));
+  size_t delta_runs = 0;
+  GENT_RETURN_IF_ERROR(
+      LoadShardFromSnapshot(path, &lake, &catalog, &delta_runs));
   return RegisterShard(name, std::move(lake), nullptr, std::move(catalog),
-                       path);
+                       path, delta_runs);
 }
 
 Status ReclaimService::AddLakeFromDirectory(const std::string& name,
@@ -357,12 +362,15 @@ Status ReclaimService::ReloadLakeFromSnapshot(const std::string& name,
   // the old shard keeps serving untouched.
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog));
+  size_t delta_runs = 0;
+  GENT_RETURN_IF_ERROR(
+      LoadShardFromSnapshot(path, &lake, &catalog, &delta_runs));
   // A new registration with a fresh health cell: an explicit reload
   // supersedes any quarantine of the old one.
-  if (!ReplaceShard(MakeShard(name, std::move(lake), nullptr,
-                              std::move(catalog), path),
-                    nullptr)) {
+  std::shared_ptr<Shard> shard =
+      MakeShard(name, std::move(lake), nullptr, std::move(catalog), path);
+  shard->delta_runs = delta_runs;
+  if (!ReplaceShard(std::move(shard), nullptr)) {
     return Status::NotFound("no shard named '" + name + "'");
   }
   return Status::OK();
@@ -424,6 +432,7 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
   // Same registration, next content generation.
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen + 1;
+  shard->delta_runs = runs_total;
   shard->health = old->health;
   shard->predecessor = old;  // keeps the borrowed views' owner alive
   if (!ReplaceShard(std::move(shard), old.get())) {
@@ -474,11 +483,14 @@ Status ReclaimService::CompactShardSnapshot(const std::string& name) {
   // and route tags stay valid — compaction is invisible to serving.
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(old->source_path, &lake, &catalog));
+  size_t delta_runs = 0;
+  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(old->source_path, &lake,
+                                             &catalog, &delta_runs));
   std::shared_ptr<Shard> shard = MakeShard(
       name, std::move(lake), nullptr, std::move(catalog), old->source_path);
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen;
+  shard->delta_runs = delta_runs;
   shard->health = old->health;  // a quarantined shard stays quarantined
   if (!ReplaceShard(std::move(shard), old.get())) {
     // Replaced while folding. The compacted file is durable and
@@ -1054,7 +1066,9 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
   // Preferred path: full reopen (mapped when the snapshot allows).
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  Status st = LoadShardFromSnapshot(old->source_path, &lake, &catalog);
+  size_t delta_runs = 0;
+  Status st =
+      LoadShardFromSnapshot(old->source_path, &lake, &catalog, &delta_runs);
   bool salvaged = false;
   std::string fail_reason;
   if (!st.ok()) {
@@ -1064,6 +1078,7 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
     // RAM. The shard then serves identically, flagged kDegraded.
     lake = std::make_unique<DataLake>(dict_);
     catalog.reset();
+    delta_runs = 0;  // salvage recovers the base generation only
     Status body = LoadSnapshotBody(*lake, old->source_path);
     if (body.ok()) {
       salvaged = true;
@@ -1094,6 +1109,7 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
   std::shared_ptr<Shard> shard = MakeShard(
       old->name, std::move(lake), nullptr, std::move(catalog),
       old->source_path);
+  shard->delta_runs = delta_runs;
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
     shard->health->error_count = cell.error_count;
@@ -1143,6 +1159,9 @@ std::vector<ReclaimService::ShardHealthStats> ReclaimService::health_stats()
 }
 
 Status ReclaimService::CheckShardHealth(const std::string& name) const {
+  // Appends and folds rewrite the backing file under this lock; holding
+  // it keeps the file's run count and the shard's in step.
+  std::lock_guard<std::mutex> append_lock(append_mutex_);
   RegistryPtr registry = Pin();
   auto it = registry->by_name.find(name);
   if (it == registry->by_name.end()) {
@@ -1153,7 +1172,15 @@ Status ReclaimService::CheckShardHealth(const std::string& name) const {
   // check — re-verify the backing snapshot's bytes end to end.
   Status st = shard.gent->catalog().storage_health();
   if (st.ok() && !shard.source_path.empty()) {
-    st = VerifySnapshotIntegrity(shard.source_path);
+    size_t runs = 0;
+    st = VerifySnapshotIntegrity(shard.source_path, &runs);
+    if (st.ok() && runs < shard.delta_runs) {
+      st = Status::IOError(
+          "'" + shard.source_path + "' verifies at " + std::to_string(runs) +
+          " delta runs but the shard committed " +
+          std::to_string(shard.delta_runs) +
+          ": the newest committed footer is damaged");
+    }
   }
   if (!st.ok()) NoteShardFault(shard, st.message());
   return st;

@@ -542,7 +542,11 @@ class ReclaimService {
   /// On-demand health probe of shard `name` (NotFound if absent):
   /// checks the catalog backend's sticky storage health, then — for a
   /// snapshot-backed shard — re-verifies the snapshot file end to end
-  /// (VerifySnapshotIntegrity). A failed probe quarantines the shard
+  /// (VerifySnapshotIntegrity), which must verify at no fewer delta
+  /// runs than the shard has published: a damaged newest footer
+  /// otherwise reads as a torn append and verifies at the previous
+  /// generation. Runs under the append lock, so the file is not
+  /// mid-append or mid-fold. A failed probe quarantines the shard
   /// (background recovery takes over) and returns the failure; OK means
   /// the shard is serving and its backing bytes verify.
   Status CheckShardHealth(const std::string& name) const;
@@ -579,6 +583,11 @@ class ReclaimService {
     /// in RAM or from CSVs. Non-empty is what makes the shard
     /// disk-recoverable after quarantine.
     std::string source_path;
+    /// Delta runs `source_path` held when this generation was
+    /// published: the load's count, the append's new total, 0 after a
+    /// compaction. A file that later verifies at fewer runs has lost a
+    /// committed append (CheckShardHealth).
+    size_t delta_runs = 0;
     /// Appends applied to this registration (AppendTablesToLake), 0 at
     /// registration. (uid, delta_gen) identifies shard CONTENT for the
     /// discovery cache (ShardRouteTag); compaction keeps both.
@@ -621,15 +630,18 @@ class ReclaimService {
                        std::unique_ptr<DataLake> owned,
                        const DataLake* borrowed,
                        std::shared_ptr<const ColumnStatsCatalog> catalog,
-                       const std::string& source_path = std::string());
+                       const std::string& source_path = std::string(),
+                       size_t delta_runs = 0);
 
   /// Shared by AddLakeFromSnapshot/ReloadLakeFromSnapshot: loads `path`
   /// into a fresh lake on the service dictionary and, when the snapshot
   /// is v2 with an identity remap, opens its catalog sections mapped
-  /// (null `*catalog` = caller builds as usual).
+  /// (null `*catalog` = caller builds as usual). `*delta_runs` is the
+  /// number of delta runs loaded.
   Status LoadShardFromSnapshot(
       const std::string& path, std::unique_ptr<DataLake>* lake,
-      std::shared_ptr<const ColumnStatsCatalog>* catalog) const;
+      std::shared_ptr<const ColumnStatsCatalog>* catalog,
+      size_t* delta_runs) const;
 
   /// Shared tail of every registry mutation: publishes `next` as the
   /// new snapshot under the registry mutex.

@@ -1,10 +1,12 @@
 #include "src/lake/snapshot.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <unordered_set>
 #include <vector>
 
@@ -92,18 +94,29 @@ class Writer {
   storage::Checksum64 checksum_;
 };
 
+// Buffered reader over one private buffer of up to kBufferBytes: fields
+// are decoded straight from it, the running checksum is appended once
+// per consumed buffer range rather than once per field, and a read
+// larger than the buffer goes straight into the caller's memory. Every
+// refill positions the FILE itself, so callers may use file() for
+// random access (footer, catalog tail) between reads.
 class Reader {
  public:
+  static constexpr size_t kBufferBytes = size_t{1} << 20;
+
   explicit Reader(const std::string& path)
       : file_(io::Fopen(path, "rb")) {
     // The file size bounds every length field read from it
     // (Remaining()), so a hostile count fails typed instead of sizing
     // an allocation.
     if (file_ == nullptr) return;
+    // The private buffer replaces stdio's; set before any other I/O.
+    std::setvbuf(file_, nullptr, _IONBF, 0);
     const bool sized = std::fseek(file_, 0, SEEK_END) == 0;
     const long size = sized ? std::ftell(file_) : -1;
-    failed_ = size < 0 || std::fseek(file_, 0, SEEK_SET) != 0;
+    failed_ = size < 0;
     size_ = failed_ ? 0 : static_cast<uint64_t>(size);
+    capacity_ = static_cast<size_t>(std::min<uint64_t>(kBufferBytes, size_));
   }
   ~Reader() {
     if (file_ != nullptr) std::fclose(file_);
@@ -116,22 +129,39 @@ class Reader {
   /// concatenation accident or corruption) and must be rejected. (A v2
   /// body is followed by the catalog region instead; its tail is
   /// validated from the footer.)
-  bool AtEof() {
-    if (!ok()) return false;
-    const int c = std::fgetc(file_);
-    if (c == EOF) return true;
-    std::ungetc(c, file_);
-    return false;
-  }
+  bool AtEof() const { return ok() && position_ >= size_; }
 
   void Bytes(void* data, size_t n) {
-    if (!ok()) return;
-    failed_ |= io::Fread(data, n, file_) != n;
-    if (!failed_) {
-      offset_ += n;
-      position_ += n;
-      checksum_.Append(data, n);
+    if (n == 0) return;
+    uint8_t* dst = static_cast<uint8_t*>(data);
+    const size_t buffered = Buffered();
+    if (n <= buffered) {
+      std::memcpy(dst, Head(), n);
+      Consume(n);
+      return;
     }
+    if (!ok()) return;
+    if (buffered > 0) {  // (no buffer is allocated before the first Fill)
+      std::memcpy(dst, Head(), buffered);
+      Consume(buffered);
+      dst += buffered;
+      n -= buffered;
+    }
+    if (n < capacity_) {
+      if (!Fill(n)) return;
+      std::memcpy(dst, Head(), n);
+      Consume(n);
+      return;
+    }
+    // Larger than the buffer (a table column): read it in place.
+    SumConsumed();
+    begin_ = end_ = summed_ = 0;
+    if (n > Remaining() || !ReadAt(position_, dst, n)) {
+      Fail();
+      return;
+    }
+    checksum_.Append(dst, n);
+    position_ += n;
   }
 
   /// Bytes between the read position and the end of the file.
@@ -151,8 +181,14 @@ class Reader {
   std::string String(uint32_t max_len = 1u << 24) {
     const uint32_t n = U32();
     if (n > max_len || n > Remaining()) {
-      failed_ = true;
+      Fail();
       return {};
+    }
+    if (n > Buffered() && n < capacity_ && !Fill(n)) return {};
+    if (n <= Buffered()) {
+      std::string s(reinterpret_cast<const char*>(Head()), n);
+      Consume(n);
+      return s;
     }
     std::string s(n, '\0');
     Bytes(s.data(), n);
@@ -160,8 +196,12 @@ class Reader {
   }
 
   std::FILE* file() { return file_; }
-  uint64_t offset() const { return offset_; }
-  uint64_t checksum() const { return checksum_.Finish(); }
+  /// Bytes consumed so far: the body length while reading the body.
+  uint64_t offset() const { return position_; }
+  uint64_t checksum() {
+    SumConsumed();
+    return checksum_.Finish();
+  }
 
   /// Repositions the reader at an absolute file offset (delta-run
   /// parsing jumps to blob offsets from the directory). The running
@@ -169,23 +209,74 @@ class Reader {
   /// callers use them only before the first SeekTo.
   bool SeekTo(uint64_t off) {
     if (!ok()) return false;
-    failed_ |= std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0;
+    SumConsumed();
+    begin_ = end_ = summed_ = 0;
     position_ = off;
-    return !failed_;
+    return true;
   }
 
  private:
+  size_t Buffered() const { return end_ - begin_; }
+  const uint8_t* Head() const { return buffer_.get() + begin_; }
+  void Consume(size_t n) {
+    begin_ += n;
+    position_ += n;
+  }
+  void Fail() {
+    failed_ = true;
+    begin_ = end_ = summed_ = 0;
+  }
+  // Appends the consumed, not yet summed buffer range to the checksum.
+  void SumConsumed() {
+    if (begin_ > summed_) {
+      checksum_.Append(buffer_.get() + summed_, begin_ - summed_);
+    }
+    summed_ = begin_;
+  }
+  bool ReadAt(uint64_t off, void* dst, size_t n) {
+    return std::fseek(file_, static_cast<long>(off), SEEK_SET) == 0 &&
+           io::Fread(dst, n, file_) == n;
+  }
+  // Refills the buffer so at least `need` (< capacity_) bytes are
+  // buffered; fails when the file ends first or a read fails.
+  bool Fill(size_t need) {
+    if (!ok()) return false;
+    if (buffer_ == nullptr) buffer_.reset(new uint8_t[capacity_]);
+    SumConsumed();
+    const size_t kept = Buffered();
+    std::memmove(buffer_.get(), Head(), kept);
+    begin_ = summed_ = 0;
+    end_ = kept;
+    const uint64_t from = position_ + kept;
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(capacity_ - kept, from < size_ ? size_ - from : 0));
+    if (kept + want < need || !ReadAt(from, buffer_.get() + kept, want)) {
+      Fail();
+      return false;
+    }
+    end_ += want;
+    return true;
+  }
+
   std::FILE* file_;
   bool failed_ = false;
   uint64_t size_ = 0;
-  uint64_t position_ = 0;  // absolute, unlike offset_
-  uint64_t offset_ = 0;
+  uint64_t position_ = 0;  // absolute offset of the next unread byte
+  std::unique_ptr<uint8_t[]> buffer_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;   // next unread buffered byte
+  size_t end_ = 0;     // end of the buffered bytes
+  size_t summed_ = 0;  // buffered bytes before this are in checksum_
   storage::Checksum64 checksum_;
 };
 
 // Writes the body (dictionary + tables), stamped version 2. Its layout
 // is the v1 payload; v2 differs only in the catalog region that follows.
-Status WriteBody(Writer& w, const DataLake& lake, const std::string& path) {
+// Fills `tags` with the TagOf of every written dictionary entry after
+// id 0 — computed from the bytes written, so entries a shared
+// dictionary gains during the save are in neither.
+Status WriteBody(Writer& w, const DataLake& lake, const std::string& path,
+                 std::vector<uint32_t>* tags) {
   const ValueDictionary& dict = *lake.dict();
   if (!w.ok()) {
     return Status::IOError("cannot open '" + path + "' for writing");
@@ -197,13 +288,16 @@ Status WriteBody(Writer& w, const DataLake& lake, const std::string& path) {
   // index. Id 0 is the null sentinel and is written as the empty string.
   const uint64_t dict_size = dict.size();
   w.U64(dict_size);
+  tags->reserve(dict_size > 0 ? dict_size - 1 : 0);
   for (uint64_t id = 0; id < dict_size; ++id) {
     if (dict.IsLabeledNull(static_cast<ValueId>(id))) {
       return Status::InvalidArgument(
           "snapshot cannot contain labeled nulls (transient integration "
           "state)");
     }
-    w.String(dict.StringOf(static_cast<ValueId>(id)));
+    const std::string& value = dict.StringOf(static_cast<ValueId>(id));
+    w.String(value);
+    if (id > 0) tags->push_back(ValueDictionary::TagOf(value));
   }
 
   w.U64(lake.size());
@@ -265,12 +359,14 @@ Status SaveSnapshotV2(const DataLake& lake,
                       const std::string& path) {
   const std::string tmp = TempSnapshotPath(path);
   Writer w(tmp);
-  Status st = WriteBody(w, lake, tmp);
+  std::vector<uint32_t> tags;
+  Status st = WriteBody(w, lake, tmp, &tags);
   if (st.ok()) {
     // The catalog region appends strictly after the body; the body's
     // length and running checksum become its footer descriptor.
+    const storage::DictTagsView dict_tags{ValueDictionary::kTagVersion, tags};
     st = storage::AppendCatalogSections(w.file(), w.offset(), w.checksum(),
-                                        catalog, kVersionV2);
+                                        catalog, kVersionV2, &dict_tags);
   }
   if (!st.ok()) {
     w.MarkFailed();
@@ -517,10 +613,12 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
 namespace {
 
 /// Parses one body-format table from `r`, remapping cell ids through
-/// `remap`, and stages it. Shared by the base-table loop and the
-/// delta-run loader (runs serialize tables identically).
+/// `remap`, and stages it. `identity` says `remap` maps every id to
+/// itself; columns are then read in place and range-checked once.
+/// Shared by the base-table loop and the delta-run loader (runs
+/// serialize tables identically).
 Status ParseSnapshotTable(Reader& r, DataLake& lake,
-                          const std::vector<ValueId>& remap,
+                          const std::vector<ValueId>& remap, bool identity,
                           std::vector<Table>* staged) {
   const std::string name = r.String();
   const uint32_t cols = r.U32();
@@ -543,11 +641,22 @@ Status ParseSnapshotTable(Reader& r, DataLake& lake,
   if (cols > 0 && rows > r.Remaining() / (uint64_t{cols} * sizeof(ValueId))) {
     return Status::IOError("corrupt snapshot table: row count exceeds file");
   }
-  std::vector<ValueId> column(cols > 0 ? rows : 0);
+  std::vector<ValueId> column(cols > 0 && !identity ? rows : 0);
   for (uint32_t c = 0; c < cols; ++c) {
+    auto& dst = t.mutable_column(c);
+    if (identity) {
+      dst.resize(rows);
+      r.Bytes(dst.data(), rows * sizeof(ValueId));
+      if (!r.ok()) return Status::IOError("truncated snapshot column data");
+      ValueId max_id = 0;
+      for (const ValueId v : dst) max_id = std::max(max_id, v);
+      if (rows > 0 && max_id >= remap.size()) {
+        return Status::IOError("corrupt snapshot: value id out of range");
+      }
+      continue;
+    }
     r.Bytes(column.data(), rows * sizeof(ValueId));
     if (!r.ok()) return Status::IOError("truncated snapshot column data");
-    auto& dst = t.mutable_column(c);
     dst.resize(rows);
     for (uint64_t row = 0; row < rows; ++row) {
       const ValueId saved = column[row];
@@ -568,9 +677,14 @@ Status ParseSnapshotTable(Reader& r, DataLake& lake,
 /// call, appending each entry's id in the lake's dictionary to `remap`
 /// (indexed by saved id). `identity` stays true only while every entry
 /// keeps its saved id. The one path for the base dictionary and every
-/// delta run's.
+/// delta run's. With `tags` (the base dictionary's persisted tags) the
+/// entries are adopted instead when `dict` holds only id 0, and
+/// `*adopted` is set; otherwise, and always for delta runs (null
+/// `tags`), InternAll is the path.
 Status LoadDictionarySection(Reader& r, uint64_t count, ValueDictionary& dict,
-                             std::vector<ValueId>* remap, bool* identity) {
+                             const std::vector<uint32_t>* tags,
+                             std::vector<ValueId>* remap, bool* identity,
+                             bool* adopted) {
   // Every entry is at least its 4-byte length.
   if (count > r.Remaining() / sizeof(uint32_t)) {
     return Status::IOError("corrupt snapshot: dictionary size exceeds file");
@@ -582,6 +696,14 @@ Status LoadDictionarySection(Reader& r, uint64_t count, ValueDictionary& dict,
     if (!r.ok()) return Status::IOError("truncated snapshot dictionary");
   }
   const size_t first = remap->size();
+  if (tags != nullptr && dict.AdoptAll(std::move(values), *tags)) {
+    // Adopted entries keep their saved ids 1..count.
+    remap->resize(first + count);
+    std::iota(remap->begin() + first, remap->end(),
+              static_cast<ValueId>(first));
+    *adopted = true;
+    return Status::OK();
+  }
   dict.InternAll(std::move(values), remap);
   for (size_t saved = first; saved < remap->size(); ++saved) {
     *identity &= (*remap)[saved] == saved;
@@ -616,15 +738,61 @@ Status LoadDeltaRun(Reader& r, const storage::DeltaRunDesc& run,
     return Status::IOError(
         "corrupt snapshot delta run: dictionary does not chain");
   }
-  GENT_RETURN_IF_ERROR(
-      LoadDictionarySection(r, dict_count, *lake.dict(), remap, identity));
+  GENT_RETURN_IF_ERROR(LoadDictionarySection(
+      r, dict_count, *lake.dict(), nullptr, remap, identity, nullptr));
   const uint64_t table_count = r.U64();
   if (!r.ok() || table_count > run.bytes) {
     return Status::IOError("truncated snapshot delta run");
   }
   for (uint64_t i = 0; i < table_count; ++i) {
-    GENT_RETURN_IF_ERROR(ParseSnapshotTable(r, lake, *remap, staged));
+    GENT_RETURN_IF_ERROR(
+        ParseSnapshotTable(r, lake, *remap, *identity, staged));
   }
+  return Status::OK();
+}
+
+/// Reads the header of kDictTags section `desc` and checks it against
+/// the body's dictionary of `dict_size` entries: one tag per entry
+/// after id 0. IOError otherwise.
+Result<storage::DictTagsHeader> ReadDictTagsHeaderFor(
+    std::FILE* file, const storage::SectionDesc& desc, uint64_t dict_size) {
+  auto header = storage::ReadDictTagsHeader(file, desc);
+  if (header.ok() && header->count != (dict_size > 0 ? dict_size - 1 : 0)) {
+    return Status::IOError(
+        "corrupt snapshot: dictionary tags disagree with the dictionary size");
+  }
+  return header;
+}
+
+/// Reads the footer of a v2 file ahead of its body and, from its
+/// kDictTags section, the tags that let `dict` adopt the base
+/// dictionary: `*adoptable` is set when the section carries this
+/// build's kTagVersion and `dict` holds only id 0. The section must
+/// agree with the body's `dict_size` either way. A file with no footer
+/// at all, or no section, is not an error here (the tail validation
+/// reports the former).
+Status ReadAdoptableTags(std::FILE* file, uint64_t dict_size,
+                         const ValueDictionary& dict,
+                         std::vector<uint32_t>* tags, bool* adoptable) {
+  auto footer = storage::ReadFooterRecover(file);
+  if (!footer.ok()) {
+    return footer.status().code() == StatusCode::kInvalidArgument
+               ? Status::OK()
+               : footer.status();
+  }
+  const storage::SectionDesc* desc =
+      footer->Find(storage::SectionId::kDictTags);
+  if (desc == nullptr) return Status::OK();
+  auto header = ReadDictTagsHeaderFor(file, *desc, dict_size);
+  if (!header.ok()) return header.status();
+  // Tags of another TagOf definition are ignored: the dictionary
+  // re-interns.
+  if (header->tag_version != ValueDictionary::kTagVersion ||
+      dict.size() != 1) {
+    return Status::OK();
+  }
+  GENT_RETURN_IF_ERROR(storage::ReadDictTags(file, *desc, tags));
+  *adoptable = true;
   return Status::OK();
 }
 
@@ -639,10 +807,13 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   Reader r(path);
   if (!r.open()) return Status::IOError("cannot open '" + path + "'");
   char magic[8];
+  const bool magic_fits = r.Remaining() >= sizeof magic;
   r.Bytes(magic, sizeof magic);
-  if (!r.ok() || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+  if (!magic_fits ||
+      (r.ok() && std::memcmp(magic, kMagic, sizeof kMagic) != 0)) {
     return Status::InvalidArgument("'" + path + "' is not a gent snapshot");
   }
+  if (!r.ok()) return Status::IOError("cannot read '" + path + "'");
   const uint32_t version = r.U32();
   if (version > kMaxVersion) {
     return Status::InvalidArgument(
@@ -656,15 +827,24 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   // identity and a v2 file's catalog sections are directly usable.
   const uint64_t dict_size = r.U64();
   if (!r.ok()) return Status::IOError("truncated snapshot header");
+  // The salvage mode never looks at the tail, so never adopts.
+  std::vector<uint32_t> tags;
+  bool adopt = false;
+  if (validate_tail && version >= kVersionV2) {
+    GENT_RETURN_IF_ERROR(
+        ReadAdoptableTags(r.file(), dict_size, *lake.dict(), &tags, &adopt));
+  }
   std::vector<ValueId> remap;
   bool identity = true;
+  bool adopted = false;
   if (dict_size > 0) {
     // Entry 0 is the null sentinel: it maps to kNull whatever it spells.
     r.String();
     if (!r.ok()) return Status::IOError("truncated snapshot dictionary");
     remap.push_back(kNull);
-    GENT_RETURN_IF_ERROR(LoadDictionarySection(r, dict_size - 1, *lake.dict(),
-                                               &remap, &identity));
+    GENT_RETURN_IF_ERROR(LoadDictionarySection(
+        r, dict_size - 1, *lake.dict(), adopt ? &tags : nullptr, &remap,
+        &identity, &adopted));
   }
 
   const uint64_t table_count = r.U64();
@@ -676,7 +856,8 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   std::vector<Table> staged;
   staged.reserve(table_count < (1u << 20) ? table_count : 0);
   for (uint64_t i = 0; i < table_count; ++i) {
-    GENT_RETURN_IF_ERROR(ParseSnapshotTable(r, lake, remap, &staged));
+    GENT_RETURN_IF_ERROR(
+        ParseSnapshotTable(r, lake, remap, identity, &staged));
   }
 
   size_t delta_runs = 0;
@@ -719,6 +900,7 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   if (info != nullptr) {
     info->version = version;
     info->identity_remap = identity;
+    info->dictionary_adopted = adopted;
     info->delta_runs = delta_runs;
   }
   return Status::OK();
@@ -736,7 +918,8 @@ Status LoadSnapshotBody(DataLake& lake, const std::string& path,
   return LoadSnapshotImpl(lake, path, info, /*validate_tail=*/false);
 }
 
-Status VerifySnapshotIntegrity(const std::string& path) {
+Status VerifySnapshotIntegrity(const std::string& path, size_t* delta_runs) {
+  if (delta_runs != nullptr) *delta_runs = 0;
   std::FILE* f = io::Fopen(path, "rb");
   if (f == nullptr) return Status::IOError("cannot open '" + path + "'");
   auto footer = storage::ReadFooterRecover(f);
@@ -765,7 +948,23 @@ Status VerifySnapshotIntegrity(const std::string& path) {
         return Status::IOError("'" + path + "': " + st.message());
       }
     }
+    // The one check a checksum cannot make: the dictionary tags must
+    // cover the body's dictionary (the u64 after magic and version).
+    if (const storage::SectionDesc* tags =
+            footer->Find(storage::SectionId::kDictTags)) {
+      uint64_t dict_size = 0;
+      Status st = Status::IOError("cannot read the dictionary size");
+      if (std::fseek(f, 12, SEEK_SET) == 0 &&
+          io::Fread(&dict_size, sizeof dict_size, f) == sizeof dict_size) {
+        st = ReadDictTagsHeaderFor(f, *tags, dict_size).status();
+      }
+      if (!st.ok()) {
+        io::Fclose(f);
+        return Status::IOError("'" + path + "': " + st.message());
+      }
+    }
     io::Fclose(f);
+    if (delta_runs != nullptr) *delta_runs = runs->size();
     return Status::OK();
   }
   io::Fclose(f);

@@ -29,6 +29,19 @@
 // dictionary, so a snapshot can be loaded into a non-empty lake.
 // Labeled nulls are never written (they are transient integration
 // state); encountering one while saving is an error.
+//
+// Dictionary adoption: SaveSnapshotV2 also writes the optional
+// kDictTags section (src/storage/paged_file.h) — the hash tag of every
+// base-dictionary entry, computed from the strings written. A full load
+// reads the footer first; when the section's checksum passes, its
+// tag_version is this build's and the target dictionary holds only id
+// 0 (a fresh lake), the base dictionary is adopted whole
+// (ValueDictionary::AdoptAll): the same ids and index InternAll would
+// build, without hashing a string. Every other case — a non-empty
+// target, delta-run dictionaries, the body salvage load, v1 files and
+// v2 files written before the section existed — re-interns as before.
+// The body itself is read through one buffer, and when the remap is the
+// identity each column is read in place and range-checked once.
 
 #ifndef GENT_LAKE_SNAPSHOT_H_
 #define GENT_LAKE_SNAPSHOT_H_
@@ -55,6 +68,11 @@ struct SnapshotLoadInfo {
   /// Covers the delta runs too: run blobs extend the same id space in
   /// append order.
   bool identity_remap = false;
+  /// True when the base dictionary was adopted from the file's
+  /// kDictTags section (ValueDictionary::AdoptAll) rather than
+  /// re-interned: a full v2 load into a dictionary holding only id 0,
+  /// with tags of this build's kTagVersion.
+  bool dictionary_adopted = false;
   /// Number of delta runs loaded after the base tables (0 for a plain
   /// snapshot; see AppendSnapshotDelta).
   size_t delta_runs = 0;
@@ -150,11 +168,17 @@ Status LoadSnapshotBody(DataLake& lake, const std::string& path,
 /// End-to-end integrity check of the snapshot at `path` without
 /// touching any lake. v2 (footer present): verifies the footer and
 /// every section checksum including the body descriptor — full byte
-/// coverage. v1: full structural parse into a scratch lake. Returns
+/// coverage — and that the dictionary tags, if any, count the body's
+/// dictionary. v1: full structural parse into a scratch lake. Returns
 /// the first corruption found; OK means LoadSnapshot would accept the
 /// file byte-for-byte. Used by shard health checks and
-/// tools/snapshot_inspect --verify.
-Status VerifySnapshotIntegrity(const std::string& path);
+/// tools/snapshot_inspect --verify. Fills `*delta_runs` (if non-null)
+/// with the number of delta runs the verified generation holds (0 for
+/// v1 or on failure): a damaged newest footer reads as a torn append
+/// and verifies at the previous generation, so a caller that knows how
+/// many runs it committed compares against this.
+Status VerifySnapshotIntegrity(const std::string& path,
+                               size_t* delta_runs = nullptr);
 
 /// Removes orphaned snapshot temp files (`*.tmp.<digits>`, the commit
 /// staging names a crashed saver strands) from directory `dir`.

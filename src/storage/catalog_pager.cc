@@ -100,7 +100,8 @@ Status CheckCsrBracket(uint32_t first, uint32_t last, uint64_t post_cols_count) 
 Status AppendCatalogSections(std::FILE* file, uint64_t body_bytes,
                              uint64_t body_checksum,
                              const CatalogSectionViews& views,
-                             uint32_t version) {
+                             uint32_t version,
+                             const DictTagsView* dict_tags) {
   SectionWriter w(file, body_bytes);
 
   w.BeginSection(SectionId::kColumnIndex);
@@ -131,6 +132,16 @@ Status AppendCatalogSections(std::FILE* file, uint64_t body_bytes,
   w.BeginSection(SectionId::kPostCols);
   w.Append(views.post_cols.data(), views.post_cols.size() * sizeof(uint32_t));
   w.EndSection();
+
+  if (dict_tags != nullptr) {
+    w.BeginSection(SectionId::kDictTags);
+    w.AppendU32(dict_tags->tag_version);
+    w.AppendU32(0);  // pad
+    w.AppendU64(static_cast<uint64_t>(dict_tags->tags.size()));
+    w.Append(dict_tags->tags.data(),
+             dict_tags->tags.size() * sizeof(uint32_t));
+    w.EndSection();
+  }
 
   w.AddBodyDesc(body_bytes, body_checksum);
   if (!w.Finish(version)) {

@@ -57,13 +57,23 @@ struct CatalogSectionViews {
   Span<uint32_t> post_cols;
 };
 
+/// Hash tags of a body's dictionary entries 1..n-1, for the optional
+/// kDictTags section (paged_file.h).
+struct DictTagsView {
+  uint32_t tag_version = 0;
+  Span<uint32_t> tags;
+};
+
 /// Appends the catalog sections and the v2 footer to `file`, which must
 /// be positioned right after a fully written body of `body_bytes` bytes
-/// whose streaming checksum is `body_checksum`. Does not flush/close.
+/// whose streaming checksum is `body_checksum`. `dict_tags`, when
+/// given, becomes a kDictTags section after the catalog sections. Does
+/// not flush/close.
 Status AppendCatalogSections(std::FILE* file, uint64_t body_bytes,
                              uint64_t body_checksum,
                              const CatalogSectionViews& views,
-                             uint32_t version);
+                             uint32_t version,
+                             const DictTagsView* dict_tags = nullptr);
 
 /// Full streaming validation of a v2 snapshot's catalog tail: footer
 /// geometry, body length + checksum against what the caller just read,

@@ -325,4 +325,56 @@ Status VerifySectionChecksum(std::FILE* file, const SectionDesc& desc) {
   return Status::OK();
 }
 
+namespace {
+
+// Reads the raw kDictTags header of `desc` into `buf` and parses it,
+// checking the section is exactly header + count tags. Leaves `file`
+// positioned at the first tag.
+Result<DictTagsHeader> ReadDictTagsHeaderInto(
+    std::FILE* file, const SectionDesc& desc,
+    uint8_t (&buf)[kDictTagsHeaderBytes]) {
+  if (desc.bytes < kDictTagsHeaderBytes ||
+      std::fseek(file, static_cast<long>(desc.offset), SEEK_SET) != 0 ||
+      io::Fread(buf, kDictTagsHeaderBytes, file) != kDictTagsHeaderBytes) {
+    return Status::IOError("snapshot dictionary tags: cannot read header");
+  }
+  DictTagsHeader header;
+  header.tag_version = GetU32(buf);
+  header.count = GetU64(buf + 8);
+  const uint64_t tag_bytes = desc.bytes - kDictTagsHeaderBytes;
+  if (tag_bytes % 4 != 0 || header.count != tag_bytes / 4) {
+    return Status::IOError(
+        "snapshot dictionary tags: count does not match section size");
+  }
+  return header;
+}
+
+}  // namespace
+
+Result<DictTagsHeader> ReadDictTagsHeader(std::FILE* file,
+                                          const SectionDesc& desc) {
+  uint8_t buf[kDictTagsHeaderBytes];
+  return ReadDictTagsHeaderInto(file, desc, buf);
+}
+
+Status ReadDictTags(std::FILE* file, const SectionDesc& desc,
+                    std::vector<uint32_t>* tags) {
+  uint8_t head[kDictTagsHeaderBytes];
+  auto header = ReadDictTagsHeaderInto(file, desc, head);
+  if (!header.ok()) return header.status();
+  tags->resize(static_cast<size_t>(header->count));
+  const size_t tag_bytes = tags->size() * sizeof(uint32_t);
+  if (io::Fread(tags->data(), tag_bytes, file) != tag_bytes) {
+    return Status::IOError("snapshot dictionary tags: short read");
+  }
+  Checksum64 sum;
+  sum.Append(head, sizeof head);
+  sum.Append(tags->data(), tag_bytes);
+  if (sum.Finish() != desc.checksum) {
+    return Status::IOError(
+        "snapshot dictionary tags checksum mismatch (corrupt file)");
+  }
+  return Status::OK();
+}
+
 }  // namespace gent::storage

@@ -52,6 +52,19 @@ enum class SectionId : uint32_t {
                       // catalog sections and the footer, outside any
                       // footer descriptor, and are rewritten as a whole
                       // on every append (DESIGN.md §5.12)
+  kDictTags = 7,      // optional: u32 tag_version, u32 pad, u64 count,
+                      // then one u32 hash tag (ValueDictionary::TagOf)
+                      // per base-dictionary entry 1..count — what lets a
+                      // load into an empty dictionary adopt the strings
+                      // instead of hashing them (DESIGN.md §5.10)
+};
+
+/// Fixed header of a kDictTags section.
+inline constexpr size_t kDictTagsHeaderBytes = 16;
+
+struct DictTagsHeader {
+  uint32_t tag_version = 0;
+  uint64_t count = 0;
 };
 
 struct SectionDesc {
@@ -101,7 +114,8 @@ inline constexpr size_t kFooterBytes =
     8 * (4 + 4 /*id+pad*/ + 8 + 8 + 8) /*descriptor slots*/ +
     8 /*footer checksum*/ + 8 /*magic*/;
 
-/// Maximum descriptor slots in the fixed-size footer.
+/// Maximum descriptor slots in the fixed-size footer. The body, five
+/// catalog sections, kDictTags and kDeltaDir fill all eight.
 inline constexpr size_t kMaxSections = 8;
 
 /// Appends block-aligned sections and the footer to `file`, which must
@@ -169,6 +183,18 @@ Result<PagedFooter> ReadFooterRecover(std::FILE* file);
 /// Streams section `desc` of `file` through Checksum64 and compares
 /// with the recorded checksum. IOError on read failure or mismatch.
 Status VerifySectionChecksum(std::FILE* file, const SectionDesc& desc);
+
+/// Reads the header of kDictTags section `desc` and checks that the
+/// section is exactly the header plus `count` tags. IOError otherwise.
+/// Does not verify the checksum.
+Result<DictTagsHeader> ReadDictTagsHeader(std::FILE* file,
+                                          const SectionDesc& desc);
+
+/// Reads the tags of kDictTags section `desc` into `*tags`, verifying
+/// the section checksum over header and tags. IOError on a read
+/// failure, bad geometry or checksum mismatch.
+Status ReadDictTags(std::FILE* file, const SectionDesc& desc,
+                    std::vector<uint32_t>* tags);
 
 }  // namespace gent::storage
 

@@ -14,10 +14,13 @@ namespace {
 
 constexpr size_t kMinSlots = 16;
 
-// Hash tag of a canonical spelling: SplitMix64 over its 8-byte words,
-// seeded with the length so zero-padded tails of different lengths
-// differ; the high half of the 64-bit result.
-uint32_t TagOf(std::string_view s) {
+}  // namespace
+
+// SplitMix64 over the 8-byte words, seeded with the length so
+// zero-padded tails of different lengths differ; the high half of the
+// 64-bit result. Persisted in snapshots: a change here must bump
+// kTagVersion.
+uint32_t ValueDictionary::TagOf(std::string_view s) {
   uint64_t h = SplitMix64(s.size());
   size_t i = 0;
   for (; i + 8 <= s.size(); i += 8) {
@@ -32,8 +35,6 @@ uint32_t TagOf(std::string_view s) {
   }
   return static_cast<uint32_t>(h >> 32);
 }
-
-}  // namespace
 
 ValueDictionary::ValueDictionary() {
   strings_.emplace_back("");  // id 0: the null sentinel
@@ -137,6 +138,31 @@ void ValueDictionary::InternAll(std::vector<std::string>&& values,
                        ? kNull
                        : FindOrInsertLocked(value, tags[i], &value));
   }
+}
+
+bool ValueDictionary::AdoptAll(std::vector<std::string>&& values,
+                               const std::vector<uint32_t>& tags) {
+  assert(tags.size() == values.size());
+  std::unique_lock lock(mutex_);
+  if (strings_.size() != 1) return false;
+  ReserveLocked(values.size());
+  // The same slot InternAll would pick for each value: the index is
+  // empty and values arrive in id order, so the first free slot from
+  // the home slot is it.
+  constexpr size_t kPrefetchAhead = 8;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i + kPrefetchAhead < values.size()) {
+      __builtin_prefetch(&slots_[tags[i + kPrefetchAhead] & mask]);
+    }
+    size_t s = tags[i] & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = static_cast<uint64_t>(tags[i]) << 32 |
+                static_cast<ValueId>(strings_.size());
+    strings_.push_back(std::move(values[i]));
+  }
+  indexed_ = values.size();
+  return true;
 }
 
 void ValueDictionary::Reserve(size_t n) {

@@ -29,6 +29,17 @@
 // once, each string is probed once (home slots prefetched a few strings
 // ahead) and new strings are moved into the deque, not copied.
 //
+// Adoption: a dictionary that holds only id 0 can instead adopt a saved
+// dictionary whole with AdoptAll — strings in saved id order plus their
+// persisted tags (the snapshot's kDictTags section). The strings are
+// moved in as ids 1..n and the index is built from the tags alone: no
+// canonicalization, no hashing, no string compare. For a section
+// written from a dictionary (distinct canonical strings, true tags) the
+// result is the dictionary InternAll would build, slot for slot. Tags
+// are trusted: a wrong tag only puts a value where no lookup probes, so
+// that lookup misses. kTagVersion names the TagOf definition; a file
+// stamped with another version is not adopted.
+//
 // Thread safety: all methods may be called concurrently (guarded by a
 // shared_mutex: lookups share it, inserts take it exclusively). This is
 // what lets BulkReclaim run many reclamations against one lake in
@@ -72,6 +83,23 @@ class ValueDictionary {
   /// return, under a single writer-lock acquisition. The strings are
   /// moved from. The snapshot loader's dictionary path.
   void InternAll(std::vector<std::string>&& values, std::vector<ValueId>* ids);
+
+  /// Adopts `values` as ids 1..values.size() in order, indexing each by
+  /// `tags[i]` (its TagOf) instead of hashing it. Runs under the writer
+  /// lock and only when the dictionary holds nothing but id 0; returns
+  /// false otherwise, leaving `values` untouched. The caller vouches
+  /// that the strings are distinct, non-empty and canonical (a snapshot
+  /// dictionary written by SaveSnapshotV2 is). `tags` must have
+  /// values.size() entries.
+  bool AdoptAll(std::vector<std::string>&& values,
+                const std::vector<uint32_t>& tags);
+
+  /// Hash tag of a canonical spelling, as the index stores it.
+  static uint32_t TagOf(std::string_view canonical);
+
+  /// Version of the TagOf definition; persisted tags stamped with any
+  /// other value are recomputed, not adopted.
+  static constexpr uint32_t kTagVersion = 1;
 
   /// Sizes the index so `n` interned values fit without a rehash.
   /// Changes no id.

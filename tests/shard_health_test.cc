@@ -506,6 +506,37 @@ TEST_F(ShardHealthTest, HealedShardKeepsErrorCountAndRecoveries) {
 // corrupt → quarantine → restore → heal cycles. Every reader result
 // must be bit-identical to the full reference or the beta-only
 // reference — never an error, never a hybrid.
+// A damaged newest footer on a file with delta runs reads as a torn
+// append: the file verifies at the previous commit, and a reload would
+// silently drop the append. The shard knows how many runs it committed,
+// so the probe must report the loss and quarantine it.
+TEST_F(ShardHealthTest, DamagedNewestFooterAfterAppendQuarantines) {
+  BuildFixture();
+  ShardHealthOptions health;
+  health.auto_recover = false;
+  auto service = MakeService(health);
+  ASSERT_TRUE(service->AppendTablesToLake("alpha", ExtraTables("extra")).ok());
+  ASSERT_TRUE(service->CheckShardHealth("alpha").ok());
+
+  FlipFooterBytes(alpha_path_);
+  size_t runs = 1;
+  EXPECT_TRUE(VerifySnapshotIntegrity(alpha_path_, &runs).ok());
+  EXPECT_EQ(runs, 0u);
+  Status st = service->CheckShardHealth("alpha");
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_EQ(HealthOf(*service, "alpha").state, ShardHealth::kQuarantined);
+  EXPECT_TRUE(service->CheckShardHealth("beta").ok());
+  FlipFooterBytes(alpha_path_);
+
+  // Restored, the file verifies at the committed run count again; after
+  // a fold the shard expects no runs.
+  EXPECT_TRUE(VerifySnapshotIntegrity(alpha_path_, &runs).ok());
+  EXPECT_EQ(runs, 1u);
+  ASSERT_TRUE(service->CompactShardSnapshot("alpha").ok());
+  EXPECT_TRUE(VerifySnapshotIntegrity(alpha_path_, &runs).ok());
+  EXPECT_EQ(runs, 0u);
+}
+
 TEST_F(ShardHealthTest, HammerFanOutDuringQuarantineHealCycles) {
   BuildFixture();
   BuildReferences();

@@ -5,14 +5,19 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/benchgen/benchmarks.h"
 #include "src/benchgen/tpch.h"
 #include "src/engine/column_stats_catalog.h"
+#include "src/engine/reclaim_service.h"
 #include "src/gent/gent.h"
 #include "src/ops/unary.h"
 #include "src/storage/catalog_pager.h"
@@ -264,6 +269,327 @@ TEST_F(SnapshotTest, BulkLoadMatchesPerStringInternOracle) {
   ASSERT_EQ(loaded.dict()->size(), oracle.size());
   for (ValueId id = 0; id < oracle.size(); ++id) {
     EXPECT_EQ(loaded.dict()->StringOf(id), oracle.StringOf(id)) << id;
+  }
+}
+
+// --- Dictionary adoption (kDictTags) -----------------------------------------
+
+// Loads `path` into a fresh lake and into one with the dictionary tags
+// stripped (the InternAll oracle), and checks the adopted load equals it:
+// dictionary size, every id's string, lookups of every string and of a
+// non-canonical spelling, the tables and identity_remap.
+void ExpectAdoptedLoadMatchesOracle(const std::string& path,
+                                    const std::string& stripped) {
+  std::filesystem::copy_file(
+      path, stripped, std::filesystem::copy_options::overwrite_existing);
+  ASSERT_TRUE(StripDictTags(stripped).ok());
+  ASSERT_TRUE(VerifySnapshotIntegrity(stripped).ok());
+
+  DataLake adopted, oracle;
+  SnapshotLoadInfo adopted_info, oracle_info;
+  ASSERT_TRUE(LoadSnapshot(adopted, path, &adopted_info).ok());
+  ASSERT_TRUE(LoadSnapshot(oracle, stripped, &oracle_info).ok());
+  EXPECT_TRUE(adopted_info.dictionary_adopted);
+  EXPECT_FALSE(oracle_info.dictionary_adopted);
+  EXPECT_EQ(adopted_info.identity_remap, oracle_info.identity_remap);
+  EXPECT_EQ(adopted_info.delta_runs, oracle_info.delta_runs);
+
+  const ValueDictionary& a = *adopted.dict();
+  const ValueDictionary& o = *oracle.dict();
+  ASSERT_EQ(a.size(), o.size());
+  size_t mismatched = 0;
+  for (ValueId id = 0; id < o.size(); ++id) {
+    const std::string& value = o.StringOf(id);
+    mismatched += a.StringOf(id) != value;
+    mismatched += a.Lookup(value) != o.Lookup(value);
+    mismatched += id != kNull && a.Lookup(value) != id;
+  }
+  EXPECT_EQ(mismatched, 0u);
+  for (const char* spelling : {"3.10", "007", "-0.50", "not-in-the-lake"}) {
+    EXPECT_EQ(a.Lookup(spelling), o.Lookup(spelling)) << spelling;
+  }
+
+  ASSERT_EQ(adopted.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    const Table& x = adopted.table(i);
+    const Table& y = oracle.table(i);
+    EXPECT_EQ(x.name(), y.name());
+    EXPECT_EQ(x.column_names(), y.column_names());
+    EXPECT_EQ(x.key_columns(), y.key_columns());
+    ASSERT_EQ(x.num_cols(), y.num_cols());
+    for (size_t c = 0; c < x.num_cols(); ++c) {
+      EXPECT_EQ(x.column(c), y.column(c)) << x.name() << " column " << c;
+    }
+  }
+}
+
+// Reclaims every source through a fresh service opened on `path` and on
+// `stripped` (each with its own, empty dictionary) and expects the same
+// answers from the two mapped catalogs.
+void ExpectSameServiceAnswers(const std::string& path,
+                              const std::string& stripped,
+                              const std::vector<const Table*>& sources) {
+  ReclaimService adopted, oracle;
+  ASSERT_TRUE(adopted.AddLakeFromSnapshot("lake", path).ok());
+  ASSERT_TRUE(oracle.AddLakeFromSnapshot("lake", stripped).ok());
+  ASSERT_TRUE(adopted.residency_stats()[0].catalog.mapped);
+  ASSERT_TRUE(oracle.residency_stats()[0].catalog.mapped);
+  ReclaimRequest request;
+  request.lake = "lake";
+  for (const Table* source : sources) {
+    auto x = adopted.Reclaim(TranslateToDictionary(*source, adopted.dict()),
+                             request);
+    auto y = oracle.Reclaim(TranslateToDictionary(*source, oracle.dict()),
+                            request);
+    ASSERT_EQ(x.ok(), y.ok()) << source->name();
+    if (!x.ok()) continue;
+    EXPECT_EQ(RowsOf(x->reclaimed), RowsOf(y->reclaimed)) << source->name();
+    EXPECT_EQ(x->originating_names, y->originating_names) << source->name();
+    EXPECT_EQ(x->predicted_eis, y->predicted_eis) << source->name();
+  }
+}
+
+TEST_F(SnapshotTest, AdoptedDictionaryMatchesReinternedOnTpTrSmall) {
+  auto bench = MakeTpTrBenchmark("TP-TR Small", TpTrSmallConfig());
+  ASSERT_TRUE(bench.ok());
+  ASSERT_TRUE(SaveV2(*bench->lake, Path("small.snap")).ok());
+  ExpectAdoptedLoadMatchesOracle(Path("small.snap"), Path("stripped.snap"));
+  std::vector<const Table*> sources;
+  for (size_t i = 0; i < bench->sources.size() && i < 4; ++i) {
+    sources.push_back(&bench->sources[i].source);
+  }
+  ExpectSameServiceAnswers(Path("small.snap"), Path("stripped.snap"),
+                           sources);
+}
+
+TEST_F(SnapshotTest, AdoptedDictionaryMatchesReinternedOnRandomSpellings) {
+  // Words, integers and decimals, many spelled non-canonically ("007",
+  // "3.10", "+4", "1e3", " 12"), so the saved dictionary is the
+  // canonical forms and lookups must canonicalize to find them.
+  std::mt19937 rng(20);
+  const auto spell = [&rng]() -> std::string {
+    std::uniform_int_distribution<int> kind(0, 7);
+    std::uniform_int_distribution<int> small(0, 999);
+    const int n = small(rng);
+    switch (kind(rng)) {
+      case 0: return "w" + std::to_string(n) + "-" + std::to_string(small(rng));
+      case 1: return std::to_string(n);
+      case 2: return "00" + std::to_string(n);
+      case 3: return std::to_string(n) + "." + std::to_string(n % 10) + "0";
+      case 4: return "+" + std::to_string(n);
+      case 5: return std::to_string(n % 9 + 1) + "e" + std::to_string(n % 4);
+      case 6: return " " + std::to_string(n) + " ";
+      default: return "-" + std::to_string(n) + ".50";
+    }
+  };
+  DataLake lake;
+  for (int t = 0; t < 6; ++t) {
+    TableBuilder b(lake.dict(), "t" + std::to_string(t));
+    b.Columns({"a", "b", "c"});
+    for (int r = 0; r < 300; ++r) b.Row({spell(), spell(), spell()});
+    ASSERT_TRUE(lake.AddTable(b.Build()).ok());
+  }
+  ASSERT_TRUE(SaveV2(lake, Path("random.snap")).ok());
+  ExpectAdoptedLoadMatchesOracle(Path("random.snap"), Path("stripped.snap"));
+
+  // The adopted dictionary reproduces the saved one id for id.
+  DataLake loaded;
+  ASSERT_TRUE(LoadSnapshot(loaded, Path("random.snap")).ok());
+  ASSERT_EQ(loaded.dict()->size(), lake.dict()->size());
+  for (ValueId id = 0; id < lake.dict()->size(); ++id) {
+    ASSERT_EQ(loaded.dict()->StringOf(id), lake.dict()->StringOf(id)) << id;
+  }
+}
+
+TEST_F(SnapshotTest, AdoptionKeepsEverySavedSpelling) {
+  // The canonical spelling of a non-integer of 13+ digits is the %.12g
+  // exponent form, which parses back to an integer: canonicalizing it
+  // again rewrites it. Adoption never canonicalizes, so the loaded
+  // dictionary is the saved one and the original spelling still finds
+  // its id.
+  DataLake lake;
+  ASSERT_TRUE(lake.AddTable(TableBuilder(lake.dict(), "t")
+                                .Columns({"v"})
+                                .Row({"1234567890123.5"})
+                                .Row({"3.10"})
+                                .Build())
+                  .ok());
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+  DataLake loaded;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(loaded, Path("lake.snap"), &info).ok());
+  ASSERT_TRUE(info.dictionary_adopted);
+  ASSERT_EQ(loaded.dict()->size(), lake.dict()->size());
+  for (ValueId id = 0; id < lake.dict()->size(); ++id) {
+    EXPECT_EQ(loaded.dict()->StringOf(id), lake.dict()->StringOf(id));
+  }
+  for (const char* spelling : {"1234567890123.5", "3.10", "3.1"}) {
+    EXPECT_EQ(loaded.dict()->Lookup(spelling), lake.dict()->Lookup(spelling))
+        << spelling;
+    EXPECT_NE(loaded.dict()->Lookup(spelling), kNull) << spelling;
+  }
+}
+
+TEST_F(SnapshotTest, AdoptionOnlyIntoAnEmptyDictionary) {
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+  // Pre-interned target: InternAll path, same strings per cell.
+  DataLake target;
+  (void)target.AddTable(TableBuilder(target.dict(), "pre")
+                            .Columns({"x"})
+                            .Row({"boston"})
+                            .Build());
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(target, Path("lake.snap"), &info).ok());
+  EXPECT_FALSE(info.dictionary_adopted);
+  EXPECT_FALSE(info.identity_remap);
+  EXPECT_EQ(target.table(*target.IndexOf("people")).CellString(0, 2),
+            "boston");
+  // Salvage never adopts; v1 files have no section to adopt.
+  DataLake salvaged;
+  ASSERT_TRUE(LoadSnapshotBody(salvaged, Path("lake.snap"), &info).ok());
+  EXPECT_FALSE(info.dictionary_adopted);
+  ASSERT_TRUE(WriteV1Snapshot(lake, Path("lake.v1")).ok());
+  DataLake v1;
+  ASSERT_TRUE(LoadSnapshot(v1, Path("lake.v1"), &info).ok());
+  EXPECT_FALSE(info.dictionary_adopted);
+  // A fresh lake adopts.
+  DataLake fresh;
+  ASSERT_TRUE(LoadSnapshot(fresh, Path("lake.snap"), &info).ok());
+  EXPECT_TRUE(info.dictionary_adopted);
+  EXPECT_TRUE(info.identity_remap);
+}
+
+TEST_F(SnapshotTest, DictTagsBitFlipFailsVerifyAndLoad) {
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+  storage::SectionDesc desc;
+  {
+    std::FILE* f = std::fopen(Path("lake.snap").c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    auto footer = storage::ReadFooter(f);
+    std::fclose(f);
+    ASSERT_TRUE(footer.ok());
+    const storage::SectionDesc* d =
+        footer->Find(storage::SectionId::kDictTags);
+    ASSERT_NE(d, nullptr);
+    desc = *d;
+  }
+  for (uint64_t offset : {desc.offset, desc.offset + 9,
+                          desc.offset + desc.bytes - 1}) {
+    std::fstream f(Path("lake.snap"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(offset));
+    char b = 0;
+    f.get(b);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(static_cast<char>(b ^ 0x10));
+    f.close();
+    EXPECT_EQ(VerifySnapshotIntegrity(Path("lake.snap")).code(),
+              StatusCode::kIOError) << offset;
+    DataLake fresh;
+    EXPECT_EQ(LoadSnapshot(fresh, Path("lake.snap")).code(),
+              StatusCode::kIOError) << offset;
+    EXPECT_EQ(fresh.size(), 0u);
+    std::fstream g(Path("lake.snap"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    g.seekp(static_cast<std::streamoff>(offset));
+    g.put(b);
+    g.close();
+    ASSERT_TRUE(VerifySnapshotIntegrity(Path("lake.snap")).ok());
+  }
+}
+
+TEST_F(SnapshotTest, DictTagsCountDisagreeingWithDictionaryFailsTyped) {
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+  // One tag short, with count and checksum sealed to match: the section
+  // is self-consistent but disagrees with the body's dictionary.
+  ASSERT_TRUE(ForgeDictTags(Path("lake.snap"), [](std::vector<uint8_t>* p) {
+                uint64_t count;
+                std::memcpy(&count, p->data() + 8, 8);
+                --count;
+                std::memcpy(p->data() + 8, &count, 8);
+                p->resize(p->size() - 4);
+              }).ok());
+  EXPECT_EQ(VerifySnapshotIntegrity(Path("lake.snap")).code(),
+            StatusCode::kIOError);
+  DataLake fresh;
+  EXPECT_EQ(LoadSnapshot(fresh, Path("lake.snap")).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(fresh.size(), 0u);
+  // Whether or not the target could adopt.
+  DataLake target;
+  (void)target.AddTable(
+      TableBuilder(target.dict(), "pre").Columns({"x"}).Row({"y"}).Build());
+  EXPECT_EQ(LoadSnapshot(target, Path("lake.snap")).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(target.size(), 1u);
+
+  // A count the section's own size cannot hold fails the same way.
+  ASSERT_TRUE(SaveV2(lake, Path("size.snap")).ok());
+  ASSERT_TRUE(ForgeDictTags(Path("size.snap"), [](std::vector<uint8_t>* p) {
+                const uint64_t count = uint64_t{1} << 40;
+                std::memcpy(p->data() + 8, &count, 8);
+              }).ok());
+  DataLake other;
+  EXPECT_EQ(LoadSnapshot(other, Path("size.snap")).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(other.size(), 0u);
+}
+
+TEST_F(SnapshotTest, ForeignTagVersionFallsBackAndLoadsIdentically) {
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+  ASSERT_TRUE(ForgeDictTags(Path("lake.snap"), [](std::vector<uint8_t>* p) {
+                const uint32_t version = ValueDictionary::kTagVersion + 1;
+                std::memcpy(p->data(), &version, 4);
+              }).ok());
+  DataLake fresh;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(fresh, Path("lake.snap"), &info).ok());
+  EXPECT_FALSE(info.dictionary_adopted);
+  EXPECT_TRUE(info.identity_remap);
+  ASSERT_EQ(fresh.dict()->size(), lake.dict()->size());
+  for (ValueId id = 0; id < lake.dict()->size(); ++id) {
+    EXPECT_EQ(fresh.dict()->StringOf(id), lake.dict()->StringOf(id));
+    EXPECT_EQ(fresh.dict()->Lookup(lake.dict()->StringOf(id)),
+              lake.dict()->Lookup(lake.dict()->StringOf(id)));
+  }
+  ASSERT_EQ(fresh.size(), lake.size());
+  for (size_t i = 0; i < lake.size(); ++i) {
+    EXPECT_EQ(RowsOf(fresh.table(i)), RowsOf(lake.table(i)));
+  }
+}
+
+TEST_F(SnapshotTest, ForgedTagsLoadWithoutCrash) {
+  // Lying tags, re-sealed: adoption trusts them, so lookups of the
+  // mis-tagged values may miss, but the load, every id's string and
+  // every cell are unaffected, and nothing reads out of bounds.
+  DataLake lake = MakeLake();
+  for (uint32_t fill : {0u, 0xffffffffu, 7u}) {
+    ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+    const auto forge = [fill](std::vector<uint8_t>* p) {
+      for (size_t at = storage::kDictTagsHeaderBytes; at + 4 <= p->size();
+           at += 4) {
+        std::memcpy(p->data() + at, &fill, 4);
+      }
+    };
+    ASSERT_TRUE(ForgeDictTags(Path("lake.snap"), forge).ok());
+    DataLake fresh;
+    SnapshotLoadInfo info;
+    ASSERT_TRUE(LoadSnapshot(fresh, Path("lake.snap"), &info).ok()) << fill;
+    EXPECT_TRUE(info.dictionary_adopted);
+    ASSERT_EQ(fresh.dict()->size(), lake.dict()->size());
+    for (ValueId id = 0; id < lake.dict()->size(); ++id) {
+      EXPECT_EQ(fresh.dict()->StringOf(id), lake.dict()->StringOf(id));
+      (void)fresh.dict()->Lookup(lake.dict()->StringOf(id));
+    }
+    (void)fresh.dict()->Intern("a-new-value");
+    ASSERT_EQ(fresh.size(), lake.size());
+    for (size_t i = 0; i < lake.size(); ++i) {
+      EXPECT_EQ(RowsOf(fresh.table(i)), RowsOf(lake.table(i)));
+    }
   }
 }
 

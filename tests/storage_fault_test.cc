@@ -515,6 +515,57 @@ TEST_F(StorageFaultTest, InjectedReadErrorSurfacesAsTypedIOError) {
   EXPECT_EQ(lake.size(), 0u);  // all-or-nothing held
 }
 
+TEST_F(StorageFaultTest, ReadFaultAtEveryIndexSurfacesAsTypedIOError) {
+  // The loader reads through one large buffer, so a clean load makes
+  // few reads: fail each of them in turn. Three files: with the
+  // dictionary tags section (adopted), without it (re-interned), and
+  // with a delta run.
+  DataLake lake = MakeLake("m");
+  const std::string tagged = Path("tagged.snap");
+  ASSERT_TRUE(SaveV2(lake, tagged).ok());
+  const std::string untagged = Path("untagged.snap");
+  ASSERT_TRUE(SaveV2(lake, untagged).ok());
+  ASSERT_TRUE(StripDictTags(untagged).ok());
+  const std::string delta = Path("delta.snap");
+  ASSERT_TRUE(SaveV2(lake, delta).ok());
+  ASSERT_TRUE(lake.AddTable(TableBuilder(lake.dict(), "extra")
+                                .Columns({"x"})
+                                .Row({"run_value"})
+                                .Build())
+                  .ok());
+  const auto run = ColumnStatsCatalog::BuildDeltaRun(lake, 1);
+  ASSERT_TRUE(AppendSnapshotDelta(lake, 1, run.views(), delta).ok());
+
+  for (const std::string& path : {tagged, untagged, delta}) {
+    uint64_t reads = 0;
+    {
+      io::FaultInjector counter;
+      io::ScopedFaultInjector scope(&counter);
+      DataLake clean;
+      SnapshotLoadInfo info;
+      ASSERT_TRUE(LoadSnapshot(clean, path, &info).ok()) << path;
+      EXPECT_EQ(info.dictionary_adopted, path != untagged) << path;
+      reads = counter.CountOf(io::Op::kRead);
+    }
+    ASSERT_GT(reads, 3u) << path;
+    for (uint64_t k = 1; k <= reads; ++k) {
+      io::FaultInjector injector;
+      io::FaultPlan plan;
+      plan.op_mask = io::OpBit(io::Op::kRead);
+      plan.trigger_at = k;
+      plan.kind = io::FaultKind::kErrno;
+      plan.error_code = EIO;
+      injector.Arm(plan);
+      io::ScopedFaultInjector scope(&injector);
+      DataLake target;
+      Status s = LoadSnapshot(target, path);
+      EXPECT_EQ(s.code(), StatusCode::kIOError)
+          << path << " read " << k << ": " << s.ToString();
+      EXPECT_EQ(target.size(), 0u) << path << " read " << k;
+    }
+  }
+}
+
 TEST_F(StorageFaultTest, VerifyIntegrityDetectsBitFlips) {
   // v2: a flip inside any checksummed payload — body or any catalog
   // section — must fail verification, as must one in the footer itself.
@@ -540,6 +591,8 @@ TEST_F(StorageFaultTest, VerifyIntegrityDetectsBitFlips) {
       offsets.push_back(desc.offset + desc.bytes / 2);
     }
     ASSERT_GT(offsets.size(), 3u) << "fixture catalog has no sections";
+    // The dictionary tags section is among the ones walked.
+    ASSERT_NE(footer->Find(storage::SectionId::kDictTags), nullptr);
   }
   for (uint64_t offset : offsets) {
     std::fstream f(path,

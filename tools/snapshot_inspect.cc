@@ -1,7 +1,8 @@
 // snapshot_inspect: prints what a Gen-T snapshot file actually contains
-// — format version, table count, catalog section directory, and whether
-// every checksum verifies — for debugging corrupt or mismatched shards
-// without loading them into a service.
+// — format version, table count, catalog section directory, the
+// dictionary tags a fresh load adopts, and whether every checksum
+// verifies — for debugging corrupt or mismatched shards without loading
+// them into a service.
 //
 // Usage: snapshot_inspect <file.snap> [--verify]
 //   --verify  stream every section (including the body) through the
@@ -21,6 +22,7 @@
 #include "src/lake/snapshot.h"
 #include "src/storage/catalog_pager.h"
 #include "src/storage/paged_file.h"
+#include "src/value/dictionary.h"
 
 namespace {
 
@@ -65,6 +67,8 @@ const char* SectionName(uint32_t id) {
       return "post-cols";
     case gent::storage::SectionId::kDeltaDir:
       return "delta-dir";
+    case gent::storage::SectionId::kDictTags:
+      return "dict-tags";
   }
   return "unknown";
 }
@@ -110,6 +114,9 @@ int main(int argc, char** argv) {
     uint64_t rows = 0;
     for (size_t i = 0; i < lake.size(); ++i) rows += lake.table(i).num_rows();
     std::printf("  total rows: %" PRIu64 "\n", rows);
+    std::printf("  dictionary: %zu values, %s\n", lake.dict()->size(),
+                info.dictionary_adopted ? "adopted from dict-tags"
+                                        : "re-interned");
   } else {
     std::printf("  body: UNREADABLE (%s)\n", load.ToString().c_str());
   }
@@ -144,6 +151,27 @@ int main(int argc, char** argv) {
                 " bytes  checksum %016" PRIx64 "  %s\n",
                 desc.id, SectionName(desc.id), desc.offset, desc.bytes,
                 desc.checksum, state.c_str());
+  }
+  // Dictionary tags (kDictTags): what a load into an empty dictionary
+  // adopts instead of hashing every string again.
+  if (const gent::storage::SectionDesc* tags =
+          footer->Find(gent::storage::SectionId::kDictTags)) {
+    auto header = gent::storage::ReadDictTagsHeader(f, *tags);
+    if (header.ok()) {
+      std::printf("  dict tags: offset %" PRIu64 "  count %" PRIu64
+                  "  %" PRIu64 " bytes  tag_version %" PRIu32 "%s\n",
+                  tags->offset, header->count, tags->bytes,
+                  header->tag_version,
+                  header->tag_version == gent::ValueDictionary::kTagVersion
+                      ? ""
+                      : " (foreign: re-interned)");
+    } else {
+      std::printf("  dict tags: UNREADABLE (%s)\n",
+                  header.status().ToString().c_str());
+      all_ok = false;
+    }
+  } else {
+    std::printf("  dict tags: none (the dictionary re-interns on load)\n");
   }
   // Delta-run directory (incremental ingest): one line per appended
   // run, checksummed like any section when --verify is on.
