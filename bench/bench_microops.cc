@@ -23,7 +23,8 @@
 //     GENT_RUN_GBENCH=1.
 //
 // Environment knobs:
-//   GENT_MICRO_SOURCES  sources per traversal benchmark (default 4)
+//   GENT_MICRO_SOURCES  sources per traversal benchmark (default 4; the
+//                       expand section's noise lake runs at most 2)
 //   GENT_MICRO_REPS     repetitions of the kernel loops (default 3)
 
 #include <algorithm>
@@ -537,12 +538,20 @@ int RunMatrixSection(const SimdSection& simd_section) {
 // expansion itself — ExpandEngine vs tests/expand_reference.h, the exact
 // pre-engine implementation — with outputs compared bit-for-bit.
 // `engine_ms` is single-threaded (the algorithmic win the acceptance
-// bar measures); `engine_mt_ms` adds the pool fan-out on top.
+// bar measures); `engine_mt_ms` adds the pool fan-out on top. The
+// noise lake is the one perfbench's cold_small_noise serves: its
+// distractors add multi-hop paths through shared hop sides, so the
+// parity check covers the paths that workload runs.
 struct ExpandRun {
   std::string benchmark;
   size_t sources = 0;
   size_t candidates = 0;  // total candidates entering expansion
   size_t tables = 0;      // total key-covering tables produced
+  // The engine's work counters, summed over sources (one serial run
+  // each; they never depend on the thread count).
+  size_t intermediate_hops = 0;
+  size_t hop_sides_built = 0;
+  size_t hop_sides_reused = 0;
   double baseline_ms = 0;  // reference implementation, total
   double engine_ms = 0;    // ExpandEngine, num_threads = 1, total
   double engine_mt_ms = 0;  // ExpandEngine, num_threads = 0 (hardware)
@@ -569,11 +578,11 @@ bool ExpandResultsIdentical(const ExpandResult& a, const ExpandResult& b) {
   return true;
 }
 
-ExpandRun RunExpandBench(const std::string& label, const TpTrConfig& config,
+ExpandRun RunExpandBench(const std::string& label,
+                         const Result<TpTrBenchmark>& bench,
                          size_t max_sources, size_t reps) {
   ExpandRun run;
   run.benchmark = label;
-  auto bench = MakeTpTrBenchmark(label, config);
   if (!bench.ok()) {
     std::fprintf(stderr, "[microops] %s: benchmark build failed: %s\n",
                  label.c_str(), bench.status().ToString().c_str());
@@ -621,7 +630,14 @@ ExpandRun RunExpandBench(const std::string& label, const TpTrConfig& config,
           !ExpandResultsIdentical(*want, *got_mt)) {
         run.identical = false;
       }
-      if (rep == 0) run.tables += want.ok() ? want->tables.size() : 0;
+      if (rep == 0) {
+        run.tables += want.ok() ? want->tables.size() : 0;
+        if (got.ok()) {
+          run.intermediate_hops += got->intermediate_hops;
+          run.hop_sides_built += got->hop_sides_built;
+          run.hop_sides_reused += got->hop_sides_reused;
+        }
+      }
     }
     run.baseline_ms += best_base;
     run.engine_ms += best_engine;
@@ -636,18 +652,29 @@ int RunExpandSection() {
 
   std::printf("\n=== cold expansion stage (catalog-backed vs reference) ===\n");
   std::vector<ExpandRun> runs;
-  runs.push_back(RunExpandBench("TP-TR Small", TpTrSmallConfig(),
-                                max_sources, reps * 2));
-  runs.push_back(
-      RunExpandBench("TP-TR Med", TpTrMedConfig(), max_sources, reps));
+  auto small = MakeTpTrBenchmark("TP-TR Small", TpTrSmallConfig());
+  runs.push_back(RunExpandBench("TP-TR Small", small, max_sources, reps * 2));
+  runs.push_back(RunExpandBench(
+      "TP-TR Med", MakeTpTrBenchmark("TP-TR Med", TpTrMedConfig()),
+      max_sources, reps));
+  // TP-TR Small in perfbench's 400 seeded distractors. The reference
+  // refolds every hop family per path, so a few sources and one rep keep
+  // the run short.
+  constexpr size_t kNoiseSources = 2;
+  Result<TpTrBenchmark> noisy = small.status();
+  if (small.ok()) noisy = EmbedInNoiseLake(*small, 400, 29);
+  runs.push_back(RunExpandBench("TP-TR Small noise", noisy,
+                                std::min(max_sources, kNoiseSources), 1));
   bool all_identical = true;
   for (const auto& r : runs) {
     std::printf(
-        "%-12s sources %2zu  cands %3zu  engine %9.2f ms  (pooled %9.2f ms)"
-        "  baseline %9.2f ms  speedup %5.1fx (%5.1fx)  identical %s\n",
+        "%-17s sources %2zu  cands %3zu  engine %9.2f ms  (pooled %9.2f ms)"
+        "  baseline %9.2f ms  speedup %5.1fx (%5.1fx)  identical %s\n"
+        "%-17s hops %zu  hop sides built %zu  reused %zu\n",
         r.benchmark.c_str(), r.sources, r.candidates, r.engine_ms,
         r.engine_mt_ms, r.baseline_ms, r.Speedup(), r.MtSpeedup(),
-        r.identical ? "yes" : "NO");
+        r.identical ? "yes" : "NO", "", r.intermediate_hops,
+        r.hop_sides_built, r.hop_sides_reused);
     all_identical &= r.identical;
   }
 
@@ -666,10 +693,13 @@ int RunExpandSection() {
                  "\"candidates\": %zu, \"tables\": %zu, "
                  "\"baseline_ms\": %.3f, \"optimized_ms\": %.3f, "
                  "\"optimized_pooled_ms\": %.3f, \"speedup\": %.2f, "
-                 "\"pooled_speedup\": %.2f, \"identical\": %s}%s\n",
+                 "\"pooled_speedup\": %.2f, \"intermediate_hops\": %zu, "
+                 "\"hop_sides_built\": %zu, \"hop_sides_reused\": %zu, "
+                 "\"identical\": %s}%s\n",
                  r.benchmark.c_str(), r.sources, r.candidates, r.tables,
                  r.baseline_ms, r.engine_ms, r.engine_mt_ms, r.Speedup(),
-                 r.MtSpeedup(), r.identical ? "true" : "false",
+                 r.MtSpeedup(), r.intermediate_hops, r.hop_sides_built,
+                 r.hop_sides_reused, r.identical ? "true" : "false",
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -16,7 +16,6 @@
 #include "src/matrix/alignment_matrix.h"
 #include "src/ops/join.h"
 #include "src/ops/unary.h"
-#include "src/ops/union.h"
 
 namespace gent {
 
@@ -209,112 +208,197 @@ struct HopMatches {
   std::vector<uint32_t> right;
 };
 
-// How an intermediate hop's column sets were obtained, in output
-// columns (ExpandResult reports the sums).
-struct HopSetCounts {
+// Per-path work counters (ExpandResult reports the sums). Intermediate
+// hops and their output columns' sets by how they were obtained, and the
+// hop sides HopJoin looked up by whether the lookup built or reused them.
+struct HopCounts {
   size_t hops = 0;
   size_t borrowed = 0;
   size_t deduped = 0;
-  HopSetCounts& operator+=(const HopSetCounts& o) {
+  size_t sides_built = 0;
+  size_t sides_reused = 0;
+  HopCounts& operator+=(const HopCounts& o) {
     hops += o.hops;
     borrowed += o.borrowed;
     deduped += o.deduped;
+    sides_built += o.sides_built;
+    sides_reused += o.sides_reused;
     return *this;
   }
 };
 
-// Inner join of the hop table `l` with the path so far `r` on
-// l[left_col] = r[right_col] (the names resolved by ResolveHopNames),
+// The hop (left) side of every hop join into one hop table, built lazily
+// and shared by all the paths that reach it: one JoinKeyTable per join
+// column, and one ascending first-occurrence row list per (join column,
+// kept columns) for fused last hops. Each entry is a function of the hop
+// table and its key alone and is built once under call_once, so which
+// path (or thread) builds it never changes it.
+class HopSide {
+ public:
+  explicit HopSide(const Table& table) : table_(table) {}
+  HopSide(const HopSide&) = delete;
+  HopSide& operator=(const HopSide&) = delete;
+
+  const Table& table() const { return table_; }
+
+  // Rows grouped by their value in `col` (kNull rows left out).
+  const JoinKeyTable& Keys(size_t col, HopCounts* counts) {
+    return Shared(&keys_, col, counts, [&] {
+      return JoinKeyTable({table_.column(col).data()}, table_.num_rows());
+    });
+  }
+
+  // FirstOccurrenceRows over `col` plus `kept` (sorted, without `col`):
+  // a row set does not depend on the column order, so one list serves
+  // every path that keeps the same columns.
+  const std::vector<uint32_t>& FirstRows(size_t col,
+                                         const std::vector<size_t>& kept,
+                                         HopCounts* counts) {
+    return Shared(&firsts_, std::make_pair(col, kept), counts, [&] {
+      std::vector<const ValueId*> cols{table_.column(col).data()};
+      for (size_t c : kept) cols.push_back(table_.column(c).data());
+      return FirstOccurrenceRows(cols, table_.num_rows());
+    });
+  }
+
+ private:
+  template <typename T>
+  struct Lazy {
+    std::once_flag once;
+    std::optional<T> value;
+  };
+
+  template <typename Key, typename T, typename Build>
+  const T& Shared(std::map<Key, Lazy<T>>* cache, const Key& key,
+                  HopCounts* counts, Build build) {
+    Lazy<T>* slot;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slot = &(*cache)[key];  // map nodes never move
+    }
+    bool built = false;
+    std::call_once(slot->once, [&] {
+      slot->value.emplace(build());
+      built = true;
+    });
+    ++(built ? counts->sides_built : counts->sides_reused);
+    return *slot->value;
+  }
+
+  const Table& table_;
+  std::mutex mu_;
+  std::map<size_t, Lazy<JoinKeyTable>> keys_;
+  std::map<std::pair<size_t, std::vector<size_t>>,
+           Lazy<std::vector<uint32_t>>>
+      firsts_;
+};
+
+// Inner join of the hop table `hop` with the path so far `r` on
+// hop[left_col] = r[right_col] (the names resolved by ResolveHopNames),
 // emitting the columns `out`.
 //
-// Without `distinct`, `out` is the whole natural-join schema (l's
+// Without `distinct`, `out` is the whole natural-join schema (the hop's
 // columns, then r's minus its join column) and the result is exactly
 // NaturalJoin of the renamed tables: rows by ascending left row, then
-// ascending right row within the key group.
+// ascending right row within the key group. Only the left rows whose key
+// some right row carries are visited: the right side marks them through
+// the hop's shared key table. `matches` receives the rows of each side
+// that the join emitted, for DeriveHopSets.
 //
 // With `distinct` (the fused last hop) the result is exactly
 // Distinct(Project(that join, out)) without materializing the join.
 // Each side keeps only the first occurrence of its projected row, join
-// column included. The first appearance of any output tuple comes from
-// such a pair: an earlier left row with the same projection would pair
-// with the same right row (same key) into an earlier copy of the tuple,
-// and symmetrically on the right. Joining the deduplicated sides visits
-// a subsequence of the full join's pairs in the same order, so the
-// surviving tuples and their order are unchanged. When the join column
-// is kept, distinct pairs of first-occurrence rows yield distinct tuples
-// and no output deduplication is needed; otherwise one Distinct runs.
+// column included (the hop's list is shared). The first appearance of
+// any output tuple comes from such a pair: an earlier left row with the
+// same projection would pair with the same right row (same key) into an
+// earlier copy of the tuple, and symmetrically on the right. Joining the
+// deduplicated sides visits a subsequence of the full join's pairs in
+// the same order, so the surviving tuples and their order are unchanged.
+// When the join column is kept, distinct pairs of first-occurrence rows
+// yield distinct tuples and no output deduplication is needed; otherwise
+// one Distinct runs. `matches` is ignored (the fused hop's sets are never
+// read).
 //
-// Without `distinct`, `matches` (when non-null) receives the rows of
-// each side that the join emitted, for DeriveHopSets; with `distinct`
-// it is ignored (the fused hop's sets are never read).
-//
-// The row cap trips exactly where NaturalJoin's would: before each left
-// row the budget is checked against the rows the full join would have
-// emitted so far (the right side's per-key multiplicities summed over
-// the earlier left rows). nullopt when the cap trips, `limits` is
-// interrupted, or the join is empty.
-std::optional<Table> HopJoin(const Table& l, const Table& r, size_t left_col,
+// The row cap is decided before anything is joined, and trips exactly
+// where NaturalJoin's would. NaturalJoin checks its running output count
+// against `max_rows` before each left row; that count is the prefix sum,
+// over the earlier left rows, of each row's right-side multiplicity.
+// Prefix sums never decrease, so some check fails iff the last one does,
+// i.e. iff the full join size minus the last left row's multiplicity
+// exceeds `max_rows`. Both numbers come from one pass over the right
+// rows probing the hop's key table, O(|r|). nullopt when the cap trips
+// or the join is empty.
+std::optional<Table> HopJoin(HopSide& hop, const Table& r, size_t left_col,
                              size_t right_col,
-                             const std::vector<HopColumn>& out,
-                             bool distinct, const OpLimits& limits,
-                             HopMatches* matches = nullptr) {
-  if (distinct) matches = nullptr;
+                             const std::vector<HopColumn>& out, bool distinct,
+                             uint64_t max_rows, HopMatches* matches,
+                             HopCounts* counts) {
+  const Table& l = hop.table();
+  const JoinKeyTable& lkeys = hop.Keys(left_col, counts);
   const ValueId* lkey = l.column(left_col).data();
   const ValueId* rkey = r.column(right_col).data();
-  const JoinKeyTable all({rkey}, r.num_rows());
-  std::vector<char> lfirst;
-  std::optional<JoinKeyTable> rfirst;
+  const ValueId last = l.num_rows() == 0 ? kNull : lkey[l.num_rows() - 1];
+  // Left rows whose key some right row carries (intermediate hops only).
+  std::vector<char> lmarked(distinct ? 0 : l.num_rows(), 0);
+  uint64_t full_rows = 0, last_rows = 0;
+  for (size_t rr = 0; rr < r.num_rows(); ++rr) {
+    const ValueId v = rkey[rr];
+    if (v == kNull) continue;
+    auto [rows, count] = lkeys.Find(&v);
+    if (count == 0) continue;
+    full_rows += count;
+    last_rows += v == last;
+    if (distinct) continue;
+    matches->right.push_back(static_cast<uint32_t>(rr));
+    // A key's left rows are all marked together, so its first row tells
+    // whether the group is already marked.
+    if (!lmarked[rows[0]]) {
+      for (size_t k = 0; k < count; ++k) lmarked[rows[k]] = 1;
+    }
+  }
+  if (full_rows == 0 || full_rows - last_rows > max_rows) return std::nullopt;
+
+  std::vector<uint32_t> lrows, rrows;
   bool join_col_kept = false;
   if (distinct) {
-    std::vector<const ValueId*> lcols{lkey}, rcols{rkey};
+    std::vector<size_t> lkept;
+    std::vector<const ValueId*> rcols{rkey};
     for (const HopColumn& h : out) {
       if (h.left && h.col == left_col) {
         join_col_kept = true;
       } else if (h.left) {
-        lcols.push_back(l.column(h.col).data());
+        lkept.push_back(h.col);
       } else {
         rcols.push_back(r.column(h.col).data());
       }
     }
-    lfirst.assign(l.num_rows(), 0);
-    for (uint32_t row : FirstOccurrenceRows(lcols, l.num_rows())) {
-      lfirst[row] = 1;
-    }
-    const std::vector<uint32_t> rrows =
+    std::sort(lkept.begin(), lkept.end());
+    const std::vector<uint32_t>& lfirst =
+        hop.FirstRows(left_col, lkept, counts);
+    const std::vector<uint32_t> rfirst_rows =
         FirstOccurrenceRows(rcols, r.num_rows());
-    rfirst.emplace(std::vector<const ValueId*>{rkey}, r.num_rows(), &rrows);
-  }
-
-  std::vector<uint32_t> lrows, rrows;
-  // A key's right rows are all marked together, so its first row tells
-  // whether the group is already marked.
-  std::vector<char> rmatched(matches != nullptr ? r.num_rows() : 0, 0);
-  uint64_t full_rows = 0;
-  for (size_t lr = 0; lr < l.num_rows(); ++lr) {
-    if (!limits.Check(full_rows).ok()) return std::nullopt;
-    const ValueId v = lkey[lr];
-    if (v == kNull) continue;
-    auto [rows, count] = all.Find(&v);
-    full_rows += count;
-    if (distinct) {
-      if (!lfirst[lr]) continue;
-      std::tie(rows, count) = rfirst->Find(&v);
-    }
-    if (matches != nullptr && count > 0) {
-      matches->left.push_back(static_cast<uint32_t>(lr));
-      if (!rmatched[rows[0]]) {
-        for (size_t k = 0; k < count; ++k) rmatched[rows[k]] = 1;
+    const JoinKeyTable rfirst({rkey}, r.num_rows(), &rfirst_rows);
+    for (uint32_t lr : lfirst) {
+      const ValueId v = lkey[lr];
+      if (v == kNull) continue;
+      auto [rows, count] = rfirst.Find(&v);
+      for (size_t k = 0; k < count; ++k) {
+        lrows.push_back(lr);
+        rrows.push_back(rows[k]);
       }
     }
-    for (size_t k = 0; k < count; ++k) {
-      lrows.push_back(static_cast<uint32_t>(lr));
-      rrows.push_back(rows[k]);
-    }
-  }
-  if (full_rows == 0) return std::nullopt;
-  if (matches != nullptr) {
-    for (size_t rr = 0; rr < rmatched.size(); ++rr) {
-      if (rmatched[rr]) matches->right.push_back(static_cast<uint32_t>(rr));
+  } else {
+    const JoinKeyTable rkeys({rkey}, r.num_rows());
+    lrows.reserve(full_rows);
+    rrows.reserve(full_rows);
+    for (size_t lr = 0; lr < l.num_rows(); ++lr) {
+      if (!lmarked[lr]) continue;
+      matches->left.push_back(static_cast<uint32_t>(lr));
+      auto [rows, count] = rkeys.Find(&lkey[lr]);
+      for (size_t k = 0; k < count; ++k) {
+        lrows.push_back(static_cast<uint32_t>(lr));
+        rrows.push_back(rows[k]);
+      }
     }
   }
 
@@ -348,7 +432,7 @@ std::optional<Table> HopJoin(const Table& l, const Table& r, size_t left_col,
 ColumnSets DeriveHopSets(const std::vector<HopColumn>& out, const Table& l,
                          const Table& r, const HopMatches& matches,
                          const ColumnSets* left_all,
-                         const ColumnSets* right_all, HopSetCounts* counts) {
+                         const ColumnSets* right_all, HopCounts* counts) {
   ColumnSets s;
   s.owned.reserve(out.size());
   s.views.reserve(out.size());
@@ -385,8 +469,7 @@ Result<ExpandResult> Expand(const Table& source,
   // path whose intermediate result explodes is a wrong join (weak pair,
   // many-to-many) and gets dropped rather than materialized. The cap also
   // protects the caller's memory when `limits` is unbounded.
-  OpLimits join_limits = limits;
-  join_limits.MaxRows(std::min<uint64_t>(limits.max_rows(), 200000));
+  const uint64_t join_cap = std::min<uint64_t>(limits.max_rows(), 200000);
 
   const bool debug = getenv("GENT_DEBUG_EXPAND") != nullptr;
 
@@ -449,40 +532,69 @@ Result<ExpandResult> Expand(const Table& source,
   // copy instead of refolding the family per (start, hop) pair. The lone
   // exception — the start candidate itself belongs to the hop's family
   // and must be excluded — refolds in build_expansion.
-  // The ascending inner-union fold of hop `h`'s family, skipping `skip`.
-  auto fold_family = [&](size_t h, size_t skip) {
-    Table t = candidates[h].table.Clone();
+  // The ascending inner-union fold of hop `h`'s family, skipping `skip`,
+  // in one pass: InnerUnion accepts exactly the tables whose column-name
+  // set is the hop's (names are unique, so equal widths and containment
+  // mean equal sets) and appends their rows by name onto the hop's column
+  // order, so the fold is h's rows, then each member's ascending. nullopt
+  // when no member has a row to add: the union is the candidate itself.
+  auto fold_family = [&](size_t h, size_t skip) -> std::optional<Table> {
+    const Table& head = candidates[h].table;
+    std::vector<size_t> members;
+    size_t rows = head.num_rows();
     for (size_t other = 0; other < n; ++other) {
       if (other == h || other == skip) continue;
-      auto unioned = InnerUnion(t, candidates[other].table);
-      if (unioned.ok()) t = std::move(unioned).value();
+      if (sorted_schemas[other] != sorted_schemas[h]) continue;
+      if (candidates[other].table.num_rows() == 0) continue;
+      members.push_back(other);
+      rows += candidates[other].table.num_rows();
+    }
+    if (members.empty()) return std::nullopt;
+    Table t(head.name(), head.dict());
+    for (const std::string& name : head.column_names()) {
+      (void)t.AddColumn(name);  // names are unique
+    }
+    for (size_t c = 0; c < head.num_cols(); ++c) {
+      std::vector<ValueId>& col = t.mutable_column(c);
+      col.reserve(rows);
+      col.assign(head.column(c).begin(), head.column(c).end());
+      for (size_t m : members) {
+        const Table& src = candidates[m].table;
+        const std::vector<ValueId>& from =
+            src.column(*src.ColumnIndex(head.column_name(c)));
+        col.insert(col.end(), from.begin(), from.end());
+      }
     }
     return t;
   };
-  // Per hop, its family union and the union's column sets (for a fully
-  // matched hop side, DeriveHopSets), each built at most once per Expand
-  // on first use by any path, so hops no path reaches cost nothing.
-  // call_once: each is a function of the hop alone, so which thread
-  // builds it never changes it. A union that added no rows is a clone of
-  // the candidate and shares the candidate's sets.
+  // Per hop, its family union, the union's join side (HopSide) and the
+  // union's column sets (for a fully matched hop side, DeriveHopSets),
+  // each built at most once per Expand on first use by any path, so hops
+  // no path reaches cost nothing. call_once: each is a function of the
+  // hop alone, so which thread builds it never changes it. A union that
+  // adds no rows is the candidate's own table and shares its sets.
   struct Family {
     std::once_flag union_once;
     std::optional<Table> union_table;
+    std::optional<HopSide> side;
     std::once_flag sets_once;
     ColumnSets sets;
   };
   std::vector<Family> families(n);
-  auto family_union = [&](size_t h) -> const Table& {
+  auto family_side = [&](size_t h) -> HopSide& {
     Family& f = families[h];
-    std::call_once(f.union_once,
-                   [&] { f.union_table = fold_family(h, SIZE_MAX); });
-    return *f.union_table;
+    std::call_once(f.union_once, [&] {
+      f.union_table = fold_family(h, SIZE_MAX);
+      f.side.emplace(f.union_table ? *f.union_table : candidates[h].table);
+    });
+    return *f.side;
   };
   auto union_sets = [&](size_t h) -> const ColumnSets* {
     Family& f = families[h];
-    const Table& u = family_union(h);
-    if (u.num_rows() == candidates[h].table.num_rows()) return &sets[h];
-    std::call_once(f.sets_once, [&] { f.sets = SetsFromTable(u); });
+    family_side(h);
+    if (!f.union_table) return &sets[h];
+    std::call_once(f.sets_once,
+                   [&] { f.sets = SetsFromTable(*f.union_table); });
     return &f.sets;
   };
 
@@ -536,18 +648,9 @@ Result<ExpandResult> Expand(const Table& source,
     return path;
   };
 
-  // One key table serves every path's scoring matrix and one key index
-  // every path's mapping verification (the source is fixed for the whole
-  // expansion). Paths exist only with a keyless start and a key-covering
-  // end, so the index is built only then.
-  bool any_keyless = false, any_covers = false;
-  for (const Candidate& c : candidates) {
-    any_keyless |= !c.covers_key;
-    any_covers |= c.covers_key;
-  }
+  // One key table serves every path's scoring matrix and mapping
+  // verification (the source is fixed for the whole expansion).
   const JoinKeyTable source_keys = SourceKeyTable(source);
-  const KeyIndex source_key_index =
-      any_keyless && any_covers ? source.BuildKeyIndex() : KeyIndex{};
 
   // Materializes one expansion along `path`; nullopt = unusable.
   // `preserve` is the start candidate's column-name set (see
@@ -559,7 +662,7 @@ Result<ExpandResult> Expand(const Table& source,
   // the Distinct over them (HopJoin), so it never materializes the join.
   auto build_expansion = [&](size_t ci, const std::vector<size_t>& path,
                              const std::unordered_set<std::string>& preserve,
-                             HopSetCounts* counts) -> std::optional<Table> {
+                             HopCounts* counts) -> std::optional<Table> {
     const Candidate& cand = candidates[ci];
     const Table* joined = &candidates[path[0]].table;
     std::optional<Table> materialized;
@@ -583,12 +686,17 @@ Result<ExpandResult> Expand(const Table& source,
       // single lake table may be missing join-key values (nulls) that a
       // sibling variant supplies. The start candidate's own rows never
       // join back into its expansion, so it is excluded from the family
-      // — when it isn't part of it anyway, the shared union serves.
+      // — when it isn't part of it anyway, the shared union serves. A
+      // refolded family's side is this path's own.
+      const bool refold = sorted_schemas[ci] == sorted_schemas[next];
       std::optional<Table> refolded;
-      if (sorted_schemas[ci] == sorted_schemas[next]) {
+      std::optional<HopSide> refolded_side;
+      if (refold) {
         refolded = fold_family(next, ci);
+        refolded_side.emplace(refolded ? *refolded : candidates[next].table);
       }
-      const Table& hop = refolded ? *refolded : family_union(next);
+      HopSide& side = refold ? *refolded_side : family_side(next);
+      const Table& hop = side.table();
       if (debug) {
         fprintf(stderr, "[hop] %s: %s ~ %s (w=%.2f)\n",
                 cand.table.name().c_str(),
@@ -642,14 +750,14 @@ Result<ExpandResult> Expand(const Table& source,
         out = std::move(kept);
       }
       HopMatches matches;
-      auto j = HopJoin(hop, *joined, pair->b_col, pair->a_col, out,
-                       /*distinct=*/last, join_limits, &matches);
+      auto j = HopJoin(side, *joined, pair->b_col, pair->a_col, out,
+                       /*distinct=*/last, join_cap, &matches, counts);
       if (!j.has_value()) return std::nullopt;
       if (!last) {
         // A refolded family has no prebuilt sets, so its side always
         // dedups over its matched rows.
         const ColumnSets* left_all =
-            !refolded && matches.left.size() == hop.num_rows()
+            !refold && matches.left.size() == hop.num_rows()
                 ? union_sets(next)
                 : nullptr;
         const ColumnSets* right_all =
@@ -678,8 +786,9 @@ Result<ExpandResult> Expand(const Table& source,
       for (size_t kc : source.key_columns()) {
         key_cols.push_back(*expanded.ColumnIndex(source.column_name(kc)));
       }
+      // Each row aligns to the first source row carrying its key.
       std::vector<std::pair<size_t, size_t>> align;
-      KeyTuple key(key_cols.size());
+      std::vector<ValueId> key(key_cols.size());
       for (size_t r = 0; r < expanded.num_rows(); ++r) {
         bool null_key = false;
         for (size_t k = 0; k < key_cols.size(); ++k) {
@@ -687,10 +796,8 @@ Result<ExpandResult> Expand(const Table& source,
           null_key |= key[k] == kNull;
         }
         if (null_key) continue;
-        auto it = source_key_index.find(key);
-        if (it != source_key_index.end()) {
-          align.emplace_back(r, it->second.front());
-        }
+        auto [rows, count] = source_keys.Find(key.data());
+        if (count > 0) align.emplace_back(r, rows[0]);
       }
       for (size_t c = 0; c < expanded.num_cols(); ++c) {
         auto sc = source.ColumnIndex(expanded.column_name(c));
@@ -725,7 +832,7 @@ Result<ExpandResult> Expand(const Table& source,
     std::optional<Table> table;
     bool expanded = false;
     bool dropped = false;
-    HopSetCounts hop_counts;
+    HopCounts hop_counts;
   };
   std::vector<Slot> slots(n);
   ParallelFor(pool.get(), n, [&](size_t i) {
@@ -828,7 +935,7 @@ Result<ExpandResult> Expand(const Table& source,
 
   // Deterministic reduction: candidate-index order, exactly the serial
   // emission order.
-  HopSetCounts hop_counts;
+  HopCounts hop_counts;
   for (size_t i = 0; i < n; ++i) {
     Slot& slot = slots[i];
     hop_counts += slot.hop_counts;
@@ -842,6 +949,8 @@ Result<ExpandResult> Expand(const Table& source,
   result.intermediate_hops = hop_counts.hops;
   result.hop_sets_borrowed = hop_counts.borrowed;
   result.hop_sets_deduped = hop_counts.deduped;
+  result.hop_sides_built = hop_counts.sides_built;
+  result.hop_sides_reused = hop_counts.sides_reused;
   return result;
 }
 

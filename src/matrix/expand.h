@@ -18,8 +18,17 @@
 // partially matched one is deduplicated over its matched rows, and the
 // materialized join's cells are never rescanned. A path's last hop is
 // fused with the projection and Distinct that follow it, so it never
-// materializes the full join (DESIGN.md §5.7). Results are bit-identical
-// to the serial reference (tests/expand_reference.h) at any thread count.
+// materializes the full join (DESIGN.md §5.7).
+//
+// Hop sides are shared within a call: each hop's family union is folded
+// once, in one pass over the same-schema members, and its join-key table
+// per join column and first-occurrence rows per kept column set are
+// built once and reused by every path that reaches the hop. A hop join
+// decides its row cap before joining, from the full join size minus the
+// last left row's multiplicity, both counted by probing the shared key
+// table from the path side. Mapping verification aligns rows through the
+// source's key table. Results are bit-identical to the serial reference
+// (tests/expand_reference.h) at any thread count.
 //
 // Edge-choice contract: the best join pair between two tables maximizes
 // (weight, intersection size) and breaks remaining ties by the smallest
@@ -54,6 +63,14 @@ struct ExpandResult {
   size_t intermediate_hops = 0;
   size_t hop_sets_borrowed = 0;
   size_t hop_sets_deduped = 0;
+  /// Hop sides looked up by the hop joins of every path tried: a hop
+  /// table's join-key table per join column, and for a fused last hop
+  /// its first-occurrence rows per kept column set. A side is built by
+  /// the first path that needs it and reused by every later one (a side
+  /// refolded without the start candidate is the path's own, so always
+  /// built). The split is a function of the paths, not of the threads.
+  size_t hop_sides_built = 0;
+  size_t hop_sides_reused = 0;
 };
 
 struct ExpandOptions {

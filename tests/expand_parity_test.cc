@@ -11,7 +11,10 @@
 // explicit multi-hop chain, and seeded 3–5 node chains (ChainSweep)
 // whose intermediate hops exercise every way of deriving a hop's column
 // sets from its inputs — the oracle rebuilds them from each
-// materialized join.
+// materialized join — plus the hop sides every path of a call shares
+// (ExpandParitySides): the up-front row cap at each hop side's last row,
+// permuted schema families and their refold, and mapping verification
+// against duplicated source keys.
 
 #include <algorithm>
 #include <optional>
@@ -26,6 +29,7 @@
 #include "src/lake/data_lake.h"
 #include "src/matrix/expand.h"
 #include "src/ops/join.h"
+#include "src/ops/union.h"
 #include "src/table/table_builder.h"
 #include "src/util/random.h"
 
@@ -63,29 +67,35 @@ bool SameExpansion(const ExpandResult& want, const ExpandResult& got,
 // The engine's work counters (the oracle reports none).
 struct HopCounters {
   size_t hops = 0, borrowed = 0, deduped = 0;
+  size_t sides_built = 0, sides_reused = 0;
   bool operator==(const HopCounters& o) const {
-    return hops == o.hops && borrowed == o.borrowed && deduped == o.deduped;
+    return hops == o.hops && borrowed == o.borrowed &&
+           deduped == o.deduped && sides_built == o.sides_built &&
+           sides_reused == o.sides_reused;
   }
 };
 
 HopCounters CountersOf(const ExpandResult& r) {
-  return {r.intermediate_hops, r.hop_sets_borrowed, r.hop_sets_deduped};
+  return {r.intermediate_hops, r.hop_sets_borrowed, r.hop_sets_deduped,
+          r.hop_sides_built, r.hop_sides_reused};
 }
 
-// Runs the engine at 1/2/8 threads against the oracle under `limits`;
-// returns the oracle's result (empty on failure). The engine's counters
-// must not depend on the thread count either; `counters`, when set,
-// receives them.
+// Runs the engine at each of `thread_counts` (1/2/8 by default) against
+// the oracle under `limits`; returns the oracle's result (empty on
+// failure). The engine's counters must not depend on the thread count
+// either; `counters`, when set, receives them.
 ExpandResult ExpectParity(const Table& source,
                           const std::vector<Candidate>& cands,
                           const std::string& label,
                           const OpLimits& limits = {},
-                          HopCounters* counters = nullptr) {
+                          HopCounters* counters = nullptr,
+                          const std::vector<size_t>& thread_counts = {1, 2,
+                                                                      8}) {
   auto want = ref::RefExpand(source, cands, limits);
   EXPECT_TRUE(want.ok()) << label << ": " << want.status().ToString();
   if (!want.ok()) return {};
   std::optional<HopCounters> serial;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+  for (size_t threads : thread_counts) {
     ExpandOptions options;
     options.num_threads = threads;
     auto got = Expand(source, cands, limits, options);
@@ -667,6 +677,338 @@ TEST(ExpandParityChain, RefoldedHopNeverBorrowsTheFamilyUnion) {
     EXPECT_EQ(counters.deduped, 3u);
     EXPECT_EQ(counters.borrowed, 2u);
   }
+}
+
+// Candidates for every table in order; those with an `id` column cover
+// the source key.
+std::vector<Candidate> KeyedCandidates(std::vector<Table> tables) {
+  std::vector<Candidate> candidates;
+  for (Table& t : tables) {
+    Candidate c(std::move(t));
+    c.covers_key = c.table.HasColumn("id");
+    candidates.push_back(std::move(c));
+  }
+  return candidates;
+}
+
+// The shared hop sides are checked at 1 and 4 threads: one builds every
+// side on the path that first needs it, the other races paths to it.
+const std::vector<size_t> kSideThreads = {1, 4};
+
+// Sweeps every row budget from 1 until the result matches the unbounded
+// one, each against the oracle. Returns the smallest budget at which
+// candidate `start` expands (0 when it never does).
+uint64_t SweepEveryBudget(const Table& source,
+                          const std::vector<Candidate>& candidates,
+                          const std::string& label,
+                          const std::string& start) {
+  const ExpandResult unbounded =
+      ExpectParity(source, candidates, label + " unbounded", {}, nullptr,
+                   kSideThreads);
+  auto expanded = [&](const ExpandResult& r) {
+    for (const Table& t : r.tables) {
+      if (t.name() == start + "+expanded") return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(expanded(unbounded)) << label;
+  uint64_t first = 0;
+  for (uint64_t k = 1;; ++k) {
+    EXPECT_LT(k, 10000u) << label << ": budget sweep never converged";
+    if (k >= 10000u) return first;
+    const ExpandResult bounded =
+        ExpectParity(source, candidates, label + " budget " + std::to_string(k),
+                     OpLimits().MaxRows(k), nullptr, kSideThreads);
+    if (::testing::Test::HasFailure()) return first;
+    if (first == 0 && expanded(bounded)) first = k;
+    std::string why;
+    if (SameExpansion(unbounded, bounded, &why)) return first;
+  }
+}
+
+// What the last row of a hop family union carries.
+enum class LastRow { kUnmatched, kNull, kHeavy };
+
+// A chain s -> h -> e: keyless start s(a, name), keyless hop h(a, b),
+// key-covering end e(b, id), over one value domain per link. Both h
+// and e have a sibling with their columns reversed (h_v2, e_v2), listed
+// after them, so each family union ends in its sibling's last row. At
+// the intermediate hop (`at_last_hop` false) h_v2's last row, at the
+// last hop e_v2's, is the special one: its join value is a stray no
+// other table holds (kUnmatched), null (kNull), or one that kHeavy path
+// rows carry (kHeavy). A heavy intermediate row's partner rows carry a
+// stray out-link, so the last hop stays small; a heavy last row is
+// checked on start h, whose one-hop path [h, e] joins it straight.
+constexpr size_t kChainN = 8;
+constexpr size_t kHeavyRows = 12;
+
+std::vector<Table> LastRowChain(const DictionaryPtr& dict, LastRow kind,
+                                bool at_last_hop) {
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  const bool heavy = kind == LastRow::kHeavy;
+  auto special = [&](const char* prefix) -> std::string {
+    switch (kind) {
+      case LastRow::kUnmatched: return std::string(prefix) + "_stray";
+      case LastRow::kNull: return "";
+      default: return std::string(prefix) + "_hot";
+    }
+  };
+  TableBuilder s(dict, "s");
+  s.Columns({"a", "name"});
+  for (size_t i = 0; i < kChainN; ++i) s.Row({v("a", i), v("n", i)});
+  if (heavy && !at_last_hop) {
+    for (size_t k = 0; k < kHeavyRows; ++k) {
+      s.Row({"a_hot", v("n", k % kChainN)});
+    }
+  }
+  TableBuilder h(dict, "h");
+  h.Columns({"a", "b"});
+  for (size_t i = 0; i < kChainN; ++i) h.Row({v("a", i), v("b", i)});
+  if (heavy && at_last_hop) {
+    for (size_t k = 0; k < kHeavyRows; ++k) {
+      h.Row({v("a", k % kChainN), "b_hot"});
+    }
+  }
+  TableBuilder h2(dict, "h_v2");
+  h2.Columns({"b", "a"});
+  for (size_t i = 0; i < kChainN; i += 2) {
+    h2.Row({v("b", (i + 1) % kChainN), v("a", i)});
+  }
+  if (!at_last_hop) h2.Row({heavy ? "b_none" : "b1", special("a")});
+  TableBuilder e(dict, "e");
+  e.Columns({"b", "id"});
+  for (size_t i = 0; i < kChainN; ++i) e.Row({v("b", i), v("id", i)});
+  TableBuilder e2(dict, "e_v2");
+  e2.Columns({"id", "b"});
+  for (size_t i = 0; i < kChainN; i += 3) {
+    e2.Row({v("id", i), v("b", (i + 2) % kChainN)});
+  }
+  if (at_last_hop) e2.Row({"id0", special("b")});
+  return {s.Build(), h.Build(), h2.Build(), e.Build(), e2.Build()};
+}
+
+// The hop join's cap is decided up front from the full join size minus
+// the last left row's multiplicity. These chains put an unmatched, a
+// null and a cap-deciding row last in the hop side, at an intermediate
+// and at the last hop, and sweep every budget against the oracle. A
+// heavy last row alone pushes its join over the cap without tripping
+// it (NaturalJoin never checks after its last left row), so the start
+// must expand below the heavy join's full size.
+TEST(ExpandParitySides, LastHopRowUnderEveryBudget) {
+  const char* kinds[] = {"unmatched", "null", "heavy"};
+  for (LastRow kind : {LastRow::kUnmatched, LastRow::kNull, LastRow::kHeavy}) {
+    for (bool at_last_hop : {false, true}) {
+      const std::string label =
+          std::string(kinds[static_cast<int>(kind)]) + " last row at the " +
+          (at_last_hop ? "last" : "intermediate") + " hop";
+      SCOPED_TRACE(label);
+      auto dict = MakeDictionary();
+      TableBuilder sb(dict, "source");
+      sb.Columns({"id", "name"});
+      for (size_t i = 0; i < kChainN; ++i) {
+        sb.Row({"id" + std::to_string(i), "n" + std::to_string(i)});
+      }
+      const Table source = sb.Key({"id"}).Build();
+      const std::vector<Candidate> candidates =
+          KeyedCandidates(LastRowChain(dict, kind, at_last_hop));
+      // The start whose path puts the special row last in a hop side.
+      const std::string start = at_last_hop ? "h" : "s";
+      const uint64_t first =
+          SweepEveryBudget(source, candidates, label, start);
+      if (::testing::Test::HasFailure()) return;
+      EXPECT_GT(first, 1u);
+      if (kind != LastRow::kHeavy) continue;
+      // The heavy hop's full join: its family union on the left, the
+      // path so far on the right (the chain's names never collide).
+      auto u = [&](size_t a, size_t b) {
+        return InnerUnion(candidates[a].table, candidates[b].table).value();
+      };
+      auto heavy = at_last_hop
+                       ? NaturalJoin(u(3, 4), candidates[1].table,
+                                     JoinKind::kInner)
+                       : NaturalJoin(u(1, 2), candidates[0].table,
+                                     JoinKind::kInner);
+      ASSERT_TRUE(heavy.ok());
+      EXPECT_LT(first, heavy->num_rows());
+      EXPECT_GE(first, heavy->num_rows() - kHeavyRows);
+    }
+  }
+}
+
+// A schema family of three members, each with its columns in another
+// order: f1(lp, lh, x), f2(x, lp, lh), f3(lh, x, lp), between the start
+// s(lp, name) and the end e(k, id). Their rows overlap in the middle, f3
+// has a null lp, and the family union folds all three by name. With
+// `refold_start` a fourth member f4 (lp first, x last) is a keyless
+// start whose lh values no end holds, so its path runs through another
+// member, whose family is refolded without f4.
+std::vector<Table> PermutedFamily(const DictionaryPtr& dict,
+                                  bool refold_start) {
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  auto member = [&](const std::string& name,
+                    const std::vector<std::string>& cols, size_t lo,
+                    size_t hi, const char* lh) {
+    Table t(name, dict);
+    for (const std::string& c : cols) EXPECT_TRUE(t.AddColumn(c).ok());
+    for (size_t i = lo; i < hi; ++i) {
+      std::vector<ValueId> row;
+      for (const std::string& c : cols) {
+        if (c == "lp") row.push_back(dict->Intern(v("P", i)));
+        if (c == "lh") row.push_back(dict->Intern(v(lh, i)));
+        if (c == "x") row.push_back(dict->Intern(v("X", i % 3)));
+      }
+      t.AddRow(row);
+    }
+    return t;
+  };
+  std::vector<Table> tables;
+  TableBuilder s(dict, "s");
+  s.Columns({"lp", "name"});
+  for (size_t i = 0; i < 12; ++i) s.Row({v("P", i), v("n", i)});
+  tables.push_back(s.Build());
+  tables.push_back(member("f1", {"lp", "lh", "x"}, 0, 6, "K"));
+  tables.push_back(member("f2", {"x", "lp", "lh"}, 3, 9, "K"));
+  Table f3 = member("f3", {"lh", "x", "lp"}, 6, 12, "K");
+  f3.AddRow({dict->Intern("K0"), dict->Intern("X0"), kNull});
+  tables.push_back(std::move(f3));
+  if (refold_start) {
+    tables.push_back(member("f4", {"lp", "lh", "x"}, 0, 12, "Z"));
+  }
+  TableBuilder e(dict, "e");
+  e.Columns({"k", "id"});
+  for (size_t i = 0; i < 12; ++i) e.Row({v("K", i), v("id", i)});
+  tables.push_back(e.Build());
+  return tables;
+}
+
+TEST(ExpandParitySides, PermutedFamilyUnderEveryBudget) {
+  for (bool refold_start : {false, true}) {
+    const std::string label = refold_start ? "refold" : "shared union";
+    SCOPED_TRACE(label);
+    auto dict = MakeDictionary();
+    TableBuilder sb(dict, "source");
+    sb.Columns({"id", "name"});
+    for (size_t i = 0; i < 12; ++i) {
+      sb.Row({"id" + std::to_string(i), "n" + std::to_string(i)});
+    }
+    const Table source = sb.Key({"id"}).Build();
+    const std::vector<Candidate> candidates =
+        KeyedCandidates(PermutedFamily(dict, refold_start));
+    SweepEveryBudget(source, candidates, label, refold_start ? "f4" : "s");
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// Mapping verification aligns each expanded row to the FIRST source row
+// carrying its key. Here every key is duplicated, the first copy
+// holding the attribute values the expansion carries and the second
+// contradicting them, and one source row has a null key cell: aligned
+// to the first copies the attribute column is kept, aligned to any
+// other it would be unmapped. Once with a one-column key, once with a
+// two-column key (the null in its second column), each under every
+// budget.
+TEST(ExpandParitySides, VerificationAlignsToTheFirstKeyRow) {
+  for (bool two_col_key : {false, true}) {
+    SCOPED_TRACE(two_col_key ? "two-column key" : "one-column key");
+    auto dict = MakeDictionary();
+    auto v = [](const char* prefix, size_t i) {
+      return prefix + std::to_string(i);
+    };
+    std::vector<std::string> key = {"id"};
+    if (two_col_key) key.push_back("yr");
+    std::vector<std::string> source_cols = key;
+    source_cols.push_back("attr");
+    TableBuilder sb(dict, "source");
+    sb.Columns(source_cols);
+    auto source_row = [&](std::string id, const std::string& attr) {
+      std::vector<std::string> row = {std::move(id)};
+      if (two_col_key) row.push_back("y");
+      row.push_back(attr);
+      return row;
+    };
+    for (size_t i = 0; i < 6; ++i) sb.Row(source_row(v("id", i), v("a", i)));
+    for (size_t i = 0; i < 6; ++i) sb.Row(source_row(v("id", i), v("z", i)));
+    if (two_col_key) {
+      sb.Row({"id6", "", "a6"});
+    } else {
+      sb.Row({"", "a6"});
+    }
+    const Table source = sb.Key(key).Build();
+
+    TableBuilder t(dict, "t");
+    t.Columns({"ref", "attr"});
+    for (size_t i = 0; i < 6; ++i) t.Row({v("r", i), v("a", i)});
+    std::vector<std::string> end_cols = {"ref"};
+    end_cols.insert(end_cols.end(), key.begin(), key.end());
+    TableBuilder e(dict, "e");
+    e.Columns(end_cols);
+    for (size_t i = 0; i < 7; ++i) {
+      std::vector<std::string> row = {v("r", i), v("id", i)};
+      if (two_col_key) row.push_back("y");
+      e.Row(row);
+    }
+    const std::vector<Candidate> candidates =
+        KeyedCandidates({t.Build(), e.Build()});
+    const ExpandResult want =
+        ExpectParity(source, candidates, "verification", {}, nullptr,
+                     kSideThreads);
+    ASSERT_EQ(want.num_expanded, 1u);
+    ASSERT_EQ(want.tables[0].name(), "t+expanded");
+    EXPECT_TRUE(want.tables[0].HasColumn("attr"));
+    SweepEveryBudget(source, candidates, "verification", "t");
+  }
+}
+
+// Work counters of the shared sides, on a lake where they are easy to
+// count. Starts s1(lp, name) and s2(x, name2) reach the end e(k, id, x)
+// through the same hop h(lp, lq, k), joining it on lp and on lq; h
+// itself is a keyless start one hop from e. Every fused last hop joins
+// e on k, so e's key table is built once and reused twice. The
+// first-occurrence rows of e depend on the columns kept: s1 and h keep
+// e's id (one list, built once, reused once), while s2 also keeps e's x,
+// since its own x became lq at the first hop, and needs a list of its
+// own (e repeats some (k, id) pairs with another x, so a list shared by
+// mistake drops rows). h's key tables on lp and on lq are built once
+// each.
+TEST(ExpandParitySides, SharedSidesAreBuiltOnce) {
+  auto dict = MakeDictionary();
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "name"});
+  for (size_t i = 0; i < 8; ++i) sb.Row({v("id", i), v("n", i)});
+  const Table source = sb.Key({"id"}).Build();
+  TableBuilder s1(dict, "s1");
+  s1.Columns({"lp", "name"});
+  TableBuilder s2(dict, "s2");
+  s2.Columns({"x", "name2"});
+  TableBuilder h(dict, "h");
+  h.Columns({"lp", "lq", "k"});
+  TableBuilder e(dict, "e");
+  e.Columns({"k", "id", "x"});
+  for (size_t i = 0; i < 8; ++i) {
+    s1.Row({v("P", i), v("n", i)});
+    s2.Row({v("Q", i), v("m", i)});
+    h.Row({v("P", i), v("Q", i), v("K", i)});
+    e.Row({v("K", i), v("id", i), v("W", i)});
+    if (i % 2 == 0) e.Row({v("K", i), v("id", i), v("V", i)});
+  }
+  const std::vector<Candidate> candidates =
+      KeyedCandidates({s1.Build(), s2.Build(), h.Build(), e.Build()});
+  HopCounters counters;
+  const ExpandResult want = ExpectParity(source, candidates, "shared sides",
+                                         {}, &counters, kSideThreads);
+  ASSERT_EQ(want.num_expanded, 3u);
+  ASSERT_EQ(want.tables[1].name(), "s2+expanded");
+  EXPECT_TRUE(want.tables[1].HasColumn("x"));
+  EXPECT_EQ(counters.hops, 2u);
+  EXPECT_EQ(counters.sides_built, 5u);
+  EXPECT_EQ(counters.sides_reused, 3u);
 }
 
 TEST(ExpandParityEdge, EmptyCandidateList) {
