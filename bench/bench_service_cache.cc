@@ -541,6 +541,7 @@ int RunIngest(size_t max_sources) {
     return 1;
   }
   const double open_s = Seconds(t0);
+  const bool opened_mapped = service.residency_stats()[0].catalog.mapped;
 
   std::vector<Table> sources;
   for (size_t i = 0; i < bench->sources.size() && i < max_sources; ++i) {
@@ -636,6 +637,26 @@ int RunIngest(size_t max_sources) {
     cleanup();
     return 1;
   }
+  // The fold writes the served lake and maps the new file over it, in
+  // the service's ids: the folded shard stays mapped (when the open
+  // was), and its file reloads into this service's dictionary with the
+  // identity remap.
+  const bool folded_mapped = service.residency_stats()[0].catalog.mapped;
+  bool folded_identity = false;
+  {
+    DataLake probe(dict);
+    SnapshotLoadInfo info;
+    folded_identity =
+        LoadSnapshot(probe, path, &info).ok() && info.identity_remap;
+  }
+  if (folded_mapped != opened_mapped || !folded_identity) {
+    std::fprintf(stderr,
+                 "ingest: folded shard mapped=%d (opened mapped=%d), file "
+                 "reloads with identity remap=%d\n",
+                 folded_mapped, opened_mapped, folded_identity);
+    cleanup();
+    return 1;
+  }
 
   // The alternative this replaces: rebuild the catalog over the full
   // lake, save a fresh v2 snapshot, open it in a fresh service.
@@ -682,7 +703,8 @@ int RunIngest(size_t max_sources) {
   std::printf("v2 open: %.3fs; append mean %.4fs max %.4fs; "
               "full reload %.3fs (%.1fx vs append)\n",
               open_s, append_mean_s, append_max_s, full_reload_s, speedup);
-  std::printf("compaction fold: %.3fs\n", compact_s);
+  std::printf("compaction fold: %.3fs (mapped: %s)\n", compact_s,
+              folded_mapped ? "yes" : "no");
   std::printf("concurrent queries: %llu ok, %llu failed; "
               "post-append mismatches: %llu\n",
               static_cast<unsigned long long>(served.load()),
@@ -713,9 +735,10 @@ int RunIngest(size_t max_sources) {
                "  \"append_max_seconds\": %.6f,\n"
                "  \"full_reload_seconds\": %.6f,\n"
                "  \"reload_over_append_speedup\": %.3f,\n"
-               "  \"compact_seconds\": %.6f,\n",
+               "  \"compact_seconds\": %.6f,\n"
+               "  \"compact_mapped\": %s,\n",
                append_mean_s, append_max_s, full_reload_s, speedup,
-               compact_s);
+               compact_s, folded_mapped ? "true" : "false");
   std::fprintf(f,
                "  \"concurrent_queries_ok\": %llu,\n"
                "  \"concurrent_queries_failed\": %llu,\n"

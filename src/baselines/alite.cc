@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <numeric>
+#include <unordered_set>
 
 #include "src/integration/integrator.h"
 #include "src/lake/inverted_index.h"

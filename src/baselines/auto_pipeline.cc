@@ -1,6 +1,7 @@
 #include "src/baselines/auto_pipeline.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "src/integration/integrator.h"
 #include "src/lake/inverted_index.h"

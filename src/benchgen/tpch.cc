@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_set>
 
 namespace gent {
 

@@ -1,6 +1,7 @@
 #include "src/benchgen/web_tables.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace gent {
 

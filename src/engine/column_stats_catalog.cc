@@ -23,13 +23,22 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c,
   };
   const size_t cells = rows == nullptr ? col.size() : rows->size();
   // The id range of the non-null cells, in one pass: kNull is 0, so it
-  // never raises `hi`, and `v - 1` wraps it above every real id.
+  // never raises `hi`, and `v - 1` wraps it above every real id. A
+  // labeled null (its id above every entry's) can only raise `hi`; when
+  // one did, a second pass takes `hi` over the entries alone. Every
+  // cell outside [lo, hi] is then a null or a label.
   ValueId lo_minus_1 = ~ValueId{0}, hi = kNull;
   for_each_cell([&](ValueId v) {
     lo_minus_1 = std::min<ValueId>(lo_minus_1, v - 1);
     hi = std::max(hi, v);
   });
-  if (hi == kNull) return {};  // no cells, or only nulls
+  if (hi >= kFirstLabeledNull) {
+    hi = kNull;
+    for_each_cell([&](ValueId v) {
+      if (v < kFirstLabeledNull) hi = std::max(hi, v);
+    });
+  }
+  if (hi == kNull) return {};  // no cells, or only nulls and labels
   const ValueId lo = lo_minus_1 + 1;
   const size_t range = static_cast<size_t>(hi - lo) + 1;
   std::vector<ValueId> vals;
@@ -42,8 +51,8 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c,
     // so the emit loop never reallocates.
     std::vector<uint64_t> bits((range + 63) / 64, 0);
     for_each_cell([&](ValueId v) {
-      if (v == kNull) return;
-      const ValueId d = v - lo;
+      const ValueId d = v - lo;  // kNull wraps above the range
+      if (d >= range) return;
       bits[d >> 6] |= uint64_t{1} << (d & 63);
     });
     vals.reserve(
@@ -60,13 +69,13 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c,
     // Sparse range (ids scattered over the dictionary, e.g. a column
     // mixing values interned by many tables): deduplicate through a flat
     // ~1/2-load set first, then sort only the distinct ids. kNull marks
-    // an empty slot; nulls never enter the set anyway.
+    // an empty slot; nulls and labels never enter the set.
     size_t cap = 16;
     while (cap < 2 * cells) cap <<= 1;
     const uint64_t mask = cap - 1;
     std::vector<ValueId> slots(cap, kNull);
     for_each_cell([&](ValueId v) {
-      if (v == kNull) return;
+      if (v - 1 >= hi) return;  // kNull wraps above `hi`
       uint64_t slot = SplitMix64(v) & mask;
       while (slots[slot] != kNull && slots[slot] != v) {
         slot = (slot + 1) & mask;
@@ -78,11 +87,6 @@ std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c,
     });
     std::sort(vals.begin(), vals.end());
   }
-  // Labeled nulls are filtered after dedup: one lock acquisition over
-  // the distinct values instead of a per-cell IsLabeledNull (which took
-  // the dictionary's shared lock once per cell — it was the dominant
-  // cost of set rebuilds on joined intermediates).
-  t.dict()->RemoveLabeledNulls(&vals);
   return vals;
 }
 

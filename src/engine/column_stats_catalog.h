@@ -313,9 +313,10 @@ class ColumnStatsCatalog {
 /// rows' cells are read: the result equals SortedDistinctValues of the
 /// sub-table that keeps exactly those rows. `rows` should be ascending
 /// (for locality; any order gives the same result) and in range.
-/// Cells whose non-null ids span at most 64 ids per cell are marked in
-/// a bitmap over that span (no hashing, no sort); wider spans go
-/// through a flat hash set and sort only the distinct ids.
+/// Cells whose entry ids (nulls and labeled nulls aside) span at most
+/// 64 ids per cell are marked in a bitmap over that span (no hashing,
+/// no sort); wider spans go through a flat hash set and sort only the
+/// distinct ids.
 std::vector<ValueId> SortedDistinctValues(
     const Table& t, size_t c, const std::vector<uint32_t>* rows = nullptr);
 

@@ -52,6 +52,15 @@ double BackoffSeconds(const ShardHealthOptions& o, uint64_t uid,
   return delay > 0 ? delay : 0.0;
 }
 
+// What a file written whole from a served lake holds (WriteShardFile):
+// v2, the service's ids, no delta runs.
+SnapshotLoadInfo WrittenFromServedLake() {
+  SnapshotLoadInfo file;
+  file.version = 2;
+  file.identity_remap = true;
+  return file;
+}
+
 }  // namespace
 
 Table TranslateToDictionary(const Table& source, const DictionaryPtr& dict) {
@@ -180,7 +189,7 @@ void ReclaimService::PublishLocked(std::shared_ptr<RegistrySnapshot> next) {
 }
 
 std::shared_ptr<ReclaimService::Shard> ReclaimService::MakeShard(
-    const std::string& name, std::unique_ptr<DataLake> owned,
+    const std::string& name, std::shared_ptr<const DataLake> owned,
     const DataLake* borrowed,
     std::shared_ptr<const ColumnStatsCatalog> catalog,
     const std::string& source_path) const {
@@ -198,10 +207,10 @@ std::shared_ptr<ReclaimService::Shard> ReclaimService::MakeShard(
 }
 
 Status ReclaimService::RegisterShard(
-    const std::string& name, std::unique_ptr<DataLake> owned,
+    const std::string& name, std::shared_ptr<const DataLake> owned,
     const DataLake* borrowed,
     std::shared_ptr<const ColumnStatsCatalog> catalog,
-    const std::string& source_path, size_t delta_runs) {
+    const std::string& source_path, const SnapshotLoadInfo& file) {
   if (name.empty()) {
     return Status::InvalidArgument(
         "shard name must be non-empty (\"\" routes to all shards)");
@@ -227,7 +236,7 @@ Status ReclaimService::RegisterShard(
   // catalog (the mapped snapshot-open path) skips even that.
   std::shared_ptr<Shard> shard = MakeShard(name, std::move(owned), borrowed,
                                            std::move(catalog), source_path);
-  shard->delta_runs = delta_runs;
+  shard->file = file;
 
   std::lock_guard<std::mutex> lock(registry_mutex_);
   if (registry_->by_name.count(name) > 0) {
@@ -273,43 +282,54 @@ Status ReclaimService::AddLakeView(const std::string& name,
 Status ReclaimService::LoadShardFromSnapshot(
     const std::string& path, std::unique_ptr<DataLake>* lake,
     std::shared_ptr<const ColumnStatsCatalog>* catalog,
-    size_t* delta_runs) const {
+    SnapshotLoadInfo* info) const {
   *lake = std::make_unique<DataLake>(dict_);
   catalog->reset();
-  SnapshotLoadInfo info;
-  GENT_RETURN_IF_ERROR(LoadSnapshot(**lake, path, &info));
-  *delta_runs = info.delta_runs;
-  if (info.version < 2 || !info.identity_remap) {
-    return Status::OK();  // rebuild path
-  }
+  GENT_RETURN_IF_ERROR(LoadSnapshot(**lake, path, info));
   // v2 with a matching id space: the file's catalog sections speak this
   // lake's ValueIds verbatim, so open them mapped. LoadSnapshot just
-  // verified every section checksum; don't stream the file again.
+  // verified every section checksum. Anything else rebuilds.
+  if (info->version >= 2 && info->identity_remap) {
+    *catalog = OpenMappedCatalog(**lake, path);
+  }
+  return Status::OK();
+}
+
+std::shared_ptr<const ColumnStatsCatalog> ReclaimService::OpenMappedCatalog(
+    const DataLake& lake, const std::string& path) const {
   storage::MappedCatalog::Options mopts;
   mopts.verify_checksums = false;
   // One capacity budget for the whole service: every mapped shard's
   // pool registers against it, so eviction pressure is fleet-wide
   // instead of per-shard (pool_capacity_blocks is the budget's size).
   mopts.budget = pool_budget_;
-  auto mapped = ColumnStatsCatalog::OpenMapped(**lake, path, mopts);
-  if (mapped.ok()) {
-    *catalog = std::move(*mapped);
-    return Status::OK();
-  }
-  // Mapped open is an optimization; any failure (e.g. mmap unavailable)
-  // falls back to the rebuild path, which serves identically.
-  return Status::OK();
+  auto mapped = ColumnStatsCatalog::OpenMapped(lake, path, mopts);
+  // Any failure (e.g. mmap unavailable) leaves the caller on the RAM
+  // catalog, which serves identically.
+  return mapped.ok() ? std::move(*mapped) : nullptr;
+}
+
+Result<std::shared_ptr<const ColumnStatsCatalog>>
+ReclaimService::WriteShardFile(const DataLake& lake,
+                               const std::string& path) const {
+  // The one builder and the one writer: the file is bit-identical to a
+  // one-shot save of the same tables, and lands by temp + rename.
+  auto built = std::make_shared<const ColumnStatsCatalog>(lake);
+  GENT_RETURN_IF_ERROR(SaveSnapshotV2(lake, built->section_views(), path));
+  std::shared_ptr<const ColumnStatsCatalog> mapped =
+      OpenMappedCatalog(lake, path);
+  if (mapped != nullptr) return mapped;
+  return std::shared_ptr<const ColumnStatsCatalog>(std::move(built));
 }
 
 Status ReclaimService::AddLakeFromSnapshot(const std::string& name,
                                            const std::string& path) {
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  size_t delta_runs = 0;
-  GENT_RETURN_IF_ERROR(
-      LoadShardFromSnapshot(path, &lake, &catalog, &delta_runs));
+  SnapshotLoadInfo info;
+  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog, &info));
   return RegisterShard(name, std::move(lake), nullptr, std::move(catalog),
-                       path, delta_runs);
+                       path, info);
 }
 
 Status ReclaimService::AddLakeFromDirectory(const std::string& name,
@@ -362,14 +382,13 @@ Status ReclaimService::ReloadLakeFromSnapshot(const std::string& name,
   // the old shard keeps serving untouched.
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  size_t delta_runs = 0;
-  GENT_RETURN_IF_ERROR(
-      LoadShardFromSnapshot(path, &lake, &catalog, &delta_runs));
+  SnapshotLoadInfo info;
+  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog, &info));
   // A new registration with a fresh health cell: an explicit reload
   // supersedes any quarantine of the old one.
   std::shared_ptr<Shard> shard =
       MakeShard(name, std::move(lake), nullptr, std::move(catalog), path);
-  shard->delta_runs = delta_runs;
+  shard->file = info;
   if (!ReplaceShard(std::move(shard), nullptr)) {
     return Status::NotFound("no shard named '" + name + "'");
   }
@@ -407,37 +426,53 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
         t.dict() != dict_ ? TranslateToDictionary(t, dict_) : std::move(t)));
   }
 
-  // Durability before visibility: a snapshot-backed shard gets the run
-  // on disk first, so a crash after this call replays the append on the
-  // next load while a crash during it leaves the previous generation
-  // intact (the footer-commit protocol in AppendSnapshotDelta).
-  size_t runs_total = 0;
-  if (!old->source_path.empty()) {
-    const ColumnStatsCatalog::DeltaRunArrays run =
-        ColumnStatsCatalog::BuildDeltaRun(*lake, first_table);
-    GENT_RETURN_IF_ERROR(AppendSnapshotDelta(
-        *lake, first_table, run.views(), old->source_path, &runs_total));
+  // Durability before visibility: a snapshot-backed shard gets the new
+  // tables on disk first, so a crash after this call replays the append
+  // on the next load while a crash during it leaves the previous
+  // generation intact.
+  std::shared_ptr<const ColumnStatsCatalog> catalog;
+  std::shared_ptr<const Shard> predecessor;
+  SnapshotLoadInfo file = old->file;
+  if (!old->source_path.empty() && file.version >= 2 &&
+      !file.identity_remap) {
+    // The file has its own id space, and a run in the service's ids
+    // would reload as other values. Write the grown lake whole instead
+    // (the fold's path); from then on the file speaks the service's ids.
+    auto written = WriteShardFile(*lake, old->source_path);
+    if (!written.ok()) return written.status();
+    catalog = std::move(*written);
+    file = WrittenFromServedLake();
+  } else {
+    // A delta run (the footer-commit protocol of AppendSnapshotDelta),
+    // then the run-merge layer: the shard's existing catalog — RAM or
+    // mapped — plus a RAM region for the new tables. Bit-identical to a
+    // rebuild over the grown lake, at the cost of building only the
+    // run's arrays.
+    if (!old->source_path.empty()) {
+      const ColumnStatsCatalog::DeltaRunArrays run =
+          ColumnStatsCatalog::BuildDeltaRun(*lake, first_table);
+      GENT_RETURN_IF_ERROR(AppendSnapshotDelta(*lake, first_table, run.views(),
+                                               old->source_path,
+                                               &file.delta_runs));
+    }
+    auto layered = ColumnStatsCatalog::WithAppended(
+        old->gent->shared_catalog(), *lake, first_table);
+    if (!layered.ok()) return layered.status();
+    catalog = std::move(*layered);
+    predecessor = old;  // keeps the borrowed views' owner alive
   }
 
-  // Serve through the run-merge layer: the shard's existing catalog —
-  // RAM or mapped — plus a RAM region for the new tables. Bit-identical
-  // to a rebuild over the grown lake, at the cost of building only the
-  // run's arrays.
-  auto layered = ColumnStatsCatalog::WithAppended(old->gent->shared_catalog(),
-                                                  *lake, first_table);
-  if (!layered.ok()) return layered.status();
-
   std::shared_ptr<Shard> shard = MakeShard(
-      name, std::move(lake), nullptr, std::move(*layered), old->source_path);
+      name, std::move(lake), nullptr, std::move(catalog), old->source_path);
   // Same registration, next content generation.
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen + 1;
-  shard->delta_runs = runs_total;
+  shard->file = file;
   shard->health = old->health;
-  shard->predecessor = old;  // keeps the borrowed views' owner alive
+  shard->predecessor = std::move(predecessor);
   if (!ReplaceShard(std::move(shard), old.get())) {
     // Remove/Reload/recovery replaced the shard under us. Nothing is
-    // published; the durable run (if any) belongs to the superseded
+    // published; the durable write (if any) belongs to the superseded
     // file and the next load of it will still see a valid snapshot.
     return Status::Aborted("shard '" + name +
                            "' was modified concurrently with the append");
@@ -448,7 +483,7 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
   // both; without that thread the fold waits for an explicit
   // CompactShardSnapshot call.
   const size_t threshold = options_.storage.compact_after_runs;
-  if (threshold > 0 && runs_total >= threshold) {
+  if (threshold > 0 && file.delta_runs >= threshold) {
     {
       std::lock_guard<std::mutex> lock(health_mutex_);
       compaction_queue_.push_back(name);
@@ -472,25 +507,24 @@ Status ReclaimService::CompactShardSnapshot(const std::string& name) {
                                    "' has no snapshot backing to compact");
   }
 
-  // Fold on disk first (temp + rename — crash leaves old or new, never
-  // torn). Readers of the old mapping keep the replaced inode alive.
-  size_t folded = 0;
-  GENT_RETURN_IF_ERROR(CompactSnapshotV2(old->source_path, &folded));
-  if (folded == 0) return Status::OK();
+  // A file with no runs has nothing to fold: no write, no republish.
+  if (old->file.delta_runs == 0) return Status::OK();
 
-  // Reopen from the compacted file and republish under the SAME
-  // (uid, delta_gen): the content is bit-identical, so cache entries
-  // and route tags stay valid — compaction is invisible to serving.
-  std::unique_ptr<DataLake> lake;
-  std::shared_ptr<const ColumnStatsCatalog> catalog;
-  size_t delta_runs = 0;
-  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(old->source_path, &lake,
-                                             &catalog, &delta_runs));
+  // Fold from the served generation: its lake already holds base + runs
+  // in the service's ids, so the new file is written from RAM (temp +
+  // rename — a crash leaves old or new, never torn) and its catalog is
+  // mapped over the SAME lake object, with no load of the file and no
+  // dictionary reload. Readers of the old mapping keep the replaced
+  // inode alive. Republished under the SAME (uid, delta_gen): the
+  // content is bit-identical, so cache entries and route tags stay
+  // valid — compaction is invisible to serving.
+  auto catalog = WriteShardFile(*old->lake, old->source_path);
+  if (!catalog.ok()) return catalog.status();
   std::shared_ptr<Shard> shard = MakeShard(
-      name, std::move(lake), nullptr, std::move(catalog), old->source_path);
+      name, old->owned, old->lake, std::move(*catalog), old->source_path);
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen;
-  shard->delta_runs = delta_runs;
+  shard->file = WrittenFromServedLake();
   shard->health = old->health;  // a quarantined shard stays quarantined
   if (!ReplaceShard(std::move(shard), old.get())) {
     // Replaced while folding. The compacted file is durable and
@@ -1066,9 +1100,8 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
   // Preferred path: full reopen (mapped when the snapshot allows).
   std::unique_ptr<DataLake> lake;
   std::shared_ptr<const ColumnStatsCatalog> catalog;
-  size_t delta_runs = 0;
-  Status st =
-      LoadShardFromSnapshot(old->source_path, &lake, &catalog, &delta_runs);
+  SnapshotLoadInfo info;
+  Status st = LoadShardFromSnapshot(old->source_path, &lake, &catalog, &info);
   bool salvaged = false;
   std::string fail_reason;
   if (!st.ok()) {
@@ -1078,8 +1111,8 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
     // RAM. The shard then serves identically, flagged kDegraded.
     lake = std::make_unique<DataLake>(dict_);
     catalog.reset();
-    delta_runs = 0;  // salvage recovers the base generation only
-    Status body = LoadSnapshotBody(*lake, old->source_path);
+    info = SnapshotLoadInfo();  // salvage recovers the base generation only
+    Status body = LoadSnapshotBody(*lake, old->source_path, &info);
     if (body.ok()) {
       salvaged = true;
       st = Status::OK();
@@ -1109,7 +1142,7 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
   std::shared_ptr<Shard> shard = MakeShard(
       old->name, std::move(lake), nullptr, std::move(catalog),
       old->source_path);
-  shard->delta_runs = delta_runs;
+  shard->file = info;
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
     shard->health->error_count = cell.error_count;
@@ -1174,11 +1207,11 @@ Status ReclaimService::CheckShardHealth(const std::string& name) const {
   if (st.ok() && !shard.source_path.empty()) {
     size_t runs = 0;
     st = VerifySnapshotIntegrity(shard.source_path, &runs);
-    if (st.ok() && runs < shard.delta_runs) {
+    if (st.ok() && runs < shard.file.delta_runs) {
       st = Status::IOError(
           "'" + shard.source_path + "' verifies at " + std::to_string(runs) +
           " delta runs but the shard committed " +
-          std::to_string(shard.delta_runs) +
+          std::to_string(shard.file.delta_runs) +
           ": the newest committed footer is damaged");
     }
   }

@@ -93,6 +93,7 @@
 #include "src/engine/discovery_cache.h"
 #include "src/engine/thread_pool.h"
 #include "src/gent/gent.h"
+#include "src/lake/snapshot.h"
 
 namespace gent {
 
@@ -386,6 +387,10 @@ class ReclaimService {
   /// InvalidArgument ("not a v2 snapshot") with its file and the
   /// registry untouched; to make it appendable, SaveShardSnapshot it to
   /// a new path (always v2) and ReloadLakeFromSnapshot from that path.
+  /// A shard whose v2 file has its own id space (loaded without the
+  /// identity remap) gets no delta run, which would be read back in the
+  /// file's ids: its grown lake is written whole instead, as a fold
+  /// writes it, and later appends are runs again.
   /// When the snapshot's run count reaches
   /// CatalogStorageOptions::compact_after_runs, a background compaction
   /// is queued (see CompactShardSnapshot).
@@ -393,11 +398,16 @@ class ReclaimService {
                             std::vector<Table> tables);
 
   /// Folds shard `name`'s snapshot delta runs into its base sections
-  /// (CompactSnapshotV2: rewrite-and-rename, bit-identical to a
-  /// one-shot save) and republishes the shard from the compacted file —
+  /// from the served generation: the shard's lake and a catalog built
+  /// over it are written whole (SaveSnapshotV2: temp + rename,
+  /// bit-identical to a one-shot save, in the service dictionary's
+  /// ids), and the new file's catalog is mapped over the SAME lake —
+  /// no load of the file, no dictionary reload. Republishes under the
   /// SAME uid and delta generation, because the content is unchanged,
-  /// so every cache entry stays warm. No-op (OK) when the file has no
-  /// runs. InvalidArgument for shards without a snapshot backing;
+  /// so every cache entry stays warm. No-op (OK: no write, no
+  /// republish) when the shard's file has no runs. The offline fold of
+  /// a file is CompactSnapshotV2. InvalidArgument for shards without a
+  /// snapshot backing;
   /// Aborted when the shard was replaced or appended to concurrently
   /// (the fold itself is durable either way — the next reload sees the
   /// compacted file). The background recovery thread calls this for
@@ -575,19 +585,26 @@ class ReclaimService {
 
   struct Shard {
     std::string name;
-    uint64_t uid = 0;                 // unique per registration, never reused
-    std::unique_ptr<DataLake> owned;  // null for AddLakeView shards
+    uint64_t uid = 0;  // unique per registration, never reused
+    /// Null for AddLakeView shards. Shared: a fold republishes the
+    /// served lake itself under a catalog mapped from the new file.
+    std::shared_ptr<const DataLake> owned;
     const DataLake* lake = nullptr;
     std::unique_ptr<GenT> gent;       // shard catalog lives inside
     /// Snapshot file this shard was built from; empty for lakes built
     /// in RAM or from CSVs. Non-empty is what makes the shard
     /// disk-recoverable after quarantine.
     std::string source_path;
-    /// Delta runs `source_path` held when this generation was
-    /// published: the load's count, the append's new total, 0 after a
-    /// compaction. A file that later verifies at fewer runs has lost a
-    /// committed append (CheckShardHealth).
-    size_t delta_runs = 0;
+    /// What `source_path` held when this generation was published: the
+    /// load's SnapshotLoadInfo, with delta_runs the append's new total.
+    /// A file written whole from the served lake (a fold, or an append
+    /// to a foreign id space) is v2 in the service's ids with no runs.
+    /// A file that later verifies at fewer runs has lost a committed
+    /// append (CheckShardHealth). Only a file in the service's ids
+    /// (identity_remap) takes delta runs: a run is written in the
+    /// service's ids, and a file with its own id space would read them
+    /// as its own.
+    SnapshotLoadInfo file;
     /// Appends applied to this registration (AppendTablesToLake), 0 at
     /// registration. (uid, delta_gen) identifies shard CONTENT for the
     /// discovery cache (ShardRouteTag); compaction keeps both.
@@ -619,7 +636,7 @@ class ReclaimService {
   /// caller sets delta_gen, and uid and health when the handle continues
   /// an existing registration.
   std::shared_ptr<Shard> MakeShard(
-      const std::string& name, std::unique_ptr<DataLake> owned,
+      const std::string& name, std::shared_ptr<const DataLake> owned,
       const DataLake* borrowed,
       std::shared_ptr<const ColumnStatsCatalog> catalog,
       const std::string& source_path) const;
@@ -627,21 +644,37 @@ class ReclaimService {
   /// Builds the shard outside the lock, then swaps in a snapshot with
   /// it appended. Used by all four AddLake* flavors.
   Status RegisterShard(const std::string& name,
-                       std::unique_ptr<DataLake> owned,
+                       std::shared_ptr<const DataLake> owned,
                        const DataLake* borrowed,
                        std::shared_ptr<const ColumnStatsCatalog> catalog,
                        const std::string& source_path = std::string(),
-                       size_t delta_runs = 0);
+                       const SnapshotLoadInfo& file = SnapshotLoadInfo());
 
-  /// Shared by AddLakeFromSnapshot/ReloadLakeFromSnapshot: loads `path`
-  /// into a fresh lake on the service dictionary and, when the snapshot
-  /// is v2 with an identity remap, opens its catalog sections mapped
-  /// (null `*catalog` = caller builds as usual). `*delta_runs` is the
-  /// number of delta runs loaded.
+  /// Shared by AddLakeFromSnapshot, ReloadLakeFromSnapshot and
+  /// recovery: loads `path` into a fresh lake on the service dictionary
+  /// and, when the snapshot is v2 with an identity remap, opens its
+  /// catalog sections mapped (null `*catalog` = caller builds as
+  /// usual). Fills `*info` from the load.
   Status LoadShardFromSnapshot(
       const std::string& path, std::unique_ptr<DataLake>* lake,
       std::shared_ptr<const ColumnStatsCatalog>* catalog,
-      size_t* delta_runs) const;
+      SnapshotLoadInfo* info) const;
+
+  /// Opens `path`'s catalog sections mapped over `lake`, against the
+  /// service-wide pool budget, without re-checksumming (the caller has
+  /// just verified or written the file). Null on failure: a mapped
+  /// open is an optimization, and a RAM catalog serves identically.
+  std::shared_ptr<const ColumnStatsCatalog> OpenMappedCatalog(
+      const DataLake& lake, const std::string& path) const;
+
+  /// Writes `lake` whole to `path` — SaveSnapshotV2 of a catalog built
+  /// over it, in the service's ids — and returns the catalog to serve
+  /// it with: the new file's sections mapped over `lake`, or the built
+  /// catalog when the mapped open fails. The fold of
+  /// CompactShardSnapshot, and the append to a file with a foreign id
+  /// space.
+  Result<std::shared_ptr<const ColumnStatsCatalog>> WriteShardFile(
+      const DataLake& lake, const std::string& path) const;
 
   /// Shared tail of every registry mutation: publishes `next` as the
   /// new snapshot under the registry mutex.

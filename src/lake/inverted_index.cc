@@ -1,5 +1,7 @@
 #include "src/lake/inverted_index.h"
 
+#include <unordered_set>
+
 namespace gent {
 
 std::unordered_set<ValueId> DistinctColumnValues(const Table& t, size_t c) {

@@ -270,6 +270,31 @@ class Reader {
   storage::Checksum64 checksum_;
 };
 
+// Checks that every cell of `lake`'s tables [first_table, lake.size())
+// names one of the dictionary's first `entries` entries — the ones the
+// file carries. A labeled null (transient integration state, its id
+// above every entry's) is refused by name.
+Status CheckCellIds(const DataLake& lake, size_t first_table,
+                    uint64_t entries) {
+  for (size_t i = first_table; i < lake.size(); ++i) {
+    const Table& t = lake.table(i);
+    for (size_t c = 0; c < t.num_cols(); ++c) {
+      ValueId max_id = kNull;
+      for (const ValueId v : t.column(c)) max_id = std::max(max_id, v);
+      if (max_id < entries) continue;
+      if (lake.dict()->IsLabeledNull(max_id)) {
+        return Status::InvalidArgument(
+            "snapshot cannot contain labeled nulls (transient integration "
+            "state): table '" + t.name() + "' holds one");
+      }
+      return Status::InvalidArgument(
+          "table '" + t.name() + "' holds value id " + std::to_string(max_id) +
+          " outside the dictionary's " + std::to_string(entries) + " entries");
+    }
+  }
+  return Status::OK();
+}
+
 // Writes the body (dictionary + tables), stamped version 2. Its layout
 // is the v1 payload; v2 differs only in the catalog region that follows.
 // Fills `tags` with the TagOf of every written dictionary entry after
@@ -281,23 +306,19 @@ Status WriteBody(Writer& w, const DataLake& lake, const std::string& path,
   if (!w.ok()) {
     return Status::IOError("cannot open '" + path + "' for writing");
   }
-  w.Bytes(kMagic, sizeof kMagic);
-  w.U32(kVersionV2);
-
   // Dictionary: every id in order, so loaded ids can be remapped by
   // index. Id 0 is the null sentinel and is written as the empty string.
-  const uint64_t dict_size = dict.size();
-  w.U64(dict_size);
-  tags->reserve(dict_size > 0 ? dict_size - 1 : 0);
-  for (uint64_t id = 0; id < dict_size; ++id) {
-    if (dict.IsLabeledNull(static_cast<ValueId>(id))) {
-      return Status::InvalidArgument(
-          "snapshot cannot contain labeled nulls (transient integration "
-          "state)");
-    }
-    const std::string& value = dict.StringOf(static_cast<ValueId>(id));
-    w.String(value);
-    if (id > 0) tags->push_back(ValueDictionary::TagOf(value));
+  // The entries are read under one lock acquisition and written after it.
+  std::vector<const std::string*> strings;
+  dict.StringsOf(kNull, static_cast<ValueId>(dict.size()), &strings);
+  GENT_RETURN_IF_ERROR(CheckCellIds(lake, 0, strings.size()));
+  w.Bytes(kMagic, sizeof kMagic);
+  w.U32(kVersionV2);
+  w.U64(strings.size());
+  tags->reserve(strings.empty() ? 0 : strings.size() - 1);
+  for (size_t id = 0; id < strings.size(); ++id) {
+    w.String(*strings[id]);
+    if (id > 0) tags->push_back(ValueDictionary::TagOf(*strings[id]));
   }
 
   w.U64(lake.size());
@@ -488,12 +509,17 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
     return Status::IOError("cannot read dictionary coverage of '" + path +
                            "'");
   }
-  if (dict_base > dict.size()) {
+  const uint64_t dict_size = dict.size();
+  if (dict_base > dict_size) {
     io::Fclose(f);
     return Status::InvalidArgument(
         "'" + path + "' covers " + std::to_string(dict_base) +
         " dictionary entries but the lake's dictionary has only " +
-        std::to_string(dict.size()));
+        std::to_string(dict_size));
+  }
+  if (Status st = CheckCellIds(lake, first_table, dict_size); !st.ok()) {
+    io::Fclose(f);
+    return st;
   }
 
   // Table part, serialized in memory first (see MemWriter).
@@ -504,16 +530,12 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
   const size_t catalog_off_at = mem.buf().size();
   mem.U64(0);  // catalog_off, backpatched once the table part is sized
   mem.U64(dict_base);
-  mem.U64(dict.size() - dict_base);
-  for (uint64_t id = dict_base; id < dict.size(); ++id) {
-    if (dict.IsLabeledNull(static_cast<ValueId>(id))) {
-      io::Fclose(f);
-      return Status::InvalidArgument(
-          "snapshot cannot contain labeled nulls (transient integration "
-          "state)");
-    }
-    mem.String(dict.StringOf(static_cast<ValueId>(id)));
-  }
+  mem.U64(dict_size - dict_base);
+  // The entries the file lacks, read under one lock acquisition.
+  std::vector<const std::string*> strings;
+  dict.StringsOf(static_cast<ValueId>(dict_base),
+                 static_cast<ValueId>(dict_size), &strings);
+  for (const std::string* value : strings) mem.String(*value);
   mem.U64(lake.size() - first_table);
   for (size_t i = first_table; i < lake.size(); ++i) {
     const Table& t = lake.table(i);
@@ -688,6 +710,10 @@ Status LoadDictionarySection(Reader& r, uint64_t count, ValueDictionary& dict,
   // Every entry is at least its 4-byte length.
   if (count > r.Remaining() / sizeof(uint32_t)) {
     return Status::IOError("corrupt snapshot: dictionary size exceeds file");
+  }
+  // Entry ids must stay below the labeled-null range.
+  if (count > kFirstLabeledNull - dict.size()) {
+    return Status::IOError("corrupt snapshot: dictionary too large");
   }
   std::vector<std::string> values;
   values.reserve(count);

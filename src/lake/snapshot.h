@@ -28,7 +28,8 @@
 // dictionary, and LoadSnapshot re-interns them into the target
 // dictionary, so a snapshot can be loaded into a non-empty lake.
 // Labeled nulls are never written (they are transient integration
-// state); encountering one while saving is an error.
+// state, and not dictionary entries: ValueDictionary keeps them above
+// every entry id); a table cell holding one fails the save.
 //
 // Dictionary adoption: SaveSnapshotV2 also writes the optional
 // kDictTags section (src/storage/paged_file.h) — the hash tag of every
@@ -80,8 +81,10 @@ struct SnapshotLoadInfo {
 
 /// Writes `lake` plus its built catalog (`catalog` borrows the
 /// catalog's arrays; see ColumnStatsCatalog::section_views) to `path`
-/// in version-2 format, overwriting. Fails with InvalidArgument if a
-/// labeled null is present, IOError on filesystem trouble — including a
+/// in version-2 format, overwriting. The dictionary written is all of
+/// lake.dict() at the call, read under one lock. Fails with
+/// InvalidArgument if a table cell holds a labeled null (or any id
+/// outside the dictionary), IOError on filesystem trouble — including a
 /// failed final flush/fsync, so a snapshot truncated by a full disk
 /// never reports success.
 ///
@@ -118,9 +121,13 @@ Status SaveSnapshotV2(const DataLake& lake,
 /// the old generation are unaffected: no byte below the old EOF is
 /// written.
 ///
+/// The run's tables are written in `lake`'s ids, so the file must
+/// speak them: its ids must be lake.dict()'s (a file saved from that
+/// dictionary, or loaded into it with SnapshotLoadInfo::identity_remap).
+///
 /// Fails with InvalidArgument when `path` is not a v2 snapshot, the run
-/// would be empty, or the file's dictionary coverage does not prefix
-/// `lake`'s; IOError on filesystem trouble. The snapshot's footer
+/// would be empty, a run cell holds a labeled null, or the file's
+/// dictionary coverage does not prefix `lake`'s; IOError on filesystem trouble. The snapshot's footer
 /// version becomes storage::kFooterVersionDelta, which readers
 /// predating deltas refuse (no silent loss of appended tables). Fills
 /// `*runs_total` (if non-null) with the file's run count after the
@@ -130,9 +137,11 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
                            const std::string& path,
                            size_t* runs_total = nullptr);
 
-/// Folds a snapshot's delta runs back into its base sections: loads
-/// base + runs, rebuilds the catalog arrays over the merged lake, and
-/// rewrites `path` as a plain v2 snapshot (temp + rename, same
+/// Offline fold of a snapshot's delta runs back into its base sections
+/// (a service folds its shards from RAM instead: ReclaimService::
+/// CompactShardSnapshot): loads base + runs, rebuilds the catalog
+/// arrays over the merged lake, and rewrites `path` as a plain v2
+/// snapshot (temp + rename, same
 /// crash-atomic commit as SaveSnapshotV2 — old-or-new, never torn).
 /// The rebuilt catalog is bit-identical to one built over the merged
 /// tables directly, so readers cannot distinguish a compacted snapshot

@@ -1,5 +1,7 @@
 #include "src/ops/unary.h"
 
+#include <unordered_set>
+
 #include "src/util/hash.h"
 
 namespace gent {

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "src/util/hash.h"
 #include "src/util/string_util.h"
@@ -13,6 +14,9 @@ namespace gent {
 namespace {
 
 constexpr size_t kMinSlots = 16;
+
+// Labels cycle through [kFirstLabeledNull, 2^32).
+constexpr uint64_t kNumLabels = (uint64_t{1} << 32) - kFirstLabeledNull;
 
 }  // namespace
 
@@ -59,11 +63,22 @@ ValueId ValueDictionary::FindLocked(std::string_view key, uint32_t tag) const {
   return static_cast<ValueId>(slots_[ProbeLocked(key, tag)]);
 }
 
+void ValueDictionary::CheckEntryCount(size_t n) {
+  if (n > kFirstLabeledNull) {
+    std::fprintf(stderr,
+                 "ValueDictionary: %zu entries would reach the labeled-null "
+                 "id range\n",
+                 n);
+    std::abort();
+  }
+}
+
 ValueId ValueDictionary::FindOrInsertLocked(std::string_view key, uint32_t tag,
                                             std::string* owned) {
   ReserveLocked(indexed_ + 1);
   const size_t i = ProbeLocked(key, tag);
   if (slots_[i] != 0) return static_cast<ValueId>(slots_[i]);
+  CheckEntryCount(strings_.size() + 1);
   const ValueId id = static_cast<ValueId>(strings_.size());
   if (owned != nullptr) {
     strings_.push_back(std::move(*owned));
@@ -145,6 +160,7 @@ bool ValueDictionary::AdoptAll(std::vector<std::string>&& values,
   assert(tags.size() == values.size());
   std::unique_lock lock(mutex_);
   if (strings_.size() != 1) return false;
+  CheckEntryCount(1 + values.size());
   ReserveLocked(values.size());
   // The same slot InternAll would pick for each value: the index is
   // empty and values arrive in id order, so the first free slot from
@@ -180,32 +196,30 @@ ValueId ValueDictionary::Lookup(std::string_view s) const {
 }
 
 const std::string& ValueDictionary::StringOf(ValueId id) const {
+  if (IsLabeledNull(id)) {
+    std::lock_guard<std::mutex> lock(label_mutex_);
+    auto [it, fresh] = label_strings_.try_emplace(id);
+    if (fresh) {
+      it->second = "⟨null:" + std::to_string(id - kFirstLabeledNull) + "⟩";
+    }
+    return it->second;  // node reference: stable after unlock
+  }
   std::shared_lock lock(mutex_);
   assert(id < strings_.size());
   return strings_[id];  // deque reference: stable after unlock
 }
 
+void ValueDictionary::StringsOf(ValueId first, ValueId last,
+                                std::vector<const std::string*>* out) const {
+  out->reserve(out->size() + (last > first ? last - first : 0));
+  std::shared_lock lock(mutex_);
+  assert(last <= strings_.size());
+  for (ValueId id = first; id < last; ++id) out->push_back(&strings_[id]);
+}
+
 ValueId ValueDictionary::CreateLabeledNull() {
-  std::unique_lock lock(mutex_);
-  ValueId id = static_cast<ValueId>(strings_.size());
-  strings_.push_back("⟨null:" + std::to_string(next_label_++) + "⟩");
-  labeled_nulls_.insert(id);
-  return id;
-}
-
-bool ValueDictionary::IsLabeledNull(ValueId id) const {
-  std::shared_lock lock(mutex_);
-  return labeled_nulls_.count(id) > 0;
-}
-
-void ValueDictionary::RemoveLabeledNulls(std::vector<ValueId>* ids) const {
-  std::shared_lock lock(mutex_);
-  if (labeled_nulls_.empty()) return;
-  ids->erase(std::remove_if(ids->begin(), ids->end(),
-                            [this](ValueId v) {
-                              return labeled_nulls_.count(v) > 0;
-                            }),
-             ids->end());
+  const uint64_t k = next_label_.fetch_add(1, std::memory_order_relaxed);
+  return kFirstLabeledNull + static_cast<ValueId>(k % kNumLabels);
 }
 
 size_t ValueDictionary::size() const {

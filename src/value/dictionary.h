@@ -8,9 +8,10 @@
 // collide with real data.
 //
 // Id 0 is the null sentinel. Ids are dense and assigned in first-intern
-// order. Numeric strings are canonicalized at intern time ("3.10" and
-// "3.1" intern to the same id) because Gen-T matches values
-// syntactically (paper §II: metadata and types are unreliable).
+// order, below kFirstLabeledNull. Numeric strings are canonicalized at
+// intern time ("3.10" and "3.1" intern to the same id) because Gen-T
+// matches values syntactically (paper §II: metadata and types are
+// unreliable).
 //
 // Layout: strings live in a deque indexed by id, so references returned
 // by StringOf stay valid while the dictionary grows. The string -> id
@@ -19,8 +20,16 @@
 // empty, since id 0 is never indexed. A value's home slot is its tag
 // masked to the table size and collisions probe linearly; the table
 // doubles to keep the load factor at most 1/2, and a rehash moves slots
-// by tag alone, without touching a string. Labeled nulls get ids and
-// strings but no slot, so no spelling ever looks one up.
+// by tag alone, without touching a string.
+//
+// Labeled nulls are not entries. They take ids from the reserved range
+// [kFirstLabeledNull, 2^32), above every entry id, so IsLabeledNull is
+// a comparison with no lock, no spelling ever looks one up, size()
+// never counts one, and a walk over ids [0, size()) — the snapshot
+// writers' dictionary walk — never meets one. Allocation cycles through
+// the range; a label is unique among the last 2^31 allocated, far more
+// than one integration uses (one per null source cell), and labels are
+// only ever compared within the integration that allocated them.
 //
 // Bulk path: a snapshot load interns its whole dictionary section with
 // one InternAll call and gets exactly the ids the same sequence of
@@ -48,13 +57,15 @@
 #ifndef GENT_VALUE_DICTIONARY_H_
 #define GENT_VALUE_DICTIONARY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 namespace gent {
@@ -64,6 +75,10 @@ using ValueId = uint32_t;
 
 /// The null sentinel (missing value, ⊥ in the paper).
 inline constexpr ValueId kNull = 0;
+
+/// First id of the labeled-null range [kFirstLabeledNull, 2^32). Every
+/// dictionary entry id is below it.
+inline constexpr ValueId kFirstLabeledNull = 0x80000000u;
 
 /// Corpus-wide value interning table. Shared (via shared_ptr) by every
 /// table in a data lake so ids are comparable across tables.
@@ -105,26 +120,28 @@ class ValueDictionary {
   /// Changes no id.
   void Reserve(size_t n);
 
-  /// The string for an id. id must be kNull or a valid interned id;
-  /// kNull renders as "" and labeled nulls as "⟨null:k⟩". The returned
-  /// reference stays valid for the dictionary's lifetime.
+  /// The string for an id. id must be kNull, a valid interned id or a
+  /// labeled null; kNull renders as "" and labeled nulls as "⟨null:k⟩".
+  /// The returned reference stays valid for the dictionary's lifetime.
   const std::string& StringOf(ValueId id) const;
 
-  /// Allocates a fresh labeled null: a unique non-null value distinct from
+  /// Appends the strings of entry ids [first, last) to `out`, in id
+  /// order, under one shared-lock acquisition (last <= size()). The
+  /// pointers stay valid for the dictionary's lifetime, so callers
+  /// read them after the lock is gone: the snapshot writers' walk.
+  void StringsOf(ValueId first, ValueId last,
+                 std::vector<const std::string*>* out) const;
+
+  /// Allocates a fresh labeled null: a non-null value distinct from
   /// every real value (used by LabelSourceNulls to protect source nulls
-  /// from being overwritten during integration).
+  /// from being overwritten during integration). Lock-free.
   ValueId CreateLabeledNull();
 
-  /// True if `id` was produced by CreateLabeledNull().
-  bool IsLabeledNull(ValueId id) const;
+  /// True if `id` is a labeled null: a range check, no lock.
+  bool IsLabeledNull(ValueId id) const { return id >= kFirstLabeledNull; }
 
-  /// Removes every labeled-null id from `ids` in one lock acquisition.
-  /// Per-value IsLabeledNull takes the shared lock per call — a
-  /// measurable cost in per-column loops; bulk callers (column-stats
-  /// builds, expansion set rebuilds) use this instead.
-  void RemoveLabeledNulls(std::vector<ValueId>* ids) const;
-
-  /// Number of distinct interned values (including null and labels).
+  /// Number of interned values, id 0 included; labeled nulls are not
+  /// entries and do not count. Entry ids are exactly [0, size()).
   size_t size() const;
 
  private:
@@ -138,13 +155,18 @@ class ValueDictionary {
   ValueId FindOrInsertLocked(std::string_view key, uint32_t tag,
                              std::string* owned);
   void ReserveLocked(size_t n);
+  // Aborts when `n` entries would reach the labeled-null range.
+  static void CheckEntryCount(size_t n);
 
   mutable std::shared_mutex mutex_;
   std::deque<std::string> strings_;  // deque: stable refs under growth
   std::vector<uint64_t> slots_;      // tag << 32 | id; 0 = empty
   size_t indexed_ = 0;               // occupied slots
-  std::unordered_set<ValueId> labeled_nulls_;
-  uint64_t next_label_ = 0;
+  std::atomic<uint64_t> next_label_{0};
+  // Spellings of the labels StringOf was asked for, made on first use
+  // (node-based: references stay valid). Guarded by label_mutex_.
+  mutable std::mutex label_mutex_;
+  mutable std::unordered_map<ValueId, std::string> label_strings_;
 };
 
 using DictionaryPtr = std::shared_ptr<ValueDictionary>;

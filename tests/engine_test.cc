@@ -124,8 +124,8 @@ std::vector<ValueId> SortUniqueOracle(const Table& t, size_t c) {
   return want;
 }
 
-// The dense (bitmap) branch runs when the non-null ids of the scanned
-// cells span at most 64 ids per cell; everything else (all-null scans
+// The dense (bitmap) branch runs when the ids of the scanned cells,
+// nulls and labeled nulls aside, span at most 64 ids per cell; everything else (all-null scans
 // aside, which return before branching) takes the sparse
 // (dedup-then-sort) branch.
 bool TakesDenseBranch(const Table& t,
@@ -138,7 +138,7 @@ bool TakesDenseBranch(const Table& t,
   }
   ValueId lo = ~ValueId{0}, hi = kNull;
   for (ValueId v : cells) {
-    if (v == kNull) continue;
+    if (v == kNull || t.dict()->IsLabeledNull(v)) continue;
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }

@@ -3,6 +3,7 @@
 // hop-family unions, and post-expansion mapping verification.
 
 #include <gtest/gtest.h>
+#include <unordered_set>
 
 #include "src/matrix/expand.h"
 #include "src/table/table_builder.h"

@@ -53,6 +53,23 @@ class IncrementalIngestTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  // A service on `dict` that folds only when told to, with no cache
+  // and no background recovery.
+  static ServiceOptions ExplicitFoldOptions(const DictionaryPtr& dict) {
+    ServiceOptions opts;
+    opts.dict = dict;
+    opts.cache_capacity = 0;
+    opts.storage.compact_after_runs = 0;
+    opts.health.auto_recover = false;
+    return opts;
+  }
+
+  static std::string BytesOf(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+
   // One random table. Values come from a small shared pool so tables
   // overlap (exercising the postings merge) with occasional fresh
   // strings (exercising dictionary growth across runs).
@@ -551,12 +568,7 @@ TEST_F(IncrementalIngestTest, AppendToV1BackedShardChangesNothing) {
     for (const auto& t : base_tables) ASSERT_TRUE(base.AddTable(t).ok());
     ASSERT_TRUE(WriteV1Snapshot(base, snap).ok());
   }
-  const auto bytes_of = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string bytes_before = bytes_of(snap);
+  const std::string bytes_before = BytesOf(snap);
 
   ServiceOptions opts;
   opts.dict = dict;
@@ -576,7 +588,7 @@ TEST_F(IncrementalIngestTest, AppendToV1BackedShardChangesNothing) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.message().find("not a v2 snapshot"), std::string::npos)
       << s.ToString();
-  EXPECT_EQ(bytes_of(snap), bytes_before);
+  EXPECT_EQ(BytesOf(snap), bytes_before);
   EXPECT_EQ(service.registry_epoch(), epoch);
   ExpectResultsIdentical(service.Reclaim(source, named), before,
                          "after the refused append");
@@ -668,6 +680,290 @@ TEST_F(IncrementalIngestTest, ServeWhileAppendingIsRaceFree) {
   for (size_t i = 0; i < shadow.size(); ++i) {
     EXPECT_TRUE(TablesBitIdentical(reloaded.table(i), shadow.table(i))) << i;
   }
+}
+
+// The service fold writes the served lake: the folded file verifies, is
+// byte-for-byte a one-shot save of the same tables (same dictionary,
+// same catalog), reloads bit-identically into a fresh lake with one
+// catalog region that matches a rebuild, and the republished shard
+// serves it mapped.
+TEST_F(IncrementalIngestTest, ServiceFoldWritesTheServedLake) {
+  std::mt19937 rng(8080);
+  DictionaryPtr dict = MakeDictionary();
+  DataLake base(dict);
+  for (Table& t : MakeRandomTables(dict, 4, "base", rng)) {
+    ASSERT_TRUE(base.AddTable(std::move(t)).ok());
+  }
+  GenT g(base);
+  const std::string snap = Path("fold.snap");
+  ASSERT_TRUE(SaveSnapshotV2(base, g.catalog().section_views(), snap).ok());
+
+  ReclaimService service(ExplicitFoldOptions(dict));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("shard", snap).ok());
+  const bool mmap_works = service.residency_stats()[0].catalog.mapped;
+  for (int b = 0; b < 3; ++b) {
+    ASSERT_TRUE(service
+                    .AppendTablesToLake(
+                        "shard", MakeRandomTables(
+                                     dict, 2, "f" + std::to_string(b) + "_",
+                                     rng))
+                    .ok());
+  }
+  const uint64_t epoch = service.registry_epoch();
+  const DataLake* served = *service.lake("shard");
+  ASSERT_TRUE(service.CompactShardSnapshot("shard").ok());
+  EXPECT_EQ(service.registry_epoch(), epoch + 1);
+  // The same lake object, now under a catalog mapped from the new file.
+  EXPECT_EQ(*service.lake("shard"), served);
+  EXPECT_EQ(service.residency_stats()[0].catalog.mapped, mmap_works);
+  ASSERT_TRUE(VerifySnapshotIntegrity(snap).ok());
+
+  const std::string one_shot = Path("one_shot.snap");
+  {
+    const ColumnStatsCatalog built(*served);
+    ASSERT_TRUE(SaveSnapshotV2(*served, built.section_views(), one_shot).ok());
+  }
+  EXPECT_EQ(BytesOf(snap), BytesOf(one_shot));
+
+  DataLake loaded;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(loaded, snap, &info).ok());
+  EXPECT_EQ(info.delta_runs, 0u);
+  EXPECT_TRUE(info.identity_remap);
+  ASSERT_EQ(loaded.size(), served->size());
+  for (size_t i = 0; i < served->size(); ++i) {
+    EXPECT_TRUE(TablesBitIdentical(loaded.table(i), served->table(i))) << i;
+  }
+  auto mapped = ColumnStatsCatalog::OpenMapped(loaded, snap, {});
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ((*mapped)->num_regions(), 1u);
+  ColumnStatsCatalog rebuilt(*served);
+  ExpectCatalogParity(**mapped, rebuilt, *served, dict, rng, "folded");
+}
+
+// A fold writes the service dictionary as it is at fold time, so a
+// dictionary grown meanwhile through another shard still reloads into
+// the same service with the identity remap (and so mapped).
+TEST_F(IncrementalIngestTest, FoldAfterDictionaryGrowthReloadsWithIdentity) {
+  std::mt19937 rng(9090);
+  DictionaryPtr dict = MakeDictionary();
+  DataLake base(dict);
+  for (Table& t : MakeRandomTables(dict, 3, "base", rng)) {
+    ASSERT_TRUE(base.AddTable(std::move(t)).ok());
+  }
+  GenT g(base);
+  const std::string snap = Path("grow.snap");
+  ASSERT_TRUE(SaveSnapshotV2(base, g.catalog().section_views(), snap).ok());
+
+  ReclaimService service(ExplicitFoldOptions(dict));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("stream", snap).ok());
+  const bool mmap_works = service.residency_stats()[0].catalog.mapped;
+  ASSERT_TRUE(service
+                  .AppendTablesToLake("stream",
+                                      MakeRandomTables(dict, 2, "s_", rng))
+                  .ok());
+  // Another shard grows the shared dictionary after the append.
+  const size_t before = dict->size();
+  {
+    DataLake other(dict);
+    ASSERT_TRUE(other
+                    .AddTable(TableBuilder(dict, "other")
+                                  .Columns({"o"})
+                                  .Row({"only_in_other_1"})
+                                  .Row({"only_in_other_2"})
+                                  .Build())
+                    .ok());
+    ASSERT_TRUE(service.AddLake("other", std::move(other)).ok());
+  }
+  ASSERT_GT(dict->size(), before);
+
+  ASSERT_TRUE(service.CompactShardSnapshot("stream").ok());
+  DataLake same_dict(dict);
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(same_dict, snap, &info).ok());
+  EXPECT_TRUE(info.identity_remap);
+  EXPECT_EQ(info.delta_runs, 0u);
+
+  ASSERT_TRUE(service.ReloadLakeFromSnapshot("stream", snap).ok());
+  for (const auto& r : service.residency_stats()) {
+    if (r.name == "stream") {
+      EXPECT_EQ(r.catalog.mapped, mmap_works);
+    }
+  }
+  const DataLake* reloaded = *service.lake("stream");
+  ASSERT_EQ(reloaded->size(), same_dict.size());
+  for (size_t i = 0; i < same_dict.size(); ++i) {
+    EXPECT_TRUE(TablesBitIdentical(reloaded->table(i), same_dict.table(i)))
+        << i;
+  }
+}
+
+// A shard whose file has no delta runs has nothing to fold: the call
+// writes nothing and publishes nothing.
+TEST_F(IncrementalIngestTest, FoldWithoutRunsTouchesNothing) {
+  std::mt19937 rng(1111);
+  DictionaryPtr dict = MakeDictionary();
+  DataLake base(dict);
+  for (Table& t : MakeRandomTables(dict, 3, "base", rng)) {
+    ASSERT_TRUE(base.AddTable(std::move(t)).ok());
+  }
+  GenT g(base);
+  const std::string snap = Path("still.snap");
+  ASSERT_TRUE(SaveSnapshotV2(base, g.catalog().section_views(), snap).ok());
+
+  ServiceOptions opts;
+  opts.dict = dict;
+  opts.storage.compact_after_runs = 0;
+  opts.health.auto_recover = false;
+  ReclaimService service(std::move(opts));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("shard", snap).ok());
+  const std::string bytes = BytesOf(snap);
+  const auto mtime = std::filesystem::last_write_time(snap);
+  const uint64_t epoch = service.registry_epoch();
+  ASSERT_TRUE(service.CompactShardSnapshot("shard").ok());
+  EXPECT_EQ(service.registry_epoch(), epoch);
+  EXPECT_EQ(BytesOf(snap), bytes);
+  EXPECT_EQ(std::filesystem::last_write_time(snap), mtime);
+
+  // After a fold the file has no runs again: a second fold is a no-op.
+  ASSERT_TRUE(service
+                  .AppendTablesToLake("shard",
+                                      MakeRandomTables(dict, 1, "r_", rng))
+                  .ok());
+  ASSERT_TRUE(service.CompactShardSnapshot("shard").ok());
+  const std::string folded = BytesOf(snap);
+  const uint64_t folded_epoch = service.registry_epoch();
+  ASSERT_TRUE(service.CompactShardSnapshot("shard").ok());
+  EXPECT_EQ(service.registry_epoch(), folded_epoch);
+  EXPECT_EQ(BytesOf(snap), folded);
+}
+
+// A file written from its own dictionary loads into a service whose
+// dictionary already holds other values, so its ids are not the
+// service's (no identity remap). A delta run written in the service's
+// ids would reload as different values with every checksum passing;
+// the append rewrites the file whole instead, and later appends to the
+// rewritten file go back to delta runs.
+TEST_F(IncrementalIngestTest, AppendToForeignIdSpaceFileKeepsValues) {
+  const std::string snap = Path("foreign.snap");
+  {
+    DictionaryPtr file_dict = MakeDictionary();
+    DataLake base(file_dict);
+    ASSERT_TRUE(base.AddTable(TableBuilder(file_dict, "base")
+                                  .Columns({"a", "b"})
+                                  .Row({"a1", "b1"})
+                                  .Row({"a2", "b2"})
+                                  .Build())
+                    .ok());
+    GenT g(base);
+    ASSERT_TRUE(
+        SaveSnapshotV2(base, g.catalog().section_views(), snap).ok());
+  }
+  DictionaryPtr dict = MakeDictionary();
+  for (const char* v : {"x", "y", "z", "b2", "w"}) dict->Intern(v);
+
+  ReclaimService service(ExplicitFoldOptions(dict));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("shard", snap).ok());
+  EXPECT_FALSE(service.residency_stats()[0].catalog.mapped);
+
+  const auto late = [&](const std::string& name, const std::string& a,
+                        const std::string& b) {
+    std::vector<Table> batch;
+    batch.push_back(
+        TableBuilder(dict, name).Columns({"a", "b"}).Row({a, b}).Build());
+    return batch;
+  };
+  ASSERT_TRUE(service.AppendTablesToLake("shard", late("late", "y", "z")).ok());
+  ASSERT_TRUE(
+      service.AppendTablesToLake("shard", late("later", "w", "a1")).ok());
+
+  const auto expect_cells = [&](const DataLake& lake,
+                                const std::string& context) {
+    ASSERT_EQ(lake.size(), 3u) << context;
+    EXPECT_EQ(lake.table(0).CellString(0, 0), "a1") << context;
+    EXPECT_EQ(lake.table(0).CellString(1, 1), "b2") << context;
+    EXPECT_EQ(lake.table(1).CellString(0, 0), "y") << context;
+    EXPECT_EQ(lake.table(1).CellString(0, 1), "z") << context;
+    EXPECT_EQ(lake.table(2).CellString(0, 0), "w") << context;
+    EXPECT_EQ(lake.table(2).CellString(0, 1), "a1") << context;
+  };
+  expect_cells(**service.lake("shard"), "served");
+  DataLake fresh;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(fresh, snap, &info).ok());
+  EXPECT_EQ(info.delta_runs, 1u);  // the second append was a run again
+  expect_cells(fresh, "fresh reload");
+  DataLake same_dict(dict);
+  ASSERT_TRUE(LoadSnapshot(same_dict, snap, &info).ok());
+  EXPECT_TRUE(info.identity_remap);
+  expect_cells(same_dict, "service-dictionary reload");
+  for (size_t i = 0; i < same_dict.size(); ++i) {
+    EXPECT_TRUE(TablesBitIdentical(same_dict.table(i),
+                                   (*service.lake("shard"))->table(i)))
+        << i;
+  }
+}
+
+// A request whose source has nulls allocates labeled nulls. They are
+// not dictionary entries, so they never reach a file: appends, saves
+// and folds after such a request all succeed, and the reloaded shard
+// answers identically.
+TEST_F(IncrementalIngestTest, LabeledNullsNeverBlockAppendSaveOrFold) {
+  // The source and one fragment agree on a null cell, which the
+  // integration protects with a label.
+  DictionaryPtr dict = MakeDictionary();
+  TableBuilder sb(dict, "source");
+  sb.Columns({"k", "a", "b"});
+  TableBuilder fa(dict, "lab_frag_a");
+  fa.Columns({"k", "a"});
+  TableBuilder fb(dict, "lab_frag_b");
+  fb.Columns({"k", "b"});
+  for (int r = 0; r < 10; ++r) {
+    const std::string k = "lab_k" + std::to_string(r);
+    const std::string a = "lab_a" + std::to_string(r % 5);
+    const std::string b = r == 3 ? "" : "lab_b" + std::to_string(r);
+    sb.Row({k, a, b});
+    fa.Row({k, a});
+    fb.Row({k, b});
+  }
+  const Table source = sb.Key({"k"}).Build();
+  DataLake base(dict);
+  ASSERT_TRUE(base.AddTable(fa.Build()).ok());
+  ASSERT_TRUE(base.AddTable(fb.Build()).ok());
+  GenT g(base);
+  const std::string snap = Path("labels.snap");
+  ASSERT_TRUE(SaveSnapshotV2(base, g.catalog().section_views(), snap).ok());
+
+  ReclaimService service(ExplicitFoldOptions(dict));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("shard", snap).ok());
+
+  ReclaimRequest named;
+  named.lake = "shard";
+  const auto first = service.Reclaim(source, named);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  // Some label was allocated: the next one is not the first.
+  ASSERT_GT(dict->CreateLabeledNull(), kFirstLabeledNull);
+
+  std::mt19937 rng(3);
+  ASSERT_TRUE(service
+                  .AppendTablesToLake("shard",
+                                      MakeRandomTables(dict, 2, "after_", rng))
+                  .ok());
+  const std::string saved = Path("saved.snap");
+  ASSERT_TRUE(service.SaveShardSnapshot("shard", saved).ok());
+  ASSERT_TRUE(service.CompactShardSnapshot("shard").ok());
+  const auto before_reload = service.Reclaim(source, named);
+  ASSERT_TRUE(before_reload.ok());
+
+  for (const std::string& path : {snap, saved}) {
+    ReclaimService fresh(ExplicitFoldOptions(dict));
+    ASSERT_TRUE(fresh.AddLakeFromSnapshot("shard", path).ok()) << path;
+    ExpectResultsIdentical(fresh.Reclaim(source, named), before_reload,
+                           "fresh service over " + path);
+  }
+  ASSERT_TRUE(service.ReloadLakeFromSnapshot("shard", snap).ok());
+  ExpectResultsIdentical(service.Reclaim(source, named), before_reload,
+                         "reloaded into the same service");
 }
 
 // The compact_after_runs policy folds in the background: after enough

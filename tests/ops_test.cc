@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unordered_set>
 
 #include "src/lake/inverted_index.h"
 #include "src/ops/full_disjunction.h"

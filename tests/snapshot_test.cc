@@ -658,11 +658,32 @@ TEST_F(SnapshotTest, NameCollisionRejected) {
   EXPECT_FALSE(s.ok());
 }
 
+// Labeled nulls are transient integration state. They are not
+// dictionary entries, so a dictionary that allocated one still saves;
+// a table cell holding one refuses to serialize, through the full save
+// and through a delta run, and leaves no file behind or changed.
 TEST_F(SnapshotTest, LabeledNullsRefuseToSerialize) {
   DataLake lake = MakeLake();
-  (void)lake.dict()->CreateLabeledNull();
-  Status s = SaveV2(lake, Path("lake.snap"));
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  const ValueId label = lake.dict()->CreateLabeledNull();
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+
+  Table labeled =
+      TableBuilder(lake.dict(), "labeled").Columns({"x"}).Row({"1"}).Build();
+  labeled.set_cell(0, 0, label);
+  DataLake with_label(lake);
+  ASSERT_TRUE(with_label.AddTable(std::move(labeled)).ok());
+  Status s = SaveV2(with_label, Path("labeled.snap"));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("labeled null"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(Path("labeled.snap")));
+
+  const auto size_before = std::filesystem::file_size(Path("lake.snap"));
+  const auto run = ColumnStatsCatalog::BuildDeltaRun(with_label, lake.size());
+  s = AppendSnapshotDelta(with_label, lake.size(), run.views(),
+                          Path("lake.snap"));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(std::filesystem::file_size(Path("lake.snap")), size_before);
+  EXPECT_TRUE(VerifySnapshotIntegrity(Path("lake.snap")).ok());
 }
 
 // --- Snapshot v2 (catalog-carrying, src/storage) -----------------------------

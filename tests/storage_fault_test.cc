@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/engine/reclaim_service.h"
 #include "src/gent/gent.h"
 #include "src/lake/snapshot.h"
 #include "src/storage/catalog_pager.h"
@@ -491,6 +492,136 @@ TEST_F(StorageFaultTest, CompactionCrashPointMatrixLeavesOldOrNew) {
     const size_t swept = SweepSnapshotTemps(dir_.string());
     EXPECT_EQ(swept, stranded ? 1u : 0u) << "crash point " << k;
   }
+  EXPECT_GT(unfolded_outcomes, 0u);
+  EXPECT_GT(folded_outcomes, 0u);
+}
+
+// --- Crash-point matrix over the service fold --------------------------------
+
+TEST_F(StorageFaultTest, ServiceFoldCrashPointMatrixKeepsServing) {
+  // ReclaimService::CompactShardSnapshot writes the served lake through
+  // the SaveSnapshotV2 commit and maps the new file. A crash at any
+  // mutating call leaves the file loadable with every table — its run
+  // not yet folded, or folded — and a failed fold publishes nothing:
+  // the old shard keeps serving at the same registry epoch.
+  DictionaryPtr dict = MakeDictionary();
+  TableBuilder sb(dict, "source");
+  sb.Columns({"k", "a", "b"});
+  TableBuilder fa(dict, "frag_a");
+  fa.Columns({"k", "a"});
+  TableBuilder fb(dict, "frag_b");
+  fb.Columns({"k", "b"});
+  for (int r = 0; r < 6; ++r) {
+    const std::string k = "k" + std::to_string(r);
+    sb.Row({k, "a" + std::to_string(r), "b" + std::to_string(r)});
+    fa.Row({k, "a" + std::to_string(r)});
+    fb.Row({k, "b" + std::to_string(r)});
+  }
+  const Table source = sb.Key({"k"}).Build();
+  const Table frag_b = fb.Build();
+  const std::string tmpl = Path("fold_base.snap");
+  {
+    DataLake base(dict);
+    ASSERT_TRUE(base.AddTable(fa.Build()).ok());
+    GenT g(base);
+    ASSERT_TRUE(SaveSnapshotV2(base, g.catalog().section_views(), tmpl).ok());
+  }
+  const std::string path = Path("fold.snap");
+  ReclaimRequest named;
+  named.lake = "shard";
+
+  // A service serving `path` with frag_b appended as one delta run.
+  const auto make_service = [&]() {
+    std::filesystem::copy_file(
+        tmpl, path, std::filesystem::copy_options::overwrite_existing);
+    ServiceOptions opts;
+    opts.dict = dict;
+    opts.cache_capacity = 0;
+    opts.storage.compact_after_runs = 0;
+    opts.health.auto_recover = false;
+    auto service = std::make_unique<ReclaimService>(std::move(opts));
+    EXPECT_TRUE(service->AddLakeFromSnapshot("shard", path).ok());
+    std::vector<Table> batch;
+    batch.push_back(frag_b.Clone());
+    EXPECT_TRUE(service->AppendTablesToLake("shard", std::move(batch)).ok());
+    return service;
+  };
+
+  constexpr uint32_t kMutatingMask =
+      io::OpBit(io::Op::kOpen) | io::OpBit(io::Op::kWrite) |
+      io::OpBit(io::Op::kFlush) | io::OpBit(io::Op::kSync) |
+      io::OpBit(io::Op::kRename);
+
+  Result<ReclamationResult> expected = Status::Internal("unset");
+  uint64_t total_ops = 0;
+  {
+    auto service = make_service();
+    expected = service->Reclaim(source, named);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    io::FaultInjector counter;
+    io::ScopedFaultInjector scope(&counter);
+    ASSERT_TRUE(service->CompactShardSnapshot("shard").ok());
+    total_ops = counter.CountOf(io::Op::kOpen) +
+                counter.CountOf(io::Op::kWrite) +
+                counter.CountOf(io::Op::kFlush) +
+                counter.CountOf(io::Op::kSync) +
+                counter.CountOf(io::Op::kRename);
+  }
+  ASSERT_GT(total_ops, 4u);
+
+  size_t failed_folds = 0;
+  size_t unfolded_outcomes = 0;
+  size_t folded_outcomes = 0;
+  for (uint64_t k = 1; k <= total_ops; ++k) {
+    auto service = make_service();
+    const uint64_t epoch = service->registry_epoch();
+    io::FaultInjector injector;
+    io::FaultPlan plan;
+    plan.op_mask = kMutatingMask;
+    plan.trigger_at = k;
+    plan.kind = io::FaultKind::kCrash;
+    injector.Arm(plan);
+    Status st;
+    {
+      io::ScopedFaultInjector scope(&injector);
+      st = service->CompactShardSnapshot("shard");
+      EXPECT_TRUE(injector.crashed()) << "crash point " << k;
+    }
+
+    // The shard serves the same answer whether or not the fold landed;
+    // only a fold that reported success republished.
+    if (st.ok()) {
+      EXPECT_EQ(service->registry_epoch(), epoch + 1) << "crash point " << k;
+    } else {
+      ++failed_folds;
+      EXPECT_EQ(service->registry_epoch(), epoch) << "crash point " << k;
+    }
+    const auto answer = service->Reclaim(source, named);
+    ASSERT_TRUE(answer.ok()) << "crash point " << k << ": "
+                             << answer.status().ToString();
+    EXPECT_TRUE(TablesBitIdentical(answer->reclaimed, expected->reclaimed))
+        << "crash point " << k;
+    EXPECT_EQ(answer->originating_names, expected->originating_names)
+        << "crash point " << k;
+
+    DataLake loaded;
+    SnapshotLoadInfo info;
+    ASSERT_TRUE(LoadSnapshot(loaded, path, &info).ok())
+        << "crash point " << k << " left an unloadable file";
+    ASSERT_EQ(loaded.size(), 2u) << "crash point " << k;
+    EXPECT_EQ(loaded.table(0).name(), "frag_a") << "crash point " << k;
+    EXPECT_TRUE(TablesBitIdentical(loaded.table(1), frag_b))
+        << "crash point " << k;
+    EXPECT_TRUE(VerifySnapshotIntegrity(path).ok()) << "crash point " << k;
+    if (info.delta_runs == 1) {
+      ++unfolded_outcomes;
+    } else {
+      EXPECT_EQ(info.delta_runs, 0u) << "crash point " << k;
+      ++folded_outcomes;
+    }
+    (void)SweepSnapshotTemps(dir_.string());
+  }
+  EXPECT_GT(failed_folds, 0u);
   EXPECT_GT(unfolded_outcomes, 0u);
   EXPECT_GT(folded_outcomes, 0u);
 }
