@@ -1,6 +1,6 @@
 // Micro-benchmarks for the hot operators underneath Gen-T.
 //
-// Three layers:
+// Four layers:
 //
 //  0. The simd section: raw dispatched kernels (src/util/simd.h) vs the
 //     scalar parity oracle — plane popcount/score widths, balanced
@@ -17,14 +17,22 @@
 //     are written to BENCH_microops.json (machine-readable; uploaded as
 //     a CI artifact) so the perf trajectory is recorded run over run.
 //
-//  2. The google-benchmark suite of operator micro-benchmarks (outer
+//  2. The expand and discovery sections: the cold expansion stage and
+//     candidate discovery on TP-TR Small, Small in 400 distractors and
+//     Med, each timed against its verbatim reference
+//     (tests/expand_reference.h, tests/discovery_reference.h) with the
+//     outputs compared; BENCH_expand.json and BENCH_discovery.json, and
+//     a nonzero exit on any mismatch.
+//
+//  3. The google-benchmark suite of operator micro-benchmarks (outer
 //     union, subsumption, joins, key mining, ...). Compiled when the
 //     library is available; run with --benchmark... flags or
 //     GENT_RUN_GBENCH=1.
 //
 // Environment knobs:
 //   GENT_MICRO_SOURCES  sources per traversal benchmark (default 4; the
-//                       expand section's noise lake runs at most 2)
+//                       expand section's noise lake runs at most 2, and
+//                       the discovery section caps only Med)
 //   GENT_MICRO_REPS     repetitions of the kernel loops (default 3)
 
 #include <algorithm>
@@ -55,6 +63,7 @@
 #include "src/semantic/value_map.h"
 #include "src/table/table_builder.h"
 #include "src/util/random.h"
+#include "tests/discovery_reference.h"
 #include "tests/expand_reference.h"
 #include "tests/matrix_reference.h"
 
@@ -552,6 +561,7 @@ struct ExpandRun {
   size_t intermediate_hops = 0;
   size_t hop_sides_built = 0;
   size_t hop_sides_reused = 0;
+  size_t join_pairs_scored = 0;
   double baseline_ms = 0;  // reference implementation, total
   double engine_ms = 0;    // ExpandEngine, num_threads = 1, total
   double engine_mt_ms = 0;  // ExpandEngine, num_threads = 0 (hardware)
@@ -636,6 +646,7 @@ ExpandRun RunExpandBench(const std::string& label,
           run.intermediate_hops += got->intermediate_hops;
           run.hop_sides_built += got->hop_sides_built;
           run.hop_sides_reused += got->hop_sides_reused;
+          run.join_pairs_scored += got->join_pairs_scored;
         }
       }
     }
@@ -661,8 +672,9 @@ int RunExpandSection() {
   // refolds every hop family per path, so a few sources and one rep keep
   // the run short.
   constexpr size_t kNoiseSources = 2;
-  Result<TpTrBenchmark> noisy = small.status();
-  if (small.ok()) noisy = EmbedInNoiseLake(*small, 400, 29);
+  Result<TpTrBenchmark> noisy =
+      small.ok() ? EmbedInNoiseLake(*small, 400, 29)
+                 : Result<TpTrBenchmark>(small.status());
   runs.push_back(RunExpandBench("TP-TR Small noise", noisy,
                                 std::min(max_sources, kNoiseSources), 1));
   bool all_identical = true;
@@ -670,11 +682,12 @@ int RunExpandSection() {
     std::printf(
         "%-17s sources %2zu  cands %3zu  engine %9.2f ms  (pooled %9.2f ms)"
         "  baseline %9.2f ms  speedup %5.1fx (%5.1fx)  identical %s\n"
-        "%-17s hops %zu  hop sides built %zu  reused %zu\n",
+        "%-17s hops %zu  hop sides built %zu  reused %zu  join pairs "
+        "scored %zu\n",
         r.benchmark.c_str(), r.sources, r.candidates, r.engine_ms,
         r.engine_mt_ms, r.baseline_ms, r.Speedup(), r.MtSpeedup(),
         r.identical ? "yes" : "NO", "", r.intermediate_hops,
-        r.hop_sides_built, r.hop_sides_reused);
+        r.hop_sides_built, r.hop_sides_reused, r.join_pairs_scored);
     all_identical &= r.identical;
   }
 
@@ -695,16 +708,127 @@ int RunExpandSection() {
                  "\"optimized_pooled_ms\": %.3f, \"speedup\": %.2f, "
                  "\"pooled_speedup\": %.2f, \"intermediate_hops\": %zu, "
                  "\"hop_sides_built\": %zu, \"hop_sides_reused\": %zu, "
-                 "\"identical\": %s}%s\n",
+                 "\"join_pairs_scored\": %zu, \"identical\": %s}%s\n",
                  r.benchmark.c_str(), r.sources, r.candidates, r.tables,
                  r.baseline_ms, r.engine_ms, r.engine_mt_ms, r.Speedup(),
                  r.MtSpeedup(), r.intermediate_hops, r.hop_sides_built,
-                 r.hop_sides_reused, r.identical ? "true" : "false",
+                 r.hop_sides_reused, r.join_pairs_scored,
+                 r.identical ? "true" : "false",
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote BENCH_expand.json\n");
+  return all_identical ? 0 : 1;
+}
+
+// ---------------------------------------------------------------------------
+// Discovery section: FindCandidates vs the reference discovery.
+// ---------------------------------------------------------------------------
+
+// Candidate discovery per source of a TP-TR lake, timed against
+// tests/discovery_reference.h (the previous implementation, kept
+// verbatim) with the candidate lists compared field by field. Both
+// run serially over one shared catalog; each source keeps its best of
+// `reps` runs.
+struct DiscoveryRun {
+  std::string benchmark;
+  size_t sources = 0;
+  size_t candidates = 0;
+  double baseline_ms = 0;
+  double optimized_ms = 0;
+  bool identical = true;
+};
+
+DiscoveryRun RunDiscoveryBench(const std::string& label,
+                               const Result<TpTrBenchmark>& bench,
+                               size_t max_sources, size_t reps) {
+  DiscoveryRun run;
+  run.benchmark = label;
+  if (!bench.ok()) {
+    std::fprintf(stderr, "[microops] %s: benchmark build failed: %s\n",
+                 label.c_str(), bench.status().ToString().c_str());
+    run.identical = false;
+    return run;
+  }
+  ColumnStatsCatalog catalog(*bench->lake);
+  const DiscoveryConfig config;
+  Discovery discovery(catalog, config);
+  const size_t limit = std::min(max_sources, bench->sources.size());
+  for (size_t i = 0; i < limit; ++i) {
+    const Table& source = bench->sources[i].source;
+    double best_base = 0.0, best_opt = 0.0;
+    for (size_t rep = 0; rep < std::max<size_t>(1, reps); ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      auto want = ref::RefFindCandidates(catalog, config, source);
+      const double base = SecondsSince(t0) * 1e3;
+      t0 = std::chrono::steady_clock::now();
+      auto got = discovery.FindCandidates(source);
+      const double opt = SecondsSince(t0) * 1e3;
+      if (rep == 0 || base < best_base) best_base = base;
+      if (rep == 0 || opt < best_opt) best_opt = opt;
+      std::string why;
+      if (!want.ok() || !got.ok() || !ref::SameCandidates(*want, *got, &why)) {
+        std::fprintf(stderr, "[microops] %s source %zu: %s\n", label.c_str(),
+                     i, want.ok() && got.ok() ? why.c_str() : "failed");
+        run.identical = false;
+      }
+      if (rep == 0 && got.ok()) run.candidates += got->size();
+    }
+    run.baseline_ms += best_base;
+    run.optimized_ms += best_opt;
+    ++run.sources;
+  }
+  return run;
+}
+
+int RunDiscoverySection() {
+  const size_t max_sources = EnvSizeOr("GENT_MICRO_SOURCES", 4);
+  const size_t reps = EnvSizeOr("GENT_MICRO_REPS", 3);
+
+  std::printf("\n=== candidate discovery (FindCandidates vs reference) ===\n");
+  std::vector<DiscoveryRun> runs;
+  auto small = MakeTpTrBenchmark("TP-TR Small", TpTrSmallConfig());
+  runs.push_back(RunDiscoveryBench("TP-TR Small", small, SIZE_MAX, reps));
+  Result<TpTrBenchmark> noisy =
+      small.ok() ? EmbedInNoiseLake(*small, 400, 29)
+                 : Result<TpTrBenchmark>(small.status());
+  runs.push_back(
+      RunDiscoveryBench("TP-TR Small noise", noisy, SIZE_MAX, reps));
+  runs.push_back(RunDiscoveryBench(
+      "TP-TR Med", MakeTpTrBenchmark("TP-TR Med", TpTrMedConfig()),
+      max_sources, reps));
+  bool all_identical = true;
+  for (const auto& r : runs) {
+    std::printf(
+        "%-17s sources %2zu  cands %4zu  optimized %9.2f ms  baseline "
+        "%9.2f ms  identical %s\n",
+        r.benchmark.c_str(), r.sources, r.candidates, r.optimized_ms,
+        r.baseline_ms, r.identical ? "yes" : "NO");
+    all_identical &= r.identical;
+  }
+
+  std::FILE* f = std::fopen("BENCH_discovery.json", "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "[microops] cannot write BENCH_discovery.json\n");
+    return 1;
+  }
+  std::fprintf(f, "{\n  \"bench\": \"discovery\",\n");
+  bench::WriteCpuMetadataJson(f);
+  std::fprintf(f, "  \"runs\": [\n");
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const DiscoveryRun& r = runs[i];
+    std::fprintf(f,
+                 "    {\"benchmark\": \"%s\", \"sources\": %zu, "
+                 "\"candidates\": %zu, \"baseline_ms\": %.3f, "
+                 "\"optimized_ms\": %.3f, \"identical\": %s}%s\n",
+                 r.benchmark.c_str(), r.sources, r.candidates, r.baseline_ms,
+                 r.optimized_ms, r.identical ? "true" : "false",
+                 i + 1 < runs.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("\nwrote BENCH_discovery.json\n");
   return all_identical ? 0 : 1;
 }
 
@@ -909,6 +1033,7 @@ int main(int argc, char** argv) {
   gent::SimdSection simd_section = gent::RunSimdSection();
   int rc = gent::RunMatrixSection(simd_section);
   rc |= gent::RunExpandSection();
+  rc |= gent::RunDiscoverySection();
 #ifdef GENT_HAVE_GBENCH
   bool run_gbench = std::getenv("GENT_RUN_GBENCH") != nullptr;
   for (int i = 1; i < argc; ++i) {

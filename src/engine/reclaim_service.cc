@@ -1208,11 +1208,22 @@ Status ReclaimService::CheckShardHealth(const std::string& name) const {
     size_t runs = 0;
     st = VerifySnapshotIntegrity(shard.source_path, &runs);
     if (st.ok() && runs < shard.file.delta_runs) {
-      st = Status::IOError(
-          "'" + shard.source_path + "' verifies at " + std::to_string(runs) +
-          " delta runs but the shard committed " +
-          std::to_string(shard.file.delta_runs) +
-          ": the newest committed footer is damaged");
+      // Fewer runs than committed. A damaged newest footer verifies at
+      // the previous generation and loses that run's tables; a fold
+      // whose rename landed but whose last sync failed left every
+      // table in a file with no runs, and is healthy.
+      auto tables = SnapshotTableCount(shard.source_path);
+      if (!tables.ok()) {
+        st = tables.status();
+      } else if (*tables < shard.lake->size()) {
+        st = Status::IOError(
+            "'" + shard.source_path + "' verifies at " +
+            std::to_string(runs) + " delta runs and " +
+            std::to_string(*tables) + " tables but the shard committed " +
+            std::to_string(shard.file.delta_runs) + " runs and serves " +
+            std::to_string(shard.lake->size()) +
+            " tables: the newest committed footer is damaged");
+      }
     }
   }
   if (!st.ok()) NoteShardFault(shard, st.message());

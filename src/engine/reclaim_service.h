@@ -552,11 +552,13 @@ class ReclaimService {
   /// On-demand health probe of shard `name` (NotFound if absent):
   /// checks the catalog backend's sticky storage health, then — for a
   /// snapshot-backed shard — re-verifies the snapshot file end to end
-  /// (VerifySnapshotIntegrity), which must verify at no fewer delta
-  /// runs than the shard has published: a damaged newest footer
-  /// otherwise reads as a torn append and verifies at the previous
-  /// generation. Runs under the append lock, so the file is not
-  /// mid-append or mid-fold. A failed probe quarantines the shard
+  /// (VerifySnapshotIntegrity). A file that verifies at fewer delta runs
+  /// than the shard has published must still hold every table the shard
+  /// serves (SnapshotTableCount): a damaged newest footer reads as a
+  /// torn append, verifies at the previous generation and loses that
+  /// run's tables, while a fold whose rename landed but whose last sync
+  /// failed keeps them all at 0 runs. Runs under the append lock, so the
+  /// file is not mid-append or mid-fold. A failed probe quarantines the shard
   /// (background recovery takes over) and returns the failure; OK means
   /// the shard is serving and its backing bytes verify.
   Status CheckShardHealth(const std::string& name) const;
@@ -599,8 +601,8 @@ class ReclaimService {
     /// load's SnapshotLoadInfo, with delta_runs the append's new total.
     /// A file written whole from the served lake (a fold, or an append
     /// to a foreign id space) is v2 in the service's ids with no runs.
-    /// A file that later verifies at fewer runs has lost a committed
-    /// append (CheckShardHealth). Only a file in the service's ids
+    /// A file that later verifies at fewer runs and fewer tables has
+    /// lost a committed append (CheckShardHealth). Only a file in the service's ids
     /// (identity_remap) takes delta runs: a run is written in the
     /// service's ids, and a file with its own id space would read them
     /// as its own.

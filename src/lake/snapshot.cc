@@ -1004,6 +1004,43 @@ Status VerifySnapshotIntegrity(const std::string& path, size_t* delta_runs) {
   return LoadSnapshot(scratch, path);
 }
 
+Result<size_t> SnapshotTableCount(const std::string& path) {
+  Reader r(path);
+  if (!r.open()) return Status::IOError("cannot open '" + path + "'");
+  // Skips a dictionary of `count` entries and reads the table count
+  // after it (the body and a delta run share this shape).
+  auto tables_after_dictionary = [&r](uint64_t count) -> uint64_t {
+    for (uint64_t i = 0; i < count && r.ok(); ++i) r.String();
+    return r.U64();
+  };
+  char magic[8];
+  r.Bytes(magic, sizeof magic);
+  r.U32();  // version
+  uint64_t tables = tables_after_dictionary(r.U64());
+  if (!r.ok() || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+    return Status::IOError("'" + path + "': unreadable snapshot body header");
+  }
+  auto footer = storage::ReadFooterRecover(r.file());
+  if (!footer.ok()) {
+    // No footer at all is a v1 file: the body is everything.
+    if (footer.status().code() == StatusCode::kInvalidArgument) return tables;
+    return footer.status();
+  }
+  auto runs = storage::ReadDeltaDir(r.file(), *footer);
+  if (!runs.ok()) return runs.status();
+  for (const storage::DeltaRunDesc& run : *runs) {
+    // The run's dictionary count follows its magic, version, pad,
+    // catalog offset and dictionary base (delta_run.h).
+    constexpr uint64_t kDictCountOffset = 32;
+    r.SeekTo(run.offset + kDictCountOffset);
+    tables += tables_after_dictionary(r.U64());
+    if (!r.ok()) {
+      return Status::IOError("'" + path + "': unreadable delta run header");
+    }
+  }
+  return static_cast<size_t>(tables);
+}
+
 size_t SweepSnapshotTemps(const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;

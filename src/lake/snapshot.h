@@ -189,6 +189,15 @@ Status LoadSnapshotBody(DataLake& lake, const std::string& path,
 Status VerifySnapshotIntegrity(const std::string& path,
                                size_t* delta_runs = nullptr);
 
+/// Number of tables the snapshot at `path` holds: the body's plus every
+/// delta run's its footer lists (the body's alone for v1). Reads only
+/// the headers and skips the dictionaries. Meant for a file that
+/// VerifySnapshotIntegrity accepted; IOError on a malformed one. A
+/// shard health check compares it with the served lake: a damaged
+/// newest footer loses the newest run's tables, while a fold that
+/// committed keeps every table in a file with no runs.
+Result<size_t> SnapshotTableCount(const std::string& path);
+
 /// Removes orphaned snapshot temp files (`*.tmp.<digits>`, the commit
 /// staging names a crashed saver strands) from directory `dir`.
 /// Returns the number removed. Called by

@@ -1,6 +1,7 @@
 #include "src/matrix/expand.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -473,10 +474,10 @@ Result<ExpandResult> Expand(const Table& source,
 
   const bool debug = getenv("GENT_DEBUG_EXPAND") != nullptr;
 
-  // One pool serves all three parallel phases. Every phase writes only
-  // to its own index slot and reduces in candidate-index order, so
-  // thread count never changes results. Debug forces serial so the
-  // trace on stderr stays in candidate order.
+  // One pool serves both parallel phases. Every phase writes only to
+  // its own index slot (or a call_once slot) and reduces in
+  // candidate-index order, so thread count never changes results. Debug
+  // forces serial so the trace on stderr stays in candidate order.
   size_t threads =
       debug ? 1 : std::min(ThreadPool::ResolveThreads(options.num_threads), n);
   std::unique_ptr<ThreadPool> pool;
@@ -498,33 +499,60 @@ Result<ExpandResult> Expand(const Table& source,
   });
   GENT_RETURN_IF_ERROR(limits.Interrupted());
 
-  // Join graph: value-overlap edges with their best column pair. The
-  // pairwise scan shards by the lower candidate index; the reduction
-  // below rebuilds the adjacency lists in exactly the serial insertion
-  // order.
+  // Join graph: value-overlap edges with their best column pair, built
+  // lazily (DESIGN.md §5.7). A node's adjacency is built the first time
+  // Dijkstra or the forced-path neighbor sort asks for it, so pairs that
+  // no path search reaches are never scored; with every candidate
+  // covering the key, none is. Each unordered pair is scored once, under
+  // call_once, from its lower index: BestJoinPair's (a_col, b_col)
+  // tie-break is not symmetric, and the lower-index direction is the one
+  // the eager scan scored. The higher index reads it swapped. Neighbors
+  // are listed in ascending index order, the order the eager reduction
+  // produced, so Dijkstra's relaxations and the neighbor sort's ties are
+  // unchanged. Which thread scores a pair or builds an adjacency never
+  // changes either.
   struct Edge {
     size_t to;
     JoinPair pair;  // pair.a_col indexes the *from* table
   };
-  std::vector<std::vector<Edge>> forward(n);
-  ParallelFor(pool.get(), n, [&](size_t i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      auto pair =
+  struct PairSlot {
+    std::once_flag once;
+    std::optional<JoinPair> pair;
+  };
+  struct Adjacency {
+    std::once_flag once;
+    std::vector<Edge> edges;
+  };
+  std::vector<PairSlot> pair_slots(n * (n - 1) / 2);
+  std::vector<Adjacency> adjacency(n);
+  std::atomic<size_t> pairs_scored{0};
+  auto join_pair = [&](size_t i, size_t j) -> const std::optional<JoinPair>& {
+    // i < j; row i of the upper triangle starts at i·n − i(i+1)/2.
+    PairSlot& slot = pair_slots[i * n - i * (i + 1) / 2 + (j - i - 1)];
+    std::call_once(slot.once, [&] {
+      slot.pair =
           BestJoinPair(sets[i], candidates[i].table.num_rows(), sets[j],
                        candidates[j].table.num_rows(), kJoinThreshold);
-      if (!pair) continue;
-      forward[i].push_back(Edge{j, *pair});
-    }
-  });
-  GENT_RETURN_IF_ERROR(limits.Interrupted());
-  std::vector<std::vector<Edge>> adj(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (const Edge& e : forward[i]) {
-      adj[i].push_back(e);
-      adj[e.to].push_back(Edge{i, JoinPair{e.pair.b_col, e.pair.a_col,
-                                           e.pair.weight, e.pair.inter}});
-    }
-  }
+      pairs_scored.fetch_add(1, std::memory_order_relaxed);
+    });
+    return slot.pair;
+  };
+  auto adj = [&](size_t x) -> const std::vector<Edge>& {
+    Adjacency& a = adjacency[x];
+    std::call_once(a.once, [&] {
+      for (size_t y = 0; y < n; ++y) {
+        if (y == x) continue;
+        const std::optional<JoinPair>& p =
+            x < y ? join_pair(x, y) : join_pair(y, x);
+        if (!p) continue;
+        a.edges.push_back(
+            x < y ? Edge{y, *p}
+                  : Edge{y, JoinPair{p->b_col, p->a_col, p->weight,
+                                     p->inter}});
+      }
+    });
+    return a.edges;
+  };
 
   // Hop-family unions: the inner-union of a hop table with its
   // same-schema siblings depends only on the hop (an ascending fold;
@@ -601,7 +629,7 @@ Result<ExpandResult> Expand(const Table& source,
   if (debug) {
     for (size_t i = 0; i < n; ++i) {
       fprintf(stderr, "[edges] %s:", candidates[i].table.name().c_str());
-      for (const Edge& e : adj[i]) {
+      for (const Edge& e : adj(i)) {
         fprintf(stderr, " %s(w=%.2f,%s~%s)",
                 candidates[e.to].table.name().c_str(), e.pair.weight,
                 candidates[i].table.column_name(e.pair.a_col).c_str(),
@@ -635,7 +663,7 @@ Result<ExpandResult> Expand(const Table& source,
       if (node == SIZE_MAX) break;
       settled[node] = true;
       if (node != start && candidates[node].covers_key) { end_node = node; break; }
-      for (const Edge& e : adj[node]) {
+      for (const Edge& e : adj(node)) {
         double c = cost[node] + (1.0 - e.pair.weight) + kHopPenalty;
         if (c < cost[e.to]) { cost[e.to] = c; parent[e.to] = node; }
       }
@@ -824,8 +852,9 @@ Result<ExpandResult> Expand(const Table& source,
 
   // Expands one candidate end to end: path enumeration, materialization,
   // and simulated-EIS scoring. Reads only immutable per-run state
-  // (candidates, sets, adj, key lookup), family unions and their sets
-  // (each built once, under call_once, as a function of its hop alone)
+  // (candidates, sets, key lookup), the join graph's pairs and
+  // adjacencies, family unions and their sets (each built once, under
+  // call_once, as a function of its endpoints or hop alone)
   // and the shared dictionary (never appended to by join/union/project),
   // so candidates expand concurrently with bit-identical outcomes.
   struct Slot {
@@ -861,7 +890,7 @@ Result<ExpandResult> Expand(const Table& source,
     };
     add_path(best_path(i, SIZE_MAX));
     std::vector<const Edge*> neighbors;
-    for (const Edge& e : adj[i]) neighbors.push_back(&e);
+    for (const Edge& e : adj(i)) neighbors.push_back(&e);
     std::sort(neighbors.begin(), neighbors.end(),
               [](const Edge* a, const Edge* b) {
                 return a->pair.weight > b->pair.weight;
@@ -951,6 +980,7 @@ Result<ExpandResult> Expand(const Table& source,
   result.hop_sets_deduped = hop_counts.deduped;
   result.hop_sides_built = hop_counts.sides_built;
   result.hop_sides_reused = hop_counts.sides_reused;
+  result.join_pairs_scored = pairs_scored.load(std::memory_order_relaxed);
   return result;
 }
 

@@ -9,9 +9,10 @@
 // (Candidate::stats; zero recomputation), pair containment runs as a
 // merge-intersection over sorted id vectors with a cheap upper-bound
 // prune (min(|Va|,|Vb|)/max(|Va|,|Vb|) × keyness < threshold skips the
-// intersection — exact-safe, the bound dominates the true weight), and
-// the per-candidate set builds, the pairwise edge scan, and the
-// per-candidate path materialization fan out over a thread pool with an
+// intersection — exact-safe, the bound dominates the true weight), the
+// join graph is built lazily (a node's edges are scored when a path
+// search first reaches it, each pair once), and the per-candidate set
+// builds and path materialization fan out over a thread pool with an
 // index-ordered reduction. An intermediate hop's column sets (what the
 // next hop's pair search reads) are derived from the join's inputs and
 // the rows that matched: a fully matched side lends its own sets, a
@@ -71,12 +72,18 @@ struct ExpandResult {
   /// built). The split is a function of the paths, not of the threads.
   size_t hop_sides_built = 0;
   size_t hop_sides_reused = 0;
+  /// Unordered candidate pairs scored for the join graph (BestJoinPair
+  /// over the two candidates' column sets). The graph is built lazily,
+  /// from the nodes the path searches visit, so this is 0 when every
+  /// candidate covers the key and at most n(n−1)/2. A function of the
+  /// candidates, not of the threads.
+  size_t join_pairs_scored = 0;
 };
 
 struct ExpandOptions {
-  /// Worker threads for the per-candidate sorted-set builds, the
-  /// pairwise join-graph edge scan, and the per-candidate path
-  /// materialization. 0 = hardware concurrency (uncapped); 1 = serial.
+  /// Worker threads for the per-candidate sorted-set builds and the
+  /// per-candidate path searches and materialization (which score the
+  /// join graph's pairs as they reach them). 0 = hardware concurrency (uncapped); 1 = serial.
   /// Tiny candidate sets stay serial regardless — spinning a pool costs
   /// more than the scan. Thread count never changes results (per-slot
   /// writes, reduced in candidate-index order). GENT_DEBUG_EXPAND

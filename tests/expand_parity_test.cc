@@ -14,7 +14,10 @@
 // materialized join — plus the hop sides every path of a call shares
 // (ExpandParitySides): the up-front row cap at each hop side's last row,
 // permuted schema families and their refold, and mapping verification
-// against duplicated source keys.
+// against duplicated source keys. The lazy join graph's pair count
+// (ExpandResult::join_pairs_scored) must match across thread counts and
+// stay below n(n−1)/2 when most candidates cover the key
+// (ExpandParityGraph).
 
 #include <algorithm>
 #include <optional>
@@ -68,16 +71,17 @@ bool SameExpansion(const ExpandResult& want, const ExpandResult& got,
 struct HopCounters {
   size_t hops = 0, borrowed = 0, deduped = 0;
   size_t sides_built = 0, sides_reused = 0;
+  size_t pairs_scored = 0;
   bool operator==(const HopCounters& o) const {
     return hops == o.hops && borrowed == o.borrowed &&
            deduped == o.deduped && sides_built == o.sides_built &&
-           sides_reused == o.sides_reused;
+           sides_reused == o.sides_reused && pairs_scored == o.pairs_scored;
   }
 };
 
 HopCounters CountersOf(const ExpandResult& r) {
   return {r.intermediate_hops, r.hop_sets_borrowed, r.hop_sets_deduped,
-          r.hop_sides_built, r.hop_sides_reused};
+          r.hop_sides_built,   r.hop_sides_reused,  r.join_pairs_scored};
 }
 
 // Runs the engine at each of `thread_counts` (1/2/8 by default) against
@@ -1009,6 +1013,73 @@ TEST(ExpandParitySides, SharedSidesAreBuiltOnce) {
   EXPECT_EQ(counters.hops, 2u);
   EXPECT_EQ(counters.sides_built, 5u);
   EXPECT_EQ(counters.sides_reused, 3u);
+}
+
+// The join graph is scored lazily: with every candidate covering the
+// key no path search runs, so no pair is scored.
+TEST(ExpandParityGraph, AllKeyCoveringScoresNoPair) {
+  auto dict = MakeDictionary();
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "a", "b"});
+  std::vector<Table> tables;
+  for (size_t t = 0; t < 5; ++t) {
+    TableBuilder tb(dict, "t" + std::to_string(t));
+    tb.Columns({"id", t % 2 == 0 ? "a" : "b"});
+    for (size_t i = 0; i < 6; ++i) {
+      tb.Row({"id" + std::to_string(i), "v" + std::to_string(i + t)});
+    }
+    tables.push_back(tb.Build());
+  }
+  for (size_t i = 0; i < 6; ++i) {
+    sb.Row({"id" + std::to_string(i), "v" + std::to_string(i),
+            "v" + std::to_string(i + 1)});
+  }
+  const Table source = sb.Key({"id"}).Build();
+  HopCounters counters;
+  const ExpandResult want = ExpectParity(
+      source, KeyedCandidates(std::move(tables)), "all covering", {},
+      &counters);
+  EXPECT_EQ(want.tables.size(), 5u);
+  EXPECT_EQ(counters.pairs_scored, 0u);
+}
+
+// One keyless candidate among five key-covering ones: its own adjacency
+// scores its n−1 pairs, and its first settled neighbor covers the key,
+// so no other adjacency is built — 5 pairs, not n(n−1)/2 = 15. Its
+// forced paths start at key-covering neighbors and score nothing more.
+TEST(ExpandParityGraph, MostlyKeyCoveringScoresOnlyTheStartsPairs) {
+  auto dict = MakeDictionary();
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "a", "b"});
+  for (size_t i = 0; i < 8; ++i) {
+    sb.Row({"id" + std::to_string(i), "a" + std::to_string(i),
+            "b" + std::to_string(i)});
+  }
+  const Table source = sb.Key({"id"}).Build();
+  std::vector<Table> tables;
+  for (size_t t = 0; t < 5; ++t) {
+    TableBuilder tb(dict, "keyed" + std::to_string(t));
+    tb.Columns({"id", "ref" + std::to_string(t)});
+    for (size_t i = 0; i < 8; ++i) {
+      tb.Row({"id" + std::to_string(i),
+              "r" + std::to_string(t) + "_" + std::to_string(i)});
+    }
+    tables.push_back(tb.Build());
+  }
+  TableBuilder kb(dict, "keyless");
+  kb.Columns({"ref2", "b"});
+  for (size_t i = 0; i < 8; ++i) {
+    kb.Row({"r2_" + std::to_string(i), "b" + std::to_string(i)});
+  }
+  tables.push_back(kb.Build());
+  const size_t n = tables.size();
+  HopCounters counters;
+  const ExpandResult want = ExpectParity(
+      source, KeyedCandidates(std::move(tables)), "mostly covering", {},
+      &counters);
+  EXPECT_EQ(want.num_expanded, 1u);
+  EXPECT_EQ(counters.pairs_scored, n - 1);
+  EXPECT_LT(counters.pairs_scored, n * (n - 1) / 2);
 }
 
 TEST(ExpandParityEdge, EmptyCandidateList) {

@@ -626,6 +626,104 @@ TEST_F(StorageFaultTest, ServiceFoldCrashPointMatrixKeepsServing) {
   EXPECT_GT(folded_outcomes, 0u);
 }
 
+// A fold whose rename landed but whose last sync (the parent directory's)
+// failed reports IOError and publishes nothing, so the shard still
+// records one run while the file verifies at none. The file holds every
+// served table, though, so the health probe must pass, and so must a
+// later append and its probe.
+TEST_F(StorageFaultTest, FoldWithFailedFinalSyncStaysHealthy) {
+  DictionaryPtr dict = MakeDictionary();
+  TableBuilder sb(dict, "source");
+  sb.Columns({"k", "a", "b"});
+  TableBuilder fa(dict, "frag_a");
+  fa.Columns({"k", "a"});
+  TableBuilder fb(dict, "frag_b");
+  fb.Columns({"k", "b"});
+  for (int r = 0; r < 6; ++r) {
+    const std::string k = "k" + std::to_string(r);
+    sb.Row({k, "a" + std::to_string(r), "b" + std::to_string(r)});
+    fa.Row({k, "a" + std::to_string(r)});
+    fb.Row({k, "b" + std::to_string(r)});
+  }
+  const Table source = sb.Key({"k"}).Build();
+  const std::string path = Path("fold_sync.snap");
+  {
+    DataLake base(dict);
+    ASSERT_TRUE(base.AddTable(fa.Build()).ok());
+    GenT g(base);
+    ASSERT_TRUE(SaveSnapshotV2(base, g.catalog().section_views(), path).ok());
+  }
+  ServiceOptions opts;
+  opts.dict = dict;
+  opts.cache_capacity = 0;
+  opts.storage.compact_after_runs = 0;
+  opts.health.auto_recover = false;
+  ReclaimService service(std::move(opts));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("shard", path).ok());
+  std::vector<Table> batch;
+  batch.push_back(fb.Build());
+  ASSERT_TRUE(service.AppendTablesToLake("shard", std::move(batch)).ok());
+  ReclaimRequest named;
+  named.lake = "shard";
+  const auto expected = service.Reclaim(source, named);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  // Size a fold's syncs on a copy, then fail the last one for real.
+  uint64_t syncs = 0;
+  {
+    const std::string copy = Path("fold_sync_count.snap");
+    std::filesystem::copy_file(path, copy);
+    ServiceOptions count_opts;
+    count_opts.dict = dict;
+    count_opts.storage.compact_after_runs = 0;
+    ReclaimService counting(std::move(count_opts));
+    ASSERT_TRUE(counting.AddLakeFromSnapshot("shard", copy).ok());
+    io::FaultInjector counter;
+    io::ScopedFaultInjector scope(&counter);
+    ASSERT_TRUE(counting.CompactShardSnapshot("shard").ok());
+    syncs = counter.CountOf(io::Op::kSync);
+  }
+  ASSERT_GE(syncs, 2u);
+  {
+    io::FaultInjector injector;
+    io::FaultPlan plan;
+    plan.op_mask = io::OpBit(io::Op::kSync);
+    plan.trigger_at = syncs;
+    plan.kind = io::FaultKind::kErrno;
+    plan.error_code = EIO;
+    injector.Arm(plan);
+    io::ScopedFaultInjector scope(&injector);
+    EXPECT_EQ(service.CompactShardSnapshot("shard").code(),
+              StatusCode::kIOError);
+  }
+  size_t runs = 1;
+  ASSERT_TRUE(VerifySnapshotIntegrity(path, &runs).ok());
+  EXPECT_EQ(runs, 0u);  // the fold's rename landed
+  auto tables = SnapshotTableCount(path);
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  EXPECT_EQ(*tables, 2u);
+
+  Status st = service.CheckShardHealth("shard");
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(service.health_stats()[0].state, ShardHealth::kHealthy);
+  auto answer = service.Reclaim(source, named);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(TablesBitIdentical(answer->reclaimed, expected->reclaimed));
+
+  std::vector<Table> more;
+  more.push_back(TableBuilder(dict, "frag_c")
+                     .Columns({"k", "c"})
+                     .Row({"k0", "c0"})
+                     .Build());
+  ASSERT_TRUE(service.AppendTablesToLake("shard", std::move(more)).ok());
+  st = service.CheckShardHealth("shard");
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(service.health_stats()[0].state, ShardHealth::kHealthy);
+  tables = SnapshotTableCount(path);
+  ASSERT_TRUE(tables.ok());
+  EXPECT_EQ(*tables, 3u);
+}
+
 // --- Read-side and verification ---------------------------------------------
 
 TEST_F(StorageFaultTest, InjectedReadErrorSurfacesAsTypedIOError) {
