@@ -126,8 +126,7 @@ int RunWarmStart(size_t repeats) {
   for (size_t r = 0; r < repeats; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     auto mapped = ColumnStatsCatalog::OpenMapped(
-        loaded, v2_path,
-        {/*verify_checksums=*/false, /*pool_capacity_blocks=*/0});
+        loaded, v2_path, {/*verify_checksums=*/false});
     const double elapsed = Seconds(t0);
     if (!mapped.ok()) {
       mapped_ok = false;

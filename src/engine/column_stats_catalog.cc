@@ -368,14 +368,12 @@ ColumnStatsCatalog::Residency ColumnStatsCatalog::residency() const {
   }
   r.mapped = true;
   // Mapped backend: report at pool granularity (whole blocks under
-  // management vs blocks currently resident), so resident ≤ total and
-  // both match what eviction actually operates on.
+  // management vs blocks read in so far), so resident ≤ total.
   r.bytes_total = mapped_->region_bytes();
   const storage::BufferPool::Stats s = mapped_->pool().stats();
   r.bytes_resident = mapped_->pool().resident_bytes();
   r.pool_hits = s.hits;
   r.pool_faults = s.faults;
-  r.pool_evictions = s.evictions;
   r.pool_read_faults = s.read_faults;
   return r;
 }
@@ -451,8 +449,8 @@ bool ColumnStatsCatalog::SharesAnyValue(ValueSpan sorted_query) const {
   // Same spine walk as OverlapCounts, but stopping at the first shared
   // value — the routing prefilter only needs existence, and overlapping
   // shards (the common case) usually match within a few steps. The
-  // spines (base and runs) are pinned in the mapped backend, so this
-  // route never faults.
+  // spines (base and runs) are prefaulted at open in the mapped
+  // backend, so this route never faults.
   for (const SpineRegion& rg : regions_) {
     const ValueSpan spine = rg.spine;
     size_t i = 0, j = 0;

@@ -14,12 +14,12 @@
 // §5.10). The default builds everything in RAM from the lake. The
 // mapped backend (OpenMapped) instead borrows the catalog sections of a
 // v2 snapshot through an mmap + buffer pool: open cost is O(footer +
-// pinning the hot spine), per-column runs and CSR payload fault in on
-// first touch, and a capacity-bounded pool can evict cold blocks.
-// Every accessor returns ValueSpan views, which both backends satisfy
-// and which stay valid across pool eviction (src/storage/span.h); all
-// read results are bit-identical between backends at any thread count —
-// the backend is a residency decision, never a semantics decision.
+// prefaulting the hot spine), and per-column runs and CSR payload fault
+// in on first touch. Every accessor returns ValueSpan views, which both
+// backends satisfy and which stay valid for the mapping's lifetime
+// (src/storage/span.h); all read results are bit-identical between
+// backends at any thread count — the backend is a residency decision,
+// never a semantics decision.
 //
 // Because the catalog is immutable after construction, any number of
 // threads may query it concurrently without synchronization — this is
@@ -213,7 +213,6 @@ class ColumnStatsCatalog {
     uint64_t bytes_resident = 0;  // physically resident catalog bytes
     uint64_t pool_hits = 0;
     uint64_t pool_faults = 0;
-    uint64_t pool_evictions = 0;
     uint64_t pool_read_faults = 0;  // sticky I/O faults (storage_health)
   };
   Residency residency() const;

@@ -154,10 +154,6 @@ ReclaimService::ReclaimService(ServiceOptions options)
     : options_(std::move(options)),
       dict_(options_.dict != nullptr ? options_.dict : MakeDictionary()),
       registry_(std::make_shared<RegistrySnapshot>()),
-      pool_budget_(options_.storage.pool_capacity_blocks > 0
-                       ? std::make_shared<storage::PoolBudget>(
-                             options_.storage.pool_capacity_blocks)
-                       : nullptr),
       cache_(options_.cache_capacity),
       pool_(std::make_unique<ThreadPool>(
           ThreadPool::ResolveThreads(options_.num_threads))) {
@@ -299,10 +295,6 @@ std::shared_ptr<const ColumnStatsCatalog> ReclaimService::OpenMappedCatalog(
     const DataLake& lake, const std::string& path) const {
   storage::MappedCatalog::Options mopts;
   mopts.verify_checksums = false;
-  // One capacity budget for the whole service: every mapped shard's
-  // pool registers against it, so eviction pressure is fleet-wide
-  // instead of per-shard (pool_capacity_blocks is the budget's size).
-  mopts.budget = pool_budget_;
   auto mapped = ColumnStatsCatalog::OpenMapped(lake, path, mopts);
   // Any failure (e.g. mmap unavailable) leaves the caller on the RAM
   // catalog, which serves identically.

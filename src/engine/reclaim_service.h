@@ -159,15 +159,6 @@ struct ShardHealthOptions {
 /// foreign id space, or a failed mapped open rebuilds the catalog in
 /// RAM. Results are bit-identical either way.
 struct CatalogStorageOptions {
-  /// ONE buffer-pool capacity budget for the UNPINNED resident set of
-  /// ALL mapped shards together, in 64 KiB blocks (0 = unbounded
-  /// fault-in). Shards no longer get a private cap each: a service's
-  /// shards share the allowance, so a cold shard's fault-in evicts the
-  /// fleet's coldest blocks instead of thrashing its own small pool
-  /// while others idle (storage::PoolBudget; DESIGN.md §5.12). The hot
-  /// spines (postings spine, CSR offsets, column index — base and delta
-  /// runs) stay pinned and exempt.
-  size_t pool_capacity_blocks = 0;
   /// Incremental ingest (DESIGN.md §5.12): fold a snapshot-backed
   /// shard's delta runs back into its base sections when an append
   /// leaves the file with at least this many runs (0 = never compact
@@ -662,10 +653,10 @@ class ReclaimService {
       std::shared_ptr<const ColumnStatsCatalog>* catalog,
       SnapshotLoadInfo* info) const;
 
-  /// Opens `path`'s catalog sections mapped over `lake`, against the
-  /// service-wide pool budget, without re-checksumming (the caller has
-  /// just verified or written the file). Null on failure: a mapped
-  /// open is an optimization, and a RAM catalog serves identically.
+  /// Opens `path`'s catalog sections mapped over `lake` without
+  /// re-checksumming (the caller has just verified or written the
+  /// file). Null on failure: a mapped open is an optimization, and a
+  /// RAM catalog serves identically.
   std::shared_ptr<const ColumnStatsCatalog> OpenMappedCatalog(
       const DataLake& lake, const std::string& path) const;
 
@@ -755,10 +746,6 @@ class ReclaimService {
   /// Remove/Reload/recovery still race an append; ReplaceShard's
   /// (uid, delta_gen) check turns that race into Status::Aborted.
   mutable std::mutex append_mutex_;
-
-  /// Shared buffer-pool capacity across every mapped shard (null when
-  /// CatalogStorageOptions::pool_capacity_blocks is 0 = unbounded).
-  std::shared_ptr<storage::PoolBudget> pool_budget_;
 
   mutable DiscoveryCache cache_;
 

@@ -3,10 +3,9 @@
 //
 // The disk-resident catalog divides a snapshot's catalog region into
 // fixed-size blocks: sections start on block boundaries, the buffer
-// pool pins/evicts at block granularity, and — because a block is a
-// multiple of the page size and mappings are page-aligned — a block
-// boundary in the file is always a page boundary in memory, which is
-// what lets eviction use madvise on exact block extents.
+// pool tracks residency at block granularity, and — because a block is
+// a multiple of the page size and mappings are page-aligned — a block
+// boundary in the file is always a page boundary in memory.
 //
 // The checksum is a word-at-a-time xor/rotate/multiply mix (splitmix64
 // constants), chosen over byte-wise FNV because section verification is
@@ -24,8 +23,8 @@
 
 namespace gent::storage {
 
-/// Pool/eviction granularity and section alignment. A multiple of every
-/// practical page size (4 KiB, 16 KiB, 64 KiB) so madvise extents are
+/// Pool granularity and section alignment. A multiple of every
+/// practical page size (4 KiB, 16 KiB, 64 KiB) so block extents are
 /// always page-exact.
 inline constexpr size_t kBlockSize = 64 * 1024;
 

@@ -37,10 +37,10 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
     ::close(fd);
     return Status::IOError("'" + path + "' is empty");
   }
-  // MAP_PRIVATE read-only: pages are clean file pages, so
-  // MADV_DONTNEED drops them and the next access re-reads the file —
-  // exactly the eviction semantics BufferPool builds on. The fd can be
-  // closed once mapped; the mapping keeps the file alive.
+  // MAP_PRIVATE read-only: pages are clean file pages, so the kernel
+  // can drop them under memory pressure and re-read the file on the
+  // next access — the reason BufferPool needs no eviction of its own.
+  // The fd can be closed once mapped; the mapping keeps the file alive.
   void* p = io::InjectedFailure(io::Op::kMmap)
                 ? MAP_FAILED
                 : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -82,150 +82,57 @@ MappedFile::~MappedFile() {
   size_ = 0;
 }
 
-// --- PoolBudget -------------------------------------------------------------
-
-void PoolBudget::Register(BufferPool* pool) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pools_.push_back(pool);
-}
-
-void PoolBudget::Unregister(BufferPool* pool) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pools_.erase(std::remove(pools_.begin(), pools_.end(), pool), pools_.end());
-  if (rr_ >= pools_.size()) rr_ = 0;
-}
-
-size_t PoolBudget::used_blocks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t total = 0;
-  for (const BufferPool* p : pools_) total += p->UnpinnedResident();
-  return total;
-}
-
-void PoolBudget::Rebalance() {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (pools_.empty()) return;
-  // Round-robin across pools, each running its own CLOCK hand, until
-  // the global unpinned resident set fits. A full zero-progress cycle
-  // means everything left is pinned or freshly referenced — stop rather
-  // than spin (same over-capacity tolerance as a pool whose pins exceed
-  // its capacity).
-  for (;;) {
-    size_t total = 0;
-    for (const BufferPool* p : pools_) total += p->UnpinnedResident();
-    if (total <= capacity_) return;
-    size_t need = total - capacity_;
-    size_t progress = 0;
-    for (size_t i = 0; i < pools_.size() && need > 0; ++i) {
-      BufferPool* p = pools_[rr_];
-      rr_ = (rr_ + 1) % pools_.size();
-      const size_t got = p->EvictSome(need);
-      progress += got;
-      need -= got < need ? got : need;
-    }
-    if (progress == 0) return;
-  }
-}
-
 // --- BufferPool -------------------------------------------------------------
 
-BufferPool::BufferPool(const uint8_t* base, size_t bytes,
-                       size_t capacity_blocks,
-                       std::shared_ptr<PoolBudget> budget)
+BufferPool::BufferPool(const uint8_t* base, size_t bytes)
     : base_(base),
       bytes_(bytes),
-      capacity_(budget == nullptr ? capacity_blocks : 0),
-      budget_(std::move(budget)),
-      states_((bytes + kBlockSize - 1) / kBlockSize),
-      pins_((bytes + kBlockSize - 1) / kBlockSize, 0) {
-  for (auto& s : states_) s.store(0, std::memory_order_relaxed);
-  if (budget_ != nullptr) budget_->Register(this);
+      states_((bytes + kBlockSize - 1) / kBlockSize) {
+  for (auto& s : states_) s.store(false, std::memory_order_relaxed);
 }
 
-BufferPool::~BufferPool() {
-  if (budget_ != nullptr) budget_->Unregister(this);
-}
-
-void BufferPool::FaultRange(size_t first, size_t count, bool pin) {
+void BufferPool::Prefault(size_t first, size_t count) {
   if (first >= states_.size()) return;
   const size_t end = std::min(first + count, states_.size());
   // Fast path: every block already resident — no lock.
   bool all_resident = true;
   for (size_t b = first; b < end; ++b) {
-    const uint8_t s = states_[b].load(std::memory_order_relaxed);
-    if (!(s & kResident)) {
+    if (!states_[b].load(std::memory_order_relaxed)) {
       all_resident = false;
       break;
     }
   }
-  if (all_resident && !pin) {
-    for (size_t b = first; b < end; ++b) {
-      const uint8_t s = states_[b].load(std::memory_order_relaxed);
-      if (!(s & kRef)) {
-        states_[b].fetch_or(kRef, std::memory_order_relaxed);
-      }
-    }
+  if (all_resident) {
     hits_.fetch_add(end - first, std::memory_order_relaxed);
     return;
   }
 
-  bool faulted = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t b = first; b < end; ++b) {
-      const uint8_t s = states_[b].load(std::memory_order_relaxed);
-      if (s & kResident) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        faulted = true;
-        // Prefault the block so residency accounting matches reality:
-        // one volatile read per page brings it in from the file. The
-        // probe stands in for the SIGBUS/EIO a damaged backing file
-        // would raise on the access — a signal userspace cannot locally
-        // survive — so an injected fault is recorded sticky instead of
-        // dereferenced (the shard-health layer reads it via health()).
-        const uint8_t* p = base_ + b * kBlockSize;
-        const uint8_t* block_end =
-            base_ + std::min(bytes_, (b + 1) * kBlockSize);
-        if (!io::ProbeMappedRead(p, static_cast<size_t>(block_end - p))) {
-          read_faults_.fetch_add(1, std::memory_order_relaxed);
-          last_error_ = "mapped read fault in block " + std::to_string(b);
-        } else {
-          for (const uint8_t* q = p; q < block_end; q += 4096) {
-            (void)*const_cast<const volatile uint8_t*>(q);
-          }
-        }
-        ++resident_;
-        faults_.fetch_add(1, std::memory_order_relaxed);
-      }
-      states_[b].fetch_or(static_cast<uint8_t>(kResident | kRef),
-                          std::memory_order_relaxed);
-      if (pin) {
-        if (pins_[b]++ == 0) ++pinned_blocks_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (size_t b = first; b < end; ++b) {
+    if (states_[b].load(std::memory_order_relaxed)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    // Prefault the block so residency accounting matches reality: one
+    // volatile read per page brings it in from the file. The probe
+    // stands in for the SIGBUS/EIO a damaged backing file would raise
+    // on the access — a signal userspace cannot locally survive — so an
+    // injected fault is recorded sticky instead of dereferenced (the
+    // shard-health layer reads it via health()).
+    const uint8_t* p = base_ + b * kBlockSize;
+    const uint8_t* block_end = base_ + std::min(bytes_, (b + 1) * kBlockSize);
+    if (!io::ProbeMappedRead(p, static_cast<size_t>(block_end - p))) {
+      read_faults_.fetch_add(1, std::memory_order_relaxed);
+      last_error_ = "mapped read fault in block " + std::to_string(b);
+    } else {
+      for (const uint8_t* q = p; q < block_end; q += 4096) {
+        (void)*const_cast<const volatile uint8_t*>(q);
       }
     }
-    EvictLocked();
+    ++resident_;
+    faults_.fetch_add(1, std::memory_order_relaxed);
+    states_[b].store(true, std::memory_order_relaxed);
   }
-  // Outside our own mutex (lock order: budget → pool, never the
-  // reverse) the shared budget trims the fleet-wide resident set.
-  if (faulted && budget_ != nullptr) budget_->Rebalance();
-}
-
-void BufferPool::Pin(size_t first, size_t count) {
-  FaultRange(first, count, /*pin=*/true);
-}
-
-void BufferPool::Unpin(size_t first, size_t count) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const size_t end = std::min(first + count, states_.size());
-    for (size_t b = first; b < end; ++b) {
-      if (pins_[b] > 0 && --pins_[b] == 0) --pinned_blocks_;
-    }
-    EvictLocked();
-  }
-  if (budget_ != nullptr) budget_->Rebalance();
 }
 
 void BufferPool::Touch(const void* ptr, size_t bytes) {
@@ -233,69 +140,17 @@ void BufferPool::Touch(const void* ptr, size_t bytes) {
   const size_t first = BlockOf(ptr);
   const size_t last =
       BlockOf(static_cast<const uint8_t*>(ptr) + bytes - 1);
-  FaultRange(first, last - first + 1, /*pin=*/false);
-}
-
-void BufferPool::EvictLocked() {
-  if (capacity_ == 0) return;
-  const size_t evictable =
-      resident_ > pinned_blocks_ ? resident_ - pinned_blocks_ : 0;
-  if (evictable > capacity_) EvictSomeLocked(evictable - capacity_);
-}
-
-size_t BufferPool::EvictSomeLocked(size_t want) {
-  // CLOCK second chance over the unpinned resident set: clear reference
-  // bits until an unreferenced victim turns up; MADV_DONTNEED releases
-  // its physical pages while the virtual range — and every span
-  // pointing into it — stays valid.
-  size_t evicted = 0;
-  size_t sweeps = 0;
-  const size_t n = states_.size();
-  while (evicted < want && sweeps < 2 * n + 1) {
-    const size_t b = clock_hand_;
-    clock_hand_ = (clock_hand_ + 1) % n;
-    ++sweeps;
-    const uint8_t s = states_[b].load(std::memory_order_relaxed);
-    if (!(s & kResident) || pins_[b] > 0) continue;
-    if (s & kRef) {
-      states_[b].fetch_and(static_cast<uint8_t>(~kRef),
-                           std::memory_order_relaxed);
-      continue;
-    }
-#ifdef GENT_STORAGE_HAVE_MMAP
-    uint8_t* p = const_cast<uint8_t*>(base_) + b * kBlockSize;
-    const size_t len = std::min(bytes_ - b * kBlockSize, kBlockSize);
-    io::Madvise(p, len, MADV_DONTNEED);
-#endif
-    states_[b].fetch_and(static_cast<uint8_t>(~kResident),
-                         std::memory_order_relaxed);
-    --resident_;
-    ++evicted;
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return evicted;
-}
-
-size_t BufferPool::UnpinnedResident() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return resident_ > pinned_blocks_ ? resident_ - pinned_blocks_ : 0;
-}
-
-size_t BufferPool::EvictSome(size_t want) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return EvictSomeLocked(want);
+  Prefault(first, last - first + 1);
 }
 
 BufferPool::Stats BufferPool::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.faults = faults_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
   s.read_faults = read_faults_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s.resident_blocks = resident_;
-    s.pinned_blocks = pinned_blocks_;
   }
   s.total_blocks = states_.size();
   return s;

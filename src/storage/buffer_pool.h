@@ -1,41 +1,36 @@
-// Read-only file mapping + block-granular buffer pool (DESIGN.md §5.10).
+// Read-only file mapping + block-granular residency tracker (DESIGN.md
+// §5.10).
 //
-// MappedFile mmaps a snapshot read-only. BufferPool layers explicit
-// residency management over one block-aligned region of that mapping:
+// MappedFile mmaps a snapshot read-only. BufferPool tracks which
+// blocks of one block-aligned region of that mapping have been read
+// in:
 //
-//   * Pin(first, count)    — fault blocks in and exempt them from
-//                            eviction (the catalog pins its hot spine —
-//                            postings spine, CSR offsets, column index —
-//                            at open; pins nest).
-//   * Unpin(first, count)  — undo one Pin; at zero pins the block joins
-//                            the evictable set.
-//   * Touch(ptr, bytes)    — the read-path hook: ensure the blocks
-//                            under an arbitrary span are resident,
-//                            counting a hit per already-resident block
-//                            and a fault per block brought in.
+//   * Prefault(first, count) — read blocks in up front (the catalog
+//                              prefaults its hot spine — postings
+//                              spine, CSR offsets, column index — at
+//                              open).
+//   * Touch(ptr, bytes)      — the read-path hook: ensure the blocks
+//                              under an arbitrary span are resident,
+//                              counting a hit per already-resident block
+//                              and a fault per block brought in.
 //
-// Eviction is CLOCK second-chance (the "scalar LRU" of the design:
-// Touch sets a reference bit; the hand clears bits and evicts the first
-// unreferenced, unpinned block) and releases physical memory with
-// madvise(MADV_DONTNEED) — the virtual mapping is untouched, so every
-// span handed out by the catalog stays VALID across eviction: a read
-// after eviction transparently re-faults the block from the file. That
-// is the property that makes eviction safe to run concurrently with any
-// number of readers, and it is why the pool can bound residency for
-// lakes bigger than RAM without a handle-per-read API.
+// There is no eviction. The mapping is MAP_PRIVATE and never written,
+// so its pages are clean file pages: under memory pressure the kernel
+// drops them and re-reads them from the file on the next access, and
+// every span the catalog hands out stays valid throughout. A block's
+// "resident" flag therefore means "read in once", and resident_bytes()
+// is what the catalog has touched, not a bound.
 //
 // Thread safety: all methods are safe from any number of threads. The
 // fast path (Touch of resident blocks) is lock-free — one relaxed
-// atomic load per block plus a reference-bit store; faults and
-// evictions serialize on one mutex. Counters are relaxed atomics:
-// exact for quiescent reads, monotone always.
+// atomic load per block; faults serialize on one mutex. Counters are
+// relaxed atomics: exact for quiescent reads, monotone always.
 
 #ifndef GENT_STORAGE_BUFFER_POOL_H_
 #define GENT_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -67,82 +62,34 @@ class MappedFile {
   size_t size_ = 0;
 };
 
-class BufferPool;
-
-/// One capacity budget shared by every BufferPool of a service
-/// (DESIGN.md §5.12): the bound applies to the SUM of the pools'
-/// unpinned resident sets instead of per shard, so one hot shard can
-/// use the whole allowance while cold shards hold nothing. Pools
-/// register on construction; after any fault they call Rebalance, which
-/// sweeps pools round-robin with each pool's own CLOCK hand until the
-/// total fits. capacity_blocks == 0 means unbounded (pure fault-in).
-///
-/// Lock order: budget mutex → pool mutex, never the reverse — pools
-/// call Rebalance only after releasing their own mutex.
-class PoolBudget {
- public:
-  explicit PoolBudget(size_t capacity_blocks) : capacity_(capacity_blocks) {}
-
-  size_t capacity_blocks() const { return capacity_; }
-  /// Total unpinned resident blocks across registered pools.
-  size_t used_blocks() const;
-  /// Evicts round-robin across pools until used_blocks() fits the
-  /// budget (or nothing more is evictable). Called by pools post-fault
-  /// and usable directly by tests.
-  void Rebalance();
-
- private:
-  friend class BufferPool;
-  void Register(BufferPool* pool);
-  void Unregister(BufferPool* pool);
-
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<BufferPool*> pools_;  // guarded by mutex_
-  size_t rr_ = 0;                   // round-robin sweep cursor
-};
-
 class BufferPool {
  public:
   struct Stats {
-    uint64_t hits = 0;       // Touch/Pin found the block resident
-    uint64_t faults = 0;     // block brought in (first touch or re-fault)
-    uint64_t evictions = 0;  // blocks released via MADV_DONTNEED
+    uint64_t hits = 0;         // Touch/Prefault found the block resident
+    uint64_t faults = 0;       // block read in on its first touch
     uint64_t read_faults = 0;  // prefault reads that hit an I/O fault
     size_t resident_blocks = 0;
-    size_t pinned_blocks = 0;
     size_t total_blocks = 0;
     size_t block_size = kBlockSize;
   };
 
-  /// Manages `bytes` of mapping starting at `base`. `base` must sit at
-  /// a block-aligned file offset of a page-aligned mapping (i.e. be
+  /// Tracks `bytes` of mapping starting at `base`. `base` must sit at a
+  /// block-aligned file offset of a page-aligned mapping (i.e. be
   /// page-aligned itself); the last block may be partial.
-  /// `capacity_blocks` bounds the UNPINNED resident set (0 = unbounded:
-  /// blocks fault in and stay until destruction — the pure fault-in
-  /// model). Pinned blocks never count against capacity. When `budget`
-  /// is non-null the pool joins that shared budget instead:
-  /// `capacity_blocks` is ignored and eviction happens through
-  /// PoolBudget::Rebalance across every registered pool.
-  BufferPool(const uint8_t* base, size_t bytes, size_t capacity_blocks,
-             std::shared_ptr<PoolBudget> budget = nullptr);
-  ~BufferPool();
+  BufferPool(const uint8_t* base, size_t bytes);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
   size_t num_blocks() const { return states_.size(); }
 
-  /// Faults `count` blocks starting at `first` and pins them (nesting).
-  void Pin(size_t first, size_t count);
-  /// Releases one pin level; blocks whose pin count reaches zero become
-  /// evictable.
-  void Unpin(size_t first, size_t count);
+  /// Reads in `count` blocks starting at `first`, counted like Touch.
+  void Prefault(size_t first, size_t count);
 
   /// Read-path hook: ensures every block underlying [ptr, ptr+bytes) is
   /// resident. `ptr` must lie inside the managed region. Cheap for
   /// resident blocks (one relaxed load each); faulting blocks take the
-  /// mutex and may trigger eviction.
+  /// mutex.
   void Touch(const void* ptr, size_t bytes);
 
   Stats stats() const;
@@ -157,43 +104,19 @@ class BufferPool {
   /// wherever the underlying pages are intact.
   Status health() const;
 
-  /// Unpinned resident blocks — this pool's charge against a shared
-  /// budget.
-  size_t UnpinnedResident() const;
-  /// CLOCK-evicts up to `want` unpinned resident blocks regardless of
-  /// the local capacity; returns how many went. PoolBudget's lever.
-  size_t EvictSome(size_t want);
-
  private:
-  // Per-block state bits (one atomic per block).
-  static constexpr uint8_t kResident = 1;
-  static constexpr uint8_t kRef = 2;
-
-  /// Faults + bumps counters for [first, first+count); optionally pins.
-  void FaultRange(size_t first, size_t count, bool pin);
-  /// CLOCK sweep evicting until the unpinned resident set fits
-  /// `capacity_`. Caller holds mutex_.
-  void EvictLocked();
-  /// CLOCK sweep evicting up to `want` blocks. Caller holds mutex_.
-  size_t EvictSomeLocked(size_t want);
   size_t BlockOf(const void* ptr) const {
     return (static_cast<const uint8_t*>(ptr) - base_) / kBlockSize;
   }
 
   const uint8_t* base_;
   size_t bytes_;
-  size_t capacity_;
-  std::shared_ptr<PoolBudget> budget_;  // null = local capacity_ applies
 
-  std::vector<std::atomic<uint8_t>> states_;
+  std::vector<std::atomic<bool>> states_;  // per block: read in yet?
   mutable std::mutex mutex_;
-  std::vector<uint32_t> pins_;   // guarded by mutex_
-  size_t clock_hand_ = 0;        // guarded by mutex_
-  size_t resident_ = 0;          // guarded by mutex_
-  size_t pinned_blocks_ = 0;     // guarded by mutex_
+  size_t resident_ = 0;  // guarded by mutex_
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> faults_{0};
-  std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> read_faults_{0};
   std::string last_error_;  // guarded by mutex_ (first read fault wins)
 };

@@ -322,35 +322,32 @@ Result<std::unique_ptr<MappedCatalog>> MappedCatalog::Open(
   cat->file_ = std::move(mapped).value();
   const uint8_t* data = cat->file_.data();
 
-  // The pool manages the catalog region: block-aligned file offsets of
+  // The pool tracks the catalog region: block-aligned file offsets of
   // a page-aligned mapping, so every block starts on a page boundary.
   const uint64_t region_begin = footer->catalog_begin;
   cat->region_bytes_ = footer->footer_offset - region_begin;
-  cat->pool_ = std::make_unique<BufferPool>(data + region_begin,
-                                            static_cast<size_t>(
-                                                cat->region_bytes_),
-                                            options.pool_capacity_blocks,
-                                            options.budget);
+  cat->pool_ = std::make_unique<BufferPool>(
+      data + region_begin, static_cast<size_t>(cat->region_bytes_));
 
-  const auto pin_range = [&](uint64_t offset, uint64_t bytes) {
+  const auto prefault_range = [&](uint64_t offset, uint64_t bytes) {
     const size_t first =
         static_cast<size_t>((offset - region_begin) / kBlockSize);
     const size_t blocks = static_cast<size_t>(
         AlignToBlock(offset - region_begin + bytes) / kBlockSize - first);
-    cat->pool_->Pin(first, blocks);
+    cat->pool_->Prefault(first, blocks);
   };
-  const auto pin_section = [&](const SectionDesc& s) {
-    pin_range(s.offset, s.bytes);
+  const auto prefault_section = [&](const SectionDesc& s) {
+    prefault_range(s.offset, s.bytes);
   };
-  // Hot spine stays pinned: the column index, postings spine, and CSR
-  // offsets are touched by effectively every query; only column runs and
-  // the CSR payload fault in on demand.
-  pin_section(*index);
-  pin_section(*spine);
-  pin_section(*post_offsets);
+  // Hot spine is read in at open: the column index, postings spine, and
+  // CSR offsets are touched by effectively every query; only column runs
+  // and the CSR payload fault in on demand.
+  prefault_section(*index);
+  prefault_section(*spine);
+  prefault_section(*post_offsets);
 
-  // Structural validation reads only pinned sections (plus two u32s of
-  // bracketing data), so a bounded pool never thrashes during open.
+  // Structural validation reads only prefaulted sections (plus two u32s
+  // of bracketing data).
   Directory dir;
   Status st = ParseColumnIndex(data + index->offset, index->bytes,
                                values->bytes / 4, &dir);
@@ -378,9 +375,9 @@ Result<std::unique_ptr<MappedCatalog>> MappedCatalog::Open(
 
   // Delta runs: parse each blob's catalog part straight from the
   // mapping (runs live inside the pool region, before the footer) and
-  // pin its hot prefix — run column index through CSR offsets — like
-  // the base sections' spine. Column-id chaining is validated so the
-  // engine can treat base + runs as one dense id space.
+  // prefault its hot prefix — run column index through CSR offsets —
+  // like the base sections' spine. Column-id chaining is validated so
+  // the engine can treat base + runs as one dense id space.
   uint64_t next_col = dir.entries.size();
   for (const DeltaRunDesc& run : *runs) {
     RunViews rv;
@@ -403,8 +400,8 @@ Result<std::unique_ptr<MappedCatalog>> MappedCatalog::Open(
     const uint8_t* hot_begin = data + run.offset + catalog_off;
     const uint8_t* hot_end = reinterpret_cast<const uint8_t*>(
         rv.catalog.post_offsets.data() + rv.catalog.post_offsets.size());
-    pin_range(static_cast<uint64_t>(hot_begin - data),
-              static_cast<uint64_t>(hot_end - hot_begin));
+    prefault_range(static_cast<uint64_t>(hot_begin - data),
+                   static_cast<uint64_t>(hot_end - hot_begin));
     cat->delta_runs_.push_back(std::move(rv));
   }
   return cat;

@@ -19,9 +19,10 @@
 //     checksum, every section checksum, structural invariants) used by
 //     LoadSnapshot so a loaded v2 snapshot is known-good end to end.
 //   * MappedCatalog — the open-without-rebuild path: mmaps the file,
-//     bounds-checks the directory, pins the hot spine (spine + CSR
-//     offsets + column index) in a BufferPool, and exposes the section
-//     views; per-column runs and CSR payload fault in on first touch.
+//     bounds-checks the directory, prefaults the hot spine (spine + CSR
+//     offsets + column index) through a BufferPool, and exposes the
+//     section views; per-column runs and CSR payload fault in on first
+//     touch.
 
 #ifndef GENT_STORAGE_CATALOG_PAGER_H_
 #define GENT_STORAGE_CATALOG_PAGER_H_
@@ -103,7 +104,7 @@ Result<std::vector<DeltaRunDesc>> ReadDeltaDir(std::FILE* file,
 /// read failure or mismatch.
 Status VerifyDeltaRunChecksum(std::FILE* file, const DeltaRunDesc& run);
 
-/// The mapped, pool-managed catalog backend of a v2 snapshot.
+/// The mapped catalog backend of a v2 snapshot.
 class MappedCatalog {
  public:
   struct Options {
@@ -111,13 +112,6 @@ class MappedCatalog {
     /// Redundant (and off) when the file was just validated by
     /// LoadSnapshot; on for standalone opens (tools, tests).
     bool verify_checksums = true;
-    /// BufferPool capacity for the UNPINNED resident set, in blocks of
-    /// kBlockSize (0 = unbounded fault-in). The pinned hot spine is
-    /// exempt. Ignored when `budget` is set.
-    size_t pool_capacity_blocks = 0;
-    /// Shared capacity budget across catalogs (a service's shards share
-    /// one allowance instead of per-shard caps; DESIGN.md §5.12).
-    std::shared_ptr<PoolBudget> budget;
   };
 
   /// One delta run's catalog views plus its generation, for the
@@ -128,13 +122,14 @@ class MappedCatalog {
   };
 
   /// Opens `path`, validates the directory against the mapping bounds,
-  /// and pins the hot spine. InvalidArgument when the file has no v2
-  /// catalog (e.g. a v1 snapshot); IOError on corruption.
+  /// and prefaults the hot spine. InvalidArgument when the file has no
+  /// v2 catalog (e.g. a v1 snapshot); IOError on corruption.
   static Result<std::unique_ptr<MappedCatalog>> Open(const std::string& path,
                                                      const Options& options);
 
-  /// Views into the mapping; valid for this object's lifetime,
-  /// including across pool evictions.
+  /// Views into the mapping; valid for this object's lifetime (the
+  /// kernel may drop clean pages under pressure, which only re-reads
+  /// them).
   const CatalogSectionViews& views() const { return views_; }
 
   /// Delta runs appended after the base sections, in generation order

@@ -6,7 +6,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #define GENT_IO_HAVE_UNISTD 1
@@ -270,22 +269,6 @@ Result<uint64_t> FileSize(const std::string& path) {
   std::fclose(f);
   if (end < 0) return Status::IOError("cannot stat '" + path + "'");
   return static_cast<uint64_t>(end);
-#endif
-}
-
-void Madvise(void* addr, size_t len, int advice) {
-  switch (Consult(Op::kMadvise)) {
-    case FaultInjector::Outcome::kPass:
-      break;
-    default:
-      return;  // advisory: an injected failure just skips the advice
-  }
-#if defined(GENT_IO_HAVE_UNISTD)
-  ::madvise(addr, len, advice);
-#else
-  (void)addr;
-  (void)len;
-  (void)advice;
 #endif
 }
 

@@ -3,7 +3,7 @@
 //
 // Every storage syscall the snapshot/catalog stack issues — stdio
 // open/read/write/flush/close, fsync of files and parent directories,
-// rename/remove, mmap-side stat/madvise, and the buffer pool's
+// rename/remove, the mmap path's open/stat/mmap, and the buffer pool's
 // prefault reads — goes through the thin wrappers in gent::io instead
 // of calling libc directly. With no injector installed (the production
 // configuration, and the default) each wrapper is the underlying call
@@ -57,11 +57,10 @@ enum class Op : uint32_t {
   kRename,     // Rename
   kRemove,     // Remove
   kStat,       // FileSize / the mmap path's fstat
-  kMadvise,    // Madvise (buffer-pool eviction)
   kMapRead,    // ProbeMappedRead (buffer-pool prefault of a block)
   kMmap,       // MappedFile's mmap(2)
 };
-inline constexpr size_t kNumOps = 12;
+inline constexpr size_t kNumOps = 11;
 
 /// Bit for Op `op` in FaultPlan::op_mask.
 constexpr uint32_t OpBit(Op op) { return 1u << static_cast<uint32_t>(op); }
@@ -151,10 +150,6 @@ Status SyncParentDir(const std::string& path);
 
 /// Size of the file at `path` (stat).
 Result<uint64_t> FileSize(const std::string& path);
-
-/// madvise(2) passthrough for the buffer pool (counted; never fails
-/// the caller — eviction is advisory).
-void Madvise(void* addr, size_t len, int advice);
 
 /// Buffer-pool prefault hook: called once per block fault just before
 /// the pool touches the mapped pages. Returns false when an injected

@@ -12,9 +12,8 @@
 //
 // Spans never own memory. A span into a RAM backend is valid for the
 // catalog's lifetime; a span into a mapped backend is valid for the
-// mapping's lifetime — buffer-pool eviction releases physical pages
-// (madvise), never the virtual mapping, so a span survives eviction and
-// a later read simply faults the block back in.
+// mapping's lifetime — the kernel may drop the clean pages under it,
+// never the virtual mapping, so a later read simply re-reads them.
 
 #ifndef GENT_STORAGE_SPAN_H_
 #define GENT_STORAGE_SPAN_H_

@@ -206,26 +206,25 @@ std::string WriteBlocks(const std::string& path, size_t blocks) {
   return path;
 }
 
-TEST_F(StorageTest, BufferPoolCountsHitsFaultsEvictions) {
+TEST_F(StorageTest, BufferPoolCountsHitsAndFaults) {
   auto mapped = MappedFile::Open(WriteBlocks(Path("pool.bin"), 8));
   if (!mapped.ok()) GTEST_SKIP() << "mmap unavailable on this platform";
-  // Capacity 2: at most two unpinned blocks resident at once.
-  BufferPool pool(mapped->data(), mapped->size(), /*capacity_blocks=*/2);
+  BufferPool pool(mapped->data(), mapped->size());
   ASSERT_EQ(pool.num_blocks(), 8u);
 
-  // Pin block 0: one fault, resident + pinned, exempt from capacity.
-  pool.Pin(0, 1);
+  // Prefault block 0: one fault, one resident block.
+  pool.Prefault(0, 1);
   BufferPool::Stats s = pool.stats();
   EXPECT_EQ(s.faults, 1u);
-  EXPECT_EQ(s.pinned_blocks, 1u);
+  EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.resident_blocks, 1u);
+  EXPECT_EQ(s.total_blocks, 8u);
 
-  // Touch two unpinned blocks: two faults, no eviction yet (fits cap).
+  // First touches of two more blocks: two faults.
   pool.Touch(mapped->data() + 1 * kBlockSize, 10);
   pool.Touch(mapped->data() + 2 * kBlockSize, 10);
   s = pool.stats();
   EXPECT_EQ(s.faults, 3u);
-  EXPECT_EQ(s.evictions, 0u);
   EXPECT_EQ(s.resident_blocks, 3u);
 
   // Re-touching a resident block is a hit, not a fault.
@@ -234,60 +233,22 @@ TEST_F(StorageTest, BufferPoolCountsHitsFaultsEvictions) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.faults, 3u);
 
-  // A third unpinned block exceeds capacity: something gets evicted.
-  pool.Touch(mapped->data() + 3 * kBlockSize, 10);
+  // A Touch across the boundary of resident block 2 and new block 3
+  // counts one hit and one fault.
+  pool.Touch(mapped->data() + 3 * kBlockSize - 4, 8);
   s = pool.stats();
+  EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.faults, 4u);
-  EXPECT_GE(s.evictions, 1u);
-  // Unpinned residents bounded by capacity; the pin never counts.
-  EXPECT_LE(s.resident_blocks - s.pinned_blocks, 2u);
-  EXPECT_EQ(s.pinned_blocks, 1u);
+  EXPECT_EQ(s.resident_blocks, 4u);
+  EXPECT_EQ(s.read_faults, 0u);
+  EXPECT_TRUE(pool.health().ok());
 
-  // The data under an evicted block is still readable (mapping intact)
-  // and re-touching it re-faults.
-  const uint64_t faults_before = s.faults;
-  for (size_t b = 1; b <= 3; ++b) {
+  // The bytes under every touched block read back as written.
+  for (size_t b = 0; b < 4; ++b) {
     const uint8_t* p = mapped->data() + b * kBlockSize;
     EXPECT_EQ(p[5], static_cast<uint8_t>((b * 31 + 5) & 0xFF));
-    pool.Touch(p, 1);
   }
-  s = pool.stats();
-  EXPECT_GT(s.faults, faults_before);
-
-  // A Touch spanning a block boundary counts both blocks.
-  pool.Pin(6, 2);
-  s = pool.stats();
-  EXPECT_EQ(s.pinned_blocks, 3u);
-  pool.Unpin(6, 2);
-  s = pool.stats();
-  EXPECT_EQ(s.pinned_blocks, 1u);
-}
-
-TEST_F(StorageTest, BufferPoolUnboundedNeverEvicts) {
-  auto mapped = MappedFile::Open(WriteBlocks(Path("pool0.bin"), 4));
-  if (!mapped.ok()) GTEST_SKIP() << "mmap unavailable on this platform";
-  BufferPool pool(mapped->data(), mapped->size(), /*capacity_blocks=*/0);
-  for (size_t b = 0; b < 4; ++b) {
-    pool.Touch(mapped->data() + b * kBlockSize, kBlockSize);
-  }
-  BufferPool::Stats s = pool.stats();
-  EXPECT_EQ(s.faults, 4u);
-  EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(s.resident_blocks, 4u);
   EXPECT_EQ(pool.resident_bytes(), 4 * uint64_t{kBlockSize});
-}
-
-TEST_F(StorageTest, NestedPinsReleaseInOrder) {
-  auto mapped = MappedFile::Open(WriteBlocks(Path("pins.bin"), 2));
-  if (!mapped.ok()) GTEST_SKIP() << "mmap unavailable on this platform";
-  BufferPool pool(mapped->data(), mapped->size(), /*capacity_blocks=*/1);
-  pool.Pin(0, 1);
-  pool.Pin(0, 1);  // nested
-  pool.Unpin(0, 1);
-  // Still pinned after one release.
-  EXPECT_EQ(pool.stats().pinned_blocks, 1u);
-  pool.Unpin(0, 1);
-  EXPECT_EQ(pool.stats().pinned_blocks, 0u);
 }
 
 TEST_F(StorageTest, MappedFileRejectsMissingAndEmpty) {
@@ -368,8 +329,8 @@ TEST_F(StorageTest, MappedCatalogRoundTrip) {
   ASSERT_EQ(v.post_cols.size(), cat.post_cols.size());
   EXPECT_TRUE(std::equal(v.post_cols.begin(), v.post_cols.end(),
                          cat.post_cols.begin()));
-  // The hot spine is pinned at open.
-  EXPECT_GT((*mapped)->pool().stats().pinned_blocks, 0u);
+  // The hot spine is resident after open.
+  EXPECT_GT((*mapped)->pool().stats().resident_blocks, 0u);
 }
 
 TEST_F(StorageTest, MappedCatalogRejectsBrokenCsr) {
