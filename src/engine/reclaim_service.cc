@@ -19,21 +19,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Budget for a synchronous request: timeout and end-to-end deadline
-// both start now (there is no queue wait to cover), the earlier wins.
-OpLimits LimitsFromRequest(const ReclaimRequest& request) {
-  OpLimits limits;
-  const auto now = std::chrono::steady_clock::now();
-  if (request.timeout_seconds > 0) {
-    limits.Deadline(SteadyTimeAfter(now, request.timeout_seconds));
-  }
-  if (request.deadline_seconds > 0) {
-    limits.Deadline(SteadyTimeAfter(now, request.deadline_seconds));
-  }
-  if (request.max_rows > 0) limits.MaxRows(request.max_rows);
-  return limits;
-}
-
 // Exponential backoff with deterministic per-(shard, attempt) jitter:
 // initial · 2^attempt capped at max, scaled by a splitmix-derived
 // factor in [1 - kJitter, 1 + kJitter]. Deterministic so recovery tests
@@ -59,6 +44,15 @@ SnapshotLoadInfo WrittenFromServedLake() {
   file.version = 2;
   file.identity_remap = true;
   return file;
+}
+
+Status CheckServiceDictionary(const std::string& name, const DataLake& lake,
+                              const DictionaryPtr& dict) {
+  if (lake.dict() == dict) return Status::OK();
+  return Status::InvalidArgument(
+      "shard '" + name +
+      "' must use the service dictionary (value ids must be comparable "
+      "across shards)");
 }
 
 }  // namespace
@@ -88,16 +82,14 @@ Table TranslateToDictionary(const Table& source, const DictionaryPtr& dict) {
 struct ReclaimTicket::SharedState {
   std::mutex mutex;
   std::condition_variable ready_cv;
-  // Cancel() ran before the result was published. One-way; the
-  // publisher (ReclaimService::Publish) honors it by forcing the
-  // published status to Cancelled.
-  bool cancelled = false;
   std::optional<Result<ReclamationResult>> result;
   // Stamped by Publish immediately before waking waiters.
   std::chrono::steady_clock::time_point completed_at{};
-  // The OpLimits cancel token the pipeline polls at its checkpoints.
-  // Atomic (not mutex-guarded): checkpoints read it lock-free from
-  // worker threads while Cancel() stores from any thread.
+  // Cancel() ran before the result was published. One-way. It is the
+  // OpLimits cancel token the pipeline polls lock-free at its
+  // checkpoints; Cancel() stores it under `mutex` and the publisher
+  // (ReclaimService::Publish) reads it under `mutex`, forcing the
+  // published status to Cancelled.
   std::atomic<bool> cancel_flag{false};
 };
 
@@ -140,10 +132,10 @@ bool ReclaimTicket::Cancel() const {
   SharedState& s = *state_;
   std::lock_guard<std::mutex> lock(s.mutex);
   if (s.result.has_value()) return false;  // already resolved: too late
-  s.cancelled = true;  // idempotent: repeat Cancels also report success
-  // Fire the pipeline token. Publication is serialized on s.mutex, so
-  // either the publisher already ran (result above) or it will observe
-  // s.cancelled and publish Cancelled — Cancel()==true is a guarantee.
+  // Fire the pipeline token (idempotent: repeat Cancels also report
+  // success). Publication is serialized on s.mutex, so either the
+  // publisher already ran (result above) or it will observe the flag
+  // and publish Cancelled — Cancel()==true is a guarantee.
   s.cancel_flag.store(true, std::memory_order_release);
   return true;
 }
@@ -184,63 +176,50 @@ void ReclaimService::PublishLocked(std::shared_ptr<RegistrySnapshot> next) {
   registry_ = std::move(next);
 }
 
+Result<std::shared_ptr<const ReclaimService::Shard>> ReclaimService::Find(
+    const RegistrySnapshot& registry, const std::string& name) {
+  auto it = registry.by_name.find(name);
+  if (it == registry.by_name.end()) {
+    return Status::NotFound("no shard named '" + name + "'");
+  }
+  return registry.shards[it->second];
+}
+
 std::shared_ptr<ReclaimService::Shard> ReclaimService::MakeShard(
     const std::string& name, std::shared_ptr<const DataLake> owned,
     const DataLake* borrowed,
     std::shared_ptr<const ColumnStatsCatalog> catalog,
-    const std::string& source_path) const {
+    const std::string& source_path, const SnapshotLoadInfo& file) const {
   auto shard = std::make_shared<Shard>();
   shard->name = name;
   shard->lake = owned != nullptr ? owned.get() : borrowed;
   shard->owned = std::move(owned);
+  // The one catalog build this registration will ever do — outside the
+  // registry lock, so serving is never blocked on it. A prebuilt
+  // catalog (mapped or layered) skips even that.
+  shard->catalog = catalog != nullptr
+                       ? std::move(catalog)
+                       : std::make_shared<const ColumnStatsCatalog>(
+                             *shard->lake);
   shard->source_path = source_path;
+  shard->file = file;
   shard->health = std::make_shared<ShardHealthCell>();
-  shard->gent = catalog != nullptr
-                    ? std::make_unique<GenT>(std::move(catalog),
-                                             options_.config)
-                    : std::make_unique<GenT>(*shard->lake, options_.config);
   return shard;
 }
 
-Status ReclaimService::RegisterShard(
-    const std::string& name, std::shared_ptr<const DataLake> owned,
-    const DataLake* borrowed,
-    std::shared_ptr<const ColumnStatsCatalog> catalog,
-    const std::string& source_path, const SnapshotLoadInfo& file) {
-  if (name.empty()) {
+Status ReclaimService::RegisterShard(std::shared_ptr<Shard> shard) {
+  if (shard->name.empty()) {
     return Status::InvalidArgument(
         "shard name must be non-empty (\"\" routes to all shards)");
   }
-  const DataLake* lake = owned != nullptr ? owned.get() : borrowed;
-  if (lake->dict() != dict_) {
-    return Status::InvalidArgument(
-        "shard '" + name +
-        "' must use the service dictionary (value ids must be comparable "
-        "across shards)");
-  }
-  // Fail fast on an obvious duplicate before paying for the catalog
-  // build; the authoritative check re-runs under the lock below.
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    if (registry_->by_name.count(name) > 0) {
-      return Status::AlreadyExists("shard '" + name + "' already registered");
-    }
-  }
-
-  // The one catalog build this registration will ever do — outside the
-  // registry lock, so serving is never blocked on it. A prebuilt
-  // catalog (the mapped snapshot-open path) skips even that.
-  std::shared_ptr<Shard> shard = MakeShard(name, std::move(owned), borrowed,
-                                           std::move(catalog), source_path);
-  shard->file = file;
-
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  if (registry_->by_name.count(name) > 0) {
-    return Status::AlreadyExists("shard '" + name + "' already registered");
+  if (registry_->by_name.count(shard->name) > 0) {
+    return Status::AlreadyExists("shard '" + shard->name +
+                                 "' already registered");
   }
   shard->uid = next_shard_uid_++;
   auto next = std::make_shared<RegistrySnapshot>(*registry_);
-  next->by_name[name] = next->shards.size();
+  next->by_name[shard->name] = next->shards.size();
   next->shards.push_back(std::move(shard));
   PublishLocked(std::move(next));
   return Status::OK();
@@ -266,29 +245,32 @@ bool ReclaimService::ReplaceShard(std::shared_ptr<Shard> shard,
 }
 
 Status ReclaimService::AddLake(const std::string& name, DataLake lake) {
-  return RegisterShard(name, std::make_unique<DataLake>(std::move(lake)),
-                       nullptr, nullptr);
+  GENT_RETURN_IF_ERROR(CheckServiceDictionary(name, lake, dict_));
+  return RegisterShard(MakeShard(
+      name, std::make_shared<const DataLake>(std::move(lake)), nullptr,
+      nullptr));
 }
 
 Status ReclaimService::AddLakeView(const std::string& name,
                                    const DataLake& lake) {
-  return RegisterShard(name, nullptr, &lake, nullptr);
+  GENT_RETURN_IF_ERROR(CheckServiceDictionary(name, lake, dict_));
+  return RegisterShard(MakeShard(name, nullptr, &lake, nullptr));
 }
 
-Status ReclaimService::LoadShardFromSnapshot(
-    const std::string& path, std::unique_ptr<DataLake>* lake,
-    std::shared_ptr<const ColumnStatsCatalog>* catalog,
-    SnapshotLoadInfo* info) const {
-  *lake = std::make_unique<DataLake>(dict_);
-  catalog->reset();
-  GENT_RETURN_IF_ERROR(LoadSnapshot(**lake, path, info));
+Result<std::shared_ptr<ReclaimService::Shard>> ReclaimService::LoadShard(
+    const std::string& name, const std::string& path) const {
+  auto lake = std::make_shared<DataLake>(dict_);
+  SnapshotLoadInfo info;
+  GENT_RETURN_IF_ERROR(LoadSnapshot(*lake, path, &info));
   // v2 with a matching id space: the file's catalog sections speak this
   // lake's ValueIds verbatim, so open them mapped. LoadSnapshot just
   // verified every section checksum. Anything else rebuilds.
-  if (info->version >= 2 && info->identity_remap) {
-    *catalog = OpenMappedCatalog(**lake, path);
+  std::shared_ptr<const ColumnStatsCatalog> catalog;
+  if (info.version >= 2 && info.identity_remap) {
+    catalog = OpenMappedCatalog(*lake, path);
   }
-  return Status::OK();
+  return MakeShard(name, std::move(lake), nullptr, std::move(catalog), path,
+                   info);
 }
 
 std::shared_ptr<const ColumnStatsCatalog> ReclaimService::OpenMappedCatalog(
@@ -316,12 +298,8 @@ ReclaimService::WriteShardFile(const DataLake& lake,
 
 Status ReclaimService::AddLakeFromSnapshot(const std::string& name,
                                            const std::string& path) {
-  std::unique_ptr<DataLake> lake;
-  std::shared_ptr<const ColumnStatsCatalog> catalog;
-  SnapshotLoadInfo info;
-  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog, &info));
-  return RegisterShard(name, std::move(lake), nullptr, std::move(catalog),
-                       path, info);
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<Shard> shard, LoadShard(name, path));
+  return RegisterShard(std::move(shard));
 }
 
 Status ReclaimService::AddLakeFromDirectory(const std::string& name,
@@ -329,23 +307,18 @@ Status ReclaimService::AddLakeFromDirectory(const std::string& name,
   // Startup housekeeping: a saver that crashed mid-commit strands its
   // temp file here; collect the strands before serving from the dir.
   (void)SweepSnapshotTemps(dir);
-  auto lake = std::make_unique<DataLake>(dict_);
+  auto lake = std::make_shared<DataLake>(dict_);
   GENT_RETURN_IF_ERROR(lake->LoadDirectory(dir));
-  return RegisterShard(name, std::move(lake), nullptr, nullptr);
+  return RegisterShard(MakeShard(name, std::move(lake), nullptr, nullptr));
 }
 
 Status ReclaimService::SaveShardSnapshot(const std::string& name,
                                          const std::string& path) const {
   // Pin: the shard (lake + catalog) stays alive for the whole write
   // even against a concurrent RemoveLake/Reload.
-  RegistryPtr registry = Pin();
-  auto it = registry->by_name.find(name);
-  if (it == registry->by_name.end()) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  const Shard& shard = *registry->shards[it->second];
-  return SaveSnapshotV2(*shard.lake, shard.gent->catalog().section_views(),
-                        path);
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
+                        Find(*Pin(), name));
+  return SaveSnapshotV2(*shard->lake, shard->catalog->section_views(), path);
 }
 
 Status ReclaimService::RemoveLake(const std::string& name) {
@@ -371,16 +344,10 @@ Status ReclaimService::RemoveLake(const std::string& name) {
 Status ReclaimService::ReloadLakeFromSnapshot(const std::string& name,
                                               const std::string& path) {
   // Expensive work first, outside the lock: if the snapshot is corrupt
-  // the old shard keeps serving untouched.
-  std::unique_ptr<DataLake> lake;
-  std::shared_ptr<const ColumnStatsCatalog> catalog;
-  SnapshotLoadInfo info;
-  GENT_RETURN_IF_ERROR(LoadShardFromSnapshot(path, &lake, &catalog, &info));
-  // A new registration with a fresh health cell: an explicit reload
-  // supersedes any quarantine of the old one.
-  std::shared_ptr<Shard> shard =
-      MakeShard(name, std::move(lake), nullptr, std::move(catalog), path);
-  shard->file = info;
+  // the old shard keeps serving untouched. The new registration has a
+  // fresh health cell: an explicit reload supersedes any quarantine of
+  // the old one.
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<Shard> shard, LoadShard(name, path));
   if (!ReplaceShard(std::move(shard), nullptr)) {
     return Status::NotFound("no shard named '" + name + "'");
   }
@@ -396,12 +363,7 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
   // on this lock.
   std::lock_guard<std::mutex> append_lock(append_mutex_);
 
-  RegistryPtr registry = Pin();
-  auto it = registry->by_name.find(name);
-  if (it == registry->by_name.end()) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  std::shared_ptr<const Shard> old = registry->shards[it->second];
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> old, Find(*Pin(), name));
   if (old->health->quarantined.load(std::memory_order_acquire)) {
     return Status::Unavailable("shard '" + name +
                                "' is quarantined pending recovery");
@@ -411,7 +373,7 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
   // appended generation is a fresh lake: copied table handles plus the
   // re-interned new tables. Any failure below leaves the old shard
   // serving untouched.
-  auto lake = std::make_unique<DataLake>(*old->lake);
+  auto lake = std::make_shared<DataLake>(*old->lake);
   const size_t first_table = lake->size();
   for (Table& t : tables) {
     GENT_RETURN_IF_ERROR(lake->AddTable(
@@ -447,19 +409,19 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
                                                old->source_path,
                                                &file.delta_runs));
     }
-    auto layered = ColumnStatsCatalog::WithAppended(
-        old->gent->shared_catalog(), *lake, first_table);
+    auto layered =
+        ColumnStatsCatalog::WithAppended(old->catalog, *lake, first_table);
     if (!layered.ok()) return layered.status();
     catalog = std::move(*layered);
     predecessor = old;  // keeps the borrowed views' owner alive
   }
 
-  std::shared_ptr<Shard> shard = MakeShard(
-      name, std::move(lake), nullptr, std::move(catalog), old->source_path);
+  std::shared_ptr<Shard> shard =
+      MakeShard(name, std::move(lake), nullptr, std::move(catalog),
+                old->source_path, file);
   // Same registration, next content generation.
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen + 1;
-  shard->file = file;
   shard->health = old->health;
   shard->predecessor = std::move(predecessor);
   if (!ReplaceShard(std::move(shard), old.get())) {
@@ -488,12 +450,7 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
 Status ReclaimService::CompactShardSnapshot(const std::string& name) {
   std::lock_guard<std::mutex> append_lock(append_mutex_);
 
-  RegistryPtr registry = Pin();
-  auto it = registry->by_name.find(name);
-  if (it == registry->by_name.end()) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  std::shared_ptr<const Shard> old = registry->shards[it->second];
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> old, Find(*Pin(), name));
   if (old->source_path.empty()) {
     return Status::InvalidArgument("shard '" + name +
                                    "' has no snapshot backing to compact");
@@ -512,11 +469,11 @@ Status ReclaimService::CompactShardSnapshot(const std::string& name) {
   // valid — compaction is invisible to serving.
   auto catalog = WriteShardFile(*old->lake, old->source_path);
   if (!catalog.ok()) return catalog.status();
-  std::shared_ptr<Shard> shard = MakeShard(
-      name, old->owned, old->lake, std::move(*catalog), old->source_path);
+  std::shared_ptr<Shard> shard =
+      MakeShard(name, old->owned, old->lake, std::move(*catalog),
+                old->source_path, WrittenFromServedLake());
   shard->uid = old->uid;
   shard->delta_gen = old->delta_gen;
-  shard->file = WrittenFromServedLake();
   shard->health = old->health;  // a quarantined shard stays quarantined
   if (!ReplaceShard(std::move(shard), old.get())) {
     // Replaced while folding. The compacted file is durable and
@@ -540,12 +497,9 @@ std::vector<std::string> ReclaimService::lake_names() const {
 }
 
 Result<const DataLake*> ReclaimService::lake(const std::string& name) const {
-  RegistryPtr registry = Pin();
-  auto it = registry->by_name.find(name);
-  if (it == registry->by_name.end()) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  return registry->shards[it->second]->lake;
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
+                        Find(*Pin(), name));
+  return shard->lake;
 }
 
 uint64_t ReclaimService::registry_epoch() const { return Pin()->epoch; }
@@ -554,8 +508,36 @@ uint64_t ReclaimService::registry_epoch() const { return Pin()->epoch; }
 
 Result<ReclamationResult> ReclaimService::ReclaimImpl(
     const Table& source, const ReclaimRequest& request,
-    const RegistrySnapshot& registry, const TraversalOptions& traversal,
-    const ExpandOptions& expand, const OpLimits& limits) const {
+    const RegistrySnapshot& registry, bool pooled,
+    std::chrono::steady_clock::time_point submitted,
+    const std::atomic<bool>* cancel) const {
+  // Budget: the relative timeout starts now, the end-to-end deadline
+  // keeps its submission epoch, the earlier of the two wins; a ticket's
+  // cancel token makes Cancel() bite at the next pipeline checkpoint.
+  OpLimits limits;
+  if (request.timeout_seconds > 0) {
+    limits.Deadline(SteadyTimeAfter(std::chrono::steady_clock::now(),
+                                    request.timeout_seconds));
+  }
+  if (request.deadline_seconds > 0) {
+    limits.Deadline(SteadyTimeAfter(submitted, request.deadline_seconds));
+  }
+  if (request.max_rows > 0) limits.MaxRows(request.max_rows);
+  limits.CancelToken(cancel);
+
+  // Configuration: a request running beside others on the resident pool
+  // (a multi-source batch, every async request) runs traversal and
+  // expansion on one thread, since intra-pipeline parallelism on top
+  // would oversubscribe (thread count never affects results).
+  GenTConfig config = options_.config;
+  if (request.exclude_source_name) {
+    config.discovery.exclude_table = source.name();
+  }
+  if (pooled && pool_->num_threads() > 1) {
+    config.traversal.num_threads = 1;
+    config.expand.num_threads = 1;
+  }
+
   if (registry.shards.empty()) {
     return Status::InvalidArgument(
         "service has no lakes registered (at the pinned registry epoch)");
@@ -572,21 +554,18 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
 
   // Route (DESIGN.md §5.6) to a target shard set and a route tag (see
   // discovery_cache.h for the tag contract: uids, not indices).
-  std::vector<size_t> targets;
+  std::vector<const Shard*> targets;
   uint64_t route_tag = 0;
   if (!request.lake.empty()) {
-    auto it = registry.by_name.find(request.lake);
-    if (it == registry.by_name.end()) {
-      return Status::NotFound("no shard named '" + request.lake + "'");
-    }
-    const Shard& shard = *registry.shards[it->second];
-    if (is_quarantined(shard)) {
+    GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
+                          Find(registry, request.lake));
+    if (is_quarantined(*shard)) {
       unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable("shard '" + request.lake +
                                  "' is quarantined pending recovery");
     }
-    targets.push_back(it->second);
-    route_tag = ShardRouteTag(shard.uid, shard.delta_gen);
+    targets.push_back(shard.get());
+    route_tag = ShardRouteTag(shard->uid, shard->delta_gen);
   } else {
     // Fan out, skipping quarantined shards and shards the source shares
     // no value with: recall ranks lake tables by shared distinct values
@@ -597,18 +576,17 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
     // nothing from the shard.
     const std::vector<ValueId> query = SortedQueryValues(source);
     std::vector<uint64_t> selected;
-    for (size_t i = 0; i < registry.shards.size(); ++i) {
-      const Shard& shard = *registry.shards[i];
-      if (is_quarantined(shard)) {
+    for (const auto& shard : registry.shards) {
+      if (is_quarantined(*shard)) {
         quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      if (!shard.gent->catalog().SharesAnyValue(query)) {
+      if (!shard->catalog->SharesAnyValue(query)) {
         shards_pruned_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      targets.push_back(i);
-      selected.push_back(ShardRouteTag(shard.uid, shard.delta_gen));
+      targets.push_back(shard.get());
+      selected.push_back(ShardRouteTag(shard->uid, shard->delta_gen));
     }
     // The tag folds exactly the answering shards' (uid, delta_gen): an
     // append or a quarantine changes it, and fan-outs that reach the
@@ -617,18 +595,6 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
     route_tag = FoldRouteTags(selected);
   }
 
-  DiscoveryConfig discovery = options_.config.discovery;
-  if (request.exclude_source_name) discovery.exclude_table = source.name();
-
-  // Downstream of expansion the pipeline reads only the expanded tables
-  // and config (candidates' Candidate::stats pointers reference their
-  // own shard's catalog, which the pinned snapshot keeps alive), so any
-  // shard's pipeline object can run it — all shards share
-  // options_.config. An empty target set (prefilter pruned everything)
-  // still runs the downstream pipeline with zero candidates, exactly
-  // what fanning out over only zero-overlap shards would produce.
-  const GenT& pipeline =
-      *registry.shards[targets.empty() ? 0 : targets[0]]->gent;
   const bool use_cache =
       !request.bypass_cache && options_.cache_capacity > 0;
   // A wall-clock budget (timeout or end-to-end deadline) can interrupt
@@ -644,7 +610,8 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   SourceFingerprint key;
   if (use_cache) {
     auto t0 = std::chrono::steady_clock::now();
-    key = FingerprintSource(source, discovery, request.max_rows, route_tag);
+    key = FingerprintSource(source, config.discovery, request.max_rows,
+                            route_tag);
     if (auto hit = cache_.Lookup(key)) {
       // Return a copy of the stored answer: no pipeline stage runs, and
       // the result is bit-identical to the cold run that populated the
@@ -661,19 +628,23 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   // expand. Each shard's list is already sorted (score desc, lake index
   // asc); the stable sort keeps shard order and within-shard order on
   // ties, so the merged order — and with it every downstream result —
-  // is deterministic.
+  // is deterministic. Downstream of discovery the pipeline reads only
+  // the candidates and config (each Candidate::stats points into its
+  // own shard's catalog, which the pinned snapshot keeps alive). An
+  // empty target set (prefilter pruned everything) still runs it with
+  // zero candidates, exactly what fanning out over only zero-overlap
+  // shards would produce.
   auto t0 = std::chrono::steady_clock::now();
   std::vector<Candidate> merged;
-  for (size_t shard : targets) {
-    auto candidates = registry.shards[shard]->gent->DiscoverCandidates(
-        source, discovery, limits);
+  for (const Shard* shard : targets) {
+    auto candidates = Discovery(*shard->catalog, config.discovery)
+                          .FindCandidates(source, limits);
     if (!candidates.ok()) {
       const StatusCode code = candidates.status().code();
       if (code == StatusCode::kIOError || code == StatusCode::kInternal) {
         // A storage-class failure mid-serving: quarantine the shard so
         // later requests skip it while recovery runs.
-        NoteShardFault(*registry.shards[shard],
-                       candidates.status().message());
+        NoteShardFault(*shard, candidates.status().message());
         if (targets.size() > 1) {
           // Fan-out degrades to the surviving shards. The partial
           // candidate set must NOT enter the cache: its route tag
@@ -690,9 +661,9 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   // Post-serve sweep: a mapped shard whose prefaults hit I/O faults
   // reports it through its sticky storage health; quarantine before the
   // next request routes to it. One relaxed load per healthy shard.
-  for (size_t shard : targets) {
-    Status h = registry.shards[shard]->gent->catalog().storage_health();
-    if (!h.ok()) NoteShardFault(*registry.shards[shard], h.message());
+  for (const Shard* shard : targets) {
+    Status h = shard->catalog->storage_health();
+    if (!h.ok()) NoteShardFault(*shard, h.message());
   }
   if (targets.size() > 1) {
     std::stable_sort(merged.begin(), merged.end(),
@@ -701,25 +672,22 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
                      });
   }
   GENT_ASSIGN_OR_RETURN(auto expanded,
-                        Expand(source, merged, limits, expand));
+                        Expand(source, merged, limits, config.expand));
   GENT_ASSIGN_OR_RETURN(
       ReclamationResult result,
-      pipeline.ReclaimFromExpanded(source, std::move(expanded.tables), limits,
-                                   traversal, SecondsSince(t0)));
+      ReclaimFromExpanded(source, std::move(expanded.tables), config, limits,
+                          SecondsSince(t0)));
   if (populate_cache) cache_.Insert(key, result);
   return result;
 }
 
 Result<ReclamationResult> ReclaimService::Reclaim(
     const Table& source, const ReclaimRequest& request) const {
-  RegistryPtr registry = Pin();
   if (source.dict() != dict_) {
-    return ReclaimImpl(TranslateToDictionary(source, dict_), request,
-                       *registry, options_.config.traversal,
-                       options_.config.expand, LimitsFromRequest(request));
+    return Reclaim(TranslateToDictionary(source, dict_), request);
   }
-  return ReclaimImpl(source, request, *registry, options_.config.traversal,
-                     options_.config.expand, LimitsFromRequest(request));
+  return ReclaimImpl(source, request, *Pin(), /*pooled=*/false,
+                     std::chrono::steady_clock::now(), nullptr);
 }
 
 std::vector<Result<ReclamationResult>> ReclaimService::ReclaimBatch(
@@ -751,22 +719,14 @@ std::vector<Result<ReclamationResult>> ReclaimService::ReclaimBatch(
     }
   }
 
-  // Batch workers saturate the resident pool; intra-traversal and
-  // intra-expansion parallelism on top would oversubscribe (thread
-  // count never affects results). A 1-source batch keeps both: only one
-  // worker runs, so the pipeline may use the machine.
-  TraversalOptions traversal = options_.config.traversal;
-  ExpandOptions expand = options_.config.expand;
-  if (pool_->num_threads() > 1 && sources.size() > 1) {
-    traversal.num_threads = 1;
-    expand.num_threads = 1;
-  }
-
+  // A 1-source batch runs unpooled: only one worker runs, so the
+  // pipeline may use the machine.
+  const bool pooled = sources.size() > 1;
   ParallelFor(pool_.get(), sources.size(), [&](size_t i) {
-    // Limits built per worker invocation: each source's wall-clock
-    // budget starts when ITS reclamation starts, not when the batch does.
-    results[i] = ReclaimImpl(*admitted[i], request, *registry, traversal,
-                             expand, LimitsFromRequest(request));
+    // Each source's wall-clock budget starts when ITS reclamation
+    // starts, not when the batch does.
+    results[i] = ReclaimImpl(*admitted[i], request, *registry, pooled,
+                             std::chrono::steady_clock::now(), nullptr);
   });
   return results;
 }
@@ -777,7 +737,7 @@ StatusCode ReclaimService::Publish(ReclaimTicket::SharedState& state,
   StatusCode published;
   {
     std::lock_guard<std::mutex> lock(state.mutex);
-    if (state.cancelled) {
+    if (state.cancel_flag.load(std::memory_order_relaxed)) {
       // Cancel() won the race: honor its guarantee and discard whatever
       // the pipeline produced (even a completed result).
       result = Result<ReclamationResult>(
@@ -817,8 +777,6 @@ StatusCode ReclaimService::Publish(ReclaimTicket::SharedState& state,
 
 Result<ReclaimTicket> ReclaimService::SubmitReclaim(
     Table source, const ReclaimRequest& request) const {
-  const auto submitted_at = std::chrono::steady_clock::now();
-
   // Admission work happens in the submitter's thread: pin the registry,
   // re-intern a foreign-dictionary source. The queued entry is fully
   // self-contained (it owns its pinned snapshot), so a shed or a pump
@@ -826,22 +784,11 @@ Result<ReclaimTicket> ReclaimService::SubmitReclaim(
   Pending entry;
   entry.state = std::make_shared<ReclaimTicket::SharedState>();
   entry.request = request;
-  if (request.deadline_seconds > 0) {
-    entry.has_deadline = true;
-    entry.deadline = SteadyTimeAfter(submitted_at, request.deadline_seconds);
-  }
+  entry.submitted = std::chrono::steady_clock::now();
   entry.registry = Pin();
   entry.source = std::make_shared<const Table>(
       source.dict() != dict_ ? TranslateToDictionary(source, dict_)
                              : std::move(source));
-  // Async requests share the pool with each other and with batches;
-  // intra-pipeline parallelism on top would oversubscribe.
-  entry.traversal = options_.config.traversal;
-  entry.expand = options_.config.expand;
-  if (pool_->num_threads() > 1) {
-    entry.traversal.num_threads = 1;
-    entry.expand.num_threads = 1;
-  }
 
   ReclaimTicket ticket;
   ticket.state_ = entry.state;
@@ -916,12 +863,7 @@ void ReclaimService::PumpOne() const {
   admission_space_.notify_all();
 
   // Cancelled while queued: discard without running.
-  bool pre_cancelled;
-  {
-    std::lock_guard<std::mutex> lock(entry.state->mutex);
-    pre_cancelled = entry.state->cancelled;
-  }
-  if (pre_cancelled) {
+  if (entry.state->cancel_flag.load(std::memory_order_acquire)) {
     (void)Publish(*entry.state,
                   Result<ReclamationResult>(Status::Cancelled(
                       "cancelled before execution started")),
@@ -931,8 +873,9 @@ void ReclaimService::PumpOne() const {
 
   // Dead-on-arrival rejection: the end-to-end deadline expired during
   // the queue wait, so running the pipeline could only waste the pool.
-  if (entry.has_deadline &&
-      std::chrono::steady_clock::now() > entry.deadline) {
+  if (entry.request.deadline_seconds > 0 &&
+      std::chrono::steady_clock::now() >
+          SteadyTimeAfter(entry.submitted, entry.request.deadline_seconds)) {
     (void)Publish(*entry.state,
                   Result<ReclamationResult>(Status::Timeout(
                       "deadline expired in the admission queue")),
@@ -940,22 +883,10 @@ void ReclaimService::PumpOne() const {
     return;
   }
 
-  // Execution budget: relative timeout starts now, the end-to-end
-  // deadline keeps its submission epoch, the earlier of the two wins;
-  // the ticket's cancel token makes Cancel() bite mid-flight at the
-  // next pipeline checkpoint.
-  OpLimits limits;
-  if (entry.request.timeout_seconds > 0) {
-    limits.Deadline(SteadyTimeAfter(std::chrono::steady_clock::now(),
-                                    entry.request.timeout_seconds));
-  }
-  if (entry.has_deadline) limits.Deadline(entry.deadline);
-  if (entry.request.max_rows > 0) limits.MaxRows(entry.request.max_rows);
-  limits.CancelToken(&entry.state->cancel_flag);
-
   (void)Publish(*entry.state,
                 ReclaimImpl(*entry.source, entry.request, *entry.registry,
-                            entry.traversal, entry.expand, limits),
+                            /*pooled=*/true, entry.submitted,
+                            &entry.state->cancel_flag),
                 PublishContext::kExecuted);
 }
 
@@ -988,7 +919,7 @@ std::vector<ReclaimService::ShardResidency> ReclaimService::residency_stats()
   std::vector<ShardResidency> out;
   out.reserve(registry->shards.size());
   for (const auto& s : registry->shards) {
-    out.push_back({s->name, s->uid, s->gent->catalog().residency()});
+    out.push_back({s->name, s->uid, s->catalog->residency()});
   }
   return out;
 }
@@ -1089,31 +1020,30 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
   }
 
   // Expensive work outside every lock, exactly like ReloadLakeFromSnapshot.
-  // Preferred path: full reopen (mapped when the snapshot allows).
-  std::unique_ptr<DataLake> lake;
-  std::shared_ptr<const ColumnStatsCatalog> catalog;
-  SnapshotLoadInfo info;
-  Status st = LoadShardFromSnapshot(old->source_path, &lake, &catalog, &info);
+  // Preferred path: full reopen (mapped when the snapshot allows). The
+  // healed shard is a new registration (fresh uid, fresh cell).
+  Result<std::shared_ptr<Shard>> loaded =
+      LoadShard(old->name, old->source_path);
   bool salvaged = false;
   std::string fail_reason;
-  if (!st.ok()) {
-    fail_reason = st.message();
+  if (!loaded.ok()) {
+    fail_reason = loaded.status().message();
     // Salvage fallback: the body may still parse even when the v2
     // catalog tail is damaged — reload it and rebuild the catalog in
     // RAM. The shard then serves identically, flagged kDegraded.
-    lake = std::make_unique<DataLake>(dict_);
-    catalog.reset();
-    info = SnapshotLoadInfo();  // salvage recovers the base generation only
+    auto lake = std::make_shared<DataLake>(dict_);
+    SnapshotLoadInfo info;  // salvage recovers the base generation only
     Status body = LoadSnapshotBody(*lake, old->source_path, &info);
     if (body.ok()) {
       salvaged = true;
-      st = Status::OK();
+      loaded = MakeShard(old->name, std::move(lake), nullptr, nullptr,
+                         old->source_path, info);
     } else {
       fail_reason += "; body salvage: " + body.message();
     }
   }
 
-  if (!st.ok()) {
+  if (!loaded.ok()) {
     std::lock_guard<std::mutex> lock(health_mutex_);
     ++cell.attempts;
     cell.last_error = fail_reason;
@@ -1129,12 +1059,8 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
     return;
   }
 
-  // The healed shard is a new registration (fresh uid, fresh cell) that
-  // carries the old one's fault history forward.
-  std::shared_ptr<Shard> shard = MakeShard(
-      old->name, std::move(lake), nullptr, std::move(catalog),
-      old->source_path);
-  shard->file = info;
+  // It carries the old registration's fault history forward.
+  std::shared_ptr<Shard> shard = std::move(loaded).value();
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
     shard->health->error_count = cell.error_count;
@@ -1187,38 +1113,34 @@ Status ReclaimService::CheckShardHealth(const std::string& name) const {
   // Appends and folds rewrite the backing file under this lock; holding
   // it keeps the file's run count and the shard's in step.
   std::lock_guard<std::mutex> append_lock(append_mutex_);
-  RegistryPtr registry = Pin();
-  auto it = registry->by_name.find(name);
-  if (it == registry->by_name.end()) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  const Shard& shard = *registry->shards[it->second];
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
+                        Find(*Pin(), name));
   // Cheap first: the catalog backend's sticky verdict. Then the deep
   // check — re-verify the backing snapshot's bytes end to end.
-  Status st = shard.gent->catalog().storage_health();
-  if (st.ok() && !shard.source_path.empty()) {
+  Status st = shard->catalog->storage_health();
+  if (st.ok() && !shard->source_path.empty()) {
     size_t runs = 0;
-    st = VerifySnapshotIntegrity(shard.source_path, &runs);
-    if (st.ok() && runs < shard.file.delta_runs) {
+    st = VerifySnapshotIntegrity(shard->source_path, &runs);
+    if (st.ok() && runs < shard->file.delta_runs) {
       // Fewer runs than committed. A damaged newest footer verifies at
       // the previous generation and loses that run's tables; a fold
       // whose rename landed but whose last sync failed left every
       // table in a file with no runs, and is healthy.
-      auto tables = SnapshotTableCount(shard.source_path);
+      auto tables = SnapshotTableCount(shard->source_path);
       if (!tables.ok()) {
         st = tables.status();
-      } else if (*tables < shard.lake->size()) {
+      } else if (*tables < shard->lake->size()) {
         st = Status::IOError(
-            "'" + shard.source_path + "' verifies at " +
+            "'" + shard->source_path + "' verifies at " +
             std::to_string(runs) + " delta runs and " +
             std::to_string(*tables) + " tables but the shard committed " +
-            std::to_string(shard.file.delta_runs) + " runs and serves " +
-            std::to_string(shard.lake->size()) +
+            std::to_string(shard->file.delta_runs) + " runs and serves " +
+            std::to_string(shard->lake->size()) +
             " tables: the newest committed footer is damaged");
       }
     }
   }
-  if (!st.ok()) NoteShardFault(shard, st.message());
+  if (!st.ok()) NoteShardFault(*shard, st.message());
   return st;
 }
 

@@ -170,10 +170,11 @@ struct CatalogStorageOptions {
 };
 
 struct ServiceOptions {
-  /// Pipeline configuration shared by every shard. For heavy concurrent
-  /// Reclaim traffic set config.traversal.num_threads and
-  /// config.expand.num_threads to 1 (callers already provide the
-  /// parallelism); ReclaimBatch and the async path pin both regardless.
+  /// Pipeline configuration for every request on every shard (shards
+  /// hold only catalogs). For heavy concurrent Reclaim traffic set
+  /// config.traversal.num_threads and config.expand.num_threads to 1
+  /// (callers already provide the parallelism); a multi-source
+  /// ReclaimBatch and the async path pin both on a multi-thread pool.
   GenTConfig config;
   /// Resident pool threads serving ReclaimBatch and SubmitReclaim.
   /// 0 = hardware concurrency (no cap — thread count never changes
@@ -583,7 +584,10 @@ class ReclaimService {
     /// served lake itself under a catalog mapped from the new file.
     std::shared_ptr<const DataLake> owned;
     const DataLake* lake = nullptr;
-    std::unique_ptr<GenT> gent;       // shard catalog lives inside
+    /// Never null: built in RAM over `lake`, mapped from the snapshot
+    /// file, or layered over the predecessor's by an append. Requests
+    /// run the pipeline over it with ServiceOptions::config.
+    std::shared_ptr<const ColumnStatsCatalog> catalog;
     /// Snapshot file this shard was built from; empty for lakes built
     /// in RAM or from CSVs. Non-empty is what makes the shard
     /// disk-recoverable after quarantine.
@@ -622,36 +626,35 @@ class ReclaimService {
   /// Copies the current snapshot pointer (the pin operation).
   RegistryPtr Pin() const;
 
+  /// The shard named `name` in `registry` (NotFound if absent).
+  static Result<std::shared_ptr<const Shard>> Find(
+      const RegistrySnapshot& registry, const std::string& name);
+
   /// Builds a shard handle, with a fresh health cell, outside every lock
-  /// — the one place a registration's GenT is made. `catalog` (may be
-  /// null) is a prebuilt catalog over the lake (the mapped snapshot-open
-  /// and layered-append paths); otherwise the shard builds one. The
-  /// caller sets delta_gen, and uid and health when the handle continues
-  /// an existing registration.
+  /// — the one place a registration's catalog is built. `catalog` (may
+  /// be null) is a prebuilt catalog over the lake (the mapped
+  /// snapshot-open and layered-append paths); otherwise the shard builds
+  /// one. The caller sets delta_gen, and uid and health when the handle
+  /// continues an existing registration.
   std::shared_ptr<Shard> MakeShard(
       const std::string& name, std::shared_ptr<const DataLake> owned,
       const DataLake* borrowed,
       std::shared_ptr<const ColumnStatsCatalog> catalog,
-      const std::string& source_path) const;
+      const std::string& source_path = std::string(),
+      const SnapshotLoadInfo& file = SnapshotLoadInfo()) const;
 
-  /// Builds the shard outside the lock, then swaps in a snapshot with
-  /// it appended. Used by all four AddLake* flavors.
-  Status RegisterShard(const std::string& name,
-                       std::shared_ptr<const DataLake> owned,
-                       const DataLake* borrowed,
-                       std::shared_ptr<const ColumnStatsCatalog> catalog,
-                       const std::string& source_path = std::string(),
-                       const SnapshotLoadInfo& file = SnapshotLoadInfo());
+  /// The one publish of a new registration (every AddLake* flavor):
+  /// refuses an empty or taken name, assigns a fresh uid and swaps in a
+  /// snapshot with the shard appended.
+  Status RegisterShard(std::shared_ptr<Shard> shard);
 
   /// Shared by AddLakeFromSnapshot, ReloadLakeFromSnapshot and
   /// recovery: loads `path` into a fresh lake on the service dictionary
-  /// and, when the snapshot is v2 with an identity remap, opens its
-  /// catalog sections mapped (null `*catalog` = caller builds as
-  /// usual). Fills `*info` from the load.
-  Status LoadShardFromSnapshot(
-      const std::string& path, std::unique_ptr<DataLake>* lake,
-      std::shared_ptr<const ColumnStatsCatalog>* catalog,
-      SnapshotLoadInfo* info) const;
+  /// and makes a shard of it, with the catalog sections mapped when the
+  /// snapshot is v2 with an identity remap (built in RAM otherwise) and
+  /// `file` set from the load.
+  Result<std::shared_ptr<Shard>> LoadShard(const std::string& name,
+                                           const std::string& path) const;
 
   /// Opens `path`'s catalog sections mapped over `lake` without
   /// re-checksumming (the caller has just verified or written the
@@ -683,14 +686,18 @@ class ReclaimService {
   /// that to its own status.
   bool ReplaceShard(std::shared_ptr<Shard> shard, const Shard* expected);
 
-  /// Runs the pipeline for one admitted request. `limits` carries the
-  /// caller-built budget (timeout and/or absolute deadline, row cap,
-  /// cancel token); `request` still supplies routing/cache knobs and
-  /// the populate-cache eligibility test.
+  /// Runs the pipeline for one admitted request — the one place its
+  /// budget and configuration are decided. The budget: the timeout runs
+  /// from now, the end-to-end deadline from `submitted`, plus the row
+  /// cap and `cancel` (may be null) as the cancel token. The
+  /// configuration: ServiceOptions::config with the leave-one-out
+  /// exclusion, and with traversal and expand pinned to one thread when
+  /// the request runs `pooled` beside others on a multi-thread pool.
   Result<ReclamationResult> ReclaimImpl(
       const Table& source, const ReclaimRequest& request,
-      const RegistrySnapshot& registry, const TraversalOptions& traversal,
-      const ExpandOptions& expand, const OpLimits& limits) const;
+      const RegistrySnapshot& registry, bool pooled,
+      std::chrono::steady_clock::time_point submitted,
+      const std::atomic<bool>* cancel) const;
 
   /// One queued async request, self-contained (owns its pinned
   /// snapshot). Sitting in admission_queues_ until a pump pops it or
@@ -700,10 +707,7 @@ class ReclaimService {
     std::shared_ptr<const Table> source;
     ReclaimRequest request;
     RegistryPtr registry;
-    TraversalOptions traversal;
-    ExpandOptions expand;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
+    std::chrono::steady_clock::time_point submitted{};
   };
 
   /// Pool task draining one admission-queue entry: pops the oldest

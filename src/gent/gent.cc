@@ -34,8 +34,8 @@ Result<ReclamationResult> GenT::Reclaim(const Table& source,
                         DiscoverCandidates(source, config_.discovery, limits));
   GENT_ASSIGN_OR_RETURN(auto expanded,
                         Expand(source, candidates, limits, config_.expand));
-  return ReclaimFromExpanded(source, std::move(expanded.tables), limits,
-                             config_.traversal, SecondsSince(t0));
+  return ReclaimFromExpanded(source, std::move(expanded.tables), config_,
+                             limits, SecondsSince(t0));
 }
 
 Result<std::vector<Candidate>> GenT::DiscoverCandidates(
@@ -46,22 +46,21 @@ Result<std::vector<Candidate>> GenT::DiscoverCandidates(
   return discovery.FindCandidates(source, limits);
 }
 
-Result<ReclamationResult> GenT::ReclaimFromExpanded(
-    const Table& source, std::vector<Table> tables, const OpLimits& limits,
-    const TraversalOptions& traversal_options,
-    double discovery_seconds) const {
-  double discovery_s = discovery_seconds;
-
+Result<ReclamationResult> ReclaimFromExpanded(const Table& source,
+                                              std::vector<Table> tables,
+                                              const GenTConfig& config,
+                                              const OpLimits& limits,
+                                              double discovery_seconds) {
   // --- Matrix Traversal (Algorithm 1) -------------------------------------
   auto t1 = std::chrono::steady_clock::now();
   std::vector<Table> originating;
   double predicted = 0.0;
-  if (config_.skip_traversal) {
+  if (config.skip_traversal) {
     originating = std::move(tables);
   } else {
     GENT_ASSIGN_OR_RETURN(
         auto traversal,
-        MatrixTraversal(source, tables, traversal_options, limits));
+        MatrixTraversal(source, tables, config.traversal, limits));
     predicted = traversal.final_score;
     originating.reserve(traversal.selected.size());
     for (size_t i : traversal.selected) {
@@ -72,7 +71,7 @@ Result<ReclamationResult> GenT::ReclaimFromExpanded(
 
   // --- Table Integration (Algorithm 2) -------------------------------------
   auto t2 = std::chrono::steady_clock::now();
-  IntegrationOptions integration = config_.integration;
+  IntegrationOptions integration = config.integration;
   integration.limits = limits;
   GENT_ASSIGN_OR_RETURN(Table reclaimed,
                         IntegrateTables(source, originating, integration));
@@ -84,7 +83,7 @@ Result<ReclamationResult> GenT::ReclaimFromExpanded(
     result.originating_names.push_back(t.name());
   }
   result.originating = std::move(originating);
-  result.discovery_seconds = discovery_s;
+  result.discovery_seconds = discovery_seconds;
   result.traversal_seconds = traversal_s;
   result.integration_seconds = integration_s;
   return result;

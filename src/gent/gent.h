@@ -13,9 +13,12 @@
 //   double eis = EisScore(source, result->reclaimed).value();
 //
 // Batches go through BulkReclaim (src/gent/bulk.h, one-shot) or a
-// resident ReclaimService (src/engine/reclaim_service.h): both run this
-// pipeline per source against one shared immutable catalog, and their
-// results are bit-identical to serial Reclaim calls in input order. One
+// resident ReclaimService (src/engine/reclaim_service.h). The service
+// holds catalogs, not GenT objects: per request it runs Discovery on
+// each routed shard's catalog, Expand over the merged candidates and
+// the free function ReclaimFromExpanded below, which GenT::Reclaim
+// calls too. Their results are bit-identical to serial Reclaim calls
+// in input order. One
 // caveat: a per-source wall-clock budget is inherently
 // scheduling-dependent — under contention a deadline can fire that would
 // not fire serially. Use row budgets (max_rows) where strict
@@ -91,7 +94,7 @@ class GenT {
   /// Reclaim with per-call operator limits (e.g. a fresh wall-clock
   /// budget per source; OpLimits deadlines are fixed at construction so
   /// the config-level limits cannot express per-call timeouts). Runs
-  /// DiscoverCandidates → Expand → ReclaimFromExpanded with the
+  /// DiscoverCandidates → Expand → ReclaimFromExpanded (below) with the
   /// construction-time config.
   Result<ReclamationResult> Reclaim(const Table& source,
                                     const OpLimits& limits) const;
@@ -100,34 +103,32 @@ class GenT {
   /// diversification + schema matching), under interruption limits:
   /// discovery polls OpLimits::Interrupted() at its stage checkpoints
   /// and aborts with Cancelled/Timeout (never a truncated candidate
-  /// list). Exposed as a seam so cross-lake fan-out (ReclaimService)
-  /// can merge candidate sets before the rest of the pipeline runs.
+  /// list). Exposed so callers can time the stages apart.
   Result<std::vector<Candidate>> DiscoverCandidates(
       const Table& source, const DiscoveryConfig& discovery,
       const OpLimits& limits) const;
 
-  /// The pipeline downstream of expansion (Matrix Traversal →
-  /// Integration), for callers that already hold the expanded,
-  /// key-covering candidate tables — Reclaim above, and ReclaimService
-  /// after expanding its merged fan-out candidates. Deterministic in
-  /// (source, tables, config):
-  /// bit-identical to running the full pipeline whose expansion
-  /// produced `tables`. `discovery_seconds` is carried into the result's
-  /// phase timings.
-  Result<ReclamationResult> ReclaimFromExpanded(
-      const Table& source, std::vector<Table> tables, const OpLimits& limits,
-      const TraversalOptions& traversal, double discovery_seconds = 0.0) const;
-
   const ColumnStatsCatalog& catalog() const { return *catalog_; }
-  const std::shared_ptr<const ColumnStatsCatalog>& shared_catalog() const {
-    return catalog_;
-  }
   const GenTConfig& config() const { return config_; }
 
  private:
   GenTConfig config_;
   std::shared_ptr<const ColumnStatsCatalog> catalog_;
 };
+
+/// The pipeline downstream of expansion (Matrix Traversal →
+/// Integration) over the expanded, key-covering candidate tables, shared
+/// by GenT::Reclaim and ReclaimService (which expands the candidates it
+/// merged across shards). Reads config.skip_traversal, config.traversal
+/// and config.integration. Deterministic in (source, tables, config):
+/// bit-identical to running the full pipeline whose expansion produced
+/// `tables`. `discovery_seconds` is carried into the result's phase
+/// timings.
+Result<ReclamationResult> ReclaimFromExpanded(const Table& source,
+                                              std::vector<Table> tables,
+                                              const GenTConfig& config,
+                                              const OpLimits& limits,
+                                              double discovery_seconds = 0.0);
 
 }  // namespace gent
 

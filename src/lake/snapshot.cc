@@ -28,11 +28,48 @@ constexpr char kMagic[8] = {'G', 'E', 'N', 'T', 'S', 'N', 'A', 'P'};
 constexpr uint32_t kVersionV2 = 2;
 constexpr uint32_t kMaxVersion = kVersionV2;
 
-// Thin RAII + typed-write/read helpers over stdio. All multi-byte values
-// little-endian; this code assumes a little-endian host (x86/ARM), as
-// the rest of the library does. Both sides accumulate a running offset
-// and Checksum64 of every byte written/read, which v2 records in (and
-// verifies against) the footer's body descriptor.
+// Typed encoders over any sink with Bytes(data, n): the file Writer, a
+// delta run's in-memory table part (MemWriter) and its blob stream
+// (BlobWriter). All multi-byte values little-endian; this code assumes
+// a little-endian host (x86/ARM), as the rest of the library does.
+template <typename Sink>
+void PutU32(Sink& sink, uint32_t v) {
+  sink.Bytes(&v, sizeof v);
+}
+template <typename Sink>
+void PutU64(Sink& sink, uint64_t v) {
+  sink.Bytes(&v, sizeof v);
+}
+template <typename Sink>
+void PutString(Sink& sink, const std::string& s) {
+  PutU32(sink, static_cast<uint32_t>(s.size()));
+  sink.Bytes(s.data(), s.size());
+}
+
+// The body format's table list, shared by the body and a delta run: the
+// count of tables [first_table, lake.size()), then per table its name,
+// columns, key and column runs.
+template <typename Sink>
+void PutTables(Sink& sink, const DataLake& lake, size_t first_table) {
+  PutU64(sink, lake.size() - first_table);
+  for (size_t i = first_table; i < lake.size(); ++i) {
+    const Table& t = lake.table(i);
+    PutString(sink, t.name());
+    PutU32(sink, static_cast<uint32_t>(t.num_cols()));
+    for (const std::string& name : t.column_names()) PutString(sink, name);
+    PutU32(sink, static_cast<uint32_t>(t.key_columns().size()));
+    for (size_t k : t.key_columns()) PutU32(sink, static_cast<uint32_t>(k));
+    PutU64(sink, t.num_rows());
+    for (size_t c = 0; c < t.num_cols(); ++c) {
+      const auto& col = t.column(c);
+      sink.Bytes(col.data(), col.size() * sizeof(ValueId));
+    }
+  }
+}
+
+// Thin RAII write/read helpers over stdio. Both sides accumulate a
+// running offset and Checksum64 of every byte written/read, which v2
+// records in (and verifies against) the footer's body descriptor.
 class Writer {
  public:
   explicit Writer(const std::string& path)
@@ -73,12 +110,6 @@ class Writer {
       offset_ += n;
       checksum_.Append(data, n);
     }
-  }
-  void U32(uint32_t v) { Bytes(&v, sizeof v); }
-  void U64(uint64_t v) { Bytes(&v, sizeof v); }
-  void String(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
   }
 
   std::FILE* file() { return file_; }
@@ -313,27 +344,14 @@ Status WriteBody(Writer& w, const DataLake& lake, const std::string& path,
   dict.StringsOf(kNull, static_cast<ValueId>(dict.size()), &strings);
   GENT_RETURN_IF_ERROR(CheckCellIds(lake, 0, strings.size()));
   w.Bytes(kMagic, sizeof kMagic);
-  w.U32(kVersionV2);
-  w.U64(strings.size());
+  PutU32(w, kVersionV2);
+  PutU64(w, strings.size());
   tags->reserve(strings.empty() ? 0 : strings.size() - 1);
   for (size_t id = 0; id < strings.size(); ++id) {
-    w.String(*strings[id]);
+    PutString(w, *strings[id]);
     if (id > 0) tags->push_back(ValueDictionary::TagOf(*strings[id]));
   }
-
-  w.U64(lake.size());
-  for (const Table& t : lake.tables()) {
-    w.String(t.name());
-    w.U32(static_cast<uint32_t>(t.num_cols()));
-    for (const std::string& name : t.column_names()) w.String(name);
-    w.U32(static_cast<uint32_t>(t.key_columns().size()));
-    for (size_t k : t.key_columns()) w.U32(static_cast<uint32_t>(k));
-    w.U64(t.num_rows());
-    for (size_t c = 0; c < t.num_cols(); ++c) {
-      const auto& col = t.column(c);
-      w.Bytes(col.data(), col.size() * sizeof(ValueId));
-    }
-  }
+  PutTables(w, lake, 0);
   if (!w.ok()) return Status::IOError("short write to '" + path + "'");
   return Status::OK();
 }
@@ -409,12 +427,6 @@ class MemWriter {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
-  void U32(uint32_t v) { Bytes(&v, sizeof v); }
-  void U64(uint64_t v) { Bytes(&v, sizeof v); }
-  void String(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
   std::vector<uint8_t>& buf() { return buf_; }
 
  private:
@@ -434,7 +446,6 @@ class BlobWriter {
       sum_.Append(data, n);
     }
   }
-  void U64(uint64_t v) { Bytes(&v, sizeof v); }
   bool ok() const { return !failed_; }
   uint64_t bytes() const { return bytes_; }
   uint64_t checksum() const { return sum_.Finish(); }
@@ -525,31 +536,18 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
   // Table part, serialized in memory first (see MemWriter).
   MemWriter mem;
   mem.Bytes(storage::kDeltaRunMagic, sizeof storage::kDeltaRunMagic);
-  mem.U32(storage::kDeltaRunVersion);
-  mem.U32(0);  // pad
+  PutU32(mem, storage::kDeltaRunVersion);
+  PutU32(mem, 0);  // pad
   const size_t catalog_off_at = mem.buf().size();
-  mem.U64(0);  // catalog_off, backpatched once the table part is sized
-  mem.U64(dict_base);
-  mem.U64(dict_size - dict_base);
+  PutU64(mem, 0);  // catalog_off, backpatched once the table part is sized
+  PutU64(mem, dict_base);
+  PutU64(mem, dict_size - dict_base);
   // The entries the file lacks, read under one lock acquisition.
   std::vector<const std::string*> strings;
   dict.StringsOf(static_cast<ValueId>(dict_base),
                  static_cast<ValueId>(dict_size), &strings);
-  for (const std::string* value : strings) mem.String(*value);
-  mem.U64(lake.size() - first_table);
-  for (size_t i = first_table; i < lake.size(); ++i) {
-    const Table& t = lake.table(i);
-    mem.String(t.name());
-    mem.U32(static_cast<uint32_t>(t.num_cols()));
-    for (const std::string& name : t.column_names()) mem.String(name);
-    mem.U32(static_cast<uint32_t>(t.key_columns().size()));
-    for (size_t k : t.key_columns()) mem.U32(static_cast<uint32_t>(k));
-    mem.U64(t.num_rows());
-    for (size_t c = 0; c < t.num_cols(); ++c) {
-      const auto& col = t.column(c);
-      mem.Bytes(col.data(), col.size() * sizeof(ValueId));
-    }
-  }
+  for (const std::string* value : strings) PutString(mem, *value);
+  PutTables(mem, lake, first_table);
   while (mem.buf().size() % 8 != 0) mem.buf().push_back(0);
   const uint64_t catalog_off = mem.buf().size();
   std::memcpy(mem.buf().data() + catalog_off_at, &catalog_off, 8);
@@ -567,23 +565,23 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
   }
   BlobWriter blob(f);
   blob.Bytes(mem.buf().data(), mem.buf().size());
-  blob.U64(catalog.first_col);
-  blob.U64(static_cast<uint64_t>(catalog.columns.size()));
+  PutU64(blob, catalog.first_col);
+  PutU64(blob, static_cast<uint64_t>(catalog.columns.size()));
   uint64_t values_count = 0;
   for (const storage::Span<uint32_t>& col : catalog.columns) {
-    blob.U64(values_count);
-    blob.U64(static_cast<uint64_t>(col.size()));
+    PutU64(blob, values_count);
+    PutU64(blob, static_cast<uint64_t>(col.size()));
     values_count += col.size();
   }
-  blob.U64(values_count);
+  PutU64(blob, values_count);
   for (const storage::Span<uint32_t>& col : catalog.columns) {
     blob.Bytes(col.data(), col.size() * sizeof(uint32_t));
   }
-  blob.U64(static_cast<uint64_t>(catalog.spine.size()));
+  PutU64(blob, static_cast<uint64_t>(catalog.spine.size()));
   blob.Bytes(catalog.spine.data(), catalog.spine.size() * sizeof(uint32_t));
   blob.Bytes(catalog.post_offsets.data(),
              catalog.post_offsets.size() * sizeof(uint32_t));
-  blob.U64(static_cast<uint64_t>(catalog.post_cols.size()));
+  PutU64(blob, static_cast<uint64_t>(catalog.post_cols.size()));
   blob.Bytes(catalog.post_cols.data(),
              catalog.post_cols.size() * sizeof(uint32_t));
   if (!blob.ok()) {

@@ -739,6 +739,24 @@ TEST(ReclaimServiceTest, ForeignDictionarySourceIsReInterned) {
   auto native = service->Reclaim(fx.sources[1], request);
   auto translated = service->Reclaim(foreign, request);
   ExpectSameReclamation(translated, native, "foreign vs native dictionary");
+
+  // The batch and async entry points re-intern at admission too; past
+  // the cache, so each runs the pipeline. The batch carries a second
+  // source so that it runs pooled.
+  ReclaimRequest cold = request;
+  cold.bypass_cache = true;
+  std::vector<Table> batch;
+  batch.push_back(foreign.Clone());
+  batch.push_back(MakeSource(foreign_dict, 0));
+  auto batched = service->ReclaimBatch(batch, cold);
+  ASSERT_EQ(batched.size(), 2u);
+  ExpectSameReclamation(batched[0], native, "foreign source via ReclaimBatch");
+  ExpectSameReclamation(batched[1], service->Reclaim(fx.sources[0], cold),
+                        "second foreign source via ReclaimBatch");
+  auto ticket = service->SubmitReclaim(foreign.Clone(), cold);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ExpectSameReclamation(ticket->Wait(), native,
+                        "foreign source via SubmitReclaim");
 }
 
 TEST(ReclaimServiceTest, RegistrationAndRoutingErrors) {
@@ -752,6 +770,7 @@ TEST(ReclaimServiceTest, RegistrationAndRoutingErrors) {
             StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(service.AddLakeView("alpha", *fx.alpha).ok());
+  const uint64_t epoch = service.registry_epoch();
   EXPECT_EQ(service.AddLakeView("alpha", *fx.beta).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(service.AddLakeView("", *fx.beta).code(),
@@ -762,11 +781,36 @@ TEST(ReclaimServiceTest, RegistrationAndRoutingErrors) {
   EXPECT_EQ(service.AddLakeView("gamma", foreign).code(),
             StatusCode::kInvalidArgument);
 
+  // The snapshot and directory flavors refuse the same names, and a
+  // reload needs a registered one.
+  const std::string base =
+      (std::filesystem::temp_directory_path() /
+       ("gent_service_reg_" + std::to_string(::getpid())))
+          .string();
+  const std::string snap = base + ".snap";
+  const std::string dir = base + "_csv";
+  ASSERT_TRUE(SaveV2(*fx.beta, snap).ok());
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(WriteCsv(fx.beta->table(0), dir + "/t.csv").ok());
+  EXPECT_EQ(service.AddLakeFromSnapshot("", snap).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.AddLakeFromSnapshot("alpha", snap).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(service.AddLakeFromDirectory("", dir).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.AddLakeFromDirectory("alpha", dir).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(service.ReloadLakeFromSnapshot("nope", snap).code(),
+            StatusCode::kNotFound);
+  std::filesystem::remove(snap);
+  std::filesystem::remove_all(dir);
+
   ReclaimRequest request;
   request.lake = "nope";
   EXPECT_EQ(service.Reclaim(fx.sources[0], request).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(service.lake("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.registry_epoch(), epoch);
   EXPECT_EQ(service.num_lakes(), 1u);
   EXPECT_EQ(service.lake_names(), std::vector<std::string>{"alpha"});
 }
