@@ -46,6 +46,14 @@ SnapshotLoadInfo WrittenFromServedLake() {
   return file;
 }
 
+// The registration named `name` in a registry's shard list, or end().
+// Shard counts are small, so a scan is the whole index.
+template <typename Shards>
+auto FindByName(Shards& shards, const std::string& name) {
+  return std::find_if(shards.begin(), shards.end(),
+                      [&](const auto& shard) { return shard->name == name; });
+}
+
 Status CheckServiceDictionary(const std::string& name, const DataLake& lake,
                               const DictionaryPtr& dict) {
   if (lake.dict() == dict) return Status::OK();
@@ -178,11 +186,11 @@ void ReclaimService::PublishLocked(std::shared_ptr<RegistrySnapshot> next) {
 
 Result<std::shared_ptr<const ReclaimService::Shard>> ReclaimService::Find(
     const RegistrySnapshot& registry, const std::string& name) {
-  auto it = registry.by_name.find(name);
-  if (it == registry.by_name.end()) {
+  auto it = FindByName(registry.shards, name);
+  if (it == registry.shards.end()) {
     return Status::NotFound("no shard named '" + name + "'");
   }
-  return registry.shards[it->second];
+  return *it;
 }
 
 std::shared_ptr<ReclaimService::Shard> ReclaimService::MakeShard(
@@ -213,13 +221,13 @@ Status ReclaimService::RegisterShard(std::shared_ptr<Shard> shard) {
         "shard name must be non-empty (\"\" routes to all shards)");
   }
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  if (registry_->by_name.count(shard->name) > 0) {
+  if (FindByName(registry_->shards, shard->name) !=
+      registry_->shards.end()) {
     return Status::AlreadyExists("shard '" + shard->name +
                                  "' already registered");
   }
   shard->uid = next_shard_uid_++;
   auto next = std::make_shared<RegistrySnapshot>(*registry_);
-  next->by_name[shard->name] = next->shards.size();
   next->shards.push_back(std::move(shard));
   PublishLocked(std::move(next));
   return Status::OK();
@@ -228,9 +236,10 @@ Status ReclaimService::RegisterShard(std::shared_ptr<Shard> shard) {
 bool ReclaimService::ReplaceShard(std::shared_ptr<Shard> shard,
                                   const Shard* expected) {
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto it = registry_->by_name.find(shard->name);
-  if (it == registry_->by_name.end()) return false;
-  const Shard& current = *registry_->shards[it->second];
+  auto next = std::make_shared<RegistrySnapshot>(*registry_);
+  auto it = FindByName(next->shards, shard->name);
+  if (it == next->shards.end()) return false;
+  const Shard& current = **it;
   if (expected != nullptr && (current.uid != expected->uid ||
                               current.delta_gen != expected->delta_gen)) {
     return false;
@@ -238,8 +247,7 @@ bool ReclaimService::ReplaceShard(std::shared_ptr<Shard> shard,
   // A new registration gets a new uid, so the discovery-cache entries
   // routed at the one it replaces can never be replayed.
   if (shard->uid == 0) shard->uid = next_shard_uid_++;
-  auto next = std::make_shared<RegistrySnapshot>(*registry_);
-  next->shards[it->second] = std::move(shard);
+  *it = std::move(shard);
   PublishLocked(std::move(next));
   return true;
 }
@@ -323,18 +331,12 @@ Status ReclaimService::SaveShardSnapshot(const std::string& name,
 
 Status ReclaimService::RemoveLake(const std::string& name) {
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto it = registry_->by_name.find(name);
-  if (it == registry_->by_name.end()) {
+  auto next = std::make_shared<RegistrySnapshot>(*registry_);
+  auto it = FindByName(next->shards, name);
+  if (it == next->shards.end()) {
     return Status::NotFound("no shard named '" + name + "'");
   }
-  const size_t index = it->second;
-  auto next = std::make_shared<RegistrySnapshot>();
-  next->shards.reserve(registry_->shards.size() - 1);
-  for (size_t i = 0; i < registry_->shards.size(); ++i) {
-    if (i == index) continue;
-    next->by_name[registry_->shards[i]->name] = next->shards.size();
-    next->shards.push_back(registry_->shards[i]);
-  }
+  next->shards.erase(it);
   // The removed shard's handle — health cell included — lives on inside
   // every pinned snapshot; the last draining request releases it.
   PublishLocked(std::move(next));
@@ -1047,15 +1049,9 @@ void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
     std::lock_guard<std::mutex> lock(health_mutex_);
     ++cell.attempts;
     cell.last_error = fail_reason;
-    const size_t cap = options_.health.max_recovery_attempts;
-    if (cap > 0 && cell.attempts >= cap) {
-      cell.retry_enabled = false;  // give up; explicit reload only
-    } else {
-      cell.next_retry =
-          SteadyTimeAfter(std::chrono::steady_clock::now(),
-                          BackoffSeconds(options_.health, old->uid,
-                                         cell.attempts));
-    }
+    cell.next_retry = SteadyTimeAfter(
+        std::chrono::steady_clock::now(),
+        BackoffSeconds(options_.health, old->uid, cell.attempts));
     return;
   }
 

@@ -87,7 +87,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/engine/discovery_cache.h"
@@ -146,10 +145,6 @@ struct ShardHealthOptions {
   /// attempt up to backoff_max_seconds.
   double backoff_initial_seconds = 0.5;
   double backoff_max_seconds = 30.0;
-  /// Give up rescheduling after this many failed recovery attempts
-  /// (0 = retry forever). The shard then stays quarantined until an
-  /// explicit ReloadLakeFromSnapshot/RemoveLake.
-  size_t max_recovery_attempts = 0;
 };
 
 /// How shards built from snapshots store their catalogs (DESIGN.md
@@ -533,7 +528,8 @@ class ReclaimService {
     bool rebuilt_from_body = false;
     std::string last_error;
     /// Seconds until the next recovery attempt (0 when due/serving;
-    /// -1 when retries are exhausted or disabled).
+    /// -1 when retries are disabled: auto_recover off, or no snapshot
+    /// to recover from).
     double next_retry_in_seconds = 0;
   };
   /// Per-shard health in registry order, read from each shard's health
@@ -572,7 +568,7 @@ class ReclaimService {
     uint64_t attempts = 0;    // failed recovery attempts this quarantine
     uint64_t recoveries = 0;  // successful recoveries in the history
     bool rebuilt_from_body = false;
-    bool retry_enabled = true;  // false once max_recovery_attempts hit
+    bool retry_enabled = true;  // false for a shard with no snapshot
     std::string last_error;
     std::chrono::steady_clock::time_point next_retry{};
   };
@@ -618,8 +614,7 @@ class ReclaimService {
   /// Immutable once published; mutations swap whole snapshots.
   struct RegistrySnapshot {
     uint64_t epoch = 0;
-    std::vector<std::shared_ptr<const Shard>> shards;
-    std::unordered_map<std::string, size_t> by_name;
+    std::vector<std::shared_ptr<const Shard>> shards;  // names unique
   };
   using RegistryPtr = std::shared_ptr<const RegistrySnapshot>;
 

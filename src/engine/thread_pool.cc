@@ -78,18 +78,6 @@ size_t ThreadPool::ResolveThreads(size_t requested) {
   return std::max<size_t>(1, hw);
 }
 
-void ParallelFor(size_t threads, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  threads = std::min(std::max<size_t>(1, threads), n);
-  if (threads == 1) {
-    ParallelFor(nullptr, n, fn);
-    return;
-  }
-  ThreadPool pool(threads);
-  ParallelFor(&pool, n, fn);
-}
-
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn) {
   if (pool == nullptr || n <= 1) {

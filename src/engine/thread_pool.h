@@ -99,17 +99,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(i) for every i in [0, n), sharded over `threads` workers via
-/// an internal pool (serial when threads <= 1). Blocks until done.
-void ParallelFor(size_t threads, size_t n,
-                 const std::function<void(size_t)>& fn);
-
-/// Same, on a caller-owned pool (serial when `pool` is null). Work is
-/// handed out through an atomic counter; callers that write only to
-/// their own index stay deterministic under any schedule. The pool can
-/// be reused across many calls (e.g. every round of a traversal), and
-/// the wait is group-scoped: concurrent ParallelFor calls — or async
-/// tasks — sharing the pool never extend each other's return.
+/// Runs fn(i) for every i in [0, n) on a caller-owned pool (serial when
+/// `pool` is null) and blocks until done. Work is handed out through an
+/// atomic counter; callers that write only to their own index stay
+/// deterministic under any schedule. The pool can be reused across many
+/// calls (e.g. every round of a traversal), and the wait is
+/// group-scoped: concurrent ParallelFor calls — or async tasks —
+/// sharing the pool never extend each other's return.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -11,10 +11,6 @@
 
 namespace gent {
 
-namespace {
-
-}  // namespace
-
 Result<Table> ProjectSelectOntoSource(const Table& source,
                                       const Table& table) {
   std::vector<std::string> keep;

@@ -1,8 +1,9 @@
 // Backend parity: a ReclaimService whose catalogs are mmap-backed
 // (snapshot v2, opened without rebuild) must be bit-identical to one
 // whose catalogs are rebuilt in RAM — for Reclaim, ReclaimBatch, and
-// stats-prefilter routing, at every thread count. The two backends share
-// one dictionary so even ValueIds are comparable.
+// stats-prefilter routing, at every thread count, on small synthetic
+// lakes and on TP-TR Med. The two backends share one dictionary so even
+// ValueIds are comparable.
 
 #include <filesystem>
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/benchgen/benchmarks.h"
 #include "src/engine/reclaim_service.h"
 #include "src/gent/gent.h"
 #include "src/lake/snapshot.h"
@@ -67,6 +69,19 @@ class CatalogStorageParityTest : public ::testing::Test {
       noise.Row({"nx" + std::to_string(r), "ny" + std::to_string(r)});
     }
     ASSERT_TRUE(lake_->AddTable(noise.Build()).ok());
+  }
+
+  // TP-TR Med as the fixture: the paper-scale lake that a restart
+  // opens mapped. Its dictionary and its sources replace the synthetic
+  // ones.
+  void BuildMedFixture() {
+    auto med = MakeTpTrBenchmark("TP-TR Med", TpTrMedConfig());
+    ASSERT_TRUE(med.ok()) << med.status().ToString();
+    dict_ = med->lake->dict();
+    lake_ = std::move(med->lake);
+    for (SourceSpec& spec : med->sources) {
+      sources_.push_back(std::move(spec.source));
+    }
   }
 
   // Saves the fixture lake as a v2 snapshot (built catalog included).
@@ -190,6 +205,27 @@ TEST_F(CatalogStorageParityTest, PrefilterRoutingBitIdenticalAcrossBackends) {
   // must prune identically.
   EXPECT_EQ(ram->routing_stats().shards_pruned,
             mapped->routing_stats().shards_pruned);
+}
+
+// Paper scale: the Med lake saved v2 and opened mapped answers
+// bit-identically to a catalog rebuilt in RAM. Source 22 is the one a
+// restart probe answers.
+TEST_F(CatalogStorageParityTest, MedBitIdenticalAcrossBackends) {
+  BuildMedFixture();
+  const std::string snap = SaveV2("med.snap");
+  auto ram = MakeService(snap, false, 1);
+  auto mapped = MakeService(snap, true, 1);
+  if (!mapped->residency_stats()[0].catalog.mapped) {
+    GTEST_SKIP() << "mmap unavailable; parity is vacuous";
+  }
+  for (size_t s : {size_t{0}, size_t{22}}) {
+    ReclaimRequest request;
+    request.lake = "lake";
+    auto from_ram = ram->Reclaim(sources_[s], request);
+    ASSERT_TRUE(from_ram.ok()) << from_ram.status().ToString();
+    ExpectBitIdentical(from_ram, mapped->Reclaim(sources_[s], request),
+                       "Med source " + std::to_string(s));
+  }
 }
 
 class ParityThreadSweep : public CatalogStorageParityTest,

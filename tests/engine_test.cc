@@ -507,19 +507,22 @@ TEST(ThreadPoolTest, ResolveThreads) {
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h = 0;
-    ParallelFor(threads, hits.size(),
-                [&](size_t i) { hits[i].fetch_add(1); });
+    ParallelFor(pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
     for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " @" << threads;
+      EXPECT_EQ(hits[i].load(), 1)
+          << "index " << i << (pool == nullptr ? " serial" : " pooled");
     }
   }
 }
 
 TEST(ParallelForTest, EmptyRangeIsANoOp) {
-  ParallelFor(4, 0, [](size_t) { FAIL() << "must not be called"; });
+  ThreadPool four(4);
+  ParallelFor(&four, 0, [](size_t) { FAIL() << "must not be called"; });
+  ParallelFor(nullptr, 0, [](size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(ThreadPoolTest, GroupWaitIsScopedToItsOwnTasks) {

@@ -370,29 +370,41 @@ TEST_F(ShardHealthTest, DamagedCatalogTailSalvagesToDegraded) {
   EXPECT_EQ(service->CheckShardHealth("nope").code(), StatusCode::kNotFound);
 }
 
-TEST_F(ShardHealthTest, RetryBudgetExhaustsAndStopsRescheduling) {
+// Recovery has no attempt budget: a snapshot-backed shard whose file
+// never comes back stays quarantined and keeps retrying at the capped
+// backoff, while fan-out keeps answering from the surviving shard.
+TEST_F(ShardHealthTest, UnrecoverableShardStaysQuarantinedAndKeepsRetrying) {
   BuildFixture();
   BuildReferences();
   ShardHealthOptions health;
   health.backoff_initial_seconds = 0.005;
   health.backoff_max_seconds = 0.02;
-  health.max_recovery_attempts = 2;
   auto service = MakeService(health);
   if (!service->residency_stats()[0].catalog.mapped) {
     GTEST_SKIP() << "mmap unavailable";
   }
 
   // Unlink the backing snapshot: every recovery attempt — full reopen
-  // AND body salvage — must fail, so the budget runs out.
+  // AND body salvage — must fail.
   ASSERT_TRUE(std::filesystem::remove(alpha_path_));
   ASSERT_FALSE(service->CheckShardHealth("alpha").ok());
 
+  // Past the point where the backoff reaches its cap, attempts keep
+  // coming and each is rescheduled within the capped delay (jitter
+  // scales it by at most 1.25).
   ASSERT_TRUE(WaitFor([&] {
-    return HealthOf(*service, "alpha").next_retry_in_seconds == -1;
-  })) << "retry budget did not exhaust in time";
-  const auto exhausted = HealthOf(*service, "alpha");
-  EXPECT_EQ(exhausted.state, ShardHealth::kQuarantined);
-  EXPECT_EQ(exhausted.recovery_attempts, 2u);
+    return HealthOf(*service, "alpha").recovery_attempts >= 4;
+  })) << "recovery stopped retrying";
+  const auto retrying = HealthOf(*service, "alpha");
+  EXPECT_EQ(retrying.state, ShardHealth::kQuarantined);
+  EXPECT_GE(retrying.next_retry_in_seconds, 0);
+  EXPECT_LE(retrying.next_retry_in_seconds,
+            1.25 * health.backoff_max_seconds);
+  ASSERT_TRUE(WaitFor([&] {
+    return HealthOf(*service, "alpha").recovery_attempts >
+           retrying.recovery_attempts;
+  })) << "recovery attempts stopped growing";
+  EXPECT_EQ(HealthOf(*service, "alpha").state, ShardHealth::kQuarantined);
 
   // The service keeps answering from the surviving shard.
   ReclaimRequest fan;  // empty lake = fan out
