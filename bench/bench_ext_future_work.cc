@@ -37,7 +37,7 @@ std::unique_ptr<DataLake> CorruptLake(const DataLake& lake, double rate,
     for (size_t c = 0; c < copy.num_cols(); ++c) {
       for (ValueId& v : copy.mutable_column(c)) {
         if (v == kNull || !rng.Bernoulli(rate)) continue;
-        std::string s = lake.dict()->StringOf(v);
+        std::string s(lake.dict()->StringOf(v));
         if (s.size() < 2) continue;
         const size_t pos = rng.Index(s.size());
         s[pos] = s[pos] == 'x' ? 'y' : 'x';

@@ -62,8 +62,9 @@ int main() {
     auto it = aligned.find(source.KeyOf(sr));
     if (it == aligned.end()) {
       ++unreclaimed_rows;
+      const std::string key(source.CellString(sr, source.key_columns()[0]));
       std::printf("row %-3zu NOT DERIVABLE from the lake (key %s)\n", sr,
-                  source.CellString(sr, source.key_columns()[0]).c_str());
+                  key.c_str());
       continue;
     }
     // Best aligned tuple: most matching cells.
@@ -86,10 +87,11 @@ int main() {
         ++missing_cells;
       } else {
         ++contradicting;
+        const std::string lake_value(reclaimed.CellString(best, rcol[c]));
+        const std::string source_value(source.CellString(sr, c));
         std::printf("row %-3zu col %-18s lake says '%s', source says '%s'\n",
-                    sr, source.column_name(c).c_str(),
-                    reclaimed.CellString(best, rcol[c]).c_str(),
-                    source.CellString(sr, c).c_str());
+                    sr, source.column_name(c).c_str(), lake_value.c_str(),
+                    source_value.c_str());
       }
     }
   }

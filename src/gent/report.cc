@@ -93,8 +93,9 @@ Result<ReclamationReport> DiagnoseReclamation(const Table& source,
             CellFinding{sr, c, CellVerdict::kMissing, ""});
       } else {
         ++report.contradicting_cells;
-        report.findings.push_back(CellFinding{
-            sr, c, CellVerdict::kContradicting, reclaimed.CellString(best, rcol[c])});
+        report.findings.push_back(
+            CellFinding{sr, c, CellVerdict::kContradicting,
+                        std::string(reclaimed.CellString(best, rcol[c]))});
       }
     }
   }
@@ -119,6 +120,9 @@ std::string ReclamationReport::Summarize(const Table& source,
       out += line;
       break;
     }
+    const std::string_view source_value =
+        source.CellString(f.source_row, f.source_col);
+    const int source_len = static_cast<int>(source_value.size());
     switch (f.verdict) {
       case CellVerdict::kUnderivable:
         std::snprintf(line, sizeof(line),
@@ -126,18 +130,18 @@ std::string ReclamationReport::Summarize(const Table& source,
         break;
       case CellVerdict::kMissing:
         std::snprintf(line, sizeof(line),
-                      "row %zu, %s: lake has no value (source: '%s')\n",
+                      "row %zu, %s: lake has no value (source: '%.*s')\n",
                       f.source_row,
-                      source.column_name(f.source_col).c_str(),
-                      source.CellString(f.source_row, f.source_col).c_str());
+                      source.column_name(f.source_col).c_str(), source_len,
+                      source_value.data());
         break;
       case CellVerdict::kContradicting:
         std::snprintf(line, sizeof(line),
-                      "row %zu, %s: lake says '%s', source says '%s'\n",
+                      "row %zu, %s: lake says '%s', source says '%.*s'\n",
                       f.source_row,
                       source.column_name(f.source_col).c_str(),
-                      f.reclaimed_value.c_str(),
-                      source.CellString(f.source_row, f.source_col).c_str());
+                      f.reclaimed_value.c_str(), source_len,
+                      source_value.data());
         break;
       case CellVerdict::kMatched:
         continue;

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <numeric>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -41,7 +42,7 @@ void PutU64(Sink& sink, uint64_t v) {
   sink.Bytes(&v, sizeof v);
 }
 template <typename Sink>
-void PutString(Sink& sink, const std::string& s) {
+void PutString(Sink& sink, std::string_view s) {
   PutU32(sink, static_cast<uint32_t>(s.size()));
   sink.Bytes(s.data(), s.size());
 }
@@ -226,6 +227,28 @@ class Reader {
     return s;
   }
 
+  /// Reads `count` length-prefixed strings as new entries of `arena`,
+  /// each copied straight from the buffer: no std::string per entry.
+  void StringsInto(DictionaryArena* arena, uint64_t count,
+                   uint32_t max_len = 1u << 24) {
+    for (uint64_t i = 0; i < count && ok(); ++i) {
+      uint32_t n = 0;
+      if (Buffered() >= sizeof n) std::memcpy(&n, Head(), sizeof n);
+      if (n <= max_len && sizeof n + n <= Buffered()) {
+        // The common case: length and bytes are both buffered.
+        arena->Append({reinterpret_cast<const char*>(Head()) + sizeof n, n});
+        Consume(sizeof n + n);
+        continue;
+      }
+      n = U32();
+      if (n > max_len || n > Remaining()) {
+        Fail();
+        return;
+      }
+      Bytes(arena->Append(n), n);
+    }
+  }
+
   std::FILE* file() { return file_; }
   /// Bytes consumed so far: the body length while reading the body.
   uint64_t offset() const { return position_; }
@@ -339,17 +362,24 @@ Status WriteBody(Writer& w, const DataLake& lake, const std::string& path,
   }
   // Dictionary: every id in order, so loaded ids can be remapped by
   // index. Id 0 is the null sentinel and is written as the empty string.
-  // The entries are read under one lock acquisition and written after it.
-  std::vector<const std::string*> strings;
-  dict.StringsOf(kNull, static_cast<ValueId>(dict.size()), &strings);
-  GENT_RETURN_IF_ERROR(CheckCellIds(lake, 0, strings.size()));
+  // Entries below the size read here never change, so they are read a
+  // chunk at a time, each chunk under one lock acquisition and written
+  // after it; one small buffer serves every chunk.
+  const ValueId entries = static_cast<ValueId>(dict.size());
+  GENT_RETURN_IF_ERROR(CheckCellIds(lake, 0, entries));
   w.Bytes(kMagic, sizeof kMagic);
   PutU32(w, kVersionV2);
-  PutU64(w, strings.size());
-  tags->reserve(strings.empty() ? 0 : strings.size() - 1);
-  for (size_t id = 0; id < strings.size(); ++id) {
-    PutString(w, *strings[id]);
-    if (id > 0) tags->push_back(ValueDictionary::TagOf(*strings[id]));
+  PutU64(w, entries);
+  tags->reserve(entries > 0 ? entries - 1 : 0);
+  constexpr ValueId kChunk = 4096;
+  std::vector<std::string_view> chunk;
+  for (ValueId first = kNull; first < entries; first += kChunk) {
+    chunk.clear();
+    dict.StringsOf(first, std::min(entries, first + kChunk), &chunk);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      PutString(w, chunk[i]);
+      if (first + i > 0) tags->push_back(ValueDictionary::TagOf(chunk[i]));
+    }
   }
   PutTables(w, lake, 0);
   if (!w.ok()) return Status::IOError("short write to '" + path + "'");
@@ -543,10 +573,10 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
   PutU64(mem, dict_base);
   PutU64(mem, dict_size - dict_base);
   // The entries the file lacks, read under one lock acquisition.
-  std::vector<const std::string*> strings;
+  std::vector<std::string_view> strings;
   dict.StringsOf(static_cast<ValueId>(dict_base),
                  static_cast<ValueId>(dict_size), &strings);
-  for (const std::string* value : strings) PutString(mem, *value);
+  for (const std::string_view value : strings) PutString(mem, value);
   PutTables(mem, lake, first_table);
   while (mem.buf().size() % 8 != 0) mem.buf().push_back(0);
   const uint64_t catalog_off = mem.buf().size();
@@ -632,13 +662,12 @@ Status AppendSnapshotDelta(const DataLake& lake, size_t first_table,
 
 namespace {
 
-/// Parses one body-format table from `r`, remapping cell ids through
-/// `remap`, and stages it. `identity` says `remap` maps every id to
-/// itself; columns are then read in place and range-checked once.
-/// Shared by the base-table loop and the delta-run loader (runs
-/// serialize tables identically).
-Status ParseSnapshotTable(Reader& r, DataLake& lake,
-                          const std::vector<ValueId>& remap, bool identity,
+/// Parses one body-format table from `r` and stages it in the file's
+/// own (saved) ids: each column is read in place and range-checked
+/// once against `id_limit`, the number of dictionary entries the file
+/// has declared so far. Shared by the base-table loop and the delta-run
+/// loader (runs serialize tables identically).
+Status ParseSnapshotTable(Reader& r, DataLake& lake, uint64_t id_limit,
                           std::vector<Table>* staged) {
   const std::string name = r.String();
   const uint32_t cols = r.U32();
@@ -661,29 +690,15 @@ Status ParseSnapshotTable(Reader& r, DataLake& lake,
   if (cols > 0 && rows > r.Remaining() / (uint64_t{cols} * sizeof(ValueId))) {
     return Status::IOError("corrupt snapshot table: row count exceeds file");
   }
-  std::vector<ValueId> column(cols > 0 && !identity ? rows : 0);
   for (uint32_t c = 0; c < cols; ++c) {
     auto& dst = t.mutable_column(c);
-    if (identity) {
-      dst.resize(rows);
-      r.Bytes(dst.data(), rows * sizeof(ValueId));
-      if (!r.ok()) return Status::IOError("truncated snapshot column data");
-      ValueId max_id = 0;
-      for (const ValueId v : dst) max_id = std::max(max_id, v);
-      if (rows > 0 && max_id >= remap.size()) {
-        return Status::IOError("corrupt snapshot: value id out of range");
-      }
-      continue;
-    }
-    r.Bytes(column.data(), rows * sizeof(ValueId));
-    if (!r.ok()) return Status::IOError("truncated snapshot column data");
     dst.resize(rows);
-    for (uint64_t row = 0; row < rows; ++row) {
-      const ValueId saved = column[row];
-      if (saved >= remap.size()) {
-        return Status::IOError("corrupt snapshot: value id out of range");
-      }
-      dst[row] = remap[saved];
+    r.Bytes(dst.data(), rows * sizeof(ValueId));
+    if (!r.ok()) return Status::IOError("truncated snapshot column data");
+    ValueId max_id = 0;
+    for (const ValueId v : dst) max_id = std::max(max_id, v);
+    if (rows > 0 && max_id >= id_limit) {
+      return Status::IOError("corrupt snapshot: value id out of range");
     }
   }
   if (!keys.empty()) {
@@ -693,55 +708,40 @@ Status ParseSnapshotTable(Reader& r, DataLake& lake,
   return Status::OK();
 }
 
-/// Reads `count` dictionary entries and interns them with one bulk
-/// call, appending each entry's id in the lake's dictionary to `remap`
-/// (indexed by saved id). `identity` stays true only while every entry
-/// keeps its saved id. The one path for the base dictionary and every
-/// delta run's. With `tags` (the base dictionary's persisted tags) the
-/// entries are adopted instead when `dict` holds only id 0, and
-/// `*adopted` is set; otherwise, and always for delta runs (null
-/// `tags`), InternAll is the path.
-Status LoadDictionarySection(Reader& r, uint64_t count, ValueDictionary& dict,
-                             const std::vector<uint32_t>* tags,
-                             std::vector<ValueId>* remap, bool* identity,
-                             bool* adopted) {
+/// Reads `count` dictionary entries, which lie within the next `extent`
+/// bytes of `r`, as new entries of `arena`. Nothing is interned: the
+/// loader commits the entries to the dictionary only once the whole
+/// file has verified. The one reader for the base dictionary and every
+/// delta run's.
+Status ReadDictionarySection(Reader& r, uint64_t count, uint64_t extent,
+                             const ValueDictionary& dict,
+                             DictionaryArena* arena) {
   // Every entry is at least its 4-byte length.
-  if (count > r.Remaining() / sizeof(uint32_t)) {
+  if (count > std::min(extent, r.Remaining()) / sizeof(uint32_t)) {
     return Status::IOError("corrupt snapshot: dictionary size exceeds file");
   }
   // Entry ids must stay below the labeled-null range.
   if (count > kFirstLabeledNull - dict.size()) {
     return Status::IOError("corrupt snapshot: dictionary too large");
   }
-  std::vector<std::string> values;
-  values.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    values.push_back(r.String());
-    if (!r.ok()) return Status::IOError("truncated snapshot dictionary");
-  }
-  const size_t first = remap->size();
-  if (tags != nullptr && dict.AdoptAll(std::move(values), *tags)) {
-    // Adopted entries keep their saved ids 1..count.
-    remap->resize(first + count);
-    std::iota(remap->begin() + first, remap->end(),
-              static_cast<ValueId>(first));
-    *adopted = true;
-    return Status::OK();
-  }
-  dict.InternAll(std::move(values), remap);
-  for (size_t saved = first; saved < remap->size(); ++saved) {
-    *identity &= (*remap)[saved] == saved;
-  }
+  // The entries' bytes fit in the extent less their lengths; the
+  // reservation is address space until written, and is trimmed after.
+  arena->Reserve(count, std::min(extent, r.Remaining()) - 4 * count);
+  r.StringsInto(arena, count);
+  if (!r.ok()) return Status::IOError("truncated snapshot dictionary");
+  arena->ShrinkToFit();
   return Status::OK();
 }
 
-/// Stages the dictionary entries and tables of one delta run, extending
-/// `remap` with the run's new entries. `r` is repositioned at the blob;
-/// the blob's bytes were already checksum-verified by
-/// ValidateCatalogTail.
+/// Reads the dictionary entries and stages the tables of one delta run,
+/// its entries appended to `entries`, the entries of every earlier run.
+/// `saved_ids` is the number of saved ids before the run (the base
+/// dictionary's plus the earlier runs'); the run must continue from it.
+/// `r` is repositioned at the blob; the blob's bytes were already
+/// checksum-verified by ValidateCatalogTail.
 Status LoadDeltaRun(Reader& r, const storage::DeltaRunDesc& run,
-                    DataLake& lake, std::vector<ValueId>* remap,
-                    bool* identity, std::vector<Table>* staged) {
+                    DataLake& lake, uint64_t saved_ids,
+                    DictionaryArena* entries, std::vector<Table>* staged) {
   if (!r.SeekTo(run.offset)) {
     return Status::IOError("cannot seek to snapshot delta run");
   }
@@ -758,19 +758,19 @@ Status LoadDeltaRun(Reader& r, const storage::DeltaRunDesc& run,
     return Status::IOError("corrupt snapshot delta run header");
   }
   // Runs extend the snapshot's id space strictly in append order.
-  if (dict_base != remap->size() || dict_count > run.bytes) {
+  if (dict_base != saved_ids || dict_count > run.bytes) {
     return Status::IOError(
         "corrupt snapshot delta run: dictionary does not chain");
   }
-  GENT_RETURN_IF_ERROR(LoadDictionarySection(
-      r, dict_count, *lake.dict(), nullptr, remap, identity, nullptr));
+  GENT_RETURN_IF_ERROR(
+      ReadDictionarySection(r, dict_count, run.bytes, *lake.dict(), entries));
   const uint64_t table_count = r.U64();
   if (!r.ok() || table_count > run.bytes) {
     return Status::IOError("truncated snapshot delta run");
   }
   for (uint64_t i = 0; i < table_count; ++i) {
     GENT_RETURN_IF_ERROR(
-        ParseSnapshotTable(r, lake, *remap, *identity, staged));
+        ParseSnapshotTable(r, lake, dict_base + dict_count, staged));
   }
   return Status::OK();
 }
@@ -820,12 +820,48 @@ Status ReadAdoptableTags(std::FILE* file, uint64_t dict_size,
   return Status::OK();
 }
 
+/// Commits a verified file's dictionary to `dict`: the base entries
+/// `base`, saved ids [0, base_ids) (adopted with `tags` when given and
+/// the dictionary holds only id 0, else interned), then the delta runs'
+/// entries `runs`, the saved ids after them. Fills `remap` with saved
+/// id -> id in the dictionary, or leaves it empty when every saved id
+/// keeps its id.
+void CommitDictionary(ValueDictionary& dict, uint64_t base_ids,
+                      DictionaryArena&& base,
+                      const std::vector<uint32_t>* tags,
+                      const DictionaryArena& runs,
+                      std::vector<ValueId>* remap, bool* adopted) {
+  *adopted = tags != nullptr && dict.AdoptAll(std::move(base), *tags);
+  if (!*adopted && base_ids > 0) {
+    // Entry 0 is the null sentinel: it maps to kNull whatever it spells.
+    remap->push_back(kNull);
+    dict.InternAll(base.Views(1), remap);
+  }
+  if (runs.size() > 1) {
+    if (*adopted) {
+      remap->resize(base_ids);
+      std::iota(remap->begin(), remap->end(), ValueId{0});
+    }
+    dict.InternAll(runs.Views(1), remap);
+  }
+  for (size_t saved = 0; saved < remap->size(); ++saved) {
+    if ((*remap)[saved] != saved) return;
+  }
+  remap->clear();
+}
+
 /// Shared load path. `validate_tail` = false is the salvage mode
 /// (LoadSnapshotBody): the catalog tail of a v2 file — and the
 /// trailing-bytes check of a v1 file — is skipped, so a snapshot with a
 /// damaged catalog region still loads if its body parses. Salvage also
 /// skips delta runs (they live in the damaged tail), so it recovers the
 /// base generation only.
+///
+/// The dictionary entries are read into arenas and the tables staged in
+/// the file's own ids; only after every check has passed is the
+/// dictionary committed (CommitDictionary) and, unless the ids came out
+/// the same, the staged cells remapped once. A load that fails leaves
+/// both the lake and its dictionary untouched.
 Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
                         SnapshotLoadInfo* info, bool validate_tail) {
   Reader r(path);
@@ -845,10 +881,6 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
         " is newer than supported version " + std::to_string(kMaxVersion));
   }
 
-  // Dictionary remap: saved id -> id in the target dictionary. When the
-  // target already interns each string at the same id (always true for a
-  // fresh lake, since ids are written in order), the remap is the
-  // identity and a v2 file's catalog sections are directly usable.
   const uint64_t dict_size = r.U64();
   if (!r.ok()) return Status::IOError("truncated snapshot header");
   // The salvage mode never looks at the tail, so never adopts.
@@ -858,17 +890,12 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
     GENT_RETURN_IF_ERROR(
         ReadAdoptableTags(r.file(), dict_size, *lake.dict(), &tags, &adopt));
   }
-  std::vector<ValueId> remap;
-  bool identity = true;
-  bool adopted = false;
+  DictionaryArena base;  // the base dictionary, saved ids [0, dict_size)
   if (dict_size > 0) {
-    // Entry 0 is the null sentinel: it maps to kNull whatever it spells.
-    r.String();
+    r.String();  // entry 0, the null sentinel: the arena has its own
     if (!r.ok()) return Status::IOError("truncated snapshot dictionary");
-    remap.push_back(kNull);
-    GENT_RETURN_IF_ERROR(LoadDictionarySection(
-        r, dict_size - 1, *lake.dict(), adopt ? &tags : nullptr, &remap,
-        &identity, &adopted));
+    GENT_RETURN_IF_ERROR(ReadDictionarySection(
+        r, dict_size - 1, r.Remaining(), *lake.dict(), &base));
   }
 
   const uint64_t table_count = r.U64();
@@ -880,10 +907,10 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   std::vector<Table> staged;
   staged.reserve(table_count < (1u << 20) ? table_count : 0);
   for (uint64_t i = 0; i < table_count; ++i) {
-    GENT_RETURN_IF_ERROR(
-        ParseSnapshotTable(r, lake, remap, identity, &staged));
+    GENT_RETURN_IF_ERROR(ParseSnapshotTable(r, lake, dict_size, &staged));
   }
 
+  DictionaryArena run_entries;  // every delta run's, in saved id order
   size_t delta_runs = 0;
   if (validate_tail) {
     if (version >= kVersionV2) {
@@ -899,8 +926,9 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
       // the loaded lake is indistinguishable from one whose snapshot
       // was saved with those tables in the base.
       for (const storage::DeltaRunDesc& run : runs) {
-        GENT_RETURN_IF_ERROR(
-            LoadDeltaRun(r, run, lake, &remap, &identity, &staged));
+        GENT_RETURN_IF_ERROR(LoadDeltaRun(
+            r, run, lake, dict_size + run_entries.size() - 1, &run_entries,
+            &staged));
       }
       delta_runs = runs.size();
     } else if (!r.AtEof()) {
@@ -918,12 +946,22 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
                                    "' already exists in the lake");
     }
   }
+
+  // The file has verified: commit its dictionary, then bring the staged
+  // cells into the dictionary's ids.
+  std::vector<ValueId> remap;
+  bool adopted = false;
+  CommitDictionary(*lake.dict(), dict_size, std::move(base),
+                   adopt ? &tags : nullptr, run_entries, &remap, &adopted);
   for (Table& t : staged) {
+    for (size_t c = 0; !remap.empty() && c < t.num_cols(); ++c) {
+      for (ValueId& v : t.mutable_column(c)) v = remap[v];
+    }
     GENT_RETURN_IF_ERROR(lake.AddTable(std::move(t)));
   }
   if (info != nullptr) {
     info->version = version;
-    info->identity_remap = identity;
+    info->identity_remap = remap.empty();
     info->dictionary_adopted = adopted;
     info->delta_runs = delta_runs;
   }

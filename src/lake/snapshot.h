@@ -34,15 +34,18 @@
 // Dictionary adoption: SaveSnapshotV2 also writes the optional
 // kDictTags section (src/storage/paged_file.h) — the hash tag of every
 // base-dictionary entry, computed from the strings written. A full load
-// reads the footer first; when the section's checksum passes, its
-// tag_version is this build's and the target dictionary holds only id
-// 0 (a fresh lake), the base dictionary is adopted whole
-// (ValueDictionary::AdoptAll): the same ids and index InternAll would
-// build, without hashing a string. Every other case — a non-empty
-// target, delta-run dictionaries, the body salvage load, v1 files and
-// v2 files written before the section existed — re-interns as before.
-// The body itself is read through one buffer, and when the remap is the
-// identity each column is read in place and range-checked once.
+// reads the footer first and the base dictionary's strings into one
+// DictionaryArena. When the section's checksum passes, its tag_version
+// is this build's and the target dictionary holds only id 0 (a fresh
+// lake), the arena is adopted whole (ValueDictionary::AdoptAll): the
+// same ids and index InternAll would build, without hashing a string or
+// allocating one per entry. Every other case — a non-empty target,
+// delta-run dictionaries, the body salvage load, v1 files and v2 files
+// written before the section existed — re-interns from the arena.
+// Either way the dictionary is touched only after the whole file has
+// verified: tables are staged in the file's ids, each column read in
+// place and range-checked once, and remapped in one pass only when the
+// commit changed some id.
 
 #ifndef GENT_LAKE_SNAPSHOT_H_
 #define GENT_LAKE_SNAPSHOT_H_
@@ -82,7 +85,8 @@ struct SnapshotLoadInfo {
 /// Writes `lake` plus its built catalog (`catalog` borrows the
 /// catalog's arrays; see ColumnStatsCatalog::section_views) to `path`
 /// in version-2 format, overwriting. The dictionary written is all of
-/// lake.dict() at the call, read under one lock. Fails with
+/// lake.dict() at the call: entries that exist never change, so later
+/// entries do not reach the file. Fails with
 /// InvalidArgument if a table cell holds a labeled null (or any id
 /// outside the dictionary), IOError on filesystem trouble — including a
 /// failed final flush/fsync, so a snapshot truncated by a full disk
@@ -157,8 +161,8 @@ Status CompactSnapshotV2(const std::string& path,
 /// checksum mismatch — the whole file is verified), InvalidArgument on
 /// bad magic or a version from the future, AlreadyExists on a
 /// table-name collision with the lake or within the snapshot.
-/// All-or-nothing: on any failure, including a collision, the lake is
-/// untouched. Delta runs appended by AppendSnapshotDelta load too, in
+/// All-or-nothing: on any failure, including a collision, the lake and
+/// its dictionary are untouched. Delta runs appended by AppendSnapshotDelta load too, in
 /// generation order, as if their tables had been in the base. Fills
 /// `*info` (if non-null) on success.
 Status LoadSnapshot(DataLake& lake, const std::string& path,

@@ -29,7 +29,7 @@ FuzzyValueMap FuzzyValueMap::Build(const Table& source,
 
 ValueId FuzzyValueMap::Resolve(ValueId value, bool* ambiguous) const {
   *ambiguous = false;
-  const std::string& raw = dict_->StringOf(value);
+  const std::string_view raw = dict_->StringOf(value);
   const std::string canonical = CanonicalizeValue(raw);
   if (canonical.empty()) return value;
 

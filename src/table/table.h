@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -117,7 +118,7 @@ class Table {
   std::string ToString(size_t max_rows = 32) const;
 
   /// String convenience accessors.
-  const std::string& CellString(size_t r, size_t c) const {
+  std::string_view CellString(size_t r, size_t c) const {
     return dict_->StringOf(cell(r, c));
   }
 

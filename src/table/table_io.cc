@@ -3,16 +3,17 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace gent {
 
 namespace {
 
-bool NeedsQuoting(const std::string& field) {
-  return field.find_first_of(",\"\n\r") != std::string::npos;
+bool NeedsQuoting(std::string_view field) {
+  return field.find_first_of(",\"\n\r") != std::string_view::npos;
 }
 
-void AppendField(const std::string& field, std::string* out) {
+void AppendField(std::string_view field, std::string* out) {
   if (!NeedsQuoting(field)) {
     *out += field;
     return;

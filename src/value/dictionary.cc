@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "src/util/hash.h"
 #include "src/util/string_util.h"
@@ -40,8 +41,36 @@ uint32_t ValueDictionary::TagOf(std::string_view s) {
   return static_cast<uint32_t>(h >> 32);
 }
 
-ValueDictionary::ValueDictionary() {
-  strings_.emplace_back("");  // id 0: the null sentinel
+bool DictionaryArena::Resize(size_t capacity) {
+  // realloc keeps the bytes; on a large block it remaps pages instead
+  // of copying them.
+  void* grown = std::realloc(bytes_.get(), capacity > 0 ? capacity : 1);
+  if (grown == nullptr) return false;
+  bytes_.release();
+  bytes_.reset(static_cast<char*>(grown));
+  capacity_ = capacity;
+  return true;
+}
+
+void DictionaryArena::Reserve(size_t entries, size_t string_bytes) {
+  offsets_.reserve(offsets_.size() + entries);
+  if (bytes() + string_bytes > capacity_) (void)Resize(bytes() + string_bytes);
+}
+
+void DictionaryArena::Grow(size_t need) {
+  if (!Resize(std::max(need, 2 * capacity_))) throw std::bad_alloc();
+}
+
+void DictionaryArena::ShrinkToFit() {
+  if (capacity_ > bytes()) (void)Resize(bytes());
+  offsets_.shrink_to_fit();
+}
+
+std::vector<std::string_view> DictionaryArena::Views(size_t first) const {
+  std::vector<std::string_view> views;
+  views.reserve(size() > first ? size() - first : 0);
+  for (size_t i = first; i < size(); ++i) views.push_back((*this)[i]);
+  return views;
 }
 
 size_t ValueDictionary::ProbeLocked(std::string_view key, uint32_t tag) const {
@@ -50,7 +79,7 @@ size_t ValueDictionary::ProbeLocked(std::string_view key, uint32_t tag) const {
   for (; slots_[i] != 0; i = (i + 1) & mask) {
     const uint64_t slot = slots_[i];
     if (static_cast<uint32_t>(slot >> 32) == tag &&
-        strings_[static_cast<ValueId>(slot)] == key) {
+        EntryLocked(static_cast<ValueId>(slot)) == key) {
       break;
     }
   }
@@ -73,18 +102,14 @@ void ValueDictionary::CheckEntryCount(size_t n) {
   }
 }
 
-ValueId ValueDictionary::FindOrInsertLocked(std::string_view key, uint32_t tag,
-                                            std::string* owned) {
+ValueId ValueDictionary::FindOrInsertLocked(std::string_view key,
+                                            uint32_t tag) {
   ReserveLocked(indexed_ + 1);
   const size_t i = ProbeLocked(key, tag);
   if (slots_[i] != 0) return static_cast<ValueId>(slots_[i]);
-  CheckEntryCount(strings_.size() + 1);
-  const ValueId id = static_cast<ValueId>(strings_.size());
-  if (owned != nullptr) {
-    strings_.push_back(std::move(*owned));
-  } else {
-    strings_.emplace_back(key);
-  }
+  CheckEntryCount(SizeLocked() + 1);
+  const ValueId id = static_cast<ValueId>(SizeLocked());
+  tail_.emplace_back(key);
   slots_[i] = static_cast<uint64_t>(tag) << 32 | id;
   ++indexed_;
   return id;
@@ -120,21 +145,22 @@ ValueId ValueDictionary::Intern(std::string_view s) {
   // Another thread may intern `key` between the locks; the writer path
   // probes again before inserting.
   std::unique_lock lock(mutex_);
-  return FindOrInsertLocked(key, tag, nullptr);
+  return FindOrInsertLocked(key, tag);
 }
 
-void ValueDictionary::InternAll(std::vector<std::string>&& values,
+void ValueDictionary::InternAll(std::vector<std::string_view> values,
                                 std::vector<ValueId>* ids) {
   // Canonical spellings and tags are computed before the lock: a
-  // numeric spelling is rewritten in place, anything else is already
-  // its own canonical form and is later moved in, not copied.
+  // numeric spelling's view is pointed at its canonical form, anything
+  // else is already its own canonical form.
   std::vector<uint32_t> tags(values.size());
+  std::deque<std::string> canonical;  // rewritten spellings; deque: stable
   std::string scratch;
   for (size_t i = 0; i < values.size(); ++i) {
-    std::string& value = values[i];
+    std::string_view& value = values[i];
     if (value.empty()) continue;
     const std::string_view key = CanonicalNumeric(value, &scratch);
-    if (key.data() != value.data()) value.assign(key);
+    if (key.data() != value.data()) value = canonical.emplace_back(key);
     tags[i] = TagOf(value);
   }
   ids->reserve(ids->size() + values.size());
@@ -148,36 +174,34 @@ void ValueDictionary::InternAll(std::vector<std::string>&& values,
     if (i + kPrefetchAhead < values.size()) {
       __builtin_prefetch(&slots_[tags[i + kPrefetchAhead] & mask]);
     }
-    std::string& value = values[i];
-    ids->push_back(value.empty()
-                       ? kNull
-                       : FindOrInsertLocked(value, tags[i], &value));
+    ids->push_back(values[i].empty() ? kNull
+                                     : FindOrInsertLocked(values[i], tags[i]));
   }
 }
 
-bool ValueDictionary::AdoptAll(std::vector<std::string>&& values,
+bool ValueDictionary::AdoptAll(DictionaryArena&& values,
                                const std::vector<uint32_t>& tags) {
-  assert(tags.size() == values.size());
+  assert(values.size() >= 1 && tags.size() == values.size() - 1);
   std::unique_lock lock(mutex_);
-  if (strings_.size() != 1) return false;
-  CheckEntryCount(1 + values.size());
-  ReserveLocked(values.size());
+  if (SizeLocked() != 1) return false;
+  CheckEntryCount(values.size());
+  ReserveLocked(tags.size());
   // The same slot InternAll would pick for each value: the index is
   // empty and values arrive in id order, so the first free slot from
   // the home slot is it.
   constexpr size_t kPrefetchAhead = 8;
   const size_t mask = slots_.size() - 1;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i + kPrefetchAhead < values.size()) {
+  for (size_t i = 0; i < tags.size(); ++i) {
+    if (i + kPrefetchAhead < tags.size()) {
       __builtin_prefetch(&slots_[tags[i + kPrefetchAhead] & mask]);
     }
     size_t s = tags[i] & mask;
     while (slots_[s] != 0) s = (s + 1) & mask;
     slots_[s] = static_cast<uint64_t>(tags[i]) << 32 |
-                static_cast<ValueId>(strings_.size());
-    strings_.push_back(std::move(values[i]));
+                static_cast<ValueId>(i + 1);
   }
-  indexed_ = values.size();
+  indexed_ = tags.size();
+  base_ = std::move(values);
   return true;
 }
 
@@ -195,26 +219,33 @@ ValueId ValueDictionary::Lookup(std::string_view s) const {
   return FindLocked(key, tag);
 }
 
-const std::string& ValueDictionary::StringOf(ValueId id) const {
+std::string_view ValueDictionary::StringOf(ValueId id) const {
   if (IsLabeledNull(id)) {
     std::lock_guard<std::mutex> lock(label_mutex_);
     auto [it, fresh] = label_strings_.try_emplace(id);
     if (fresh) {
       it->second = "⟨null:" + std::to_string(id - kFirstLabeledNull) + "⟩";
     }
-    return it->second;  // node reference: stable after unlock
+    return it->second;  // node-held string: stable after unlock
   }
   std::shared_lock lock(mutex_);
-  assert(id < strings_.size());
-  return strings_[id];  // deque reference: stable after unlock
+  assert(id < SizeLocked());
+  return EntryLocked(id);  // arena or deque bytes: stable after unlock
 }
 
 void ValueDictionary::StringsOf(ValueId first, ValueId last,
-                                std::vector<const std::string*>* out) const {
+                                std::vector<std::string_view>* out) const {
   out->reserve(out->size() + (last > first ? last - first : 0));
   std::shared_lock lock(mutex_);
-  assert(last <= strings_.size());
-  for (ValueId id = first; id < last; ++id) out->push_back(&strings_[id]);
+  assert(last <= SizeLocked());
+  ValueId id = first;
+  for (; id < last && id < base_.size(); ++id) out->push_back(base_[id]);
+  if (id >= last) return;
+  // The tail by iterator: indexing a deque per id costs more than the
+  // copy.
+  for (auto it = tail_.begin() + (id - base_.size()); id < last; ++id, ++it) {
+    out->emplace_back(*it);
+  }
 }
 
 ValueId ValueDictionary::CreateLabeledNull() {
@@ -224,7 +255,12 @@ ValueId ValueDictionary::CreateLabeledNull() {
 
 size_t ValueDictionary::size() const {
   std::shared_lock lock(mutex_);
-  return strings_.size();
+  return SizeLocked();
+}
+
+size_t ValueDictionary::base_bytes() const {
+  std::shared_lock lock(mutex_);
+  return base_.bytes();
 }
 
 }  // namespace gent

@@ -277,7 +277,7 @@ TEST(DictionaryConcurrencyTest, MixedReadWriteUnderContention) {
       while (!stop) {
         const size_t n = dict->size();
         for (ValueId id = 0; id < n; id += 97) {
-          const std::string& s = dict->StringOf(id);
+          const std::string_view s = dict->StringOf(id);
           if (id != kNull && !dict->IsLabeledNull(id) &&
               dict->Lookup(s) != id) {
             ++errors;

@@ -74,8 +74,8 @@ TEST_F(ExpandTest, PrefersFunctionalJoinOverManyToMany) {
   ASSERT_TRUE(ac.has_value());
   size_t correct = 0;
   for (size_t row = 0; row < expanded->num_rows(); ++row) {
-    std::string id = expanded->CellString(row, *idc);
-    std::string attr = expanded->CellString(row, *ac);
+    const std::string id(expanded->CellString(row, *idc));
+    const std::string attr(expanded->CellString(row, *ac));
     correct += id.substr(2) == attr.substr(4);  // idN ↔ attrN
   }
   EXPECT_EQ(correct, expanded->num_rows());

@@ -798,6 +798,46 @@ TEST_F(IncrementalIngestTest, FoldAfterDictionaryGrowthReloadsWithIdentity) {
   }
 }
 
+// The writers' bytes do not depend on how the dictionary holds its
+// strings: a service that adopted its dictionary from a file (its base
+// segment) saves, and folds after an append, exactly the bytes a
+// one-shot save of the same lake writes from a dictionary that interned
+// every value.
+TEST_F(IncrementalIngestTest, AdoptedServiceWritesTheBytesOfAOneShotSave) {
+  std::mt19937 rng(2727);
+  DictionaryPtr ref_dict = MakeDictionary();
+  DataLake ref(ref_dict);
+  for (Table& t : MakeRandomTables(ref_dict, 4, "base", rng)) {
+    ASSERT_TRUE(ref.AddTable(std::move(t)).ok());
+  }
+  const std::string served = Path("served.snap");
+  ASSERT_TRUE(SaveV2(ref, served).ok());
+  const std::string base_bytes = BytesOf(served);
+
+  ReclaimService service(ExplicitFoldOptions(MakeDictionary()));
+  ASSERT_TRUE(service.AddLakeFromSnapshot("stream", served).ok());
+  ASSERT_GT(service.dict()->base_bytes(), 0u);  // adopted
+  const size_t adopted_size = service.dict()->size();
+  ASSERT_TRUE(service.SaveShardSnapshot("stream", Path("saved.snap")).ok());
+  EXPECT_EQ(BytesOf(Path("saved.snap")), base_bytes);
+
+  // The same batch, interned in the same order, into both lakes.
+  const DictionaryPtr batch_dict = MakeDictionary();
+  std::vector<Table> batch;
+  for (const Table& t : MakeRandomTables(batch_dict, 3, "s_", rng)) {
+    ASSERT_TRUE(ref.AddTable(TranslateToDictionary(t, ref_dict)).ok());
+    batch.push_back(TranslateToDictionary(t, service.dict()));
+  }
+  ASSERT_GT(service.dict()->size(), adopted_size);  // a tail past the base
+  ASSERT_TRUE(service.AppendTablesToLake("stream", std::move(batch)).ok());
+  ASSERT_TRUE(service.CompactShardSnapshot("stream").ok());
+  ASSERT_TRUE(SaveV2(ref, Path("one_shot.snap")).ok());
+  const std::string one_shot = BytesOf(Path("one_shot.snap"));
+  EXPECT_EQ(BytesOf(served), one_shot);
+  ASSERT_TRUE(service.SaveShardSnapshot("stream", Path("saved2.snap")).ok());
+  EXPECT_EQ(BytesOf(Path("saved2.snap")), one_shot);
+}
+
 // A shard whose file has no delta runs has nothing to fold: the call
 // writes nothing and publishes nothing.
 TEST_F(IncrementalIngestTest, FoldWithoutRunsTouchesNothing) {

@@ -209,7 +209,7 @@ TEST(RobustnessTest, TightRowBudgetSurfacesTypedError) {
     tb.Columns({"k", cols});
     for (int i = 0; i < 200; ++i) {
       auto col = source.ColumnIndex(cols);
-      tb.Row({std::to_string(i), source.CellString(i, *col)});
+      tb.Row({std::to_string(i), std::string(source.CellString(i, *col))});
     }
     (void)lake.AddTable(tb.Build());
   }

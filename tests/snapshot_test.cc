@@ -10,6 +10,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -299,7 +300,7 @@ void ExpectAdoptedLoadMatchesOracle(const std::string& path,
   ASSERT_EQ(a.size(), o.size());
   size_t mismatched = 0;
   for (ValueId id = 0; id < o.size(); ++id) {
-    const std::string& value = o.StringOf(id);
+    const std::string_view value = o.StringOf(id);
     mismatched += a.StringOf(id) != value;
     mismatched += a.Lookup(value) != o.Lookup(value);
     mismatched += id != kNull && a.Lookup(value) != id;
@@ -589,6 +590,122 @@ TEST_F(SnapshotTest, ForgedTagsLoadWithoutCrash) {
     ASSERT_EQ(fresh.size(), lake.size());
     for (size_t i = 0; i < lake.size(); ++i) {
       EXPECT_EQ(RowsOf(fresh.table(i)), RowsOf(lake.table(i)));
+    }
+  }
+}
+
+// A load that fails — a flipped byte in the dictionary, in a table or
+// in the catalog tail — commits nothing to the target's dictionary, so
+// the next good load into the same lake still adopts with the identity
+// remap (and a service shard on it stays mapped).
+TEST_F(SnapshotTest, FailedLoadLeavesTheDictionaryUntouched) {
+  auto bench = MakeTpTrBenchmark("TP-TR Small", TpTrSmallConfig());
+  ASSERT_TRUE(bench.ok());
+  ASSERT_TRUE(SaveV2(*bench->lake, Path("good.snap")).ok());
+  std::ifstream in(Path("good.snap"), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  uint64_t body_end = 0;
+  uint64_t catalog_at = 0;
+  {
+    std::FILE* f = std::fopen(Path("good.snap").c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    auto footer = storage::ReadFooter(f);
+    std::fclose(f);
+    ASSERT_TRUE(footer.ok());
+    body_end = footer->Find(storage::SectionId::kBody)->bytes;
+    const storage::SectionDesc* values =
+        footer->Find(storage::SectionId::kColumnValues);
+    ASSERT_NE(values, nullptr);
+    catalog_at = values->offset + values->bytes / 2;
+  }
+  // Entry 1's first byte (magic, version, count, entry 0's length and
+  // entry 1's length come first); the high byte of the body's last cell,
+  // which puts that id out of range; a byte of the catalog's values.
+  const std::vector<std::pair<const char*, uint64_t>> flips = {
+      {"dictionary", 8 + 4 + 8 + 4 + 4},
+      {"table", body_end - 1},
+      {"tail", catalog_at}};
+  for (const auto& [where, offset] : flips) {
+    std::string bad = bytes;
+    bad[offset] = static_cast<char>(bad[offset] ^ 0x40);
+    std::ofstream out(Path("bad.snap"), std::ios::binary | std::ios::trunc);
+    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
+    out.close();
+
+    DataLake target;
+    EXPECT_EQ(LoadSnapshot(target, Path("bad.snap")).code(),
+              StatusCode::kIOError) << where;
+    EXPECT_EQ(target.dict()->size(), 1u) << where;
+    EXPECT_EQ(target.size(), 0u) << where;
+    SnapshotLoadInfo info;
+    ASSERT_TRUE(LoadSnapshot(target, Path("good.snap"), &info).ok()) << where;
+    EXPECT_TRUE(info.dictionary_adopted) << where;
+    EXPECT_TRUE(info.identity_remap) << where;
+    EXPECT_EQ(target.dict()->size(), bench->lake->dict()->size()) << where;
+
+    ReclaimService service;
+    EXPECT_FALSE(service.AddLakeFromSnapshot("bad", Path("bad.snap")).ok())
+        << where;
+    EXPECT_EQ(service.dict()->size(), 1u) << where;
+    ASSERT_TRUE(service.AddLakeFromSnapshot("good", Path("good.snap")).ok())
+        << where;
+    EXPECT_TRUE(service.residency_stats()[0].catalog.mapped) << where;
+  }
+}
+
+// Two loads of one file race into one empty dictionary. Whichever
+// commits first adopts; the other interns the same strings, which keep
+// their ids. Either way the two lakes hold the same cells.
+TEST_F(SnapshotTest, ConcurrentLoadsIntoOneDictionaryAgree) {
+  std::mt19937 rng(27);
+  std::uniform_int_distribution<int> value(0, 4000);
+  DataLake lake;
+  for (int t = 0; t < 4; ++t) {
+    TableBuilder b(lake.dict(), "t" + std::to_string(t));
+    b.Columns({"a", "b"});
+    for (int r = 0; r < 500; ++r) {
+      const int v = value(rng);
+      b.Row({"w" + std::to_string(v), std::to_string(v / 3)});
+    }
+    ASSERT_TRUE(lake.AddTable(b.Build()).ok());
+  }
+  ASSERT_TRUE(SaveV2(lake, Path("race.snap")).ok());
+  // A delta run adds entries the base dictionary lacks.
+  const size_t first = lake.size();
+  ASSERT_TRUE(lake.AddTable(TableBuilder(lake.dict(), "run")
+                                .Columns({"a"})
+                                .Row({"only-in-the-run"})
+                                .Row({"w1"})
+                                .Build())
+                  .ok());
+  const auto run = ColumnStatsCatalog::BuildDeltaRun(lake, first);
+  ASSERT_TRUE(
+      AppendSnapshotDelta(lake, first, run.views(), Path("race.snap")).ok());
+
+  for (int round = 0; round < 6; ++round) {
+    const DictionaryPtr dict = MakeDictionary();
+    DataLake a(dict), b(dict);
+    SnapshotLoadInfo info_a, info_b;
+    Status st_a, st_b;
+    std::thread load_a(
+        [&] { st_a = LoadSnapshot(a, Path("race.snap"), &info_a); });
+    std::thread load_b(
+        [&] { st_b = LoadSnapshot(b, Path("race.snap"), &info_b); });
+    load_a.join();
+    load_b.join();
+    ASSERT_TRUE(st_a.ok()) << st_a.ToString();
+    ASSERT_TRUE(st_b.ok()) << st_b.ToString();
+    EXPECT_NE(info_a.dictionary_adopted, info_b.dictionary_adopted) << round;
+    EXPECT_TRUE(info_a.identity_remap) << round;
+    EXPECT_TRUE(info_b.identity_remap) << round;
+    EXPECT_EQ(dict->size(), lake.dict()->size()) << round;
+    ASSERT_EQ(a.size(), lake.size());
+    ASSERT_EQ(b.size(), lake.size());
+    for (size_t i = 0; i < lake.size(); ++i) {
+      EXPECT_TRUE(TablesBitIdentical(a.table(i), b.table(i))) << i;
+      EXPECT_EQ(RowsOf(a.table(i)), RowsOf(lake.table(i))) << i;
     }
   }
 }

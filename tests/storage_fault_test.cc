@@ -71,7 +71,7 @@ class StorageFaultTest : public ::testing::Test {
     DataLake lake;
     if (!LoadSnapshot(lake, path).ok()) return std::string();
     if (lake.size() != 1 || lake.table(0).num_rows() < 1) return std::string();
-    return lake.table(0).CellString(0, 1);
+    return std::string(lake.table(0).CellString(0, 1));
   }
 
   std::filesystem::path dir_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -64,17 +65,17 @@ TEST(DictionaryTest, LabeledNullsAreUniqueNonValues) {
 
 TEST(DictionaryTest, IdsStayDenseAcrossRehashes) {
   ValueDictionary dict;
-  // References taken before the index rehashes (many times over).
-  std::vector<const std::string*> early;
+  // Views taken before the index rehashes (many times over).
+  std::vector<std::string_view> early;
   std::vector<std::string> spelled;
   const size_t kValues = 20000;
   for (size_t i = 0; i < kValues; ++i) {
     spelled.push_back("value-" + std::to_string(i) + "-padding-past-8-bytes");
     ASSERT_EQ(dict.Intern(spelled.back()), static_cast<ValueId>(i + 1));
-    if (i < 64) early.push_back(&dict.StringOf(static_cast<ValueId>(i + 1)));
+    if (i < 64) early.push_back(dict.StringOf(static_cast<ValueId>(i + 1)));
   }
   EXPECT_EQ(dict.size(), kValues + 1);
-  for (size_t i = 0; i < early.size(); ++i) EXPECT_EQ(*early[i], spelled[i]);
+  for (size_t i = 0; i < early.size(); ++i) EXPECT_EQ(early[i], spelled[i]);
   for (size_t i = 0; i < kValues; ++i) {
     EXPECT_EQ(dict.Lookup(spelled[i]), static_cast<ValueId>(i + 1));
     EXPECT_EQ(dict.Intern(spelled[i]), static_cast<ValueId>(i + 1));
@@ -114,7 +115,8 @@ TEST(DictionaryTest, BulkInternEqualsPerStringIntern) {
   std::vector<ValueId> expected;
   for (const std::string& s : input) expected.push_back(per_string.Intern(s));
   std::vector<ValueId> ids = {kNull};  // InternAll appends
-  bulk.InternAll(std::vector<std::string>(input), &ids);
+  bulk.InternAll(std::vector<std::string_view>(input.begin(), input.end()),
+                 &ids);
   ids.erase(ids.begin());
 
   EXPECT_EQ(ids, expected);
@@ -159,7 +161,9 @@ TEST(DictionaryTest, ConcurrentCallersAgreeOnEveryId) {
             batch.push_back(spelling(order[k + j]));
           }
           std::vector<ValueId> ids;
-          dict.InternAll(std::move(batch), &ids);
+          dict.InternAll(
+              std::vector<std::string_view>(batch.begin(), batch.end()),
+              &ids);
           for (size_t j = 0; j < kChunk; ++j) seen[t][order[k + j]] = ids[j];
           continue;
         }
@@ -183,6 +187,87 @@ TEST(DictionaryTest, ConcurrentCallersAgreeOnEveryId) {
     for (size_t t = 0; t < kThreads; ++t) {
       EXPECT_EQ(seen[t][v], id) << "thread " << t << " value " << v;
     }
+  }
+}
+
+TEST(DictionaryTest, BaseAndTailViewsStayValidUnderConcurrentInterns) {
+  // An adopted base segment (ids 1..kBase) plus a tail of kTail interned
+  // values. Readers hold views of every one of them while writers intern
+  // thousands more; no view may move or change.
+  constexpr size_t kBase = 3000;
+  constexpr size_t kTail = 500;
+  constexpr size_t kWriters = 2;
+  constexpr size_t kPerWriter = 4000;
+  const auto spelling = [](const std::string& part, size_t i) {
+    // Short spellings stay inside std::string; long ones do not.
+    return i % 3 == 0 ? part + std::to_string(i)
+                      : part + "-" + std::to_string(i) + "-padding-past-sso";
+  };
+  std::vector<std::string> expected = {""};
+  DictionaryArena base;
+  std::vector<uint32_t> tags;
+  for (size_t i = 0; i < kBase; ++i) {
+    expected.push_back(spelling("base", i));
+    base.Append(expected.back());
+    tags.push_back(ValueDictionary::TagOf(expected.back()));
+  }
+  ValueDictionary dict;
+  ASSERT_TRUE(dict.AdoptAll(std::move(base), tags));
+  for (size_t i = 0; i < kTail; ++i) {
+    expected.push_back(spelling("tail", i));
+    ASSERT_EQ(dict.Intern(expected.back()), expected.size() - 1);
+  }
+  std::vector<std::string_view> views;
+  for (ValueId id = 0; id < expected.size(); ++id) {
+    views.push_back(dict.StringOf(id));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> errors{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      do {
+        for (ValueId id = 0; id < expected.size(); ++id) {
+          size_t wrong = views[id] != expected[id];
+          wrong += dict.StringOf(id) != expected[id];
+          wrong += id != kNull && dict.Lookup(expected[id]) != id;
+          errors += wrong;
+        }
+      } while (!stop);
+    });
+  }
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const std::string part = "writer" + std::to_string(w);
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        (void)dict.Intern(spelling(part, i));
+      }
+    });
+  }
+  for (std::thread& th : writers) th.join();
+  stop = true;
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(errors, 0u);
+  for (ValueId id = 0; id < expected.size(); ++id) {
+    EXPECT_EQ(views[id], expected[id]) << id;
+  }
+  ASSERT_EQ(dict.size(), expected.size() + kWriters * kPerWriter);
+
+  // StringsOf crosses the base/tail boundary in id order.
+  std::vector<std::string_view> all;
+  dict.StringsOf(kNull, static_cast<ValueId>(dict.size()), &all);
+  ASSERT_EQ(all.size(), dict.size());
+  for (ValueId id = 0; id < all.size(); ++id) {
+    ASSERT_EQ(all[id], dict.StringOf(id)) << id;
+    if (id < expected.size()) ASSERT_EQ(all[id], expected[id]) << id;
+  }
+  std::vector<std::string_view> straddle;
+  dict.StringsOf(kBase - 1, kBase + 3, &straddle);
+  ASSERT_EQ(straddle.size(), 4u);
+  for (size_t i = 0; i < straddle.size(); ++i) {
+    EXPECT_EQ(straddle[i], expected[kBase - 1 + i]) << i;
   }
 }
 

@@ -114,9 +114,11 @@ int main(int argc, char** argv) {
     uint64_t rows = 0;
     for (size_t i = 0; i < lake.size(); ++i) rows += lake.table(i).num_rows();
     std::printf("  total rows: %" PRIu64 "\n", rows);
-    std::printf("  dictionary: %zu values, %s\n", lake.dict()->size(),
+    std::printf("  dictionary: %zu values, %s, arena %zu bytes\n",
+                lake.dict()->size(),
                 info.dictionary_adopted ? "adopted from dict-tags"
-                                        : "re-interned");
+                                        : "re-interned",
+                lake.dict()->base_bytes());
   } else {
     std::printf("  body: UNREADABLE (%s)\n", load.ToString().c_str());
   }
