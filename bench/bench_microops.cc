@@ -559,6 +559,9 @@ struct ExpandRun {
   // The engine's work counters, summed over sources (one serial run
   // each; they never depend on the thread count).
   size_t intermediate_hops = 0;
+  size_t hop_sets_borrowed = 0;
+  size_t hop_sets_deduped = 0;
+  size_t hop_cells_gathered = 0;
   size_t hop_sides_built = 0;
   size_t hop_sides_reused = 0;
   size_t join_pairs_scored = 0;
@@ -644,6 +647,9 @@ ExpandRun RunExpandBench(const std::string& label,
         run.tables += want.ok() ? want->tables.size() : 0;
         if (got.ok()) {
           run.intermediate_hops += got->intermediate_hops;
+          run.hop_sets_borrowed += got->hop_sets_borrowed;
+          run.hop_sets_deduped += got->hop_sets_deduped;
+          run.hop_cells_gathered += got->hop_cells_gathered;
           run.hop_sides_built += got->hop_sides_built;
           run.hop_sides_reused += got->hop_sides_reused;
           run.join_pairs_scored += got->join_pairs_scored;
@@ -682,11 +688,13 @@ int RunExpandSection() {
     std::printf(
         "%-17s sources %2zu  cands %3zu  engine %9.2f ms  (pooled %9.2f ms)"
         "  baseline %9.2f ms  speedup %5.1fx (%5.1fx)  identical %s\n"
-        "%-17s hops %zu  hop sides built %zu  reused %zu  join pairs "
-        "scored %zu\n",
+        "%-17s hops %zu  hop sets borrowed %zu  deduped %zu  cells "
+        "gathered %zu\n"
+        "%-17s hop sides built %zu  reused %zu  join pairs scored %zu\n",
         r.benchmark.c_str(), r.sources, r.candidates, r.engine_ms,
         r.engine_mt_ms, r.baseline_ms, r.Speedup(), r.MtSpeedup(),
         r.identical ? "yes" : "NO", "", r.intermediate_hops,
+        r.hop_sets_borrowed, r.hop_sets_deduped, r.hop_cells_gathered, "",
         r.hop_sides_built, r.hop_sides_reused, r.join_pairs_scored);
     all_identical &= r.identical;
   }
@@ -707,11 +715,14 @@ int RunExpandSection() {
                  "\"baseline_ms\": %.3f, \"optimized_ms\": %.3f, "
                  "\"optimized_pooled_ms\": %.3f, \"speedup\": %.2f, "
                  "\"pooled_speedup\": %.2f, \"intermediate_hops\": %zu, "
+                 "\"hop_sets_borrowed\": %zu, \"hop_sets_deduped\": %zu, "
+                 "\"hop_cells_gathered\": %zu, "
                  "\"hop_sides_built\": %zu, \"hop_sides_reused\": %zu, "
                  "\"join_pairs_scored\": %zu, \"identical\": %s}%s\n",
                  r.benchmark.c_str(), r.sources, r.candidates, r.tables,
                  r.baseline_ms, r.engine_ms, r.engine_mt_ms, r.Speedup(),
-                 r.MtSpeedup(), r.intermediate_hops, r.hop_sides_built,
+                 r.MtSpeedup(), r.intermediate_hops, r.hop_sets_borrowed,
+                 r.hop_sets_deduped, r.hop_cells_gathered, r.hop_sides_built,
                  r.hop_sides_reused, r.join_pairs_scored,
                  r.identical ? "true" : "false",
                  i + 1 < runs.size() ? "," : "");

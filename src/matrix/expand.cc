@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,11 +36,11 @@ struct JoinPair {
 // Views either borrow sets that already exist or point into `owned`.
 // Borrowed: the shared catalog's immutable sets (untouched lake
 // candidates: zero recomputation, zero copies), and, for an
-// intermediate hop's join output, its input's sets when every row of
-// that input matched (DeriveHopSets). Owned: one SortedDistinctValues
+// intermediate hop's output, the previous hop's sets or a fully reached
+// path table's own (DeriveHopSets). Owned: one SortedDistinctValues
 // build per column of an ad-hoc candidate or a sibling-absorbing family
-// union, or per partially matched output column over its input's
-// matched rows. Move-safe: moving the outer vectors keeps the inner
+// union, or per output column of a partially reached path table over
+// its reached rows. Move-safe: moving the outer vectors keeps the inner
 // heap buffers, so views survive container moves.
 struct ColumnSets {
   std::vector<std::vector<ValueId>> owned;
@@ -200,28 +201,24 @@ struct HopColumn {
   std::string name;
 };
 
-// The rows of each HopJoin input that reach its output (matched at least
-// once), ascending.
-struct HopMatches {
-  std::vector<uint32_t> left;
-  std::vector<uint32_t> right;
-};
-
 // Per-path work counters (ExpandResult reports the sums). Intermediate
-// hops and their output columns' sets by how they were obtained, and the
-// hop sides HopJoin looked up by whether the lookup built or reused them.
+// hops and their output columns' sets by how they were obtained, the hop
+// sides a hop join looked up by whether the lookup built or reused them,
+// and the cells the hop joins wrote (ExpandResult::hop_cells_gathered).
 struct HopCounts {
   size_t hops = 0;
   size_t borrowed = 0;
   size_t deduped = 0;
   size_t sides_built = 0;
   size_t sides_reused = 0;
+  size_t cells = 0;
   HopCounts& operator+=(const HopCounts& o) {
     hops += o.hops;
     borrowed += o.borrowed;
     deduped += o.deduped;
     sides_built += o.sides_built;
     sides_reused += o.sides_reused;
+    cells += o.cells;
     return *this;
   }
 };
@@ -292,160 +289,311 @@ class HopSide {
       firsts_;
 };
 
-// Inner join of the hop table `hop` with the path so far `r` on
-// hop[left_col] = r[right_col] (the names resolved by ResolveHopNames),
-// emitting the columns `out`.
-//
-// Without `distinct`, `out` is the whole natural-join schema (the hop's
-// columns, then r's minus its join column) and the result is exactly
-// NaturalJoin of the renamed tables: rows by ascending left row, then
-// ascending right row within the key group. Only the left rows whose key
-// some right row carries are visited: the right side marks them through
-// the hop's shared key table. `matches` receives the rows of each side
-// that the join emitted, for DeriveHopSets.
-//
-// With `distinct` (the fused last hop) the result is exactly
-// Distinct(Project(that join, out)) without materializing the join.
-// Each side keeps only the first occurrence of its projected row, join
-// column included (the hop's list is shared). The first appearance of
-// any output tuple comes from such a pair: an earlier left row with the
-// same projection would pair with the same right row (same key) into an
-// earlier copy of the tuple, and symmetrically on the right. Joining the
-// deduplicated sides visits a subsequence of the full join's pairs in
-// the same order, so the surviving tuples and their order are unchanged.
-// When the join column is kept, distinct pairs of first-occurrence rows
-// yield distinct tuples and no output deduplication is needed; otherwise
-// one Distinct runs. `matches` is ignored (the fused hop's sets are never
-// read).
-//
-// The row cap is decided before anything is joined, and trips exactly
-// where NaturalJoin's would. NaturalJoin checks its running output count
-// against `max_rows` before each left row; that count is the prefix sum,
-// over the earlier left rows, of each row's right-side multiplicity.
-// Prefix sums never decrease, so some check fails iff the last one does,
-// i.e. iff the full join size minus the last left row's multiplicity
-// exceeds `max_rows`. Both numbers come from one pass over the right
-// rows probing the hop's key table, O(|r|). nullopt when the cap trips
-// or the join is empty.
-std::optional<Table> HopJoin(HopSide& hop, const Table& r, size_t left_col,
-                             size_t right_col,
-                             const std::vector<HopColumn>& out, bool distinct,
-                             uint64_t max_rows, HopMatches* matches,
-                             HopCounts* counts) {
-  const Table& l = hop.table();
-  const JoinKeyTable& lkeys = hop.Keys(left_col, counts);
+// A table of the path as a path relation reads it: `rows` is its row
+// under each relation row (empty in the start relation, whose row i is
+// row i of its one table). `position` is the table's place in the path
+// (0 = the path's start) and `refolded` marks a hop family refolded
+// without the start candidate, which has no prebuilt column sets.
+struct PathTable {
+  const Table* table;
+  std::vector<uint32_t> rows;
+  size_t position;
+  bool refolded;
+};
+
+// The path so far, late-materialized: the path's start table before the
+// first hop, then each intermediate hop's join output as one row-id
+// vector per path table its columns read, never as gathered cells.
+// Column k is column cols[k].col of tables[cols[k].table], named
+// names[k]. Only the next hop's join column and, at the fused last hop,
+// the kept columns are ever gathered.
+struct PathRelation {
+  struct Column {
+    size_t table;
+    size_t col;
+  };
+  std::vector<PathTable> tables;
+  std::vector<Column> cols;
+  std::vector<std::string> names;
+  size_t num_rows = 0;
+  bool start = false;  // one table, rows in its own order
+
+  static PathRelation Start(const Table& t) {
+    PathRelation r;
+    r.tables.push_back(PathTable{&t, {}, 0, false});
+    for (size_t c = 0; c < t.num_cols(); ++c) r.cols.push_back({0, c});
+    r.names = t.column_names();
+    r.num_rows = t.num_rows();
+    r.start = true;
+    return r;
+  }
+
+  // Column k's cells in relation row order: the start relation's are
+  // read in place, any other's are gathered into `buf`.
+  const ValueId* Gather(size_t k, std::vector<ValueId>* buf,
+                        HopCounts* counts) const {
+    const PathTable& t = tables[cols[k].table];
+    const ValueId* cells = t.table->column(cols[k].col).data();
+    if (start) return cells;
+    buf->resize(num_rows);
+    for (size_t i = 0; i < num_rows; ++i) (*buf)[i] = cells[t.rows[i]];
+    counts->cells += num_rows;
+    return buf->data();
+  }
+};
+
+// The probe of a hop join of the hop table (left) with the path so far
+// (right) on hop[left_col] = the path's join column `rkey`: every path
+// row's key looked up in the hop's shared key table. A left key group
+// is numbered the first time a path row reaches it, and all its rows
+// are marked with that number then, so each group is marked once
+// however many path rows reach it.
+struct HopProbe {
+  std::vector<uint32_t> left_group;   // hop row → group; 0 = unreached
+  std::vector<uint32_t> right_group;  // path row → group; 0 = unmatched
+  uint32_t groups = 0;                // groups are numbered from 1
+  size_t right_matched = 0;
+  uint64_t pairs = 0;                 // the full join's size
+};
+
+// The row cap is decided here, before anything is joined, and trips
+// exactly where NaturalJoin's would. NaturalJoin checks its running
+// output count against `max_rows` before each left row; that count is
+// the prefix sum, over the earlier left rows, of each row's right-side
+// multiplicity. Prefix sums never decrease, so some check fails iff the
+// last one does, i.e. iff the full join size minus the last left row's
+// multiplicity exceeds `max_rows`. The probe counts both, O(|r|).
+// nullopt when the cap trips or the join is empty.
+std::optional<HopProbe> ProbeHop(const JoinKeyTable& lkeys, const Table& l,
+                                 size_t left_col, const ValueId* rkey,
+                                 size_t rrows, uint64_t max_rows) {
   const ValueId* lkey = l.column(left_col).data();
-  const ValueId* rkey = r.column(right_col).data();
   const ValueId last = l.num_rows() == 0 ? kNull : lkey[l.num_rows() - 1];
-  // Left rows whose key some right row carries (intermediate hops only).
-  std::vector<char> lmarked(distinct ? 0 : l.num_rows(), 0);
-  uint64_t full_rows = 0, last_rows = 0;
-  for (size_t rr = 0; rr < r.num_rows(); ++rr) {
+  HopProbe probe;
+  probe.left_group.assign(l.num_rows(), 0);
+  probe.right_group.assign(rrows, 0);
+  uint64_t last_rows = 0;
+  for (size_t rr = 0; rr < rrows; ++rr) {
     const ValueId v = rkey[rr];
     if (v == kNull) continue;
-    auto [rows, count] = lkeys.Find(&v);
+    auto [rows, count] = lkeys.FindOne(v);
     if (count == 0) continue;
-    full_rows += count;
+    probe.pairs += count;
     last_rows += v == last;
-    if (distinct) continue;
-    matches->right.push_back(static_cast<uint32_t>(rr));
-    // A key's left rows are all marked together, so its first row tells
-    // whether the group is already marked.
-    if (!lmarked[rows[0]]) {
-      for (size_t k = 0; k < count; ++k) lmarked[rows[k]] = 1;
+    uint32_t g = probe.left_group[rows[0]];
+    if (g == 0) {
+      g = ++probe.groups;
+      for (size_t k = 0; k < count; ++k) probe.left_group[rows[k]] = g;
     }
+    probe.right_group[rr] = g;
+    ++probe.right_matched;
   }
-  if (full_rows == 0 || full_rows - last_rows > max_rows) return std::nullopt;
+  if (probe.pairs == 0 || probe.pairs - last_rows > max_rows) {
+    return std::nullopt;
+  }
+  return probe;
+}
 
-  std::vector<uint32_t> lrows, rrows;
+// The probed join's (left row, right row) pairs over the left rows
+// `left` and the right rows `right` (every row when null; ascending), in
+// NaturalJoin's order: ascending left row, then ascending right row
+// within the key group. A stable counting sort buckets the right rows by
+// group, so each bucket stays ascending, and a scan of the left rows
+// emits each one's bucket: O(|l| + |r| + pairs), with no hash table.
+void JoinByGroup(const HopProbe& probe, const std::vector<uint32_t>* left,
+                 const std::vector<uint32_t>* right,
+                 std::vector<uint32_t>* lrows, std::vector<uint32_t>* rrows) {
+  auto each = [](const std::vector<uint32_t>* rows, size_t n, auto&& fn) {
+    if (rows != nullptr) {
+      for (uint32_t row : *rows) fn(row);
+    } else {
+      for (size_t row = 0; row < n; ++row) fn(static_cast<uint32_t>(row));
+    }
+  };
+  const size_t nr = probe.right_group.size();
+  // Bucket g spans [first[g], first[g + 1]); bucket 0 (unreached) is empty.
+  std::vector<uint32_t> first(probe.groups + 2, 0);
+  each(right, nr, [&](uint32_t rr) {
+    const uint32_t g = probe.right_group[rr];
+    if (g != 0) ++first[g + 1];
+  });
+  for (size_t g = 1; g < first.size(); ++g) first[g] += first[g - 1];
+  std::vector<uint32_t> bucket(first.back());
+  std::vector<uint32_t> fill(first.begin(), first.end() - 1);
+  each(right, nr, [&](uint32_t rr) {
+    const uint32_t g = probe.right_group[rr];
+    if (g != 0) bucket[fill[g]++] = rr;
+  });
+  each(left, probe.left_group.size(), [&](uint32_t lr) {
+    const uint32_t g = probe.left_group[lr];
+    for (uint32_t k = first[g]; k < first[g + 1]; ++k) {
+      lrows->push_back(lr);
+      rrows->push_back(bucket[k]);
+    }
+  });
+}
+
+// An intermediate hop's output: the natural join of the hop table (left,
+// path position `position`) with the path so far `r`, columns `out` (the
+// whole natural-join schema), exactly NaturalJoin's rows in its order,
+// as a path relation. The hop table's row ids are the pairs' left rows;
+// each path table that an output column reads gets its row under each
+// pair's right row. A path table read only through the join column
+// drops out.
+PathRelation JoinRelation(const Table& hop, size_t position, bool refolded,
+                          const PathRelation& r, std::vector<uint32_t> lrows,
+                          const std::vector<uint32_t>& rrows,
+                          const std::vector<HopColumn>& out,
+                          HopCounts* counts) {
+  PathRelation next;
+  next.num_rows = lrows.size();
+  counts->cells += lrows.size();
+  next.tables.push_back(PathTable{&hop, std::move(lrows), position, refolded});
+  std::vector<size_t> slot(r.tables.size(), SIZE_MAX);
+  for (const HopColumn& h : out) {
+    next.names.push_back(h.name);
+    if (h.left) {
+      next.cols.push_back({0, h.col});
+      continue;
+    }
+    const PathRelation::Column& c = r.cols[h.col];
+    if (slot[c.table] == SIZE_MAX) {
+      slot[c.table] = next.tables.size();
+      const PathTable& from = r.tables[c.table];
+      std::vector<uint32_t> rows(rrows.size());
+      for (size_t i = 0; i < rrows.size(); ++i) {
+        rows[i] = r.start ? rrows[i] : from.rows[rrows[i]];
+      }
+      counts->cells += rows.size();
+      next.tables.push_back(
+          PathTable{from.table, std::move(rows), from.position, from.refolded});
+    }
+    next.cols.push_back({slot[c.table], c.col});
+  }
+  return next;
+}
+
+// The fused last hop: exactly Distinct(Project(NaturalJoin(hop, r), out))
+// without materializing the join. Each side keeps only the first
+// occurrence of its projected row, join column included (the hop's list
+// is shared; the path's kept columns are gathered once, for this and for
+// the output). The first appearance of any output tuple comes from such
+// a pair: an earlier left row with the same projection would pair with
+// the same right row (same key) into an earlier copy of the tuple, and
+// symmetrically on the right. Joining the deduplicated sides visits a
+// subsequence of the full join's pairs in the same order, so the
+// surviving tuples and their order are unchanged. When the join column
+// is kept, distinct pairs of first-occurrence rows yield distinct tuples
+// and no output deduplication is needed; otherwise one Distinct runs.
+std::optional<Table> FusedHop(HopSide& hop, const PathRelation& r,
+                              size_t left_col, const ValueId* rkey,
+                              const HopProbe& probe,
+                              const std::vector<HopColumn>& out,
+                              HopCounts* counts) {
+  const Table& l = hop.table();
   bool join_col_kept = false;
-  if (distinct) {
-    std::vector<size_t> lkept;
-    std::vector<const ValueId*> rcols{rkey};
-    for (const HopColumn& h : out) {
-      if (h.left && h.col == left_col) {
-        join_col_kept = true;
-      } else if (h.left) {
-        lkept.push_back(h.col);
-      } else {
-        rcols.push_back(r.column(h.col).data());
-      }
+  std::vector<size_t> lkept;
+  std::vector<const ValueId*> src(out.size());
+  std::vector<std::vector<ValueId>> gathered(out.size());
+  std::vector<const ValueId*> rcols{rkey};
+  for (size_t k = 0; k < out.size(); ++k) {
+    const HopColumn& h = out[k];
+    if (!h.left) {
+      src[k] = r.Gather(h.col, &gathered[k], counts);
+      rcols.push_back(src[k]);
+      continue;
     }
-    std::sort(lkept.begin(), lkept.end());
-    const std::vector<uint32_t>& lfirst =
-        hop.FirstRows(left_col, lkept, counts);
-    const std::vector<uint32_t> rfirst_rows =
-        FirstOccurrenceRows(rcols, r.num_rows());
-    const JoinKeyTable rfirst({rkey}, r.num_rows(), &rfirst_rows);
-    for (uint32_t lr : lfirst) {
-      const ValueId v = lkey[lr];
-      if (v == kNull) continue;
-      auto [rows, count] = rfirst.Find(&v);
-      for (size_t k = 0; k < count; ++k) {
-        lrows.push_back(lr);
-        rrows.push_back(rows[k]);
-      }
-    }
-  } else {
-    const JoinKeyTable rkeys({rkey}, r.num_rows());
-    lrows.reserve(full_rows);
-    rrows.reserve(full_rows);
-    for (size_t lr = 0; lr < l.num_rows(); ++lr) {
-      if (!lmarked[lr]) continue;
-      matches->left.push_back(static_cast<uint32_t>(lr));
-      auto [rows, count] = rkeys.Find(&lkey[lr]);
-      for (size_t k = 0; k < count; ++k) {
-        lrows.push_back(static_cast<uint32_t>(lr));
-        rrows.push_back(rows[k]);
-      }
+    src[k] = l.column(h.col).data();
+    if (h.col == left_col) {
+      join_col_kept = true;
+    } else {
+      lkept.push_back(h.col);
     }
   }
+  std::sort(lkept.begin(), lkept.end());
+  const std::vector<uint32_t>& lfirst = hop.FirstRows(left_col, lkept, counts);
+  const std::vector<uint32_t> rfirst = FirstOccurrenceRows(rcols, r.num_rows);
+  std::vector<uint32_t> lrows, rrows;
+  JoinByGroup(probe, &lfirst, &rfirst, &lrows, &rrows);
 
   // Column-major gather of only the emitted columns.
   Table joined("", l.dict());
   for (const HopColumn& h : out) {
     if (!joined.AddColumn(h.name).ok()) return std::nullopt;
   }
-  for (size_t c = 0; c < out.size(); ++c) {
-    const ValueId* src = (out[c].left ? l : r).column(out[c].col).data();
-    const std::vector<uint32_t>& at = out[c].left ? lrows : rrows;
-    std::vector<ValueId>& col = joined.mutable_column(c);
+  for (size_t k = 0; k < out.size(); ++k) {
+    const std::vector<uint32_t>& at = out[k].left ? lrows : rrows;
+    std::vector<ValueId>& col = joined.mutable_column(k);
     col.resize(at.size());
-    for (size_t i = 0; i < at.size(); ++i) col[i] = src[at[i]];
+    for (size_t i = 0; i < at.size(); ++i) col[i] = src[k][at[i]];
+    counts->cells += at.size();
   }
-  if (distinct && !join_col_kept) joined = Distinct(joined);
+  if (!join_col_kept) joined = Distinct(joined);
   return joined;
 }
 
-// The column sets of an intermediate hop's join output, derived from its
-// inputs instead of rebuilt from its cells. Output column k copies input
-// column c of one side over that side's matched rows: every matched row
-// appears in the output at least once and no other row does, so the
-// output column's distinct set is exactly the distinct set of c over
-// the matched rows. When every row of a side matched, that is the
-// side's own set and is borrowed (`left_all` / `right_all`, null when
-// unknown or when not every row matched); otherwise it is deduplicated
-// over the matched rows, O(input rows) instead of O(output rows). The
-// borrowed views point into the input sets, which must outlive the
-// result.
-ColumnSets DeriveHopSets(const std::vector<HopColumn>& out, const Table& l,
-                         const Table& r, const HopMatches& matches,
-                         const ColumnSets* left_all,
-                         const ColumnSets* right_all, HopCounts* counts) {
+// The column sets of an intermediate hop's output relation `next`, whose
+// column k is the join's output column out[k], derived from the path
+// tables instead of rebuilt from cells. Column k copies column c of one
+// path table t over the rows of t that `next` reaches, and no other row
+// of t, so its distinct set is exactly the distinct set of t's column c
+// over those rows. In order:
+//   - a path column borrows the previous relation's set (`path_all`,
+//     null unless every path row matched: then every previous row is in
+//     `next`, and so is every reached row of each table);
+//   - a column of a table whose every row is reached borrows that
+//     table's own set (`full_sets`, null for a refolded family);
+//   - otherwise it is deduplicated over t's reached rows (at most |t|).
+// Borrowed views point into sets that must outlive the result.
+template <typename FullSets>
+ColumnSets DeriveHopSets(const std::vector<HopColumn>& out,
+                         const PathRelation& next, const ColumnSets* path_all,
+                         FullSets full_sets, HopCounts* counts) {
+  // Per path table, on first need: whether every row is reached, and
+  // otherwise the reached rows, ascending.
+  struct Reach {
+    bool known = false;
+    bool all = false;
+    std::vector<uint32_t> rows;
+  };
+  std::vector<Reach> reach(next.tables.size());
   ColumnSets s;
   s.owned.reserve(out.size());
   s.views.reserve(out.size());
-  for (const HopColumn& h : out) {
-    const ColumnSets* all = h.left ? left_all : right_all;
-    if (all != nullptr) {
-      s.views.push_back(all->col(h.col));
+  for (size_t k = 0; k < out.size(); ++k) {
+    if (!out[k].left && path_all != nullptr) {
+      s.views.push_back(path_all->col(out[k].col));
       ++counts->borrowed;
       continue;
     }
-    const Table& t = h.left ? l : r;
-    const std::vector<uint32_t>& rows = h.left ? matches.left : matches.right;
-    s.owned.push_back(SortedDistinctValues(
-        t, h.col, rows.size() == t.num_rows() ? nullptr : &rows));
+    const PathRelation::Column& c = next.cols[k];
+    const PathTable& t = next.tables[c.table];
+    Reach& r = reach[c.table];
+    if (!r.known) {
+      const size_t n = t.table->num_rows();
+      std::vector<char> seen(n, 0);
+      size_t distinct = 0;
+      for (uint32_t row : t.rows) {
+        distinct += !seen[row];
+        seen[row] = 1;
+      }
+      r.known = true;
+      r.all = distinct == n;
+      if (!r.all) {
+        r.rows.reserve(distinct);
+        for (size_t row = 0; row < n; ++row) {
+          if (seen[row]) r.rows.push_back(static_cast<uint32_t>(row));
+        }
+      }
+    }
+    const ColumnSets* all = r.all ? full_sets(t) : nullptr;
+    if (all != nullptr) {
+      s.views.push_back(all->col(c.col));
+      ++counts->borrowed;
+      continue;
+    }
+    s.owned.push_back(
+        SortedDistinctValues(*t.table, c.col, r.all ? nullptr : &r.rows));
     s.views.push_back(ValueSpan(s.owned.back()));
     ++counts->deduped;
   }
@@ -590,7 +738,7 @@ Result<ExpandResult> Expand(const Table& source,
     return t;
   };
   // Per hop, its family union, the union's join side (HopSide) and the
-  // union's column sets (for a fully matched hop side, DeriveHopSets),
+  // union's column sets (for a fully reached hop table, DeriveHopSets),
   // each built at most once per Expand on first use by any path, so hops
   // no path reaches cost nothing. call_once: each is a function of the
   // hop alone, so which thread builds it never changes it. A union that
@@ -664,23 +812,34 @@ Result<ExpandResult> Expand(const Table& source,
 
   // Materializes one expansion along `path`; nullopt = unusable.
   // `preserve` is the start candidate's column-name set (see
-  // ResolveHopNames). Intermediate hops materialize the whole join, and
-  // its column sets feed the next hop's pair search. They are derived
-  // from the join's two inputs and the rows that matched (DeriveHopSets),
-  // never rebuilt from the join's cells. The last hop is fused with the
-  // projection to the start candidate's columns plus the source key and
-  // the Distinct over them (HopJoin), so it never materializes the join.
+  // ResolveHopNames). Intermediate hops stay late-materialized path
+  // relations (JoinRelation): row ids into the path tables, of which
+  // only the next hop's join column is gathered. Their column sets feed
+  // the next hop's pair search and are derived from the path tables and
+  // the rows the relation reaches (DeriveHopSets), never from cells. The
+  // last hop is fused with the projection to the start candidate's
+  // columns plus the source key and the Distinct over them (FusedHop),
+  // so it never materializes the join.
   auto build_expansion = [&](size_t ci, const std::vector<size_t>& path,
                              const std::unordered_set<std::string>& preserve,
                              HopCounts* counts) -> std::optional<Table> {
     const Candidate& cand = candidates[ci];
-    const Table* joined = &candidates[path[0]].table;
-    std::optional<Table> materialized;
+    PathRelation rel = PathRelation::Start(candidates[path[0]].table);
+    // Families refolded without the start, alive until the last hop:
+    // every later relation may still read their rows.
+    std::deque<Table> refolds;
     // One entry per intermediate hop, alive for the whole path: a hop's
     // sets may borrow views from the previous hop's.
     std::vector<ColumnSets> hop_sets;
     hop_sets.reserve(path.size());
-    const ColumnSets* joined_sets = &sets[path[0]];
+    const ColumnSets* rel_sets = &sets[path[0]];
+    // A path table's sets over all its rows: the start candidate's, or a
+    // shared family union's. A refolded family has none.
+    auto full_sets = [&](const PathTable& t) -> const ColumnSets* {
+      if (t.refolded) return nullptr;
+      return t.position == 0 ? &sets[path[0]] : union_sets(path[t.position]);
+    };
+    std::optional<Table> fused;
     for (size_t p = 1; p < path.size(); ++p) {
       // Per-hop checkpoint. An interrupted hop drops the path like any
       // failed join; the driver's terminal Interrupted() check below
@@ -688,7 +847,7 @@ Result<ExpandResult> Expand(const Table& source,
       // path can never masquerade as a complete expansion.
       if (!limits.Interrupted().ok()) return std::nullopt;
       size_t next = path[p];
-      auto pair = BestJoinPair(*joined_sets, joined->num_rows(), sets[next],
+      auto pair = BestJoinPair(*rel_sets, rel.num_rows, sets[next],
                                candidates[next].table.num_rows(),
                                kJoinThreshold);
       if (!pair) return std::nullopt;
@@ -699,18 +858,18 @@ Result<ExpandResult> Expand(const Table& source,
       // — when it isn't part of it anyway, the shared union serves. A
       // refolded family's side is this path's own.
       const bool refold = sorted_schemas[ci] == sorted_schemas[next];
-      std::optional<Table> refolded;
       std::optional<HopSide> refolded_side;
       if (refold) {
-        refolded = fold_family(next, ci);
-        refolded_side.emplace(refolded ? *refolded : candidates[next].table);
+        std::optional<Table> folded = fold_family(next, ci);
+        if (folded) refolds.push_back(std::move(*folded));
+        refolded_side.emplace(folded ? refolds.back() : candidates[next].table);
       }
       HopSide& side = refold ? *refolded_side : family_side(next);
       const Table& hop = side.table();
       // Hop table on the LEFT so its column names -- including the mapped
       // source key columns of the path's end table -- survive the rename.
       std::vector<std::string> lnames = hop.column_names();
-      std::vector<std::string> rnames = joined->column_names();
+      std::vector<std::string> rnames = rel.names;
       if (!ResolveHopNames(&lnames, &rnames, pair->b_col, pair->a_col,
                            preserve)) {
         return std::nullopt;
@@ -752,32 +911,33 @@ Result<ExpandResult> Expand(const Table& source,
         }
         out = std::move(kept);
       }
-      HopMatches matches;
-      auto j = HopJoin(side, *joined, pair->b_col, pair->a_col, out,
-                       /*distinct=*/last, join_cap, &matches, counts);
-      if (!j.has_value()) return std::nullopt;
-      if (!last) {
-        // A refolded family has no prebuilt sets, so its side always
-        // dedups over its matched rows.
-        const ColumnSets* left_all =
-            !refold && matches.left.size() == hop.num_rows()
-                ? union_sets(next)
-                : nullptr;
-        const ColumnSets* right_all =
-            matches.right.size() == joined->num_rows() ? joined_sets : nullptr;
-        hop_sets.push_back(DeriveHopSets(out, hop, *joined, matches, left_all,
-                                         right_all, counts));
-        joined_sets = &hop_sets.back();
+      std::vector<ValueId> key_cells;
+      const ValueId* rkey = rel.Gather(pair->a_col, &key_cells, counts);
+      const std::optional<HopProbe> probe =
+          ProbeHop(side.Keys(pair->b_col, counts), hop, pair->b_col, rkey,
+                   rel.num_rows, join_cap);
+      if (!probe.has_value()) return std::nullopt;
+      if (last) {
+        fused = FusedHop(side, rel, pair->b_col, rkey, *probe, out, counts);
+        break;
       }
-      // Replacing `materialized` frees the previous intermediate, which
-      // the derivation above reads, so it runs first.
-      materialized = std::move(j);
-      joined = &*materialized;
+      std::vector<uint32_t> lrows, rrows;
+      lrows.reserve(probe->pairs);
+      rrows.reserve(probe->pairs);
+      JoinByGroup(*probe, nullptr, nullptr, &lrows, &rrows);
+      PathRelation joined = JoinRelation(hop, p, refold, rel, std::move(lrows),
+                                         rrows, out, counts);
+      const ColumnSets* path_all =
+          probe->right_matched == rel.num_rows ? rel_sets : nullptr;
+      hop_sets.push_back(
+          DeriveHopSets(out, joined, path_all, full_sets, counts));
+      rel_sets = &hop_sets.back();
+      rel = std::move(joined);
     }
     // Paths always hold a start and an end (best_path never returns the
-    // start alone).
-    if (!materialized.has_value()) return std::nullopt;
-    Table expanded = std::move(*materialized);
+    // start alone), so only a failed last hop leaves this empty.
+    if (!fused.has_value()) return std::nullopt;
+    Table expanded = std::move(*fused);
 
     // Post-expansion mapping verification: now that the table covers the
     // key, aligned rows expose mis-mapped columns (a constant or tiny
@@ -937,6 +1097,7 @@ Result<ExpandResult> Expand(const Table& source,
   result.hop_sets_deduped = hop_counts.deduped;
   result.hop_sides_built = hop_counts.sides_built;
   result.hop_sides_reused = hop_counts.sides_reused;
+  result.hop_cells_gathered = hop_counts.cells;
   result.join_pairs_scored = pairs_scored.load(std::memory_order_relaxed);
   return result;
 }

@@ -13,23 +13,33 @@
 // join graph is built lazily (a node's edges are scored when a path
 // search first reaches it, each pair once), and the per-candidate set
 // builds and path materialization fan out over a thread pool with an
-// index-ordered reduction. An intermediate hop's column sets (what the
-// next hop's pair search reads) are derived from the join's inputs and
-// the rows that matched: a fully matched side lends its own sets, a
-// partially matched one is deduplicated over its matched rows, and the
-// materialized join's cells are never rescanned. A path's last hop is
-// fused with the projection and Distinct that follow it, so it never
-// materializes the full join (DESIGN.md §5.7).
+// index-ordered reduction.
+//
+// A path is late-materialized: each intermediate hop's join output is a
+// path relation (one row-id vector per path table its columns read),
+// never a gathered table. Only the next hop's join column is gathered,
+// and the path's last hop is fused with the projection and Distinct
+// that follow it, so it gathers only the kept columns. A hop join
+// probes the hop's shared key table once per path row, numbering each
+// key group the first time a path row reaches it, and a stable counting
+// sort of the path rows by group emits NaturalJoin's row order: no hash
+// table is built over the path side. An intermediate hop's column sets
+// (what the next hop's pair search reads) are derived from the path
+// tables and the rows the relation reaches: a column borrows the
+// previous hop's set when every path row matched, otherwise its table's
+// own set when every row of that table is reached, and is deduplicated
+// over the table's reached rows only when neither holds (DESIGN.md
+// §5.7).
 //
 // Hop sides are shared within a call: each hop's family union is folded
 // once, in one pass over the same-schema members, and its join-key table
 // per join column and first-occurrence rows per kept column set are
 // built once and reused by every path that reaches the hop. A hop join
 // decides its row cap before joining, from the full join size minus the
-// last left row's multiplicity, both counted by probing the shared key
-// table from the path side. Mapping verification aligns rows through the
-// source's key table. Results are bit-identical to the serial reference
-// (tests/expand_reference.h) at any thread count.
+// last left row's multiplicity, both counted by the probe. Mapping
+// verification aligns rows through the source's key table. Results are
+// bit-identical to the serial reference (tests/expand_reference.h) at
+// any thread count.
 //
 // Edge-choice contract: the best join pair between two tables maximizes
 // (weight, intersection size) and breaks remaining ties by the smallest
@@ -57,10 +67,11 @@ struct ExpandResult {
   /// Candidates dropped because no join path reaches the key.
   size_t num_dropped = 0;
   /// Work counters (they never affect `tables`). Intermediate hop joins
-  /// materialized across every path tried, and their output columns'
-  /// distinct sets split by how they were obtained: borrowed from a
-  /// fully matched input side, or deduplicated over an input's matched
-  /// rows.
+  /// made across every path tried, and their output columns' distinct
+  /// sets split by how they were obtained: borrowed (from the previous
+  /// hop when every path row matched, or from a path table every row of
+  /// which the hop's output reaches), or deduplicated over a path
+  /// table's reached rows.
   size_t intermediate_hops = 0;
   size_t hop_sets_borrowed = 0;
   size_t hop_sets_deduped = 0;
@@ -72,6 +83,12 @@ struct ExpandResult {
   /// built). The split is a function of the paths, not of the threads.
   size_t hop_sides_built = 0;
   size_t hop_sides_reused = 0;
+  /// Cells the hop joins of every path tried wrote: ValueIds gathered
+  /// (path join columns, the fused last hop's kept path columns and its
+  /// output columns) plus the row ids stored in intermediate path
+  /// relations. A function of the paths, not of the threads or of where
+  /// the code sits in memory.
+  size_t hop_cells_gathered = 0;
   /// Unordered candidate pairs scored for the join graph (BestJoinPair
   /// over the two candidates' column sets). The graph is built lazily,
   /// from the nodes the path searches visit, so this is 0 when every

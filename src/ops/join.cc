@@ -10,22 +10,18 @@
 namespace gent {
 
 JoinKeyTable::JoinKeyTable(std::vector<const ValueId*> key_cols,
-                           size_t num_rows,
-                           const std::vector<uint32_t>* rows)
+                           size_t num_rows)
     : key_cols_(std::move(key_cols)) {
-  const size_t n = rows == nullptr ? num_rows : rows->size();
   size_t cap = 16;
-  while (cap < 8 * n) cap <<= 1;
+  while (cap < 8 * num_rows) cap <<= 1;
   mask_ = cap - 1;
   slots_.assign(cap, kEmptySlot);
   const bool single = key_cols_.size() == 1;
-  // Pass 1: discover distinct keys, count rows per key. `row_entry` is
-  // indexed by position in the grouped row list, not by row id.
+  // Pass 1: discover distinct keys, count rows per key.
   std::vector<uint32_t> counts;
-  std::vector<uint32_t> row_entry(n, UINT32_MAX);
+  std::vector<uint32_t> row_entry(num_rows, UINT32_MAX);
   std::vector<ValueId> tuple(key_cols_.size());
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = rows == nullptr ? i : (*rows)[i];
+  for (size_t r = 0; r < num_rows; ++r) {
     bool null_key = false;
     for (size_t k = 0; k < key_cols_.size(); ++k) {
       tuple[k] = key_cols_[k][r];
@@ -48,7 +44,7 @@ JoinKeyTable::JoinKeyTable(std::vector<const ValueId*> key_cols,
         uint32_t ent = static_cast<uint32_t>(e);
         if (single || TupleEquals(ent, tuple.data())) {
           ++counts[ent];
-          row_entry[i] = ent;
+          row_entry[r] = ent;
           break;
         }
       }
@@ -62,10 +58,9 @@ JoinKeyTable::JoinKeyTable(std::vector<const ValueId*> key_cols,
   }
   rows_.resize(entry_start_.back());
   std::vector<uint32_t> fill(entry_start_.begin(), entry_start_.end() - 1);
-  for (size_t i = 0; i < n; ++i) {
-    if (row_entry[i] != UINT32_MAX) {
-      rows_[fill[row_entry[i]]++] =
-          static_cast<uint32_t>(rows == nullptr ? i : (*rows)[i]);
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (row_entry[r] != UINT32_MAX) {
+      rows_[fill[row_entry[r]]++] = static_cast<uint32_t>(r);
     }
   }
 }

@@ -37,10 +37,8 @@ enum class JoinKind { kInner, kLeft, kFullOuter };
 /// src/matrix/alignment_matrix.h) share it.
 class JoinKeyTable {
  public:
-  /// Groups `rows` (ascending; every row in [0, num_rows) when null) by
-  /// their tuple over `key_cols`.
-  JoinKeyTable(std::vector<const ValueId*> key_cols, size_t num_rows,
-               const std::vector<uint32_t>* rows = nullptr);
+  /// Groups the rows [0, num_rows) by their tuple over `key_cols`.
+  JoinKeyTable(std::vector<const ValueId*> key_cols, size_t num_rows);
 
   /// Rows whose join key equals `tuple[0..num_key_cols)`, ascending.
   /// {nullptr, 0} when none. `tuple` must be null-free.

@@ -72,16 +72,19 @@ struct HopCounters {
   size_t hops = 0, borrowed = 0, deduped = 0;
   size_t sides_built = 0, sides_reused = 0;
   size_t pairs_scored = 0;
+  size_t cells_gathered = 0;
   bool operator==(const HopCounters& o) const {
     return hops == o.hops && borrowed == o.borrowed &&
            deduped == o.deduped && sides_built == o.sides_built &&
-           sides_reused == o.sides_reused && pairs_scored == o.pairs_scored;
+           sides_reused == o.sides_reused && pairs_scored == o.pairs_scored &&
+           cells_gathered == o.cells_gathered;
   }
 };
 
 HopCounters CountersOf(const ExpandResult& r) {
   return {r.intermediate_hops, r.hop_sets_borrowed, r.hop_sets_deduped,
-          r.hop_sides_built,   r.hop_sides_reused,  r.join_pairs_scored};
+          r.hop_sides_built,   r.hop_sides_reused,  r.join_pairs_scored,
+          r.hop_cells_gathered};
 }
 
 // Runs the engine at each of `thread_counts` (1/2/8 by default) against
@@ -1013,6 +1016,186 @@ TEST(ExpandParitySides, SharedSidesAreBuiltOnce) {
   EXPECT_EQ(counters.hops, 2u);
   EXPECT_EQ(counters.sides_built, 5u);
   EXPECT_EQ(counters.sides_reused, 3u);
+}
+
+// The order contract of an intermediate hop join, pinned: NaturalJoin's
+// rows are the hop rows ascending and, per hop row, the path rows of its
+// key ascending. The chain s(a, name) -> h1(a, b) -> h2(b, c) ->
+// e(c, id) has one route. Every h1 row matches three s rows, which sit
+// interleaved in s (row i carries A(i % 4)), and h1 lists its keys in
+// descending order, so the first join's order is neither s's nor h1's.
+// Two h1 rows lead to each of B0 and B1, so h2's B0 row matches six
+// rows of the first join, and so does each of its two B1 rows (each of
+// those six path rows then pairs with both); h2's row Bz is reached by
+// no path row. The fused last hop keeps s's
+// name, so the expansion lists the second join's rows in its order
+// within each of e's rows.
+TEST(ExpandParityChain, HopRowsFanOutAcrossTwoIntermediateHops) {
+  auto dict = MakeDictionary();
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "name"});
+  for (size_t i = 0; i < 12; ++i) sb.Row({v("id", i), v("n", i)});
+  const Table source = sb.Key({"id"}).Build();
+  TableBuilder s(dict, "s");
+  s.Columns({"a", "name"});
+  for (size_t i = 0; i < 12; ++i) s.Row({v("A", i % 4), v("n", i)});
+  TableBuilder h1(dict, "h1");
+  h1.Columns({"a", "b"});
+  for (size_t j = 4; j-- > 0;) h1.Row({v("A", j), v("B", j % 2)});
+  TableBuilder h2(dict, "h2");
+  h2.Columns({"b", "c"});
+  h2.Row({"B1", "C1"}).Row({"Bz", "C0"}).Row({"B0", "C0"}).Row({"B1", "C2"});
+  TableBuilder e(dict, "e");
+  e.Columns({"c", "id"});
+  for (size_t i = 0; i < 3; ++i) e.Row({v("C", i), v("id", i)});
+  const std::vector<Candidate> candidates =
+      KeyedCandidates({s.Build(), h1.Build(), h2.Build(), e.Build()});
+
+  HopCounters counters;
+  const ExpandResult want =
+      ExpectParity(source, candidates, "fan-out chain", {}, &counters);
+  ASSERT_EQ(want.num_expanded, 3u);
+  const Table& expanded = want.tables[0];
+  ASSERT_EQ(expanded.name(), "s+expanded");
+  ASSERT_EQ(expanded.num_cols(), 3u);  // id, a, name
+  // The first join, h1 row by row: n3 n7 n11 (A3), n2 n6 n10 (A2),
+  // n1 n5 n9 (A1), n0 n4 n8 (A0). The second, h2 row by row: its B1
+  // rows (C1, then C2) each take n3 n7 n11 n1 n5 n9, and B0 (C0) takes
+  // n2 n6 n10 n0 n4 n8. The last hop walks e's rows C0, C1, C2.
+  const std::vector<std::string> names = {
+      "n2", "n6", "n10", "n0", "n4", "n8", "n3", "n7", "n11",
+      "n1", "n5", "n9",  "n3", "n7", "n11", "n1", "n5", "n9"};
+  ASSERT_EQ(expanded.num_rows(), names.size());
+  for (size_t r = 0; r < names.size(); ++r) {
+    EXPECT_EQ(expanded.CellString(r, 2), names[r]) << "row " << r;
+  }
+  // s's path makes both hops, h1's path one (into h2), h2's path none.
+  // Every path row matches at each hop, so the path columns borrow the
+  // previous sets; h1 is fully reached and borrows its own, and h2,
+  // whose Bz row is never reached, is deduplicated both times.
+  EXPECT_EQ(counters.hops, 3u);
+  EXPECT_EQ(counters.borrowed, 6u);
+  EXPECT_EQ(counters.deduped, 4u);
+}
+
+// A path table fully reached through a partially matched intermediate:
+// s(a, name) -> h1(a, b) -> h2(b, c) -> e(c, id), where every s row has
+// two h1 rows, one toward h2 (B) and one to a stray (X). At the second
+// hop only half the first join's rows match, so the path columns cannot
+// borrow the previous sets. But each s row still reaches the output
+// through its B row, so s's name column borrows s's own set, while h1's
+// column, half reached, is deduplicated over its reached rows.
+TEST(ExpandParityChain, FullyReachedPathTableBorrowsItsOwnSets) {
+  auto dict = MakeDictionary();
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "name"});
+  for (size_t i = 0; i < 8; ++i) sb.Row({v("id", i), v("n", i)});
+  const Table source = sb.Key({"id"}).Build();
+  TableBuilder s(dict, "s");
+  s.Columns({"a", "name"});
+  TableBuilder h1(dict, "h1");
+  h1.Columns({"a", "b"});
+  TableBuilder h2(dict, "h2");
+  h2.Columns({"b", "c"});
+  TableBuilder e(dict, "e");
+  e.Columns({"c", "id"});
+  for (size_t i = 0; i < 8; ++i) {
+    s.Row({v("A", i), v("n", i)});
+    h1.Row({v("A", i), v("B", i)});
+    h1.Row({v("A", i), v("X", i)});
+    h2.Row({v("B", i), v("C", i)});
+    e.Row({v("C", i), v("id", i)});
+  }
+  DataLake lake(dict);
+  for (Table t : {s.Build(), h1.Build(), h2.Build(), e.Build()}) {
+    ASSERT_TRUE(lake.AddTable(std::move(t)).ok());
+  }
+  ColumnStatsCatalog catalog(lake);
+  const ColumnStatsCatalog* backings[] = {&catalog, nullptr};
+  for (const ColumnStatsCatalog* stats : backings) {
+    std::vector<Candidate> candidates;
+    for (size_t t = 0; t < lake.size(); ++t) {
+      Candidate c(lake.table(t).Clone());
+      c.lake_index = t;
+      c.covers_key = c.table.HasColumn("id");
+      c.stats = stats;
+      candidates.push_back(std::move(c));
+    }
+    HopCounters counters;
+    const ExpandResult want = ExpectParity(
+        source, candidates, stats ? "catalog" : "hand-built", {}, &counters);
+    ASSERT_EQ(want.num_expanded, 3u);
+    EXPECT_EQ(want.tables[0].name(), "s+expanded");
+    // s's path: the first hop borrows all three sets (every s row
+    // matches, h1 is fully reached); the second borrows h2's two and
+    // s's name, and deduplicates h1's a. h1's path [h1, h2, e]: h1, the
+    // path's start, is half reached (its a deduplicated), h2 borrowed.
+    EXPECT_EQ(counters.hops, 3u);
+    EXPECT_EQ(counters.borrowed, 8u);
+    EXPECT_EQ(counters.deduped, 2u);
+  }
+}
+
+// A refolded hop table is read after its hop. The start v(lp, lh, x)
+// shares its schema with h and h_v2, so v's path [v, h, g, e] refolds
+// h's family without v: a table of the path's own, h's rows then
+// h_v2's. The next hop joins g on that table's lh (renamed lh#hop, as
+// v's own lh keeps its name), and the fused last hop keeps its lp (the
+// join column, named after h's), so both later hops gather from the
+// refolded table after the hop that built it.
+TEST(ExpandParityChain, RefoldedHopTableOutlivesItsHop) {
+  auto dict = MakeDictionary();
+  auto v = [](const char* prefix, size_t i) {
+    return prefix + std::to_string(i);
+  };
+  TableBuilder sb(dict, "source");
+  sb.Columns({"id", "name"});
+  for (size_t i = 0; i < 12; ++i) sb.Row({v("id", i), v("n", i)});
+  const Table source = sb.Key({"id"}).Build();
+  TableBuilder vb(dict, "v");
+  vb.Columns({"lp", "lh", "x"});
+  TableBuilder hb(dict, "h");
+  hb.Columns({"lp", "lh", "x"});
+  TableBuilder h2(dict, "h_v2");
+  h2.Columns({"x", "lp", "lh"});
+  TableBuilder gb(dict, "g");
+  gb.Columns({"k", "m"});
+  TableBuilder eb(dict, "e");
+  eb.Columns({"m", "id"});
+  for (size_t i = 0; i < 12; ++i) {
+    vb.Row({v("P", i), v("Z", i), v("X", i)});
+    if (i < 6) {
+      hb.Row({v("P", i), v("K", i), v("Y", i)});
+    } else {
+      h2.Row({v("Y", i), v("P", i), v("K", i)});
+    }
+    gb.Row({v("K", i), v("M", i)});
+    eb.Row({v("M", i), v("id", i)});
+  }
+  const std::vector<Candidate> candidates = KeyedCandidates(
+      {vb.Build(), hb.Build(), h2.Build(), gb.Build(), eb.Build()});
+  HopCounters counters;
+  const ExpandResult want =
+      ExpectParity(source, candidates, "refold outlives", {}, &counters);
+  ASSERT_EQ(want.num_expanded, 4u);
+  const Table& expanded = want.tables[0];
+  ASSERT_EQ(expanded.name(), "v+expanded");
+  // Every v row reaches its id through the refolded family, which
+  // holds all twelve P values (h has six, h_v2 the other six).
+  EXPECT_EQ(expanded.num_rows(), 12u);
+  // v's path: its first hop deduplicates the refolded table's three
+  // columns and borrows v's two; the second borrows everything. h's and
+  // h_v2's paths [h, g, e] each borrow their start's two other columns
+  // and deduplicate g, half reached.
+  EXPECT_EQ(counters.hops, 4u);
+  EXPECT_EQ(counters.borrowed, 12u);
+  EXPECT_EQ(counters.deduped, 7u);
 }
 
 // The join graph is scored lazily: with every candidate covering the
