@@ -317,10 +317,12 @@ Result<std::vector<Candidate>> Discovery::FindCandidates(
       }
     }
 
-    Candidate cand(lake_table.Clone());
+    // The table stays empty until the candidate survives subsumption,
+    // which reads only the catalog; then it becomes a clone of the lake
+    // table. The clone is row-identical to the lake table (only column
+    // renames follow), so the shared catalog's stats remain exact for it.
+    Candidate cand(Table(lake_table.name(), lake_table.dict()));
     cand.lake_index = tbl;
-    // The clone is row-identical to the lake table (only column renames
-    // follow), so the shared catalog's stats remain exact for it.
     cand.stats = &catalog_;
     for (const auto& [src_col, cand_col] : verified) {
       cand.mapping[source.column_name(src_col)] = cand_col;
@@ -342,11 +344,11 @@ Result<std::vector<Candidate>> Discovery::FindCandidates(
   // mapped columns are often numerically contained in another's even
   // though its remaining columns carry unique data.
   {
-    // Candidates are still row-identical clones of their lake tables
-    // (renames happen below), so the catalog's sorted sets serve as the
-    // per-column value sets. They are sorted and distinct, so A ⊆ B
-    // exactly when |A ∩ B| = |A|, which SortedIntersectionSize's SIMD
-    // merge or gallop counts faster than a scalar std::includes walk.
+    // A candidate's columns are its lake table's (renames happen below),
+    // so the catalog's sorted sets serve as the per-column value sets and
+    // no candidate table is read. They are sorted and distinct, so
+    // A ⊆ B exactly when |A ∩ B| = |A|, which SortedIntersectionSize's
+    // SIMD merge or gallop counts faster than a scalar std::includes walk.
     auto col_values = [&](const Candidate& cand, size_t c) -> ValueSpan {
       return catalog_.SortedValues(
           ColumnRef{static_cast<uint32_t>(cand.lake_index),
@@ -356,11 +358,11 @@ Result<std::vector<Candidate>> Discovery::FindCandidates(
     auto contained_in = [&](size_t a, size_t b) {
       const Candidate& ca = candidates[a];
       const Candidate& cb = candidates[b];
-      for (size_t ac = 0; ac < ca.table.num_cols(); ++ac) {
+      for (size_t ac = 0; ac < lake.table(ca.lake_index).num_cols(); ++ac) {
         const ValueSpan vals_a = col_values(ca, ac);
         if (vals_a.empty()) continue;
         bool covered = false;
-        for (size_t bc = 0; bc < cb.table.num_cols(); ++bc) {
+        for (size_t bc = 0; bc < lake.table(cb.lake_index).num_cols(); ++bc) {
           const ValueSpan vals_b = col_values(cb, bc);
           if (vals_b.size() < vals_a.size()) continue;
           // B contains A only if B's range brackets A's: an exact screen.
@@ -394,6 +396,7 @@ Result<std::vector<Candidate>> Discovery::FindCandidates(
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (drop[i]) continue;
       kept.push_back(std::move(candidates[i]));
+      kept.back().table = lake.table(kept.back().lake_index).Clone();
       kept_aligns.push_back(std::move(key_aligns[i]));
     }
     candidates = std::move(kept);

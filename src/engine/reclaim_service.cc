@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <optional>
 #include <utility>
 
 #include "src/lake/snapshot.h"
-#include "src/util/hash.h"
 
 namespace gent {
 
@@ -19,41 +16,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Exponential backoff with deterministic per-(shard, attempt) jitter:
-// initial · 2^attempt capped at max, scaled by a splitmix-derived
-// factor in [1 - kJitter, 1 + kJitter]. Deterministic so recovery tests
-// are reproducible; distinct per shard so a fleet quarantined by one
-// event fans its retries out instead of thundering in lockstep.
-double BackoffSeconds(const ShardHealthOptions& o, uint64_t uid,
-                      uint64_t attempt) {
-  constexpr double kJitter = 0.25;
-  const double exp2 = std::ldexp(1.0, static_cast<int>(std::min<uint64_t>(
-                                          attempt, 62)));
-  double delay = std::min(o.backoff_initial_seconds * exp2,
-                          o.backoff_max_seconds);
-  const uint64_t h = SplitMix64(uid * 0x9E3779B97F4A7C15ULL + attempt);
-  const double unit = static_cast<double>(h >> 11) * 0x1p-53;  // [0, 1)
-  delay *= 1.0 - kJitter + 2.0 * kJitter * unit;
-  return delay > 0 ? delay : 0.0;
-}
-
-// What a file written whole from a served lake holds (WriteShardFile):
-// v2, the service's ids, no delta runs.
-SnapshotLoadInfo WrittenFromServedLake() {
-  SnapshotLoadInfo file;
-  file.version = 2;
-  file.identity_remap = true;
-  return file;
-}
-
-// The registration named `name` in a registry's shard list, or end().
-// Shard counts are small, so a scan is the whole index.
-template <typename Shards>
-auto FindByName(Shards& shards, const std::string& name) {
-  return std::find_if(shards.begin(), shards.end(),
-                      [&](const auto& shard) { return shard->name == name; });
-}
-
 Status CheckServiceDictionary(const std::string& name, const DataLake& lake,
                               const DictionaryPtr& dict) {
   if (lake.dict() == dict) return Status::OK();
@@ -61,6 +23,112 @@ Status CheckServiceDictionary(const std::string& name, const DataLake& lake,
       "shard '" + name +
       "' must use the service dictionary (value ids must be comparable "
       "across shards)");
+}
+
+// Shard construction. MakeShard builds a shard handle, with a fresh
+// health cell, outside every lock — the one place a registration's
+// catalog is built. `catalog` (may be null) is a prebuilt catalog over
+// the lake (the mapped snapshot-open and layered-append paths);
+// otherwise the shard builds one, which serving never waits on.
+std::shared_ptr<Shard> MakeShard(
+    const std::string& name, std::shared_ptr<const DataLake> lake,
+    std::shared_ptr<const ColumnStatsCatalog> catalog,
+    const std::string& source_path = std::string(),
+    const SnapshotLoadInfo& file = SnapshotLoadInfo()) {
+  auto shard = std::make_shared<Shard>();
+  shard->name = name;
+  shard->lake = std::move(lake);
+  shard->catalog = catalog != nullptr
+                       ? std::move(catalog)
+                       : std::make_shared<const ColumnStatsCatalog>(
+                             *shard->lake);
+  shard->source_path = source_path;
+  shard->file = file;
+  shard->health = std::make_shared<ShardHealthCell>();
+  return shard;
+}
+
+// Opens `path`'s catalog sections mapped over `lake` without
+// re-checksumming (the caller has just verified or written the file).
+// Null on failure (e.g. mmap unavailable): a mapped open is an
+// optimization, and a RAM catalog serves identically.
+std::shared_ptr<const ColumnStatsCatalog> OpenMappedCatalog(
+    const DataLake& lake, const std::string& path) {
+  storage::MappedCatalog::Options mopts;
+  mopts.verify_checksums = false;
+  auto mapped = ColumnStatsCatalog::OpenMapped(lake, path, mopts);
+  return mapped.ok() ? std::move(*mapped) : nullptr;
+}
+
+// Loads `path` into a fresh lake on `dict` and makes a shard of it, with
+// the catalog sections mapped when the snapshot is v2 with an identity
+// remap (built in RAM otherwise) and `file` set from the load. Shared by
+// AddLakeFromSnapshot, ReloadLakeFromSnapshot and recovery.
+Result<std::shared_ptr<Shard>> LoadShard(const DictionaryPtr& dict,
+                                         const std::string& name,
+                                         const std::string& path) {
+  auto lake = std::make_shared<DataLake>(dict);
+  SnapshotLoadInfo info;
+  GENT_RETURN_IF_ERROR(LoadSnapshot(*lake, path, &info));
+  // v2 with a matching id space: the file's catalog sections speak this
+  // lake's ValueIds verbatim, so open them mapped. LoadSnapshot just
+  // verified every section checksum. Anything else rebuilds.
+  std::shared_ptr<const ColumnStatsCatalog> catalog;
+  if (info.version >= 2 && info.identity_remap) {
+    catalog = OpenMappedCatalog(*lake, path);
+  }
+  return MakeShard(name, std::move(lake), std::move(catalog), path, info);
+}
+
+// Writes the served `lake` whole to `path` (SaveSnapshotV2 of a catalog
+// built over it: bit-identical to a one-shot save, landing by temp +
+// rename) and makes the shard that serves it: the new file's sections
+// mapped over the same lake (the built catalog when the mapped open
+// fails), with a file record of v2 in the service's ids and no runs.
+// The fold of CompactShardSnapshot, and the append to a file with a
+// foreign id space.
+Result<std::shared_ptr<Shard>> WriteShardFile(
+    const std::string& name, std::shared_ptr<const DataLake> lake,
+    const std::string& path) {
+  auto catalog = std::make_shared<const ColumnStatsCatalog>(*lake);
+  GENT_RETURN_IF_ERROR(SaveSnapshotV2(*lake, catalog->section_views(), path));
+  if (auto mapped = OpenMappedCatalog(*lake, path)) catalog = std::move(mapped);
+  std::shared_ptr<Shard> shard =
+      MakeShard(name, std::move(lake), std::move(catalog), path);
+  shard->file.version = 2;
+  shard->file.identity_remap = true;
+  return shard;
+}
+
+// The one admission step for foreign dictionaries: a table on another
+// dictionary than `dict` is re-interned into it and kept in
+// `*translated`; one already on `dict` passes through uncopied.
+const Table& Admit(const DictionaryPtr& dict, const Table& table,
+                   std::optional<Table>* translated) {
+  if (table.dict() == dict) return table;
+  return translated->emplace(TranslateToDictionary(table, dict));
+}
+
+// ShardMaintenance's recover callback: a full reopen of `old`'s snapshot
+// (mapped when the snapshot allows); when that fails, the body salvage —
+// the body may still parse when the v2 catalog tail is damaged, so
+// reload it and rebuild the catalog in RAM. The salvaged shard serves
+// identically, flagged rebuilt_from_body (kDegraded).
+Result<std::shared_ptr<Shard>> RecoverShard(const DictionaryPtr& dict,
+                                            const Shard& old) {
+  auto loaded = LoadShard(dict, old.name, old.source_path);
+  if (loaded.ok()) return loaded;
+  auto lake = std::make_shared<DataLake>(dict);
+  SnapshotLoadInfo info;  // salvage recovers the base generation only
+  Status body = LoadSnapshotBody(*lake, old.source_path, &info);
+  if (!body.ok()) {
+    return Status(body.code(), loaded.status().message() +
+                                   "; body salvage: " + body.message());
+  }
+  std::shared_ptr<Shard> shard =
+      MakeShard(old.name, std::move(lake), nullptr, old.source_path, info);
+  shard->health->report.rebuilt_from_body = true;
+  return shard;
 }
 
 }  // namespace
@@ -85,229 +153,46 @@ Table TranslateToDictionary(const Table& source, const DictionaryPtr& dict) {
   return out;
 }
 
-// --- ReclaimTicket ----------------------------------------------------------
-
-struct ReclaimTicket::SharedState {
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  std::optional<Result<ReclamationResult>> result;
-  // Stamped by Publish immediately before waking waiters.
-  std::chrono::steady_clock::time_point completed_at{};
-  // Cancel() ran before the result was published. One-way. It is the
-  // OpLimits cancel token the pipeline polls lock-free at its
-  // checkpoints; Cancel() stores it under `mutex` and the publisher
-  // (ReclaimService::Publish) reads it under `mutex`, forcing the
-  // published status to Cancelled.
-  std::atomic<bool> cancel_flag{false};
-};
-
-const Result<ReclamationResult>& ReclaimTicket::Wait() const {
-  SharedState& s = *state_;
-  std::unique_lock<std::mutex> lock(s.mutex);
-  s.ready_cv.wait(lock, [&s]() { return s.result.has_value(); });
-  return *s.result;
-}
-
-bool ReclaimTicket::WaitFor(std::chrono::steady_clock::duration timeout) const {
-  SharedState& s = *state_;
-  std::unique_lock<std::mutex> lock(s.mutex);
-  return s.ready_cv.wait_for(lock, timeout,
-                             [&s]() { return s.result.has_value(); });
-}
-
-bool ReclaimTicket::WaitUntil(
-    std::chrono::steady_clock::time_point deadline) const {
-  SharedState& s = *state_;
-  std::unique_lock<std::mutex> lock(s.mutex);
-  return s.ready_cv.wait_until(lock, deadline,
-                               [&s]() { return s.result.has_value(); });
-}
-
-bool ReclaimTicket::ready() const {
-  SharedState& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.result.has_value();
-}
-
-std::chrono::steady_clock::time_point ReclaimTicket::completed_at() const {
-  SharedState& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.completed_at;
-}
-
-bool ReclaimTicket::Cancel() const {
-  if (state_ == nullptr) return false;
-  SharedState& s = *state_;
-  std::lock_guard<std::mutex> lock(s.mutex);
-  if (s.result.has_value()) return false;  // already resolved: too late
-  // Fire the pipeline token (idempotent: repeat Cancels also report
-  // success). Publication is serialized on s.mutex, so either the
-  // publisher already ran (result above) or it will observe the flag
-  // and publish Cancelled — Cancel()==true is a guarantee.
-  s.cancel_flag.store(true, std::memory_order_release);
-  return true;
-}
-
 // --- Registry lifecycle -----------------------------------------------------
 
 ReclaimService::ReclaimService(ServiceOptions options)
     : options_(std::move(options)),
       dict_(options_.dict != nullptr ? options_.dict : MakeDictionary()),
-      registry_(std::make_shared<RegistrySnapshot>()),
       cache_(options_.cache_capacity),
       pool_(std::make_unique<ThreadPool>(
-          ThreadPool::ResolveThreads(options_.num_threads))) {
-  if (options_.health.auto_recover) {
-    recovery_thread_ = std::thread([this]() { RecoveryLoop(); });
-  }
-}
-
-ReclaimService::~ReclaimService() {
-  // The recovery thread touches the registry and shards, so it must be
-  // gone before ANY member teardown begins (the pool — declared last,
-  // destroyed first — drains only async requests).
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    stopping_ = true;
-  }
-  health_cv_.notify_all();
-  if (recovery_thread_.joinable()) recovery_thread_.join();
-}
-
-ReclaimService::RegistryPtr ReclaimService::Pin() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  return registry_;
-}
-
-void ReclaimService::PublishLocked(std::shared_ptr<RegistrySnapshot> next) {
-  next->epoch = registry_->epoch + 1;
-  registry_ = std::move(next);
-}
-
-Result<std::shared_ptr<const ReclaimService::Shard>> ReclaimService::Find(
-    const RegistrySnapshot& registry, const std::string& name) {
-  auto it = FindByName(registry.shards, name);
-  if (it == registry.shards.end()) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  return *it;
-}
-
-std::shared_ptr<ReclaimService::Shard> ReclaimService::MakeShard(
-    const std::string& name, std::shared_ptr<const DataLake> owned,
-    const DataLake* borrowed,
-    std::shared_ptr<const ColumnStatsCatalog> catalog,
-    const std::string& source_path, const SnapshotLoadInfo& file) const {
-  auto shard = std::make_shared<Shard>();
-  shard->name = name;
-  shard->lake = owned != nullptr ? owned.get() : borrowed;
-  shard->owned = std::move(owned);
-  // The one catalog build this registration will ever do — outside the
-  // registry lock, so serving is never blocked on it. A prebuilt
-  // catalog (mapped or layered) skips even that.
-  shard->catalog = catalog != nullptr
-                       ? std::move(catalog)
-                       : std::make_shared<const ColumnStatsCatalog>(
-                             *shard->lake);
-  shard->source_path = source_path;
-  shard->file = file;
-  shard->health = std::make_shared<ShardHealthCell>();
-  return shard;
-}
-
-Status ReclaimService::RegisterShard(std::shared_ptr<Shard> shard) {
-  if (shard->name.empty()) {
-    return Status::InvalidArgument(
-        "shard name must be non-empty (\"\" routes to all shards)");
-  }
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  if (FindByName(registry_->shards, shard->name) !=
-      registry_->shards.end()) {
-    return Status::AlreadyExists("shard '" + shard->name +
-                                 "' already registered");
-  }
-  shard->uid = next_shard_uid_++;
-  auto next = std::make_shared<RegistrySnapshot>(*registry_);
-  next->shards.push_back(std::move(shard));
-  PublishLocked(std::move(next));
-  return Status::OK();
-}
-
-bool ReclaimService::ReplaceShard(std::shared_ptr<Shard> shard,
-                                  const Shard* expected) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto next = std::make_shared<RegistrySnapshot>(*registry_);
-  auto it = FindByName(next->shards, shard->name);
-  if (it == next->shards.end()) return false;
-  const Shard& current = **it;
-  if (expected != nullptr && (current.uid != expected->uid ||
-                              current.delta_gen != expected->delta_gen)) {
-    return false;
-  }
-  // A new registration gets a new uid, so the discovery-cache entries
-  // routed at the one it replaces can never be replayed.
-  if (shard->uid == 0) shard->uid = next_shard_uid_++;
-  *it = std::move(shard);
-  PublishLocked(std::move(next));
-  return true;
-}
+          ThreadPool::ResolveThreads(options_.num_threads))),
+      maintenance_(
+          options_.health, registry_,
+          [this](const Shard& old) { return RecoverShard(dict_, old); },
+          [this](const std::string& n) { (void)CompactShardSnapshot(n); }),
+      admission_(options_.admission_capacity, options_.admission_policy,
+                 pool_.get(),
+                 [this](const AdmissionQueue::Entry& entry,
+                        const std::atomic<bool>* cancel) {
+                   return ReclaimImpl(*entry.source, entry.request,
+                                      *entry.registry, /*pooled=*/true,
+                                      entry.submitted, cancel);
+                 }) {}
 
 Status ReclaimService::AddLake(const std::string& name, DataLake lake) {
   GENT_RETURN_IF_ERROR(CheckServiceDictionary(name, lake, dict_));
-  return RegisterShard(MakeShard(
-      name, std::make_shared<const DataLake>(std::move(lake)), nullptr,
-      nullptr));
+  return registry_.Add(MakeShard(
+      name, std::make_shared<const DataLake>(std::move(lake)), nullptr));
 }
 
 Status ReclaimService::AddLakeView(const std::string& name,
                                    const DataLake& lake) {
   GENT_RETURN_IF_ERROR(CheckServiceDictionary(name, lake, dict_));
-  return RegisterShard(MakeShard(name, nullptr, &lake, nullptr));
-}
-
-Result<std::shared_ptr<ReclaimService::Shard>> ReclaimService::LoadShard(
-    const std::string& name, const std::string& path) const {
-  auto lake = std::make_shared<DataLake>(dict_);
-  SnapshotLoadInfo info;
-  GENT_RETURN_IF_ERROR(LoadSnapshot(*lake, path, &info));
-  // v2 with a matching id space: the file's catalog sections speak this
-  // lake's ValueIds verbatim, so open them mapped. LoadSnapshot just
-  // verified every section checksum. Anything else rebuilds.
-  std::shared_ptr<const ColumnStatsCatalog> catalog;
-  if (info.version >= 2 && info.identity_remap) {
-    catalog = OpenMappedCatalog(*lake, path);
-  }
-  return MakeShard(name, std::move(lake), nullptr, std::move(catalog), path,
-                   info);
-}
-
-std::shared_ptr<const ColumnStatsCatalog> ReclaimService::OpenMappedCatalog(
-    const DataLake& lake, const std::string& path) const {
-  storage::MappedCatalog::Options mopts;
-  mopts.verify_checksums = false;
-  auto mapped = ColumnStatsCatalog::OpenMapped(lake, path, mopts);
-  // Any failure (e.g. mmap unavailable) leaves the caller on the RAM
-  // catalog, which serves identically.
-  return mapped.ok() ? std::move(*mapped) : nullptr;
-}
-
-Result<std::shared_ptr<const ColumnStatsCatalog>>
-ReclaimService::WriteShardFile(const DataLake& lake,
-                               const std::string& path) const {
-  // The one builder and the one writer: the file is bit-identical to a
-  // one-shot save of the same tables, and lands by temp + rename.
-  auto built = std::make_shared<const ColumnStatsCatalog>(lake);
-  GENT_RETURN_IF_ERROR(SaveSnapshotV2(lake, built->section_views(), path));
-  std::shared_ptr<const ColumnStatsCatalog> mapped =
-      OpenMappedCatalog(lake, path);
-  if (mapped != nullptr) return mapped;
-  return std::shared_ptr<const ColumnStatsCatalog>(std::move(built));
+  // Non-owning: the aliasing constructor with an empty owner.
+  return registry_.Add(MakeShard(
+      name, std::shared_ptr<const DataLake>(std::shared_ptr<void>(), &lake),
+      nullptr));
 }
 
 Status ReclaimService::AddLakeFromSnapshot(const std::string& name,
                                            const std::string& path) {
-  GENT_ASSIGN_OR_RETURN(std::shared_ptr<Shard> shard, LoadShard(name, path));
-  return RegisterShard(std::move(shard));
+  GENT_ASSIGN_OR_RETURN(auto shard, LoadShard(dict_, name, path));
+  return registry_.Add(std::move(shard));
 }
 
 Status ReclaimService::AddLakeFromDirectory(const std::string& name,
@@ -317,30 +202,15 @@ Status ReclaimService::AddLakeFromDirectory(const std::string& name,
   (void)SweepSnapshotTemps(dir);
   auto lake = std::make_shared<DataLake>(dict_);
   GENT_RETURN_IF_ERROR(lake->LoadDirectory(dir));
-  return RegisterShard(MakeShard(name, std::move(lake), nullptr, nullptr));
+  return registry_.Add(MakeShard(name, std::move(lake), nullptr));
 }
 
 Status ReclaimService::SaveShardSnapshot(const std::string& name,
                                          const std::string& path) const {
   // Pin: the shard (lake + catalog) stays alive for the whole write
   // even against a concurrent RemoveLake/Reload.
-  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
-                        Find(*Pin(), name));
+  GENT_ASSIGN_OR_RETURN(auto shard, registry_.Find(name));
   return SaveSnapshotV2(*shard->lake, shard->catalog->section_views(), path);
-}
-
-Status ReclaimService::RemoveLake(const std::string& name) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto next = std::make_shared<RegistrySnapshot>(*registry_);
-  auto it = FindByName(next->shards, name);
-  if (it == next->shards.end()) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  next->shards.erase(it);
-  // The removed shard's handle — health cell included — lives on inside
-  // every pinned snapshot; the last draining request releases it.
-  PublishLocked(std::move(next));
-  return Status::OK();
 }
 
 Status ReclaimService::ReloadLakeFromSnapshot(const std::string& name,
@@ -349,11 +219,8 @@ Status ReclaimService::ReloadLakeFromSnapshot(const std::string& name,
   // the old shard keeps serving untouched. The new registration has a
   // fresh health cell: an explicit reload supersedes any quarantine of
   // the old one.
-  GENT_ASSIGN_OR_RETURN(std::shared_ptr<Shard> shard, LoadShard(name, path));
-  if (!ReplaceShard(std::move(shard), nullptr)) {
-    return Status::NotFound("no shard named '" + name + "'");
-  }
-  return Status::OK();
+  GENT_ASSIGN_OR_RETURN(auto shard, LoadShard(dict_, name, path));
+  return registry_.Replace(std::move(shard), nullptr);
 }
 
 Status ReclaimService::AppendTablesToLake(const std::string& name,
@@ -365,7 +232,7 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
   // on this lock.
   std::lock_guard<std::mutex> append_lock(append_mutex_);
 
-  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> old, Find(*Pin(), name));
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> old, registry_.Find(name));
   if (old->health->quarantined.load(std::memory_order_acquire)) {
     return Status::Unavailable("shard '" + name +
                                "' is quarantined pending recovery");
@@ -378,32 +245,31 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
   auto lake = std::make_shared<DataLake>(*old->lake);
   const size_t first_table = lake->size();
   for (Table& t : tables) {
-    GENT_RETURN_IF_ERROR(lake->AddTable(
-        t.dict() != dict_ ? TranslateToDictionary(t, dict_) : std::move(t)));
+    std::optional<Table> translated;
+    Admit(dict_, t, &translated);
+    GENT_RETURN_IF_ERROR(
+        lake->AddTable(std::move(translated).value_or(std::move(t))));
   }
 
   // Durability before visibility: a snapshot-backed shard gets the new
   // tables on disk first, so a crash after this call replays the append
   // on the next load while a crash during it leaves the previous
   // generation intact.
-  std::shared_ptr<const ColumnStatsCatalog> catalog;
-  std::shared_ptr<const Shard> predecessor;
-  SnapshotLoadInfo file = old->file;
-  if (!old->source_path.empty() && file.version >= 2 &&
-      !file.identity_remap) {
+  std::shared_ptr<Shard> shard;
+  if (!old->source_path.empty() && old->file.version >= 2 &&
+      !old->file.identity_remap) {
     // The file has its own id space, and a run in the service's ids
     // would reload as other values. Write the grown lake whole instead
     // (the fold's path); from then on the file speaks the service's ids.
-    auto written = WriteShardFile(*lake, old->source_path);
-    if (!written.ok()) return written.status();
-    catalog = std::move(*written);
-    file = WrittenFromServedLake();
+    GENT_ASSIGN_OR_RETURN(
+        shard, WriteShardFile(name, std::move(lake), old->source_path));
   } else {
     // A delta run (the footer-commit protocol of AppendSnapshotDelta),
     // then the run-merge layer: the shard's existing catalog — RAM or
     // mapped — plus a RAM region for the new tables. Bit-identical to a
     // rebuild over the grown lake, at the cost of building only the
     // run's arrays.
+    SnapshotLoadInfo file = old->file;
     if (!old->source_path.empty()) {
       const ColumnStatsCatalog::DeltaRunArrays run =
           ColumnStatsCatalog::BuildDeltaRun(*lake, first_table);
@@ -411,48 +277,32 @@ Status ReclaimService::AppendTablesToLake(const std::string& name,
                                                old->source_path,
                                                &file.delta_runs));
     }
-    auto layered =
-        ColumnStatsCatalog::WithAppended(old->catalog, *lake, first_table);
-    if (!layered.ok()) return layered.status();
-    catalog = std::move(*layered);
-    predecessor = old;  // keeps the borrowed views' owner alive
+    GENT_ASSIGN_OR_RETURN(auto catalog, ColumnStatsCatalog::WithAppended(
+                                            old->catalog, *lake, first_table));
+    shard = MakeShard(name, std::move(lake), std::move(catalog),
+                      old->source_path, file);
+    shard->predecessor = old;  // keeps the borrowed views' owner alive
   }
-
-  std::shared_ptr<Shard> shard =
-      MakeShard(name, std::move(lake), nullptr, std::move(catalog),
-                old->source_path, file);
-  // Same registration, next content generation.
-  shard->uid = old->uid;
-  shard->delta_gen = old->delta_gen + 1;
-  shard->health = old->health;
-  shard->predecessor = std::move(predecessor);
-  if (!ReplaceShard(std::move(shard), old.get())) {
-    // Remove/Reload/recovery replaced the shard under us. Nothing is
-    // published; the durable write (if any) belongs to the superseded
-    // file and the next load of it will still see a valid snapshot.
-    return Status::Aborted("shard '" + name +
-                           "' was modified concurrently with the append");
-  }
+  const size_t runs = shard->file.delta_runs;
+  // Same registration, next content generation. Aborted when
+  // Remove/Reload/recovery replaced the shard under us: nothing is
+  // published, the durable write (if any) belongs to the superseded file
+  // and the next load of it will still see a valid snapshot.
+  GENT_RETURN_IF_ERROR(
+      registry_.CarryForward(std::move(shard), *old, /*new_content=*/true));
 
   // Compaction policy: enough runs accreted — queue a background fold.
-  // The queue lives with the health machinery so one thread serves
-  // both; without that thread the fold waits for an explicit
+  // Without the maintenance thread the fold waits for an explicit
   // CompactShardSnapshot call.
   const size_t threshold = options_.storage.compact_after_runs;
-  if (threshold > 0 && file.delta_runs >= threshold) {
-    {
-      std::lock_guard<std::mutex> lock(health_mutex_);
-      compaction_queue_.push_back(name);
-    }
-    health_cv_.notify_all();
-  }
+  if (threshold > 0 && runs >= threshold) maintenance_.QueueCompaction(name);
   return Status::OK();
 }
 
 Status ReclaimService::CompactShardSnapshot(const std::string& name) {
   std::lock_guard<std::mutex> append_lock(append_mutex_);
 
-  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> old, Find(*Pin(), name));
+  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> old, registry_.Find(name));
   if (old->source_path.empty()) {
     return Status::InvalidArgument("shard '" + name +
                                    "' has no snapshot backing to compact");
@@ -468,43 +318,26 @@ Status ReclaimService::CompactShardSnapshot(const std::string& name) {
   // dictionary reload. Readers of the old mapping keep the replaced
   // inode alive. Republished under the SAME (uid, delta_gen): the
   // content is bit-identical, so cache entries and route tags stay
-  // valid — compaction is invisible to serving.
-  auto catalog = WriteShardFile(*old->lake, old->source_path);
-  if (!catalog.ok()) return catalog.status();
-  std::shared_ptr<Shard> shard =
-      MakeShard(name, old->owned, old->lake, std::move(*catalog),
-                old->source_path, WrittenFromServedLake());
-  shard->uid = old->uid;
-  shard->delta_gen = old->delta_gen;
-  shard->health = old->health;  // a quarantined shard stays quarantined
-  if (!ReplaceShard(std::move(shard), old.get())) {
-    // Replaced while folding. The compacted file is durable and
-    // equivalent; whoever replaced the shard owns the registration now.
-    return Status::Aborted("shard '" + name +
-                           "' was modified concurrently with the compaction");
-  }
-  return Status::OK();
+  // valid — compaction is invisible to serving. Aborted when the shard
+  // was replaced while folding: the compacted file is durable and
+  // equivalent, and whoever replaced the shard owns the registration
+  // now. A quarantined shard stays quarantined (the cell carries
+  // forward).
+  GENT_ASSIGN_OR_RETURN(auto shard,
+                        WriteShardFile(name, old->lake, old->source_path));
+  return registry_.CarryForward(std::move(shard), *old,
+                                /*new_content=*/false);
 }
 
 // --- Registry observation ---------------------------------------------------
 
-size_t ReclaimService::num_lakes() const { return Pin()->shards.size(); }
-
 std::vector<std::string> ReclaimService::lake_names() const {
-  RegistryPtr registry = Pin();
+  RegistryPtr registry = registry_.Pin();
   std::vector<std::string> names;
   names.reserve(registry->shards.size());
   for (const auto& s : registry->shards) names.push_back(s->name);
   return names;
 }
-
-Result<const DataLake*> ReclaimService::lake(const std::string& name) const {
-  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
-                        Find(*Pin(), name));
-  return shard->lake;
-}
-
-uint64_t ReclaimService::registry_epoch() const { return Pin()->epoch; }
 
 // --- Serving ----------------------------------------------------------------
 
@@ -546,22 +379,18 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   }
   requests_routed_.fetch_add(1, std::memory_order_relaxed);
 
-  // Quarantine gate (DESIGN.md §5.11): one lock-free load of each
-  // routed shard's health flag. Routing below treats a quarantined shard
-  // as absent (fan-out answers from the remaining shards, a named
-  // request gets Unavailable).
-  auto is_quarantined = [](const Shard& shard) {
-    return shard.health->quarantined.load(std::memory_order_acquire);
-  };
-
   // Route (DESIGN.md §5.6) to a target shard set and a route tag (see
-  // discovery_cache.h for the tag contract: uids, not indices).
+  // discovery_cache.h for the tag contract: uids, not indices). The
+  // quarantine gate (DESIGN.md §5.11) is one lock-free load of each
+  // routed shard's health flag: routing treats a quarantined shard as
+  // absent (fan-out answers from the remaining shards, a named request
+  // gets Unavailable).
   std::vector<const Shard*> targets;
   uint64_t route_tag = 0;
   if (!request.lake.empty()) {
     GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
-                          Find(registry, request.lake));
-    if (is_quarantined(*shard)) {
+                          ShardRegistry::Find(registry, request.lake));
+    if (shard->health->quarantined.load(std::memory_order_acquire)) {
       unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable("shard '" + request.lake +
                                  "' is quarantined pending recovery");
@@ -579,7 +408,7 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
     const std::vector<ValueId> query = SortedQueryValues(source);
     std::vector<uint64_t> selected;
     for (const auto& shard : registry.shards) {
-      if (is_quarantined(*shard)) {
+      if (shard->health->quarantined.load(std::memory_order_acquire)) {
         quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
@@ -597,8 +426,7 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
     route_tag = FoldRouteTags(selected);
   }
 
-  const bool use_cache =
-      !request.bypass_cache && options_.cache_capacity > 0;
+  const bool use_cache = !request.bypass_cache && options_.cache_capacity > 0;
   // A wall-clock budget (timeout or end-to-end deadline) can interrupt
   // expansion mid-join silently, and the answer built over the
   // truncated set is OK but not the budget-free answer the key names.
@@ -646,7 +474,7 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
       if (code == StatusCode::kIOError || code == StatusCode::kInternal) {
         // A storage-class failure mid-serving: quarantine the shard so
         // later requests skip it while recovery runs.
-        NoteShardFault(*shard, candidates.status().message());
+        maintenance_.NoteShardFault(*shard, candidates.status().message());
         if (targets.size() > 1) {
           // Fan-out degrades to the surviving shards. The partial
           // candidate set must NOT enter the cache: its route tag
@@ -665,7 +493,7 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   // next request routes to it. One relaxed load per healthy shard.
   for (const Shard* shard : targets) {
     Status h = shard->catalog->storage_health();
-    if (!h.ok()) NoteShardFault(*shard, h.message());
+    if (!h.ok()) maintenance_.NoteShardFault(*shard, h.message());
   }
   if (targets.size() > 1) {
     std::stable_sort(merged.begin(), merged.end(),
@@ -685,40 +513,29 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
 
 Result<ReclamationResult> ReclaimService::Reclaim(
     const Table& source, const ReclaimRequest& request) const {
-  if (source.dict() != dict_) {
-    return Reclaim(TranslateToDictionary(source, dict_), request);
-  }
-  return ReclaimImpl(source, request, *Pin(), /*pooled=*/false,
+  std::optional<Table> translated;
+  return ReclaimImpl(Admit(dict_, source, &translated), request,
+                     *registry_.Pin(), /*pooled=*/false,
                      std::chrono::steady_clock::now(), nullptr);
 }
 
 std::vector<Result<ReclamationResult>> ReclaimService::ReclaimBatch(
     const std::vector<Table>& sources, const ReclaimRequest& request) const {
-  std::vector<Result<ReclamationResult>> results;
-  results.reserve(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    results.emplace_back(Status::Internal("not run"));
-  }
-  if (sources.empty()) return results;
+  std::vector<Result<ReclamationResult>> results(sources.size(),
+                                                 Status::Internal("not run"));
 
   // One snapshot for the whole batch: a concurrent shard mutation
   // affects every source of the batch or none, and results stay
   // bit-identical to serial Reclaim calls against the same snapshot.
-  RegistryPtr registry = Pin();
+  RegistryPtr registry = registry_.Pin();
 
   // Foreign-dictionary sources are re-interned serially, in input
   // order, before any worker runs: new values get schedule-independent
   // ids.
-  std::vector<Table> translated;
-  translated.reserve(sources.size());  // pointer stability for admitted
+  std::vector<std::optional<Table>> translated(sources.size());
   std::vector<const Table*> admitted(sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i].dict() != dict_) {
-      translated.push_back(TranslateToDictionary(sources[i], dict_));
-      admitted[i] = &translated.back();
-    } else {
-      admitted[i] = &sources[i];
-    }
+    admitted[i] = &Admit(dict_, sources[i], &translated[i]);
   }
 
   // A 1-source batch runs unpooled: only one worker runs, so the
@@ -733,191 +550,24 @@ std::vector<Result<ReclamationResult>> ReclaimService::ReclaimBatch(
   return results;
 }
 
-StatusCode ReclaimService::Publish(ReclaimTicket::SharedState& state,
-                                   Result<ReclamationResult> result,
-                                   PublishContext context) const {
-  StatusCode published;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    if (state.cancel_flag.load(std::memory_order_relaxed)) {
-      // Cancel() won the race: honor its guarantee and discard whatever
-      // the pipeline produced (even a completed result).
-      result = Result<ReclamationResult>(
-          Status::Cancelled("reclamation cancelled"));
-    }
-    published = result.ok() ? StatusCode::kOk : result.status().code();
-    // Counters bumped before waiters wake: a Wait() followed by
-    // admission_stats() is guaranteed to observe the increment.
-    switch (context) {
-      case PublishContext::kShed:
-        break;  // admission_shed_ counted under the admission lock
-      case PublishContext::kPreStartCancel:
-        admission_cancelled_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case PublishContext::kDeadlineInQueue:
-        if (published == StatusCode::kCancelled) {
-          // A Cancel() landed in the DOA check's race window; it still
-          // never ran, so it counts as a pre-start cancel.
-          admission_cancelled_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          admission_deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      case PublishContext::kExecuted:
-        if (published == StatusCode::kCancelled) {
-          admission_cancelled_mid_flight_.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        }
-        break;
-    }
-    state.result = std::move(result);
-    state.completed_at = std::chrono::steady_clock::now();
-  }
-  state.ready_cv.notify_all();
-  return published;
-}
-
 Result<ReclaimTicket> ReclaimService::SubmitReclaim(
     Table source, const ReclaimRequest& request) const {
   // Admission work happens in the submitter's thread: pin the registry,
-  // re-intern a foreign-dictionary source. The queued entry is fully
-  // self-contained (it owns its pinned snapshot), so a shed or a pump
-  // needs nothing from the submitter.
-  Pending entry;
-  entry.state = std::make_shared<ReclaimTicket::SharedState>();
-  entry.request = request;
-  entry.submitted = std::chrono::steady_clock::now();
-  entry.registry = Pin();
-  entry.source = std::make_shared<const Table>(
-      source.dict() != dict_ ? TranslateToDictionary(source, dict_)
-                             : std::move(source));
-
-  ReclaimTicket ticket;
-  ticket.state_ = entry.state;
-
-  const size_t pri = static_cast<size_t>(request.priority);
-  const size_t capacity = options_.admission_capacity;
-  std::shared_ptr<ReclaimTicket::SharedState> shed_victim;
-  bool need_pump = true;
-  {
-    std::unique_lock<std::mutex> lock(admission_mutex_);
-    auto full = [&]() {
-      return capacity > 0 && admission_queued_ >= capacity;
-    };
-    if (full() && options_.admission_policy == AdmissionPolicy::kBlock) {
-      admission_space_.wait(lock, [&]() { return !full(); });
-    } else if (full()) {  // kShedOldest
-      // Victim: the oldest entry of the lowest class at or below the
-      // newcomer's.
-      size_t victim_class = kNumPriorityClasses;  // sentinel: none
-      for (size_t p = kNumPriorityClasses; p-- > pri;) {
-        if (!admission_queues_[p].empty()) {
-          victim_class = p;
-          break;
-        }
-      }
-      if (victim_class == kNumPriorityClasses) {
-        // Everything queued outranks the newcomer: shed the newcomer
-        // itself.
-        ++admission_rejected_;
-        return Status::ResourceExhausted(
-            "admission queue full of higher-priority work");
-      }
-      shed_victim = std::move(admission_queues_[victim_class].front().state);
-      admission_queues_[victim_class].pop_front();
-      --admission_queued_;
-      ++admission_shed_;
-      // The victim's already-submitted pump task now drains the
-      // newcomer instead: queue count and outstanding pumps both stay
-      // balanced without a new Submit.
-      need_pump = false;
-    }
-    admission_queues_[pri].push_back(std::move(entry));
-    ++admission_queued_;
-  }
-  if (shed_victim != nullptr) {
-    (void)Publish(*shed_victim,
-                  Result<ReclamationResult>(Status::ResourceExhausted(
-                      "shed from the admission queue by newer work "
-                      "(kShedOldest)")),
-                  PublishContext::kShed);
-  }
-  if (need_pump) {
-    pool_->Submit([this]() { PumpOne(); });
-  }
-  return ticket;
-}
-
-void ReclaimService::PumpOne() const {
-  Pending entry;
-  {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    for (auto& queue : admission_queues_) {  // kHigh → kNormal → kBatch
-      if (queue.empty()) continue;
-      entry = std::move(queue.front());
-      queue.pop_front();
-      break;
-    }
-    // Invariant (outstanding pumps == queued entries) guarantees the
-    // scan above found an entry.
-    --admission_queued_;
-  }
-  admission_space_.notify_all();
-
-  // Cancelled while queued: discard without running.
-  if (entry.state->cancel_flag.load(std::memory_order_acquire)) {
-    (void)Publish(*entry.state,
-                  Result<ReclamationResult>(Status::Cancelled(
-                      "cancelled before execution started")),
-                  PublishContext::kPreStartCancel);
-    return;
-  }
-
-  // Dead-on-arrival rejection: the end-to-end deadline expired during
-  // the queue wait, so running the pipeline could only waste the pool.
-  if (entry.request.deadline_seconds > 0 &&
-      std::chrono::steady_clock::now() >
-          SteadyTimeAfter(entry.submitted, entry.request.deadline_seconds)) {
-    (void)Publish(*entry.state,
-                  Result<ReclamationResult>(Status::Timeout(
-                      "deadline expired in the admission queue")),
-                  PublishContext::kDeadlineInQueue);
-    return;
-  }
-
-  (void)Publish(*entry.state,
-                ReclaimImpl(*entry.source, entry.request, *entry.registry,
-                            /*pooled=*/true, entry.submitted,
-                            &entry.state->cancel_flag),
-                PublishContext::kExecuted);
+  // re-intern a foreign-dictionary source.
+  const auto submitted = std::chrono::steady_clock::now();
+  RegistryPtr registry = registry_.Pin();
+  std::optional<Table> translated;
+  Admit(dict_, source, &translated);
+  return admission_.Submit({std::make_shared<const Table>(std::move(
+                                translated).value_or(std::move(source))),
+                            request, std::move(registry), submitted});
 }
 
 // --- Introspection ----------------------------------------------------------
 
-ReclaimService::AdmissionStats ReclaimService::admission_stats() const {
-  AdmissionStats stats;
-  {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    stats.queued = admission_queued_;
-    stats.rejected = admission_rejected_;
-    stats.shed = admission_shed_;
-    for (size_t p = 0; p < kNumPriorityClasses; ++p) {
-      stats.queue_depth[p] = admission_queues_[p].size();
-    }
-  }
-  stats.capacity = options_.admission_capacity;
-  stats.cancelled = admission_cancelled_.load(std::memory_order_relaxed);
-  stats.deadline_expired_in_queue =
-      admission_deadline_expired_.load(std::memory_order_relaxed);
-  stats.cancelled_mid_flight =
-      admission_cancelled_mid_flight_.load(std::memory_order_relaxed);
-  stats.pool_backlog = pool_->queue_depth();
-  return stats;
-}
-
 std::vector<ReclaimService::ShardResidency> ReclaimService::residency_stats()
     const {
-  RegistryPtr registry = Pin();
+  RegistryPtr registry = registry_.Pin();
   std::vector<ShardResidency> out;
   out.reserve(registry->shards.size());
   for (const auto& s : registry->shards) {
@@ -927,190 +577,19 @@ std::vector<ReclaimService::ShardResidency> ReclaimService::residency_stats()
 }
 
 ReclaimService::RoutingStats ReclaimService::routing_stats() const {
-  RoutingStats stats;
-  stats.requests = requests_routed_.load(std::memory_order_relaxed);
-  stats.shards_pruned = shards_pruned_.load(std::memory_order_relaxed);
-  stats.shards_quarantine_skipped =
-      quarantine_skipped_.load(std::memory_order_relaxed);
-  stats.unavailable_rejects =
-      unavailable_rejects_.load(std::memory_order_relaxed);
-  return stats;
+  return {requests_routed_.load(std::memory_order_relaxed),
+          shards_pruned_.load(std::memory_order_relaxed),
+          quarantine_skipped_.load(std::memory_order_relaxed),
+          unavailable_rejects_.load(std::memory_order_relaxed)};
 }
 
 // --- Shard health -----------------------------------------------------------
-
-void ReclaimService::NoteShardFault(const Shard& shard,
-                                    const std::string& error) const {
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    ShardHealthCell& cell = *shard.health;
-    ++cell.error_count;
-    cell.last_error = error;
-    if (cell.quarantined.load(std::memory_order_relaxed)) return;
-    cell.rebuilt_from_body = false;
-    cell.next_retry = SteadyTimeAfter(
-        std::chrono::steady_clock::now(),
-        BackoffSeconds(options_.health, shard.uid, /*attempt=*/0));
-    cell.quarantined.store(true, std::memory_order_release);
-  }
-  health_cv_.notify_all();
-}
-
-void ReclaimService::RecoveryLoop() {
-  std::unique_lock<std::mutex> lock(health_mutex_);
-  while (!stopping_) {
-    // Queued compactions drain ahead of recovery scans: the policy that
-    // queued them fired on the append path, so the work is known-due.
-    // Best-effort — a concurrent append/remove aborts the fold and the
-    // next threshold crossing re-queues it.
-    if (!compaction_queue_.empty()) {
-      std::string name = std::move(compaction_queue_.front());
-      compaction_queue_.pop_front();
-      lock.unlock();
-      (void)CompactShardSnapshot(name);
-      lock.lock();
-      continue;
-    }
-    // Earliest due quarantined shard with retries still enabled, among
-    // the registered ones (a retired shard's cell is out of reach). With
-    // none due, sleep until the earliest schedule or a notify (a new
-    // quarantine, a queued fold, shutdown). Pinning under health_mutex_
-    // means a shard published and faulted after the pin can only notify
-    // once the wait below has begun; the pin is dropped before waiting,
-    // so a sleeping loop keeps no retired shard alive.
-    const auto now = std::chrono::steady_clock::now();
-    std::shared_ptr<const Shard> due;
-    auto earliest = std::chrono::steady_clock::time_point::max();
-    {
-      RegistryPtr registry = Pin();
-      for (const auto& shard : registry->shards) {
-        const ShardHealthCell& cell = *shard->health;
-        if (!cell.quarantined.load(std::memory_order_relaxed) ||
-            !cell.retry_enabled) {
-          continue;
-        }
-        if (cell.next_retry <= now) {
-          due = shard;
-          break;
-        }
-        earliest = std::min(earliest, cell.next_retry);
-      }
-    }
-    if (due == nullptr) {
-      if (earliest == std::chrono::steady_clock::time_point::max()) {
-        health_cv_.wait(lock);  // nothing scheduled; loop re-checks
-      } else {
-        health_cv_.wait_until(lock, earliest);
-      }
-      continue;
-    }
-    lock.unlock();
-    AttemptRecovery(due);
-    lock.lock();
-  }
-}
-
-void ReclaimService::AttemptRecovery(const std::shared_ptr<const Shard>& old) {
-  ShardHealthCell& cell = *old->health;
-  if (old->source_path.empty()) {
-    // Nothing on disk to recover from (a RAM/CSV shard): stop
-    // scheduling; only an explicit reload can heal it.
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    cell.retry_enabled = false;
-    cell.last_error += " (not snapshot-backed; awaiting explicit reload)";
-    return;
-  }
-
-  // Expensive work outside every lock, exactly like ReloadLakeFromSnapshot.
-  // Preferred path: full reopen (mapped when the snapshot allows). The
-  // healed shard is a new registration (fresh uid, fresh cell).
-  Result<std::shared_ptr<Shard>> loaded =
-      LoadShard(old->name, old->source_path);
-  bool salvaged = false;
-  std::string fail_reason;
-  if (!loaded.ok()) {
-    fail_reason = loaded.status().message();
-    // Salvage fallback: the body may still parse even when the v2
-    // catalog tail is damaged — reload it and rebuild the catalog in
-    // RAM. The shard then serves identically, flagged kDegraded.
-    auto lake = std::make_shared<DataLake>(dict_);
-    SnapshotLoadInfo info;  // salvage recovers the base generation only
-    Status body = LoadSnapshotBody(*lake, old->source_path, &info);
-    if (body.ok()) {
-      salvaged = true;
-      loaded = MakeShard(old->name, std::move(lake), nullptr, nullptr,
-                         old->source_path, info);
-    } else {
-      fail_reason += "; body salvage: " + body.message();
-    }
-  }
-
-  if (!loaded.ok()) {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    ++cell.attempts;
-    cell.last_error = fail_reason;
-    cell.next_retry = SteadyTimeAfter(
-        std::chrono::steady_clock::now(),
-        BackoffSeconds(options_.health, old->uid, cell.attempts));
-    return;
-  }
-
-  // It carries the old registration's fault history forward.
-  std::shared_ptr<Shard> shard = std::move(loaded).value();
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    shard->health->error_count = cell.error_count;
-    shard->health->recoveries = cell.recoveries + 1;
-    shard->health->last_error = cell.last_error;
-    shard->health->rebuilt_from_body = salvaged;
-  }
-  // Swap in ONLY if the quarantined generation is still registered. A
-  // concurrent RemoveLake/Reload supersedes recovery (the retired cell
-  // dies with its last pin); a generation published meanwhile shares
-  // the quarantined cell, so the next scan retries against it.
-  (void)ReplaceShard(std::move(shard), old.get());
-}
-
-std::vector<ReclaimService::ShardHealthStats> ReclaimService::health_stats()
-    const {
-  RegistryPtr registry = Pin();
-  std::vector<ShardHealthStats> out;
-  out.reserve(registry->shards.size());
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  for (const auto& s : registry->shards) {
-    const ShardHealthCell& cell = *s->health;
-    const bool quarantined = cell.quarantined.load(std::memory_order_relaxed);
-    ShardHealthStats stats;
-    stats.name = s->name;
-    stats.uid = s->uid;
-    stats.state = quarantined              ? ShardHealth::kQuarantined
-                  : cell.rebuilt_from_body ? ShardHealth::kDegraded
-                                           : ShardHealth::kHealthy;
-    stats.error_count = cell.error_count;
-    stats.recovery_attempts = cell.attempts;
-    stats.recoveries = cell.recoveries;
-    stats.rebuilt_from_body = cell.rebuilt_from_body;
-    stats.last_error = cell.last_error;
-    if (quarantined) {
-      if (!cell.retry_enabled || !options_.health.auto_recover) {
-        stats.next_retry_in_seconds = -1;
-      } else if (cell.next_retry > now) {
-        stats.next_retry_in_seconds =
-            std::chrono::duration<double>(cell.next_retry - now).count();
-      }
-    }
-    out.push_back(std::move(stats));
-  }
-  return out;
-}
 
 Status ReclaimService::CheckShardHealth(const std::string& name) const {
   // Appends and folds rewrite the backing file under this lock; holding
   // it keeps the file's run count and the shard's in step.
   std::lock_guard<std::mutex> append_lock(append_mutex_);
-  GENT_ASSIGN_OR_RETURN(std::shared_ptr<const Shard> shard,
-                        Find(*Pin(), name));
+  GENT_ASSIGN_OR_RETURN(auto shard, registry_.Find(name));
   // Cheap first: the catalog backend's sticky verdict. Then the deep
   // check — re-verify the backing snapshot's bytes end to end.
   Status st = shard->catalog->storage_health();
@@ -1136,7 +615,7 @@ Status ReclaimService::CheckShardHealth(const std::string& name) const {
       }
     }
   }
-  if (!st.ok()) NoteShardFault(*shard, st.message());
+  if (!st.ok()) maintenance_.NoteShardFault(*shard, st.message());
   return st;
 }
 

@@ -10,7 +10,7 @@
 //     exactly once per registration (optionally warm-started from a
 //     binary snapshot or a CSV directory), and mutable at runtime:
 //     AddLake*/RemoveLake/ReloadLakeFromSnapshot run concurrently with
-//     in-flight requests (see "shard registry" below),
+//     in-flight requests,
 //   * per-request routing: a request that names a shard goes to it; one
 //     that names none fans out over every shard that shares a value
 //     with the source (a stats prefilter skips the rest, which cannot
@@ -18,35 +18,34 @@
 //   * a bounded per-source discovery cache (src/engine/discovery_cache)
 //     so repeated sources skip the whole pipeline — the cache stores
 //     each source's final ReclamationResult and a hit returns a copy,
-//   * one resident ThreadPool serving batch and async traffic, behind
-//     a bounded, priority-aware admission queue (SubmitReclaim):
-//     three scheduling classes (RequestPriority) drained
-//     highest-first, per-request end-to-end deadlines with
-//     dead-on-arrival rejection, shed-oldest overload policy, and
-//     cooperative mid-flight cancellation — the deadline/priority/
-//     shedding contract is DESIGN.md §5.9.
+//   * one resident ThreadPool serving batch and async traffic, the
+//     async traffic behind a bounded, priority-aware admission queue
+//     (SubmitReclaim; the deadline/priority/shedding contract is
+//     DESIGN.md §5.9).
+//
+// The service keeps routing, the cache, the pipeline call (ReclaimImpl)
+// and shard construction, and composes three parts that each own their
+// lock and state:
+//
+//   * ShardRegistry (shard_registry.h): the epoch-versioned shard set.
+//     A request PINS the current snapshot at admission and serves
+//     entirely from it (a batch pins once for all its sources, an async
+//     ticket pins at SubmitReclaim), so a retired shard stays alive
+//     until the last request pinned to an epoch that contains it
+//     drains. Each registration gets a fresh uid (never reused), and
+//     discovery-cache route tags are built from (uid, delta_gen), so a
+//     reloaded or appended shard never replays entries cached against
+//     its old content, while untouched shards keep their warm entries.
+//   * AdmissionQueue (admission_queue.h): priority classes, shedding,
+//     dead-on-arrival rejection and the tickets of SubmitReclaim.
+//   * ShardMaintenance (shard_maintenance.h): shard health (quarantine,
+//     backoff, DESIGN.md §5.11) and the one background thread that
+//     runs queued folds and recoveries.
 //
 // Every shard shares one ValueDictionary (fixed at construction), so
 // value ids stay comparable across lakes — the precondition for
-// cross-shard candidate merging. Sources arriving with a foreign
-// dictionary are re-interned at admission.
-//
-// Shard registry (epoch-versioned). The shard set lives in an immutable
-// RegistrySnapshot published behind one mutex; every mutation builds a
-// new snapshot (copying shared_ptr shard handles, never shard
-// contents), bumps the epoch, and swaps the pointer. A request PINS the
-// current snapshot at admission and serves entirely from it: a batch
-// pins once for all its sources, an async ticket pins at SubmitReclaim.
-// A shard retired by RemoveLake/ReloadLakeFromSnapshot therefore stays
-// alive — catalog, lake, and all — until the last request pinned to an
-// epoch that contains it drains; only then is it destroyed. Each
-// registration gets a fresh shard uid (never reused), and discovery-
-// cache route tags are built from uids (see discovery_cache.h), so a
-// reloaded shard can never replay entries cached against its old
-// content, while untouched shards keep their warm entries across any
-// number of registry mutations. A shard's health (quarantine state and
-// fault history, DESIGN.md §5.11) lives on its handle as well, so a
-// retired shard's health is released with its last pin.
+// cross-shard candidate merging. Sources and appended tables arriving
+// with a foreign dictionary are re-interned at admission.
 //
 // Determinism contract: for a fixed registry snapshot (shards + config)
 // the result of a request is bit-identical regardless of thread count,
@@ -67,85 +66,30 @@
 // Thread safety: every public method is safe to call concurrently from
 // any number of threads, including AddLake*/RemoveLake/
 // ReloadLakeFromSnapshot against in-flight Reclaim/ReclaimBatch/
-// SubmitReclaim traffic. Mutations serialize among themselves on the
-// registry mutex; catalog builds run outside it, so registration cost
-// never blocks serving. The one lifetime rule: a lake registered with
-// AddLakeView is borrowed and must outlive its shard (i.e. remain valid
-// until RemoveLake for that name has returned AND in-flight requests
-// pinned to older epochs have drained — or until the service is
-// destroyed).
+// SubmitReclaim traffic. Catalog builds run outside every lock, so
+// registration cost never blocks serving. The one lifetime rule: a lake
+// registered with AddLakeView is borrowed and must outlive its shard
+// (i.e. remain valid until RemoveLake for that name has returned AND
+// in-flight requests pinned to older epochs have drained — or until the
+// service is destroyed).
 
 #ifndef GENT_ENGINE_RECLAIM_SERVICE_H_
 #define GENT_ENGINE_RECLAIM_SERVICE_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "src/engine/admission_queue.h"
 #include "src/engine/discovery_cache.h"
+#include "src/engine/shard_maintenance.h"
 #include "src/engine/thread_pool.h"
 #include "src/gent/gent.h"
-#include "src/lake/snapshot.h"
 
 namespace gent {
-
-/// What SubmitReclaim does when the admission queue is full.
-enum class AdmissionPolicy {
-  /// Block the submitter until a slot frees (backpressure propagates to
-  /// the producer; submission order is preserved per submitter).
-  kBlock,
-  /// Admit the new request by shedding the oldest queued request of the
-  /// lowest priority class at or below the newcomer's own (its ticket
-  /// resolves ResourceExhausted). If everything queued outranks the
-  /// newcomer, the newcomer itself is rejected instead — shedding never
-  /// evicts higher-priority work (DESIGN.md §5.9).
-  kShedOldest,
-};
-
-/// Scheduling class of an async request (SubmitReclaim). Within a
-/// class the queue is FIFO; across classes the pump always runs the
-/// highest class first. Enumerator values are queue indices.
-enum class RequestPriority {
-  kHigh = 0,    // interactive traffic
-  kNormal = 1,  // default
-  kBatch = 2,   // backfill / best-effort
-};
-
-/// Number of RequestPriority classes (queue array size).
-inline constexpr size_t kNumPriorityClasses = 3;
-
-/// Serving state of one shard (DESIGN.md §5.11). State only ever moves
-/// kHealthy → kQuarantined → (kHealthy | kDegraded) through recovery;
-/// a kDegraded shard serves correctly (its catalog was rebuilt in RAM
-/// from the snapshot body) but lost its mapped backend.
-enum class ShardHealth {
-  kHealthy = 0,
-  /// Serving, but recovered via the salvage path (body reload + catalog
-  /// rebuild) because the snapshot's catalog tail stayed damaged.
-  kDegraded = 1,
-  /// Not serving: routing skips the shard (a fan-out answers from the
-  /// remaining shards; a named-shard request gets Unavailable)
-  /// while background recovery retries with exponential backoff.
-  kQuarantined = 2,
-};
-
-/// Self-healing policy for quarantined shards (DESIGN.md §5.11).
-struct ShardHealthOptions {
-  /// Run the background recovery thread. Off = shards stay quarantined
-  /// until replaced explicitly (ReloadLakeFromSnapshot).
-  bool auto_recover = true;
-  /// First retry delay after quarantine, seconds; doubles per failed
-  /// attempt up to backoff_max_seconds.
-  double backoff_initial_seconds = 0.5;
-  double backoff_max_seconds = 30.0;
-};
 
 /// How shards built from snapshots store their catalogs (DESIGN.md
 /// §5.10). The snapshot picks the backend: a v2 file whose id space
@@ -158,9 +102,10 @@ struct CatalogStorageOptions {
   /// shard's delta runs back into its base sections when an append
   /// leaves the file with at least this many runs (0 = never compact
   /// automatically; CompactShardSnapshot still works). Compaction runs
-  /// on the background recovery thread (ShardHealthOptions::
-  /// auto_recover), bounding both read amplification (one spine merge
-  /// per run per query) and the predecessor chain appends keep alive.
+  /// on the background maintenance thread (ShardMaintenance, running
+  /// when ShardHealthOptions::auto_recover is set), bounding both read
+  /// amplification (one spine merge per run per query) and the
+  /// predecessor chain appends keep alive.
   size_t compact_after_runs = 8;
 };
 
@@ -197,106 +142,16 @@ struct ServiceOptions {
   ShardHealthOptions health;
 };
 
-/// Per-request options.
-struct ReclaimRequest {
-  /// Route to the shard with this name (NotFound if absent, Unavailable
-  /// while it is quarantined). Empty = fan out: discover on every
-  /// serving shard that shares a value with the source
-  /// (ColumnStatsCatalog::SharesAnyValue) and merge candidates by score.
-  /// A skipped shard cannot contribute a candidate, so the answer is
-  /// bit-identical to fanning out over every shard (DESIGN.md §5.6).
-  std::string lake;
-  /// Per-source wall-clock budget, seconds (0 = unlimited), measured
-  /// from EXECUTION start. Scheduling-dependent; use max_rows where
-  /// strict reproducibility matters. Budget-carrying requests may hit
-  /// the discovery cache but never populate it (see discovery_cache.h).
-  double timeout_seconds = 0.0;
-  /// End-to-end deadline, seconds from SUBMISSION (0 = none): unlike
-  /// timeout_seconds it covers queue wait. A request whose deadline
-  /// expires while still queued resolves Timeout without running
-  /// (dead-on-arrival rejection); one that expires mid-flight aborts at
-  /// the next pipeline checkpoint (DESIGN.md §5.9). Composes with
-  /// timeout_seconds — the earlier of the two wins. Same cache rule as
-  /// timeout_seconds: may hit, never populates.
-  double deadline_seconds = 0.0;
-  /// Scheduling class for SubmitReclaim (ignored by the synchronous
-  /// paths, which never queue): the pump always starts the oldest
-  /// request of the highest queued class next.
-  RequestPriority priority = RequestPriority::kNormal;
-  /// Per-source intermediate row budget (0 = unlimited).
-  uint64_t max_rows = 0;
-  /// Leave-one-out protocols: exclude the lake table named like the
-  /// source from its own candidacy.
-  bool exclude_source_name = false;
-  /// Skip the discovery cache for this request (parity testing,
-  /// debugging). Results are bit-identical either way.
-  bool bypass_cache = false;
-};
-
-/// Move-only handle to an asynchronously admitted reclamation
-/// (SubmitReclaim). The ticket may outlive the service: destroying the
-/// service drains the pool first, so every outstanding ticket resolves
-/// before the service's state goes away.
-class ReclaimTicket {
- public:
-  ReclaimTicket() = default;
-  ReclaimTicket(ReclaimTicket&&) = default;
-  ReclaimTicket& operator=(ReclaimTicket&&) = default;
-  ReclaimTicket(const ReclaimTicket&) = delete;
-  ReclaimTicket& operator=(const ReclaimTicket&) = delete;
-
-  /// False for a default-constructed (empty) ticket.
-  bool valid() const { return state_ != nullptr; }
-
-  /// Blocks until the result is ready and returns a reference to it
-  /// (valid while the ticket is alive). Thread-safe; any number of
-  /// threads may Wait on one ticket. Requires valid().
-  const Result<ReclamationResult>& Wait() const;
-
-  /// Non-consuming readiness wait with a timeout: true once the result
-  /// is available, false if `timeout` elapsed first. The ticket is
-  /// untouched either way — callers poll as often as they like and
-  /// still Wait() for the value. Requires valid().
-  bool WaitFor(std::chrono::steady_clock::duration timeout) const;
-
-  /// Same against an absolute steady-clock deadline.
-  bool WaitUntil(std::chrono::steady_clock::time_point deadline) const;
-
-  /// Non-blocking: true once the result is available. Requires valid().
-  bool ready() const;
-
-  /// When the ticket resolved (steady clock). Requires ready(); used by
-  /// open-loop latency harnesses so a completion timestamp needs no
-  /// dedicated waiting thread per ticket.
-  std::chrono::steady_clock::time_point completed_at() const;
-
-  /// Requests cancellation. Returns true if the ticket had not yet
-  /// resolved — the ticket is then GUARANTEED to resolve
-  /// Status::Cancelled: before execution starts the pump discards the
-  /// request outright; mid-flight the pipeline stops cooperatively at
-  /// its next checkpoint (DESIGN.md §5.9) and no partial result
-  /// escapes (a result completed in the race window is discarded).
-  /// Returns false only when the result was already published.
-  /// Idempotent and thread-safe.
-  bool Cancel() const;
-
- private:
-  friend class ReclaimService;
-  struct SharedState;
-  std::shared_ptr<SharedState> state_;
-};
-
 class ReclaimService {
  public:
   explicit ReclaimService(ServiceOptions options = {});
-
-  /// Joins the resident pool first: every admitted async request
-  /// resolves (run or cancelled) before shards, cache, or dictionary
-  /// are torn down.
-  ~ReclaimService();
-
   ReclaimService(const ReclaimService&) = delete;
   ReclaimService& operator=(const ReclaimService&) = delete;
+
+  // The destructor drains the resident pool first: every admitted
+  // async request resolves (run or cancelled), then the background
+  // thread stops, before shards, cache, or dictionary are torn down (the
+  // members are declared in that order).
 
   const DictionaryPtr& dict() const { return dict_; }
 
@@ -341,7 +196,9 @@ class ReclaimService {
   /// results are bit-identical to a run without the removal — and the
   /// shard is destroyed when the last of them finishes. Requests
   /// admitted after RemoveLake returns never see the shard.
-  Status RemoveLake(const std::string& name);
+  Status RemoveLake(const std::string& name) {
+    return registry_.Remove(name);
+  }
 
   /// Replaces shard `name` (NotFound if absent) with a fresh shard
   /// built from a binary snapshot, atomically from the point of view of
@@ -397,21 +254,24 @@ class ReclaimService {
   /// snapshot backing;
   /// Aborted when the shard was replaced or appended to concurrently
   /// (the fold itself is durable either way — the next reload sees the
-  /// compacted file). The background recovery thread calls this for
+  /// compacted file). The background maintenance thread calls this for
   /// shards queued by the compact_after_runs policy.
   Status CompactShardSnapshot(const std::string& name);
 
   // --- Registry observation (thread-safe) --------------------------------
 
-  size_t num_lakes() const;
+  size_t num_lakes() const { return registry_.Pin()->shards.size(); }
   std::vector<std::string> lake_names() const;
   /// The lake behind shard `name` (NotFound if absent). The pointer is
   /// guaranteed only while the shard stays registered; do not hold it
   /// across a concurrent RemoveLake/ReloadLakeFromSnapshot of `name`.
-  Result<const DataLake*> lake(const std::string& name) const;
+  Result<const DataLake*> lake(const std::string& name) const {
+    GENT_ASSIGN_OR_RETURN(auto shard, registry_.Find(name));
+    return shard->lake.get();
+  }
   /// Monotone counter, +1 per successful shard mutation. Two equal
   /// epochs imply the identical shard set (same uids, same order).
-  uint64_t registry_epoch() const;
+  uint64_t registry_epoch() const { return registry_.Pin()->epoch; }
 
   // --- Serving (thread-safe) ----------------------------------------------
 
@@ -456,35 +316,8 @@ class ReclaimService {
   DiscoveryCache::Stats cache_stats() const { return cache_.stats(); }
   size_t num_threads() const { return pool_->num_threads(); }
 
-  struct AdmissionStats {
-    /// Async requests admitted but not yet started (total across
-    /// priority classes).
-    size_t queued = 0;
-    /// Admission-queue capacity (0 = unbounded).
-    size_t capacity = 0;
-    /// Current queue depth per priority class (indexed by
-    /// RequestPriority; sums to `queued`).
-    std::array<size_t, kNumPriorityClasses> queue_depth = {0, 0, 0};
-    /// SubmitReclaim calls rejected with ResourceExhausted so far
-    /// (kShedOldest with nothing sheddable).
-    uint64_t rejected = 0;
-    /// Queued tickets evicted by kShedOldest (resolved
-    /// ResourceExhausted without running).
-    uint64_t shed = 0;
-    /// Tickets whose deadline expired while queued (resolved Timeout
-    /// without running — dead-on-arrival rejection).
-    uint64_t deadline_expired_in_queue = 0;
-    /// Tickets that resolved to Cancelled before running.
-    uint64_t cancelled = 0;
-    /// Tickets cancelled after execution started (pipeline aborted at a
-    /// checkpoint and resolved Cancelled).
-    uint64_t cancelled_mid_flight = 0;
-    /// Tasks sitting in the resident pool's queue right now — async
-    /// requests plus batch shards (ThreadPool::queue_depth; stale the
-    /// moment it is read).
-    size_t pool_backlog = 0;
-  };
-  AdmissionStats admission_stats() const;
+  using AdmissionStats = AdmissionQueue::Stats;
+  AdmissionStats admission_stats() const { return admission_.stats(); }
 
   /// Catalog storage residency of one shard (mapped shards report live
   /// buffer-pool counters; RAM shards are trivially fully resident).
@@ -510,32 +343,13 @@ class ReclaimService {
 
   // --- Shard health (thread-safe; DESIGN.md §5.11) -------------------------
 
-  /// One shard's health, as reported by health_stats().
-  struct ShardHealthStats {
-    std::string name;
-    uint64_t uid = 0;
-    ShardHealth state = ShardHealth::kHealthy;
-    /// Storage faults observed against this shard so far.
-    uint64_t error_count = 0;
-    /// Failed background recovery attempts since quarantine.
-    uint64_t recovery_attempts = 0;
-    /// Successful recoveries in the shard's history (a recovered shard
-    /// is a new registration with a new uid; it inherits this count and
-    /// error_count from the one it replaced).
-    uint64_t recoveries = 0;
-    /// The last recovery had to rebuild the catalog from the snapshot
-    /// body (v2 tail damaged) — the shard serves, state kDegraded.
-    bool rebuilt_from_body = false;
-    std::string last_error;
-    /// Seconds until the next recovery attempt (0 when due/serving;
-    /// -1 when retries are disabled: auto_recover off, or no snapshot
-    /// to recover from).
-    double next_retry_in_seconds = 0;
-  };
+  using ShardHealthStats = gent::ShardHealthStats;
   /// Per-shard health in registry order, read from each shard's health
   /// cell. Shards that never faulted report kHealthy with zero counters;
   /// a removed, reloaded or re-added shard starts from zero again.
-  std::vector<ShardHealthStats> health_stats() const;
+  std::vector<ShardHealthStats> health_stats() const {
+    return maintenance_.Stats();
+  }
 
   /// On-demand health probe of shard `name` (NotFound if absent):
   /// checks the catalog backend's sticky storage health, then — for a
@@ -552,135 +366,6 @@ class ReclaimService {
   Status CheckShardHealth(const std::string& name) const;
 
  private:
-  /// Health of one shard registration (DESIGN.md §5.11). Every content
-  /// generation of the registration — appends and compactions keep the
-  /// uid — shares one cell; a recovery publishes a new registration with
-  /// a new cell, seeded with this one's history. A retired cell dies with
-  /// the last pin on its shard.
-  struct ShardHealthCell {
-    /// The routing gate, read lock-free by every request. One-way: a
-    /// quarantined registration is only ever replaced (by recovery or
-    /// ReloadLakeFromSnapshot) or removed, never un-quarantined.
-    std::atomic<bool> quarantined{false};
-    // Guarded by health_mutex_. The reported state is derived:
-    // quarantined ? kQuarantined : rebuilt_from_body ? kDegraded : kHealthy.
-    uint64_t error_count = 0;
-    uint64_t attempts = 0;    // failed recovery attempts this quarantine
-    uint64_t recoveries = 0;  // successful recoveries in the history
-    bool rebuilt_from_body = false;
-    bool retry_enabled = true;  // false for a shard with no snapshot
-    std::string last_error;
-    std::chrono::steady_clock::time_point next_retry{};
-  };
-
-  struct Shard {
-    std::string name;
-    uint64_t uid = 0;  // unique per registration, never reused
-    /// Null for AddLakeView shards. Shared: a fold republishes the
-    /// served lake itself under a catalog mapped from the new file.
-    std::shared_ptr<const DataLake> owned;
-    const DataLake* lake = nullptr;
-    /// Never null: built in RAM over `lake`, mapped from the snapshot
-    /// file, or layered over the predecessor's by an append. Requests
-    /// run the pipeline over it with ServiceOptions::config.
-    std::shared_ptr<const ColumnStatsCatalog> catalog;
-    /// Snapshot file this shard was built from; empty for lakes built
-    /// in RAM or from CSVs. Non-empty is what makes the shard
-    /// disk-recoverable after quarantine.
-    std::string source_path;
-    /// What `source_path` held when this generation was published: the
-    /// load's SnapshotLoadInfo, with delta_runs the append's new total.
-    /// A file written whole from the served lake (a fold, or an append
-    /// to a foreign id space) is v2 in the service's ids with no runs.
-    /// A file that later verifies at fewer runs and fewer tables has
-    /// lost a committed append (CheckShardHealth). Only a file in the service's ids
-    /// (identity_remap) takes delta runs: a run is written in the
-    /// service's ids, and a file with its own id space would read them
-    /// as its own.
-    SnapshotLoadInfo file;
-    /// Appends applied to this registration (AppendTablesToLake), 0 at
-    /// registration. (uid, delta_gen) identifies shard CONTENT for the
-    /// discovery cache (ShardRouteTag); compaction keeps both.
-    uint64_t delta_gen = 0;
-    /// The pre-append shard this registration's layered catalog borrows
-    /// views from (null for fresh registrations and compacted reopens).
-    /// Keeps the predecessor's lake and catalog alive; the chain's
-    /// length is bounded by the compaction policy.
-    std::shared_ptr<const Shard> predecessor;
-    /// Never null; shared by every generation of this registration.
-    std::shared_ptr<ShardHealthCell> health;
-  };
-
-  /// Immutable once published; mutations swap whole snapshots.
-  struct RegistrySnapshot {
-    uint64_t epoch = 0;
-    std::vector<std::shared_ptr<const Shard>> shards;  // names unique
-  };
-  using RegistryPtr = std::shared_ptr<const RegistrySnapshot>;
-
-  /// Copies the current snapshot pointer (the pin operation).
-  RegistryPtr Pin() const;
-
-  /// The shard named `name` in `registry` (NotFound if absent).
-  static Result<std::shared_ptr<const Shard>> Find(
-      const RegistrySnapshot& registry, const std::string& name);
-
-  /// Builds a shard handle, with a fresh health cell, outside every lock
-  /// — the one place a registration's catalog is built. `catalog` (may
-  /// be null) is a prebuilt catalog over the lake (the mapped
-  /// snapshot-open and layered-append paths); otherwise the shard builds
-  /// one. The caller sets delta_gen, and uid and health when the handle
-  /// continues an existing registration.
-  std::shared_ptr<Shard> MakeShard(
-      const std::string& name, std::shared_ptr<const DataLake> owned,
-      const DataLake* borrowed,
-      std::shared_ptr<const ColumnStatsCatalog> catalog,
-      const std::string& source_path = std::string(),
-      const SnapshotLoadInfo& file = SnapshotLoadInfo()) const;
-
-  /// The one publish of a new registration (every AddLake* flavor):
-  /// refuses an empty or taken name, assigns a fresh uid and swaps in a
-  /// snapshot with the shard appended.
-  Status RegisterShard(std::shared_ptr<Shard> shard);
-
-  /// Shared by AddLakeFromSnapshot, ReloadLakeFromSnapshot and
-  /// recovery: loads `path` into a fresh lake on the service dictionary
-  /// and makes a shard of it, with the catalog sections mapped when the
-  /// snapshot is v2 with an identity remap (built in RAM otherwise) and
-  /// `file` set from the load.
-  Result<std::shared_ptr<Shard>> LoadShard(const std::string& name,
-                                           const std::string& path) const;
-
-  /// Opens `path`'s catalog sections mapped over `lake` without
-  /// re-checksumming (the caller has just verified or written the
-  /// file). Null on failure: a mapped open is an optimization, and a
-  /// RAM catalog serves identically.
-  std::shared_ptr<const ColumnStatsCatalog> OpenMappedCatalog(
-      const DataLake& lake, const std::string& path) const;
-
-  /// Writes `lake` whole to `path` — SaveSnapshotV2 of a catalog built
-  /// over it, in the service's ids — and returns the catalog to serve
-  /// it with: the new file's sections mapped over `lake`, or the built
-  /// catalog when the mapped open fails. The fold of
-  /// CompactShardSnapshot, and the append to a file with a foreign id
-  /// space.
-  Result<std::shared_ptr<const ColumnStatsCatalog>> WriteShardFile(
-      const DataLake& lake, const std::string& path) const;
-
-  /// Shared tail of every registry mutation: publishes `next` as the
-  /// new snapshot under the registry mutex.
-  void PublishLocked(std::shared_ptr<RegistrySnapshot> next);
-
-  /// The one replace-shard step (ReloadLakeFromSnapshot,
-  /// AppendTablesToLake, CompactShardSnapshot, AttemptRecovery). Under
-  /// the registry mutex: finds shard `shard->name`; when `expected` is
-  /// non-null, requires the registered shard to still be that content
-  /// generation (same uid and delta_gen); assigns a fresh uid if
-  /// `shard->uid` is 0; swaps `shard` into the slot and publishes. False
-  /// = nothing published (name gone or check failed); each caller maps
-  /// that to its own status.
-  bool ReplaceShard(std::shared_ptr<Shard> shard, const Shard* expected);
-
   /// Runs the pipeline for one admitted request — the one place its
   /// budget and configuration are decided. The budget: the timeout runs
   /// from now, the end-to-end deadline from `submitted`, plus the row
@@ -694,109 +379,31 @@ class ReclaimService {
       std::chrono::steady_clock::time_point submitted,
       const std::atomic<bool>* cancel) const;
 
-  /// One queued async request, self-contained (owns its pinned
-  /// snapshot). Sitting in admission_queues_ until a pump pops it or
-  /// kShedOldest evicts it.
-  struct Pending {
-    std::shared_ptr<ReclaimTicket::SharedState> state;
-    std::shared_ptr<const Table> source;
-    ReclaimRequest request;
-    RegistryPtr registry;
-    std::chrono::steady_clock::time_point submitted{};
-  };
-
-  /// Pool task draining one admission-queue entry: pops the oldest
-  /// request of the highest non-empty class and runs (or rejects) it.
-  /// Invariant: outstanding pump tasks == queued entries, so a pump
-  /// always finds one (shedding swaps the entry under a pump, never
-  /// the count).
-  void PumpOne() const;
-
-  /// Why a result is being published — selects which admission counter
-  /// to bump (inside Publish, before waiters wake, so a Wait() +
-  /// admission_stats() sequence always observes the increment).
-  enum class PublishContext {
-    kShed,             // kShedOldest eviction (counted under the admission lock)
-    kPreStartCancel,   // pump found the ticket cancelled while queued
-    kDeadlineInQueue,  // dead-on-arrival: deadline expired while queued
-    kExecuted,         // the pipeline ran (normally or to an abort)
-  };
-
-  /// Publishes `result` to a ticket (stamping completed_at, waking
-  /// waiters). A Cancel() that won the race forces the published status
-  /// to Cancelled — a completed-but-unpublished result is discarded —
-  /// so Cancel()==true always implies a Cancelled resolution. Returns
-  /// the status code actually published.
-  StatusCode Publish(ReclaimTicket::SharedState& state,
-                     Result<ReclamationResult> result,
-                     PublishContext context) const;
-
   ServiceOptions options_;
   DictionaryPtr dict_;
+  ShardRegistry registry_;
 
-  mutable std::mutex registry_mutex_;  // guards registry_ swap + uid counter
-  RegistryPtr registry_;
-  uint64_t next_shard_uid_ = 1;
-
-  /// Serializes AppendTablesToLake and CompactShardSnapshot among
-  /// themselves. Lock order: append_mutex_ → health_mutex_ →
-  /// registry_mutex_ (each may be skipped; none is ever taken while a
-  /// later one in the order is held). Concurrent
-  /// Remove/Reload/recovery still race an append; ReplaceShard's
-  /// (uid, delta_gen) check turns that race into Status::Aborted.
+  /// Serializes AppendTablesToLake, CompactShardSnapshot and
+  /// CheckShardHealth among themselves. The outermost lock: it is held
+  /// while ShardMaintenance's and the registry's are taken, never taken
+  /// under them. Concurrent Remove/Reload/recovery still race an append;
+  /// the registry's (uid, delta_gen) check turns that race into
+  /// Status::Aborted.
   mutable std::mutex append_mutex_;
 
   mutable DiscoveryCache cache_;
-
-  mutable std::mutex admission_mutex_;
-  mutable std::condition_variable admission_space_;
-  mutable std::array<std::deque<Pending>, kNumPriorityClasses>
-      admission_queues_;
-  mutable size_t admission_queued_ = 0;  // sum over admission_queues_
-  mutable uint64_t admission_rejected_ = 0;
-  mutable uint64_t admission_shed_ = 0;
-  mutable std::atomic<uint64_t> admission_cancelled_{0};
-  mutable std::atomic<uint64_t> admission_deadline_expired_{0};
-  mutable std::atomic<uint64_t> admission_cancelled_mid_flight_{0};
 
   mutable std::atomic<uint64_t> requests_routed_{0};
   mutable std::atomic<uint64_t> shards_pruned_{0};
   mutable std::atomic<uint64_t> quarantine_skipped_{0};
   mutable std::atomic<uint64_t> unavailable_rejects_{0};
 
-  // --- Shard health and maintenance (DESIGN.md §5.11) ---------------------
-  //
-  // Health lives on the shard (Shard::health). The serving path reads
-  // one atomic flag per routed shard and takes no lock.
-
-  /// Records a storage fault against `shard`'s registration; the first
-  /// fault quarantines it and wakes the recovery thread.
-  void NoteShardFault(const Shard& shard, const std::string& error) const;
-
-  /// Background maintenance loop: drains queued compactions first, then
-  /// scans the pinned registry's health cells for the earliest due retry
-  /// and attempts one recovery — all actual work outside the locks.
-  void RecoveryLoop();
-  /// One recovery attempt for the quarantined generation `old`: full
-  /// reopen first, body-salvage + rebuild as fallback, reschedule on
-  /// failure.
-  void AttemptRecovery(const std::shared_ptr<const Shard>& old);
-
-  /// Guards every ShardHealthCell's non-atomic fields, the compaction
-  /// queue and stopping_. RecoveryLoop pins the registry while holding
-  /// it; nothing takes it while holding registry_mutex_.
-  mutable std::mutex health_mutex_;
-  mutable std::condition_variable health_cv_;
-  /// Shards awaiting a background fold (compact_after_runs policy),
-  /// by name; drained by RecoveryLoop before recovery work. Duplicates
-  /// are benign (the fold is idempotent).
-  mutable std::deque<std::string> compaction_queue_;
-  bool stopping_ = false;
-  std::thread recovery_thread_;
-
-  // Declared last: destroyed first, draining every admitted task while
-  // the members above are still alive.
   std::unique_ptr<ThreadPool> pool_;
+  // The last two are destroyed first: the queue drains the pool while
+  // everything it runs against is alive, then the background thread
+  // stops.
+  mutable ShardMaintenance maintenance_;
+  mutable AdmissionQueue admission_;
 };
 
 /// Re-interns `source` into `dict` (labeled nulls become plain nulls).

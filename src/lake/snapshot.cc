@@ -324,6 +324,22 @@ class Reader {
   storage::Checksum64 checksum_;
 };
 
+// In-memory little-endian accumulator: a delta blob's table part, whose
+// length becomes the header's catalog_off field and so must be known
+// before any blob byte reaches the file, and the body's dictionary
+// chunks, encoded whole so each reaches the file in one write.
+class MemWriter {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    buf_.insert(buf_.end(), p, p + n);
+  }
+  std::vector<uint8_t>& buf() { return buf_; }
+
+ private:
+  std::vector<uint8_t> buf_;
+};
+
 // Checks that every cell of `lake`'s tables [first_table, lake.size())
 // names one of the dictionary's first `entries` entries — the ones the
 // file carries. A labeled null (transient integration state, its id
@@ -363,8 +379,9 @@ Status WriteBody(Writer& w, const DataLake& lake, const std::string& path,
   // Dictionary: every id in order, so loaded ids can be remapped by
   // index. Id 0 is the null sentinel and is written as the empty string.
   // Entries below the size read here never change, so they are read a
-  // chunk at a time, each chunk under one lock acquisition and written
-  // after it; one small buffer serves every chunk.
+  // chunk at a time, each chunk under one lock acquisition, then encoded
+  // into one reused buffer and written with one call (Checksum64 does
+  // not depend on how its input is split, so the file is the same).
   const ValueId entries = static_cast<ValueId>(dict.size());
   GENT_RETURN_IF_ERROR(CheckCellIds(lake, 0, entries));
   w.Bytes(kMagic, sizeof kMagic);
@@ -373,13 +390,16 @@ Status WriteBody(Writer& w, const DataLake& lake, const std::string& path,
   tags->reserve(entries > 0 ? entries - 1 : 0);
   constexpr ValueId kChunk = 4096;
   std::vector<std::string_view> chunk;
+  MemWriter encoded;
   for (ValueId first = kNull; first < entries; first += kChunk) {
     chunk.clear();
+    encoded.buf().clear();
     dict.StringsOf(first, std::min(entries, first + kChunk), &chunk);
     for (size_t i = 0; i < chunk.size(); ++i) {
-      PutString(w, chunk[i]);
+      PutString(encoded, chunk[i]);
       if (first + i > 0) tags->push_back(ValueDictionary::TagOf(chunk[i]));
     }
+    w.Bytes(encoded.buf().data(), encoded.buf().size());
   }
   PutTables(w, lake, 0);
   if (!w.ok()) return Status::IOError("short write to '" + path + "'");
@@ -447,21 +467,6 @@ Status SaveSnapshotV2(const DataLake& lake,
 }
 
 namespace {
-
-// In-memory little-endian accumulator for a delta blob's table part —
-// its length becomes the header's catalog_off field, so it must be
-// known before any blob byte reaches the file.
-class MemWriter {
- public:
-  void Bytes(const void* data, size_t n) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
-  }
-  std::vector<uint8_t>& buf() { return buf_; }
-
- private:
-  std::vector<uint8_t> buf_;
-};
 
 // Streams blob bytes at the file's current position, accumulating the
 // blob length and checksum for its directory entry.

@@ -1,19 +1,30 @@
 // Tests for the engine layer: ColumnStatsCatalog (merge-based overlap
-// agreeing with the legacy hash-set path) and ThreadPool.
+// agreeing with the legacy hash-set path), ThreadPool, and the three
+// parts a ReclaimService composes (ShardRegistry, AdmissionQueue,
+// ShardMaintenance), each driven without a lake or a catalog.
 
 #include "src/engine/column_stats_catalog.h"
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/benchgen/benchmarks.h"
+#include "src/engine/admission_queue.h"
+#include "src/engine/shard_maintenance.h"
+#include "src/engine/shard_registry.h"
 #include "src/engine/thread_pool.h"
 #include "src/lake/inverted_index.h"
 #include "src/table/table_builder.h"
@@ -543,6 +554,514 @@ TEST(ThreadPoolTest, GroupWaitIsScopedToItsOwnTasks) {
   EXPECT_EQ(group_done.load(), 8);  // all group tasks done...
   release.store(true);              // ...while the long-runner still held
   pool.Wait();                      // a worker; pool-wide wait still works
+}
+
+// --- Lake-less fixtures for the service parts -------------------------------
+
+// How long a test waits for a callback before it reports a failure
+// instead of hanging.
+constexpr std::chrono::seconds kPatience(30);
+
+// A one-shot gate: Wait() blocks until Open(), or returns false after
+// kPatience.
+class Gate {
+ public:
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  bool Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, kPatience, [this]() { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// A shard handle with no lake and no catalog: the registry and the
+// maintenance thread read only its name, uid, delta_gen, source_path
+// and health cell.
+std::shared_ptr<Shard> BareShard(const std::string& name,
+                                 const std::string& source_path = "") {
+  auto shard = std::make_shared<Shard>();
+  shard->name = name;
+  shard->source_path = source_path;
+  shard->health = std::make_shared<ShardHealthCell>();
+  return shard;
+}
+
+// --- ShardRegistry ----------------------------------------------------------
+
+TEST(ShardRegistryTest, UidsAreNeverReused) {
+  ShardRegistry registry;
+  std::vector<uint64_t> uids;
+  auto uid_of = [&](const std::string& name) {
+    return registry.Find(name).value()->uid;
+  };
+  ASSERT_TRUE(registry.Add(BareShard("a")).ok());
+  ASSERT_TRUE(registry.Add(BareShard("b")).ok());
+  uids = {uid_of("a"), uid_of("b")};
+  ASSERT_TRUE(registry.Remove("a").ok());
+  ASSERT_TRUE(registry.Add(BareShard("a")).ok());  // re-added: new uid
+  uids.push_back(uid_of("a"));
+  ASSERT_TRUE(registry.Replace(BareShard("b"), nullptr).ok());  // reload
+  uids.push_back(uid_of("b"));
+  // A carried-forward generation keeps its registration's uid.
+  auto old = registry.Find("b").value();
+  ASSERT_TRUE(registry.CarryForward(BareShard("b"), *old, true).ok());
+  EXPECT_EQ(uid_of("b"), old->uid);
+  std::vector<uint64_t> sorted = uids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, uids) << "uids are handed out in increasing order";
+  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_EQ(uids.size(), 4u);
+}
+
+TEST(ShardRegistryTest, StaleReplaceIsRefused) {
+  ShardRegistry registry;
+  ASSERT_TRUE(registry.Add(BareShard("a")).ok());
+  const std::shared_ptr<const Shard> gen0 = registry.Find("a").value();
+  ASSERT_TRUE(registry.CarryForward(BareShard("a"), *gen0, true).ok());
+  const std::shared_ptr<const Shard> gen1 = registry.Find("a").value();
+  EXPECT_EQ(gen1->uid, gen0->uid);
+  EXPECT_EQ(gen1->delta_gen, 1u);
+  EXPECT_EQ(gen1->health, gen0->health) << "the cell carries forward";
+
+  // (uid, delta_gen 0) is stale now: a replace or a carry from it fails.
+  EXPECT_EQ(registry.Replace(BareShard("a"), gen0.get()).code(),
+            StatusCode::kAborted);
+  EXPECT_EQ(registry.CarryForward(BareShard("a"), *gen0, false).code(),
+            StatusCode::kAborted);
+  EXPECT_EQ(registry.Find("a").value(), gen1);
+
+  // A fold keeps delta_gen; a recovery (uid 0) is a new registration.
+  ASSERT_TRUE(registry.CarryForward(BareShard("a"), *gen1, false).ok());
+  const std::shared_ptr<const Shard> folded = registry.Find("a").value();
+  EXPECT_EQ(folded->uid, gen1->uid);
+  EXPECT_EQ(folded->delta_gen, 1u);
+  ASSERT_TRUE(registry.Replace(BareShard("a"), folded.get()).ok());
+  const std::shared_ptr<const Shard> healed = registry.Find("a").value();
+  EXPECT_GT(healed->uid, folded->uid);
+  EXPECT_EQ(healed->delta_gen, 0u);
+  EXPECT_NE(healed->health, folded->health);
+
+  // A vanished name: Aborted against an expected generation, NotFound
+  // without one.
+  ASSERT_TRUE(registry.Remove("a").ok());
+  EXPECT_EQ(registry.Replace(BareShard("a"), healed.get()).code(),
+            StatusCode::kAborted);
+  EXPECT_EQ(registry.Replace(BareShard("a"), nullptr).code(),
+            StatusCode::kNotFound);
+}
+
+TEST(ShardRegistryTest, EpochAdvancesOncePerCommit) {
+  ShardRegistry registry;
+  EXPECT_EQ(registry.Pin()->epoch, 0u);
+  ASSERT_TRUE(registry.Add(BareShard("a")).ok());
+  EXPECT_EQ(registry.Pin()->epoch, 1u);
+  // Refused mutations publish nothing.
+  EXPECT_EQ(registry.Add(BareShard("a")).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(registry.Add(BareShard("")).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Remove("zzz").code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.Replace(BareShard("zzz"), nullptr).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(registry.Pin()->epoch, 1u);
+  auto a = registry.Find("a").value();
+  ASSERT_TRUE(registry.CarryForward(BareShard("a"), *a, true).ok());
+  EXPECT_EQ(registry.Pin()->epoch, 2u);
+  ASSERT_TRUE(registry.Replace(BareShard("a"), nullptr).ok());
+  EXPECT_EQ(registry.Pin()->epoch, 3u);
+  ASSERT_TRUE(registry.Remove("a").ok());
+  EXPECT_EQ(registry.Pin()->epoch, 4u);
+  EXPECT_TRUE(registry.Pin()->shards.empty());
+}
+
+TEST(ShardRegistryTest, PinnedSnapshotOutlivesRemove) {
+  ShardRegistry registry;
+  ASSERT_TRUE(registry.Add(BareShard("a")).ok());
+  ASSERT_TRUE(registry.Add(BareShard("b")).ok());
+  RegistryPtr pinned = registry.Pin();
+  std::weak_ptr<const Shard> a = registry.Find("a").value();
+  ASSERT_TRUE(registry.Remove("a").ok());
+  EXPECT_FALSE(registry.Find("a").ok());
+  // The pin still serves the removed shard, whole.
+  ASSERT_EQ(pinned->shards.size(), 2u);
+  EXPECT_EQ(pinned->shards[0]->name, "a");
+  EXPECT_TRUE(ShardRegistry::Find(*pinned, "a").ok());
+  EXPECT_FALSE(a.expired());
+  pinned.reset();
+  EXPECT_TRUE(a.expired()) << "the last pin releases the retired shard";
+}
+
+// --- AdmissionQueue ---------------------------------------------------------
+
+// A stub runner over a one-worker pool. Each entry is identified by its
+// request's max_rows. The runner records the order it runs entries in;
+// the entry with id `blocker` signals `started` and then waits on
+// `release`, so everything submitted after it stays queued.
+class AdmissionQueueTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kBlocker = 1000;
+
+  std::unique_ptr<AdmissionQueue> MakeQueue(size_t capacity,
+                                            AdmissionPolicy policy) {
+    return std::make_unique<AdmissionQueue>(
+        capacity, policy, &pool_,
+        [this](const AdmissionQueue::Entry& entry,
+               const std::atomic<bool>* cancel) -> Result<ReclamationResult> {
+          const uint64_t id = entry.request.max_rows;
+          {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ran_.push_back(id);
+          }
+          if (id == kBlocker) {
+            started_.Open();
+            (void)release_.Wait();
+          }
+          if (id == mid_flight_id_) {
+            mid_flight_started_.Open();
+            while (!cancel->load()) std::this_thread::yield();
+            // A result completed after Cancel(): Publish must discard it.
+          }
+          if (id % 2 == 1) return Status::Internal("odd ids fail");
+          return ReclamationResult(Table("r", nullptr));
+        });
+  }
+
+  static AdmissionQueue::Entry Request(uint64_t id, RequestPriority priority,
+                                       double deadline_seconds = 0) {
+    AdmissionQueue::Entry entry;
+    entry.request.max_rows = id;
+    entry.request.priority = priority;
+    entry.request.deadline_seconds = deadline_seconds;
+    entry.submitted = std::chrono::steady_clock::now();
+    return entry;
+  }
+
+  // Submits the blocker and waits until it occupies the worker.
+  ReclaimTicket Block(AdmissionQueue& queue) {
+    ReclaimTicket ticket =
+        queue.Submit(Request(kBlocker, RequestPriority::kHigh)).value();
+    EXPECT_TRUE(started_.Wait());
+    return ticket;
+  }
+
+  std::vector<uint64_t> Ran() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ran_;
+  }
+
+  ThreadPool pool_{1};  // declared first: outlives every queue
+  Gate started_;
+  Gate release_;
+  Gate mid_flight_started_;
+  uint64_t mid_flight_id_ = 0;
+  std::mutex mutex_;
+  std::vector<uint64_t> ran_;
+};
+
+TEST_F(AdmissionQueueTest, HighestClassFirstFifoWithinAClass) {
+  auto queue = MakeQueue(0, AdmissionPolicy::kBlock);
+  std::vector<ReclaimTicket> tickets;
+  tickets.push_back(Block(*queue));
+  const std::vector<std::pair<uint64_t, RequestPriority>> order = {
+      {10, RequestPriority::kBatch},  {20, RequestPriority::kNormal},
+      {30, RequestPriority::kHigh},   {12, RequestPriority::kBatch},
+      {22, RequestPriority::kNormal}, {32, RequestPriority::kHigh}};
+  for (const auto& [id, priority] : order) {
+    tickets.push_back(queue->Submit(Request(id, priority)).value());
+  }
+  AdmissionQueue::Stats stats = queue->stats();
+  EXPECT_EQ(stats.queued, 6u);
+  EXPECT_EQ(stats.queue_depth[0], 2u);
+  EXPECT_EQ(stats.queue_depth[1], 2u);
+  EXPECT_EQ(stats.queue_depth[2], 2u);
+  release_.Open();
+  for (const ReclaimTicket& t : tickets) EXPECT_TRUE(t.Wait().ok());
+  EXPECT_EQ(Ran(),
+            (std::vector<uint64_t>{kBlocker, 30, 32, 20, 22, 10, 12}));
+  EXPECT_EQ(queue->stats().queued, 0u);
+}
+
+TEST_F(AdmissionQueueTest, ShedsTheOldestOfTheLowestClassAtOrBelow) {
+  auto queue = MakeQueue(3, AdmissionPolicy::kShedOldest);
+  auto submit = [&](uint64_t id, RequestPriority priority) {
+    return queue->Submit(Request(id, priority));
+  };
+  ReclaimTicket blocker = Block(*queue);
+  ReclaimTicket n1 = submit(40, RequestPriority::kNormal).value();
+  ReclaimTicket b1 = submit(50, RequestPriority::kBatch).value();
+  ReclaimTicket b2 = submit(52, RequestPriority::kBatch).value();
+  // Full. A kNormal newcomer sheds the oldest kBatch entry...
+  ReclaimTicket n2 = submit(42, RequestPriority::kNormal).value();
+  ASSERT_TRUE(b1.ready());
+  EXPECT_EQ(b1.Wait().status().code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(b2.ready());
+  // ...a kHigh one the next...
+  ReclaimTicket h1 = submit(60, RequestPriority::kHigh).value();
+  EXPECT_EQ(b2.Wait().status().code(), StatusCode::kResourceExhausted);
+  // ...and a kBatch newcomer finds only work that outranks it: it is
+  // rejected itself, and nothing queued is shed.
+  EXPECT_EQ(submit(54, RequestPriority::kBatch).status().code(),
+            StatusCode::kResourceExhausted);
+  // A kNormal newcomer sheds within its own class: the oldest, n1.
+  ReclaimTicket n3 = submit(44, RequestPriority::kNormal).value();
+  EXPECT_EQ(n1.Wait().status().code(), StatusCode::kResourceExhausted);
+
+  AdmissionQueue::Stats stats = queue->stats();
+  EXPECT_EQ(stats.shed, 3u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.queued, 3u);
+  EXPECT_EQ(stats.capacity, 3u);
+  release_.Open();
+  for (ReclaimTicket* t : {&blocker, &n2, &h1, &n3}) {
+    EXPECT_TRUE(t->Wait().ok());
+  }
+  EXPECT_EQ(Ran(), (std::vector<uint64_t>{kBlocker, 60, 42, 44}));
+}
+
+TEST_F(AdmissionQueueTest, DeadOnArrivalAndPreStartCancelNeverRun) {
+  auto queue = MakeQueue(0, AdmissionPolicy::kBlock);
+  ReclaimTicket blocker = Block(*queue);
+  ReclaimTicket doa =
+      queue->Submit(Request(70, RequestPriority::kNormal, 0.001)).value();
+  ReclaimTicket cancelled =
+      queue->Submit(Request(72, RequestPriority::kNormal)).value();
+  ReclaimTicket kept =
+      queue->Submit(Request(74, RequestPriority::kNormal, 60)).value();
+  EXPECT_TRUE(cancelled.Cancel());
+  EXPECT_TRUE(cancelled.Cancel()) << "idempotent";
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release_.Open();
+  EXPECT_EQ(doa.Wait().status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(cancelled.Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_TRUE(kept.Wait().ok());
+  EXPECT_FALSE(kept.Cancel()) << "too late once published";
+  EXPECT_EQ(Ran(), (std::vector<uint64_t>{kBlocker, 74}));
+  AdmissionQueue::Stats stats = queue->stats();
+  EXPECT_EQ(stats.deadline_expired_in_queue, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.cancelled_mid_flight, 0u);
+}
+
+TEST_F(AdmissionQueueTest, MidFlightCancelDiscardsTheResult) {
+  auto queue = MakeQueue(0, AdmissionPolicy::kBlock);
+  mid_flight_id_ = 80;
+  ReclaimTicket ticket =
+      queue->Submit(Request(80, RequestPriority::kNormal)).value();
+  ASSERT_TRUE(mid_flight_started_.Wait());
+  EXPECT_FALSE(ticket.ready());
+  EXPECT_TRUE(ticket.Cancel());
+  // The runner returns a completed result after the cancel; the ticket
+  // still resolves Cancelled.
+  EXPECT_EQ(ticket.Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(queue->stats().cancelled_mid_flight, 1u);
+  EXPECT_EQ(queue->stats().cancelled, 0u);
+}
+
+TEST_F(AdmissionQueueTest, CountersReconcile) {
+  // submitted = ok + failed + shed + dead-on-arrival + cancelled +
+  // in-flight, where in-flight is queued plus running, and ok/failed
+  // are read off the resolved tickets (the queue does not count them).
+  auto queue = MakeQueue(4, AdmissionPolicy::kShedOldest);
+  std::vector<ReclaimTicket> tickets;
+  tickets.push_back(Block(*queue));
+  uint64_t submitted = 1;
+  const RequestPriority classes[] = {RequestPriority::kBatch,
+                                     RequestPriority::kNormal,
+                                     RequestPriority::kHigh};
+  for (uint64_t id = 100; id < 112; ++id) {
+    const double deadline = id % 5 == 0 ? 0.001 : 0;
+    auto ticket = queue->Submit(Request(id, classes[id % 3], deadline));
+    if (!ticket.ok()) continue;  // rejected: never admitted
+    ++submitted;
+    if (id % 7 == 0) ticket->Cancel();
+    tickets.push_back(std::move(ticket).value());
+  }
+  auto reconcile = [&](uint64_t running) {
+    uint64_t ok = 0, failed = 0;
+    for (const ReclaimTicket& t : tickets) {
+      if (!t.ready()) continue;
+      const Status& st = t.Wait().status();
+      if (st.ok()) {
+        ++ok;
+      } else if (st.code() == StatusCode::kInternal) {
+        ++failed;
+      }
+    }
+    const AdmissionQueue::Stats stats = queue->stats();
+    EXPECT_EQ(submitted, ok + failed + stats.shed +
+                             stats.deadline_expired_in_queue +
+                             stats.cancelled + stats.cancelled_mid_flight +
+                             stats.queued + running);
+  };
+  reconcile(/*running=*/1);  // the blocker holds the worker
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release_.Open();
+  for (const ReclaimTicket& t : tickets) t.Wait();
+  reconcile(/*running=*/0);
+  EXPECT_GT(queue->stats().shed, 0u);
+  EXPECT_GT(queue->stats().rejected, 0u);
+}
+
+// --- ShardMaintenance -------------------------------------------------------
+
+// Records the order of its callbacks; the first fold blocks on `gate`.
+class ShardMaintenanceTest : public ::testing::Test {
+ protected:
+  ShardMaintenanceTest() {
+    options_.backoff_initial_seconds = 0;  // a quarantine is due at once
+  }
+
+  std::unique_ptr<ShardMaintenance> Make() {
+    return std::make_unique<ShardMaintenance>(
+        options_, registry_,
+        [this](const Shard& old) -> Result<std::shared_ptr<Shard>> {
+          Log("recover:" + old.name);
+          if (fail_recovery_) return Status::IOError("still broken");
+          return BareShard(old.name, old.source_path);
+        },
+        [this](const std::string& name) {
+          if (Log("compact:" + name) == 1) {
+            fold_started_.Open();
+            (void)gate_.Wait();
+          }
+        });
+  }
+
+  // Appends to the log; returns the entry count.
+  size_t Log(const std::string& entry) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    log_.push_back(entry);
+    logged_.notify_all();
+    return log_.size();
+  }
+  bool WaitForLog(size_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return logged_.wait_for(lock, kPatience,
+                            [&]() { return log_.size() >= n; });
+  }
+  std::vector<std::string> LogCopy() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return log_;
+  }
+
+  ShardHealthOptions options_;
+  ShardRegistry registry_;
+  std::atomic<bool> fail_recovery_{false};
+  Gate fold_started_;
+  Gate gate_;
+  std::mutex mutex_;
+  std::condition_variable logged_;
+  std::vector<std::string> log_;
+};
+
+TEST_F(ShardMaintenanceTest, QueuedFoldsDrainBeforeRecovery) {
+  ASSERT_TRUE(registry_.Add(BareShard("q", "q.snap")).ok());
+  const std::shared_ptr<const Shard> old = registry_.Find("q").value();
+  auto maintenance = Make();
+  maintenance->QueueCompaction("a");
+  ASSERT_TRUE(fold_started_.Wait());
+  // With a fold running, a quarantine that is due at once and a second
+  // fold arrive: the fold still goes first.
+  maintenance->NoteShardFault(*old, "bad block");
+  maintenance->NoteShardFault(*old, "bad block again");
+  maintenance->QueueCompaction("b");
+  ASSERT_EQ(maintenance->Stats()[0].state, ShardHealth::kQuarantined);
+  gate_.Open();
+  EXPECT_TRUE(WaitForLog(3));
+  maintenance->Stop();
+  EXPECT_EQ(LogCopy(), (std::vector<std::string>{"compact:a", "compact:b",
+                                                 "recover:q"}));
+  // The healed shard is a new registration carrying the fault history.
+  const std::shared_ptr<const Shard> healed = registry_.Find("q").value();
+  EXPECT_NE(healed->uid, old->uid);
+  const std::vector<ShardHealthStats> stats = maintenance->Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].state, ShardHealth::kHealthy);
+  EXPECT_EQ(stats[0].error_count, 2u);
+  EXPECT_EQ(stats[0].recoveries, 1u);
+  EXPECT_EQ(stats[0].last_error, "bad block again");
+}
+
+TEST_F(ShardMaintenanceTest, FailedRecoveryKeepsRetryingWithBackoff) {
+  options_.backoff_initial_seconds = 0.001;
+  fail_recovery_ = true;
+  ASSERT_TRUE(registry_.Add(BareShard("disk", "disk.snap")).ok());
+  const std::shared_ptr<const Shard> old = registry_.Find("disk").value();
+  auto maintenance = Make();
+  maintenance->NoteShardFault(*old, "torn footer");
+  EXPECT_TRUE(WaitForLog(3));
+  maintenance->Stop();
+  const std::vector<ShardHealthStats> stats = maintenance->Stats();
+  EXPECT_EQ(stats[0].state, ShardHealth::kQuarantined);
+  EXPECT_EQ(stats[0].uid, old->uid) << "a failed attempt publishes nothing";
+  EXPECT_GE(stats[0].recovery_attempts, 3u);
+  EXPECT_EQ(stats[0].last_error, "still broken");
+  EXPECT_GE(stats[0].next_retry_in_seconds, 0);
+}
+
+TEST_F(ShardMaintenanceTest, ShardWithoutASnapshotStopsRetrying) {
+  ASSERT_TRUE(registry_.Add(BareShard("ram")).ok());
+  auto maintenance = Make();
+  maintenance->NoteShardFault(*registry_.Find("ram").value(), "lost");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (maintenance->Stats()[0].next_retry_in_seconds != -1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  const ShardHealthStats stats = maintenance->Stats()[0];
+  EXPECT_EQ(stats.state, ShardHealth::kQuarantined);
+  EXPECT_EQ(stats.next_retry_in_seconds, -1);
+  EXPECT_NE(stats.last_error.find("not snapshot-backed"), std::string::npos);
+  EXPECT_TRUE(LogCopy().empty()) << "no recover callback without a file";
+}
+
+TEST(ShardMaintenanceBackoffTest, DeterministicPerUidAndAttempt) {
+  ShardHealthOptions o;
+  o.backoff_initial_seconds = 0.5;
+  o.backoff_max_seconds = 30;
+  for (uint64_t uid = 1; uid < 50; ++uid) {
+    for (uint64_t attempt = 0; attempt < 12; ++attempt) {
+      const double d = ShardMaintenance::BackoffSeconds(o, uid, attempt);
+      EXPECT_EQ(d, ShardMaintenance::BackoffSeconds(o, uid, attempt));
+      const double base = std::min(0.5 * std::pow(2.0, attempt), 30.0);
+      EXPECT_GE(d, 0.75 * base);
+      EXPECT_LE(d, 1.25 * base);
+    }
+  }
+  // Distinct per shard: one event's quarantines do not retry in lockstep.
+  EXPECT_NE(ShardMaintenance::BackoffSeconds(o, 1, 0),
+            ShardMaintenance::BackoffSeconds(o, 2, 0));
+  o.backoff_initial_seconds = 0;
+  EXPECT_EQ(ShardMaintenance::BackoffSeconds(o, 7, 3), 0.0);
+}
+
+TEST_F(ShardMaintenanceTest, StopJoinsTheThreadWhileACallbackIsBlocked) {
+  auto maintenance = Make();
+  maintenance->QueueCompaction("a");
+  ASSERT_TRUE(fold_started_.Wait());
+  maintenance->QueueCompaction("b");
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&]() {
+    maintenance->Stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load()) << "Stop waits for the running callback";
+  gate_.Open();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  EXPECT_EQ(LogCopy(), (std::vector<std::string>{"compact:a"}))
+      << "no callback starts after Stop";
+  maintenance.reset();  // a second stop (the destructor) is a no-op
 }
 
 }  // namespace
