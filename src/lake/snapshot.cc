@@ -1,13 +1,18 @@
 #include "src/lake/snapshot.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <new>
 #include <numeric>
+#include <optional>
 #include <string_view>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -68,9 +73,10 @@ void PutTables(Sink& sink, const DataLake& lake, size_t first_table) {
   }
 }
 
-// Thin RAII write/read helpers over stdio. Both sides accumulate a
-// running offset and Checksum64 of every byte written/read, which v2
-// records in (and verifies against) the footer's body descriptor.
+// Thin RAII write/read helpers over stdio. The writer accumulates a
+// running offset and Checksum64 of every byte written, which v2 records
+// in the footer's body descriptor; the loader's verifier thread checks
+// it (LoadHelpers), so the reader keeps no checksum.
 class Writer {
  public:
   explicit Writer(const std::string& path)
@@ -127,11 +133,12 @@ class Writer {
 };
 
 // Buffered reader over one private buffer of up to kBufferBytes: fields
-// are decoded straight from it, the running checksum is appended once
-// per consumed buffer range rather than once per field, and a read
-// larger than the buffer goes straight into the caller's memory. Every
-// refill positions the FILE itself, so callers may use file() for
-// random access (footer, catalog tail) between reads.
+// are decoded straight from it, and a read larger than the buffer goes
+// straight into the caller's memory. Every refill is a positional read
+// (io::Pread), which neither uses nor moves the FILE's position, so
+// callers may use file() for random access (footer, catalog tail)
+// between reads, and the load's helper threads may read file() at the
+// same time.
 class Reader {
  public:
   static constexpr size_t kBufferBytes = size_t{1} << 20;
@@ -186,13 +193,11 @@ class Reader {
       return;
     }
     // Larger than the buffer (a table column): read it in place.
-    SumConsumed();
-    begin_ = end_ = summed_ = 0;
+    begin_ = end_ = 0;
     if (n > Remaining() || !ReadAt(position_, dst, n)) {
       Fail();
       return;
     }
-    checksum_.Append(dst, n);
     position_ += n;
   }
 
@@ -252,19 +257,12 @@ class Reader {
   std::FILE* file() { return file_; }
   /// Bytes consumed so far: the body length while reading the body.
   uint64_t offset() const { return position_; }
-  uint64_t checksum() {
-    SumConsumed();
-    return checksum_.Finish();
-  }
 
   /// Repositions the reader at an absolute file offset (delta-run
-  /// parsing jumps to blob offsets from the directory). The running
-  /// offset/checksum are body-relative and meaningless after a seek;
-  /// callers use them only before the first SeekTo.
+  /// parsing jumps to blob offsets from the directory).
   bool SeekTo(uint64_t off) {
     if (!ok()) return false;
-    SumConsumed();
-    begin_ = end_ = summed_ = 0;
+    begin_ = end_ = 0;
     position_ = off;
     return true;
   }
@@ -278,28 +276,19 @@ class Reader {
   }
   void Fail() {
     failed_ = true;
-    begin_ = end_ = summed_ = 0;
-  }
-  // Appends the consumed, not yet summed buffer range to the checksum.
-  void SumConsumed() {
-    if (begin_ > summed_) {
-      checksum_.Append(buffer_.get() + summed_, begin_ - summed_);
-    }
-    summed_ = begin_;
+    begin_ = end_ = 0;
   }
   bool ReadAt(uint64_t off, void* dst, size_t n) {
-    return std::fseek(file_, static_cast<long>(off), SEEK_SET) == 0 &&
-           io::Fread(dst, n, file_) == n;
+    return io::Pread(file_, dst, n, off) == n;
   }
   // Refills the buffer so at least `need` (< capacity_) bytes are
   // buffered; fails when the file ends first or a read fails.
   bool Fill(size_t need) {
     if (!ok()) return false;
     if (buffer_ == nullptr) buffer_.reset(new uint8_t[capacity_]);
-    SumConsumed();
     const size_t kept = Buffered();
     std::memmove(buffer_.get(), Head(), kept);
-    begin_ = summed_ = 0;
+    begin_ = 0;
     end_ = kept;
     const uint64_t from = position_ + kept;
     const size_t want = static_cast<size_t>(
@@ -318,10 +307,8 @@ class Reader {
   uint64_t position_ = 0;  // absolute offset of the next unread byte
   std::unique_ptr<uint8_t[]> buffer_;
   size_t capacity_ = 0;
-  size_t begin_ = 0;   // next unread buffered byte
-  size_t end_ = 0;     // end of the buffered bytes
-  size_t summed_ = 0;  // buffered bytes before this are in checksum_
-  storage::Checksum64 checksum_;
+  size_t begin_ = 0;  // next unread buffered byte
+  size_t end_ = 0;    // end of the buffered bytes
 };
 
 // In-memory little-endian accumulator: a delta blob's table part, whose
@@ -742,8 +729,9 @@ Status ReadDictionarySection(Reader& r, uint64_t count, uint64_t extent,
 /// its entries appended to `entries`, the entries of every earlier run.
 /// `saved_ids` is the number of saved ids before the run (the base
 /// dictionary's plus the earlier runs'); the run must continue from it.
-/// `r` is repositioned at the blob; the blob's bytes were already
-/// checksum-verified by ValidateCatalogTail.
+/// `r` is repositioned at the blob. The blob is parsed before its
+/// checksum is known (the verifier checks it on its own thread), so
+/// every field is bounds-checked like any untrusted byte.
 Status LoadDeltaRun(Reader& r, const storage::DeltaRunDesc& run,
                     DataLake& lake, uint64_t saved_ids,
                     DictionaryArena* entries, std::vector<Table>* staged) {
@@ -793,50 +781,19 @@ Result<storage::DictTagsHeader> ReadDictTagsHeaderFor(
   return header;
 }
 
-/// Reads the footer of a v2 file ahead of its body and, from its
-/// kDictTags section, the tags that let `dict` adopt the base
-/// dictionary: `*adoptable` is set when the section carries this
-/// build's kTagVersion and `dict` holds only id 0. The section must
-/// agree with the body's `dict_size` either way. A file with no footer
-/// at all, or no section, is not an error here (the tail validation
-/// reports the former).
-Status ReadAdoptableTags(std::FILE* file, uint64_t dict_size,
-                         const ValueDictionary& dict,
-                         std::vector<uint32_t>* tags, bool* adoptable) {
-  auto footer = storage::ReadFooterRecover(file);
-  if (!footer.ok()) {
-    return footer.status().code() == StatusCode::kInvalidArgument
-               ? Status::OK()
-               : footer.status();
-  }
-  const storage::SectionDesc* desc =
-      footer->Find(storage::SectionId::kDictTags);
-  if (desc == nullptr) return Status::OK();
-  auto header = ReadDictTagsHeaderFor(file, *desc, dict_size);
-  if (!header.ok()) return header.status();
-  // Tags of another TagOf definition are ignored: the dictionary
-  // re-interns.
-  if (header->tag_version != ValueDictionary::kTagVersion ||
-      dict.size() != 1) {
-    return Status::OK();
-  }
-  GENT_RETURN_IF_ERROR(storage::ReadDictTags(file, *desc, tags));
-  *adoptable = true;
-  return Status::OK();
-}
-
 /// Commits a verified file's dictionary to `dict`: the base entries
-/// `base`, saved ids [0, base_ids) (adopted with `tags` when given and
+/// `base`, saved ids [0, base_ids) (adopted with `slots` when given and
 /// the dictionary holds only id 0, else interned), then the delta runs'
 /// entries `runs`, the saved ids after them. Fills `remap` with saved
 /// id -> id in the dictionary, or leaves it empty when every saved id
 /// keeps its id.
 void CommitDictionary(ValueDictionary& dict, uint64_t base_ids,
                       DictionaryArena&& base,
-                      const std::vector<uint32_t>* tags,
+                      ValueDictionary::AdoptionSlots* slots,
                       const DictionaryArena& runs,
                       std::vector<ValueId>* remap, bool* adopted) {
-  *adopted = tags != nullptr && dict.AdoptAll(std::move(base), *tags);
+  *adopted = slots != nullptr && dict.AdoptAll(std::move(base),
+                                               std::move(*slots));
   if (!*adopted && base_ids > 0) {
     // Entry 0 is the null sentinel: it maps to kNull whatever it spells.
     remap->push_back(kNull);
@@ -855,12 +812,105 @@ void CommitDictionary(ValueDictionary& dict, uint64_t base_ids,
   remap->clear();
 }
 
+using Clock = std::chrono::steady_clock;
+
+double MsSince(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+/// Runs `job` on a new thread, or here when no thread can be started
+/// (the job has not run when the thread's constructor throws).
+template <typename Job>
+std::thread Spawn(Job job) {
+  try {
+    return std::thread(job);
+  } catch (...) {
+    job();
+    return std::thread();
+  }
+}
+
+/// The two helper threads of a full v2 load (DESIGN.md §5.10), started
+/// once the footer and the delta-run directory are read and running
+/// while the loader's thread parses the body:
+///   - the verifier checksums every footer section and every delta run
+///     (storage::VerifyChecksums, the one verifier);
+///   - the placer, given the kDictTags section of a load that may adopt,
+///     reads the tags and places the adoption slots
+///     (ValueDictionary::PlaceSlots), off the dictionary's lock.
+/// Both read the loader's own FILE with positional reads only, so a
+/// concurrent fold's rename cannot split one load across two files. The
+/// destructor stops the verifier and joins both, so every return path
+/// of the load joins them; Join() waits without stopping. The results
+/// are read after Join().
+class LoadHelpers {
+ public:
+  LoadHelpers(std::FILE* file, const storage::PagedFooter& footer,
+              const std::vector<storage::DeltaRunDesc>& runs,
+              const storage::SectionDesc* tags,
+              const storage::DictTagsHeader& header) {
+    verifier_ = Spawn([this, file, &footer, &runs] {
+      const Clock::time_point start = Clock::now();
+      try {
+        verified = storage::VerifyChecksums(file, footer, runs, &stop_);
+      } catch (const std::bad_alloc&) {
+        verified = Status::ResourceExhausted(
+            "snapshot verification: out of memory");
+      }
+      verify_ms = MsSince(start);
+    });
+    if (tags == nullptr) return;
+    placer_ = Spawn([this, file, desc = *tags, header] {
+      const Clock::time_point start = Clock::now();
+      try {
+        std::vector<uint32_t> values;
+        placed = storage::ReadDictTags(file, desc, header, &values);
+        if (placed.ok()) slots = ValueDictionary::PlaceSlots(values);
+      } catch (const std::bad_alloc&) {
+        placed = Status::ResourceExhausted(
+            "snapshot dictionary tags: out of memory placing the index");
+      }
+      place_ms = MsSince(start);
+    });
+  }
+  ~LoadHelpers() {
+    stop_.store(true, std::memory_order_relaxed);
+    Join();
+  }
+  LoadHelpers(const LoadHelpers&) = delete;
+  LoadHelpers& operator=(const LoadHelpers&) = delete;
+
+  void Join() {
+    if (verifier_.joinable()) verifier_.join();
+    if (placer_.joinable()) placer_.join();
+  }
+
+  Status verified;  // the verifier's first failure, in footer order
+  double verify_ms = 0;
+  Status placed;  // the placer's read of the tags
+  std::optional<ValueDictionary::AdoptionSlots> slots;
+  double place_ms = 0;
+
+ private:
+  std::atomic<bool> stop_{false};  // set when the load gives up
+  std::thread verifier_;
+  std::thread placer_;
+};
+
 /// Shared load path. `validate_tail` = false is the salvage mode
 /// (LoadSnapshotBody): the catalog tail of a v2 file — and the
 /// trailing-bytes check of a v1 file — is skipped, so a snapshot with a
 /// damaged catalog region still loads if its body parses. Salvage also
 /// skips delta runs (they live in the damaged tail), so it recovers the
 /// base generation only.
+///
+/// A full v2 load reads the footer, the delta-run directory and the
+/// dictionary tags' header once, up front, then parses the body and the
+/// runs on this thread while LoadHelpers checksum the file and place the
+/// adoption slots; salvage and v1 loads run serially. After the join a
+/// parse error wins, then the verifier's first failing section, then
+/// the structural checks of the tail (ValidateCatalogTail).
 ///
 /// The dictionary entries are read into arenas and the tables staged in
 /// the file's own ids; only after every check has passed is the
@@ -888,13 +938,48 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
 
   const uint64_t dict_size = r.U64();
   if (!r.ok()) return Status::IOError("truncated snapshot header");
-  // The salvage mode never looks at the tail, so never adopts.
-  std::vector<uint32_t> tags;
-  bool adopt = false;
-  if (validate_tail && version >= kVersionV2) {
-    GENT_RETURN_IF_ERROR(
-        ReadAdoptableTags(r.file(), dict_size, *lake.dict(), &tags, &adopt));
+
+  const bool full_v2 = validate_tail && version >= kVersionV2;
+  std::optional<storage::PagedFooter> footer;
+  Status footer_read;  // a v2 file without a footer fails after its body
+  std::vector<storage::DeltaRunDesc> runs;
+  Status dir_read;  // reported after the checksums
+  std::optional<LoadHelpers> helpers;
+  if (full_v2) {
+    auto recovered = storage::ReadFooterRecover(r.file());
+    if (!recovered.ok() &&
+        recovered.status().code() != StatusCode::kInvalidArgument) {
+      return recovered.status();
+    }
+    footer_read = recovered.status();
+    if (recovered.ok()) footer = std::move(recovered).value();
   }
+  if (footer) {
+    auto dir = storage::ReadDeltaDir(r.file(), *footer);
+    if (dir.ok()) {
+      runs = std::move(dir).value();
+    } else {
+      dir_read = dir.status();
+    }
+    // The tags must count the body's dictionary whether or not this
+    // load adopts them. Tags of another TagOf definition, or a target
+    // that holds more than id 0, re-intern: then nothing is placed.
+    const storage::SectionDesc* tags =
+        footer->Find(storage::SectionId::kDictTags);
+    storage::DictTagsHeader header;
+    if (tags != nullptr) {
+      auto read = ReadDictTagsHeaderFor(r.file(), *tags, dict_size);
+      if (!read.ok()) return read.status();
+      header = *read;
+      if (header.tag_version != ValueDictionary::kTagVersion ||
+          lake.dict()->size() != 1) {
+        tags = nullptr;
+      }
+    }
+    helpers.emplace(r.file(), *footer, runs, tags, header);
+  }
+
+  const Clock::time_point parse_start = Clock::now();
   DictionaryArena base;  // the base dictionary, saved ids [0, dict_size)
   if (dict_size > 0) {
     r.String();  // entry 0, the null sentinel: the arena has its own
@@ -914,32 +999,36 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   for (uint64_t i = 0; i < table_count; ++i) {
     GENT_RETURN_IF_ERROR(ParseSnapshotTable(r, lake, dict_size, &staged));
   }
+  const uint64_t body_bytes = r.offset();
 
+  // Delta runs stage after the base tables, in generation order, so the
+  // loaded lake is indistinguishable from one whose snapshot was saved
+  // with those tables in the base.
   DictionaryArena run_entries;  // every delta run's, in saved id order
-  size_t delta_runs = 0;
-  if (validate_tail) {
-    if (version >= kVersionV2) {
-      // The body ends here; the catalog region and footer follow. Verify
-      // the whole tail — footer geometry, the body bytes just streamed,
-      // every section checksum, and structural consistency — before
-      // anything touches the lake.
-      storage::PagedFooter footer;
-      std::vector<storage::DeltaRunDesc> runs;
-      GENT_RETURN_IF_ERROR(storage::ValidateCatalogTail(
-          r.file(), version, r.offset(), r.checksum(), &footer, &runs));
-      // Delta runs stage after the base tables, in generation order, so
-      // the loaded lake is indistinguishable from one whose snapshot
-      // was saved with those tables in the base.
-      for (const storage::DeltaRunDesc& run : runs) {
-        GENT_RETURN_IF_ERROR(LoadDeltaRun(
-            r, run, lake, dict_size + run_entries.size() - 1, &run_entries,
-            &staged));
-      }
-      delta_runs = runs.size();
-    } else if (!r.AtEof()) {
-      return Status::IOError(
-          "'" + path + "' has trailing bytes after the last snapshot section");
-    }
+  for (const storage::DeltaRunDesc& run : runs) {
+    GENT_RETURN_IF_ERROR(LoadDeltaRun(r, run, lake,
+                                      dict_size + run_entries.size() - 1,
+                                      &run_entries, &staged));
+  }
+  if (validate_tail && version < kVersionV2 && !r.AtEof()) {
+    return Status::IOError(
+        "'" + path + "' has trailing bytes after the last snapshot section");
+  }
+  const double parse_ms = MsSince(parse_start);
+  GENT_RETURN_IF_ERROR(footer_read);
+
+  double join_wait_ms = 0;
+  if (helpers) {
+    const Clock::time_point join_start = Clock::now();
+    helpers->Join();
+    join_wait_ms = MsSince(join_start);
+    // The parse passed; the file is whole only if every checksum
+    // matches and the tail's structure holds.
+    GENT_RETURN_IF_ERROR(helpers->verified);
+    GENT_RETURN_IF_ERROR(
+        storage::ValidateCatalogTail(r.file(), *footer, version, body_bytes));
+    GENT_RETURN_IF_ERROR(dir_read);
+    GENT_RETURN_IF_ERROR(helpers->placed);
   }
 
   // All-or-nothing: every staged name must be free in the lake and
@@ -956,8 +1045,10 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   // cells into the dictionary's ids.
   std::vector<ValueId> remap;
   bool adopted = false;
-  CommitDictionary(*lake.dict(), dict_size, std::move(base),
-                   adopt ? &tags : nullptr, run_entries, &remap, &adopted);
+  ValueDictionary::AdoptionSlots* slots =
+      helpers && helpers->slots ? &*helpers->slots : nullptr;
+  CommitDictionary(*lake.dict(), dict_size, std::move(base), slots,
+                   run_entries, &remap, &adopted);
   for (Table& t : staged) {
     for (size_t c = 0; !remap.empty() && c < t.num_cols(); ++c) {
       for (ValueId& v : t.mutable_column(c)) v = remap[v];
@@ -968,7 +1059,11 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
     info->version = version;
     info->identity_remap = remap.empty();
     info->dictionary_adopted = adopted;
-    info->delta_runs = delta_runs;
+    info->delta_runs = runs.size();
+    info->parse_ms = parse_ms;
+    info->verify_ms = helpers ? helpers->verify_ms : 0;
+    info->place_ms = helpers ? helpers->place_ms : 0;
+    info->join_wait_ms = join_wait_ms;
   }
   return Status::OK();
 }
@@ -993,44 +1088,28 @@ Status VerifySnapshotIntegrity(const std::string& path, size_t* delta_runs) {
   if (footer.ok()) {
     // v2: the footer's descriptors cover every byte the snapshot
     // serves — the body via its offset-0 pseudo-descriptor, the catalog
-    // via the real sections, delta runs via the directory — so
-    // checksumming all of them is full verification. (Debris past a
-    // recovered footer is torn-append garbage no reader dereferences.)
-    for (const storage::SectionDesc& desc : footer->sections) {
-      Status st = storage::VerifySectionChecksum(f, desc);
-      if (!st.ok()) {
-        io::Fclose(f);
-        return Status::IOError("'" + path + "': " + st.message());
-      }
-    }
+    // via the real sections, delta runs via the directory — so the
+    // loader's verifier over all of them is full verification. (Debris
+    // past a recovered footer is torn-append garbage no reader
+    // dereferences.) A directory that does not parse is reported after
+    // the checksums, as a load reports it.
     auto runs = storage::ReadDeltaDir(f, *footer);
-    if (!runs.ok()) {
-      io::Fclose(f);
-      return Status::IOError("'" + path + "': " + runs.status().message());
-    }
-    for (const storage::DeltaRunDesc& run : *runs) {
-      Status st = storage::VerifyDeltaRunChecksum(f, run);
-      if (!st.ok()) {
-        io::Fclose(f);
-        return Status::IOError("'" + path + "': " + st.message());
-      }
-    }
+    const std::vector<storage::DeltaRunDesc> no_runs;
+    Status st = storage::VerifyChecksums(f, *footer,
+                                         runs.ok() ? *runs : no_runs);
+    if (st.ok()) st = runs.status();
     // The one check a checksum cannot make: the dictionary tags must
     // cover the body's dictionary (the u64 after magic and version).
-    if (const storage::SectionDesc* tags =
-            footer->Find(storage::SectionId::kDictTags)) {
+    const storage::SectionDesc* tags =
+        footer->Find(storage::SectionId::kDictTags);
+    if (st.ok() && tags != nullptr) {
       uint64_t dict_size = 0;
-      Status st = Status::IOError("cannot read the dictionary size");
-      if (std::fseek(f, 12, SEEK_SET) == 0 &&
-          io::Fread(&dict_size, sizeof dict_size, f) == sizeof dict_size) {
-        st = ReadDictTagsHeaderFor(f, *tags, dict_size).status();
-      }
-      if (!st.ok()) {
-        io::Fclose(f);
-        return Status::IOError("'" + path + "': " + st.message());
-      }
+      st = io::Pread(f, &dict_size, sizeof dict_size, 12) == sizeof dict_size
+               ? ReadDictTagsHeaderFor(f, *tags, dict_size).status()
+               : Status::IOError("cannot read the dictionary size");
     }
     io::Fclose(f);
+    if (!st.ok()) return Status::IOError("'" + path + "': " + st.message());
     if (delta_runs != nullptr) *delta_runs = runs->size();
     return Status::OK();
   }

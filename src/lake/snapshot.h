@@ -22,7 +22,10 @@
 // the catalog (src/storage/catalog_pager.h, DESIGN.md §5.10).
 // SaveSnapshotV2 is the one writer. LoadSnapshot reads both versions —
 // v1 files written by earlier builds stay supported input — fully
-// validating v2's footer and every section checksum.
+// validating v2's footer and every section checksum. A full v2 load
+// checksums the file on a second thread while it parses the body on
+// the caller's, and joins it before anything reaches the lake
+// (DESIGN.md §5.10).
 //
 // Snapshots are self-contained: ids written are ids of the saved
 // dictionary, and LoadSnapshot re-interns them into the target
@@ -35,13 +38,15 @@
 // kDictTags section (src/storage/paged_file.h) — the hash tag of every
 // base-dictionary entry, computed from the strings written. A full load
 // reads the footer first and the base dictionary's strings into one
-// DictionaryArena. When the section's checksum passes, its tag_version
-// is this build's and the target dictionary holds only id 0 (a fresh
-// lake), the arena is adopted whole (ValueDictionary::AdoptAll): the
-// same ids and index InternAll would build, without hashing a string or
-// allocating one per entry. Every other case — a non-empty target,
-// delta-run dictionaries, the body salvage load, v1 files and v2 files
-// written before the section existed — re-interns from the arena.
+// DictionaryArena while a helper thread places the index from the tags
+// (ValueDictionary::PlaceSlots). When the whole file verifies, the
+// tag_version is this build's and the target dictionary holds only id 0
+// (a fresh lake), the arena and the placed index are adopted whole
+// (ValueDictionary::AdoptAll): the same ids and index InternAll would
+// build, without hashing a string or allocating one per entry. Every
+// other case — a non-empty target, delta-run dictionaries, the body
+// salvage load, v1 files and v2 files written before the section
+// existed — re-interns from the arena.
 // Either way the dictionary is touched only after the whole file has
 // verified: tables are staged in the file's ids, each column read in
 // place and range-checked once, and remapped in one pass only when the
@@ -80,6 +85,15 @@ struct SnapshotLoadInfo {
   /// Number of delta runs loaded after the base tables (0 for a plain
   /// snapshot; see AppendSnapshotDelta).
   size_t delta_runs = 0;
+  /// Wall times of the load's parts, in milliseconds. A full v2 load
+  /// parses on the caller's thread while a verifier thread checksums
+  /// the file and a placer thread places the adoption slots; the caller
+  /// then waits for both (join_wait_ms). Salvage and v1 loads only
+  /// parse, and place_ms is 0 whenever no slots were placed.
+  double parse_ms = 0;
+  double verify_ms = 0;
+  double place_ms = 0;
+  double join_wait_ms = 0;
 };
 
 /// Writes `lake` plus its built catalog (`catalog` borrows the

@@ -155,96 +155,53 @@ Result<std::vector<DeltaRunDesc>> ReadDeltaDir(std::FILE* file,
   const SectionDesc* dir = footer.Find(SectionId::kDeltaDir);
   if (dir == nullptr) return std::vector<DeltaRunDesc>{};
   std::vector<uint8_t> payload(static_cast<size_t>(dir->bytes));
-  if (std::fseek(file, static_cast<long>(dir->offset), SEEK_SET) != 0 ||
-      io::Fread(payload.data(), payload.size(), file) != payload.size()) {
+  if (io::Pread(file, payload.data(), payload.size(), dir->offset) !=
+      payload.size()) {
     return Status::IOError("snapshot: cannot read delta-run directory");
   }
   return ParseDeltaDir(payload.data(), payload.size(), dir->offset);
 }
 
-Status VerifyDeltaRunChecksum(std::FILE* file, const DeltaRunDesc& run) {
-  SectionDesc as_section;
-  as_section.id = static_cast<uint32_t>(SectionId::kDeltaDir);
-  as_section.offset = run.offset;
-  as_section.bytes = run.bytes;
-  as_section.checksum = run.checksum;
-  Status st = VerifySectionChecksum(file, as_section);
-  if (!st.ok()) {
-    return Status::IOError("snapshot delta run " +
-                           std::to_string(run.generation) +
-                           " checksum mismatch (corrupt file)");
-  }
-  return Status::OK();
-}
-
-Status ValidateCatalogTail(std::FILE* file, uint32_t expected_version,
-                           uint64_t body_bytes, uint64_t body_checksum,
-                           PagedFooter* out_footer,
-                           std::vector<DeltaRunDesc>* out_runs) {
-  auto footer = ReadFooterRecover(file);
-  if (!footer.ok()) return footer.status();
+Status ValidateCatalogTail(std::FILE* file, const PagedFooter& footer,
+                           uint32_t expected_version, uint64_t body_bytes) {
   const bool delta_ok = expected_version == 2 &&
-                        footer->version == kFooterVersionDelta;
-  if (footer->version != expected_version && !delta_ok) {
+                        footer.version == kFooterVersionDelta;
+  if (footer.version != expected_version && !delta_ok) {
     return Status::IOError("snapshot: footer version " +
-                           std::to_string(footer->version) +
+                           std::to_string(footer.version) +
                            " disagrees with header version " +
                            std::to_string(expected_version));
   }
-  const SectionDesc* body = footer->Find(SectionId::kBody);
+  const SectionDesc* body = footer.Find(SectionId::kBody);
   if (body == nullptr) {
     return Status::IOError("snapshot: footer is missing the body descriptor");
   }
-  if (body->bytes != body_bytes || body->checksum != body_checksum) {
+  if (body->bytes != body_bytes) {
     return Status::IOError(
         "snapshot: body does not match its footer descriptor (corrupt file)");
   }
 
   const SectionDesc *index, *values, *spine, *post_offsets, *post_cols;
   GENT_RETURN_IF_ERROR(
-      CheckSectionShapes(*footer, &index, &values, &spine, &post_offsets,
+      CheckSectionShapes(footer, &index, &values, &spine, &post_offsets,
                          &post_cols));
-  // The body checksum was accumulated by the caller while streaming, so
-  // only the catalog sections are re-read here.
-  for (const SectionDesc& s : footer->sections) {
-    if (s.id == static_cast<uint32_t>(SectionId::kBody)) continue;
-    GENT_RETURN_IF_ERROR(VerifySectionChecksum(file, s));
-  }
-
   // Structural invariants: read the (small) column index plus the two
-  // bracketing CSR offsets; everything else was just checksummed.
+  // bracketing CSR offsets.
   std::vector<uint8_t> index_bytes(static_cast<size_t>(index->bytes));
-  if (std::fseek(file, static_cast<long>(index->offset), SEEK_SET) != 0 ||
-      io::Fread(index_bytes.data(), index_bytes.size(), file) !=
-          index_bytes.size()) {
+  if (io::Pread(file, index_bytes.data(), index_bytes.size(),
+                index->offset) != index_bytes.size()) {
     return Status::IOError("snapshot: cannot read catalog column index");
   }
   Directory dir;
   GENT_RETURN_IF_ERROR(ParseColumnIndex(index_bytes.data(), index->bytes,
                                         values->bytes / 4, &dir));
   uint32_t bracket[2];
-  if (std::fseek(file, static_cast<long>(post_offsets->offset), SEEK_SET) != 0 ||
-      io::Fread(&bracket[0], 4, file) != 4 ||
-      std::fseek(file,
-                 static_cast<long>(post_offsets->offset + post_offsets->bytes -
-                                   4),
-                 SEEK_SET) != 0 ||
-      io::Fread(&bracket[1], 4, file) != 4) {
+  if (io::Pread(file, &bracket[0], 4, post_offsets->offset) != 4 ||
+      io::Pread(file, &bracket[1], 4,
+                post_offsets->offset + post_offsets->bytes - 4) != 4) {
     return Status::IOError("snapshot: cannot read CSR offset bounds");
   }
-  GENT_RETURN_IF_ERROR(
-      CheckCsrBracket(bracket[0], bracket[1], post_cols->bytes / 4));
-
-  // Delta runs are not footer sections (the directory is), so their
-  // checksums are verified from the directory here.
-  auto runs = ReadDeltaDir(file, *footer);
-  if (!runs.ok()) return runs.status();
-  for (const DeltaRunDesc& run : *runs) {
-    GENT_RETURN_IF_ERROR(VerifyDeltaRunChecksum(file, run));
-  }
-  if (out_footer != nullptr) *out_footer = *footer;
-  if (out_runs != nullptr) *out_runs = std::move(*runs);
-  return Status::OK();
+  return CheckCsrBracket(bracket[0], bracket[1], post_cols->bytes / 4);
 }
 
 Result<std::unique_ptr<MappedCatalog>> MappedCatalog::Open(
@@ -280,19 +237,10 @@ Result<std::unique_ptr<MappedCatalog>> MappedCatalog::Open(
     return runs.status();
   }
   if (options.verify_checksums) {
-    for (const SectionDesc& s : footer->sections) {
-      Status st = VerifySectionChecksum(f, s);
-      if (!st.ok()) {
-        io::Fclose(f);
-        return st;
-      }
-    }
-    for (const DeltaRunDesc& run : *runs) {
-      Status st = VerifyDeltaRunChecksum(f, run);
-      if (!st.ok()) {
-        io::Fclose(f);
-        return st;
-      }
+    Status st = VerifyChecksums(f, *footer, *runs);
+    if (!st.ok()) {
+      io::Fclose(f);
+      return st;
     }
   }
   io::Fclose(f);

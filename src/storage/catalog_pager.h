@@ -15,9 +15,11 @@
 //     (uint32_t); this layer never depends on the engine.
 //   * AppendCatalogSections — appends the sections + footer to a
 //     snapshot body, strictly append-only, checksummed per section.
-//   * ValidateCatalogTail — streaming full validation (footer, body
-//     checksum, every section checksum, structural invariants) used by
-//     LoadSnapshot so a loaded v2 snapshot is known-good end to end.
+//   * ValidateCatalogTail — the structural checks of the tail (footer
+//     version, body length, section shapes, directory invariants) that
+//     LoadSnapshot runs after its verifier thread has checksummed every
+//     section (VerifyChecksums, paged_file.h), so a loaded v2 snapshot
+//     is known-good end to end.
 //   * MappedCatalog — the open-without-rebuild path: mmaps the file,
 //     bounds-checks the directory, prefaults the hot spine (spine + CSR
 //     offsets + column index) through a BufferPool, and exposes the
@@ -76,33 +78,23 @@ Status AppendCatalogSections(std::FILE* file, uint64_t body_bytes,
                              uint32_t version,
                              const DictTagsView* dict_tags = nullptr);
 
-/// Full streaming validation of a v2 snapshot's catalog tail: footer
-/// geometry, body length + checksum against what the caller just read,
-/// every catalog section's checksum, and the directory's structural
-/// invariants (column offsets form an exact concatenation, CSR offsets
-/// bracket the CSR payload). `file` may be positioned anywhere;
-/// `expected_version` is the version the caller read from the body
-/// header — the footer must agree, except that a version-2 body may
-/// carry a kFooterVersionDelta footer (appended runs). When the footer
-/// declares delta runs, each run blob's checksum is verified too.
-/// Tolerates crash debris past the last durable footer
-/// (ReadFooterRecover). Fills `out_footer`/`out_runs` (if non-null) so
-/// the loader can stage the runs' tables without re-reading the
-/// directory.
-Status ValidateCatalogTail(std::FILE* file, uint32_t expected_version,
-                           uint64_t body_bytes, uint64_t body_checksum,
-                           PagedFooter* out_footer = nullptr,
-                           std::vector<DeltaRunDesc>* out_runs = nullptr);
+/// Structural validation of a v2 snapshot's catalog tail, whose footer
+/// `footer` the caller read from `file`: the footer agrees with
+/// `expected_version`, the version the caller read from the body header
+/// (a version-2 body may carry a kFooterVersionDelta footer: appended
+/// runs); its body descriptor is `body_bytes` long, the length the
+/// caller parsed; the catalog sections have their shapes; and the
+/// directory's structural invariants hold (column offsets form an exact
+/// concatenation, CSR offsets bracket the CSR payload). Checksums are
+/// VerifyChecksums' job (paged_file.h). Positional reads only.
+Status ValidateCatalogTail(std::FILE* file, const PagedFooter& footer,
+                           uint32_t expected_version, uint64_t body_bytes);
 
 /// Reads and geometry-checks the delta-run directory of `footer` from
 /// `file` (empty result when the footer predates deltas or has none).
-/// Does NOT verify run checksums.
+/// Does NOT verify run checksums. A positional read.
 Result<std::vector<DeltaRunDesc>> ReadDeltaDir(std::FILE* file,
                                                const PagedFooter& footer);
-
-/// Streams run blob `run` through Checksum64 and compares. IOError on
-/// read failure or mismatch.
-Status VerifyDeltaRunChecksum(std::FILE* file, const DeltaRunDesc& run);
 
 /// The mapped catalog backend of a v2 snapshot.
 class MappedCatalog {

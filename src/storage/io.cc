@@ -9,6 +9,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 #define GENT_IO_HAVE_UNISTD 1
+#else
+#include <mutex>
 #endif
 
 namespace gent::io {
@@ -127,6 +129,36 @@ size_t Fread(void* dst, size_t n, std::FILE* f) {
       return 0;
   }
   return std::fread(dst, 1, n, f);
+}
+
+size_t Pread(std::FILE* f, void* dst, size_t n, uint64_t offset) {
+  switch (Consult(Op::kRead)) {
+    case FaultInjector::Outcome::kPass:
+      break;
+    default:
+      SetInjectedErrno();
+      return 0;
+  }
+#ifdef GENT_IO_HAVE_UNISTD
+  const int fd = ::fileno(f);
+  uint8_t* out = static_cast<uint8_t*>(dst);
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t got = ::pread(fd, out + done, n - done,
+                                static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    done += static_cast<size_t>(got);
+  }
+  return done;
+#else
+  // One seek-and-read at a time, so threads sharing `f` each read
+  // where they asked.
+  static std::mutex mu;
+  std::lock_guard<std::mutex> lock(mu);
+  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) return 0;
+  return std::fread(dst, 1, n, f);
+#endif
 }
 
 size_t Fwrite(const void* src, size_t n, std::FILE* f) {

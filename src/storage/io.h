@@ -49,7 +49,7 @@ namespace gent::io {
 /// at which faults can be targeted and calls are counted.
 enum class Op : uint32_t {
   kOpen = 0,   // Fopen (any mode)
-  kRead,       // Fread
+  kRead,       // Fread, Pread
   kWrite,      // Fwrite
   kFlush,      // Fflush (incl. the flush half of SyncFile)
   kSync,       // fsync of a file or a parent directory
@@ -133,6 +133,13 @@ FaultInjector* ActiveInjector();
 
 std::FILE* Fopen(const std::string& path, const char* mode);
 size_t Fread(void* dst, size_t n, std::FILE* f);
+/// Reads `n` bytes at absolute offset `offset` of `f` without using or
+/// moving the stream's position or buffer (pread(2) on its descriptor),
+/// so several threads may read one open file at once. Returns the bytes
+/// read: fewer than `n` only at end of file or on an error. Counted and
+/// faulted as one Op::kRead. Where pread is unavailable it seeks and
+/// reads the stream under one process-wide lock.
+size_t Pread(std::FILE* f, void* dst, size_t n, uint64_t offset);
 size_t Fwrite(const void* src, size_t n, std::FILE* f);
 int Fflush(std::FILE* f);
 /// Always releases the handle (even under an injected failure — a

@@ -1,6 +1,9 @@
 #include "src/storage/paged_file.h"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <new>
 
 #include "src/storage/io.h"
 
@@ -302,40 +305,95 @@ Result<std::vector<DeltaRunDesc>> ParseDeltaDir(const uint8_t* data,
   return runs;
 }
 
-Status VerifySectionChecksum(std::FILE* file, const SectionDesc& desc) {
-  if (std::fseek(file, static_cast<long>(desc.offset), SEEK_SET) != 0) {
-    return Status::IOError("snapshot section: cannot seek");
-  }
+namespace {
+
+// Largest read of one verifier step; the stop flag is polled between
+// them.
+constexpr size_t kVerifyChunk = size_t{1} << 20;
+
+// Streams the `bytes` bytes at `offset` of `file` through Checksum64 in
+// positional reads of at most `chunk` bytes into `buf`. Cancelled when
+// `stop` is set before a read; IOError on a short read.
+Status ChecksumExtent(std::FILE* file, uint64_t offset, uint64_t bytes,
+                      uint8_t* buf, size_t chunk,
+                      const std::atomic<bool>* stop, uint64_t* checksum) {
   Checksum64 sum;
-  uint8_t buf[1u << 16];
-  uint64_t left = desc.bytes;
-  while (left > 0) {
-    const size_t chunk =
-        left < sizeof buf ? static_cast<size_t>(left) : sizeof buf;
-    if (io::Fread(buf, chunk, file) != chunk) {
+  for (uint64_t done = 0; done < bytes;) {
+    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+      return Status::Cancelled("snapshot verification stopped");
+    }
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(chunk, bytes - done));
+    if (io::Pread(file, buf, n, offset + done) != n) {
       return Status::IOError("snapshot section: short read (truncated file)");
     }
-    sum.Append(buf, chunk);
-    left -= chunk;
+    sum.Append(buf, n);
+    done += n;
   }
-  if (sum.Finish() != desc.checksum) {
+  *checksum = sum.Finish();
+  return Status::OK();
+}
+
+Status VerifySection(std::FILE* file, const SectionDesc& desc, uint8_t* buf,
+                     size_t chunk, const std::atomic<bool>* stop) {
+  uint64_t sum = 0;
+  GENT_RETURN_IF_ERROR(
+      ChecksumExtent(file, desc.offset, desc.bytes, buf, chunk, stop, &sum));
+  if (sum != desc.checksum) {
     return Status::IOError("snapshot section " + std::to_string(desc.id) +
                            " checksum mismatch (corrupt file)");
   }
   return Status::OK();
 }
 
-namespace {
+Status VerifyRun(std::FILE* file, const DeltaRunDesc& run, uint8_t* buf,
+                 size_t chunk, const std::atomic<bool>* stop) {
+  uint64_t sum = 0;
+  Status st =
+      ChecksumExtent(file, run.offset, run.bytes, buf, chunk, stop, &sum);
+  if (st.code() == StatusCode::kCancelled) return st;
+  if (!st.ok() || sum != run.checksum) {
+    return Status::IOError("snapshot delta run " +
+                           std::to_string(run.generation) +
+                           " checksum mismatch (corrupt file)");
+  }
+  return Status::OK();
+}
 
-// Reads the raw kDictTags header of `desc` into `buf` and parses it,
-// checking the section is exactly header + count tags. Leaves `file`
-// positioned at the first tag.
-Result<DictTagsHeader> ReadDictTagsHeaderInto(
-    std::FILE* file, const SectionDesc& desc,
-    uint8_t (&buf)[kDictTagsHeaderBytes]) {
+}  // namespace
+
+Status VerifySectionChecksum(std::FILE* file, const SectionDesc& desc) {
+  uint8_t buf[1u << 16];
+  return VerifySection(file, desc, buf, sizeof buf, nullptr);
+}
+
+Status VerifyDeltaRunChecksum(std::FILE* file, const DeltaRunDesc& run) {
+  uint8_t buf[1u << 16];
+  return VerifyRun(file, run, buf, sizeof buf, nullptr);
+}
+
+Status VerifyChecksums(std::FILE* file, const PagedFooter& footer,
+                       const std::vector<DeltaRunDesc>& runs,
+                       const std::atomic<bool>* stop) {
+  std::unique_ptr<uint8_t[]> buf(new (std::nothrow) uint8_t[kVerifyChunk]);
+  if (buf == nullptr) {
+    return Status::ResourceExhausted("snapshot verification buffer");
+  }
+  for (const SectionDesc& desc : footer.sections) {
+    GENT_RETURN_IF_ERROR(
+        VerifySection(file, desc, buf.get(), kVerifyChunk, stop));
+  }
+  for (const DeltaRunDesc& run : runs) {
+    GENT_RETURN_IF_ERROR(VerifyRun(file, run, buf.get(), kVerifyChunk, stop));
+  }
+  return Status::OK();
+}
+
+Result<DictTagsHeader> ReadDictTagsHeader(std::FILE* file,
+                                          const SectionDesc& desc) {
+  uint8_t buf[kDictTagsHeaderBytes];
   if (desc.bytes < kDictTagsHeaderBytes ||
-      std::fseek(file, static_cast<long>(desc.offset), SEEK_SET) != 0 ||
-      io::Fread(buf, kDictTagsHeaderBytes, file) != kDictTagsHeaderBytes) {
+      io::Pread(file, buf, sizeof buf, desc.offset) != sizeof buf) {
     return Status::IOError("snapshot dictionary tags: cannot read header");
   }
   DictTagsHeader header;
@@ -349,30 +407,14 @@ Result<DictTagsHeader> ReadDictTagsHeaderInto(
   return header;
 }
 
-}  // namespace
-
-Result<DictTagsHeader> ReadDictTagsHeader(std::FILE* file,
-                                          const SectionDesc& desc) {
-  uint8_t buf[kDictTagsHeaderBytes];
-  return ReadDictTagsHeaderInto(file, desc, buf);
-}
-
 Status ReadDictTags(std::FILE* file, const SectionDesc& desc,
+                    const DictTagsHeader& header,
                     std::vector<uint32_t>* tags) {
-  uint8_t head[kDictTagsHeaderBytes];
-  auto header = ReadDictTagsHeaderInto(file, desc, head);
-  if (!header.ok()) return header.status();
-  tags->resize(static_cast<size_t>(header->count));
+  tags->resize(static_cast<size_t>(header.count));
   const size_t tag_bytes = tags->size() * sizeof(uint32_t);
-  if (io::Fread(tags->data(), tag_bytes, file) != tag_bytes) {
+  if (io::Pread(file, tags->data(), tag_bytes,
+                desc.offset + kDictTagsHeaderBytes) != tag_bytes) {
     return Status::IOError("snapshot dictionary tags: short read");
-  }
-  Checksum64 sum;
-  sum.Append(head, sizeof head);
-  sum.Append(tags->data(), tag_bytes);
-  if (sum.Finish() != desc.checksum) {
-    return Status::IOError(
-        "snapshot dictionary tags checksum mismatch (corrupt file)");
   }
   return Status::OK();
 }

@@ -16,15 +16,17 @@
 // offset 0, so the whole file is verifiable from the footer alone.
 //
 // The reader side is two primitives: ReadFooter (seek to EOF, validate
-// magic + footer checksum + descriptor geometry) and
-// VerifySectionChecksum (stream one section through Checksum64). Both
-// operate on plain stdio so they work for streamed validation
-// (LoadSnapshot) and for tools; the mmap path (buffer_pool.h,
-// catalog_pager.h) shares the same footer.
+// magic + footer checksum + descriptor geometry) and VerifyChecksums
+// (stream every section and delta run through Checksum64, the one
+// verifier). Both operate on a plain stdio FILE — the verifier with
+// positional reads only, so it can run beside a loader parsing the same
+// open file (LoadSnapshot) — and work for tools; the mmap path
+// (buffer_pool.h, catalog_pager.h) shares the same footer.
 
 #ifndef GENT_STORAGE_PAGED_FILE_H_
 #define GENT_STORAGE_PAGED_FILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -184,16 +186,34 @@ Result<PagedFooter> ReadFooterRecover(std::FILE* file);
 /// with the recorded checksum. IOError on read failure or mismatch.
 Status VerifySectionChecksum(std::FILE* file, const SectionDesc& desc);
 
+/// Streams run blob `run` through Checksum64 and compares. IOError on
+/// read failure or mismatch.
+Status VerifyDeltaRunChecksum(std::FILE* file, const DeltaRunDesc& run);
+
+/// The verifier: checksums every section of `footer` in footer order
+/// (the body descriptor included, so every byte the footer describes),
+/// then every run of `runs`, and returns the first failure — IOError on
+/// a mismatch or short read. Reads `file` with positional reads only
+/// (io::Pread), so it may run on its own thread while another thread
+/// reads the same FILE. `stop`, when given, is polled before each read
+/// of at most 1 MiB; once it is set the verifier returns Cancelled.
+Status VerifyChecksums(std::FILE* file, const PagedFooter& footer,
+                       const std::vector<DeltaRunDesc>& runs,
+                       const std::atomic<bool>* stop = nullptr);
+
 /// Reads the header of kDictTags section `desc` and checks that the
 /// section is exactly the header plus `count` tags. IOError otherwise.
-/// Does not verify the checksum.
+/// Does not verify the checksum. A positional read.
 Result<DictTagsHeader> ReadDictTagsHeader(std::FILE* file,
                                           const SectionDesc& desc);
 
-/// Reads the tags of kDictTags section `desc` into `*tags`, verifying
-/// the section checksum over header and tags. IOError on a read
-/// failure, bad geometry or checksum mismatch.
+/// Reads the `header.count` tags of kDictTags section `desc` (its
+/// header read and checked by ReadDictTagsHeader) into `*tags` with one
+/// positional read. Does not verify the checksum: the section is
+/// checksummed once, with every other one, by VerifyChecksums. IOError
+/// on a short read.
 Status ReadDictTags(std::FILE* file, const SectionDesc& desc,
+                    const DictTagsHeader& header,
                     std::vector<uint32_t>* tags);
 
 }  // namespace gent::storage

@@ -119,17 +119,22 @@ void ValueDictionary::ReserveLocked(size_t n) {
   if (2 * n <= slots_.size()) return;
   size_t capacity = std::max(kMinSlots, slots_.size());
   while (capacity < 2 * n) capacity *= 2;
+  slots_ = Rehashed(slots_, capacity);
+}
+
+std::vector<uint64_t> ValueDictionary::Rehashed(
+    const std::vector<uint64_t>& slots, size_t capacity) {
   // A slot's home is its tag masked to the table size, so a rehash
   // moves slots without touching (or hashing) a string.
   std::vector<uint64_t> grown(capacity, 0);
   const size_t mask = capacity - 1;
-  for (const uint64_t slot : slots_) {
+  for (const uint64_t slot : slots) {
     if (slot == 0) continue;
     size_t i = static_cast<uint32_t>(slot >> 32) & mask;
     while (grown[i] != 0) i = (i + 1) & mask;
     grown[i] = slot;
   }
-  slots_.swap(grown);
+  return grown;
 }
 
 ValueId ValueDictionary::Intern(std::string_view s) {
@@ -179,28 +184,47 @@ void ValueDictionary::InternAll(std::vector<std::string_view> values,
   }
 }
 
-bool ValueDictionary::AdoptAll(DictionaryArena&& values,
-                               const std::vector<uint32_t>& tags) {
-  assert(values.size() >= 1 && tags.size() == values.size() - 1);
-  std::unique_lock lock(mutex_);
-  if (SizeLocked() != 1) return false;
-  CheckEntryCount(values.size());
-  ReserveLocked(tags.size());
+ValueDictionary::AdoptionSlots ValueDictionary::PlaceSlots(
+    const std::vector<uint32_t>& tags) {
+  AdoptionSlots placed;
+  placed.entries_ = tags.size();
+  if (tags.empty()) return placed;
+  // The table ReserveLocked would size for an empty dictionary.
+  size_t capacity = kMinSlots;
+  while (capacity < 2 * tags.size()) capacity *= 2;
+  placed.slots_.assign(capacity, 0);
   // The same slot InternAll would pick for each value: the index is
   // empty and values arrive in id order, so the first free slot from
   // the home slot is it.
   constexpr size_t kPrefetchAhead = 8;
-  const size_t mask = slots_.size() - 1;
+  std::vector<uint64_t>& slots = placed.slots_;
+  const size_t mask = capacity - 1;
   for (size_t i = 0; i < tags.size(); ++i) {
     if (i + kPrefetchAhead < tags.size()) {
-      __builtin_prefetch(&slots_[tags[i + kPrefetchAhead] & mask]);
+      __builtin_prefetch(&slots[tags[i + kPrefetchAhead] & mask]);
     }
     size_t s = tags[i] & mask;
-    while (slots_[s] != 0) s = (s + 1) & mask;
-    slots_[s] = static_cast<uint64_t>(tags[i]) << 32 |
-                static_cast<ValueId>(i + 1);
+    while (slots[s] != 0) s = (s + 1) & mask;
+    slots[s] = static_cast<uint64_t>(tags[i]) << 32 |
+               static_cast<ValueId>(i + 1);
   }
-  indexed_ = tags.size();
+  return placed;
+}
+
+bool ValueDictionary::AdoptAll(DictionaryArena&& values,
+                               AdoptionSlots&& slots) {
+  assert(values.size() >= 1 && slots.entries_ == values.size() - 1);
+  std::unique_lock lock(mutex_);
+  if (SizeLocked() != 1) return false;
+  CheckEntryCount(values.size());
+  // Holding only id 0, the index has no occupied slot. One sized larger
+  // (Reserve) keeps its size: the placed slots move into it by tag.
+  if (slots_.size() > slots.slots_.size()) {
+    slots_ = Rehashed(slots.slots_, slots_.size());
+  } else {
+    slots_.swap(slots.slots_);
+  }
+  indexed_ = slots.entries_;
   base_ = std::move(values);
   return true;
 }

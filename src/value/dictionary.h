@@ -46,8 +46,10 @@
 // dictionary whole with AdoptAll — an arena of the strings in saved id
 // order plus their persisted tags (the snapshot's kDictTags section).
 // The arena becomes the base segment as ids 1..n, with no per-string
-// allocation, and the index is built from the tags alone: no
-// canonicalization, no hashing, no string compare. For a section
+// allocation, and the index is placed from the tags alone
+// (PlaceSlots, which needs no lock, so a loader runs it beside its
+// string read): no canonicalization, no hashing, no string compare.
+// AdoptAll swaps the placed index in under the lock. For a section
 // written from a dictionary (distinct canonical strings, true tags) the
 // result is the dictionary InternAll would build, slot for slot. Tags
 // are trusted: a wrong tag only puts a value where no lookup probes, so
@@ -168,16 +170,34 @@ class ValueDictionary {
   void InternAll(std::vector<std::string_view> values,
                  std::vector<ValueId>* ids);
 
+  /// The index of a saved dictionary's entries 1..n, placed from their
+  /// tags alone by PlaceSlots, for AdoptAll to swap in.
+  class AdoptionSlots {
+   public:
+    /// Number of entries placed (n).
+    size_t entries() const { return entries_; }
+
+   private:
+    friend class ValueDictionary;
+    std::vector<uint64_t> slots_;
+    size_t entries_ = 0;
+  };
+
+  /// Places entry i+1 by `tags[i]` (its TagOf) into a fresh index, in
+  /// id order, exactly where InternAll into an empty dictionary would:
+  /// no string is read, hashed or compared, and no lock is taken, so a
+  /// loader builds it on its own thread while it reads the strings.
+  static AdoptionSlots PlaceSlots(const std::vector<uint32_t>& tags);
+
   /// Adopts the entries of `values` after its sentinel as ids
-  /// 1..values.size()-1 in order: the arena becomes the base segment,
-  /// and each entry is indexed by `tags[i]` (entry i+1's TagOf) instead
-  /// of hashing it. Runs under the writer lock and only when the
-  /// dictionary holds nothing but id 0; returns false otherwise,
-  /// leaving `values` untouched. The caller vouches that the strings
-  /// are distinct, non-empty and canonical (a snapshot dictionary
-  /// written by SaveSnapshotV2 is). `tags` must have values.size() - 1
-  /// entries.
-  bool AdoptAll(DictionaryArena&& values, const std::vector<uint32_t>& tags);
+  /// 1..values.size()-1 in order: the arena becomes the base segment
+  /// and `slots` (PlaceSlots of their tags) the index. Runs under the
+  /// writer lock and only when the dictionary holds nothing but id 0;
+  /// returns false otherwise, leaving `values` and `slots` untouched.
+  /// The caller vouches that the strings are distinct, non-empty and
+  /// canonical (a snapshot dictionary written by SaveSnapshotV2 is).
+  /// `slots` must place values.size() - 1 entries.
+  bool AdoptAll(DictionaryArena&& values, AdoptionSlots&& slots);
 
   /// Hash tag of a canonical spelling, as the index stores it.
   static uint32_t TagOf(std::string_view canonical);
@@ -232,6 +252,10 @@ class ValueDictionary {
   }
   size_t SizeLocked() const { return base_.size() + tail_.size(); }
   void ReserveLocked(size_t n);
+  // The slots of `slots` moved by tag alone into a table of `capacity`
+  // (a power of two that holds them at load factor 1/2 or less).
+  static std::vector<uint64_t> Rehashed(const std::vector<uint64_t>& slots,
+                                        size_t capacity);
   // Aborts when `n` entries would reach the labeled-null range.
   static void CheckEntryCount(size_t n);
 

@@ -710,6 +710,165 @@ TEST_F(SnapshotTest, ConcurrentLoadsIntoOneDictionaryAgree) {
   }
 }
 
+// Bytes the parse accepts but the checksums do not: only the verifier
+// thread can refuse them — an in-range cell id, any catalog section, a
+// delta run's table bytes, one dictionary tag. Each load fails typed and
+// leaves the lake and its dictionary empty.
+TEST_F(SnapshotTest, VerifierRefusesWhatTheParseAccepts) {
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(SaveV2(lake, Path("good.snap")).ok());
+  const size_t first = lake.size();
+  ASSERT_TRUE(lake.AddTable(TableBuilder(lake.dict(), "more")
+                                .Columns({"delta_run_column"})
+                                .Row({"in-the-run"})
+                                .Build())
+                  .ok());
+  const auto run = ColumnStatsCatalog::BuildDeltaRun(lake, first);
+  ASSERT_TRUE(
+      AppendSnapshotDelta(lake, first, run.views(), Path("good.snap")).ok());
+  std::ifstream in(Path("good.snap"), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  storage::PagedFooter footer;
+  std::vector<storage::DeltaRunDesc> runs;
+  {
+    std::FILE* f = std::fopen(Path("good.snap").c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    auto read = storage::ReadFooter(f);
+    ASSERT_TRUE(read.ok());
+    footer = *read;
+    auto dir = storage::ReadDeltaDir(f, footer);
+    std::fclose(f);
+    ASSERT_TRUE(dir.ok());
+    runs = *dir;
+  }
+  ASSERT_EQ(runs.size(), 1u);
+
+  struct Flip {
+    std::string where;
+    uint64_t offset;
+    uint8_t mask;
+  };
+  std::vector<Flip> flips;
+  // The body's last cell, its low bit flipped to another saved id.
+  uint64_t entries = 0;
+  std::memcpy(&entries, bytes.data() + 12, sizeof entries);
+  const uint64_t body_end = footer.Find(storage::SectionId::kBody)->bytes;
+  uint32_t cell = 0;
+  std::memcpy(&cell, bytes.data() + body_end - 4, sizeof cell);
+  ASSERT_LT(cell ^ 1u, entries);
+  flips.push_back({"cell", body_end - 4, 0x01});
+  for (const storage::SectionDesc& desc : footer.sections) {
+    if (desc.id == static_cast<uint32_t>(storage::SectionId::kBody)) continue;
+    flips.push_back({"section " + std::to_string(desc.id),
+                     desc.offset + desc.bytes / 2, 0x40});
+  }
+  const storage::SectionDesc* tags =
+      footer.Find(storage::SectionId::kDictTags);
+  ASSERT_NE(tags, nullptr);
+  flips.push_back({"first tag", tags->offset + storage::kDictTagsHeaderBytes,
+                   0x01});
+  const size_t name_at = bytes.find("delta_run_column", runs[0].offset);
+  ASSERT_NE(name_at, std::string::npos);
+  flips.push_back({"run table name", name_at + 3, 0x01});
+
+  for (const Flip& flip : flips) {
+    std::string bad = bytes;
+    bad[flip.offset] = static_cast<char>(bad[flip.offset] ^ flip.mask);
+    std::ofstream out(Path("bad.snap"), std::ios::binary | std::ios::trunc);
+    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
+    out.close();
+    // The body still parses...
+    DataLake salvaged;
+    EXPECT_TRUE(LoadSnapshotBody(salvaged, Path("bad.snap")).ok())
+        << flip.where;
+    // ...and the full load refuses the file on a checksum.
+    DataLake target;
+    const Status st = LoadSnapshot(target, Path("bad.snap"));
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << flip.where;
+    EXPECT_NE(st.message().find("checksum"), std::string::npos)
+        << flip.where << ": " << st.ToString();
+    EXPECT_EQ(target.size(), 0u) << flip.where;
+    EXPECT_EQ(target.dict()->size(), 1u) << flip.where;
+  }
+}
+
+// A file that both the parse and the verifier refuse: the parse's error
+// is the one returned, however the threads interleave.
+TEST_F(SnapshotTest, ParseErrorWinsOverTheVerifiers) {
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(SaveV2(lake, Path("bad.snap")).ok());
+  uint64_t body_end = 0;
+  uint64_t values_at = 0;
+  {
+    std::FILE* f = std::fopen(Path("bad.snap").c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    auto footer = storage::ReadFooter(f);
+    std::fclose(f);
+    ASSERT_TRUE(footer.ok());
+    body_end = footer->Find(storage::SectionId::kBody)->bytes;
+    const storage::SectionDesc* values =
+        footer->Find(storage::SectionId::kColumnValues);
+    ASSERT_NE(values, nullptr);
+    values_at = values->offset + values->bytes / 2;
+  }
+  // The high byte of the body's last cell puts that id out of range and
+  // breaks the body's checksum; a catalog byte breaks another.
+  for (const uint64_t offset : {body_end - 1, values_at}) {
+    std::fstream f(Path("bad.snap"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(offset));
+    char b = 0;
+    f.get(b);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(static_cast<char>(b ^ 0x40));
+  }
+  DataLake parsed;
+  const Status parse = LoadSnapshotBody(parsed, Path("bad.snap"));
+  ASSERT_EQ(parse.code(), StatusCode::kIOError);
+  ASSERT_EQ(VerifySnapshotIntegrity(Path("bad.snap")).code(),
+            StatusCode::kIOError);
+  for (int i = 0; i < 50; ++i) {
+    DataLake target;
+    const Status st = LoadSnapshot(target, Path("bad.snap"));
+    ASSERT_EQ(st, parse) << i << ": " << st.ToString();
+    ASSERT_EQ(target.size(), 0u);
+    ASSERT_EQ(target.dict()->size(), 1u);
+  }
+}
+
+TEST_F(SnapshotTest, LoadInfoReportsEachPartsWallTime) {
+  DataLake lake = MakeLake();
+  ASSERT_TRUE(SaveV2(lake, Path("lake.snap")).ok());
+  // A fresh lake: parsed, verified and placed.
+  DataLake fresh;
+  SnapshotLoadInfo info;
+  ASSERT_TRUE(LoadSnapshot(fresh, Path("lake.snap"), &info).ok());
+  ASSERT_TRUE(info.dictionary_adopted);
+  EXPECT_GT(info.parse_ms, 0.0);
+  EXPECT_GT(info.verify_ms, 0.0);
+  EXPECT_GT(info.place_ms, 0.0);
+  EXPECT_GE(info.join_wait_ms, 0.0);
+  // A target that cannot adopt places nothing.
+  SnapshotLoadInfo again;
+  DataLake target;
+  (void)target.AddTable(
+      TableBuilder(target.dict(), "pre").Columns({"x"}).Row({"y"}).Build());
+  ASSERT_TRUE(LoadSnapshot(target, Path("lake.snap"), &again).ok());
+  EXPECT_FALSE(again.dictionary_adopted);
+  EXPECT_GT(again.verify_ms, 0.0);
+  EXPECT_EQ(again.place_ms, 0.0);
+  // Salvage only parses.
+  DataLake salvaged;
+  SnapshotLoadInfo body;
+  ASSERT_TRUE(LoadSnapshotBody(salvaged, Path("lake.snap"), &body).ok());
+  EXPECT_GT(body.parse_ms, 0.0);
+  EXPECT_EQ(body.verify_ms, 0.0);
+  EXPECT_EQ(body.place_ms, 0.0);
+  EXPECT_EQ(body.join_wait_ms, 0.0);
+}
+
 TEST_F(SnapshotTest, MissingFileFails) {
   DataLake lake;
   Status s = LoadSnapshot(lake, Path("nope.snap"));

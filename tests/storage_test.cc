@@ -298,13 +298,24 @@ TEST_F(StorageTest, MappedCatalogRoundTrip) {
   const std::string path = Path("tiny.snap");
   const uint64_t body_sum = WriteTinySnapshot(path, cat);
 
-  // Streaming validation agrees end to end.
+  // Streaming validation agrees end to end: the verifier over every
+  // section, then the tail's structure.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
-  EXPECT_TRUE(ValidateCatalogTail(f, 2, 777, body_sum).ok());
-  // Wrong body checksum or version must be caught.
-  EXPECT_FALSE(ValidateCatalogTail(f, 2, 777, body_sum ^ 1).ok());
-  EXPECT_FALSE(ValidateCatalogTail(f, 3, 777, body_sum).ok());
+  auto footer = ReadFooter(f);
+  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
+  ASSERT_NE(footer->Find(SectionId::kBody), nullptr);
+  EXPECT_EQ(footer->Find(SectionId::kBody)->checksum, body_sum);
+  EXPECT_TRUE(VerifyChecksums(f, *footer, {}).ok());
+  EXPECT_TRUE(ValidateCatalogTail(f, *footer, 2, 777).ok());
+  // A wrong body checksum, body length or version must be caught.
+  PagedFooter wrong_sum = *footer;
+  for (SectionDesc& desc : wrong_sum.sections) {
+    if (desc.id == static_cast<uint32_t>(SectionId::kBody)) desc.checksum ^= 1;
+  }
+  EXPECT_EQ(VerifyChecksums(f, wrong_sum, {}).code(), StatusCode::kIOError);
+  EXPECT_FALSE(ValidateCatalogTail(f, *footer, 2, 778).ok());
+  EXPECT_FALSE(ValidateCatalogTail(f, *footer, 3, 777).ok());
   std::fclose(f);
 
   auto mapped = MappedCatalog::Open(path, {});

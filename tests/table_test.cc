@@ -133,6 +133,44 @@ TEST(DictionaryTest, BulkInternEqualsPerStringIntern) {
   EXPECT_EQ(bulk.StringOf(bulk.Lookup("007")), "7");
 }
 
+TEST(DictionaryTest, AdoptionPlacesSlotsFromTagsAlone) {
+  // Slots placed off the lock are adopted whole: every value keeps its
+  // saved id and is found again, also in a dictionary whose index
+  // Reserve had already sized larger than the placed one.
+  std::vector<std::string> values = {""};
+  for (size_t i = 1; i <= 300; ++i) {
+    values.push_back(i % 4 == 0 ? std::to_string(i * 7)
+                                : "value-" + std::to_string(i));
+  }
+  const auto adopt = [&values](ValueDictionary* dict) {
+    DictionaryArena base;
+    std::vector<uint32_t> tags;
+    for (size_t i = 1; i < values.size(); ++i) {
+      base.Append(values[i]);
+      tags.push_back(ValueDictionary::TagOf(values[i]));
+    }
+    ValueDictionary::AdoptionSlots slots = ValueDictionary::PlaceSlots(tags);
+    EXPECT_EQ(slots.entries(), values.size() - 1);
+    return dict->AdoptAll(std::move(base), std::move(slots));
+  };
+  ValueDictionary plain;
+  ValueDictionary reserved;
+  reserved.Reserve(100000);
+  for (ValueDictionary* dict : {&plain, &reserved}) {
+    ASSERT_TRUE(adopt(dict));
+    ASSERT_EQ(dict->size(), values.size());
+    for (ValueId id = 1; id < values.size(); ++id) {
+      EXPECT_EQ(dict->StringOf(id), values[id]);
+      EXPECT_EQ(dict->Lookup(values[id]), id);
+    }
+    EXPECT_EQ(dict->Intern("after-adoption"), values.size());
+    // No longer empty: a second adoption is refused and changes nothing.
+    EXPECT_FALSE(adopt(dict));
+    EXPECT_EQ(dict->size(), values.size() + 1);
+    EXPECT_EQ(dict->Lookup(values[1]), 1u);
+  }
+}
+
 TEST(DictionaryTest, ConcurrentCallersAgreeOnEveryId) {
   // 8 threads intern, look up and read back the same values in
   // different orders, two of them through InternAll; every thread must
@@ -212,7 +250,8 @@ TEST(DictionaryTest, BaseAndTailViewsStayValidUnderConcurrentInterns) {
     tags.push_back(ValueDictionary::TagOf(expected.back()));
   }
   ValueDictionary dict;
-  ASSERT_TRUE(dict.AdoptAll(std::move(base), tags));
+  ASSERT_TRUE(
+      dict.AdoptAll(std::move(base), ValueDictionary::PlaceSlots(tags)));
   for (size_t i = 0; i < kTail; ++i) {
     expected.push_back(spelling("tail", i));
     ASSERT_EQ(dict.Intern(expected.back()), expected.size() - 1);

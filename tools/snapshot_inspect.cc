@@ -8,6 +8,10 @@
 //   --verify  stream every section (including the body) through the
 //             checksum; slow on large files, definitive on corruption.
 //
+// The `load:` line gives the full load's wall times: the body parse, the
+// verifier and slot-placement threads that run beside it, and the
+// parse's wait for them.
+//
 // Exit code: 0 when the file parses (and, with --verify, all checksums
 // pass), 1 otherwise — scriptable as a shard health check.
 
@@ -119,6 +123,13 @@ int main(int argc, char** argv) {
                 info.dictionary_adopted ? "adopted from dict-tags"
                                         : "re-interned",
                 lake.dict()->base_bytes());
+    // The load's threads (DESIGN.md §5.10): the body parse here, the
+    // checksums and the adoption slots beside it, then the wait for
+    // both.
+    std::printf("  load: parse %.1f ms, verify %.1f ms, place %.1f ms, "
+                "join wait %.1f ms\n",
+                info.parse_ms, info.verify_ms, info.place_ms,
+                info.join_wait_ms);
   } else {
     std::printf("  body: UNREADABLE (%s)\n", load.ToString().c_str());
   }
