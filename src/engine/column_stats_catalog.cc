@@ -338,6 +338,14 @@ storage::CatalogSectionViews ColumnStatsCatalog::section_views() const {
 }
 
 ColumnStatsCatalog::Residency ColumnStatsCatalog::residency() const {
+  Residency r = StorageResidency();
+  const JoinEdgeMemo::Stats memo = join_edges_.stats();
+  r.join_edges = memo.entries;
+  r.join_edge_bytes = memo.bytes;
+  return r;
+}
+
+ColumnStatsCatalog::Residency ColumnStatsCatalog::StorageResidency() const {
   Residency r;
   uint64_t array_bytes = 0;
   for (const ValueSpan& c : cols_) array_bytes += c.size() * sizeof(ValueId);
@@ -349,7 +357,7 @@ ColumnStatsCatalog::Residency ColumnStatsCatalog::residency() const {
   if (base_ != nullptr) {
     // Layered catalog: the base's accounting plus this object's RAM
     // run arrays, which are trivially resident.
-    r = base_->residency();
+    r = base_->StorageResidency();
     uint64_t run_bytes = 0;
     for (const std::vector<ValueId>& c : owned_values_) {
       run_bytes += c.size() * sizeof(ValueId);

@@ -28,7 +28,12 @@
 // shard replacement swaps whole catalogs, never mutates one). The
 // mapped backend preserves this: the only mutable state behind a read
 // is the buffer pool's residency bookkeeping, which is internally
-// synchronized and invisible to results. Overlap computation is
+// synchronized and invisible to results. The one other mutable member
+// is the join-edge memo (join_edges(), DESIGN.md §5.7): Expand's
+// scored edges between this catalog's lake tables, kept for the
+// catalog's lifetime. It too is internally synchronized and invisible
+// to results: a stored edge is exactly what scoring returns, and a
+// new catalog starts with an empty memo. Overlap computation is
 // merge-based throughout: queries arrive as sorted, deduplicated
 // ValueId vectors and are intersected against the sorted postings /
 // value sets with linear merges instead of hash probing, so hot scans
@@ -50,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "src/engine/join_edge_memo.h"
 #include "src/lake/data_lake.h"
 #include "src/storage/catalog_pager.h"
 #include "src/storage/span.h"
@@ -204,6 +210,13 @@ class ColumnStatsCatalog {
   /// reporting.
   size_t num_regions() const { return regions_.size(); }
 
+  /// Expand's memo of scored join-graph edges between this catalog's
+  /// lake tables (src/engine/join_edge_memo.h). Empty until the first
+  /// insert, at most kJoinEdgeMemoBytes of slots, alive as long as the
+  /// catalog; a layered catalog (WithAppended) has its own. Safe to use
+  /// from any number of threads; it never changes a result.
+  JoinEdgeMemo& join_edges() const { return join_edges_; }
+
   /// Storage-residency counters for one catalog (surfaced per shard by
   /// ReclaimService::residency_stats). For the RAM backend everything
   /// is trivially resident and the pool counters stay zero.
@@ -214,6 +227,11 @@ class ColumnStatsCatalog {
     uint64_t pool_hits = 0;
     uint64_t pool_faults = 0;
     uint64_t pool_read_faults = 0;  // sticky I/O faults (storage_health)
+    // This catalog's own join-edge memo (a layered catalog's base keeps
+    // its own, which this catalog never reads): stored edges and the
+    // slot bytes they occupy, outside bytes_total.
+    uint64_t join_edges = 0;
+    uint64_t join_edge_bytes = 0;
   };
   Residency residency() const;
 
@@ -247,6 +265,10 @@ class ColumnStatsCatalog {
 
   /// Dense col-id layout shared by both backends.
   void BuildColumnLayout();
+
+  /// residency() without the join-edge memo: the catalog arrays and,
+  /// for the mapped backend, the buffer pool.
+  Residency StorageResidency() const;
 
   /// Mapped-backend fault-in hook; no-op for the RAM backend. A layered
   /// catalog forwards to its base, whose pool ignores pointers outside
@@ -304,6 +326,8 @@ class ColumnStatsCatalog {
   // Layered backend (WithAppended): the catalog whose views regions
   // [0, base_->num_regions()) and cols [0, first_col) borrow.
   std::shared_ptr<const ColumnStatsCatalog> base_;
+
+  mutable JoinEdgeMemo join_edges_;
 };
 
 /// Sorted distinct values of column `c` of `t`, excluding kNull and

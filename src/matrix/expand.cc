@@ -24,13 +24,9 @@ namespace {
 // A joinable column pair between two candidate tables, discovered by
 // value overlap (lake metadata is unreliable, so edges are value-based:
 // "edges = tables that have joinable columns; edge weights = value
-// overlap of joinable columns", Algorithm 5).
-struct JoinPair {
-  size_t a_col = 0;
-  size_t b_col = 0;
-  double weight = 0.0;  // |Va ∩ Vb| / max(|Va|, |Vb|)
-  size_t inter = 0;
-};
+// overlap of joinable columns", Algorithm 5). The catalog's join-edge
+// memo stores the same record.
+using JoinPair = JoinEdge;
 
 // Distinct value sets per column as sorted, deduplicated id vectors.
 // Views either borrow sets that already exist or point into `owned`.
@@ -109,13 +105,24 @@ bool CatalogBacked(const Candidate& cand) {
 // min(|Va|,|Vb|)/max(|Va|,|Vb|) × keyness: since |Va ∩ Vb| ≤ min, the
 // bound dominates the true weight (division and multiplication by a
 // shared non-negative operand are monotone in IEEE), so a sub-threshold
-// bound skips the merge without changing any outcome. Ties on (weight,
+// bound skips the merge without changing any outcome. The pairs that
+// pass are intersected in descending bound order, and the scan stops at
+// the first bound below the best weight found: no later pair can reach
+// that weight, and ties on weight still intersect. Ties on (weight,
 // intersection) break to the smallest (a_col, b_col) — the documented
-// edge-choice contract in expand.h.
+// edge-choice contract in expand.h. That order is total, so the visit
+// order never changes the winner.
 std::optional<JoinPair> BestJoinPair(const ColumnSets& a, size_t rows_a,
                                      const ColumnSets& b, size_t rows_b,
                                      double threshold) {
-  std::optional<JoinPair> best;
+  struct Screened {
+    double bound;
+    double keyness;
+    double max_size;
+    size_t i;
+    size_t j;
+  };
+  std::vector<Screened> screened;
   for (size_t i = 0; i < a.size(); ++i) {
     const ValueSpan va = a.col(i);
     if (va.empty()) continue;
@@ -136,24 +143,34 @@ std::optional<JoinPair> BestJoinPair(const ColumnSets& a, size_t rows_a,
           static_cast<double>(std::min(va.size(), vb.size())) / max_size *
           keyness;
       if (bound < threshold) continue;
-      size_t inter = SortedIntersectionSize(va, vb);
-      if (inter == 0) continue;
-      double containment = static_cast<double>(inter) / max_size;
-      double w = containment * keyness;
-      if (w < threshold) continue;
-      bool better;
-      if (!best) {
-        better = true;
-      } else if (w != best->weight) {
-        better = w > best->weight;
-      } else if (inter != best->inter) {
-        better = inter > best->inter;
-      } else {
-        better = std::make_pair(i, j) <
-                 std::make_pair(best->a_col, best->b_col);
-      }
-      if (better) best = JoinPair{i, j, w, inter};
+      screened.push_back(Screened{bound, keyness, max_size, i, j});
     }
+  }
+  std::sort(screened.begin(), screened.end(),
+            [](const Screened& x, const Screened& y) {
+              if (x.bound != y.bound) return x.bound > y.bound;
+              return std::make_pair(x.i, x.j) < std::make_pair(y.i, y.j);
+            });
+  std::optional<JoinPair> best;
+  for (const Screened& p : screened) {
+    if (best && p.bound < best->weight) break;
+    size_t inter = SortedIntersectionSize(a.col(p.i), b.col(p.j));
+    if (inter == 0) continue;
+    double containment = static_cast<double>(inter) / p.max_size;
+    double w = containment * p.keyness;
+    if (w < threshold) continue;
+    bool better;
+    if (!best) {
+      better = true;
+    } else if (w != best->weight) {
+      better = w > best->weight;
+    } else if (inter != best->inter) {
+      better = inter > best->inter;
+    } else {
+      better = std::make_pair(p.i, p.j) <
+               std::make_pair(best->a_col, best->b_col);
+    }
+    if (better) best = JoinPair{p.i, p.j, w, inter};
   }
   return best;
 }
@@ -630,10 +647,12 @@ Result<ExpandResult> Expand(const Table& source,
   // get a one-pass sorted build; schema-family comparisons are then
   // plain vector equality.
   std::vector<ColumnSets> sets(n);
+  std::vector<char> backed(n, 0);
   std::vector<std::vector<std::string>> sorted_schemas(n);
   ParallelFor(pool.get(), n, [&](size_t i) {
     const Candidate& c = candidates[i];
-    sets[i] = CatalogBacked(c)
+    backed[i] = CatalogBacked(c);
+    sets[i] = backed[i]
                   ? SetsFromCatalog(*c.stats, c.lake_index, c.table.num_cols())
                   : SetsFromTable(c.table);
     sorted_schemas[i] = c.table.column_names();
@@ -641,14 +660,39 @@ Result<ExpandResult> Expand(const Table& source,
   });
   GENT_RETURN_IF_ERROR(limits.Interrupted());
 
+  // The best pair from candidate x's columns to candidate y's. When both
+  // are lake tables of one catalog, the edge is a function of the
+  // catalog and the two lake tables alone, so it is read from (or, on a
+  // miss, scored into) the catalog's join-edge memo under the directed
+  // key (lake x, lake y): BestJoinPair's tie-break is not symmetric.
+  // Every other pair is scored (DESIGN.md §5.7).
+  std::atomic<size_t> pairs_computed{0};
+  auto score_pair = [&](size_t x, size_t y) -> std::optional<JoinPair> {
+    const Candidate& cx = candidates[x];
+    const Candidate& cy = candidates[y];
+    JoinEdgeMemo* memo = backed[x] && backed[y] && cx.stats == cy.stats
+                             ? &cx.stats->join_edges()
+                             : nullptr;
+    std::optional<JoinPair> pair;
+    if (memo != nullptr && memo->Find(cx.lake_index, cy.lake_index, &pair)) {
+      return pair;
+    }
+    pair = BestJoinPair(sets[x], cx.table.num_rows(), sets[y],
+                        cy.table.num_rows(), kJoinThreshold);
+    pairs_computed.fetch_add(1, std::memory_order_relaxed);
+    if (memo != nullptr) memo->Insert(cx.lake_index, cy.lake_index, pair);
+    return pair;
+  };
+
   // Join graph: value-overlap edges with their best column pair, built
   // lazily (DESIGN.md §5.7). A node's adjacency is built the first time
   // Dijkstra or the forced-path neighbor sort asks for it, so pairs that
   // no path search reaches are never scored; with every candidate
-  // covering the key, none is. Each unordered pair is scored once, under
-  // call_once, from its lower index: BestJoinPair's (a_col, b_col)
-  // tie-break is not symmetric, and the lower-index direction is the one
-  // the eager scan scored. The higher index reads it swapped. Neighbors
+  // covering the key, none is. Each unordered pair is read once
+  // (score_pair), under call_once, from its lower index: BestJoinPair's
+  // (a_col, b_col) tie-break is not symmetric, and the lower-index
+  // direction is the one the eager scan scored. The higher index reads
+  // it swapped. Neighbors
   // are listed in ascending index order, the order the eager reduction
   // produced, so Dijkstra's relaxations and the neighbor sort's ties are
   // unchanged. Which thread scores a pair or builds an adjacency never
@@ -672,9 +716,7 @@ Result<ExpandResult> Expand(const Table& source,
     // i < j; row i of the upper triangle starts at i·n − i(i+1)/2.
     PairSlot& slot = pair_slots[i * n - i * (i + 1) / 2 + (j - i - 1)];
     std::call_once(slot.once, [&] {
-      slot.pair =
-          BestJoinPair(sets[i], candidates[i].table.num_rows(), sets[j],
-                       candidates[j].table.num_rows(), kJoinThreshold);
+      slot.pair = score_pair(i, j);
       pairs_scored.fetch_add(1, std::memory_order_relaxed);
     });
     return slot.pair;
@@ -847,9 +889,12 @@ Result<ExpandResult> Expand(const Table& source,
       // path can never masquerade as a complete expansion.
       if (!limits.Interrupted().ok()) return std::nullopt;
       size_t next = path[p];
-      auto pair = BestJoinPair(*rel_sets, rel.num_rows, sets[next],
-                               candidates[next].table.num_rows(),
-                               kJoinThreshold);
+      // The first hop joins the start candidate itself, so its pair is
+      // the directed edge (path[0], next), usually memoized already.
+      auto pair = p == 1 ? score_pair(path[0], next)
+                         : BestJoinPair(*rel_sets, rel.num_rows, sets[next],
+                                        candidates[next].table.num_rows(),
+                                        kJoinThreshold);
       if (!pair) return std::nullopt;
       // Join against the inner-union of the hop table's schema family: a
       // single lake table may be missing join-key values (nulls) that a
@@ -1099,6 +1144,7 @@ Result<ExpandResult> Expand(const Table& source,
   result.hop_sides_reused = hop_counts.sides_reused;
   result.hop_cells_gathered = hop_counts.cells;
   result.join_pairs_scored = pairs_scored.load(std::memory_order_relaxed);
+  result.join_pairs_computed = pairs_computed.load(std::memory_order_relaxed);
   return result;
 }
 

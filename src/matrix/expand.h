@@ -9,11 +9,15 @@
 // (Candidate::stats; zero recomputation), pair containment runs as a
 // merge-intersection over sorted id vectors with a cheap upper-bound
 // prune (min(|Va|,|Vb|)/max(|Va|,|Vb|) × keyness < threshold skips the
-// intersection — exact-safe, the bound dominates the true weight), the
-// join graph is built lazily (a node's edges are scored when a path
-// search first reaches it, each pair once), and the per-candidate set
-// builds and path materialization fan out over a thread pool with an
-// index-ordered reduction.
+// intersection — exact-safe, the bound dominates the true weight; the
+// rest are intersected by descending bound until the bound falls below
+// the best weight found), the join graph is built lazily (a node's
+// edges are scored when a path search first reaches it, each pair
+// once), an edge between two lake tables of one catalog is scored once
+// per catalog and then read from the catalog's join-edge memo
+// (src/engine/join_edge_memo.h), and the per-candidate set builds and
+// path materialization fan out over a thread pool with an index-ordered
+// reduction.
 //
 // A path is late-materialized: each intermediate hop's join output is a
 // path relation (one row-id vector per path table its columns read),
@@ -95,6 +99,16 @@ struct ExpandResult {
   /// candidate covers the key and at most n(n−1)/2. A function of the
   /// candidates, not of the threads.
   size_t join_pairs_scored = 0;
+  /// Pair scorings this call actually ran (BestJoinPair for a graph
+  /// pair or a path's first hop) instead of reading them from the
+  /// candidates' catalog's join-edge memo: the memo's misses plus the
+  /// pairs it cannot serve (an ad-hoc candidate, or two catalogs). It
+  /// depends on what earlier calls over the same catalog stored and on
+  /// which of two racing threads scores a pair first, so unlike the
+  /// counters above it is history, not a function of the candidates.
+  /// Repeating a serial call whose candidates all come from one catalog
+  /// computes 0 while that catalog's memo has room.
+  size_t join_pairs_computed = 0;
 };
 
 struct ExpandOptions {
